@@ -193,6 +193,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 .expect("grids are non-empty");
             let schema = fam.grid()[point].schema.clone();
             let (fp, trace) = mr_obs::record(|| fam.run(point, &engine));
+            let fp = fp.map_err(|e| e.to_string())?;
             (
                 format!(
                     "family {name} / {schema} — {} inputs, q={}, r={:.3}",

@@ -198,7 +198,9 @@ pub fn sweep_families(families: &[Box<dyn DynFamily>], config: &SweepConfig) -> 
         for pi in 0..fam.grid().len() {
             family_of.push(fi);
             jobs.push(Box::new(move || {
-                let fp = fam.run(pi, engine);
+                let fp = fam
+                    .run(pi, engine)
+                    .expect("a sweep round overflowed the caller-supplied reducer budget");
                 SweepPoint {
                     algorithm: fp.measured.algorithm,
                     q_declared: fp.q_declared,

@@ -31,21 +31,36 @@
 //! recipe's `|I|` and `|O|` are the *instance's* edge and occurrence
 //! counts rather than the complete model's.
 //!
+//! # One census, three views
+//!
+//! §2.2 makes `q`, `r`, the pair count and the reducer count folds over a
+//! schema's input→reducer assignment. That fold exists once, in
+//! [`mr_sim::LoadTable`]; pricing a `(removed, added)` change against a
+//! load table exists once, in [`mr_sim::price_change`]. [`AssignCensus`],
+//! [`DeltaCensus`] and [`mr_sim::DeltaPrediction`] are three views of that
+//! arithmetic, and a malformed delta is refused the same way on all three.
+//!
 //! # Adding a family
 //!
-//! Implement [`DynFamily`] for a struct owning the instance data, and
-//! append it in [`registry_at`] (or [`sparse_scenarios`] for non-complete
-//! instances). Nothing else changes: the sweep, `repro frontier`, and
-//! the batteries pick the new family up from the registry. The README's
-//! "adding a new problem family" walkthrough shows a worked example.
+//! A family is a **constructor plus a grid**: a function that builds the
+//! instance inputs and one `Point` per schema parameterisation — declared
+//! budget, display name, the §2.4 recipe, the schema itself (any
+//! [`SchemaJob`]), and, for complete model instances, the problem to
+//! validate it against — and returns them as the module's single generic
+//! `Family` adaptor. Every [`DynFamily`] method is implemented once, on
+//! that adaptor. Add a match arm in [`family_by_name`] and the name in
+//! the registry order, and nothing else changes: the sweep, `repro
+//! frontier`, the planners and the batteries pick the new family up from
+//! the registry. The README's "adding a new problem family" walkthrough
+//! shows a worked example.
 
 use crate::frontier::{bound_gap, MeasuredPoint};
 use crate::model::{validate_schema, MappingSchema, Problem, SchemaReport};
 use crate::problems::hamming::{DistanceDSplittingSchema, HammingProblem};
 use crate::problems::join::problem::{MultiwayJoinProblem, SharesOverDomain};
 use crate::problems::join::query::Query;
-use crate::problems::join::shares::{SharesSchema, TaggedTuple};
-use crate::problems::matmul::problem::{numeric_inputs, NumericEntry};
+use crate::problems::join::shares::SharesSchema;
+use crate::problems::matmul::problem::numeric_inputs;
 use crate::problems::matmul::{MatMulProblem, Matrix, OnePhaseSchema};
 use crate::problems::sample_graph::{MultisetPartitionSchema, SampleGraphProblem};
 use crate::problems::triangle::{g_triangles, NodePartitionSchema, TriangleProblem};
@@ -54,9 +69,9 @@ use crate::recipe::LowerBoundRecipe;
 use mr_graph::{gen, patterns, subgraph, Graph};
 use mr_sim::schema::SchemaJob;
 use mr_sim::{
-    run_schema, run_schema_dyn, run_schema_retained, Delta, DynSchema, EngineConfig, Pipeline, Seq,
+    predict_delta, run_schema, run_schema_dyn, run_schema_retained, Delta, DeltaError, DynSchema,
+    EngineConfig, EngineError, LoadTable, Pipeline, Seq,
 };
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Instance-size preset of the registry.
@@ -73,8 +88,8 @@ pub enum Scale {
 
 /// One declared point of a family's schema grid: the §2.2 design budget,
 /// the schema's display name, and the family's §2.4 recipe evaluated at
-/// that point. ([`LowerBoundRecipe`] holds a closure, so grid points are
-/// rebuilt per [`DynFamily::grid`] call rather than cloned.)
+/// that point.
+#[derive(Clone)]
 pub struct GridPoint {
     /// The schema's declared reducer budget (its design `q`; the measured
     /// load never exceeds it).
@@ -116,8 +131,9 @@ pub struct AssignCensus {
 /// (`0..num_inputs`); entries of `remove` are *positions within `base`*
 /// (equivalently, the [`Seq`] ids the retained run assigned,
 /// since the base receives seqs `0..base.len()` in order). Specs must be
-/// well-formed — in-range indices, no repeated removal position; the
-/// typed layer rejects malformed removals at apply time.
+/// well-formed — in-range indices, no repeated removal position;
+/// [`DynFamily::delta_census`] refuses a malformed `remove` by name, the
+/// way [`mr_sim::DeltaJob::predict`] refuses an unknown [`Seq`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaSpec {
     /// Instance-input indices forming the retained base, in order.
@@ -266,11 +282,15 @@ pub trait DynFamily: Send + Sync {
 
     /// Executes grid point `point` through the engine.
     ///
+    /// # Errors
+    /// [`EngineError::ReducerOverflow`] if `engine` carries a
+    /// `max_reducer_inputs` budget smaller than the point's load — how a
+    /// planner's under-prediction surfaces (`Plan::execute` runs every
+    /// plan under its own predicted `q`).
+    ///
     /// # Panics
-    /// Panics if `point` is out of range for [`grid`](DynFamily::grid),
-    /// or if `engine` carries a `max_reducer_inputs` budget smaller than
-    /// the point's load (the registry exists to *measure* loads).
-    fn run(&self, point: usize, engine: &EngineConfig) -> FamilyPoint;
+    /// Panics if `point` is out of range for [`grid`](DynFamily::grid).
+    fn run(&self, point: usize, engine: &EngineConfig) -> Result<FamilyPoint, EngineError>;
 
     /// Exhaustively validates grid point `point` against the family's
     /// §2 problem ([`validate_schema`]), where that is meaningful:
@@ -301,8 +321,11 @@ pub trait DynFamily: Send + Sync {
     /// `point` — see [`DeltaCensus`]. Never runs the engine.
     ///
     /// # Panics
-    /// Panics if `point` is out of range or `spec` holds out-of-range
-    /// indices.
+    /// Panics if `point` is out of range, if `spec.base`/`spec.add` hold
+    /// out-of-range instance indices, or — naming the family, the point
+    /// and the offending position, identically in debug and release
+    /// builds — if `spec.remove` holds a position outside `base` or
+    /// repeats one.
     fn delta_census(&self, point: usize, spec: &DeltaSpec) -> DeltaCensus;
 
     /// Executes `spec` incrementally at grid point `point`: retains the
@@ -324,202 +347,271 @@ pub trait DynFamily: Send + Sync {
     ) -> DeltaReport;
 }
 
-/// Executes one typed schema through the type-erased runner and packages
-/// the family point. This is the single seam between the registry and
-/// the engine: every family's `run` lands here.
-fn measure<I, O, S>(
-    inputs: &[I],
-    schema: &S,
-    q_declared: u64,
-    recipe: &LowerBoundRecipe,
-    name: String,
-    engine: &EngineConfig,
-) -> FamilyPoint
-where
-    I: Clone + Send + Sync,
-    O: Send,
-    S: SchemaJob<I, O>,
-{
-    let erased = DynSchema::erase::<I, O, S>(inputs, schema);
-    let (_outputs, metrics, wall) = run_schema_dyn(&erased, engine)
-        .expect("a registry round overflowed the caller-supplied reducer budget");
-    let measured = MeasuredPoint::from_round(name, &metrics);
-    let bound = recipe.clamped_lower_bound(measured.q as f64);
-    FamilyPoint {
-        q_declared,
-        gap: bound_gap(measured.r, bound),
-        bound,
-        partition_skew: metrics.shuffle.partition_skew(),
-        // Registry rounds always run the real engine, which fills the
-        // byte count; `unwrap_or(0)` only guards a hypothetical synthetic
-        // stats path.
-        shuffle_bytes: metrics.shuffle.bytes_moved.unwrap_or(0),
-        bucket_loads: metrics.shuffle.bucket_loads.clone(),
-        wall,
-        measured,
-    }
-}
-
-/// Runs a typed schema's assignment function over the instance and
-/// aggregates per-reducer loads — the counterpart of [`measure`] that
-/// stops at the map phase. Every family's `census` lands here.
+/// Folds a schema's assignment over the instance into an
+/// [`AssignCensus`] — one read of [`LoadTable`], the census primitive the
+/// delta census and [`mr_sim::DeltaJob::predict`] read too.
 fn census_of<I, O, S>(inputs: &[I], schema: &S) -> AssignCensus
 where
-    S: SchemaJob<I, O>,
+    S: SchemaJob<I, O> + ?Sized,
 {
-    let mut loads: HashMap<u64, u64> = HashMap::new();
-    let mut pairs = 0u64;
-    for input in inputs {
-        for rid in schema.assign(input) {
-            *loads.entry(rid).or_insert(0) += 1;
-            pairs += 1;
-        }
-    }
+    let table = LoadTable::of(schema, inputs);
     AssignCensus {
-        q: loads.values().copied().max().unwrap_or(0),
+        q: table.max_load(),
         r: if inputs.is_empty() {
             0.0
         } else {
-            pairs as f64 / inputs.len() as f64
+            table.pairs() as f64 / inputs.len() as f64
         },
-        reducers: loads.len() as u64,
-        pairs,
+        reducers: table.reducers(),
+        pairs: table.pairs(),
     }
 }
 
-/// Prices a [`DeltaSpec`] with assignment passes alone — the registry
-/// counterpart of [`mr_sim::DeltaJob::predict`], plus the base-instance
-/// figures `delta_run` needs to budget the retained run. Every family's
-/// `delta_census` lands here.
-fn delta_census_of<I, O, S>(inputs: &[I], schema: &S, spec: &DeltaSpec) -> DeltaCensus
-where
-    S: SchemaJob<I, O>,
-{
-    let mut loads: HashMap<u64, u64> = HashMap::new();
-    let mut base_pairs = 0u64;
-    for &ix in &spec.base {
-        for rid in schema.assign(&inputs[ix]) {
-            *loads.entry(rid).or_insert(0) += 1;
-            base_pairs += 1;
-        }
-    }
-    let base_q = loads.values().copied().max().unwrap_or(0);
-    let base_reducers = loads.len() as u64;
-
-    // Per-dirty-reducer (removals, additions) change counts.
-    let mut touched: HashMap<u64, (u64, u64)> = HashMap::new();
-    let mut delta_pairs = 0u64;
-    for &pos in &spec.remove {
-        for rid in schema.assign(&inputs[spec.base[pos]]) {
-            touched.entry(rid).or_insert((0, 0)).0 += 1;
-            delta_pairs += 1;
-        }
-    }
-    for &ix in &spec.add {
-        for rid in schema.assign(&inputs[ix]) {
-            touched.entry(rid).or_insert((0, 0)).1 += 1;
-            delta_pairs += 1;
-        }
-    }
-
-    let mut post_q = 0u64;
-    let mut post_reducers = 0u64;
-    for (rid, load) in &loads {
-        if !touched.contains_key(rid) {
-            post_q = post_q.max(*load);
-            post_reducers += 1;
-        }
-    }
-    for (rid, (removed, added)) in &touched {
-        let load = loads.get(rid).copied().unwrap_or(0) - removed + added;
-        if load > 0 {
-            post_q = post_q.max(load);
-            post_reducers += 1;
-        }
-    }
-    DeltaCensus {
-        base_q,
-        base_pairs,
-        base_reducers,
-        dirty_reducers: touched.len() as u64,
-        delta_pairs,
-        post_q,
-        post_reducers,
-    }
-}
-
-/// Runs one [`DeltaSpec`] through the retained incremental path and the
-/// full-run oracle and packages the comparison — the delta counterpart
-/// of [`measure`]. Every family's `delta_run` lands here.
-fn delta_measure<I, O, S>(
+/// Prices a [`DeltaSpec`] with assignment passes alone: the base's
+/// [`LoadTable`] for the figures `delta_run` budgets the retained run
+/// with, and [`predict_delta`] — the arithmetic and the malformed-removal
+/// refusal [`mr_sim::DeltaJob::predict`] uses — for what the delta does
+/// to it. Removal positions are the base's [`Seq`] ids.
+fn delta_census_of<I, O, S>(
     inputs: &[I],
-    schema: S,
-    pipeline: Pipeline,
+    schema: &S,
     spec: &DeltaSpec,
-    engine: &EngineConfig,
-) -> DeltaReport
+) -> Result<DeltaCensus, DeltaError>
+where
+    S: SchemaJob<I, O> + ?Sized,
+{
+    let base = LoadTable::of(schema, spec.base.iter().map(|&ix| &inputs[ix]));
+    let removed: Vec<Seq> = spec.remove.iter().map(|&pos| pos as Seq).collect();
+    let delta = predict_delta(
+        schema,
+        base.iter(),
+        |seq| spec.base.get(seq as usize).map(|&ix| &inputs[ix]),
+        &removed,
+        spec.add.iter().map(|&ix| &inputs[ix]),
+    )?;
+    Ok(DeltaCensus {
+        base_q: base.max_load(),
+        base_pairs: base.pairs(),
+        base_reducers: base.reducers(),
+        dirty_reducers: delta.dirty_reducers,
+        delta_pairs: delta.delta_pairs,
+        post_q: delta.post_q,
+        post_reducers: delta.post_reducers,
+    })
+}
+
+// ---------------------------------------------------------------------
+// The one adaptor: a family is its instance inputs plus a grid of points.
+// ---------------------------------------------------------------------
+
+/// One grid point of a [`Family`]: what [`DynFamily::grid`] declares, the
+/// executable schema behind it, and — for complete model instances — the
+/// exhaustive §2 validation of that schema.
+struct Point<I, O> {
+    declared: GridPoint,
+    job: Box<dyn SchemaJob<I, O> + Send>,
+    validate: Option<Box<dyn Fn() -> SchemaReport + Send + Sync>>,
+}
+
+impl<I, O> Point<I, O> {
+    /// A point with an explicit budget and name, and no validator.
+    fn new(
+        q_declared: u64,
+        schema: String,
+        recipe: &LowerBoundRecipe,
+        job: impl SchemaJob<I, O> + Send + 'static,
+    ) -> Self {
+        Point {
+            declared: GridPoint {
+                q_declared,
+                schema,
+                recipe: recipe.clone(),
+            },
+            job: Box::new(job),
+            validate: None,
+        }
+    }
+
+    /// A point whose budget and name are the ones `schema` declares as a
+    /// [`MappingSchema`] of problem `P`.
+    fn of<P, S>(schema: S, recipe: &LowerBoundRecipe) -> Self
+    where
+        P: Problem,
+        S: MappingSchema<P> + SchemaJob<I, O> + Send + 'static,
+    {
+        let (q, name) = (schema.max_inputs_per_reducer(), schema.name());
+        Point::new(q, name, recipe, schema)
+    }
+
+    /// Adds exhaustive validation of `mapping` against `problem`.
+    fn validated<P, M>(mut self, problem: P, mapping: M) -> Self
+    where
+        P: Problem + Send + Sync + 'static,
+        M: MappingSchema<P> + Send + Sync + 'static,
+    {
+        self.validate = Some(Box::new(move || validate_schema(&problem, &mapping)));
+        self
+    }
+}
+
+/// The generic [`DynFamily`]: instance inputs plus a grid of [`Point`]s.
+/// Every registry family is a constructor function returning one of
+/// these; every trait method below is the same few lines for all of them.
+struct Family<I, O> {
+    name: &'static str,
+    instance: String,
+    params: Vec<(&'static str, u64)>,
+    inputs: Vec<I>,
+    grid: Vec<Point<I, O>>,
+}
+
+impl<I, O> Family<I, O> {
+    /// The schema behind grid point `point`, lendable wherever a
+    /// `SchemaJob` is taken by value or by reference.
+    fn job(&self, point: usize) -> &dyn SchemaJob<I, O> {
+        &*self.grid[point].job
+    }
+}
+
+impl<I, O> DynFamily for Family<I, O>
 where
     I: Clone + Send + Sync,
     O: Clone + Send + PartialEq,
-    S: SchemaJob<I, O>,
 {
-    let census = delta_census_of::<I, O, S>(inputs, &schema, spec);
-    let base: Vec<I> = spec.base.iter().map(|&ix| inputs[ix].clone()).collect();
-    // Removals can pull the maximum load below the base's, so the
-    // retained run is budgeted at the larger of the two censuses: tight
-    // enough to keep the honesty contract, loose enough that the base
-    // itself fits.
-    let retained_cfg = engine
-        .clone()
-        .with_max_reducer_inputs(census.base_q.max(census.post_q))
-        .with_pairs_hint(census.base_pairs);
-    let mut job = run_schema_retained(&base, schema, pipeline, &retained_cfg)
-        .expect("a census-budgeted base run cannot overflow");
+    fn name(&self) -> &'static str {
+        self.name
+    }
 
-    let delta = Delta::new(
-        spec.add.iter().map(|&ix| inputs[ix].clone()).collect(),
-        spec.remove.iter().map(|&pos| pos as Seq).collect(),
-    );
-    let start = Instant::now();
-    let outcome = job
-        .apply(&delta)
-        .expect("a census-budgeted delta cannot overflow");
-    let wall_delta = start.elapsed();
+    fn instance(&self) -> String {
+        self.instance.clone()
+    }
 
-    // Oracle: a fresh full run of the post-delta instance, budgeted at
-    // the census-predicted post-q — an under-prediction aborts here.
-    let live = job.inputs();
-    let full_cfg = engine.clone().with_max_reducer_inputs(census.post_q);
-    let start = Instant::now();
-    let (full_out, full_m) = run_schema(&live, job.schema(), &full_cfg)
-        .expect("the census-predicted post-delta q cannot overflow");
-    let wall_full = start.elapsed();
+    fn grid(&self) -> Vec<GridPoint> {
+        self.grid.iter().map(|p| p.declared.clone()).collect()
+    }
 
-    let retained_m = job.metrics();
-    let matches_full_run = retained_m == full_m && job.outputs() == full_out;
-    let m = &outcome.metrics;
-    let prediction_exact = census.dirty_reducers == m.dirty_reducers
-        && census.delta_pairs == m.delta_pairs
-        && census.post_reducers == m.total_reducers
-        && census.post_q == retained_m.load.max;
+    /// The single seam between the registry and the engine: the typed
+    /// schema is erased to index closures and run through
+    /// [`run_schema_dyn`].
+    fn run(&self, point: usize, engine: &EngineConfig) -> Result<FamilyPoint, EngineError> {
+        let declared = &self.grid[point].declared;
+        let job = self.job(point);
+        let erased = DynSchema::erase::<I, O, _>(&self.inputs, &job);
+        let (_outputs, metrics, wall) = run_schema_dyn(&erased, engine)?;
+        let measured = MeasuredPoint::from_round(declared.schema.clone(), &metrics);
+        let bound = declared.recipe.clamped_lower_bound(measured.q as f64);
+        Ok(FamilyPoint {
+            q_declared: declared.q_declared,
+            gap: bound_gap(measured.r, bound),
+            bound,
+            partition_skew: metrics.shuffle.partition_skew(),
+            // Registry rounds always run the real engine, which fills the
+            // byte count; `unwrap_or(0)` only guards a hypothetical synthetic
+            // stats path.
+            shuffle_bytes: metrics.shuffle.bytes_moved.unwrap_or(0),
+            bucket_loads: metrics.shuffle.bucket_loads.clone(),
+            wall,
+            measured,
+        })
+    }
 
-    DeltaReport {
-        base_inputs: spec.base.len() as u64,
-        added: m.inputs_added,
-        removed: m.inputs_removed,
-        dirty_reducers: m.dirty_reducers,
-        delta_pairs: m.delta_pairs,
-        outputs_retracted: m.outputs_retracted,
-        outputs_added: m.outputs_added,
-        full_reducers: full_m.reducers,
-        full_pairs: full_m.kv_pairs,
-        full_q: full_m.load.max,
-        outputs_total: full_out.len() as u64,
-        matches_full_run,
-        prediction_exact,
-        census,
-        wall_delta,
-        wall_full,
+    fn validate(&self, point: usize) -> Option<SchemaReport> {
+        self.grid[point]
+            .validate
+            .as_ref()
+            .map(|validate| validate())
+    }
+
+    fn census(&self, point: usize) -> AssignCensus {
+        census_of(&self.inputs, self.job(point))
+    }
+
+    fn params(&self) -> Vec<(&'static str, u64)> {
+        self.params.clone()
+    }
+
+    fn num_inputs(&self) -> usize {
+        self.inputs.len()
+    }
+
+    fn delta_census(&self, point: usize, spec: &DeltaSpec) -> DeltaCensus {
+        delta_census_of(&self.inputs, self.job(point), spec).unwrap_or_else(|e| {
+            panic!(
+                "{} / {} (point {point}): malformed DeltaSpec — {e} \
+                 (`remove` holds positions within `base`, each at most once)",
+                self.name, self.grid[point].declared.schema
+            )
+        })
+    }
+
+    /// Runs `spec` through the retained incremental path and the full-run
+    /// oracle, and packages the comparison.
+    fn delta_run(
+        &self,
+        point: usize,
+        engine: &EngineConfig,
+        pipeline: Pipeline,
+        spec: &DeltaSpec,
+    ) -> DeltaReport {
+        let inputs = &self.inputs;
+        let census = self.delta_census(point, spec);
+        let base: Vec<I> = spec.base.iter().map(|&ix| inputs[ix].clone()).collect();
+        // Removals can pull the maximum load below the base's, so the
+        // retained run is budgeted at the larger of the two censuses: tight
+        // enough to keep the honesty contract, loose enough that the base
+        // itself fits.
+        let retained_cfg = engine
+            .clone()
+            .with_max_reducer_inputs(census.base_q.max(census.post_q))
+            .with_pairs_hint(census.base_pairs);
+        let mut job = run_schema_retained(&base, self.job(point), pipeline, &retained_cfg)
+            .expect("a census-budgeted base run cannot overflow");
+
+        let delta = Delta::new(
+            spec.add.iter().map(|&ix| inputs[ix].clone()).collect(),
+            spec.remove.iter().map(|&pos| pos as Seq).collect(),
+        );
+        let start = Instant::now();
+        let outcome = job
+            .apply(&delta)
+            .expect("a census-budgeted delta cannot overflow");
+        let wall_delta = start.elapsed();
+
+        // Oracle: a fresh full run of the post-delta instance, budgeted at
+        // the census-predicted post-q — an under-prediction aborts here.
+        let live = job.inputs();
+        let full_cfg = engine.clone().with_max_reducer_inputs(census.post_q);
+        let start = Instant::now();
+        let (full_out, full_m) = run_schema(&live, job.schema(), &full_cfg)
+            .expect("the census-predicted post-delta q cannot overflow");
+        let wall_full = start.elapsed();
+
+        let retained_m = job.metrics();
+        let matches_full_run = retained_m == full_m && job.outputs() == full_out;
+        let m = &outcome.metrics;
+        let prediction_exact = census.dirty_reducers == m.dirty_reducers
+            && census.delta_pairs == m.delta_pairs
+            && census.post_reducers == m.total_reducers
+            && census.post_q == retained_m.load.max;
+
+        DeltaReport {
+            base_inputs: spec.base.len() as u64,
+            added: m.inputs_added,
+            removed: m.inputs_removed,
+            dirty_reducers: m.dirty_reducers,
+            delta_pairs: m.delta_pairs,
+            outputs_retracted: m.outputs_retracted,
+            outputs_added: m.outputs_added,
+            full_reducers: full_m.reducers,
+            full_pairs: full_m.kv_pairs,
+            full_q: full_m.load.max,
+            outputs_total: full_out.len() as u64,
+            matches_full_run,
+            prediction_exact,
+            census,
+            wall_delta,
+            wall_full,
+        }
     }
 }
 
@@ -567,657 +659,152 @@ impl Scale {
 }
 
 // ---------------------------------------------------------------------
-// Family 0 — Hamming distance 1 (§3): splitting at every divisor of b.
+// The families: each a constructor that builds its instance and its grid.
 // ---------------------------------------------------------------------
 
-struct HammingD1 {
-    b: u32,
-    ks: Vec<u32>,
-    inputs: Vec<u64>,
-}
-
-impl HammingD1 {
-    fn new(b: u32) -> Self {
-        HammingD1 {
-            b,
-            ks: (1..=b).filter(|k| b.is_multiple_of(*k)).collect(),
-            inputs: (0..(1u64 << b)).collect(),
-        }
-    }
-
-    fn schema(&self, point: usize) -> DistanceDSplittingSchema {
-        DistanceDSplittingSchema::new(self.b, self.ks[point], 1)
-    }
-}
-
-impl DynFamily for HammingD1 {
-    fn name(&self) -> &'static str {
-        "hamming-d1"
-    }
-
-    fn instance(&self) -> String {
-        format!("all {}-bit strings (|I| = {})", self.b, 1u64 << self.b)
-    }
-
-    fn grid(&self) -> Vec<GridPoint> {
-        (0..self.ks.len())
-            .map(|p| {
-                let schema = self.schema(p);
-                GridPoint {
-                    q_declared: MappingSchema::<HammingProblem>::max_inputs_per_reducer(&schema),
-                    schema: MappingSchema::<HammingProblem>::name(&schema),
-                    recipe: HammingProblem::distance_one(self.b).recipe(),
-                }
+/// Hamming distance 1 (§3): splitting at every divisor of `b`.
+fn hamming_d1(b: u32) -> Box<dyn DynFamily> {
+    let problem = HammingProblem::distance_one(b);
+    let recipe = problem.recipe();
+    Box::new(Family {
+        name: "hamming-d1",
+        instance: format!("all {b}-bit strings (|I| = {})", 1u64 << b),
+        params: vec![("b", b as u64)],
+        inputs: (0..(1u64 << b)).collect(),
+        grid: (1..=b)
+            .filter(|k| b.is_multiple_of(*k))
+            .map(|k| {
+                let schema = DistanceDSplittingSchema::new(b, k, 1);
+                Point::of::<HammingProblem, _>(schema.clone(), &recipe).validated(problem, schema)
             })
-            .collect()
-    }
-
-    fn run(&self, point: usize, engine: &EngineConfig) -> FamilyPoint {
-        let schema = self.schema(point);
-        let recipe = HammingProblem::distance_one(self.b).recipe();
-        let name = MappingSchema::<HammingProblem>::name(&schema);
-        let q = MappingSchema::<HammingProblem>::max_inputs_per_reducer(&schema);
-        measure::<u64, (u64, u64), _>(&self.inputs, &schema, q, &recipe, name, engine)
-    }
-
-    fn validate(&self, point: usize) -> Option<SchemaReport> {
-        Some(validate_schema(
-            &HammingProblem::distance_one(self.b),
-            &self.schema(point),
-        ))
-    }
-
-    fn census(&self, point: usize) -> AssignCensus {
-        census_of::<u64, (u64, u64), _>(&self.inputs, &self.schema(point))
-    }
-
-    fn params(&self) -> Vec<(&'static str, u64)> {
-        vec![("b", self.b as u64)]
-    }
-
-    fn num_inputs(&self) -> usize {
-        self.inputs.len()
-    }
-
-    fn delta_census(&self, point: usize, spec: &DeltaSpec) -> DeltaCensus {
-        delta_census_of::<u64, (u64, u64), _>(&self.inputs, &self.schema(point), spec)
-    }
-
-    fn delta_run(
-        &self,
-        point: usize,
-        engine: &EngineConfig,
-        pipeline: Pipeline,
-        spec: &DeltaSpec,
-    ) -> DeltaReport {
-        delta_measure::<u64, (u64, u64), _>(
-            &self.inputs,
-            self.schema(point),
-            pipeline,
-            spec,
-            engine,
-        )
-    }
+            .collect(),
+    })
 }
 
-// ---------------------------------------------------------------------
-// Family 1 — triangles (§4): node partition at divisor group counts.
-// ---------------------------------------------------------------------
-
-struct Triangles {
-    n: u32,
-    ks: Vec<u32>,
-    graph: Graph,
-}
-
-impl Triangles {
-    fn new(n: u32) -> Self {
-        Triangles {
-            n,
-            ks: (1..=n)
-                .filter(|k| n.is_multiple_of(*k) && *k <= n / 2)
-                .collect(),
-            graph: Graph::complete(n as usize),
-        }
-    }
-
-    fn schema(&self, point: usize) -> NodePartitionSchema {
-        NodePartitionSchema::new(self.n, self.ks[point])
-    }
-}
-
-impl DynFamily for Triangles {
-    fn name(&self) -> &'static str {
-        "triangles"
-    }
-
-    fn instance(&self) -> String {
-        format!(
-            "complete graph K_{} ({} edges)",
-            self.n,
-            self.graph.num_edges()
-        )
-    }
-
-    fn grid(&self) -> Vec<GridPoint> {
-        (0..self.ks.len())
-            .map(|p| {
-                let schema = self.schema(p);
-                GridPoint {
-                    q_declared: schema.exact_max_load(),
-                    schema: MappingSchema::<TriangleProblem>::name(&schema),
-                    recipe: TriangleProblem::new(self.n).recipe(),
-                }
+/// Triangles (§4): node partition at divisor group counts.
+fn triangles(n: u32) -> Box<dyn DynFamily> {
+    let problem = TriangleProblem::new(n);
+    let recipe = problem.recipe();
+    let graph = Graph::complete(n as usize);
+    Box::new(Family {
+        name: "triangles",
+        instance: format!("complete graph K_{n} ({} edges)", graph.num_edges()),
+        params: vec![("n", n as u64)],
+        inputs: graph.edges().to_vec(),
+        grid: (1..=n)
+            .filter(|k| n.is_multiple_of(*k) && *k <= n / 2)
+            .map(|k| {
+                let schema = NodePartitionSchema::new(n, k);
+                Point::of::<TriangleProblem, _>(schema, &recipe).validated(problem, schema)
             })
-            .collect()
-    }
-
-    fn run(&self, point: usize, engine: &EngineConfig) -> FamilyPoint {
-        let schema = self.schema(point);
-        let recipe = TriangleProblem::new(self.n).recipe();
-        let name = MappingSchema::<TriangleProblem>::name(&schema);
-        let q = schema.exact_max_load();
-        measure::<_, [u32; 3], _>(self.graph.edges(), &schema, q, &recipe, name, engine)
-    }
-
-    fn validate(&self, point: usize) -> Option<SchemaReport> {
-        Some(validate_schema(
-            &TriangleProblem::new(self.n),
-            &self.schema(point),
-        ))
-    }
-
-    fn census(&self, point: usize) -> AssignCensus {
-        census_of::<_, [u32; 3], _>(self.graph.edges(), &self.schema(point))
-    }
-
-    fn params(&self) -> Vec<(&'static str, u64)> {
-        vec![("n", self.n as u64)]
-    }
-
-    fn num_inputs(&self) -> usize {
-        self.graph.num_edges()
-    }
-
-    fn delta_census(&self, point: usize, spec: &DeltaSpec) -> DeltaCensus {
-        delta_census_of::<_, [u32; 3], _>(self.graph.edges(), &self.schema(point), spec)
-    }
-
-    fn delta_run(
-        &self,
-        point: usize,
-        engine: &EngineConfig,
-        pipeline: Pipeline,
-        spec: &DeltaSpec,
-    ) -> DeltaReport {
-        delta_measure::<_, [u32; 3], _>(
-            self.graph.edges(),
-            self.schema(point),
-            pipeline,
-            spec,
-            engine,
-        )
-    }
+            .collect(),
+    })
 }
 
-// ---------------------------------------------------------------------
-// Family 2 — sample graphs (§5.1–5.3): 4-cycle pattern, multiset
-// partition over k groups. The k = n point (one node per group) pushes
-// the measured load below |O|/|I|, where the unclamped g(q) = q^{s/2}
-// bound exceeds 1 — so the family's r ≥ bound check has teeth.
-// ---------------------------------------------------------------------
-
-struct SampleC4 {
-    n: u32,
-    ks: Vec<u32>,
-    pattern: Graph,
-    graph: Graph,
-}
-
-impl SampleC4 {
-    fn new(n: u32) -> Self {
-        SampleC4 {
-            n,
-            ks: vec![1, 2, 3, 4, n],
-            pattern: patterns::cycle(4),
-            graph: Graph::complete(n as usize),
-        }
-    }
-
-    fn schema(&self, point: usize) -> MultisetPartitionSchema {
-        MultisetPartitionSchema::new(self.pattern.clone(), self.n, self.ks[point])
-    }
-}
-
-impl DynFamily for SampleC4 {
-    fn name(&self) -> &'static str {
-        "sample-c4"
-    }
-
-    fn instance(&self) -> String {
-        format!(
-            "4-cycle pattern in K_{} ({} edges)",
-            self.n,
-            self.graph.num_edges()
-        )
-    }
-
-    fn grid(&self) -> Vec<GridPoint> {
-        (0..self.ks.len())
-            .map(|p| {
-                let schema = self.schema(p);
-                GridPoint {
-                    q_declared: MappingSchema::<SampleGraphProblem>::max_inputs_per_reducer(
-                        &schema,
-                    ),
-                    schema: MappingSchema::<SampleGraphProblem>::name(&schema),
-                    recipe: SampleGraphProblem::new(self.pattern.clone(), self.n).recipe(),
-                }
+/// Sample graphs (§5.1–5.3): 4-cycle pattern, multiset partition over `k`
+/// groups. The `k = n` point (one node per group) pushes the measured
+/// load below `|O|/|I|`, where the unclamped `g(q) = q^{s/2}` bound
+/// exceeds 1 — so the family's `r ≥ bound` check has teeth.
+fn sample_c4(n: u32) -> Box<dyn DynFamily> {
+    let pattern = patterns::cycle(4);
+    let problem = SampleGraphProblem::new(pattern.clone(), n);
+    let recipe = problem.recipe();
+    let graph = Graph::complete(n as usize);
+    Box::new(Family {
+        name: "sample-c4",
+        instance: format!("4-cycle pattern in K_{n} ({} edges)", graph.num_edges()),
+        params: vec![("n", n as u64), ("s", pattern.num_nodes() as u64)],
+        inputs: graph.edges().to_vec(),
+        grid: [1, 2, 3, 4, n]
+            .into_iter()
+            .map(|k| {
+                let schema = MultisetPartitionSchema::new(pattern.clone(), n, k);
+                Point::of::<SampleGraphProblem, _>(schema.clone(), &recipe)
+                    .validated(problem.clone(), schema)
             })
-            .collect()
-    }
-
-    fn run(&self, point: usize, engine: &EngineConfig) -> FamilyPoint {
-        let schema = self.schema(point);
-        let recipe = SampleGraphProblem::new(self.pattern.clone(), self.n).recipe();
-        let name = MappingSchema::<SampleGraphProblem>::name(&schema);
-        let q = MappingSchema::<SampleGraphProblem>::max_inputs_per_reducer(&schema);
-        measure::<_, Vec<(u32, u32)>, _>(self.graph.edges(), &schema, q, &recipe, name, engine)
-    }
-
-    fn validate(&self, point: usize) -> Option<SchemaReport> {
-        Some(validate_schema(
-            &SampleGraphProblem::new(self.pattern.clone(), self.n),
-            &self.schema(point),
-        ))
-    }
-
-    fn census(&self, point: usize) -> AssignCensus {
-        census_of::<_, Vec<(u32, u32)>, _>(self.graph.edges(), &self.schema(point))
-    }
-
-    fn params(&self) -> Vec<(&'static str, u64)> {
-        vec![("n", self.n as u64), ("s", self.pattern.num_nodes() as u64)]
-    }
-
-    fn num_inputs(&self) -> usize {
-        self.graph.num_edges()
-    }
-
-    fn delta_census(&self, point: usize, spec: &DeltaSpec) -> DeltaCensus {
-        delta_census_of::<_, Vec<(u32, u32)>, _>(self.graph.edges(), &self.schema(point), spec)
-    }
-
-    fn delta_run(
-        &self,
-        point: usize,
-        engine: &EngineConfig,
-        pipeline: Pipeline,
-        spec: &DeltaSpec,
-    ) -> DeltaReport {
-        delta_measure::<_, Vec<(u32, u32)>, _>(
-            self.graph.edges(),
-            self.schema(point),
-            pipeline,
-            spec,
-            engine,
-        )
-    }
+            .collect(),
+    })
 }
 
-// ---------------------------------------------------------------------
-// Family 3 — 2-paths (§5.4): the per-node q = n point plus the
-// bucket-pair refinement at power-of-two bucket counts.
-// ---------------------------------------------------------------------
-
-struct TwoPaths {
-    n: u32,
-    bucket_ks: Vec<u32>,
-    graph: Graph,
+/// 2-paths (§5.4): the per-node `q = n` point plus the bucket-pair
+/// refinement at power-of-two bucket counts — two schema types, one grid.
+fn two_path(n: u32) -> Box<dyn DynFamily> {
+    let problem = TwoPathProblem::new(n);
+    let recipe = problem.recipe();
+    let graph = Graph::complete(n as usize);
+    let per_node = PerNodeSchema { n };
+    let mut grid =
+        vec![Point::of::<TwoPathProblem, _>(per_node, &recipe).validated(problem, per_node)];
+    grid.extend([2, 4, 8].into_iter().map(|k| {
+        let schema = BucketPairSchema::new(n, k);
+        Point::of::<TwoPathProblem, _>(schema, &recipe).validated(problem, schema)
+    }));
+    Box::new(Family {
+        name: "two-path",
+        instance: format!("complete graph K_{n} ({} edges)", graph.num_edges()),
+        params: vec![("n", n as u64)],
+        inputs: graph.edges().to_vec(),
+        grid,
+    })
 }
 
-impl TwoPaths {
-    fn new(n: u32) -> Self {
-        TwoPaths {
-            n,
-            bucket_ks: vec![2, 4, 8],
-            graph: Graph::complete(n as usize),
-        }
-    }
-}
-
-impl DynFamily for TwoPaths {
-    fn name(&self) -> &'static str {
-        "two-path"
-    }
-
-    fn instance(&self) -> String {
-        format!(
-            "complete graph K_{} ({} edges)",
-            self.n,
-            self.graph.num_edges()
-        )
-    }
-
-    fn grid(&self) -> Vec<GridPoint> {
-        let recipe = || TwoPathProblem::new(self.n).recipe();
-        let mut points = Vec::with_capacity(1 + self.bucket_ks.len());
-        let per_node = PerNodeSchema { n: self.n };
-        points.push(GridPoint {
-            q_declared: MappingSchema::<TwoPathProblem>::max_inputs_per_reducer(&per_node),
-            schema: MappingSchema::<TwoPathProblem>::name(&per_node),
-            recipe: recipe(),
-        });
-        for &k in &self.bucket_ks {
-            let schema = BucketPairSchema::new(self.n, k);
-            points.push(GridPoint {
-                q_declared: MappingSchema::<TwoPathProblem>::max_inputs_per_reducer(&schema),
-                schema: MappingSchema::<TwoPathProblem>::name(&schema),
-                recipe: recipe(),
-            });
-        }
-        points
-    }
-
-    fn run(&self, point: usize, engine: &EngineConfig) -> FamilyPoint {
-        let recipe = TwoPathProblem::new(self.n).recipe();
-        if point == 0 {
-            let schema = PerNodeSchema { n: self.n };
-            let name = MappingSchema::<TwoPathProblem>::name(&schema);
-            let q = MappingSchema::<TwoPathProblem>::max_inputs_per_reducer(&schema);
-            measure::<_, (u32, u32, u32), _>(self.graph.edges(), &schema, q, &recipe, name, engine)
-        } else {
-            let schema = BucketPairSchema::new(self.n, self.bucket_ks[point - 1]);
-            let name = MappingSchema::<TwoPathProblem>::name(&schema);
-            let q = MappingSchema::<TwoPathProblem>::max_inputs_per_reducer(&schema);
-            measure::<_, (u32, u32, u32), _>(self.graph.edges(), &schema, q, &recipe, name, engine)
-        }
-    }
-
-    fn validate(&self, point: usize) -> Option<SchemaReport> {
-        let problem = TwoPathProblem::new(self.n);
-        Some(if point == 0 {
-            validate_schema(&problem, &PerNodeSchema { n: self.n })
-        } else {
-            validate_schema(
-                &problem,
-                &BucketPairSchema::new(self.n, self.bucket_ks[point - 1]),
-            )
-        })
-    }
-
-    fn census(&self, point: usize) -> AssignCensus {
-        if point == 0 {
-            census_of::<_, (u32, u32, u32), _>(self.graph.edges(), &PerNodeSchema { n: self.n })
-        } else {
-            census_of::<_, (u32, u32, u32), _>(
-                self.graph.edges(),
-                &BucketPairSchema::new(self.n, self.bucket_ks[point - 1]),
-            )
-        }
-    }
-
-    fn params(&self) -> Vec<(&'static str, u64)> {
-        vec![("n", self.n as u64)]
-    }
-
-    fn num_inputs(&self) -> usize {
-        self.graph.num_edges()
-    }
-
-    fn delta_census(&self, point: usize, spec: &DeltaSpec) -> DeltaCensus {
-        if point == 0 {
-            delta_census_of::<_, (u32, u32, u32), _>(
-                self.graph.edges(),
-                &PerNodeSchema { n: self.n },
-                spec,
-            )
-        } else {
-            delta_census_of::<_, (u32, u32, u32), _>(
-                self.graph.edges(),
-                &BucketPairSchema::new(self.n, self.bucket_ks[point - 1]),
-                spec,
-            )
-        }
-    }
-
-    fn delta_run(
-        &self,
-        point: usize,
-        engine: &EngineConfig,
-        pipeline: Pipeline,
-        spec: &DeltaSpec,
-    ) -> DeltaReport {
-        if point == 0 {
-            delta_measure::<_, (u32, u32, u32), _>(
-                self.graph.edges(),
-                PerNodeSchema { n: self.n },
-                pipeline,
-                spec,
-                engine,
-            )
-        } else {
-            delta_measure::<_, (u32, u32, u32), _>(
-                self.graph.edges(),
-                BucketPairSchema::new(self.n, self.bucket_ks[point - 1]),
-                pipeline,
-                spec,
-                engine,
-            )
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Family 4 — multiway joins (§5.5): the cycle query R(A,B) ⋈ S(B,C) ⋈
-// T(C,A) under symmetric Shares grids. g(q) = q^ρ by AGM (§5.5.1).
-// The s = n grid (one domain value per bucket) drives q low enough
-// that the unclamped n/(3√q) bound exceeds 1 — the non-vacuous point
-// of this family's r ≥ bound check.
-// ---------------------------------------------------------------------
-
-struct JoinCycle3 {
-    n: u32,
-    ss: Vec<u64>,
-    problem: MultiwayJoinProblem,
-    inputs: Vec<TaggedTuple>,
-}
-
-impl JoinCycle3 {
-    fn new(n: u32) -> Self {
-        let problem = MultiwayJoinProblem::new(Query::cycle(3), n);
-        let inputs = problem.inputs();
-        let mut ss: Vec<u64> = vec![1, 2, 3, n as u64];
-        ss.dedup();
-        JoinCycle3 {
-            n,
-            ss,
-            problem,
-            inputs,
-        }
-    }
-
-    fn schema(&self, point: usize) -> SharesSchema {
-        let s = self.ss[point];
-        SharesSchema::new(self.problem.query.clone(), vec![s, s, s])
-    }
-
-    fn point_name(&self, point: usize) -> String {
-        format!("shares(cycle3, s={})", self.ss[point])
-    }
-}
-
-impl DynFamily for JoinCycle3 {
-    fn name(&self) -> &'static str {
-        "join-cycle3"
-    }
-
-    fn instance(&self) -> String {
-        format!(
-            "cycle query, complete instance on domain {} ({} tuples)",
-            self.n,
-            self.inputs.len()
-        )
-    }
-
-    fn grid(&self) -> Vec<GridPoint> {
-        (0..self.ss.len())
-            .map(|p| GridPoint {
-                q_declared: SharesOverDomain::new(self.schema(p), self.n).cell_budget(),
-                schema: self.point_name(p),
-                recipe: self.problem.recipe(),
+/// Multiway joins (§5.5): the cycle query `R(A,B) ⋈ S(B,C) ⋈ T(C,A)` under
+/// symmetric Shares grids, `g(q) = q^ρ` by AGM (§5.5.1). The `s = n` grid
+/// (one domain value per bucket) drives `q` low enough that the unclamped
+/// `n/(3√q)` bound exceeds 1 — the non-vacuous point of this family's
+/// `r ≥ bound` check. The engine runs the [`SharesSchema`]; budget and
+/// validation come from its [`SharesOverDomain`] view of the model.
+fn join_cycle3(n: u32) -> Box<dyn DynFamily> {
+    let problem = MultiwayJoinProblem::new(Query::cycle(3), n);
+    let recipe = problem.recipe();
+    let inputs = problem.inputs();
+    let mut ss: Vec<u64> = vec![1, 2, 3, n as u64];
+    ss.dedup();
+    Box::new(Family {
+        name: "join-cycle3",
+        instance: format!(
+            "cycle query, complete instance on domain {n} ({} tuples)",
+            inputs.len()
+        ),
+        params: vec![("n", n as u64), ("atoms", problem.query.atoms.len() as u64)],
+        inputs,
+        grid: ss
+            .into_iter()
+            .map(|s| {
+                let schema = SharesSchema::new(problem.query.clone(), vec![s, s, s]);
+                let model = SharesOverDomain::new(schema.clone(), n);
+                let name = format!("shares(cycle3, s={s})");
+                Point::new(model.cell_budget(), name, &recipe, schema)
+                    .validated(problem.clone(), model)
             })
-            .collect()
-    }
-
-    fn run(&self, point: usize, engine: &EngineConfig) -> FamilyPoint {
-        let schema = self.schema(point);
-        let recipe = self.problem.recipe();
-        let name = self.point_name(point);
-        let q = SharesOverDomain::new(schema.clone(), self.n).cell_budget();
-        measure::<_, Vec<u32>, _>(&self.inputs, &schema, q, &recipe, name, engine)
-    }
-
-    fn validate(&self, point: usize) -> Option<SchemaReport> {
-        Some(validate_schema(
-            &self.problem,
-            &SharesOverDomain::new(self.schema(point), self.n),
-        ))
-    }
-
-    fn census(&self, point: usize) -> AssignCensus {
-        census_of::<_, Vec<u32>, _>(&self.inputs, &self.schema(point))
-    }
-
-    fn params(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("n", self.n as u64),
-            ("atoms", self.problem.query.atoms.len() as u64),
-        ]
-    }
-
-    fn num_inputs(&self) -> usize {
-        self.inputs.len()
-    }
-
-    fn delta_census(&self, point: usize, spec: &DeltaSpec) -> DeltaCensus {
-        delta_census_of::<_, Vec<u32>, _>(&self.inputs, &self.schema(point), spec)
-    }
-
-    fn delta_run(
-        &self,
-        point: usize,
-        engine: &EngineConfig,
-        pipeline: Pipeline,
-        spec: &DeltaSpec,
-    ) -> DeltaReport {
-        delta_measure::<_, Vec<u32>, _>(&self.inputs, self.schema(point), pipeline, spec, engine)
-    }
+            .collect(),
+    })
 }
 
-// ---------------------------------------------------------------------
-// Family 5 — matrix multiplication (§6): one-phase tiling at every
-// divisor tile size. r = 2n²/q exactly — the bound is tight.
-// ---------------------------------------------------------------------
-
-struct MatMul {
-    n: u32,
-    ss: Vec<u32>,
-    inputs: Vec<NumericEntry>,
-}
-
-impl MatMul {
-    fn new(n: u32) -> Self {
-        let a = Matrix::random(n as usize, 3);
-        let b = Matrix::random(n as usize, 4);
-        MatMul {
-            n,
-            ss: (1..=n).filter(|s| n.is_multiple_of(*s)).collect(),
-            inputs: numeric_inputs(&a, &b),
-        }
-    }
-
-    fn schema(&self, point: usize) -> OnePhaseSchema {
-        OnePhaseSchema::new(self.n, self.ss[point])
-    }
-}
-
-impl DynFamily for MatMul {
-    fn name(&self) -> &'static str {
-        "matmul"
-    }
-
-    fn instance(&self) -> String {
-        format!(
-            "{}×{} dense pair (|I| = {})",
-            self.n,
-            self.n,
-            self.inputs.len()
-        )
-    }
-
-    fn grid(&self) -> Vec<GridPoint> {
-        (0..self.ss.len())
-            .map(|p| {
-                let schema = self.schema(p);
-                GridPoint {
-                    q_declared: schema.q(),
-                    schema: MappingSchema::<MatMulProblem>::name(&schema),
-                    recipe: MatMulProblem::new(self.n).recipe(),
-                }
+/// Matrix multiplication (§6): one-phase tiling at every divisor tile
+/// size. `r = 2n²/q` exactly — the bound is tight.
+fn matmul(n: u32) -> Box<dyn DynFamily> {
+    let problem = MatMulProblem::new(n);
+    let recipe = problem.recipe();
+    let inputs = numeric_inputs(
+        &Matrix::random(n as usize, 3),
+        &Matrix::random(n as usize, 4),
+    );
+    Box::new(Family {
+        name: "matmul",
+        instance: format!("{n}×{n} dense pair (|I| = {})", inputs.len()),
+        params: vec![("n", n as u64)],
+        inputs,
+        grid: (1..=n)
+            .filter(|s| n.is_multiple_of(*s))
+            .map(|s| {
+                let schema = OnePhaseSchema::new(n, s);
+                Point::of::<MatMulProblem, _>(schema, &recipe).validated(problem, schema)
             })
-            .collect()
-    }
-
-    fn run(&self, point: usize, engine: &EngineConfig) -> FamilyPoint {
-        let schema = self.schema(point);
-        let recipe = MatMulProblem::new(self.n).recipe();
-        let name = MappingSchema::<MatMulProblem>::name(&schema);
-        let q = schema.q();
-        measure::<_, (u32, u32, [u8; 8]), _>(&self.inputs, &schema, q, &recipe, name, engine)
-    }
-
-    fn validate(&self, point: usize) -> Option<SchemaReport> {
-        Some(validate_schema(
-            &MatMulProblem::new(self.n),
-            &self.schema(point),
-        ))
-    }
-
-    fn census(&self, point: usize) -> AssignCensus {
-        census_of::<_, (u32, u32, [u8; 8]), _>(&self.inputs, &self.schema(point))
-    }
-
-    fn params(&self) -> Vec<(&'static str, u64)> {
-        vec![("n", self.n as u64)]
-    }
-
-    fn num_inputs(&self) -> usize {
-        self.inputs.len()
-    }
-
-    fn delta_census(&self, point: usize, spec: &DeltaSpec) -> DeltaCensus {
-        delta_census_of::<_, (u32, u32, [u8; 8]), _>(&self.inputs, &self.schema(point), spec)
-    }
-
-    fn delta_run(
-        &self,
-        point: usize,
-        engine: &EngineConfig,
-        pipeline: Pipeline,
-        spec: &DeltaSpec,
-    ) -> DeltaReport {
-        delta_measure::<_, (u32, u32, [u8; 8]), _>(
-            &self.inputs,
-            self.schema(point),
-            pipeline,
-            spec,
-            engine,
-        )
-    }
+            .collect(),
+    })
 }
 
-// ---------------------------------------------------------------------
 // Sparse scenarios — the §4.2/§5.3 edge-budget variants: seeded G(n, m)
 // random data graphs instead of complete model instances. The §2.4
 // argument still applies per instance (g bounds any reducer's coverage,
@@ -1225,230 +812,61 @@ impl DynFamily for MatMul {
 // bound with |I| = m and |O| = the instance's occurrence count. The
 // bounds are weak — that is §4.2's point: a schema designed for budget
 // q on the complete instance sees only ~q·2m/n(n−1) real inputs.
-// ---------------------------------------------------------------------
+// Exhaustive validation is a complete-instance notion, so these points
+// carry no validator; their declared budget is the complete-instance
+// load, an upper bound on what the sparse instance can deliver.
 
 /// Fixed seed of the sparse scenario graphs — part of the reproducible
 /// surface (`repro` output must be byte-identical across runs).
 const SPARSE_SEED: u64 = 42;
 
-struct SparseTriangles {
-    n: u32,
-    ks: Vec<u32>,
-    graph: Graph,
-    triangles: u64,
+/// Triangles on a sparse `G(n, m)` graph (§4.2).
+fn triangles_gnm(n: u32, m: usize) -> Box<dyn DynFamily> {
+    let graph = gen::gnm(n as usize, m, SPARSE_SEED);
+    let triangles = subgraph::triangle_count(&graph);
+    let recipe = LowerBoundRecipe::new(g_triangles, graph.num_edges() as f64, triangles as f64);
+    Box::new(Family {
+        name: "triangles-gnm",
+        instance: format!(
+            "sparse G(n={n}, m={}) random graph, seed {SPARSE_SEED} ({triangles} triangles)",
+            graph.num_edges()
+        ),
+        params: vec![("n", n as u64), ("m", graph.num_edges() as u64)],
+        inputs: graph.edges().to_vec(),
+        grid: [1, 2, 3, 4, 6]
+            .into_iter()
+            .map(|k| Point::of::<TriangleProblem, _>(NodePartitionSchema::new(n, k), &recipe))
+            .collect(),
+    })
 }
 
-impl SparseTriangles {
-    fn new(n: u32, m: usize) -> Self {
-        let graph = gen::gnm(n as usize, m, SPARSE_SEED);
-        let triangles = subgraph::triangle_count(&graph);
-        SparseTriangles {
-            n,
-            ks: vec![1, 2, 3, 4, 6],
-            graph,
-            triangles,
-        }
-    }
-
-    fn schema(&self, point: usize) -> NodePartitionSchema {
-        NodePartitionSchema::new(self.n, self.ks[point])
-    }
-
-    fn recipe(&self) -> LowerBoundRecipe {
-        LowerBoundRecipe::new(
-            g_triangles,
-            self.graph.num_edges() as f64,
-            self.triangles as f64,
-        )
-    }
-}
-
-impl DynFamily for SparseTriangles {
-    fn name(&self) -> &'static str {
-        "triangles-gnm"
-    }
-
-    fn instance(&self) -> String {
-        format!(
-            "sparse G(n={}, m={}) random graph, seed {SPARSE_SEED} ({} triangles)",
-            self.n,
-            self.graph.num_edges(),
-            self.triangles
-        )
-    }
-
-    fn grid(&self) -> Vec<GridPoint> {
-        (0..self.ks.len())
-            .map(|p| {
-                let schema = self.schema(p);
-                GridPoint {
-                    // Declared budget: the complete-instance load, an upper
-                    // bound on what the sparse instance can deliver.
-                    q_declared: schema.exact_max_load(),
-                    schema: MappingSchema::<TriangleProblem>::name(&schema),
-                    recipe: self.recipe(),
-                }
+/// The 4-cycle pattern on a sparse `G(n, m)` graph (§5.3).
+fn sample_c4_gnm(n: u32, m: usize) -> Box<dyn DynFamily> {
+    let pattern = patterns::cycle(4);
+    let graph = gen::gnm(n as usize, m, SPARSE_SEED);
+    let instances = subgraph::instances(&pattern, &graph);
+    // g(q) = q^{s/2} = q² for the 4-node Alon-class cycle.
+    let recipe = LowerBoundRecipe::new(|q| q * q, graph.num_edges() as f64, instances as f64);
+    Box::new(Family {
+        name: "sample-c4-gnm",
+        instance: format!(
+            "4-cycle pattern in sparse G(n={n}, m={}), seed {SPARSE_SEED} ({instances} instances)",
+            graph.num_edges()
+        ),
+        params: vec![
+            ("n", n as u64),
+            ("m", graph.num_edges() as u64),
+            ("s", pattern.num_nodes() as u64),
+        ],
+        inputs: graph.edges().to_vec(),
+        grid: [1, 2, 3, 4]
+            .into_iter()
+            .map(|k| {
+                let schema = MultisetPartitionSchema::new(pattern.clone(), n, k);
+                Point::of::<SampleGraphProblem, _>(schema, &recipe)
             })
-            .collect()
-    }
-
-    fn run(&self, point: usize, engine: &EngineConfig) -> FamilyPoint {
-        let schema = self.schema(point);
-        let recipe = self.recipe();
-        let name = MappingSchema::<TriangleProblem>::name(&schema);
-        let q = schema.exact_max_load();
-        measure::<_, [u32; 3], _>(self.graph.edges(), &schema, q, &recipe, name, engine)
-    }
-
-    fn validate(&self, _point: usize) -> Option<SchemaReport> {
-        None // exhaustive validation is a complete-instance notion
-    }
-
-    fn census(&self, point: usize) -> AssignCensus {
-        census_of::<_, [u32; 3], _>(self.graph.edges(), &self.schema(point))
-    }
-
-    fn params(&self) -> Vec<(&'static str, u64)> {
-        vec![("n", self.n as u64), ("m", self.graph.num_edges() as u64)]
-    }
-
-    fn num_inputs(&self) -> usize {
-        self.graph.num_edges()
-    }
-
-    fn delta_census(&self, point: usize, spec: &DeltaSpec) -> DeltaCensus {
-        delta_census_of::<_, [u32; 3], _>(self.graph.edges(), &self.schema(point), spec)
-    }
-
-    fn delta_run(
-        &self,
-        point: usize,
-        engine: &EngineConfig,
-        pipeline: Pipeline,
-        spec: &DeltaSpec,
-    ) -> DeltaReport {
-        delta_measure::<_, [u32; 3], _>(
-            self.graph.edges(),
-            self.schema(point),
-            pipeline,
-            spec,
-            engine,
-        )
-    }
-}
-
-struct SparseSampleC4 {
-    n: u32,
-    ks: Vec<u32>,
-    pattern: Graph,
-    graph: Graph,
-    instances: u64,
-}
-
-impl SparseSampleC4 {
-    fn new(n: u32, m: usize) -> Self {
-        let pattern = patterns::cycle(4);
-        let graph = gen::gnm(n as usize, m, SPARSE_SEED);
-        let instances = subgraph::instances(&pattern, &graph);
-        SparseSampleC4 {
-            n,
-            ks: vec![1, 2, 3, 4],
-            pattern,
-            graph,
-            instances,
-        }
-    }
-
-    fn schema(&self, point: usize) -> MultisetPartitionSchema {
-        MultisetPartitionSchema::new(self.pattern.clone(), self.n, self.ks[point])
-    }
-
-    fn recipe(&self) -> LowerBoundRecipe {
-        // g(q) = q^{s/2} = q² for the 4-node Alon-class cycle.
-        LowerBoundRecipe::new(
-            |q| q * q,
-            self.graph.num_edges() as f64,
-            self.instances as f64,
-        )
-    }
-}
-
-impl DynFamily for SparseSampleC4 {
-    fn name(&self) -> &'static str {
-        "sample-c4-gnm"
-    }
-
-    fn instance(&self) -> String {
-        format!(
-            "4-cycle pattern in sparse G(n={}, m={}), seed {SPARSE_SEED} ({} instances)",
-            self.n,
-            self.graph.num_edges(),
-            self.instances
-        )
-    }
-
-    fn grid(&self) -> Vec<GridPoint> {
-        (0..self.ks.len())
-            .map(|p| {
-                let schema = self.schema(p);
-                GridPoint {
-                    q_declared: MappingSchema::<SampleGraphProblem>::max_inputs_per_reducer(
-                        &schema,
-                    ),
-                    schema: MappingSchema::<SampleGraphProblem>::name(&schema),
-                    recipe: self.recipe(),
-                }
-            })
-            .collect()
-    }
-
-    fn run(&self, point: usize, engine: &EngineConfig) -> FamilyPoint {
-        let schema = self.schema(point);
-        let recipe = self.recipe();
-        let name = MappingSchema::<SampleGraphProblem>::name(&schema);
-        let q = MappingSchema::<SampleGraphProblem>::max_inputs_per_reducer(&schema);
-        measure::<_, Vec<(u32, u32)>, _>(self.graph.edges(), &schema, q, &recipe, name, engine)
-    }
-
-    fn validate(&self, _point: usize) -> Option<SchemaReport> {
-        None
-    }
-
-    fn census(&self, point: usize) -> AssignCensus {
-        census_of::<_, Vec<(u32, u32)>, _>(self.graph.edges(), &self.schema(point))
-    }
-
-    fn params(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("n", self.n as u64),
-            ("m", self.graph.num_edges() as u64),
-            ("s", self.pattern.num_nodes() as u64),
-        ]
-    }
-
-    fn num_inputs(&self) -> usize {
-        self.graph.num_edges()
-    }
-
-    fn delta_census(&self, point: usize, spec: &DeltaSpec) -> DeltaCensus {
-        delta_census_of::<_, Vec<(u32, u32)>, _>(self.graph.edges(), &self.schema(point), spec)
-    }
-
-    fn delta_run(
-        &self,
-        point: usize,
-        engine: &EngineConfig,
-        pipeline: Pipeline,
-        spec: &DeltaSpec,
-    ) -> DeltaReport {
-        delta_measure::<_, Vec<(u32, u32)>, _>(
-            self.graph.edges(),
-            self.schema(point),
-            pipeline,
-            spec,
-            engine,
-        )
-    }
+            .collect(),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1489,14 +907,14 @@ pub fn family_by_name(name: &str, scale: Scale) -> Option<Box<dyn DynFamily>> {
     let s = scale.sizes();
     let (tri, c4) = sparse_sizes(scale);
     Some(match name {
-        "hamming-d1" => Box::new(HammingD1::new(s.hamming_b)),
-        "triangles" => Box::new(Triangles::new(s.triangle_n)),
-        "sample-c4" => Box::new(SampleC4::new(s.sample_n)),
-        "two-path" => Box::new(TwoPaths::new(s.two_path_n)),
-        "join-cycle3" => Box::new(JoinCycle3::new(s.join_n)),
-        "matmul" => Box::new(MatMul::new(s.matmul_n)),
-        "triangles-gnm" => Box::new(SparseTriangles::new(tri.0, tri.1)),
-        "sample-c4-gnm" => Box::new(SparseSampleC4::new(c4.0, c4.1)),
+        "hamming-d1" => hamming_d1(s.hamming_b),
+        "triangles" => triangles(s.triangle_n),
+        "sample-c4" => sample_c4(s.sample_n),
+        "two-path" => two_path(s.two_path_n),
+        "join-cycle3" => join_cycle3(s.join_n),
+        "matmul" => matmul(s.matmul_n),
+        "triangles-gnm" => triangles_gnm(tri.0, tri.1),
+        "sample-c4-gnm" => sample_c4_gnm(c4.0, c4.1),
         _ => return None,
     })
 }
@@ -1600,7 +1018,7 @@ mod tests {
         // Small-scale smoke over every family, sparse included.
         for fam in extended_registry(Scale::Small) {
             for (p, gp) in fam.grid().iter().enumerate() {
-                let fp = fam.run(p, &EngineConfig::sequential());
+                let fp = fam.run(p, &EngineConfig::sequential()).unwrap();
                 assert!(
                     fp.measured.q <= fp.q_declared,
                     "{} / {}: load {} exceeds declared {}",
@@ -1633,11 +1051,11 @@ mod tests {
     fn sparse_triangle_outputs_match_serial_baseline() {
         // The engine round must find exactly the instance's triangles —
         // the sparse scenario measures a real execution, not a model.
-        let fam = SparseTriangles::new(12, 30);
-        let expected = subgraph::triangle_count(&fam.graph);
+        let fam = triangles_gnm(12, 30);
+        let expected = subgraph::triangle_count(&gen::gnm(12, 30, SPARSE_SEED));
         assert!(expected > 0, "test instance must contain triangles");
         for p in 0..fam.grid().len() {
-            let fp = fam.run(p, &EngineConfig::sequential());
+            let fp = fam.run(p, &EngineConfig::sequential()).unwrap();
             assert_eq!(fp.measured.outputs, expected, "point {p}");
         }
     }
@@ -1650,7 +1068,7 @@ mod tests {
         for fam in extended_registry(Scale::Small) {
             for (p, gp) in fam.grid().iter().enumerate() {
                 let census = fam.census(p);
-                let fp = fam.run(p, &EngineConfig::sequential());
+                let fp = fam.run(p, &EngineConfig::sequential()).unwrap();
                 assert_eq!(
                     census.q,
                     fp.measured.q,

@@ -16,6 +16,7 @@
 
 use crate::model::Problem;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The three inputs of the §2.4 recipe, with `g` supplied as a closure.
 ///
@@ -32,9 +33,10 @@ use std::collections::BTreeMap;
 /// let bound = recipe.replication_lower_bound(16.0); // q = 2^4
 /// assert!((bound - b / 4.0).abs() < 1e-9);
 /// ```
+#[derive(Clone)]
 pub struct LowerBoundRecipe {
     /// `g(q)`: upper bound on outputs covered by a reducer with `q` inputs.
-    g: Box<dyn Fn(f64) -> f64 + Sync>,
+    g: Arc<dyn Fn(f64) -> f64 + Send + Sync>,
     /// `|I|`.
     pub num_inputs: f64,
     /// `|O|`.
@@ -43,9 +45,13 @@ pub struct LowerBoundRecipe {
 
 impl LowerBoundRecipe {
     /// Builds a recipe from `g(q)`, `|I|`, and `|O|`.
-    pub fn new(g: impl Fn(f64) -> f64 + Sync + 'static, num_inputs: f64, num_outputs: f64) -> Self {
+    pub fn new(
+        g: impl Fn(f64) -> f64 + Send + Sync + 'static,
+        num_inputs: f64,
+        num_outputs: f64,
+    ) -> Self {
         LowerBoundRecipe {
-            g: Box::new(g),
+            g: Arc::new(g),
             num_inputs,
             num_outputs,
         }

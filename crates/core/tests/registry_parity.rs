@@ -10,8 +10,11 @@
 //! family at once — any family whose erased closures dropped, duplicated,
 //! or rerouted an assignment would split the two numbers apart.
 
-use mr_core::family::{registry_at, sparse_scenarios, Scale};
-use mr_sim::EngineConfig;
+use mr_core::family::{
+    extended_registry, family_by_name, registry_at, sparse_scenarios, DeltaSpec, Scale,
+};
+use mr_sim::{DeltaError, EngineConfig};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 #[test]
 fn validation_and_engine_agree_for_every_family_at_small_scale() {
@@ -28,7 +31,7 @@ fn validation_and_engine_agree_for_every_family_at_small_scale() {
                 fam.name(),
                 gp.schema
             );
-            let run = fam.run(pi, &EngineConfig::sequential());
+            let run = fam.run(pi, &EngineConfig::sequential()).unwrap();
             assert_eq!(
                 report.max_load,
                 run.measured.q,
@@ -64,9 +67,9 @@ fn parity_holds_across_engine_worker_counts() {
     // numbers at any worker count. One family per instance type suffices
     // here (the full cross-product lives in the engine's own batteries).
     for fam in registry_at(Scale::Small) {
-        let baseline = fam.run(0, &EngineConfig::sequential());
+        let baseline = fam.run(0, &EngineConfig::sequential()).unwrap();
         for workers in [2usize, 4] {
-            let par = fam.run(0, &EngineConfig::parallel(workers));
+            let par = fam.run(0, &EngineConfig::parallel(workers)).unwrap();
             assert_eq!(baseline.measured, par.measured, "{}", fam.name());
         }
     }
@@ -80,6 +83,107 @@ fn sparse_scenarios_have_no_exhaustive_validation() {
     for fam in sparse_scenarios(Scale::Small) {
         for pi in 0..fam.grid().len() {
             assert!(fam.validate(pi).is_none(), "{} point {pi}", fam.name());
+        }
+    }
+}
+
+/// Renders everything the registry exposes at [`Scale::Small`] as one
+/// line-oriented table: per family its identity, per grid point the
+/// declared budget, the census, the engine-measured output count, and
+/// the census of the canonical tail-churn delta.
+fn render_small_registry() -> String {
+    let mut table = String::new();
+    for fam in extended_registry(Scale::Small) {
+        let n = fam.num_inputs();
+        let params: Vec<String> = fam
+            .params()
+            .iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
+        table += &format!(
+            "family {} | {} | params {} | inputs {n}\n",
+            fam.name(),
+            fam.instance(),
+            params.join(",")
+        );
+        let churn = DeltaSpec::tail_churn(n);
+        for (pi, gp) in fam.grid().iter().enumerate() {
+            let census = fam.census(pi);
+            let run = fam.run(pi, &EngineConfig::sequential()).unwrap();
+            let d = fam.delta_census(pi, &churn);
+            table += &format!(
+                "  {} | q_declared {} | census q={} r={:?} pairs={} reducers={} | outputs {} | \
+                 validates {} | churn base(q={} pairs={} reducers={}) dirty={} delta_pairs={} \
+                 post(q={} reducers={})\n",
+                gp.schema,
+                gp.q_declared,
+                census.q,
+                census.r,
+                census.pairs,
+                census.reducers,
+                run.measured.outputs,
+                fam.validate(pi).is_some(),
+                d.base_q,
+                d.base_pairs,
+                d.base_reducers,
+                d.dirty_reducers,
+                d.delta_pairs,
+                d.post_q,
+                d.post_reducers,
+            );
+        }
+    }
+    table
+}
+
+#[test]
+fn small_registry_matches_the_golden_table() {
+    // The batteries above check that census, engine and validation agree
+    // with *each other*; this pins the absolute numbers, so a change that
+    // shifts all three together still fails. The table is a checked-in
+    // artifact — a diff here is a behaviour change to be explained, not
+    // a file to regenerate.
+    let rendered = render_small_registry();
+    let golden = include_str!("registry_small.golden");
+    for (line, (got, want)) in rendered.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(got, want, "golden table line {} differs", line + 1);
+    }
+    assert_eq!(
+        rendered.lines().count(),
+        golden.lines().count(),
+        "golden table length differs; rendered table:\n{rendered}"
+    );
+}
+
+#[test]
+fn a_malformed_delta_spec_is_refused_by_name_in_every_profile() {
+    // `remove` holds positions within `base`, each at most once. Pricing
+    // a repeated or out-of-range position would subtract an input the
+    // base never held: at best a silently wrong census, at worst `u64`
+    // arithmetic that panics bare in debug builds and wraps to
+    // `post_q ≈ u64::MAX` in release builds. The shared primitive refuses
+    // both — the way `DeltaJob::predict` refuses an unknown seq — naming
+    // family, point and offending position. CI runs this test under
+    // `cargo test` and `cargo test --release` alike.
+    let fam = family_by_name("two-path", Scale::Small).unwrap();
+    let n = fam.num_inputs();
+    for (remove, offender) in [(vec![3, 5, 3], 3), (vec![0, n], n)] {
+        let spec = DeltaSpec {
+            base: (0..n).collect(),
+            remove,
+            add: vec![],
+        };
+        let refused = catch_unwind(AssertUnwindSafe(|| fam.delta_census(1, &spec)))
+            .expect_err("a malformed spec must not be priced");
+        let message = refused
+            .downcast_ref::<String>()
+            .expect("the refusal carries a formatted message");
+        for needle in [
+            "two-path".to_string(),
+            "point 1".to_string(),
+            DeltaError::UnknownSeq(offender as u64).to_string(),
+        ] {
+            assert!(message.contains(&needle), "'{needle}' missing: {message}");
         }
     }
 }

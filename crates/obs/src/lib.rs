@@ -790,12 +790,17 @@ mod tests {
 
     #[test]
     fn disabled_mode_records_nothing() {
+        // Recording is process-global and the sibling tests run sessions
+        // on other threads: hold the session lock so "disabled" is a
+        // fact rather than a race.
+        let no_session = lock(&state().session);
         assert!(!is_enabled());
         let g = span("never");
         instant("never");
         instant_value("never", 7);
         assert!(now_if_enabled().is_none());
         drop(g);
+        drop(no_session);
         let ((), trace) = record(|| {});
         assert_eq!(trace.total_events(), 0);
     }

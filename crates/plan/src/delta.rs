@@ -39,8 +39,11 @@ pub struct DeltaPlan {
 /// family. Returns `None` for an unknown family name.
 ///
 /// # Panics
-/// Panics if `point` is out of range for the family's grid or `spec`
-/// holds out-of-range input indices.
+/// Panics if `point` is out of range for the family's grid or `spec` is
+/// malformed — out-of-range input indices, or a `remove` position that
+/// is outside `base` or repeated (refused by
+/// [`DynFamily::delta_census`](mr_core::family::DynFamily::delta_census),
+/// naming the family, point and position).
 pub fn plan_delta(
     family: &str,
     scale: Scale,

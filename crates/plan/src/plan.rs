@@ -135,7 +135,7 @@ impl Plan {
             Choice::Registry { scale, point } => {
                 let fam = family_by_name(self.family, scale)
                     .unwrap_or_else(|| panic!("family {} not in the registry", self.family));
-                let fp = fam.run(point, &budgeted);
+                let fp = fam.run(point, &budgeted)?;
                 Ok(PlanReport {
                     measured_q: fp.measured.q,
                     measured_r: fp.measured.r,
@@ -249,18 +249,27 @@ mod tests {
 
     #[test]
     fn a_wrong_prediction_surfaces_as_reducer_overflow() {
-        // Corrupting a tree plan's budget must come back as an engine
-        // error, not a panic: planner bugs are reported like any other
-        // refusal.
-        let cluster = ClusterSpec::default().with_q_budget(8);
-        let mut plan = plan_family("matmul", &cluster, Scale::Small).unwrap();
-        assert!(matches!(plan.choice, Choice::MatMulTree { .. }));
-        plan.predicted_q = 3;
-        let err = plan.execute().unwrap_err();
-        assert!(
-            matches!(err, EngineError::ReducerOverflow { limit: 3, .. }),
-            "wrong error: {err:?}"
-        );
+        // Corrupting a plan's budget must come back as an engine error,
+        // not a panic: planner bugs are reported like any other refusal —
+        // on both lowerings, the multi-round tree and the registry point.
+        let tree = plan_family(
+            "matmul",
+            &ClusterSpec::default().with_q_budget(8),
+            Scale::Small,
+        )
+        .unwrap();
+        assert!(matches!(tree.choice, Choice::MatMulTree { .. }));
+        let grid = plan_family("two-path", &ClusterSpec::default(), Scale::Small).unwrap();
+        assert!(matches!(grid.choice, Choice::Registry { .. }));
+        for mut plan in [tree, grid] {
+            plan.predicted_q = 3;
+            let err = plan.execute().unwrap_err();
+            assert!(
+                matches!(err, EngineError::ReducerOverflow { limit: 3, .. }),
+                "{}: wrong error: {err:?}",
+                plan.family
+            );
+        }
     }
 
     #[test]

@@ -171,97 +171,74 @@ fn cheapest_grid_plan(
 // Per-family planners.
 // ---------------------------------------------------------------------
 
-/// Hamming distance 1 (§3): the Theorem 3.2 hyperbola at divisor points.
-pub struct HammingPlanner;
+/// The planner of a family whose whole candidate set is its registry
+/// grid: census-price every point, with the paper's closed form for the
+/// family — evaluated at the instance's parameters — leading the
+/// rationale.
+pub struct GridPlanner {
+    family: &'static str,
+    closed_form: fn(&dyn DynFamily) -> String,
+}
 
-impl Planner for HammingPlanner {
+impl Planner for GridPlanner {
     fn family(&self) -> &'static str {
-        "hamming-d1"
+        self.family
     }
 
     fn plan(&self, cluster: &ClusterSpec, scale: Scale) -> Result<Plan, PlanError> {
-        let fam = registry_family(self.family(), scale);
-        let b = param(&*fam, "b");
-        cheapest_grid_plan(
-            &*fam,
-            cluster,
-            scale,
-            &format!(
-                "Thm 3.2: every algorithm obeys r ≥ b/log₂q (b={b}); splitting sits exactly \
-                 on that hyperbola at the divisor points q=2^(b/k), r=k"
-            ),
-        )
+        let fam = registry_family(self.family, scale);
+        cheapest_grid_plan(&*fam, cluster, scale, &(self.closed_form)(&*fam))
     }
 }
+
+/// Hamming distance 1 (§3): the Theorem 3.2 hyperbola at divisor points.
+const HAMMING: GridPlanner = GridPlanner {
+    family: "hamming-d1",
+    closed_form: |fam| {
+        format!(
+            "Thm 3.2: every algorithm obeys r ≥ b/log₂q (b={}); splitting sits exactly \
+             on that hyperbola at the divisor points q=2^(b/k), r=k",
+            param(fam, "b")
+        )
+    },
+};
 
 /// Triangles (§4): node partition against the `n/√(2q)` bound.
-pub struct TrianglePlanner;
-
-impl Planner for TrianglePlanner {
-    fn family(&self) -> &'static str {
-        "triangles"
-    }
-
-    fn plan(&self, cluster: &ClusterSpec, scale: Scale) -> Result<Plan, PlanError> {
-        let fam = registry_family(self.family(), scale);
-        let n = param(&*fam, "n");
-        cheapest_grid_plan(
-            &*fam,
-            cluster,
-            scale,
-            &format!(
-                "§4.1: r ≥ n/√(2q) (n={n}); node partition into k groups achieves r ≈ k at \
-                 q ≈ 3(n/k choose 2) — within the constant factor 3 of the bound"
-            ),
+const TRIANGLES: GridPlanner = GridPlanner {
+    family: "triangles",
+    closed_form: |fam| {
+        format!(
+            "§4.1: r ≥ n/√(2q) (n={}); node partition into k groups achieves r ≈ k at \
+             q ≈ 3(n/k choose 2) — within the constant factor 3 of the bound",
+            param(fam, "n")
         )
-    }
-}
+    },
+};
 
 /// Sample graphs (§5.1–5.3): the 4-cycle pattern under multiset partition.
-pub struct SampleGraphPlanner;
-
-impl Planner for SampleGraphPlanner {
-    fn family(&self) -> &'static str {
-        "sample-c4"
-    }
-
-    fn plan(&self, cluster: &ClusterSpec, scale: Scale) -> Result<Plan, PlanError> {
-        let fam = registry_family(self.family(), scale);
-        let (n, s) = (param(&*fam, "n"), param(&*fam, "s"));
-        cheapest_grid_plan(
-            &*fam,
-            cluster,
-            scale,
-            &format!(
-                "§5.3: Alon-class sample graph with s={s} nodes (n={n}), g(q) = q^(s/2); \
-                 multiset partition over k groups trades r ~ k^(s-2) against q"
-            ),
+const SAMPLE_GRAPH: GridPlanner = GridPlanner {
+    family: "sample-c4",
+    closed_form: |fam| {
+        format!(
+            "§5.3: Alon-class sample graph with s={} nodes (n={}), g(q) = q^(s/2); \
+             multiset partition over k groups trades r ~ k^(s-2) against q",
+            param(fam, "s"),
+            param(fam, "n")
         )
-    }
-}
+    },
+};
 
 /// 2-paths (§5.4): per-node vs the bucket-pair refinement.
-pub struct TwoPathPlanner;
-
-impl Planner for TwoPathPlanner {
-    fn family(&self) -> &'static str {
-        "two-path"
-    }
-
-    fn plan(&self, cluster: &ClusterSpec, scale: Scale) -> Result<Plan, PlanError> {
-        let fam = registry_family(self.family(), scale);
-        let n = param(&*fam, "n");
-        cheapest_grid_plan(
-            &*fam,
-            cluster,
-            scale,
-            &format!(
-                "§5.4: r ≥ 2n/q (n={n}); per-node (q=n, r=2) is bound-optimal, bucket-pair \
-                 buys q ≈ 2n/k at r = 2(k−1)"
-            ),
+const TWO_PATH: GridPlanner = GridPlanner {
+    family: "two-path",
+    closed_form: |fam| {
+        format!(
+            "§5.4: r ≥ 2n/q (n={}); per-node (q=n, r=2) is bound-optimal, bucket-pair \
+             buys q ≈ 2n/k at r = 2(k−1)",
+            param(fam, "n")
         )
-    }
-}
+    },
+};
 
 /// Multiway joins (§5.5): symmetric Shares with LP-derived exponents.
 pub struct JoinPlanner;
@@ -404,10 +381,10 @@ impl Planner for MatMulPlanner {
 /// All per-family planners, in registry order.
 pub fn planners() -> Vec<Box<dyn Planner>> {
     vec![
-        Box::new(HammingPlanner),
-        Box::new(TrianglePlanner),
-        Box::new(SampleGraphPlanner),
-        Box::new(TwoPathPlanner),
+        Box::new(HAMMING),
+        Box::new(TRIANGLES),
+        Box::new(SAMPLE_GRAPH),
+        Box::new(TWO_PATH),
         Box::new(JoinPlanner),
         Box::new(MatMulPlanner),
     ]

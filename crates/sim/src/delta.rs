@@ -42,7 +42,7 @@ use crate::engine::{run_chunked, run_round, EngineConfig, EngineError};
 use crate::mapper::{FnMapper, FnReducer, Mapper, Reducer};
 use crate::metrics::{LoadStats, RoundMetrics, ShuffleStats};
 use crate::naive::{run_round_combined_naive, run_round_naive};
-use crate::schema::{ReducerId, SchemaJob};
+use crate::schema::{price_change, LoadTable, ReducerId, SchemaJob};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -297,6 +297,49 @@ pub struct DeltaPrediction {
     pub post_reducers: u64,
 }
 
+/// Resolves a delta's removal ids to the inputs they name, in order —
+/// the one validation every delta path shares. An id that `live` does not
+/// know (never existed, already removed, out of range) or that repeats
+/// within `removed` is refused with [`DeltaError::UnknownSeq`].
+fn resolve_removals<'a, I>(
+    removed: &[Seq],
+    live: impl Fn(Seq) -> Option<&'a I>,
+) -> Result<Vec<&'a I>, DeltaError> {
+    let mut seen: BTreeSet<Seq> = BTreeSet::new();
+    removed
+        .iter()
+        .map(|&seq| match live(seq) {
+            Some(value) if seen.insert(seq) => Ok(value),
+            _ => Err(DeltaError::UnknownSeq(seq)),
+        })
+        .collect()
+}
+
+/// Predicts what applying a delta will measure, from the schema's
+/// assignment alone: resolves `removed` against `live`, folds the leaving
+/// and entering inputs into [`LoadTable`]s, and prices them against
+/// `loads` (every live reducer with its current load) with
+/// [`price_change`]. [`DeltaJob::predict`] reads its retained state
+/// through this; the registry's delta census reads a base instance
+/// through it — same arithmetic, same refusal of a malformed removal.
+pub fn predict_delta<'a, I: 'a, O, S>(
+    schema: &S,
+    loads: impl IntoIterator<Item = (ReducerId, u64)>,
+    live: impl Fn(Seq) -> Option<&'a I>,
+    removed: &[Seq],
+    added: impl IntoIterator<Item = &'a I>,
+) -> Result<DeltaPrediction, DeltaError>
+where
+    S: SchemaJob<I, O> + ?Sized,
+{
+    let removed = resolve_removals(removed, live)?;
+    Ok(price_change(
+        loads,
+        &LoadTable::of(schema, removed),
+        &LoadTable::of(schema, added),
+    ))
+}
+
 /// A dirty reducer's staged post-delta state — `(rid, seqs, values)` —
 /// held aside until validation and the budget check pass.
 type StagedReducer<I> = (ReducerId, Vec<Seq>, Vec<I>);
@@ -389,13 +432,9 @@ where
         // in the live map (the mapper needs the removed *value* to know
         // which reducers it had been assigned to — obliviousness
         // guarantees the assignment is the same one the insertion used).
-        let mut staged_removed: BTreeSet<Seq> = BTreeSet::new();
+        let leaving = resolve_removals(&delta.removed, |seq| self.live.get(&seq))?;
         let mut ops: Vec<(Seq, I, bool)> = Vec::with_capacity(delta.changes());
-        for &seq in &delta.removed {
-            let value = self.live.get(&seq).ok_or(DeltaError::UnknownSeq(seq))?;
-            if !staged_removed.insert(seq) {
-                return Err(DeltaError::UnknownSeq(seq));
-            }
+        for (&seq, value) in delta.removed.iter().zip(leaving) {
             ops.push((seq, value.clone(), false));
         }
         let added_seqs = self.next_seq..self.next_seq + delta.added.len() as Seq;
@@ -545,7 +584,7 @@ where
                 );
             }
         }
-        for seq in &staged_removed {
+        for seq in &delta.removed {
             self.live.remove(seq);
         }
         for (seq, value) in delta
@@ -588,51 +627,15 @@ where
     /// budget: callers use `post_q` to *choose* one (run the application
     /// under `post_q` and an under-prediction aborts loudly).
     pub fn predict(&self, delta: &Delta<I>) -> Result<DeltaPrediction, DeltaError> {
-        let mut staged_removed: BTreeSet<Seq> = BTreeSet::new();
-        // Per-dirty-reducer (removals, additions) counts.
-        let mut touched: BTreeMap<ReducerId, (u64, u64)> = BTreeMap::new();
-        let mut delta_pairs = 0u64;
-        for &seq in &delta.removed {
-            let value = self.live.get(&seq).ok_or(DeltaError::UnknownSeq(seq))?;
-            if !staged_removed.insert(seq) {
-                return Err(DeltaError::UnknownSeq(seq));
-            }
-            for rid in self.schema.assign(value) {
-                delta_pairs += 1;
-                touched.entry(rid).or_insert((0, 0)).0 += 1;
-            }
-        }
-        for value in &delta.added {
-            for rid in self.schema.assign(value) {
-                delta_pairs += 1;
-                touched.entry(rid).or_insert((0, 0)).1 += 1;
-            }
-        }
-        let mut post_q = 0u64;
-        let mut post_reducers = 0u64;
-        for (rid, state) in &self.reducers {
-            if !touched.contains_key(rid) {
-                post_q = post_q.max(state.seqs.len() as u64);
-                post_reducers += 1;
-            }
-        }
-        for (rid, &(removals, additions)) in &touched {
-            let current = self
-                .reducers
-                .get(rid)
-                .map_or(0, |state| state.seqs.len() as u64);
-            let post = current - removals + additions;
-            if post > 0 {
-                post_q = post_q.max(post);
-                post_reducers += 1;
-            }
-        }
-        Ok(DeltaPrediction {
-            dirty_reducers: touched.len() as u64,
-            delta_pairs,
-            post_q,
-            post_reducers,
-        })
+        predict_delta(
+            &self.schema,
+            self.reducers
+                .iter()
+                .map(|(&rid, state)| (rid, state.seqs.len() as u64)),
+            |seq| self.live.get(&seq),
+            &delta.removed,
+            &delta.added,
+        )
     }
 
     /// The retained result: what a fresh

@@ -61,12 +61,14 @@ pub mod schema;
 pub use combiner::{run_round_combined, CombinedMetrics, Combiner, FnCombiner};
 pub use dag::DagJob;
 pub use delta::{
-    run_round_combined_on, run_round_on, run_schema_retained, Delta, DeltaError, DeltaJob,
-    DeltaMetrics, DeltaOutcome, DeltaPrediction, Pipeline, Seq,
+    predict_delta, run_round_combined_on, run_round_on, run_schema_retained, Delta, DeltaError,
+    DeltaJob, DeltaMetrics, DeltaOutcome, DeltaPrediction, Pipeline, Seq,
 };
 pub use engine::{run_round, EngineConfig, EngineError};
 pub use job::Job;
 pub use mapper::{FnMapper, FnReducer, Mapper, Reducer};
 pub use metrics::{JobMetrics, LoadStats, RoundMetrics, ShuffleStats};
 pub use pool::{Executor, WorkerPool};
-pub use schema::{run_schema, run_schema_dyn, run_schema_timed, DynSchema, SchemaJob};
+pub use schema::{
+    price_change, run_schema, run_schema_dyn, run_schema_timed, DynSchema, LoadTable, SchemaJob,
+};

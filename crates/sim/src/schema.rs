@@ -7,10 +7,21 @@
 //! logic — and [`run_schema`] executes them on the engine, so that the
 //! *measured* replication rate and maximum reducer load of any schema can
 //! be compared with the paper's bounds.
+//!
+//! §2.2 also makes `q`, `r`, the pair count and the reducer count nothing
+//! more than folds over the assignment, so they can be had **without**
+//! running the engine: [`LoadTable::of`] is the one place the workspace
+//! folds [`SchemaJob::assign`] into per-reducer loads, and
+//! [`price_change`] the one place a `(removed, added)` change is priced
+//! against such a table. The registry's census, its delta census and
+//! [`DeltaJob::predict`](crate::DeltaJob::predict) are all readers of
+//! these two.
 
+use crate::delta::DeltaPrediction;
 use crate::engine::{run_round, EngineConfig, EngineError};
 use crate::mapper::{FnMapper, FnReducer};
 use crate::metrics::RoundMetrics;
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Identifier of a reducer in a mapping schema.
@@ -33,6 +44,124 @@ pub trait SchemaJob<I, O>: Sync {
     ///
     /// [`assign`]: SchemaJob::assign
     fn reduce(&self, reducer: ReducerId, inputs: &[I], emit: &mut dyn FnMut(O));
+}
+
+/// A borrowed schema is a schema — so a boxed `dyn SchemaJob` can be lent
+/// to the entry points that take their schema by value or by `&S`.
+impl<I, O, S: SchemaJob<I, O> + ?Sized> SchemaJob<I, O> for &S {
+    fn assign(&self, input: &I) -> Vec<ReducerId> {
+        (**self).assign(input)
+    }
+
+    fn reduce(&self, reducer: ReducerId, inputs: &[I], emit: &mut dyn FnMut(O)) {
+        (**self).reduce(reducer, inputs, emit)
+    }
+}
+
+/// The §2.2 assignment folded over a set of inputs: how many of them each
+/// reducer receives, and how many key-value pairs that is in total.
+///
+/// The engine's semantic load metrics depend only on assignments, so a
+/// table's [`max_load`](LoadTable::max_load), [`reducers`](LoadTable::reducers)
+/// and [`pairs`](LoadTable::pairs) are **exactly** what a round over the
+/// same inputs measures — with no shuffle and no reduce work.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LoadTable {
+    loads: HashMap<ReducerId, u64>,
+    pairs: u64,
+}
+
+impl LoadTable {
+    /// Folds `schema`'s assignment over `inputs`.
+    pub fn of<'a, I: 'a, O, S>(schema: &S, inputs: impl IntoIterator<Item = &'a I>) -> Self
+    where
+        S: SchemaJob<I, O> + ?Sized,
+    {
+        let mut table = LoadTable::default();
+        for input in inputs {
+            for rid in schema.assign(input) {
+                *table.loads.entry(rid).or_insert(0) += 1;
+                table.pairs += 1;
+            }
+        }
+        table
+    }
+
+    /// The largest reducer load — the effective `q` (0 for an empty table).
+    pub fn max_load(&self) -> u64 {
+        self.loads.values().copied().max().unwrap_or(0)
+    }
+
+    /// Number of distinct reducers the assignment touches.
+    pub fn reducers(&self) -> u64 {
+        self.loads.len() as u64
+    }
+
+    /// Total key-value pairs, `Σᵢ |assign(i)|`.
+    pub fn pairs(&self) -> u64 {
+        self.pairs
+    }
+
+    /// Every touched reducer with its load, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (ReducerId, u64)> + '_ {
+        self.loads.iter().map(|(&rid, &load)| (rid, load))
+    }
+}
+
+/// Prices a change against a load table: `loads` lists every live reducer
+/// with its current load, `removed` and `added` are the tables of the
+/// inputs leaving and entering. Exact by obliviousness — an input's
+/// assignment never depends on the rest of the instance.
+///
+/// # Panics
+/// Panics if `removed` takes more from a reducer than `loads` holds —
+/// the removed inputs were not part of the instance the load table
+/// describes. Callers resolve removals against their live instance
+/// first, so this is an internal invariant, checked identically in debug
+/// and release builds.
+pub fn price_change(
+    loads: impl IntoIterator<Item = (ReducerId, u64)>,
+    removed: &LoadTable,
+    added: &LoadTable,
+) -> DeltaPrediction {
+    // Per dirty reducer: (current load, removals, additions).
+    let mut dirty: HashMap<ReducerId, (u64, u64, u64)> =
+        HashMap::with_capacity(removed.loads.len() + added.loads.len());
+    for (rid, n) in removed.iter() {
+        dirty.entry(rid).or_default().1 = n;
+    }
+    for (rid, n) in added.iter() {
+        dirty.entry(rid).or_default().2 = n;
+    }
+    let (mut post_q, mut post_reducers) = (0u64, 0u64);
+    for (rid, load) in loads {
+        match dirty.get_mut(&rid) {
+            Some(change) => change.0 = load,
+            None => {
+                post_q = post_q.max(load);
+                post_reducers += 1;
+            }
+        }
+    }
+    for (rid, &(current, removals, additions)) in &dirty {
+        let kept = current.checked_sub(removals).unwrap_or_else(|| {
+            panic!(
+                "reducer {rid} loses {removals} inputs but holds {current}: \
+                 the removed inputs are not in the load table"
+            )
+        });
+        let post = kept + additions;
+        if post > 0 {
+            post_q = post_q.max(post);
+            post_reducers += 1;
+        }
+    }
+    DeltaPrediction {
+        dirty_reducers: dirty.len() as u64,
+        delta_pairs: removed.pairs + added.pairs,
+        post_q,
+        post_reducers,
+    }
 }
 
 /// Executes a [`SchemaJob`] on the engine.
@@ -228,6 +357,39 @@ mod tests {
                 m.replication_rate()
             );
         }
+    }
+
+    #[test]
+    fn load_table_predicts_the_round_and_prices_a_change_exactly() {
+        let schema = Replicate(3);
+        let inputs: Vec<u32> = (0..100).collect();
+        let table = LoadTable::of(&schema, &inputs);
+        let (_, m) = run_schema(&inputs, &schema, &EngineConfig::sequential()).unwrap();
+        assert_eq!(
+            (table.max_load(), table.reducers(), table.pairs()),
+            (m.load.max, m.reducers, m.kv_pairs)
+        );
+        // Swap the first 15 inputs for 5 new ones: the priced change is
+        // the table of the post-change instance.
+        let (gone, kept) = inputs.split_at(15);
+        let fresh: Vec<u32> = (200..205).collect();
+        let (removed, added) = (LoadTable::of(&schema, gone), LoadTable::of(&schema, &fresh));
+        let priced = price_change(table.iter(), &removed, &added);
+        let post = LoadTable::of(&schema, kept.iter().chain(&fresh));
+        assert_eq!(priced.post_q, post.max_load());
+        assert_eq!(priced.post_reducers, post.reducers());
+        assert_eq!(priced.delta_pairs, removed.pairs() + added.pairs());
+        assert_eq!(priced.dirty_reducers, 30);
+    }
+
+    #[test]
+    #[should_panic(expected = "not in the load table")]
+    fn pricing_a_removal_the_table_does_not_hold_is_refused_not_wrapped() {
+        // Reducer 0 holds one input; taking two from it must not wrap
+        // around to a load near u64::MAX in release builds.
+        let held = LoadTable::of(&PairUp, &[0u32]);
+        let taken = LoadTable::of(&PairUp, &[0u32, 1]);
+        price_change(held.iter(), &taken, &LoadTable::default());
     }
 
     #[test]
