@@ -474,7 +474,7 @@ fn render_dag(stamp: &MachineStamp, search_exec: Timing, tree_exec: Timing) -> S
   ],
   "summary": {{
     "search_and_execute_vs_tree_only": {ratio:.2},
-    "basis": "mean_ms(search_and_execute {se:.2}) / mean_ms(matmul_tree/budget8 {te:.2}); the search prices hamming/join candidates with one sequential reference execution each, so most of the full-path cost is candidate pricing, not the chosen plan's run",
+    "basis": "mean_ms(search_and_execute {se:.2}) / mean_ms(matmul_tree/budget8 {te:.2}); the search prices hamming/join candidates by DagJob::census (a map-side fold; only reducers a later round reads from run), so the full-path cost beyond the tree is the other two winners' runs plus that pricing",
     "exactness": "per-round predicted (q, r) equal engine measurements at every node of every chosen DAG (tests/dag_battery.rs, crates/plan/src/dag.rs tests)"
   }}
 }}

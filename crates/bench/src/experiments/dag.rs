@@ -111,9 +111,9 @@ fn run(args: &[String]) -> Result<String, String> {
         "Round-structure search (mr-plan::dag): the cheapest DAG of rounds per workload.\n\
          Cluster: {}.\n\
          Cost = Σ rounds (a·r + b·q + c·q²) + ℓ·depth; every candidate DAG is priced\n\
-         per round (closed forms for matmul, a measured reference execution for the\n\
-         rest), and the winner runs with each round's predicted q as that round's\n\
-         hard budget — an undershot prediction aborts the round.\n\n",
+         per round (closed forms for matmul, a map-side census for the rest — only\n\
+         reducers a later round reads from run), and the winner runs with each round's\n\
+         predicted q as that round's hard budget — an undershot prediction aborts it.\n\n",
         cluster.describe()
     );
 

@@ -1,9 +1,10 @@
 //! Round-structure parity battery: the `mr-plan::dag` search against
 //! the empirically-cheapest DAG found by *executing every candidate*.
 //!
-//! The search never executes the structure it picks to price it — matmul
-//! candidates are priced by closed forms, Hamming and join candidates by
-//! one sequential reference execution of the structure on the instance.
+//! The search never executes a structure to price it — matmul candidates
+//! are priced by closed forms, Hamming and join candidates by
+//! `DagJob::census`, a fold over each round's map-side assignment in
+//! which only the reducers a later round reads from ever run.
 //! This battery closes the loop: for every workload with a multi-round
 //! variant, it exhaustively executes every admissible round structure up
 //! to depth 3 at Small scale, prices each from its *measured* per-round
@@ -19,7 +20,8 @@
 
 use mr_core::family::Scale;
 use mr_plan::{
-    enumerate_dag_candidates, plan_dag, ClusterSpec, DagPlan, DagStructure, DagWorkload,
+    enumerate_dag_candidates, plan_dag, ClusterSpec, DagCandidate, DagPlan, DagStructure,
+    DagWorkload,
 };
 use mr_sim::EngineConfig;
 
@@ -41,24 +43,57 @@ fn profiles() -> Vec<(&'static str, ClusterSpec)> {
     ]
 }
 
-/// Wraps a candidate structure as an executable plan (the battery's
-/// "run everything" side deliberately bypasses the search).
-fn executable(workload: DagWorkload, structure: DagStructure, cluster: &ClusterSpec) -> DagPlan {
-    let dag = enumerate_dag_candidates(workload, Scale::Small)
-        .into_iter()
-        .find(|c| c.structure == structure)
-        .expect("candidate exists")
-        .dag;
-    let predicted_cost = dag.cost(cluster);
+/// Wraps a priced candidate as an executable plan (the battery's "run
+/// everything" side deliberately bypasses the search).
+fn executable(
+    workload: DagWorkload,
+    candidate: &DagCandidate,
+    cluster: &ClusterSpec,
+    scale: Scale,
+) -> DagPlan {
     DagPlan {
         workload,
-        structure,
-        schema: structure.name(),
-        dag,
+        structure: candidate.structure,
+        schema: candidate.structure.name(),
+        dag: candidate.dag.clone(),
         cluster: cluster.clone(),
-        scale: Scale::Small,
-        predicted_cost,
+        scale,
+        predicted_cost: candidate.dag.cost(cluster),
         rationale: String::new(),
+    }
+}
+
+#[test]
+fn every_priced_candidate_equals_its_sequential_reference_execution() {
+    // The pricing oracle. Every candidate the search enumerates — not
+    // just the ones it picks — is executed sequentially, and each round's
+    // measured (load.max, kv_pairs) must be the priced round's (q, pairs):
+    // `DagJob::census` against a real run for Hamming and join, and
+    // `RecursiveMatMul::round_specs`' closed forms against one for
+    // matmul. Execution runs under the priced q as a hard budget, so an
+    // under-priced round aborts and an over-priced one shows up below.
+    // Full scale is the planner's production size.
+    let cluster = ClusterSpec::default();
+    for scale in [Scale::Small, Scale::Full] {
+        for workload in DagWorkload::ALL {
+            for cand in enumerate_dag_candidates(workload, scale) {
+                let name = format!("{}/{scale:?}/{}", workload.name(), cand.structure.name());
+                let report = executable(workload, &cand, &cluster, scale)
+                    .execute_with(&EngineConfig::sequential())
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert_eq!(report.rounds.len(), cand.dag.rounds.len(), "{name}");
+                for obs in &report.rounds {
+                    // `r` is `pairs / |I|` on both sides, so equal rates
+                    // are equal pair counts.
+                    assert_eq!(
+                        (obs.measured_q, obs.measured_r),
+                        (obs.predicted_q, obs.predicted_r),
+                        "{name}: round {}",
+                        obs.name
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -75,7 +110,7 @@ fn planner_pick_is_within_5_percent_of_the_empirically_cheapest_dag() {
                 if !cand.dag.admitted_by(&cluster) || cand.dag.depth() > 3 {
                     continue;
                 }
-                let plan = executable(workload, cand.structure, &cluster);
+                let plan = executable(workload, &cand, &cluster, Scale::Small);
                 let report = plan
                     .execute_with(&EngineConfig::sequential())
                     .unwrap_or_else(|e| panic!("{}/{profile}: {e}", cand.structure.name()));

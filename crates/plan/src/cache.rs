@@ -18,22 +18,32 @@
 //! (errors are rare and deterministic) and keeps the cache free of
 //! negative-result invalidation questions.
 //!
+//! Under the plan memo sits a second one for the **price** step. A
+//! candidate's census does not depend on the cluster, so the priced
+//! tables — [`enumerate_dag_candidates`] per `(workload, scale)`,
+//! [`Planner::price`](crate::Planner::price) per `(family, scale)` — are
+//! kept too, and a miss on a new cluster profile only pays the
+//! [`choose`](crate::planner::PricedFamily::choose) step. Both memos are
+//! fields of the cache instance: a fresh cache prices everything once.
+//!
 //! [`CacheStats`] hit/miss counters are surfaced in the `repro plan` /
 //! `repro dag` semantic JSON — the first scrapeable operational stat for
 //! the future daemon. The counters live in a per-cache
 //! [`mr_obs::MetricsHub`] (keys `plan_cache.hits` /
-//! `plan_cache.misses`), so the same registry the execution stack
+//! `plan_cache.misses`, and beside them `plan_cache.priced` /
+//! `plan_cache.priced_reused` for how many misses ran a pricing and how
+//! many read a kept table), so the same registry the execution stack
 //! reports into is the single source of truth; [`CacheStats`] is just a
-//! snapshot of those two counters.
+//! snapshot of the first two.
 
 use crate::cluster::ClusterSpec;
-use crate::dag::{plan_dag, DagPlan, DagWorkload};
+use crate::dag::{choose_dag, enumerate_dag_candidates, DagCandidate, DagPlan, DagWorkload};
 use crate::plan::Plan;
-use crate::planner::{plan_family, PlanError};
+use crate::planner::{planner_for, PlanError, PricedFamily};
 use mr_core::family::Scale;
 use mr_obs::{Counter, MetricsHub};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Hit/miss counters of a [`PlanCache`], taken at one instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +55,11 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-/// A memoising front for [`plan_family`] and [`plan_dag`].
+/// Priced tables by `name|scale` — the price step's memo.
+type Priced<P> = Mutex<BTreeMap<String, Arc<P>>>;
+
+/// A memoising front for [`plan_family`](crate::plan_family) and
+/// [`plan_dag`](crate::plan_dag).
 ///
 /// Thread-safe; clone-out semantics (a hit clones the cached plan, so
 /// callers own their copy and the cache never hands out references into
@@ -55,24 +69,30 @@ pub struct CacheStats {
 pub struct PlanCache {
     plans: Mutex<BTreeMap<String, Plan>>,
     dags: Mutex<BTreeMap<String, DagPlan>>,
-    /// Per-cache metrics registry holding the `plan_cache.hits` /
-    /// `plan_cache.misses` counters (cached handles below).
+    priced_families: Priced<PricedFamily>,
+    priced_dags: Priced<Vec<DagCandidate>>,
+    /// Per-cache metrics registry holding the `plan_cache.*` counters
+    /// (cached handles below).
     hub: MetricsHub,
     hits: Counter,
     misses: Counter,
+    priced: Counter,
+    priced_reused: Counter,
 }
 
 impl Default for PlanCache {
     fn default() -> Self {
         let hub = MetricsHub::new();
-        let hits = hub.counter("plan_cache.hits");
-        let misses = hub.counter("plan_cache.misses");
         PlanCache {
-            plans: Mutex::new(BTreeMap::new()),
-            dags: Mutex::new(BTreeMap::new()),
+            plans: Mutex::default(),
+            dags: Mutex::default(),
+            priced_families: Mutex::default(),
+            priced_dags: Mutex::default(),
+            hits: hub.counter("plan_cache.hits"),
+            misses: hub.counter("plan_cache.misses"),
+            priced: hub.counter("plan_cache.priced"),
+            priced_reused: hub.counter("plan_cache.priced_reused"),
             hub,
-            hits,
-            misses,
         }
     }
 }
@@ -98,7 +118,7 @@ impl PlanCache {
         Self::default()
     }
 
-    /// [`plan_family`] through the cache.
+    /// [`plan_family`](crate::plan_family) through the cache.
     pub fn plan_family(
         &self,
         family: &str,
@@ -111,7 +131,12 @@ impl PlanCache {
             return Ok(plan.clone());
         }
         self.misses.incr();
-        let plan = plan_family(family, cluster, scale)?;
+        cluster.check()?;
+        let planner = planner_for(family)?;
+        let priced = self.priced(&self.priced_families, family, scale, || {
+            planner.price(scale)
+        })?;
+        let plan = priced.choose(cluster)?;
         self.plans
             .lock()
             .expect("plan cache poisoned")
@@ -119,7 +144,7 @@ impl PlanCache {
         Ok(plan)
     }
 
-    /// [`plan_dag`] through the cache.
+    /// [`plan_dag`](crate::plan_dag) through the cache.
     pub fn plan_dag(
         &self,
         workload: DagWorkload,
@@ -132,12 +157,37 @@ impl PlanCache {
             return Ok(plan.clone());
         }
         self.misses.incr();
-        let plan = plan_dag(workload, cluster, scale)?;
+        cluster.check()?;
+        let priced = self.priced(&self.priced_dags, workload.name(), scale, || {
+            Ok(enumerate_dag_candidates(workload, scale))
+        })?;
+        let plan = choose_dag(workload, &priced, cluster, scale)?;
         self.dags
             .lock()
             .expect("plan cache poisoned")
             .insert(key, plan.clone());
         Ok(plan)
+    }
+
+    /// The priced table of `name` at `scale` out of `memo`, running
+    /// `price` only when the cache has not kept one. The lock is not held
+    /// while pricing; of two racing pricings the first stored is kept.
+    fn priced<P>(
+        &self,
+        memo: &Priced<P>,
+        name: &str,
+        scale: Scale,
+        price: impl FnOnce() -> Result<P, PlanError>,
+    ) -> Result<Arc<P>, PlanError> {
+        let key = format!("{name}|{scale:?}");
+        if let Some(table) = memo.lock().expect("plan cache poisoned").get(&key) {
+            self.priced_reused.incr();
+            return Ok(Arc::clone(table));
+        }
+        let table = Arc::new(price()?);
+        self.priced.incr();
+        let mut memo = memo.lock().expect("plan cache poisoned");
+        Ok(Arc::clone(memo.entry(key).or_insert(table)))
     }
 
     /// The counters so far — a snapshot of the `plan_cache.hits` /
@@ -160,7 +210,8 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::plannable_families;
+    use crate::dag::plan_dag;
+    use crate::planner::{plan_family, plannable_families};
 
     #[test]
     fn repeat_plans_hit() {
@@ -230,6 +281,70 @@ mod tests {
             assert_eq!(direct.choice, cached.choice, "{family}");
             assert_eq!(direct.predicted_cost, cached.predicted_cost, "{family}");
         }
+    }
+
+    #[test]
+    fn a_priced_table_is_shared_across_cluster_profiles() {
+        let cache = PlanCache::new();
+        let profiles = [
+            ClusterSpec::default(),
+            ClusterSpec::comm_heavy(),
+            ClusterSpec::default().with_q_budget(8),
+        ];
+        for cluster in &profiles {
+            let cached = cache.plan_family("matmul", cluster, Scale::Small).unwrap();
+            let direct = plan_family("matmul", cluster, Scale::Small).unwrap();
+            assert_eq!(cached.rationale, direct.rationale);
+            let cached = cache
+                .plan_dag(DagWorkload::Hamming, cluster, Scale::Small)
+                .unwrap();
+            let direct = plan_dag(DagWorkload::Hamming, cluster, Scale::Small).unwrap();
+            assert_eq!(cached.rationale, direct.rationale);
+        }
+        // Six misses, but only the first profile paid for a pricing.
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 6 });
+        assert_eq!(cache.metrics().counter_value("plan_cache.priced"), 2);
+        assert_eq!(cache.metrics().counter_value("plan_cache.priced_reused"), 4);
+        // A different scale is a different table.
+        cache
+            .plan_dag(DagWorkload::Hamming, &profiles[0], Scale::Default)
+            .unwrap();
+        assert_eq!(cache.metrics().counter_value("plan_cache.priced"), 3);
+    }
+
+    #[test]
+    fn a_cluster_that_cannot_price_is_refused_at_every_entry_point() {
+        // The weights are public `f64`s. A NaN one used to reach
+        // `partial_cmp(..).unwrap()` inside the search and panic there.
+        let cache = PlanCache::new();
+        let nan_comm = ClusterSpec::new(4, f64::NAN, 0.05);
+        let inf_compute = ClusterSpec::new(4, 1.0, f64::INFINITY);
+        let negative_latency = ClusterSpec::default().with_latency_weight(-1.0);
+        let nan_round = ClusterSpec::default().with_round_latency(f64::NAN);
+        for (weight, cluster) in [
+            ("comm_weight", nan_comm),
+            ("compute_weight", inf_compute),
+            ("latency_weight", negative_latency),
+            ("round_latency", nan_round),
+        ] {
+            let refusals = [
+                plan_family("matmul", &cluster, Scale::Small).err(),
+                cache.plan_family("matmul", &cluster, Scale::Small).err(),
+                plan_dag(DagWorkload::Hamming, &cluster, Scale::Small).err(),
+                cache
+                    .plan_dag(DagWorkload::Hamming, &cluster, Scale::Small)
+                    .err(),
+            ];
+            for refusal in refusals {
+                match refusal {
+                    Some(PlanError::InvalidCluster { weight: w, .. }) => assert_eq!(w, weight),
+                    other => panic!("{weight}: expected InvalidCluster, got {other:?}"),
+                }
+            }
+        }
+        // Refused up front: nothing was priced on the way to the error.
+        assert_eq!(cache.metrics().counter_value("plan_cache.priced"), 0);
+        assert!(ClusterSpec::default().check().is_ok());
     }
 
     #[test]

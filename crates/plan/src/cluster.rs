@@ -1,7 +1,16 @@
 //! The cluster description a plan is made *for*.
 
+use crate::planner::PlanError;
 use mr_core::cost::CostModel;
 use mr_sim::EngineConfig;
+
+/// Why the planners may `expect` a cost comparison to succeed: every
+/// public planning entry point runs [`ClusterSpec::check`] first, so the
+/// four weights are finite and non-negative; a census `q` is a `u64` and
+/// `r` a ratio of `u64`s with an empty instance read as 0. Every cost
+/// term is therefore in `[0, +∞]` and their sum is never NaN.
+pub(crate) const COSTS_ARE_NUMBERS: &str =
+    "ClusterSpec::check admits only finite non-negative weights, so no cost is NaN";
 
 /// A cluster specification: how many workers execute, how much a reducer
 /// may hold, and what communication and compute cost.
@@ -96,6 +105,27 @@ impl ClusterSpec {
     pub fn with_round_latency(mut self, l: f64) -> Self {
         self.round_latency = l;
         self
+    }
+
+    /// Refuses a cluster whose weights cannot price a plan: the fields are
+    /// public `f64`s, so a NaN, an infinity or a negative price can be
+    /// written into them, and a NaN cost is comparable with nothing. Run
+    /// by every planning entry point before any candidate is priced.
+    pub fn check(&self) -> Result<(), PlanError> {
+        for (weight, value) in [
+            ("comm_weight", self.comm_weight),
+            ("compute_weight", self.compute_weight),
+            ("latency_weight", self.latency_weight),
+            ("round_latency", self.round_latency),
+        ] {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(PlanError::InvalidCluster {
+                    weight,
+                    value: value.to_string(),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// The equivalent §1.2 [`CostModel`]: `a·r + b·q + c·q²`.

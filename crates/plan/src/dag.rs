@@ -36,12 +36,19 @@
 //!   pipeline: naive two-round, partial-count push-down, and a
 //!   three-round partial-merge tree.
 //!
-//! Hamming and join candidates are priced by *reference execution*: the
-//! candidate DAG is run once sequentially and its measured per-round
-//! census becomes the prediction — exact by construction, like the
-//! closed forms.
+//! Planning is two steps. **Pricing** ([`enumerate_dag_candidates`]) is
+//! cluster-independent: every candidate gets its per-round census, from
+//! closed forms for matmul and from [`DagJob::census`] for Hamming and
+//! join — a fold over each round's map-side assignment (§2.2
+//! obliviousness), where the only reducers that run are those whose
+//! output a later round has to read. **Choosing** reads a priced table
+//! against one [`ClusterSpec`]: admit, cost, pick. [`plan_dag`] is the two
+//! in sequence; [`PlanCache`](crate::PlanCache) keeps the priced table
+//! per `(workload, scale)`, so any number of cluster profiles pay for one
+//! pricing. Executing a candidate for its numbers survives only as the
+//! batteries' oracle.
 
-use crate::cluster::ClusterSpec;
+use crate::cluster::{ClusterSpec, COSTS_ARE_NUMBERS};
 use crate::planner::PlanError;
 use mr_core::family::{family_by_name, Scale};
 use mr_core::problems::hamming::{
@@ -135,9 +142,19 @@ impl RoundDag {
             .collect()
     }
 
+    /// `pairs / |I|`; an empty instance replicates nothing, so it reads
+    /// 0 rather than `0/0` — the convention of the registry's census.
+    fn per_input(&self, pairs: u64) -> f64 {
+        if self.inputs == 0 {
+            0.0
+        } else {
+            pairs as f64 / self.inputs as f64
+        }
+    }
+
     /// Predicted replication rate of round `i`: `pairs_i / |I|`.
     pub fn round_r(&self, i: usize) -> f64 {
-        self.rounds[i].pairs as f64 / self.inputs as f64
+        self.per_input(self.rounds[i].pairs)
     }
 
     /// The largest per-round reducer load — the plan's effective `q`.
@@ -153,7 +170,7 @@ impl RoundDag {
     /// Total communication over `|I|` — the multi-round generalisation of
     /// the replication rate.
     pub fn replication(&self) -> f64 {
-        self.total_pairs() as f64 / self.inputs as f64
+        self.per_input(self.total_pairs())
     }
 
     /// The plan cost under `cluster`:
@@ -353,21 +370,20 @@ pub struct DagCandidate {
     pub dag: RoundDag,
 }
 
-/// Builds a [`RoundDag`] by running the candidate once sequentially and
-/// reading the per-round census off the measured metrics — exact by
-/// construction (reference execution has no budget to overflow).
-fn measured_round_dag<T: Clone + Send + Sync + 'static>(
+/// Builds a [`RoundDag`] from the candidate's [`DagJob::census`] — exact
+/// by §2.2 obliviousness, with no sink reduced and nothing shuffled.
+fn priced_round_dag<T: Clone + Send + Sync + 'static>(
     dag: &DagJob<T>,
     deps: Vec<Vec<usize>>,
     inputs: &[T],
 ) -> RoundDag {
-    let (_, metrics) = dag
-        .run(inputs, &EngineConfig::sequential())
-        .expect("reference execution runs without a budget");
-    assert_eq!(deps.len(), metrics.rounds.len());
+    let census = dag
+        .census(inputs)
+        .expect("pricing applies no budget, so no round can overflow one");
+    assert_eq!(deps.len(), census.len());
     let mut rd = RoundDag::new(inputs.len() as u64);
-    for ((name, m), d) in dag.round_names().into_iter().zip(&metrics.rounds).zip(deps) {
-        rd.push(name, d, m.load.max, m.kv_pairs);
+    for ((name, c), d) in dag.round_names().into_iter().zip(census).zip(deps) {
+        rd.push(name, d, c.q, c.pairs);
     }
     rd
 }
@@ -412,7 +428,11 @@ fn join_instance(n: u32) -> (Query, Database) {
 /// at `scale`, in deterministic order: **multi-round candidates first**,
 /// so a cost tie breaks toward the structure with the smaller per-round
 /// reducers (first-wins under strict `<`).
+///
+/// This is the **price** step of planning: cluster-independent, and the
+/// only part of [`plan_dag`] whose cost grows with the instance.
 pub fn enumerate_dag_candidates(workload: DagWorkload, scale: Scale) -> Vec<DagCandidate> {
+    let _span = mr_obs::span("plan.dag.price");
     let size = workload.size(scale);
     let mut out = Vec::new();
     match workload {
@@ -468,24 +488,27 @@ pub fn enumerate_dag_candidates(workload: DagWorkload, scale: Scale) -> Vec<DagC
             let strings = all_strings(b);
             for k in divisors(b) {
                 if k >= 2 {
-                    out.push(DagCandidate {
-                        structure: DagStructure::HammingParallelSplit { b, k },
-                        dag: measured_round_dag(
-                            &parallel_split_dag(b, k),
-                            vec![vec![]; k as usize],
-                            &strings,
-                        ),
-                    });
                     let mut deps = vec![vec![]; k as usize];
                     deps.push((0..k as usize).collect());
+                    let consolidate =
+                        priced_round_dag(&split_consolidate_dag(b, k), deps, &strings);
+                    // `split_consolidate_dag` is `parallel_split_dag` plus
+                    // one round, so its first `k` priced rounds *are* the
+                    // parallel split's: the shared prefix is priced once.
+                    let mut parallel = consolidate.clone();
+                    parallel.rounds.truncate(k as usize);
+                    out.push(DagCandidate {
+                        structure: DagStructure::HammingParallelSplit { b, k },
+                        dag: parallel,
+                    });
                     out.push(DagCandidate {
                         structure: DagStructure::HammingSplitConsolidate { b, k },
-                        dag: measured_round_dag(&split_consolidate_dag(b, k), deps, &strings),
+                        dag: consolidate,
                     });
                 }
                 out.push(DagCandidate {
                     structure: DagStructure::HammingSplit { b, k },
-                    dag: measured_round_dag(&split_dag(b, k), vec![vec![]], &strings),
+                    dag: priced_round_dag(&split_dag(b, k), vec![vec![]], &strings),
                 });
             }
         }
@@ -500,7 +523,7 @@ pub fn enumerate_dag_candidates(workload: DagWorkload, scale: Scale) -> Vec<DagC
                 for fanout in 2..s {
                     out.push(DagCandidate {
                         structure: DagStructure::JoinAggPushed { n, s, fanout },
-                        dag: measured_round_dag(
+                        dag: priced_round_dag(
                             &pushed_count_dag(schema(s), fanout),
                             vec![vec![], vec![0], vec![1]],
                             &inputs,
@@ -509,7 +532,7 @@ pub fn enumerate_dag_candidates(workload: DagWorkload, scale: Scale) -> Vec<DagC
                 }
                 out.push(DagCandidate {
                     structure: DagStructure::JoinAggPushed { n, s, fanout: 1 },
-                    dag: measured_round_dag(
+                    dag: priced_round_dag(
                         &pushed_count_dag(schema(s), 1),
                         vec![vec![], vec![0]],
                         &inputs,
@@ -517,7 +540,7 @@ pub fn enumerate_dag_candidates(workload: DagWorkload, scale: Scale) -> Vec<DagC
                 });
                 out.push(DagCandidate {
                     structure: DagStructure::JoinAggNaive { n, s },
-                    dag: measured_round_dag(
+                    dag: priced_round_dag(
                         &naive_count_dag(schema(s)),
                         vec![vec![], vec![0]],
                         &inputs,
@@ -589,17 +612,37 @@ pub struct DagPlanReport {
 }
 
 /// Searches the workload's round structures and returns the cheapest
-/// admissible one as an executable plan.
+/// admissible one as an executable plan: [`enumerate_dag_candidates`]
+/// prices, the choose step reads the priced table against `cluster`.
 pub fn plan_dag(
     workload: DagWorkload,
     cluster: &ClusterSpec,
     scale: Scale,
 ) -> Result<DagPlan, PlanError> {
-    let candidates = enumerate_dag_candidates(workload, scale);
+    cluster.check()?;
+    choose_dag(
+        workload,
+        &enumerate_dag_candidates(workload, scale),
+        cluster,
+        scale,
+    )
+}
+
+/// The **choose** step: the cheapest of `candidates` (the workload's
+/// priced table at `scale`) that `cluster` admits. Callers have run
+/// [`ClusterSpec::check`], so every cost compared here is a number.
+pub(crate) fn choose_dag(
+    workload: DagWorkload,
+    candidates: &[DagCandidate],
+    cluster: &ClusterSpec,
+    scale: Scale,
+) -> Result<DagPlan, PlanError> {
+    let _span = mr_obs::span("plan.dag.choose");
     let total = candidates.len();
-    let mut admissible: Vec<&DagCandidate> = candidates
+    let mut admissible: Vec<(&DagCandidate, f64)> = candidates
         .iter()
         .filter(|c| c.dag.admitted_by(cluster))
+        .map(|c| (c, c.dag.cost(cluster)))
         .collect();
     let feasible = admissible.len();
     if admissible.is_empty() {
@@ -611,19 +654,17 @@ pub fn plan_dag(
     // Stable selection: strict `<` keeps the earliest of equal-cost
     // candidates, and multi-round structures are enumerated first.
     let mut best = 0usize;
-    for (i, c) in admissible.iter().enumerate().skip(1) {
-        if c.dag.cost(cluster) < admissible[best].dag.cost(cluster) {
+    for (i, (_, cost)) in admissible.iter().enumerate().skip(1) {
+        if *cost < admissible[best].1 {
             best = i;
         }
     }
-    let chosen = admissible.swap_remove(best);
+    let (chosen, cost) = admissible.swap_remove(best);
     let runner_up = admissible
         .iter()
-        .map(|c| (c.structure.name(), c.dag.cost(cluster)))
-        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-        .map(|(name, cost)| format!(" Runner-up: {name} → cost {}.", fmt(cost)))
+        .min_by(|a, b| a.1.partial_cmp(&b.1).expect(COSTS_ARE_NUMBERS))
+        .map(|(c, cost)| format!(" Runner-up: {} → cost {}.", c.structure.name(), fmt(*cost)))
         .unwrap_or_default();
-    let cost = chosen.dag.cost(cluster);
     let rationale = format!(
         "Round-structure search: {total} candidate DAGs ({feasible} with every round within \
          budget); cheapest: {} — depth {}, rounds [{}] → cost {}.{}",
@@ -717,7 +758,7 @@ impl DagPlan {
                 predicted_q: spec.q,
                 measured_q: m.load.max,
                 predicted_r: self.dag.round_r(i),
-                measured_r: m.kv_pairs as f64 / self.dag.inputs as f64,
+                measured_r: self.dag.per_input(m.kv_pairs),
                 partition_skew: m.shuffle.partition_skew(),
                 shuffle_bytes: m.shuffle.bytes_moved.unwrap_or(0),
             })
@@ -838,6 +879,16 @@ mod tests {
         // With round latency the same DAG costs exactly ℓ more.
         let slow = ClusterSpec::default().with_round_latency(0.5);
         assert!((rd.cost(&slow) - (cluster.cost(8.0, 2.0) + 0.5)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn an_empty_instance_prices_to_a_number() {
+        // 0 pairs over 0 inputs is "nothing replicated", not NaN.
+        let mut rd = RoundDag::new(0);
+        rd.push("only", vec![], 0, 0);
+        assert_eq!(rd.round_r(0), 0.0);
+        assert_eq!(rd.replication(), 0.0);
+        assert_eq!(rd.cost(&ClusterSpec::default()), 0.0);
     }
 
     #[test]

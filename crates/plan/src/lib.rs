@@ -38,7 +38,11 @@
 //! Planning is pure — same `(family, cluster, scale)`, same plan — so a
 //! resident process can memoise it: [`PlanCache`] fronts [`plan_family`]
 //! and [`plan_dag`] with a bit-exact key over every planner input and
-//! exposes [`CacheStats`] hit/miss counters.
+//! exposes [`CacheStats`] hit/miss counters. Planning is also two steps —
+//! a cluster-independent **price** ([`Planner::price`],
+//! [`enumerate_dag_candidates`]) and a per-cluster **choose** — and the
+//! cache keeps the priced tables, so a new cluster profile pays only the
+//! second.
 //!
 //! The `repro plan` and `repro dag` experiments in `mr-bench` drive this
 //! end to end, and the planner-vs-sweep and DAG parity batteries prove
@@ -59,4 +63,6 @@ pub use dag::{
 };
 pub use delta::{plan_delta, DeltaPlan};
 pub use plan::{Choice, Plan, PlanReport};
-pub use planner::{plan_all, plan_family, plannable_families, planners, PlanError, Planner};
+pub use planner::{
+    plan_all, plan_family, plannable_families, planners, PlanError, Planner, PricedFamily,
+};

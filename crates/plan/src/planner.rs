@@ -1,7 +1,14 @@
 //! Per-family planners: closed forms where the paper gives them, the
 //! share-exponent LP for joins, and exact census pricing everywhere.
+//!
+//! A plan is made in two steps. [`Planner::price`] is cluster-independent:
+//! it builds the family's instance, census-prices every grid point (and,
+//! for matmul, collects the multi-round trees) into a [`PricedFamily`].
+//! [`PricedFamily::choose`] reads that table against one [`ClusterSpec`].
+//! [`PlanCache`](crate::PlanCache) keeps the table per `(family, scale)`,
+//! so any number of cluster profiles pay for one pricing.
 
-use crate::cluster::ClusterSpec;
+use crate::cluster::{ClusterSpec, COSTS_ARE_NUMBERS};
 use crate::dag::{enumerate_dag_candidates, DagCandidate, DagStructure, DagWorkload};
 use crate::plan::{Choice, Plan};
 use mr_core::family::{family_by_name, AssignCensus, DynFamily, Scale};
@@ -27,6 +34,14 @@ pub enum PlanError {
     },
     /// The Shares exponent LP failed (degenerate query shape).
     Lp(LpError),
+    /// A cost weight of the [`ClusterSpec`] is NaN, infinite or negative,
+    /// so no candidate can be priced under it.
+    InvalidCluster {
+        /// The offending `ClusterSpec` field.
+        weight: &'static str,
+        /// Its value, rendered (`f64` is not `Eq`).
+        value: String,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -42,6 +57,10 @@ impl std::fmt::Display for PlanError {
                 "{family}: no schema fits the reducer budget q ≤ {budget}"
             ),
             PlanError::Lp(e) => write!(f, "share-exponent LP failed: {e}"),
+            PlanError::InvalidCluster { weight, value } => write!(
+                f,
+                "cluster {weight} = {value}: cost weights must be finite and non-negative"
+            ),
         }
     }
 }
@@ -56,7 +75,7 @@ impl From<LpError> for PlanError {
 
 /// A cost-based planner for one problem family.
 ///
-/// `plan` must be **pure**: same cluster and scale, same plan. The
+/// Planning must be **pure**: same cluster and scale, same plan. The
 /// returned [`Plan`] carries exact predictions (census- or closed-form
 /// priced), so [`Plan::execute`] runs under `predicted_q` as a hard
 /// budget and cannot overflow unless the planner itself is wrong.
@@ -64,13 +83,21 @@ pub trait Planner: Send + Sync {
     /// The registry family this planner covers.
     fn family(&self) -> &'static str;
 
-    /// Produces the cheapest plan for `cluster` at `scale` — cheapest
-    /// among the family's candidates under the cluster's cost weights.
-    /// For families with multi-round structures (matmul), candidates
-    /// from the round-structure search in [`crate::dag`] compete in the
-    /// same pricing, so the §6 phase crossover is *found*, not
+    /// The cluster-independent step: every candidate of the family at
+    /// `scale` with its exact census. For families with multi-round
+    /// structures (matmul), candidates from the round-structure search
+    /// in [`crate::dag`] are priced alongside the grid, so the §6 phase
+    /// crossover is *found* by [`PricedFamily::choose`], not
     /// special-cased.
-    fn plan(&self, cluster: &ClusterSpec, scale: Scale) -> Result<Plan, PlanError>;
+    fn price(&self, scale: Scale) -> Result<PricedFamily, PlanError>;
+
+    /// Produces the cheapest plan for `cluster` at `scale` — cheapest
+    /// among the family's candidates under the cluster's cost weights:
+    /// [`price`](Planner::price), then [`PricedFamily::choose`].
+    fn plan(&self, cluster: &ClusterSpec, scale: Scale) -> Result<Plan, PlanError> {
+        cluster.check()?;
+        self.price(scale)?.choose(cluster)
+    }
 }
 
 /// Compact deterministic number formatting for rationale strings.
@@ -82,9 +109,7 @@ fn fmt(x: f64) -> String {
     }
 }
 
-/// Builds a registry family by name at the given scale — just the one,
-/// via [`family_by_name`]: instance construction is the expensive part
-/// of the registry, and a planner needs only its own family's.
+/// Builds a registry family by name at the given scale.
 fn registry_family(name: &'static str, scale: Scale) -> Box<dyn DynFamily> {
     family_by_name(name, scale).unwrap_or_else(|| panic!("family {name} not in the registry"))
 }
@@ -98,73 +123,162 @@ fn param(fam: &dyn DynFamily, key: &str) -> u64 {
         .1
 }
 
-/// One priced candidate: a grid point with its exact census and cost.
-struct Candidate {
-    point: usize,
-    schema: String,
-    census: AssignCensus,
-    cost: f64,
+/// A family's candidates at one scale with their exact censuses — what
+/// [`Planner::price`] produces and [`choose`](PricedFamily::choose) reads.
+/// Nothing in it depends on a cluster.
+#[derive(Debug, Clone)]
+pub struct PricedFamily {
+    family: &'static str,
+    scale: Scale,
+    /// The family's closed-form story, leading a grid plan's rationale.
+    closed_form: String,
+    /// Every registry grid point, in grid order: schema name and census.
+    grid: Vec<(String, AssignCensus)>,
+    /// Multi-round candidates competing with the grid (matmul's
+    /// aggregation trees; empty for every other family).
+    trees: Vec<DagCandidate>,
 }
 
-/// The shared grid path: census-price every point, keep the admissible
-/// ones, pick the cheapest (first wins ties — grid order is fixed), and
-/// package the plan with the family's closed-form story in front.
-fn cheapest_grid_plan(
-    fam: &dyn DynFamily,
-    cluster: &ClusterSpec,
+/// The shared price step: build the family's instance — just the one,
+/// via [`family_by_name`], instance construction being the expensive part
+/// of the registry — and census every grid point.
+fn price_grid(
+    family: &'static str,
     scale: Scale,
-    closed_form: &str,
-) -> Result<Plan, PlanError> {
-    let grid = fam.grid();
-    let mut best: Option<Candidate> = None;
-    let mut feasible = 0usize;
-    for (point, gp) in grid.iter().enumerate() {
-        let census = fam.census(point);
-        if !cluster.admits(census.q) {
-            continue;
-        }
-        feasible += 1;
-        // A grid point is one round, so it pays the per-round latency
-        // charge exactly once (a no-op at the default ℓ = 0) — the same
-        // model multi-round DAG candidates are priced under.
-        let cost = cluster.cost(census.q as f64, census.r) + cluster.round_latency;
-        if best.as_ref().is_none_or(|b| cost < b.cost) {
-            best = Some(Candidate {
-                point,
-                schema: gp.schema.clone(),
-                census,
-                cost,
-            });
+    closed_form: impl FnOnce(&dyn DynFamily) -> Result<String, PlanError>,
+) -> Result<PricedFamily, PlanError> {
+    let _span = mr_obs::span("plan.family.price");
+    let fam = registry_family(family, scale);
+    let closed_form = closed_form(&*fam)?;
+    let grid = fam
+        .grid()
+        .iter()
+        .enumerate()
+        .map(|(point, gp)| (gp.schema.clone(), fam.census(point)))
+        .collect();
+    Ok(PricedFamily {
+        family,
+        scale,
+        closed_form,
+        grid,
+        trees: Vec::new(),
+    })
+}
+
+impl PricedFamily {
+    /// The choose step: the cheapest candidate `cluster` admits. Callers
+    /// have run [`ClusterSpec::check`] (as [`Planner::plan`] does), so
+    /// every cost compared here is a number.
+    ///
+    /// The grid and the trees are priced under the *same* per-round model
+    /// `Σ rounds (a·r + b·q + c·q²) + ℓ·depth` (see [`crate::dag`]). A cost
+    /// **tie breaks toward the multi-round structure** — equal money, but
+    /// its per-round reducers are smaller, which is the resource the
+    /// budget actually constrains.
+    pub fn choose(&self, cluster: &ClusterSpec) -> Result<Plan, PlanError> {
+        let _span = mr_obs::span("plan.family.choose");
+        // First wins ties — candidate order is fixed.
+        let tree = self
+            .trees
+            .iter()
+            .filter(|c| c.dag.admitted_by(cluster))
+            .map(|c| (c, c.dag.cost(cluster)))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect(COSTS_ARE_NUMBERS));
+        match (tree, self.cheapest_grid_plan(cluster)) {
+            (Some((tree, cost)), Ok(grid)) if cost <= grid.predicted_cost => {
+                Ok(tree_plan(tree, cost, cluster, Some(grid.predicted_cost)))
+            }
+            (Some((tree, cost)), Err(_)) => Ok(tree_plan(tree, cost, cluster, None)),
+            (_, grid) => grid,
         }
     }
-    let best = best.ok_or(PlanError::NoFeasiblePoint {
-        family: fam.name(),
-        budget: cluster.reducer_capacity.unwrap_or(0),
-    })?;
-    let rationale = format!(
-        "{closed_form}. Census-priced {} grid points ({} within budget); cheapest: {} \
-         with exact (q={}, r={}) → cost {}.",
-        grid.len(),
-        feasible,
-        best.schema,
-        best.census.q,
-        fmt(best.census.r),
-        fmt(best.cost),
-    );
-    Ok(Plan {
-        family: fam.name(),
-        schema: best.schema,
-        choice: Choice::Registry {
-            scale,
-            point: best.point,
-        },
+
+    /// The grid path: keep the admissible points, pick the cheapest
+    /// (first wins ties — grid order is fixed), and package the plan with
+    /// the family's closed-form story in front.
+    fn cheapest_grid_plan(&self, cluster: &ClusterSpec) -> Result<Plan, PlanError> {
+        let mut best: Option<(usize, f64)> = None;
+        let mut feasible = 0usize;
+        for (point, (_, census)) in self.grid.iter().enumerate() {
+            if !cluster.admits(census.q) {
+                continue;
+            }
+            feasible += 1;
+            // A grid point is one round, so it pays the per-round latency
+            // charge exactly once (a no-op at the default ℓ = 0) — the same
+            // model multi-round DAG candidates are priced under.
+            let cost = cluster.cost(census.q as f64, census.r) + cluster.round_latency;
+            if best.is_none_or(|(_, b)| cost < b) {
+                best = Some((point, cost));
+            }
+        }
+        let (point, cost) = best.ok_or(PlanError::NoFeasiblePoint {
+            family: self.family,
+            budget: cluster.reducer_capacity.unwrap_or(0),
+        })?;
+        let (schema, census) = &self.grid[point];
+        let rationale = format!(
+            "{}. Census-priced {} grid points ({} within budget); cheapest: {} \
+             with exact (q={}, r={}) → cost {}.",
+            self.closed_form,
+            self.grid.len(),
+            feasible,
+            schema,
+            census.q,
+            fmt(census.r),
+            fmt(cost),
+        );
+        Ok(Plan {
+            family: self.family,
+            schema: schema.clone(),
+            choice: Choice::Registry {
+                scale: self.scale,
+                point,
+            },
+            cluster: cluster.clone(),
+            predicted_q: census.q,
+            predicted_r: census.r,
+            predicted_pairs: census.pairs,
+            predicted_cost: cost,
+            rationale,
+        })
+    }
+}
+
+/// Packages a winning matmul tree candidate as a [`Plan`].
+fn tree_plan(
+    tree: &DagCandidate,
+    cost: f64,
+    cluster: &ClusterSpec,
+    grid_cost: Option<f64>,
+) -> Plan {
+    let DagStructure::MatMulTree { n, s, t, fanin } = tree.structure else {
+        unreachable!("only matmul prices tree candidates");
+    };
+    let against = match grid_cost {
+        Some(g) => format!("beats the cheapest one-phase grid point ({})", fmt(g)),
+        None => "no one-phase grid point fits the budget".to_string(),
+    };
+    Plan {
+        family: "matmul",
+        schema: tree.structure.name(),
+        choice: Choice::MatMulTree { n, s, t, fanin },
         cluster: cluster.clone(),
-        predicted_q: best.census.q,
-        predicted_r: best.census.r,
-        predicted_pairs: best.census.pairs,
-        predicted_cost: best.cost,
-        rationale,
-    })
+        predicted_q: tree.dag.max_q(),
+        predicted_r: tree.dag.replication(),
+        predicted_pairs: tree.dag.total_pairs(),
+        predicted_cost: cost,
+        rationale: format!(
+            "§6 crossover found by round-structure search: {} at per-round cost {} \
+             {}. Rounds [{}]; total communication {}, max reducer load {}.",
+            tree.structure.name(),
+            fmt(cost),
+            against,
+            tree.dag.describe(),
+            tree.dag.total_pairs(),
+            tree.dag.max_q(),
+        ),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -185,9 +299,8 @@ impl Planner for GridPlanner {
         self.family
     }
 
-    fn plan(&self, cluster: &ClusterSpec, scale: Scale) -> Result<Plan, PlanError> {
-        let fam = registry_family(self.family, scale);
-        cheapest_grid_plan(&*fam, cluster, scale, &(self.closed_form)(&*fam))
+    fn price(&self, scale: Scale) -> Result<PricedFamily, PlanError> {
+        price_grid(self.family, scale, |fam| Ok((self.closed_form)(fam)))
     }
 }
 
@@ -248,25 +361,21 @@ impl Planner for JoinPlanner {
         "join-cycle3"
     }
 
-    fn plan(&self, cluster: &ClusterSpec, scale: Scale) -> Result<Plan, PlanError> {
-        let fam = registry_family(self.family(), scale);
-        let atoms = param(&*fam, "atoms") as usize;
-        // The Shares exponents x_v (s_v = p^{x_v}) by simplex — in the
-        // spirit of Abo Khamis–Ngo–Suciu's fractional-cover machinery.
-        // For the symmetric cycle the LP proves the symmetric grid the
-        // registry sweeps is the right shape.
-        let (tau, x) = share_exponents(&Hypergraph::cycle(atoms))?;
-        let exps = x.iter().map(|&xi| fmt(xi)).collect::<Vec<_>>().join(", ");
-        cheapest_grid_plan(
-            &*fam,
-            cluster,
-            scale,
-            &format!(
+    fn price(&self, scale: Scale) -> Result<PricedFamily, PlanError> {
+        price_grid(self.family(), scale, |fam| {
+            let atoms = param(fam, "atoms") as usize;
+            // The Shares exponents x_v (s_v = p^{x_v}) by simplex — in the
+            // spirit of Abo Khamis–Ngo–Suciu's fractional-cover machinery.
+            // For the symmetric cycle the LP proves the symmetric grid the
+            // registry sweeps is the right shape.
+            let (tau, x) = share_exponents(&Hypergraph::cycle(atoms))?;
+            let exps = x.iter().map(|&xi| fmt(xi)).collect::<Vec<_>>().join(", ");
+            Ok(format!(
                 "§5.5/LP: share exponents x = [{exps}] (τ = {}), so the optimal grid is \
                  symmetric (s_v = p^(1/{atoms})) with per-atom replication p^(1−τ)",
                 fmt(tau)
-            ),
-        )
+            ))
+        })
     }
 }
 
@@ -281,96 +390,31 @@ impl Planner for JoinPlanner {
 /// falls out of this search rather than being special-cased: below the
 /// boundary no one-phase point fits the budget, so the flat tree wins;
 /// at and above it the one-phase grid is cheaper under
-/// communication-leaning weights. A cost **tie breaks toward the
-/// multi-round structure** — equal money, but its per-round reducers
-/// are smaller, which is the resource the budget actually constrains.
-/// (Exactly at the crossover the flat tree and the one-phase point tie
-/// in communication, so the boundary stays at `q = n²`.)
+/// communication-leaning weights; ties go to the multi-round structure
+/// (see [`PricedFamily::choose`]). (Exactly at the crossover the flat
+/// tree and the one-phase point tie in communication, so the boundary
+/// stays at `q = n²`.)
 pub struct MatMulPlanner;
-
-impl MatMulPlanner {
-    /// The cheapest admissible multi-round candidate from the DAG
-    /// search, if any (first-wins on ties — candidate order is fixed).
-    fn best_tree(cluster: &ClusterSpec, scale: Scale) -> Option<DagCandidate> {
-        enumerate_dag_candidates(DagWorkload::MatMul, scale)
-            .into_iter()
-            .filter(|c| {
-                matches!(c.structure, DagStructure::MatMulTree { .. }) && c.dag.admitted_by(cluster)
-            })
-            .min_by(|a, b| {
-                a.dag
-                    .cost(cluster)
-                    .partial_cmp(&b.dag.cost(cluster))
-                    .unwrap()
-            })
-    }
-
-    /// Packages a winning tree candidate as a [`Plan`].
-    fn tree_plan(tree: &DagCandidate, cluster: &ClusterSpec, grid_cost: Option<f64>) -> Plan {
-        let DagStructure::MatMulTree { n, s, t, fanin } = tree.structure else {
-            unreachable!("best_tree only returns tree candidates");
-        };
-        let cost = tree.dag.cost(cluster);
-        let against = match grid_cost {
-            Some(g) => format!("beats the cheapest one-phase grid point ({})", fmt(g)),
-            None => "no one-phase grid point fits the budget".to_string(),
-        };
-        Plan {
-            family: "matmul",
-            schema: tree.structure.name(),
-            choice: Choice::MatMulTree { n, s, t, fanin },
-            cluster: cluster.clone(),
-            predicted_q: tree.dag.max_q(),
-            predicted_r: tree.dag.replication(),
-            predicted_pairs: tree.dag.total_pairs(),
-            predicted_cost: cost,
-            rationale: format!(
-                "§6 crossover found by round-structure search: {} at per-round cost {} \
-                 {}. Rounds [{}]; total communication {}, max reducer load {}.",
-                tree.structure.name(),
-                fmt(cost),
-                against,
-                tree.dag.describe(),
-                tree.dag.total_pairs(),
-                tree.dag.max_q(),
-            ),
-        }
-    }
-}
 
 impl Planner for MatMulPlanner {
     fn family(&self) -> &'static str {
         "matmul"
     }
 
-    fn plan(&self, cluster: &ClusterSpec, scale: Scale) -> Result<Plan, PlanError> {
-        let fam = registry_family(self.family(), scale);
-        let n = param(&*fam, "n") as u32;
-        let grid = cheapest_grid_plan(
-            &*fam,
-            cluster,
-            scale,
-            &format!(
-                "§6.1–6.2: one-phase square tiling sits exactly on r = 2n²/q (n={n}), and \
+    fn price(&self, scale: Scale) -> Result<PricedFamily, PlanError> {
+        let mut priced = price_grid(self.family(), scale, |fam| {
+            Ok(format!(
+                "§6.1–6.2: one-phase square tiling sits exactly on r = 2n²/q (n={}), and \
                  under this cluster it prices below every §6.3-style multi-round \
-                 aggregation tree the round-structure search enumerated"
-            ),
-        );
-        match (Self::best_tree(cluster, scale), grid) {
-            (Some(tree), Ok(grid_plan)) => {
-                if tree.dag.cost(cluster) <= grid_plan.predicted_cost {
-                    Ok(Self::tree_plan(
-                        &tree,
-                        cluster,
-                        Some(grid_plan.predicted_cost),
-                    ))
-                } else {
-                    Ok(grid_plan)
-                }
-            }
-            (Some(tree), Err(_)) => Ok(Self::tree_plan(&tree, cluster, None)),
-            (None, grid) => grid,
-        }
+                 aggregation tree the round-structure search enumerated",
+                param(fam, "n")
+            ))
+        })?;
+        priced.trees = enumerate_dag_candidates(DagWorkload::MatMul, scale)
+            .into_iter()
+            .filter(|c| matches!(c.structure, DagStructure::MatMulTree { .. }))
+            .collect();
+        Ok(priced)
     }
 }
 
@@ -395,16 +439,20 @@ pub fn plannable_families() -> Vec<&'static str> {
     planners().iter().map(|p| p.family()).collect()
 }
 
-/// Plans one family by name.
-pub fn plan_family(family: &str, cluster: &ClusterSpec, scale: Scale) -> Result<Plan, PlanError> {
+/// The planner of one family by name.
+pub(crate) fn planner_for(family: &str) -> Result<Box<dyn Planner>, PlanError> {
     planners()
-        .iter()
+        .into_iter()
         .find(|p| p.family() == family)
         .ok_or_else(|| PlanError::UnknownFamily {
             family: family.to_string(),
             known: plannable_families(),
-        })?
-        .plan(cluster, scale)
+        })
+}
+
+/// Plans one family by name.
+pub fn plan_family(family: &str, cluster: &ClusterSpec, scale: Scale) -> Result<Plan, PlanError> {
+    planner_for(family)?.plan(cluster, scale)
 }
 
 /// Plans every registry family, in registry order.

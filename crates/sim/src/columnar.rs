@@ -64,7 +64,13 @@ const SEED: u64 = 0x2545_f491_4f6c_dd1d;
 /// radix buckets). The hash runs once per mapper emission, so its latency
 /// is map-phase hot; this is deliberately the cheapest mix that still
 /// passes the spread tests below.
-struct FingerprintHasher(u64);
+pub(crate) struct FingerprintHasher(u64);
+
+impl Default for FingerprintHasher {
+    fn default() -> Self {
+        FingerprintHasher(SEED)
+    }
+}
 
 impl FingerprintHasher {
     #[inline]
@@ -144,7 +150,7 @@ impl Hasher for FingerprintHasher {
 /// The key's 64-bit shuffle fingerprint, computed once at emit time.
 #[inline]
 pub(crate) fn fingerprint_of<K: Hash + ?Sized>(key: &K) -> u64 {
-    let mut h = FingerprintHasher(SEED);
+    let mut h = FingerprintHasher::default();
     key.hash(&mut h);
     h.finish()
 }

@@ -32,12 +32,18 @@ use crate::engine::{run_round, EngineConfig, EngineError};
 use crate::mapper::{FnMapper, FnReducer, Mapper, Reducer};
 use crate::metrics::{JobMetrics, RoundMetrics};
 use crate::pool::{Executor, WorkerPool};
-use crate::schema::{ReducerId, SchemaJob};
+use crate::schema::{LoadTable, ReducerId, RoundCensus, SchemaJob};
+use std::borrow::Cow;
 use std::fmt::Debug;
 use std::hash::Hash;
+use std::sync::Arc;
 
 type NodeFn<T> =
     Box<dyn Fn(&[T], &EngineConfig) -> Result<(Vec<T>, RoundMetrics), EngineError> + Sync>;
+
+/// A round's map-side census over an input stream: its mapper's emitted
+/// keys folded into a [`LoadTable`], nothing shuffled or reduced.
+type CensusFn<T> = Box<dyn Fn(&[T]) -> RoundCensus + Sync>;
 
 /// One node's run outcome, tagged with its index so a level's parallel
 /// results can be re-ordered deterministically.
@@ -51,6 +57,9 @@ struct DagNode<T> {
     budget: Option<u64>,
     pairs_hint: Option<u64>,
     run: NodeFn<T>,
+    /// `None` for an [`add_node`](DagJob::add_node) body, which can only
+    /// be priced by running it.
+    census: Option<CensusFn<T>>,
 }
 
 /// A DAG of map-reduce rounds over a uniform token type `T`.
@@ -78,8 +87,9 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
     }
 
     /// Adds a round from an arbitrary body closure, returning its node
-    /// index. The escape hatch behind [`add_round`](Self::add_round) /
-    /// [`add_schema_round`](Self::add_schema_round).
+    /// index. The escape hatch beside [`add_round`](Self::add_round) /
+    /// [`add_schema_round`](Self::add_schema_round): the body is opaque,
+    /// so [`census`](Self::census) has to run it to price it.
     ///
     /// # Panics
     /// Panics unless every dependency index refers to an earlier node.
@@ -91,17 +101,28 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
             + Sync
             + 'static,
     ) -> usize {
+        self.push_node(name.into(), deps, Box::new(run), None)
+    }
+
+    fn push_node(
+        &mut self,
+        name: String,
+        deps: Vec<usize>,
+        run: NodeFn<T>,
+        census: Option<CensusFn<T>>,
+    ) -> usize {
         let idx = self.nodes.len();
         assert!(
             deps.iter().all(|&d| d < idx),
             "node {idx}: dependencies must point at earlier nodes (got {deps:?})"
         );
         self.nodes.push(DagNode {
-            name: name.into(),
+            name,
             deps,
             budget: None,
             pairs_hint: None,
-            run: Box::new(run),
+            run,
+            census,
         });
         idx
     }
@@ -120,12 +141,23 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
     where
         K: Ord + Hash + Debug + Send + Sync + 'static,
         V: Send + Sync + 'static,
-        M: Mapper<T, K, V> + 'static,
+        M: Mapper<T, K, V> + Send + 'static,
         R: Reducer<K, V, T> + 'static,
     {
-        self.add_node(name, deps, move |inputs, cfg| {
-            run_round(inputs, &mapper, &reducer, cfg)
-        })
+        let mapper = Arc::new(mapper);
+        let census_mapper = Arc::clone(&mapper);
+        self.push_node(
+            name.into(),
+            deps,
+            Box::new(move |inputs, cfg| run_round(inputs, &*mapper, &reducer, cfg)),
+            Some(Box::new(move |inputs| {
+                let mut table = LoadTable::<K>::default();
+                for input in inputs {
+                    census_mapper.map(input, &mut |key, _| table.record(key));
+                }
+                table.census()
+            })),
+        )
     }
 
     /// Adds a round executing a [`SchemaJob`] on the selected shuffle
@@ -143,19 +175,28 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
         pipeline: Pipeline,
     ) -> usize
     where
-        S: SchemaJob<T, T> + 'static,
+        S: SchemaJob<T, T> + Send + 'static,
     {
-        self.add_node(name, deps, move |inputs, cfg| {
-            let mapper = FnMapper(|input: &T, emit: &mut dyn FnMut(ReducerId, T)| {
-                for r in schema.assign(input) {
-                    emit(r, input.clone());
-                }
-            });
-            let reducer = FnReducer(|rid: &ReducerId, vs: &[T], emit: &mut dyn FnMut(T)| {
-                schema.reduce(*rid, vs, emit)
-            });
-            run_round_on(pipeline, inputs, &mapper, &reducer, cfg)
-        })
+        let schema = Arc::new(schema);
+        let census_schema = Arc::clone(&schema);
+        self.push_node(
+            name.into(),
+            deps,
+            Box::new(move |inputs, cfg| {
+                let mapper = FnMapper(|input: &T, emit: &mut dyn FnMut(ReducerId, T)| {
+                    for r in schema.assign(input) {
+                        emit(r, input.clone());
+                    }
+                });
+                let reducer = FnReducer(|rid: &ReducerId, vs: &[T], emit: &mut dyn FnMut(T)| {
+                    schema.reduce(*rid, vs, emit)
+                });
+                run_round_on(pipeline, inputs, &mapper, &reducer, cfg)
+            }),
+            Some(Box::new(move |inputs| {
+                LoadTable::of(&*census_schema, inputs).census()
+            })),
+        )
     }
 
     /// Sets a per-node reducer budget: the node's round runs with
@@ -222,30 +263,10 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
             let stage: Vec<usize> = (0..self.nodes.len())
                 .filter(|&i| levels[i] == level)
                 .collect();
-            // Materialise each stage node's input stream up front (the
-            // concatenation of its dependencies' outputs, or the external
-            // inputs for a source node).
-            let staged: Vec<(usize, Vec<T>)> = stage
+            // Each stage node's input stream, fixed up front.
+            let staged: Vec<(usize, Cow<[T]>)> = stage
                 .iter()
-                .map(|&i| {
-                    let node = &self.nodes[i];
-                    let input: Vec<T> = if node.deps.is_empty() {
-                        inputs.to_vec()
-                    } else {
-                        node.deps
-                            .iter()
-                            .flat_map(|&d| {
-                                results[d]
-                                    .as_ref()
-                                    .expect("dependency ran earlier")
-                                    .0
-                                    .iter()
-                            })
-                            .cloned()
-                            .collect()
-                    };
-                    (i, input)
-                })
+                .map(|&i| (i, self.node_input(i, inputs, &results)))
                 .collect();
 
             let outcomes: Vec<NodeOutcome<T>> = if staged.len() == 1 {
@@ -292,15 +313,7 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
         }
 
         // Sinks in node order carry the job's outputs.
-        let consumed: Vec<bool> = {
-            let mut c = vec![false; self.nodes.len()];
-            for node in &self.nodes {
-                for &d in &node.deps {
-                    c[d] = true;
-                }
-            }
-            c
-        };
+        let consumed = self.consumed();
         let mut outputs = Vec::new();
         let mut rounds = Vec::with_capacity(self.nodes.len());
         for (i, slot) in results.into_iter().enumerate() {
@@ -311,6 +324,80 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
             rounds.push(metrics);
         }
         Ok((outputs, JobMetrics { rounds }))
+    }
+
+    /// Prices every round without executing the DAG: per node, the
+    /// `(q, pairs, reducers)` that [`run`](Self::run) would measure there.
+    ///
+    /// §2.2 obliviousness makes those numbers a fold over the round's
+    /// map-side assignment, so a node built by
+    /// [`add_round`](Self::add_round) /
+    /// [`add_schema_round`](Self::add_schema_round) is priced by folding
+    /// its mapper's emitted keys into a [`LoadTable`]; nothing is
+    /// shuffled, grouped or reduced for it. A node's reducers run **only
+    /// when another node consumes its output** (that output is the
+    /// consumer's input, and only the reducers can say what it is) —
+    /// sinks never reduce. Consumed nodes, and opaque
+    /// [`add_node`](Self::add_node) bodies, run sequentially on the
+    /// engine and are read off their measured metrics.
+    ///
+    /// Pricing asks what a round *would* load, so per-node budgets are
+    /// not applied; an error can only come out of an `add_node` body.
+    pub fn census(&self, inputs: &[T]) -> Result<Vec<RoundCensus>, EngineError> {
+        let consumed = self.consumed();
+        let config = EngineConfig::sequential();
+        let mut results: Vec<Option<(Vec<T>, RoundMetrics)>> = Vec::new();
+        results.resize_with(self.nodes.len(), || None);
+        let mut priced = Vec::with_capacity(self.nodes.len());
+        // Node order is a topological order: dependencies point backwards.
+        for (i, node) in self.nodes.iter().enumerate() {
+            let _span = mr_obs::span_with(|| format!("dag.census.{}", node.name));
+            let input = self.node_input(i, inputs, &results);
+            match &node.census {
+                Some(census) if !consumed[i] => priced.push(census(&input)),
+                _ => {
+                    let ran = (node.run)(&input, &config)?;
+                    priced.push(RoundCensus::from(&ran.1));
+                    results[i] = Some(ran);
+                }
+            }
+        }
+        Ok(priced)
+    }
+
+    /// Which nodes feed another node (the rest are sinks).
+    fn consumed(&self) -> Vec<bool> {
+        let mut consumed = vec![false; self.nodes.len()];
+        for node in &self.nodes {
+            for &d in &node.deps {
+                consumed[d] = true;
+            }
+        }
+        consumed
+    }
+
+    /// Node `i`'s input stream: the external inputs for a source node,
+    /// else its dependencies' outputs concatenated in declaration order.
+    fn node_input<'a>(
+        &self,
+        i: usize,
+        inputs: &'a [T],
+        results: &[Option<(Vec<T>, RoundMetrics)>],
+    ) -> Cow<'a, [T]> {
+        let deps = &self.nodes[i].deps;
+        if deps.is_empty() {
+            return Cow::Borrowed(inputs);
+        }
+        deps.iter()
+            .flat_map(|&d| {
+                results[d]
+                    .as_ref()
+                    .expect("dependency ran earlier")
+                    .0
+                    .iter()
+            })
+            .cloned()
+            .collect()
     }
 
     /// Executes the DAG, additionally reporting wall-clock time
@@ -510,6 +597,67 @@ mod tests {
             assert_eq!(out, expect, "{}", pipeline.name());
             assert_eq!(m.rounds, vec![expect_m.clone()], "{}", pipeline.name());
         }
+    }
+
+    #[test]
+    fn census_reduces_consumed_nodes_once_and_sinks_never() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // src feeds left and right; left feeds join; right and join are
+        // sinks. Every reducer call is counted per node.
+        let calls: Arc<[AtomicUsize; 4]> = Arc::default();
+        let mut dag: DagJob<u64> = DagJob::new();
+        let mut counted = |name: &str, deps: Vec<usize>, modulus: u64| {
+            let calls = Arc::clone(&calls);
+            let node = dag.num_rounds();
+            dag.add_round(
+                name,
+                deps,
+                FnMapper(move |x: &u64, emit: &mut dyn FnMut(u64, u64)| emit(x % modulus, *x)),
+                FnReducer(move |k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| {
+                    calls[node].fetch_add(1, Ordering::Relaxed);
+                    emit(k * 1_000_000 + vs.iter().sum::<u64>())
+                }),
+            )
+        };
+        let src = counted("src", vec![], 7);
+        let left = counted("left", vec![src], 3);
+        counted("right", vec![src], 5);
+        counted("join", vec![left], 2);
+        let inputs: Vec<u64> = (0..200).map(|i| i * 13 + 1).collect();
+
+        let priced = dag.census(&inputs).unwrap();
+        let reduced: Vec<usize> = calls.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        // A consumed node ran each of its reducers exactly once — however
+        // many nodes read it — and no sink ran any.
+        assert_eq!(reduced, vec![7, 3, 0, 0]);
+
+        let (_, measured) = dag.run(&inputs, &EngineConfig::sequential()).unwrap();
+        let measured: Vec<RoundCensus> = measured.rounds.iter().map(RoundCensus::from).collect();
+        assert_eq!(priced, measured);
+    }
+
+    #[test]
+    fn census_prices_an_opaque_body_by_running_it_without_its_budget() {
+        let mut dag: DagJob<u64> = DagJob::new();
+        let only = dag.add_node("opaque", vec![], |inputs, cfg| {
+            run_round(
+                inputs,
+                &FnMapper(|x: &u64, emit: &mut dyn FnMut(u64, u64)| emit(x % 2, *x)),
+                &FnReducer(|_: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs[0])),
+                cfg,
+            )
+        });
+        dag.set_budget(only, 1);
+        let inputs: Vec<u64> = (0..10).collect();
+        assert!(dag.run(&inputs, &EngineConfig::sequential()).is_err());
+        assert_eq!(
+            dag.census(&inputs).unwrap(),
+            vec![RoundCensus {
+                q: 5,
+                pairs: 10,
+                reducers: 2
+            }]
+        );
     }
 
     #[test]

@@ -70,5 +70,6 @@ pub use mapper::{FnMapper, FnReducer, Mapper, Reducer};
 pub use metrics::{JobMetrics, LoadStats, RoundMetrics, ShuffleStats};
 pub use pool::{Executor, WorkerPool};
 pub use schema::{
-    price_change, run_schema, run_schema_dyn, run_schema_timed, DynSchema, LoadTable, SchemaJob,
+    price_change, run_schema, run_schema_dyn, run_schema_timed, DynSchema, LoadTable, RoundCensus,
+    SchemaJob,
 };

@@ -17,11 +17,13 @@
 //! [`DeltaJob::predict`](crate::DeltaJob::predict) are all readers of
 //! these two.
 
+use crate::columnar::FingerprintHasher;
 use crate::delta::DeltaPrediction;
 use crate::engine::{run_round, EngineConfig, EngineError};
 use crate::mapper::{FnMapper, FnReducer};
 use crate::metrics::RoundMetrics;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash};
 use std::time::{Duration, Instant};
 
 /// Identifier of a reducer in a mapping schema.
@@ -64,27 +66,35 @@ impl<I, O, S: SchemaJob<I, O> + ?Sized> SchemaJob<I, O> for &S {
 /// The engine's semantic load metrics depend only on assignments, so a
 /// table's [`max_load`](LoadTable::max_load), [`reducers`](LoadTable::reducers)
 /// and [`pairs`](LoadTable::pairs) are **exactly** what a round over the
-/// same inputs measures — with no shuffle and no reduce work.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LoadTable {
-    loads: HashMap<ReducerId, u64>,
+/// same inputs measures — with no shuffle and no reduce work. The key type
+/// is a schema's [`ReducerId`] by default; [`DagJob::census`](crate::DagJob::census)
+/// folds a mapper's emitted keys of any type into the same table.
+///
+/// Loads are counted under the data plane's deterministic fingerprint
+/// hasher: one multiply per key where SipHash costs more than shuffling
+/// and reducing a many-small-reducer round outright. Keys are reducer
+/// ids a schema or mapper of this program computes, never outside input,
+/// so the seeded hasher's collision protection is not what is given up.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LoadTable<K: Hash + Eq = ReducerId> {
+    loads: HashMap<K, u64, BuildHasherDefault<FingerprintHasher>>,
     pairs: u64,
 }
 
-impl LoadTable {
-    /// Folds `schema`'s assignment over `inputs`.
-    pub fn of<'a, I: 'a, O, S>(schema: &S, inputs: impl IntoIterator<Item = &'a I>) -> Self
-    where
-        S: SchemaJob<I, O> + ?Sized,
-    {
-        let mut table = LoadTable::default();
-        for input in inputs {
-            for rid in schema.assign(input) {
-                *table.loads.entry(rid).or_insert(0) += 1;
-                table.pairs += 1;
-            }
+impl<K: Hash + Eq> Default for LoadTable<K> {
+    fn default() -> Self {
+        LoadTable {
+            loads: HashMap::default(),
+            pairs: 0,
         }
-        table
+    }
+}
+
+impl<K: Hash + Eq> LoadTable<K> {
+    /// Counts one key-value pair shuffled to `key`.
+    pub fn record(&mut self, key: K) {
+        *self.loads.entry(key).or_insert(0) += 1;
+        self.pairs += 1;
     }
 
     /// The largest reducer load — the effective `q` (0 for an empty table).
@@ -102,9 +112,58 @@ impl LoadTable {
         self.pairs
     }
 
+    /// The table's three totals as the census of one round.
+    pub fn census(&self) -> RoundCensus {
+        RoundCensus {
+            q: self.max_load(),
+            pairs: self.pairs,
+            reducers: self.reducers(),
+        }
+    }
+}
+
+impl LoadTable {
+    /// Folds `schema`'s assignment over `inputs`.
+    pub fn of<'a, I: 'a, O, S>(schema: &S, inputs: impl IntoIterator<Item = &'a I>) -> Self
+    where
+        S: SchemaJob<I, O> + ?Sized,
+    {
+        let mut table = LoadTable::default();
+        for input in inputs {
+            for rid in schema.assign(input) {
+                table.record(rid);
+            }
+        }
+        table
+    }
+
     /// Every touched reducer with its load, in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = (ReducerId, u64)> + '_ {
         self.loads.iter().map(|(&rid, &load)| (rid, load))
+    }
+}
+
+/// What one round measures that depends on the assignment alone — the
+/// numbers a plan prices a round by. Read off a [`LoadTable`] without
+/// running the round, or off the [`RoundMetrics`] of a round that ran;
+/// the two agree exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RoundCensus {
+    /// Maximum reducer load.
+    pub q: u64,
+    /// Key-value pairs shuffled into the round.
+    pub pairs: u64,
+    /// Distinct reducers.
+    pub reducers: u64,
+}
+
+impl From<&RoundMetrics> for RoundCensus {
+    fn from(m: &RoundMetrics) -> Self {
+        RoundCensus {
+            q: m.load.max,
+            pairs: m.kv_pairs,
+            reducers: m.reducers,
+        }
     }
 }
 

@@ -13,8 +13,8 @@
 use mr_sim::naive::run_round_naive;
 use mr_sim::{
     run_round, run_round_combined_on, run_round_on, run_schema, run_schema_retained, DagJob, Delta,
-    EngineConfig, Executor, FnCombiner, FnMapper, FnReducer, Pipeline, RoundMetrics, SchemaJob,
-    Seq,
+    EngineConfig, Executor, FnCombiner, FnMapper, FnReducer, Pipeline, RoundCensus, RoundMetrics,
+    SchemaJob, Seq,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -401,6 +401,12 @@ proptest! {
                 workers
             );
         }
+        // Pricing without executing: the census walk — which reduces only
+        // the nodes another node reads from — reports, node for node,
+        // what the run measured, on multi-dependency nodes and empty
+        // inputs alike.
+        let measured: Vec<RoundCensus> = truth_m.rounds.iter().map(RoundCensus::from).collect();
+        prop_assert_eq!(dag.census(&inputs).expect("no budget applies"), measured);
     }
 
     /// The degenerate single-round DAG *is* `run_schema`: one schema
