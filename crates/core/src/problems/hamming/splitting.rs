@@ -50,8 +50,26 @@ impl MappingSchema<HammingProblem> for PairsSchema {
 pub(crate) fn remove_segment(w: u64, seg: u32, width: u32) -> u64 {
     let lo_bits = seg * width;
     let low = w & ((1u64 << lo_bits) - 1);
-    let high = w >> (lo_bits + width);
+    // The top segment of a 64-bit string ends at bit 64: nothing is above it.
+    let high = w.checked_shr(lo_bits + width).unwrap_or(0);
     low | (high << lo_bits)
+}
+
+/// Refuses the shapes the encodings cannot hold: strings are `u64`s, a
+/// reducer's size `2^{(b/k)·d}` is reported as a `u64`, and a reducer id
+/// packs the group index above the `b − (b/k)·d` surviving bits.
+fn assert_encodable(b: u32, k: u32, d: u32) {
+    assert!(b <= u64::BITS, "b={b} does not fit a 64-bit string");
+    let deleted = b / k * d;
+    assert!(
+        deleted < u64::BITS,
+        "reducer size 2^{deleted} (b={b}, k={k}, d={d}) does not fit a u64"
+    );
+    let residual_bits = b - deleted;
+    assert!(
+        (binomial(k as u64, d as u64) as u128) << residual_bits <= 1u128 << ReducerId::BITS,
+        "reducer-id space C({k},{d})·2^{residual_bits} (b={b}) does not fit a ReducerId"
+    );
 }
 
 /// Deletes several segments (indices sorted ascending) of equal `width`.
@@ -78,10 +96,12 @@ impl SplittingSchema {
     /// Creates the schema.
     ///
     /// # Panics
-    /// Panics unless `1 <= c <= b` and `c` divides `b`.
+    /// Panics unless `1 <= c <= b <= 64`, `c` divides `b`, and both the
+    /// reducer size `2^{b/c}` and the id space `c · 2^{b − b/c}` fit 64 bits.
     pub fn new(b: u32, c: u32) -> Self {
         assert!(c >= 1 && c <= b, "c={c} must be in 1..={b}");
         assert_eq!(b % c, 0, "c={c} must divide b={b}");
+        assert_encodable(b, c, 1);
         SplittingSchema { b, c }
     }
 
@@ -137,11 +157,14 @@ impl DistanceDSplittingSchema {
     /// Creates the schema.
     ///
     /// # Panics
-    /// Panics unless `k` divides `b` and `1 <= d <= k`.
+    /// Panics unless `k` divides `b <= 64`, `1 <= d <= k`, and both the
+    /// reducer size `2^{(b/k)·d}` and the id space
+    /// `C(k,d) · 2^{b − (b/k)·d}` fit 64 bits.
     pub fn new(b: u32, k: u32, d: u32) -> Self {
         assert!(k >= 1 && k <= b, "k={k} must be in 1..={b}");
         assert_eq!(b % k, 0, "k={k} must divide b={b}");
         assert!(d >= 1 && d <= k, "d={d} must be in 1..={k}");
+        assert_encodable(b, k, d);
         DistanceDSplittingSchema {
             b,
             k,
@@ -211,8 +234,17 @@ impl MappingSchema<HammingProblem> for DistanceDSplittingSchema {
 /// each reducer compares its strings pairwise and emits pairs at Hamming
 /// distance `1..=d`. A pair differing in segment set `D` (`|D| ≤ d`)
 /// appears in every reducer group whose deletion set contains `D`; only
-/// the lexicographically first such group emits it, so output is
+/// one of them — the pair's *owner* — emits it, so output is
 /// duplicate-free.
+///
+/// The owner is `D` padded with the lowest-numbered segments not in it
+/// until it has `d` members. Segment sets are subsets of `0..k` with
+/// `k ≤ 64`, so the rule is mask arithmetic on a `u64`: fold the set bits
+/// of `u ^ v` into a segment mask, set its lowest clear bit until `d` bits
+/// are set, and compare with the mask of the reducer's own deletion set.
+/// Nothing is allocated per candidate pair. The rule only *filters* the
+/// `i < j` scan, which still runs in input order, so a reducer's emit
+/// sequence is that scan's order exactly.
 impl mr_sim::schema::SchemaJob<u64, (u64, u64)> for DistanceDSplittingSchema {
     fn assign(&self, input: &u64) -> Vec<crate::model::ReducerId> {
         MappingSchema::assign(self, input)
@@ -227,35 +259,26 @@ impl mr_sim::schema::SchemaJob<u64, (u64, u64)> for DistanceDSplittingSchema {
         let width = self.b / self.k;
         let residual_bits = self.b - width * self.d;
         let combo_index = (reducer >> residual_bits) as usize;
-        let combo = &self.combos[combo_index];
-        let seg_mask = |seg: u32| ((1u64 << width) - 1) << (seg * width);
+        let combo = self.combos[combo_index]
+            .iter()
+            .fold(0u64, |mask, &seg| mask | 1 << seg);
         for i in 0..inputs.len() {
             for j in (i + 1)..inputs.len() {
                 let (u, v) = (inputs[i].min(inputs[j]), inputs[i].max(inputs[j]));
-                if u == v {
-                    continue;
-                }
-                let dist = (u ^ v).count_ones();
+                let mut diff = u ^ v;
+                let dist = diff.count_ones();
                 if dist == 0 || dist > self.d {
                     continue;
                 }
-                // Differing segments.
-                let differing: Vec<u32> = (0..self.k)
-                    .filter(|&s| (u ^ v) & seg_mask(s) != 0)
-                    .collect();
-                // Owning combo: `differing` padded with the smallest
-                // segments not already present, then sorted.
-                let mut owner = differing.clone();
-                for s in 0..self.k {
-                    if owner.len() == self.d as usize {
-                        break;
-                    }
-                    if !differing.contains(&s) {
-                        owner.push(s);
-                    }
+                let mut owner = 0u64;
+                while diff != 0 {
+                    owner |= 1 << (diff.trailing_zeros() / width);
+                    diff &= diff - 1;
                 }
-                owner.sort_unstable();
-                if &owner == combo {
+                while owner.count_ones() < self.d {
+                    owner |= owner + 1;
+                }
+                if owner == combo {
                     emit((u, v));
                 }
             }
@@ -276,6 +299,11 @@ mod tests {
         assert_eq!(remove_segment(w, 0, 3), 0b110_010);
         assert_eq!(remove_segment(w, 1, 3), 0b110_101);
         assert_eq!(remove_segment(w, 2, 3), 0b010_101);
+        // The top segment of a 64-bit string ends exactly at bit 64.
+        let w = 0xAB00_0000_0000_00CDu64;
+        assert_eq!(remove_segment(w, 7, 8), 0xCD);
+        assert_eq!(remove_segment(w, 0, 8), 0x00AB_0000_0000_0000);
+        assert_eq!(remove_segment(w, 0, 64), 0);
     }
 
     #[test]
@@ -337,6 +365,32 @@ mod tests {
     #[should_panic(expected = "must divide")]
     fn splitting_rejects_non_divisor() {
         SplittingSchema::new(8, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a 64-bit string")]
+    fn splitting_rejects_strings_wider_than_64_bits() {
+        SplittingSchema::new(128, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a ReducerId")]
+    fn splitting_rejects_an_id_space_wider_than_a_reducer_id() {
+        // 64 groups over 63 surviving bits: 2^69 ids.
+        SplittingSchema::new(64, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a ReducerId")]
+    fn distance_d_rejects_an_id_space_wider_than_a_reducer_id() {
+        // C(32,2) = 496 groups over 60 surviving bits.
+        DistanceDSplittingSchema::new(64, 32, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a u64")]
+    fn distance_d_rejects_a_reducer_size_of_two_to_the_64() {
+        DistanceDSplittingSchema::new(64, 8, 8);
     }
 
     #[test]
@@ -422,6 +476,153 @@ mod tests {
             assert_eq!(found, expected);
             // Replication is exactly C(k,d) = 6 per input.
             assert!((metrics.replication_rate() - 6.0).abs() < 1e-9);
+        }
+    }
+
+    /// All pairs of `strings` (by position, so duplicates count) at
+    /// distance `1..=d`, smaller string first, sorted.
+    fn serial_scan(strings: &[u64], d: u32) -> Vec<(u64, u64)> {
+        let mut pairs = Vec::new();
+        for (i, &u) in strings.iter().enumerate() {
+            for &v in &strings[i + 1..] {
+                if (1..=d).contains(&hamming_distance(u, v)) {
+                    pairs.push((u.min(v), u.max(v)));
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs
+    }
+
+    #[test]
+    fn sixty_four_bit_strings_match_serial_scan() {
+        use mr_sim::{run_schema, EngineConfig};
+        // Flips in the bottom, a middle and the top segment, plus the
+        // complement (distance 64): the top segment's deletion shifts by
+        // exactly 64 bits.
+        let w = 0x9E37_79B9_7F4A_7C15u64;
+        let strings = [w, w ^ 1, w ^ (1 << 40), w ^ (1 << 63), !w];
+        let expected = serial_scan(&strings, 1);
+        assert_eq!(expected.len(), 3);
+        let schema = DistanceDSplittingSchema::new(64, 8, 1);
+        for cfg in [EngineConfig::sequential(), EngineConfig::parallel(4)] {
+            let (mut found, metrics) = run_schema(&strings, &schema, &cfg).unwrap();
+            found.sort_unstable();
+            assert_eq!(found, expected);
+            assert!((metrics.replication_rate() - 8.0).abs() < 1e-9);
+        }
+    }
+
+    /// The owner rule as it was before the mask kernel: the differing
+    /// segments as a `Vec`, padded with the smallest absent segments,
+    /// sorted and compared with the reducer's deletion set. Kept as the
+    /// reference the mask version is tested against.
+    fn reduce_reference(
+        schema: &DistanceDSplittingSchema,
+        reducer: ReducerId,
+        inputs: &[u64],
+        emit: &mut dyn FnMut((u64, u64)),
+    ) {
+        let width = schema.b / schema.k;
+        let residual_bits = schema.b - width * schema.d;
+        let combo = &schema.combos[(reducer >> residual_bits) as usize];
+        let seg_mask = |seg: u32| (u64::MAX >> (64 - width)) << (seg * width);
+        for i in 0..inputs.len() {
+            for j in (i + 1)..inputs.len() {
+                let (u, v) = (inputs[i].min(inputs[j]), inputs[i].max(inputs[j]));
+                let dist = (u ^ v).count_ones();
+                if dist == 0 || dist > schema.d {
+                    continue;
+                }
+                let differing: Vec<u32> = (0..schema.k)
+                    .filter(|&s| (u ^ v) & seg_mask(s) != 0)
+                    .collect();
+                let mut owner = differing.clone();
+                for s in 0..schema.k {
+                    if owner.len() == schema.d as usize {
+                        break;
+                    }
+                    if !differing.contains(&s) {
+                        owner.push(s);
+                    }
+                }
+                owner.sort_unstable();
+                if &owner == combo {
+                    emit((u, v));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mask_owner_rule_matches_the_vec_reference() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        use std::collections::BTreeMap;
+        let mut rng = StdRng::seed_from_u64(0x0b17_a5c5);
+        for case in 0..300 {
+            let width: u32 = [1, 2, 3, 4, 8][rng.random_range(0..5usize)];
+            let k = rng.random_range(1..=(64 / width).min(16));
+            let d = rng.random_range(1..=k.min(3));
+            let b = width * k;
+            let schema = DistanceDSplittingSchema::new(b, k, d);
+            let domain = u64::MAX >> (64 - b);
+
+            // A multiset built to collide: a few bases, each with near
+            // neighbours (1..=d+1 flipped bits), strings that differ from
+            // it only inside <= d whole segments (same reducer, any
+            // distance), and verbatim duplicates.
+            let mut strings: Vec<u64> = Vec::new();
+            for _ in 0..rng.random_range(1..4) {
+                let base = rng.random::<u64>() & domain;
+                strings.push(base);
+                for _ in 0..rng.random_range(0..8) {
+                    let mut w = base;
+                    for _ in 0..rng.random_range(1..=d + 1) {
+                        w ^= 1 << rng.random_range(0..b);
+                    }
+                    strings.push(w);
+                }
+                for _ in 0..rng.random_range(0..6) {
+                    let mut w = base;
+                    for _ in 0..rng.random_range(1..=d) {
+                        let seg = rng.random_range(0..k);
+                        let noise = rng.random::<u64>() & (u64::MAX >> (64 - width));
+                        w ^= noise << (seg * width);
+                    }
+                    strings.push(w);
+                }
+            }
+            for _ in 0..rng.random_range(0..4) {
+                strings.push(strings[rng.random_range(0..strings.len())]);
+            }
+
+            // Route by hand (input order within a reducer, as the engine
+            // delivers it) so the kernel is tested without the engine.
+            let mut reducers: BTreeMap<ReducerId, Vec<u64>> = BTreeMap::new();
+            for w in &strings {
+                for id in MappingSchema::assign(&schema, w) {
+                    reducers.entry(id).or_default().push(*w);
+                }
+            }
+            let mut emitted = Vec::new();
+            for (&id, inputs) in &reducers {
+                let mut mask = Vec::new();
+                let mut reference = Vec::new();
+                mr_sim::schema::SchemaJob::reduce(&schema, id, inputs, &mut |p| mask.push(p));
+                reduce_reference(&schema, id, inputs, &mut |p| reference.push(p));
+                assert_eq!(
+                    mask, reference,
+                    "case {case}: b={b} k={k} d={d} reducer {id}: emit sequence differs"
+                );
+                emitted.extend(mask);
+            }
+            // Every pair at distance 1..=d is emitted by exactly one reducer.
+            emitted.sort_unstable();
+            assert_eq!(
+                emitted,
+                serial_scan(&strings, d),
+                "case {case}: b={b} k={k} d={d}"
+            );
         }
     }
 

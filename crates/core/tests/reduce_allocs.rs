@@ -1,0 +1,89 @@
+//! The distance-`d` Splitting reducer allocates nothing per candidate
+//! pair — pinned as a count, so the property cannot silently rot.
+//!
+//! This binary installs its own counting `#[global_allocator]`; it is a
+//! separate integration test so that no other test runs under it. Counts
+//! are per thread (the harness's other threads allocate at will), and an
+//! allocation count, unlike a timing, repeats exactly.
+
+use mr_core::problems::hamming::splitting::DistanceDSplittingSchema;
+use mr_sim::schema::{ReducerId, SchemaJob};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations (`alloc` and `realloc` calls) made by this thread.
+    /// Const-initialised and without a destructor, so touching it from
+    /// inside the allocator allocates nothing itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the only addition is a thread-local
+// counter bump that neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations the calling thread makes while `f` runs.
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Every `b`-bit string the schema sends to `reducer`, in input order.
+fn full_reducer(schema: &DistanceDSplittingSchema, reducer: ReducerId) -> Vec<u64> {
+    (0..1u64 << schema.b)
+        .filter(|w| SchemaJob::assign(schema, w).contains(&reducer))
+        .collect()
+}
+
+#[test]
+fn the_counter_sees_an_allocation() {
+    let n = allocations_during(|| drop(std::hint::black_box(Vec::<u64>::with_capacity(8))));
+    assert_eq!(n, 1);
+}
+
+#[test]
+fn splitting_reduce_allocates_nothing() {
+    // (b, k, d, q): d = 1 is the `hamming_join` shape with its 8-input
+    // reducers; d = 2 pads owners and has 16-input reducers.
+    for (b, k, d, q) in [(18, 6, 1, 8), (12, 6, 2, 16)] {
+        let schema = DistanceDSplittingSchema::new(b, k, d);
+        // One reducer from every group a string belongs to.
+        for reducer in SchemaJob::assign(&schema, &(0x2_B3A5 & ((1 << b) - 1))) {
+            let inputs = full_reducer(&schema, reducer);
+            assert_eq!(inputs.len(), q, "b={b} k={k} d={d}: reducer {reducer}");
+            let mut emitted = 0u64;
+            let n = allocations_during(|| {
+                schema.reduce(reducer, &inputs, &mut |pair| {
+                    std::hint::black_box(pair);
+                    emitted += 1;
+                })
+            });
+            assert_eq!(n, 0, "b={b} k={k} d={d}: reducer {reducer} allocated");
+            assert!(emitted > 0, "b={b} k={k} d={d}: reducer {reducer} is idle");
+        }
+    }
+}

@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 
 //! Structured observability for the execution stack: a sharded span
-//! recorder and a counters/histograms registry.
+//! recorder and a counter registry.
 //!
 //! The engine ([`mr-sim`]), the resident worker pool, the retained delta
 //! path, the DAG executor, and the planner's cache are all instrumented
@@ -47,7 +47,7 @@
 //!
 //! # The metrics hub
 //!
-//! [`MetricsHub`] is a named-counter/histogram registry designed as the
+//! [`MetricsHub`] is a named-counter registry designed as the
 //! scrape surface a future `mr-serve` daemon would expose. Counters are
 //! always on (an atomic add is the whole cost); the process-wide hub is
 //! [`global`], and subsystems that need per-instance stats (the plan
@@ -654,50 +654,16 @@ impl Counter {
     }
 }
 
-/// Lock-free histogram cell: count/sum/min/max over observed values.
-#[derive(Debug)]
-struct Histo {
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for Histo {
-    fn default() -> Self {
-        Histo {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-/// One histogram's statistics at a point in time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observed values.
-    pub sum: u64,
-    /// Smallest observed value.
-    pub min: u64,
-    /// Largest observed value.
-    pub max: u64,
-}
-
-/// A named counter/histogram registry — the scrape surface.
+/// A named counter registry — the scrape surface.
 ///
 /// The process-wide instance is [`global`]; subsystems that need
 /// per-instance stats (e.g. `PlanCache`) own a private hub. Counter
 /// handles are get-or-create by name ([`MetricsHub::counter`]) and cheap
-/// to clone; [`MetricsHub::counters`] / [`MetricsHub::histograms`]
-/// snapshot everything in name order for export.
+/// to clone; [`MetricsHub::counters`] snapshots everything in name order
+/// for export.
 #[derive(Debug, Default)]
 pub struct MetricsHub {
     counters: Mutex<BTreeMap<String, Counter>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histo>>>,
 }
 
 impl MetricsHub {
@@ -726,53 +692,11 @@ impl MetricsHub {
         lock(&self.counters).get(name).map_or(0, Counter::get)
     }
 
-    /// Records `value` into the histogram named `name`, creating it on
-    /// first use.
-    pub fn observe(&self, name: &str, value: u64) {
-        let cell = {
-            let mut histograms = lock(&self.histograms);
-            match histograms.get(name) {
-                Some(h) => Arc::clone(h),
-                None => {
-                    let h = Arc::new(Histo::default());
-                    histograms.insert(name.to_string(), Arc::clone(&h));
-                    h
-                }
-            }
-        };
-        cell.count.fetch_add(1, Ordering::Relaxed);
-        cell.sum.fetch_add(value, Ordering::Relaxed);
-        cell.min.fetch_min(value, Ordering::Relaxed);
-        cell.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// The histogram named `name`, if it has any observations.
-    pub fn histogram(&self, name: &str) -> Option<HistogramSnapshot> {
-        lock(&self.histograms)
-            .get(name)
-            .map(|h| HistogramSnapshot {
-                count: h.count.load(Ordering::Relaxed),
-                sum: h.sum.load(Ordering::Relaxed),
-                min: h.min.load(Ordering::Relaxed),
-                max: h.max.load(Ordering::Relaxed),
-            })
-            .filter(|s| s.count > 0)
-    }
-
     /// Every counter as `(name, value)`, in name order.
     pub fn counters(&self) -> Vec<(String, u64)> {
         lock(&self.counters)
             .iter()
             .map(|(name, c)| (name.clone(), c.get()))
-            .collect()
-    }
-
-    /// Every non-empty histogram as `(name, snapshot)`, in name order.
-    pub fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
-        let cells: Vec<String> = lock(&self.histograms).keys().cloned().collect();
-        cells
-            .into_iter()
-            .filter_map(|name| self.histogram(&name).map(|s| (name, s)))
             .collect()
     }
 }
@@ -948,26 +872,6 @@ mod tests {
         assert_eq!(hub.counter_value("x"), 3);
         assert_eq!(hub.counter_value("absent"), 0);
         assert_eq!(hub.counters(), vec![("x".to_string(), 3)]);
-    }
-
-    #[test]
-    fn hub_histograms_track_count_sum_min_max() {
-        let hub = MetricsHub::new();
-        assert_eq!(hub.histogram("lat"), None);
-        for v in [5u64, 1, 9] {
-            hub.observe("lat", v);
-        }
-        let snap = hub.histogram("lat").expect("observed");
-        assert_eq!(
-            snap,
-            HistogramSnapshot {
-                count: 3,
-                sum: 15,
-                min: 1,
-                max: 9
-            }
-        );
-        assert_eq!(hub.histograms().len(), 1);
     }
 
     #[test]

@@ -601,7 +601,16 @@ where
         });
         outputs
     });
-    results.into_iter().flatten().collect()
+    // One exact reservation on the first chunk's buffer, then a block
+    // copy per remaining chunk: `Flatten` has no size hint, so collecting
+    // through it regrows the result by doubling, one push per output.
+    let mut chunks = results.into_iter();
+    let mut outputs = chunks.next().unwrap_or_default();
+    outputs.reserve_exact(chunks.as_slice().iter().map(Vec::len).sum());
+    for mut chunk in chunks {
+        outputs.append(&mut chunk);
+    }
+    outputs
 }
 
 #[cfg(test)]

@@ -14,7 +14,8 @@
 
 use mr_sim::naive::{run_round_combined_naive, run_round_naive};
 use mr_sim::{
-    run_round, run_round_combined, EngineConfig, FnCombiner, FnMapper, FnReducer, RoundMetrics,
+    run_round, run_round_combined, EngineConfig, Executor, FnCombiner, FnMapper, FnReducer,
+    RoundMetrics,
 };
 use proptest::test_runner::TestRng;
 
@@ -170,6 +171,78 @@ fn overflow_offender_parity_on_scattered_hot_keys() {
         );
         let naive_err = run_round_naive(&inputs, &mapper, &reducer, &cfg(workers)).unwrap_err();
         assert_eq!(oracle_err, naive_err, "oracle offender drifted");
+    }
+}
+
+/// One distinct-key round whose reducer for key `k` emits `fanout(k)`
+/// outputs, checked against the columnar sequential run and the naive
+/// oracle at workers 1–16 on both executors. `item` builds the `j`-th
+/// output of key `k`, so the same shapes run with a zero-sized `O`.
+fn assert_assembly_case<O: PartialEq + std::fmt::Debug + Send>(
+    name: &str,
+    fanout: impl Fn(u64) -> u64 + Sync,
+    item: impl Fn(u64, u64) -> O + Sync,
+) {
+    const KEYS: u64 = 320;
+    let inputs = indexed(&(0..KEYS).rev().collect::<Vec<_>>());
+    let mapper = FnMapper(|&(idx, key): &(u64, u64), emit: &mut dyn FnMut(u64, u64)| {
+        emit(key, idx);
+    });
+    let reducer = FnReducer(|k: &u64, _: &[u64], emit: &mut dyn FnMut(O)| {
+        for j in 0..fanout(*k) {
+            emit(item(*k, j));
+        }
+    });
+    let (seq_out, seq_m) =
+        run_round(&inputs, &mapper, &reducer, &EngineConfig::sequential()).expect("no q bound set");
+    assert_eq!(seq_out.len() as u64, (0..KEYS).map(&fanout).sum::<u64>());
+    let (naive_out, naive_m) =
+        run_round_naive(&inputs, &mapper, &reducer, &EngineConfig::sequential())
+            .expect("no q bound set");
+    assert_eq!(
+        naive_out, seq_out,
+        "[{name}] sequential diverged from naive"
+    );
+    assert_eq!(naive_m, seq_m, "[{name}] sequential metrics diverged");
+    for workers in 1..=16 {
+        for executor in Executor::ALL {
+            let cfg = EngineConfig::parallel(workers).with_executor(executor);
+            let (out, m) = run_round(&inputs, &mapper, &reducer, &cfg).expect("no q bound set");
+            assert_eq!(
+                seq_out, out,
+                "[{name}] outputs diverged at workers={workers} on {executor:?}"
+            );
+            assert_eq!(
+                seq_m, m,
+                "[{name}] metrics diverged at workers={workers} on {executor:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn uneven_chunk_outputs_assemble_like_the_oracle() {
+    // The parallel reduce returns one output buffer per chunk of the key
+    // order and the engine assembles them. These fan-outs leave chunks
+    // empty, make the first chunk (whose buffer the assembly grows) the
+    // empty one, leave every chunk empty, and put almost everything in
+    // one chunk — at every chunking workers 1–16 produce over 320 keys.
+    type Fanout = fn(u64) -> u64;
+    let shapes: [(&str, Fanout); 6] = [
+        ("all-empty", |_| 0),
+        ("one-each", |_| 1),
+        ("first-half-empty", |k| u64::from(k >= 160) * 3),
+        ("last-key-only", |k| u64::from(k == 319) * 2_000),
+        ("first-key-only", |k| u64::from(k == 0) * 2_000),
+        ("wildly-uneven", |k| {
+            [0, 1, 0, 700, 0, 0, 2, 35][k as usize % 8]
+        }),
+    ];
+    for (name, fanout) in shapes {
+        assert_assembly_case(name, fanout, |k, j| (k, j));
+        // `O = ()` is what `run_schema_dyn` reduces into: nothing to
+        // copy, only a length to get right.
+        assert_assembly_case(&format!("{name}/unit"), fanout, |_, _| ());
     }
 }
 
