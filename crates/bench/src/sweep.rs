@@ -31,14 +31,15 @@
 //!
 //! # Parallelism and determinism
 //!
-//! Grid points are independent, so the driver fans them out as one batch
-//! on the configured executor — the resident
-//! [`WorkerPool`] by default, whose work-stealing
+//! Grid points are independent, so the driver hands them to one
+//! [`Executor::fan_out`](mr_sim::Executor::fan_out) on the configured
+//! executor — a single batch on the resident
+//! [`WorkerPool`](mr_sim::WorkerPool) by default, whose work-stealing
 //! injector gives dynamic load balancing (point costs vary by orders of
-//! magnitude across the grid); the retained scoped-thread path pulls from
-//! a shared queue with the same effect. Every point carries its grid index and results are merged by
-//! index, so the sweep's semantic output is **byte-identical for every
-//! worker count** — the same contract the engine itself makes. Only two
+//! magnitude across the grid). Results come back in grid order whichever
+//! worker ran what, so the sweep's semantic output is **byte-identical
+//! for every worker count** — the same contract the engine itself makes.
+//! Only two
 //! fields depend on how a sweep was executed rather than what it
 //! computed: wall-clock and the shuffle's execution picture (partition
 //! skew, bytes moved, occupancy histogram).
@@ -49,25 +50,24 @@
 use crate::json;
 use crate::table::{fmt, Table};
 use mr_core::family::{extended_registry, registry, DynFamily, Scale};
-use mr_sim::{EngineConfig, Executor, WorkerPool};
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use mr_sim::{EngineConfig, Executor};
 use std::time::Duration;
 
 /// Configuration of one sweep run.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
-    /// Number of q-grid points executed concurrently (each on its own
-    /// scoped thread). `0` and `1` both run the grid sequentially; the
-    /// semantic results are identical for every value.
+    /// Width of the grid fan-out. `0` and `1` both run the grid
+    /// sequentially on the calling thread; the semantic results are
+    /// identical for every value.
     pub sweep_workers: usize,
     /// Engine configuration for each grid point's round. The default is
     /// sequential: the sweep parallelises *across* grid points, which
     /// dominates intra-round parallelism for the small model instances.
     pub engine: EngineConfig,
-    /// Which substrate the q-point queue itself fans out on: the resident
-    /// [`WorkerPool`] (default) or per-sweep scoped threads (the retained
-    /// oracle). Semantic results are byte-identical on both.
+    /// Which substrate the grid itself fans out on: the resident
+    /// [`WorkerPool`](mr_sim::WorkerPool) (default) or per-sweep scoped
+    /// threads (the retained oracle). Semantic results are byte-identical
+    /// on both.
     pub executor: Executor,
 }
 
@@ -137,88 +137,42 @@ pub struct SweepReport {
     pub families: Vec<FamilyCurve>,
 }
 
-/// A queued grid-point job: the closure that runs it.
-type PointJob<'a> = Box<dyn FnOnce() -> SweepPoint + Send + 'a>;
-
-/// Runs jobs across `workers` lanes of the selected substrate, returning
-/// results in job order regardless of which worker ran what. On the pool
-/// the jobs go down as one batch — the injector's task stealing is the
-/// load balancing; on the scoped oracle, `workers` threads pull from a
-/// shared queue with the same effect.
-fn run_jobs(jobs: Vec<PointJob<'_>>, workers: usize, executor: Executor) -> Vec<SweepPoint> {
-    let n = jobs.len();
-    let workers = workers.clamp(1, n.max(1));
-    if workers > 1 && executor == Executor::Pool {
-        // Slot-indexed pool batch: results land in submission order, so
-        // the grid order is preserved without an explicit merge.
-        return WorkerPool::global().run(jobs);
-    }
-    let queue: Mutex<VecDeque<(usize, PointJob<'_>)>> =
-        Mutex::new(jobs.into_iter().enumerate().collect());
-    let drain = || {
-        let mut out: Vec<(usize, SweepPoint)> = Vec::new();
-        loop {
-            // Pop under the lock, run outside it.
-            let job = queue.lock().expect("sweep queue poisoned").pop_front();
-            match job {
-                Some((i, j)) => out.push((i, j())),
-                None => return out,
-            }
-        }
-    };
-    let mut indexed: Vec<(usize, SweepPoint)> = if workers <= 1 {
-        drain()
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers).map(|_| s.spawn(drain)).collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        })
-    };
-    // Deterministic merge: grid order, not completion order.
-    indexed.sort_by_key(|(i, _)| *i);
-    debug_assert_eq!(indexed.len(), n);
-    indexed.into_iter().map(|(_, p)| p).collect()
-}
-
 /// Sweeps the given families over their q-grids.
 ///
-/// This is the whole executor: one job per `(family, grid point)` pair,
-/// fanned out over [`SweepConfig::sweep_workers`] threads, regrouped per
-/// family, and sorted by `(q, algorithm)` so the presentation order is
-/// total and worker-count independent. All family knowledge — instances,
-/// schemas, recipes — lives behind [`DynFamily`].
+/// This is the whole executor: one item per `(family, grid point)` pair,
+/// fanned out [`SweepConfig::sweep_workers`] wide, regrouped per family,
+/// and sorted by `(q, algorithm)` so the presentation order is total and
+/// worker-count independent. All family knowledge — instances, schemas,
+/// recipes — lives behind [`DynFamily`].
 pub fn sweep_families(families: &[Box<dyn DynFamily>], config: &SweepConfig) -> SweepReport {
     let engine = &config.engine;
-    let mut jobs: Vec<PointJob<'_>> = Vec::new();
-    let mut family_of: Vec<usize> = Vec::new();
-    for (fi, fam) in families.iter().enumerate() {
-        for pi in 0..fam.grid().len() {
-            family_of.push(fi);
-            jobs.push(Box::new(move || {
-                let fp = fam
-                    .run(pi, engine)
-                    .expect("a sweep round overflowed the caller-supplied reducer budget");
-                SweepPoint {
-                    algorithm: fp.measured.algorithm,
-                    q_declared: fp.q_declared,
-                    q: fp.measured.q,
-                    r: fp.measured.r,
-                    bound: fp.bound,
-                    gap: fp.gap,
-                    load_skew: fp.measured.load_skew,
-                    partition_skew: fp.partition_skew,
-                    shuffle_bytes: fp.shuffle_bytes,
-                    bucket_loads: fp.bucket_loads,
-                    outputs: fp.measured.outputs,
-                    wall: fp.wall,
-                }
-            }));
-        }
-    }
-    let points = run_jobs(jobs, config.sweep_workers, config.executor);
+    let grid: Vec<(usize, usize)> = families
+        .iter()
+        .enumerate()
+        .flat_map(|(fi, fam)| (0..fam.grid().len()).map(move |pi| (fi, pi)))
+        .collect();
+    let points = config
+        .executor
+        .fan_out(config.sweep_workers, grid, |(fi, pi)| {
+            let fp = families[fi]
+                .run(pi, engine)
+                .expect("a sweep round overflowed the caller-supplied reducer budget");
+            let point = SweepPoint {
+                algorithm: fp.measured.algorithm,
+                q_declared: fp.q_declared,
+                q: fp.measured.q,
+                r: fp.measured.r,
+                bound: fp.bound,
+                gap: fp.gap,
+                load_skew: fp.measured.load_skew,
+                partition_skew: fp.partition_skew,
+                shuffle_bytes: fp.shuffle_bytes,
+                bucket_loads: fp.bucket_loads,
+                outputs: fp.measured.outputs,
+                wall: fp.wall,
+            };
+            (fi, point)
+        });
 
     let mut curves: Vec<FamilyCurve> = families
         .iter()
@@ -228,7 +182,7 @@ pub fn sweep_families(families: &[Box<dyn DynFamily>], config: &SweepConfig) -> 
             points: Vec::new(),
         })
         .collect();
-    for (fi, p) in family_of.into_iter().zip(points) {
+    for (fi, p) in points {
         curves[fi].points.push(p);
     }
     for fam in &mut curves {

@@ -60,7 +60,7 @@ use mr_core::problems::join::{
 use mr_core::problems::matmul::problem::numeric_inputs;
 use mr_core::problems::matmul::{MatToken, Matrix, RecursiveMatMul};
 use mr_sim::{DagJob, EngineConfig, EngineError, JobMetrics};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One round of a [`RoundDag`]: its position in the DAG and its
 /// census-exact predictions.
@@ -789,8 +789,9 @@ impl DagPlan {
             dag.set_budget(i, spec.q);
             dag.set_pairs_hint(i, spec.pairs);
         }
-        let (out, metrics, wall) = dag.run_timed(inputs, engine)?;
-        Ok((out.len() as u64, metrics, wall))
+        let start = Instant::now();
+        let (out, metrics) = dag.run(inputs, engine)?;
+        Ok((out.len() as u64, metrics, start.elapsed()))
     }
 }
 

@@ -8,20 +8,15 @@
 //! changing the mapping schema. [`run_round_combined`] measures both
 //! numbers so the gap is visible.
 //!
-//! The combine stage rides the columnar data plane end to end: each map
-//! worker emits into a fingerprint column buffer, groups it with the same
-//! radix/code-sort pass the engine's shuffle uses (key order is not
-//! needed pre-shuffle, so the per-partition key sort is skipped), and
-//! folds every group to one combined value. Each group's retained
-//! fingerprint then routes the combined pair through the partitioned
-//! shuffle without rehashing the key.
+//! The combine is a stage of the engine's one round kernel, not a
+//! pipeline of its own: each map chunk's emission column is grouped with
+//! the same radix/code-sort pass the shuffle uses and every group folded
+//! to one combined value before the column is scattered to partitions.
+//! Everything before and after that stage is [`run_round`](crate::run_round).
 
-use crate::columnar::{group_partition, partition_of_hash, ColumnBuf};
-use crate::engine::{
-    pair_bytes, reduce_phase, run_chunked, shuffle_columns, EngineConfig, EngineError,
-};
+use crate::engine::{round, EngineConfig, EngineError};
 use crate::mapper::{Mapper, Reducer};
-use crate::metrics::{LoadStats, RoundMetrics};
+use crate::metrics::RoundMetrics;
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -79,13 +74,10 @@ impl CombinedMetrics {
 /// worker order.
 ///
 /// With `workers > 1` the post-combine shuffle is hash-partitioned like
-/// the plain engine's: every worker's combined column is scattered into
-/// `P = workers` partitions by the retained fingerprints, partitions are
-/// grouped and budget-checked concurrently, and the merged result is
-/// reduced in key order. Combiner accounting stays exact under
-/// partitioning — `pre_combine_pairs` is summed per worker before the
-/// scatter, and the wire pair count is the sum of partition loads, so
-/// neither depends on how keys hash.
+/// the plain engine's — it *is* the plain engine's. Combiner accounting
+/// stays exact under partitioning: `pre_combine_pairs` is counted per
+/// worker before the combine, and the wire pair count is the sum of
+/// partition loads, so neither depends on how keys hash.
 pub fn run_round_combined<I, K, V, O>(
     inputs: &[I],
     mapper: &dyn Mapper<I, K, V>,
@@ -99,116 +91,10 @@ where
     V: Send + Sync,
     O: Send,
 {
-    let configured_workers = config.effective_workers();
-    let workers = configured_workers.min(inputs.len().max(1));
-    let chunk = inputs.len().div_ceil(workers);
-    let chunks: Vec<&[I]> = if inputs.is_empty() {
-        Vec::new()
-    } else {
-        inputs.chunks(chunk).collect()
-    };
-    let hint_for = |chunk_len: usize| -> usize {
-        config
-            .pairs_hint
-            .map(|h| (h as usize).div_ceil(workers))
-            .unwrap_or(chunk_len)
-    };
-
-    // Map + combine per worker: emit into a column buffer, group it in
-    // fingerprint order (no key sort — the shuffle re-sorts anyway), and
-    // fold each group's contiguous value run into one combined value.
-    // Values arrive in emission order, so the fold order matches the old
-    // incremental map-based combine exactly.
-    let combine_chunk = |c: &[I]| -> (u64, ColumnBuf<K, V>) {
-        let _span = mr_obs::span("engine.combine.chunk");
-        let mut emitted = 0u64;
-        let mut buf = ColumnBuf::with_capacity(hint_for(c.len()));
-        for input in c {
-            mapper.map(input, &mut |k, v| {
-                emitted += 1;
-                buf.emit(k, v);
-            });
-        }
-        let run = group_partition(buf);
-        let mut combined = ColumnBuf::with_capacity(run.len());
-        let mut vals = run.values.into_iter();
-        for g in run.groups {
-            let mut acc = vals.next().expect("every group has a first value");
-            for _ in 1..g.len {
-                combiner.combine(&g.key, &mut acc, vals.next().expect("group length"));
-            }
-            // Re-fingerprint the surviving key: the descriptor no longer
-            // carries its hash (keeping the directory small for the far
-            // hotter plain-shuffle sort), and one hash per *distinct* key
-            // is noise next to the per-pair work the combiner just saved.
-            combined.emit(g.key, acc);
-        }
-        (emitted, combined)
-    };
-
-    let combine_span = mr_obs::span("engine.combine");
-    let per_worker: Vec<(u64, ColumnBuf<K, V>)> = if workers <= 1 || chunks.len() <= 1 {
-        chunks.into_iter().map(combine_chunk).collect()
-    } else {
-        run_chunked(config.executor, chunks, combine_chunk)
-    };
-    drop(combine_span);
-
-    // Pre-combine accounting happens per worker, before any partitioning:
-    // the paper's replication numerator is independent of the shuffle.
-    let pre_combine_pairs: u64 = per_worker.iter().map(|(e, _)| *e).sum();
-
-    // Post-combine shuffle: scatter each worker's combined column (worker
-    // order — so a key's values arrive one-per-worker in worker order)
-    // into P partitions by the retained fingerprints. P reuses the
-    // input-clamped worker count so a huge worker count over a tiny input
-    // stays cheap.
-    let shuffle_span = mr_obs::span("engine.shuffle");
-    let p = if configured_workers <= 1 { 1 } else { workers };
-    let mut partitions: Vec<ColumnBuf<K, V>> = (0..p).map(|_| ColumnBuf::new()).collect();
-    for (_, buf) in per_worker {
-        if p <= 1 {
-            partitions[0].append(buf);
-        } else {
-            for (pi, part) in buf
-                .scatter(p, |h| partition_of_hash(h, p))
-                .into_iter()
-                .enumerate()
-            {
-                partitions[pi].append(part);
-            }
-        }
-    }
-    let wire_pairs: u64 = partitions.iter().map(|part| part.len() as u64).sum();
-    let (shuffled, shuffle_stats) = shuffle_columns(
-        partitions,
-        config.max_reducer_inputs,
-        configured_workers,
-        pair_bytes::<K, V>(),
-        config.executor,
-    )?;
-    drop(shuffle_span);
-
-    let loads = shuffled.loads();
-    let reducers = loads.len() as u64;
-    let reduce_span = mr_obs::span("engine.reduce");
-    let outputs = reduce_phase(&shuffled, reducer, configured_workers, config.executor);
-    drop(reduce_span);
-
+    let (outputs, wire, pre_combine_pairs) =
+        round(inputs, mapper, Some(combiner), reducer, config)?;
     let metrics = CombinedMetrics {
-        round: RoundMetrics {
-            inputs: inputs.len() as u64,
-            kv_pairs: wire_pairs,
-            reducers,
-            outputs: outputs.len() as u64,
-            load: LoadStats::from_loads(loads.clone()),
-            loads: {
-                let mut l = loads;
-                l.sort_unstable();
-                l
-            },
-            shuffle: shuffle_stats,
-        },
+        round: wire,
         pre_combine_pairs,
     };
     Ok((outputs, metrics))

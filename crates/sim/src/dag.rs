@@ -22,17 +22,17 @@
 //!   stage fail, the error of the smallest node index is returned, so
 //!   multi-node failures are deterministic too.
 //! * **Staging** — nodes execute in ASAP levels (a node runs as soon as
-//!   all its dependencies have), each level submitted as one batch to the
-//!   configured [`Executor`] — the resident
-//!   [`WorkerPool`] by default — with
-//!   concurrently-running nodes collected in index order.
+//!   all its dependencies have), each level one
+//!   [`fan_out`](crate::Executor::fan_out) on the configured executor —
+//!   the resident [`WorkerPool`](crate::WorkerPool) by default — as wide
+//!   as the level, with concurrently-running nodes collected in index
+//!   order.
 
 use crate::delta::{run_round_on, Pipeline};
 use crate::engine::{run_round, EngineConfig, EngineError};
-use crate::mapper::{FnMapper, FnReducer, Mapper, Reducer};
+use crate::mapper::{Mapper, Reducer};
 use crate::metrics::{JobMetrics, RoundMetrics};
-use crate::pool::{Executor, WorkerPool};
-use crate::schema::{LoadTable, ReducerId, RoundCensus, SchemaJob};
+use crate::schema::{schema_round, LoadTable, RoundCensus, SchemaJob};
 use std::borrow::Cow;
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -45,10 +45,6 @@ type NodeFn<T> =
 /// keys folded into a [`LoadTable`], nothing shuffled or reduced.
 type CensusFn<T> = Box<dyn Fn(&[T]) -> RoundCensus + Sync>;
 
-/// One node's run outcome, tagged with its index so a level's parallel
-/// results can be re-ordered deterministically.
-type NodeOutcome<T> = (usize, Result<(Vec<T>, RoundMetrics), EngineError>);
-
 /// One round of a [`DagJob`]: a name, the rounds feeding it, optional
 /// per-round engine overrides, and the round body.
 struct DagNode<T> {
@@ -57,9 +53,7 @@ struct DagNode<T> {
     budget: Option<u64>,
     pairs_hint: Option<u64>,
     run: NodeFn<T>,
-    /// `None` for an [`add_node`](DagJob::add_node) body, which can only
-    /// be priced by running it.
-    census: Option<CensusFn<T>>,
+    census: CensusFn<T>,
 }
 
 /// A DAG of map-reduce rounds over a uniform token type `T`.
@@ -86,30 +80,12 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
         DagJob { nodes: Vec::new() }
     }
 
-    /// Adds a round from an arbitrary body closure, returning its node
-    /// index. The escape hatch beside [`add_round`](Self::add_round) /
-    /// [`add_schema_round`](Self::add_schema_round): the body is opaque,
-    /// so [`census`](Self::census) has to run it to price it.
-    ///
-    /// # Panics
-    /// Panics unless every dependency index refers to an earlier node.
-    pub fn add_node(
-        &mut self,
-        name: impl Into<String>,
-        deps: Vec<usize>,
-        run: impl Fn(&[T], &EngineConfig) -> Result<(Vec<T>, RoundMetrics), EngineError>
-            + Sync
-            + 'static,
-    ) -> usize {
-        self.push_node(name.into(), deps, Box::new(run), None)
-    }
-
     fn push_node(
         &mut self,
         name: String,
         deps: Vec<usize>,
         run: NodeFn<T>,
-        census: Option<CensusFn<T>>,
+        census: CensusFn<T>,
     ) -> usize {
         let idx = self.nodes.len();
         assert!(
@@ -150,13 +126,13 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
             name.into(),
             deps,
             Box::new(move |inputs, cfg| run_round(inputs, &*mapper, &reducer, cfg)),
-            Some(Box::new(move |inputs| {
+            Box::new(move |inputs| {
                 let mut table = LoadTable::<K>::default();
                 for input in inputs {
                     census_mapper.map(input, &mut |key, _| table.record(key));
                 }
                 table.census()
-            })),
+            }),
         )
     }
 
@@ -183,19 +159,10 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
             name.into(),
             deps,
             Box::new(move |inputs, cfg| {
-                let mapper = FnMapper(|input: &T, emit: &mut dyn FnMut(ReducerId, T)| {
-                    for r in schema.assign(input) {
-                        emit(r, input.clone());
-                    }
-                });
-                let reducer = FnReducer(|rid: &ReducerId, vs: &[T], emit: &mut dyn FnMut(T)| {
-                    schema.reduce(*rid, vs, emit)
-                });
+                let (mapper, reducer) = schema_round(&*schema);
                 run_round_on(pipeline, inputs, &mapper, &reducer, cfg)
             }),
-            Some(Box::new(move |inputs| {
-                LoadTable::of(&*census_schema, inputs).census()
-            })),
+            Box::new(move |inputs| LoadTable::of(&*census_schema, inputs).census()),
         )
     }
 
@@ -269,46 +236,18 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
                 .map(|&i| (i, self.node_input(i, inputs, &results)))
                 .collect();
 
-            let outcomes: Vec<NodeOutcome<T>> = if staged.len() == 1 {
-                let (i, input) = &staged[0];
-                vec![(*i, self.run_node(*i, input, config))]
-            } else {
-                match config.executor {
-                    Executor::Pool => WorkerPool::global().run(
-                        staged
-                            .iter()
-                            .map(|(i, input)| {
-                                let i = *i;
-                                Box::new(move || (i, self.run_node(i, input, config)))
-                                    as Box<dyn FnOnce() -> NodeOutcome<T> + Send + '_>
-                            })
-                            .collect(),
-                    ),
-                    Executor::Scoped => std::thread::scope(|scope| {
-                        let handles: Vec<_> = staged
-                            .iter()
-                            .map(|(i, input)| {
-                                let i = *i;
-                                scope.spawn(move || (i, self.run_node(i, input, config)))
-                            })
-                            .collect();
-                        handles.into_iter().map(|h| h.join().unwrap()).collect()
-                    }),
-                }
-            };
+            // A level is as wide as its nodes, whatever the rounds inside
+            // are configured to use; a one-node level runs on the caller.
+            let outcomes = config.executor.fan_out(staged.len(), staged, |(i, input)| {
+                (i, self.run_node(i, &input, config))
+            });
 
             // Deterministic multi-failure contract: the smallest failing
             // node index wins (mirroring the engine's smallest-offender
-            // rule within a round).
-            let mut failures: Vec<(usize, EngineError)> = Vec::new();
+            // rule within a round). Outcomes come back in node order, so
+            // that is the first failure met.
             for (i, outcome) in outcomes {
-                match outcome {
-                    Ok(ok) => results[i] = Some(ok),
-                    Err(e) => failures.push((i, e)),
-                }
-            }
-            if let Some((_, e)) = failures.into_iter().min_by_key(|(i, _)| *i) {
-                return Err(e);
+                results[i] = Some(outcome?);
             }
         }
 
@@ -337,12 +276,11 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
     /// shuffled, grouped or reduced for it. A node's reducers run **only
     /// when another node consumes its output** (that output is the
     /// consumer's input, and only the reducers can say what it is) —
-    /// sinks never reduce. Consumed nodes, and opaque
-    /// [`add_node`](Self::add_node) bodies, run sequentially on the
-    /// engine and are read off their measured metrics.
+    /// sinks never reduce. Consumed nodes run sequentially on the engine
+    /// and are read off their measured metrics.
     ///
     /// Pricing asks what a round *would* load, so per-node budgets are
-    /// not applied; an error can only come out of an `add_node` body.
+    /// not applied, to a sink or to a consumed node.
     pub fn census(&self, inputs: &[T]) -> Result<Vec<RoundCensus>, EngineError> {
         let consumed = self.consumed();
         let config = EngineConfig::sequential();
@@ -353,13 +291,12 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
         for (i, node) in self.nodes.iter().enumerate() {
             let _span = mr_obs::span_with(|| format!("dag.census.{}", node.name));
             let input = self.node_input(i, inputs, &results);
-            match &node.census {
-                Some(census) if !consumed[i] => priced.push(census(&input)),
-                _ => {
-                    let ran = (node.run)(&input, &config)?;
-                    priced.push(RoundCensus::from(&ran.1));
-                    results[i] = Some(ran);
-                }
+            if consumed[i] {
+                let ran = (node.run)(&input, &config)?;
+                priced.push(RoundCensus::from(&ran.1));
+                results[i] = Some(ran);
+            } else {
+                priced.push((node.census)(&input));
             }
         }
         Ok(priced)
@@ -400,19 +337,6 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
             .collect()
     }
 
-    /// Executes the DAG, additionally reporting wall-clock time
-    /// (execution metadata — determinism comparisons must use outputs
-    /// and metrics only).
-    pub fn run_timed(
-        &self,
-        inputs: &[T],
-        config: &EngineConfig,
-    ) -> Result<(Vec<T>, JobMetrics, std::time::Duration), EngineError> {
-        let start = std::time::Instant::now();
-        let (out, metrics) = self.run(inputs, config)?;
-        Ok((out, metrics, start.elapsed()))
-    }
-
     /// Runs one node under the base configuration with the node's
     /// budget/hint overrides applied.
     fn run_node(
@@ -437,7 +361,8 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::run_schema;
+    use crate::mapper::{FnMapper, FnReducer};
+    use crate::schema::{run_schema, ReducerId};
 
     /// Sum tokens by residue class: one keyed round.
     fn sum_round(dag: &mut DagJob<u64>, name: &str, deps: Vec<usize>, modulus: u64) -> usize {
@@ -636,27 +561,45 @@ mod tests {
         assert_eq!(priced, measured);
     }
 
+    /// Neither way of pricing a node — folding a sink's assignment,
+    /// running a consumed node, whose body only a run can see through —
+    /// applies the node's budget.
     #[test]
     fn census_prices_an_opaque_body_by_running_it_without_its_budget() {
         let mut dag: DagJob<u64> = DagJob::new();
-        let only = dag.add_node("opaque", vec![], |inputs, cfg| {
-            run_round(
-                inputs,
-                &FnMapper(|x: &u64, emit: &mut dyn FnMut(u64, u64)| emit(x % 2, *x)),
-                &FnReducer(|_: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs[0])),
-                cfg,
-            )
-        });
-        dag.set_budget(only, 1);
+        let halves = |dag: &mut DagJob<u64>, name: &str, deps: Vec<usize>| {
+            let node = dag.add_round(
+                name,
+                deps,
+                FnMapper(|x: &u64, emit: &mut dyn FnMut(u64, u64)| emit(x % 2, *x)),
+                FnReducer(|_: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs[0])),
+            );
+            dag.set_budget(node, 1);
+            node
+        };
         let inputs: Vec<u64> = (0..10).collect();
+        let over_budget = RoundCensus {
+            q: 5,
+            pairs: 10,
+            reducers: 2,
+        };
+        // As a sink: priced by folding its mapper's keys.
+        let first = halves(&mut dag, "first", vec![]);
+        assert!(dag.run(&inputs, &EngineConfig::sequential()).is_err());
+        assert_eq!(dag.census(&inputs).unwrap(), vec![over_budget]);
+        // Consumed: priced by running it, so that `second` has an input.
+        halves(&mut dag, "second", vec![first]);
         assert!(dag.run(&inputs, &EngineConfig::sequential()).is_err());
         assert_eq!(
             dag.census(&inputs).unwrap(),
-            vec![RoundCensus {
-                q: 5,
-                pairs: 10,
-                reducers: 2
-            }]
+            vec![
+                over_budget,
+                RoundCensus {
+                    q: 1,
+                    pairs: 2,
+                    reducers: 2
+                }
+            ]
         );
     }
 
@@ -664,8 +607,6 @@ mod tests {
     #[should_panic(expected = "dependencies must point at earlier nodes")]
     fn forward_dependencies_are_rejected() {
         let mut dag: DagJob<u64> = DagJob::new();
-        dag.add_node("bad", vec![3], |_, _| {
-            Ok((Vec::new(), RoundMetrics::default()))
-        });
+        sum_round(&mut dag, "bad", vec![3], 2);
     }
 }

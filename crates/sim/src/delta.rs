@@ -38,7 +38,7 @@
 //! retained state is left untouched.
 
 use crate::combiner::{run_round_combined, CombinedMetrics, Combiner};
-use crate::engine::{run_chunked, run_round, EngineConfig, EngineError};
+use crate::engine::{run_round, EngineConfig, EngineError};
 use crate::mapper::{FnMapper, FnReducer, Mapper, Reducer};
 use crate::metrics::{LoadStats, RoundMetrics, ShuffleStats};
 use crate::naive::{run_round_combined_naive, run_round_naive};
@@ -532,23 +532,19 @@ where
             }
         }
 
-        // Re-execute exactly the dirty reducers. Chunk order in, chunk
-        // order out: deterministic at every worker count.
+        // Re-execute exactly the dirty reducers, at most `workers` chunks
+        // of them at a time. Chunk order in, chunk order out:
+        // deterministic at every worker count.
         let rereduce_span = mr_obs::span("delta.rereduce");
-        let workers = self.config.effective_workers().min(staged.len().max(1));
-        let new_outputs: Vec<Vec<O>> = if workers <= 1 {
-            staged
-                .iter()
-                .map(|(rid, _, values)| {
-                    let mut out = Vec::new();
-                    schema.reduce(*rid, values, &mut |o| out.push(o));
-                    out
-                })
-                .collect()
-        } else {
-            let chunk = staged.len().div_ceil(workers);
-            let chunks: Vec<&[StagedReducer<I>]> = staged.chunks(chunk).collect();
-            run_chunked(self.config.executor, chunks, |chunk| {
+        let workers = self.config.effective_workers();
+        // `max(1)`: nothing staged is no chunks, but `chunks` needs a size.
+        let chunks: Vec<&[StagedReducer<I>]> = staged
+            .chunks(staged.len().div_ceil(workers).max(1))
+            .collect();
+        let new_outputs: Vec<Vec<O>> = self
+            .config
+            .executor
+            .fan_out(workers, chunks, |chunk| {
                 chunk
                     .iter()
                     .map(|(rid, _, values)| {
@@ -560,8 +556,7 @@ where
             })
             .into_iter()
             .flatten()
-            .collect()
-        };
+            .collect();
         drop(rereduce_span);
 
         // Commit. Retractions are the dirty reducers' previous outputs

@@ -21,18 +21,25 @@
 //! restores the exact output the old map-based shuffle produced.
 //!
 //! With `workers <= 1` the same pipeline runs on the calling thread with a
-//! single partition; with `workers > 1` each map chunk and each partition
-//! group-sort runs as a task on the configured [`Executor`] — the
-//! resident [`WorkerPool`] by default, or a fresh `std::thread::scope`
-//! thread per task on the retained [`Executor::Scoped`] oracle. Because
-//! worker emission buffers are concatenated per partition in chunk
-//! (= input) order and the group sort ties on arrival order, outputs and
-//! semantic metrics are identical at every worker count on either
-//! substrate; the retained [`naive`](crate::naive) module keeps the
-//! original `BTreeMap` pipeline as the oracle for exactly that claim. Only the [`ShuffleStats`]
-//! execution metadata (partition count, balance, bytes moved, bucket
-//! histogram) varies with the worker count, and that is excluded from
-//! metric equality by design.
+//! single partition; with `workers > 1` each map chunk, each partition
+//! group-sort and each reduce range is one item of an
+//! [`Executor::fan_out`] — a task on the resident
+//! [`WorkerPool`](crate::WorkerPool) by default, or a fresh
+//! `std::thread::scope` thread on the retained [`Executor::Scoped`]
+//! oracle. Because chunk emission buffers are concatenated per partition
+//! in chunk (= input) order and the group sort ties on arrival order,
+//! outputs and semantic metrics are identical at every worker count on
+//! either substrate; the retained [`naive`](crate::naive) module keeps the
+//! original `BTreeMap` pipeline as the oracle for exactly that claim. Only
+//! the [`ShuffleStats`] execution metadata (partition count, balance,
+//! bytes moved, bucket histogram) varies with the worker count, and that
+//! is excluded from metric equality by design.
+//!
+//! There is one round kernel. A combiner
+//! ([`run_round_combined`](crate::run_round_combined)) is an optional
+//! per-chunk stage of it between map and partition scatter, not a second
+//! pipeline: routing, grouping, the budget check, reduce, the counters and
+//! the spans are the same code either way.
 //!
 //! The engine enforces the paper's central constraint when asked: if
 //! [`EngineConfig::max_reducer_inputs`] (the paper's `q`) is set and any
@@ -46,9 +53,10 @@ use crate::columnar::{
     bucket_count, fingerprint_of, group_buckets, group_partition, partition_of_hash, ColumnBuf,
     GroupedRun, Shuffled,
 };
+use crate::combiner::Combiner;
 use crate::mapper::{Mapper, Reducer};
 use crate::metrics::{LoadStats, RoundMetrics, ShuffleStats};
-use crate::pool::{Executor, WorkerPool};
+use crate::pool::Executor;
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::sync::OnceLock;
@@ -89,9 +97,10 @@ pub struct EngineConfig {
     /// `mr-plan` threads its census-exact pair prediction through here.
     pub pairs_hint: Option<u64>,
     /// Which parallel substrate fan-outs run on: the resident
-    /// [`WorkerPool`] (default) or fresh `std::thread::scope` threads per
-    /// call (the retained oracle). Purely an execution choice — outputs
-    /// and semantic metrics are byte-identical on both.
+    /// [`WorkerPool`](crate::WorkerPool) (default) or fresh
+    /// `std::thread::scope` threads per call (the retained oracle).
+    /// Purely an execution choice — outputs and semantic metrics are
+    /// byte-identical on both.
     pub executor: Executor,
 }
 
@@ -221,6 +230,32 @@ where
     M: Mapper<I, K, V> + ?Sized,
     R: Reducer<K, V, O> + ?Sized,
 {
+    let (outputs, metrics, _emitted) = round(inputs, mapper, None, reducer, config)?;
+    Ok((outputs, metrics))
+}
+
+/// The round kernel — §2.2's one thing called a round: map, route by
+/// reducer, reduce. [`run_round`] is this with no combiner;
+/// [`run_round_combined`](crate::run_round_combined) passes one, which
+/// adds a per-chunk stage between map and partition scatter and nothing
+/// else. Returns the outputs, the metrics of what crossed the shuffle, and
+/// the number of pairs the mappers emitted (equal to `kv_pairs` unless a
+/// combiner merged some before the shuffle).
+pub(crate) fn round<I, K, V, O, M, R>(
+    inputs: &[I],
+    mapper: &M,
+    combiner: Option<&dyn Combiner<K, V>>,
+    reducer: &R,
+    config: &EngineConfig,
+) -> Result<(Vec<O>, RoundMetrics, u64), EngineError>
+where
+    I: Sync,
+    K: Ord + Hash + Debug + Send + Sync + 'static,
+    V: Send + Sync,
+    O: Send,
+    M: Mapper<I, K, V> + ?Sized,
+    R: Reducer<K, V, O> + ?Sized,
+{
     let workers = config.effective_workers();
     let _round_span = mr_obs::span("engine.round");
     engine_counters().rounds.incr();
@@ -228,12 +263,8 @@ where
     // worker count over a tiny input never spawns more threads (or
     // allocates more buckets) than there are inputs — the same envelope
     // the chunked map and reduce phases have always had.
-    let p = if workers <= 1 {
-        1
-    } else {
-        workers.min(inputs.len()).max(1)
-    };
-    let (shuffled, stats, kv_pairs) = if p == 1 {
+    let p = workers.min(inputs.len()).max(1);
+    let (shuffled, stats, kv_pairs, emitted) = if p == 1 && combiner.is_none() {
         // Single-partition fast path: the map phase routes each emission
         // straight into its radix bucket — the flat per-worker columns
         // and the partition scatter disappear entirely.
@@ -253,17 +284,14 @@ where
             pair_bytes::<K, V>(),
         )?;
         drop(shuffle_span);
-        (shuffled, stats, kv_pairs)
+        (shuffled, stats, kv_pairs, kv_pairs)
     } else {
-        let map_span = mr_obs::span("engine.map");
-        let partitions = map_columnar_phase(
-            inputs,
-            mapper,
-            workers,
-            p,
-            config.pairs_hint,
-            config.executor,
-        );
+        let map_span = mr_obs::span(if combiner.is_some() {
+            "engine.combine"
+        } else {
+            "engine.map"
+        });
+        let (emitted, partitions) = map_columnar_phase(inputs, mapper, combiner, p, config);
         drop(map_span);
         let kv_pairs: u64 = partitions.iter().map(|part| part.len() as u64).sum();
         let shuffle_span = mr_obs::span("engine.shuffle");
@@ -275,7 +303,7 @@ where
             config.executor,
         )?;
         drop(shuffle_span);
-        (shuffled, stats, kv_pairs)
+        (shuffled, stats, kv_pairs, emitted)
     };
     engine_counters().kv_pairs.add(kv_pairs);
     let reduce_span = mr_obs::span("engine.reduce");
@@ -288,7 +316,7 @@ where
         outputs.len(),
         stats,
     );
-    Ok((outputs, metrics))
+    Ok((outputs, metrics, emitted))
 }
 
 /// Map phase of the single-partition fast path: emissions are
@@ -350,82 +378,115 @@ where
     Ok((Shuffled::merge(runs), stats))
 }
 
-/// Runs the map phase into per-worker emission columns, scattering each
-/// worker's column into `p` partitions by the top fingerprint bits and
-/// concatenating worker sub-columns per partition in chunk (= input)
+/// Runs the map phase into per-chunk emission columns, scattering each
+/// chunk's column into `p` partitions by the top fingerprint bits and
+/// concatenating chunk sub-columns per partition in chunk (= input)
 /// order — so within any partition, pairs appear in global emission order.
+/// Also returns how many pairs the mappers emitted.
 ///
-/// Each worker's column is preallocated from the caller's
-/// [`pairs_hint`](EngineConfig::pairs_hint) (split evenly across workers)
-/// or, absent a hint, from its chunk length; the partition scatter sizes
-/// its targets with an exact counting pass. Together these remove the
-/// growth reallocations that made the old map-scatter *slower* at high
-/// worker counts than at low ones.
+/// Each chunk's column is preallocated from the caller's
+/// [`pairs_hint`](EngineConfig::pairs_hint) (split evenly across the `p`
+/// chunks) or, absent a hint, from its chunk length; the partition
+/// scatter sizes its targets with an exact counting pass. Together these
+/// remove the growth reallocations that made the old map-scatter *slower*
+/// at high worker counts than at low ones.
+///
+/// With a combiner, each chunk's column goes through [`combine_column`]
+/// before the scatter, exactly like Hadoop's combiner running on one
+/// mapper's output: the reducers then see one value per (chunk, key), in
+/// chunk order. The emitted count is taken before that stage, so the
+/// paper's replication numerator is independent of the shuffle.
 fn map_columnar_phase<I, K, V, M>(
     inputs: &[I],
     mapper: &M,
-    workers: usize,
+    combiner: Option<&dyn Combiner<K, V>>,
     p: usize,
-    pairs_hint: Option<u64>,
-    executor: Executor,
-) -> Vec<ColumnBuf<K, V>>
+    config: &EngineConfig,
+) -> (u64, Vec<ColumnBuf<K, V>>)
 where
     I: Sync,
-    K: Hash + Send,
+    K: Ord + Hash + Send,
     V: Send,
     M: Mapper<I, K, V> + ?Sized,
 {
+    let mut partitions: Vec<ColumnBuf<K, V>> = (0..p).map(|_| ColumnBuf::new()).collect();
     if inputs.is_empty() {
-        return (0..p).map(|_| ColumnBuf::new()).collect();
+        return (0, partitions);
     }
-    let map_workers = workers.min(inputs.len());
-    let hint_for = |chunk_len: usize| -> usize {
-        pairs_hint
-            .map(|h| (h as usize).div_ceil(map_workers))
-            .unwrap_or(chunk_len)
+    let hint = config.pairs_hint.map(|h| (h as usize).div_ceil(p));
+    let chunk_span = if combiner.is_some() {
+        "engine.combine.chunk"
+    } else {
+        "engine.map.chunk"
     };
-    let map_chunk = |c: &[I]| -> Vec<ColumnBuf<K, V>> {
-        let _span = mr_obs::span("engine.map.chunk");
-        let mut buf = ColumnBuf::with_capacity(hint_for(c.len()));
+    let map_chunk = |c: &[I]| -> (u64, Vec<ColumnBuf<K, V>>) {
+        let _span = mr_obs::span(chunk_span);
+        let mut buf = ColumnBuf::with_capacity(hint.unwrap_or(c.len()));
         for input in c {
             mapper.map(input, &mut |k, v| buf.emit(k, v));
         }
+        let emitted = buf.len() as u64;
+        if let Some(combiner) = combiner {
+            buf = combine_column(buf, combiner);
+        }
         if p <= 1 {
-            vec![buf]
+            (emitted, vec![buf])
         } else {
-            buf.scatter(p, |h| partition_of_hash(h, p))
+            (emitted, buf.scatter(p, |h| partition_of_hash(h, p)))
         }
     };
-    let chunk = inputs.len().div_ceil(map_workers);
-    let chunks: Vec<&[I]> = inputs.chunks(chunk).collect();
-    let per_worker: Vec<Vec<ColumnBuf<K, V>>> = if map_workers <= 1 {
-        chunks.into_iter().map(map_chunk).collect()
-    } else {
-        run_chunked(executor, chunks, map_chunk)
-    };
-    let mut partitions: Vec<ColumnBuf<K, V>> = (0..p).map(|_| ColumnBuf::new()).collect();
-    for worker_bufs in per_worker {
-        for (pi, buf) in worker_bufs.into_iter().enumerate() {
+    // At most `p` chunks (`p <= inputs.len()`), one fan-out item each.
+    let chunks: Vec<&[I]> = inputs.chunks(inputs.len().div_ceil(p)).collect();
+    let mut emitted = 0;
+    for (chunk_emitted, chunk_bufs) in config.executor.fan_out(p, chunks, map_chunk) {
+        emitted += chunk_emitted;
+        for (pi, buf) in chunk_bufs.into_iter().enumerate() {
             partitions[pi].append(buf);
         }
     }
-    partitions
+    (emitted, partitions)
+}
+
+/// The combine stage over one chunk's emissions: group the column in
+/// fingerprint order (no key sort — the shuffle re-sorts anyway) and fold
+/// each group's contiguous value run into one combined value. Values
+/// arrive in emission order, so the fold order matches an incremental
+/// per-key combine exactly.
+fn combine_column<K: Ord + Hash, V>(
+    buf: ColumnBuf<K, V>,
+    combiner: &dyn Combiner<K, V>,
+) -> ColumnBuf<K, V> {
+    let run = group_partition(buf);
+    let mut combined = ColumnBuf::with_capacity(run.len());
+    let mut vals = run.values.into_iter();
+    for g in run.groups {
+        let mut acc = vals.next().expect("every group has a first value");
+        for _ in 1..g.len {
+            combiner.combine(&g.key, &mut acc, vals.next().expect("group length"));
+        }
+        // Re-fingerprint the surviving key: the descriptor no longer
+        // carries its hash (keeping the directory small for the far
+        // hotter plain-shuffle sort), and one hash per *distinct* key
+        // is noise next to the per-pair work the combiner just saved.
+        combined.emit(g.key, acc);
+    }
+    combined
 }
 
 /// Groups, key-sorts, budget-checks, and merges columnar partitions — the
-/// shared back half of the shuffle used by both [`run_round`] and the
-/// combined path.
+/// back half of the partitioned shuffle.
 ///
 /// Every partition is radix-bucketed, code-sorted, run-scanned into a
-/// [`GroupedRun`], and its group directory key-sorted — on its own scoped
-/// thread when `workers > 1` and there is more than one partition. If any
+/// [`GroupedRun`], and its group directory key-sorted — as its own
+/// [`fan_out`](Executor::fan_out) item, so concurrently when `workers > 1`
+/// and there is more than one partition. If any
 /// group exceeds `q`, the error names the globally smallest over-budget
 /// key — exactly the key the sequential in-key-order scan would have
 /// reported, even when several partitions overflow concurrently. The
 /// surviving runs are merged into a [`Shuffled`] view in global ascending
 /// key order (keys are disjoint across partitions, so a P-way merge of the
 /// sorted directories is exact).
-pub(crate) fn shuffle_columns<K, V>(
+fn shuffle_columns<K, V>(
     partitions: Vec<ColumnBuf<K, V>>,
     q: Option<u64>,
     workers: usize,
@@ -446,11 +507,7 @@ where
         run.sort_groups_by_key();
         run
     };
-    let runs: Vec<GroupedRun<K, V>> = if workers <= 1 || partitions.len() <= 1 {
-        partitions.into_iter().map(group_one).collect()
-    } else {
-        run_owned(executor, partitions, group_one)
-    };
+    let runs: Vec<GroupedRun<K, V>> = executor.fan_out(workers, partitions, group_one);
 
     check_budget(&runs, q)?;
     Ok((Shuffled::merge(runs), stats))
@@ -505,69 +562,13 @@ fn round_metrics(
     }
 }
 
-/// Runs `f` over each chunk in parallel on the selected substrate and
-/// returns the results in chunk order — the borrowed-slice form of the one
-/// parallel substrate shared by the map, shuffle, reduce, and combine
-/// phases. Chunk order in, chunk order out is what makes parallel
-/// execution bit-identical to sequential, on either substrate: the
-/// resident [`WorkerPool`] writes each task's result into its
-/// submission-order slot, and the scoped path joins handles in spawn
-/// order.
-pub(crate) fn run_chunked<T: Sync, R: Send>(
-    executor: Executor,
-    chunks: Vec<&[T]>,
-    f: impl Fn(&[T]) -> R + Sync,
-) -> Vec<R> {
-    let f = &f;
-    match executor {
-        Executor::Pool => WorkerPool::global().run(
-            chunks
-                .into_iter()
-                .map(|c| Box::new(move || f(c)) as Box<dyn FnOnce() -> R + Send + '_>)
-                .collect(),
-        ),
-        Executor::Scoped => std::thread::scope(|s| {
-            let handles: Vec<_> = chunks.into_iter().map(|c| s.spawn(move || f(c))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        }),
-    }
-}
-
-/// Owned-item twin of [`run_chunked`]: runs `f` over each owned item in
-/// parallel on the selected substrate, returning results in item order.
-/// Used for the per-partition grouping stage, which consumes its
-/// partition.
-pub(crate) fn run_owned<T: Send, R: Send>(
-    executor: Executor,
-    items: Vec<T>,
-    f: impl Fn(T) -> R + Sync,
-) -> Vec<R> {
-    let f = &f;
-    match executor {
-        Executor::Pool => WorkerPool::global().run(
-            items
-                .into_iter()
-                .map(|t| Box::new(move || f(t)) as Box<dyn FnOnce() -> R + Send + '_>)
-                .collect(),
-        ),
-        Executor::Scoped => std::thread::scope(|s| {
-            let handles: Vec<_> = items.into_iter().map(|t| s.spawn(move || f(t))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        }),
-    }
-}
-
 /// Runs the reduce phase over the merged shuffle view, concatenating
-/// outputs in ascending key order. With `workers > 1` the global key
-/// order is chunked and each chunk reduced on its own scoped thread;
-/// chunk-order concatenation keeps the output identical to sequential.
-pub(crate) fn reduce_phase<K, V, O, R>(
+/// outputs in ascending key order. The global key order is cut into at
+/// most `workers` ranges, each reduced as one
+/// [`fan_out`](Executor::fan_out) item (a single range runs inline on the
+/// caller); range-order concatenation keeps the output identical to
+/// sequential.
+fn reduce_phase<K, V, O, R>(
     shuffled: &Shuffled<K, V>,
     reducer: &R,
     workers: usize,
@@ -580,20 +581,13 @@ where
     R: Reducer<K, V, O> + ?Sized,
 {
     let n = shuffled.len();
-    if workers <= 1 || n < 2 {
-        let mut outputs = Vec::with_capacity(n);
-        shuffled.for_each_in(0..n, |k, vs| {
-            reducer.reduce(k, vs, &mut |o| outputs.push(o))
-        });
-        return outputs;
-    }
-    let workers = workers.min(n);
-    let chunk = n.div_ceil(workers);
+    // `max(1)`: an empty shuffle has no ranges, but `step_by` needs a step.
+    let chunk = n.div_ceil(workers).max(1);
     let ranges: Vec<(usize, usize)> = (0..n)
         .step_by(chunk)
         .map(|s| (s, (s + chunk).min(n)))
         .collect();
-    let results = run_owned(executor, ranges, |(s, e)| {
+    let results = executor.fan_out(workers, ranges, |(s, e)| {
         let _span = mr_obs::span("engine.reduce.chunk");
         let mut outputs = Vec::with_capacity(e - s);
         shuffled.for_each_in(s..e, |k, vs| {

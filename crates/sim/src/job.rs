@@ -8,11 +8,9 @@
 //! [`RoundMetrics`] per round so total communication can be compared across
 //! strategies.
 
-use crate::delta::{run_round_on, Pipeline};
 use crate::engine::{run_round, EngineConfig, EngineError};
-use crate::mapper::{FnMapper, FnReducer, Mapper, Reducer};
+use crate::mapper::{Mapper, Reducer};
 use crate::metrics::{JobMetrics, RoundMetrics};
-use crate::schema::{ReducerId, SchemaJob};
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -38,33 +36,6 @@ impl<I: Sync + 'static, O: Send + 'static> Job<I, O> {
         Job {
             run_fn: Box::new(move |inputs, cfg| {
                 let (out, m) = run_round(&inputs, &mapper, &reducer, cfg)?;
-                Ok((out, vec![m]))
-            }),
-            rounds: 1,
-        }
-    }
-
-    /// A single-round job executing a [`SchemaJob`] on the selected
-    /// shuffle [`Pipeline`] — the `Job`-shaped view of
-    /// [`run_schema`](crate::run_schema), so mapping schemas compose with
-    /// [`then`](Job::then) chains and the delta subsystem's
-    /// plane-parameterisation threads through multi-round jobs.
-    pub fn from_schema<S>(schema: S, pipeline: Pipeline) -> Job<I, O>
-    where
-        I: Clone + Send + 'static,
-        S: SchemaJob<I, O> + 'static,
-    {
-        Job {
-            run_fn: Box::new(move |inputs, cfg| {
-                let mapper = FnMapper(|input: &I, emit: &mut dyn FnMut(ReducerId, I)| {
-                    for r in schema.assign(input) {
-                        emit(r, input.clone());
-                    }
-                });
-                let reducer = FnReducer(|rid: &ReducerId, vs: &[I], emit: &mut dyn FnMut(O)| {
-                    schema.reduce(*rid, vs, emit)
-                });
-                let (out, m) = run_round_on(pipeline, &inputs, &mapper, &reducer, cfg)?;
                 Ok((out, vec![m]))
             }),
             rounds: 1,
@@ -128,26 +99,6 @@ impl<I: Sync + 'static, O: Send + 'static> Job<I, O> {
         let (out, rounds) = (self.run_fn)(inputs, config)?;
         Ok((out, JobMetrics { rounds }))
     }
-
-    /// Executes the job, additionally reporting its wall-clock time — the
-    /// multi-round counterpart of
-    /// [`run_schema_timed`](crate::schema::run_schema_timed).
-    ///
-    /// The timing covers all rounds (every map, shuffle, and reduce in the
-    /// chain) and nothing else. Like every wall-clock figure in this
-    /// crate it is *execution metadata*: determinism comparisons must use
-    /// the outputs and metrics only. The plan-execution layer (`mr-plan`)
-    /// lowers multi-round choices — the §6.3 two-phase matmul — through
-    /// this entry point.
-    pub fn run_timed(
-        &self,
-        inputs: Vec<I>,
-        config: &EngineConfig,
-    ) -> Result<(Vec<O>, JobMetrics, std::time::Duration), EngineError> {
-        let start = std::time::Instant::now();
-        let (out, metrics) = self.run(inputs, config)?;
-        Ok((out, metrics, start.elapsed()))
-    }
 }
 
 #[cfg(test)]
@@ -210,63 +161,6 @@ mod tests {
         let cfg = EngineConfig::sequential().with_max_reducer_inputs(2);
         let err = job.run((0..5).collect(), &cfg).unwrap_err();
         assert!(matches!(err, EngineError::ReducerOverflow { load: 5, .. }));
-    }
-
-    #[test]
-    fn timed_run_matches_untimed_and_reports_a_duration() {
-        let build = || -> Job<u32, u32> {
-            Job::single(
-                FnMapper(|x: &u32, emit: &mut dyn FnMut(u32, u32)| emit(*x % 3, *x)),
-                FnReducer(|_: &u32, vs: &[u32], emit: &mut dyn FnMut(u32)| emit(vs.iter().sum())),
-            )
-        };
-        let inputs: Vec<u32> = (0..9).collect();
-        let (out, m) = build()
-            .run(inputs.clone(), &EngineConfig::sequential())
-            .unwrap();
-        let (tout, tm, wall) = build()
-            .run_timed(inputs, &EngineConfig::sequential())
-            .unwrap();
-        assert_eq!(out, tout);
-        assert_eq!(m, tm);
-        assert!(wall > std::time::Duration::ZERO);
-    }
-
-    #[test]
-    fn timed_run_propagates_overflow() {
-        let job: Job<u32, u32> = Job::single(
-            FnMapper(|x: &u32, emit: &mut dyn FnMut(u8, u32)| emit(0, *x)),
-            FnReducer(|_: &u8, vs: &[u32], emit: &mut dyn FnMut(u32)| emit(vs.iter().sum())),
-        );
-        let cfg = EngineConfig::sequential().with_max_reducer_inputs(2);
-        assert!(job.run_timed((0..5).collect(), &cfg).is_err());
-    }
-
-    #[test]
-    fn from_schema_matches_run_schema_on_both_planes() {
-        use crate::schema::run_schema;
-        struct PairUp;
-        impl SchemaJob<u32, (u32, u32)> for PairUp {
-            fn assign(&self, input: &u32) -> Vec<ReducerId> {
-                vec![(*input / 2) as ReducerId]
-            }
-            fn reduce(&self, _r: ReducerId, inputs: &[u32], emit: &mut dyn FnMut((u32, u32))) {
-                for i in 0..inputs.len() {
-                    for j in (i + 1)..inputs.len() {
-                        emit((inputs[i], inputs[j]));
-                    }
-                }
-            }
-        }
-        let inputs: Vec<u32> = (0..40).collect();
-        let (expect, expect_m) = run_schema(&inputs, &PairUp, &EngineConfig::sequential()).unwrap();
-        for pipeline in Pipeline::ALL {
-            let job: Job<u32, (u32, u32)> = Job::from_schema(PairUp, pipeline);
-            assert_eq!(job.num_rounds(), 1);
-            let (out, m) = job.run(inputs.clone(), &EngineConfig::parallel(4)).unwrap();
-            assert_eq!(out, expect, "{}", pipeline.name());
-            assert_eq!(m.rounds, vec![expect_m.clone()], "{}", pipeline.name());
-        }
     }
 
     #[test]

@@ -32,16 +32,17 @@
 //! * [`delta`] — incremental execution: schemas held resident with
 //!   per-reducer state, re-executing only the reducers a
 //!   `Delta { added, removed }` dirties (exploiting §2.2 obliviousness),
-//! * [`combiner`] — optional map-side combining with pre-/post-combine
-//!   communication accounting,
+//! * [`combiner`] — optional map-side combining (a stage of the engine's
+//!   one round kernel) with pre-/post-combine communication accounting,
 //! * [`job`] — type-safe multi-round pipelines (round *i*'s reduce output
 //!   feeds round *i+1*'s map),
 //! * [`dag`] — a DAG of rounds over one token type, staged level by
 //!   level on the execution substrate, for planner-searched round
 //!   structures,
-//! * [`pool`] — the resident work-stealing [`WorkerPool`] every fan-out
-//!   runs on by default, with the per-call scoped-thread substrate
-//!   retained as the [`Executor::Scoped`] oracle,
+//! * [`pool`] — [`Executor::fan_out`], the one fan-out under every
+//!   parallel site, over the resident work-stealing [`WorkerPool`] by
+//!   default, with the per-call scoped-thread substrate retained as the
+//!   [`Executor::Scoped`] oracle,
 //! * [`metrics`] — per-round and per-job measurements,
 //! * [`schema`] — running an abstract *mapping schema* (assignment of
 //!   inputs to reducers) as a map-reduce job.
@@ -70,6 +71,5 @@ pub use mapper::{FnMapper, FnReducer, Mapper, Reducer};
 pub use metrics::{JobMetrics, LoadStats, RoundMetrics, ShuffleStats};
 pub use pool::{Executor, WorkerPool};
 pub use schema::{
-    price_change, run_schema, run_schema_dyn, run_schema_timed, DynSchema, LoadTable, RoundCensus,
-    SchemaJob,
+    price_change, run_schema, run_schema_dyn, DynSchema, LoadTable, RoundCensus, SchemaJob,
 };

@@ -14,7 +14,7 @@
 //! against this module. Do **not** use it in production paths.
 
 use crate::combiner::{CombinedMetrics, Combiner};
-use crate::engine::{pair_bytes, run_chunked, run_owned, EngineConfig, EngineError};
+use crate::engine::{pair_bytes, EngineConfig, EngineError};
 use crate::mapper::{Mapper, Reducer};
 use crate::metrics::{LoadStats, RoundMetrics, ShuffleStats};
 use crate::pool::Executor;
@@ -198,7 +198,7 @@ where
     let map_workers = workers.min(inputs.len());
     let chunk = inputs.len().div_ceil(map_workers);
     let chunks: Vec<&[I]> = inputs.chunks(chunk).collect();
-    let per_worker = run_chunked(executor, chunks, |c| {
+    let per_worker = executor.fan_out(workers, chunks, |c| {
         let mut buckets: Vec<Vec<(K, V)>> = (0..p).map(|_| Vec::new()).collect();
         for input in c {
             mapper.map(input, &mut |k, v| {
@@ -231,7 +231,8 @@ where
     let partition_loads: Vec<u64> = partitions.iter().map(|p| p.len() as u64).collect();
     let stats = ShuffleStats::from_partition_loads(&partition_loads);
 
-    let grouped: Vec<(BTreeMap<K, Vec<V>>, bool)> = run_owned(executor, partitions, |pairs| {
+    let lanes = partitions.len();
+    let grouped: Vec<(BTreeMap<K, Vec<V>>, bool)> = executor.fan_out(lanes, partitions, |pairs| {
         let mut groups: BTreeMap<K, Vec<V>> = BTreeMap::new();
         for (k, v) in pairs {
             groups.entry(k).or_default().push(v);
@@ -326,7 +327,7 @@ where
     let workers = workers.min(entries.len());
     let chunk = entries.len().div_ceil(workers);
     let chunks: Vec<&[(K, Vec<V>)]> = entries.chunks(chunk).collect();
-    let results = run_chunked(executor, chunks, |c| {
+    let results = executor.fan_out(workers, chunks, |c| {
         let mut outputs = Vec::new();
         for (k, vs) in c {
             reducer.reduce(k, vs, &mut |o| outputs.push(o));
@@ -382,7 +383,7 @@ where
     let per_worker: Vec<(u64, BTreeMap<K, V>)> = if workers <= 1 || chunks.len() <= 1 {
         chunks.iter().map(|c| combine_chunk(c)).collect()
     } else {
-        run_chunked(config.executor, chunks, combine_chunk)
+        config.executor.fan_out(workers, chunks, combine_chunk)
     };
 
     let pre_combine_pairs: u64 = per_worker.iter().map(|(e, _)| *e).sum();

@@ -33,9 +33,14 @@
 //!   [`Executor::Scoped`] retains that original substrate as the oracle,
 //!   the way [`naive`](crate::naive) pins the columnar data plane.
 //! * **Panic transparency.** A panicking task does not kill its worker:
-//!   the payload is caught, the batch completes, and the payload is
-//!   re-thrown on the submitting thread — observable behaviour matches
-//!   the scoped substrate's `join().expect(..)`.
+//!   the payload is caught, the batch completes, and the payload of the
+//!   **lowest-index** failing task is re-thrown on the submitting thread.
+//!   Tasks are claimed in index order, so that is the panic a sequential
+//!   run over the same items raises first — the message a caller sees
+//!   does not depend on the schedule, the worker count or the substrate.
+//! * **One dispatch.** [`Executor::fan_out`] is the only place the
+//!   workspace chooses between running inline, submitting a pool batch
+//!   and spawning scoped threads; every parallel site calls it.
 //!
 //! # Safety story
 //!
@@ -48,7 +53,7 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -95,32 +100,110 @@ impl Executor {
             Executor::Scoped => "scoped",
         }
     }
+
+    /// Runs `f` over every item, at most `width` at a time, and returns
+    /// the results **in item order** — the one fan-out under the map,
+    /// group, reduce and combine phases, the dirty re-reduce, a DAG level
+    /// and the frontier sweep.
+    ///
+    /// With `width <= 1` or fewer than two items everything runs inline
+    /// on the calling thread: no queue, no latch, no thread. Otherwise
+    /// the items go down as one [`WorkerPool::global`] batch (whose width
+    /// is the pool's own), or, on the scoped oracle, `min(width, items)`
+    /// fresh threads claim items in index order. Item order in, item
+    /// order out is what makes parallel execution bit-identical to
+    /// sequential on either substrate.
+    ///
+    /// # Panics
+    /// If `f` panics, the payload of the lowest-index failing item is
+    /// re-thrown here, on both substrates (which still run every other
+    /// item first) — the panic the inline run raises.
+    pub fn fan_out<T: Send, R: Send>(
+        self,
+        width: usize,
+        items: Vec<T>,
+        f: impl Fn(T) -> R + Sync,
+    ) -> Vec<R> {
+        // One compiled copy of `f` per call site, shared by the three ways
+        // of running it below; an indirect call per item is nothing next
+        // to an item's work.
+        let f: &(dyn Fn(T) -> R + Sync) = &f;
+        if width <= 1 || items.len() < 2 {
+            return items.into_iter().map(f).collect();
+        }
+        match self {
+            Executor::Pool => WorkerPool::global().run(
+                items
+                    .into_iter()
+                    .map(|t| Box::new(move || f(t)) as Box<dyn FnOnce() -> R + Send + '_>)
+                    .collect(),
+            ),
+            Executor::Scoped => {
+                let lanes = width.min(items.len());
+                let outcomes: Vec<Mutex<Option<std::thread::Result<R>>>> =
+                    items.iter().map(|_| Mutex::new(None)).collect();
+                let queue = Mutex::new(items.into_iter().enumerate());
+                // Claim under the lock, run outside it, file the outcome
+                // under the item's index.
+                let lane = || loop {
+                    let claimed = queue.lock().expect("fan-out queue poisoned").next();
+                    let Some((i, item)) = claimed else { return };
+                    let outcome = catch_unwind(AssertUnwindSafe(|| f(item)));
+                    *outcomes[i].lock().expect("fan-out slot poisoned") = Some(outcome);
+                };
+                scoped_lanes(lanes, &lane);
+                // Item order, so the first failure met is the lowest-index one.
+                outcomes
+                    .into_iter()
+                    .map(|slot| {
+                        slot.into_inner()
+                            .expect("fan-out slot poisoned")
+                            .expect("the lanes drained the queue")
+                            .unwrap_or_else(|payload| resume_unwind(payload))
+                    })
+                    .collect()
+            }
+        }
+    }
+}
+
+/// Runs `lane` on `lanes` fresh scoped threads and returns when all have
+/// finished. Not generic, so the thread machinery is compiled once however
+/// many item and result types [`Executor::fan_out`] is used at.
+fn scoped_lanes(lanes: usize, lane: &(dyn Fn() + Sync)) {
+    std::thread::scope(|s| {
+        for _ in 0..lanes {
+            s.spawn(lane);
+        }
+    });
 }
 
 /// A lifetime-erased batch task.
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
 /// One submitted batch: its queue of pending tasks, the completion latch,
-/// and the first caught panic payload.
+/// and the caught panic payload of the lowest-index failing task.
 struct Batch {
-    /// Tasks not yet claimed. Workers and the submitting thread pop from
-    /// the front; emptiness here does *not* mean completion (claimed
-    /// tasks may still be running) — that is what `remaining` tracks.
-    queue: Mutex<VecDeque<Task>>,
+    /// Tasks not yet claimed, each with its submission index. Workers and
+    /// the submitting thread pop from the front; emptiness here does
+    /// *not* mean completion (claimed tasks may still be running) — that
+    /// is what `remaining` tracks.
+    queue: Mutex<VecDeque<(usize, Task)>>,
     /// Tasks not yet *finished*. Guarded by a mutex (not an atomic) so
     /// the completion wait is a standard condvar latch.
     remaining: Mutex<usize>,
     /// Signalled when `remaining` reaches zero.
     done: Condvar,
-    /// First panic payload caught from a task, re-thrown at the caller.
-    panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
+    /// Panic payload caught from the lowest-index failing task, with that
+    /// index; re-thrown at the caller.
+    panic: Mutex<Option<(usize, Box<dyn Any + Send + 'static>)>>,
     /// Submission timestamp, stamped only while the trace recorder is
     /// enabled; every claim records a `pool.queue_wait` interval from it.
     enqueued: Option<Instant>,
 }
 
 impl Batch {
-    fn new(tasks: VecDeque<Task>) -> Self {
+    fn new(tasks: VecDeque<(usize, Task)>) -> Self {
         let n = tasks.len();
         Batch {
             queue: Mutex::new(tasks),
@@ -132,7 +215,7 @@ impl Batch {
     }
 
     /// Claims the next unclaimed task, if any.
-    fn pop(&self) -> Option<Task> {
+    fn pop(&self) -> Option<(usize, Task)> {
         self.queue
             .lock()
             .expect("pool batch queue poisoned")
@@ -141,21 +224,22 @@ impl Batch {
 
     /// Records the queue-wait interval for a freshly claimed task and
     /// runs it under a `pool.task` span.
-    fn run_claimed(&self, task: Task) {
+    fn run_claimed(&self, (index, task): (usize, Task)) {
         if let Some(enqueued) = self.enqueued {
             mr_obs::complete("pool.queue_wait", enqueued);
         }
         let _span = mr_obs::span("pool.task");
-        self.run_task(task);
+        self.run_task(index, task);
     }
 
     /// Runs one claimed task, capturing a panic instead of unwinding into
-    /// the worker loop, and counts it finished.
-    fn run_task(&self, task: Task) {
+    /// the worker loop, and counts it finished. Of several panics the one
+    /// with the smallest task index is kept, whichever happened first.
+    fn run_task(&self, index: usize, task: Task) {
         if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
             let mut slot = self.panic.lock().expect("pool panic slot poisoned");
-            if slot.is_none() {
-                *slot = Some(payload);
+            if slot.as_ref().is_none_or(|(kept, _)| index < *kept) {
+                *slot = Some((index, payload));
             }
         }
         let mut remaining = self.remaining.lock().expect("pool batch latch poisoned");
@@ -252,8 +336,9 @@ impl WorkerPool {
     /// Executes a batch of tasks and returns their results **in task
     /// order**, independent of which thread ran what. Blocks until every
     /// task has finished; the submitting thread drains the batch
-    /// alongside the workers (see the module docs). If a task panicked,
-    /// the first payload is re-thrown here after the batch completes.
+    /// alongside the workers (see the module docs). If tasks panicked,
+    /// the payload of the lowest-index one is re-thrown here after the
+    /// batch completes.
     pub fn run<'env, R: Send + 'env>(
         &self,
         tasks: Vec<Box<dyn FnOnce() -> R + Send + 'env>>,
@@ -272,7 +357,7 @@ impl WorkerPool {
         let mut results: Vec<Option<R>> = Vec::with_capacity(n);
         results.resize_with(n, || None);
         let base = results.as_mut_ptr();
-        let erased: VecDeque<Task> = tasks
+        let erased: VecDeque<(usize, Task)> = tasks
             .into_iter()
             .enumerate()
             .map(|(i, task)| {
@@ -289,12 +374,13 @@ impl WorkerPool {
                 // internally — sound because `batch.wait()` below blocks
                 // this frame until every erased task has finished, so no
                 // `'env` borrow survives the frame.
-                unsafe {
+                let job = unsafe {
                     std::mem::transmute::<
                         Box<dyn FnOnce() + Send + 'env>,
                         Box<dyn FnOnce() + Send + 'static>,
                     >(job)
-                }
+                };
+                (i, job)
             })
             .collect();
         let batch = Arc::new(Batch::new(erased));
@@ -312,8 +398,8 @@ impl WorkerPool {
         }
         drop(caller_span);
         batch.wait();
-        if let Some(payload) = batch.panic.lock().expect("pool panic slot poisoned").take() {
-            std::panic::resume_unwind(payload);
+        if let Some((_, payload)) = batch.panic.lock().expect("pool panic slot poisoned").take() {
+            resume_unwind(payload);
         }
         results
             .into_iter()
@@ -350,7 +436,7 @@ unsafe impl<R: Send> Send for SlotPtr<R> {}
 /// run it, repeat; park on the condvar when the injector is empty.
 fn worker_loop(inner: &Inner) {
     loop {
-        let claimed: (Arc<Batch>, Task) = {
+        let claimed: (Arc<Batch>, (usize, Task)) = {
             let mut injector = inner.injector.lock().expect("pool injector poisoned");
             loop {
                 if inner.shutdown.load(Ordering::SeqCst) {

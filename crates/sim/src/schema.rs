@@ -20,7 +20,7 @@
 use crate::columnar::FingerprintHasher;
 use crate::delta::DeltaPrediction;
 use crate::engine::{run_round, EngineConfig, EngineError};
-use crate::mapper::{FnMapper, FnReducer};
+use crate::mapper::{FnMapper, FnReducer, Mapper, Reducer};
 use crate::metrics::RoundMetrics;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash};
@@ -223,6 +223,32 @@ pub fn price_change(
     }
 }
 
+/// A schema as one round's mapper and reducer — the single place the
+/// workspace turns §2.2's assignment into emissions: input `i` is sent,
+/// whole, to every reducer `assign(i)` names, and reducer `r` runs
+/// `reduce(r, ..)` over what arrived.
+pub(crate) fn schema_round<'s, I, O, S>(
+    schema: &'s S,
+) -> (
+    impl Mapper<I, ReducerId, I> + 's,
+    impl Reducer<ReducerId, I, O> + 's,
+)
+where
+    I: Clone,
+    S: SchemaJob<I, O> + ?Sized,
+{
+    (
+        FnMapper(move |input: &I, emit: &mut dyn FnMut(ReducerId, I)| {
+            for r in schema.assign(input) {
+                emit(r, input.clone());
+            }
+        }),
+        FnReducer(move |rid: &ReducerId, vs: &[I], emit: &mut dyn FnMut(O)| {
+            schema.reduce(*rid, vs, emit)
+        }),
+    )
+}
+
 /// Executes a [`SchemaJob`] on the engine.
 ///
 /// Returns the outputs plus the round metrics; the metrics'
@@ -238,41 +264,8 @@ where
     O: Send,
     S: SchemaJob<I, O>,
 {
-    let mapper = FnMapper(|input: &I, emit: &mut dyn FnMut(ReducerId, I)| {
-        for r in schema.assign(input) {
-            emit(r, input.clone());
-        }
-    });
-    let reducer = FnReducer(|rid: &ReducerId, vs: &[I], emit: &mut dyn FnMut(O)| {
-        schema.reduce(*rid, vs, emit)
-    });
+    let (mapper, reducer) = schema_round(schema);
     run_round(inputs, &mapper, &reducer, config)
-}
-
-/// Executes a [`SchemaJob`] on the engine, additionally reporting the
-/// wall-clock time of the round.
-///
-/// The timing covers exactly the engine run (map, shuffle, reduce) and
-/// nothing else — no input construction, no metric post-processing. It is
-/// *execution metadata* in the same sense as
-/// [`ShuffleStats`](crate::metrics::ShuffleStats): two runs that compute
-/// the same thing will report different durations, so callers comparing
-/// runs for determinism must compare outputs and metrics only. The
-/// frontier-sweep subsystem in `mr-bench` builds its wall-clock column on
-/// this entry point.
-pub fn run_schema_timed<I, O, S>(
-    inputs: &[I],
-    schema: &S,
-    config: &EngineConfig,
-) -> Result<(Vec<O>, RoundMetrics, Duration), EngineError>
-where
-    I: Clone + Send + Sync,
-    O: Send,
-    S: SchemaJob<I, O>,
-{
-    let start = Instant::now();
-    let (outputs, metrics) = run_schema(inputs, schema, config)?;
-    Ok((outputs, metrics, start.elapsed()))
 }
 
 /// A fully type-erased schema job: the assignment and reduce logic of a
@@ -328,6 +321,18 @@ impl<'a> DynSchema<'a> {
     }
 }
 
+/// An erased schema is a schema over input indices whose outputs carry
+/// nothing but their count.
+impl SchemaJob<usize, ()> for DynSchema<'_> {
+    fn assign(&self, index: &usize) -> Vec<ReducerId> {
+        (self.assign)(*index)
+    }
+
+    fn reduce(&self, reducer: ReducerId, indices: &[usize], emit: &mut dyn FnMut(())) {
+        (self.reduce)(reducer, indices, &mut || emit(()))
+    }
+}
+
 /// Executes a type-erased [`DynSchema`] on the engine, reporting the
 /// output count, the round metrics, and the round's wall-clock time.
 ///
@@ -342,22 +347,20 @@ impl<'a> DynSchema<'a> {
 /// `()` for output values changes neither. The frontier sweep's
 /// byte-identical-output tests ride on this equivalence.
 ///
-/// Wall-clock is execution metadata, as in [`run_schema_timed`].
+/// The timing covers exactly the engine run (map, shuffle, reduce) and
+/// nothing else — no input construction, no metric post-processing. It is
+/// *execution metadata* in the same sense as
+/// [`ShuffleStats`](crate::metrics::ShuffleStats): two runs that compute
+/// the same thing will report different durations, so callers comparing
+/// runs for determinism must compare outputs and metrics only. The
+/// frontier sweep in `mr-bench` builds its wall-clock column on it.
 pub fn run_schema_dyn(
     schema: &DynSchema<'_>,
     config: &EngineConfig,
 ) -> Result<(u64, RoundMetrics, Duration), EngineError> {
-    let start = Instant::now();
     let indices: Vec<usize> = (0..schema.num_inputs).collect();
-    let mapper = FnMapper(|i: &usize, emit: &mut dyn FnMut(ReducerId, usize)| {
-        for r in (schema.assign)(*i) {
-            emit(r, *i);
-        }
-    });
-    let reducer = FnReducer(|rid: &ReducerId, vs: &[usize], emit: &mut dyn FnMut(())| {
-        (schema.reduce)(*rid, vs, &mut || emit(()))
-    });
-    let (outputs, metrics) = run_round(&indices, &mapper, &reducer, config)?;
+    let start = Instant::now();
+    let (outputs, metrics) = run_schema(&indices, schema, config)?;
     debug_assert_eq!(outputs.len() as u64, metrics.outputs);
     Ok((metrics.outputs, metrics, start.elapsed()))
 }
@@ -463,25 +466,6 @@ mod tests {
             assert_eq!(seq_out, out, "outputs diverged at workers={workers}");
             assert_eq!(seq_m, m, "metrics diverged at workers={workers}");
         }
-    }
-
-    #[test]
-    fn timed_run_matches_untimed_and_reports_a_duration() {
-        let inputs: Vec<u32> = (0..64).collect();
-        let (out, m) = run_schema(&inputs, &PairUp, &EngineConfig::sequential()).unwrap();
-        let (tout, tm, wall) =
-            run_schema_timed(&inputs, &PairUp, &EngineConfig::sequential()).unwrap();
-        assert_eq!(out, tout);
-        assert_eq!(m, tm);
-        // A finished round took *some* time; an exact value is unknowable.
-        assert!(wall > Duration::ZERO);
-    }
-
-    #[test]
-    fn timed_run_propagates_overflow() {
-        let inputs: Vec<u32> = (0..30).collect();
-        let cfg = EngineConfig::sequential().with_max_reducer_inputs(1);
-        assert!(run_schema_timed(&inputs, &PairUp, &cfg).is_err());
     }
 
     #[test]

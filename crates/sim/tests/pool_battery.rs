@@ -11,14 +11,24 @@
 //! key) at every worker count 1–16. The battery also pins the worker-count
 //! clamp contract through the pooled path: `workers: 0` and absurdly large
 //! worker counts are behavioural no-ops.
+//!
+//! Both substrates live behind one function, [`Executor::fan_out`]; its
+//! own contract (item order, exactly-once, the inline rule, the scoped
+//! width bound, nesting) and its panic contract (the sequential run's
+//! panic, whatever the schedule) are pinned here too.
 
 use mr_sim::naive::run_round_combined_naive;
 use mr_sim::{
-    run_round_combined_on, run_round_on, run_schema, run_schema_retained, DagJob, Delta,
+    run_round, run_round_combined_on, run_round_on, run_schema, run_schema_retained, DagJob, Delta,
     EngineConfig, Executor, FnCombiner, FnMapper, FnReducer, Pipeline, RoundMetrics, SchemaJob,
     Seq, WorkerPool,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::thread::ThreadId;
+use std::time::Duration;
 
 /// Worker counts the battery sweeps on every executor.
 const WORKER_COUNTS: [usize; 6] = [1, 2, 3, 4, 8, 16];
@@ -89,6 +99,125 @@ impl SchemaJob<u64, u64> for DigestFan {
                 .wrapping_add(digest.rotate_left(17)),
         );
     }
+}
+
+#[test]
+fn fan_out_honours_its_contract_on_both_substrates() {
+    /// An item that cannot be copied: whoever ran it, consumed it.
+    struct Token(usize);
+    let caller = std::thread::current().id();
+    for executor in Executor::ALL {
+        for width in [0usize, 1, 2, 3, 16, 100_000] {
+            for n in [0usize, 1, 2, 7, 1_000] {
+                let case = format!("{} width={width} items={n}", executor.name());
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let threads: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
+                let items: Vec<Token> = (0..n).map(Token).collect();
+                let results = executor.fan_out(width, items, |Token(i)| {
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                    threads
+                        .lock()
+                        .expect("no task panics while recording")
+                        .insert(std::thread::current().id());
+                    i * 3 + 1
+                });
+                let expect: Vec<usize> = (0..n).map(|i| i * 3 + 1).collect();
+                assert_eq!(results, expect, "{case}: results out of item order");
+                assert!(
+                    runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                    "{case}: an item ran more or less than once"
+                );
+                let threads = threads.into_inner().expect("no task panicked");
+                if width <= 1 || n < 2 {
+                    assert!(
+                        threads.iter().all(|&t| t == caller),
+                        "{case}: must run inline on the calling thread"
+                    );
+                } else if executor == Executor::Scoped {
+                    assert!(
+                        threads.len() <= width.min(n),
+                        "{case}: {} lanes ran items",
+                        threads.len()
+                    );
+                }
+            }
+        }
+        // A fan-out issued from inside a fan-out task completes (on the
+        // pool the submitting task drains its own batch, so nesting cannot
+        // starve even with every worker busy in the outer one).
+        let sums = executor.fan_out(4, (0..4u64).collect(), |i| {
+            executor
+                .fan_out(3, (0..5u64).collect(), |j| i * 10 + j)
+                .iter()
+                .sum::<u64>()
+        });
+        assert_eq!(sums, vec![10, 60, 110, 160], "{}", executor.name());
+    }
+}
+
+/// The message a caught panic carried, whether it was raised with a
+/// literal or with format arguments.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => match payload.downcast::<&'static str>() {
+            Ok(message) => message.to_string(),
+            Err(_) => "<payload is not a string>".to_string(),
+        },
+    }
+}
+
+#[test]
+fn a_panicking_task_raises_the_sequential_panic_on_both_substrates() {
+    // Two of a hundred tasks panic, and the lower one is slow: raised
+    // first in time it is not. The sequential run reports it anyway, so
+    // every worker count on both substrates must too. The sleep is not a
+    // synchronisation the assertion leans on - lowest-index-wins holds
+    // under any schedule - it only keeps a first-in-time implementation
+    // from passing by luck.
+    let boom = |x: u64| {
+        if x == 10 {
+            std::thread::sleep(Duration::from_millis(30));
+        }
+        if x == 10 || x == 90 {
+            panic!("boom {x}");
+        }
+    };
+    let inputs: Vec<u64> = (0..100).collect();
+    let bad_mapper = FnMapper(|x: &u64, emit: &mut dyn FnMut(u64, u64)| {
+        boom(*x);
+        emit(*x, *x);
+    });
+    let good_mapper = FnMapper(|x: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*x, *x));
+    let bad_reducer = FnReducer(|k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| {
+        boom(*k);
+        emit(vs[0]);
+    });
+    let good_reducer = FnReducer(|_: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs[0]));
+    for executor in Executor::ALL {
+        for workers in [1usize, 2, 3, 8, 16] {
+            let cfg = EngineConfig::parallel(workers).with_executor(executor);
+            let in_reduce = catch_unwind(AssertUnwindSafe(|| {
+                run_round(&inputs, &good_mapper, &bad_reducer, &cfg)
+            }));
+            let in_map = catch_unwind(AssertUnwindSafe(|| {
+                run_round(&inputs, &bad_mapper, &good_reducer, &cfg)
+            }));
+            for (phase, caught) in [("reducer", in_reduce), ("mapper", in_map)] {
+                let payload = caught.expect_err("the round must panic");
+                assert_eq!(
+                    panic_message(payload),
+                    "boom 10",
+                    "{phase} panic on {} at workers={workers}",
+                    executor.name()
+                );
+            }
+        }
+    }
+    // The resident pool took those panicking batches and is still whole.
+    let cfg = EngineConfig::parallel(4).with_executor(Executor::Pool);
+    let (out, _) = run_round(&inputs, &good_mapper, &good_reducer, &cfg).expect("no q bound set");
+    assert_eq!(out, inputs);
 }
 
 #[test]

@@ -2,7 +2,9 @@
 //! combiner transparency for associative-commutative folds, and pipeline
 //! metric identities.
 
-use mr_sim::{run_round, run_round_combined, EngineConfig, FnCombiner, FnMapper, FnReducer, Job};
+use mr_sim::{
+    run_round, run_round_combined, EngineConfig, Executor, FnCombiner, FnMapper, FnReducer, Job,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -30,6 +32,48 @@ proptest! {
         prop_assert_eq!(cm.pre_combine_pairs, pm.kv_pairs);
         // Combining cannot increase wire traffic.
         prop_assert!(cm.round.kv_pairs <= pm.kv_pairs);
+    }
+
+    /// The combined round and the plain round are one kernel: when no two
+    /// emissions of a map chunk share a key the combiner has nothing to
+    /// merge, and then the two entry points agree on everything —
+    /// outputs, semantic metrics, and the execution picture
+    /// (`ShuffleStats`: partition loads, bytes moved, bucket histogram)
+    /// that `RoundMetrics`' own equality leaves out. Fails the day the two
+    /// paths route, chunk or count differently.
+    #[test]
+    fn an_idle_combiner_leaves_the_plain_round(
+        values in proptest::collection::vec(0u64..1_000, 0..300),
+    ) {
+        let inputs: Vec<(u64, u64)> = (0u64..).zip(values).collect();
+        let n = inputs.len();
+        let reducer = FnReducer(|k: &u64, vs: &[u64], emit: &mut dyn FnMut((u64, u64))| {
+            emit((*k, vs.iter().fold(0u64, |acc, v| acc.rotate_left(7) ^ v)))
+        });
+        let combiner = FnCombiner(|k: &u64, _: &mut u64, _: u64| {
+            panic!("key {k} repeats within a chunk: the property's premise is broken")
+        });
+        for workers in [1usize, 2, 5, 16] {
+            // Chunks are runs of at most this many consecutive inputs, so
+            // positions modulo it are distinct within a chunk — and, past
+            // one worker, repeat across chunks.
+            let chunk = n.div_ceil(workers.min(n).max(1)).max(1) as u64;
+            let mapper = FnMapper(move |&(i, v): &(u64, u64), emit: &mut dyn FnMut(u64, u64)| {
+                emit(i % chunk, v);
+                emit(chunk + i % chunk, v ^ i);
+            });
+            for executor in Executor::ALL {
+                let cfg = EngineConfig::parallel(workers).with_executor(executor);
+                let (plain, pm) = run_round(&inputs, &mapper, &reducer, &cfg).unwrap();
+                let (combined, cm) =
+                    run_round_combined(&inputs, &mapper, &combiner, &reducer, &cfg).unwrap();
+                let case = format!("workers={workers} on {}", executor.name());
+                prop_assert_eq!(&plain, &combined, "outputs, {}", case);
+                prop_assert_eq!(&pm, &cm.round, "semantic metrics, {}", case);
+                prop_assert_eq!(&pm.shuffle, &cm.round.shuffle, "shuffle stats, {}", case);
+                prop_assert_eq!(cm.pre_combine_pairs, pm.kv_pairs, "{}", case);
+            }
+        }
     }
 
     /// Two-round pipelines are deterministic across worker counts and
