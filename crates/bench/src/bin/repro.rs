@@ -28,7 +28,10 @@
 //! implies `plan` otherwise. `--trace` asks `plan`/`dag`/`delta` to
 //! record themselves with mr-obs (implying `plan` when none is chosen);
 //! `--out PATH` belongs to `trace` and implies it. Unknown tokens abort
-//! with the full vocabulary.
+//! with the full vocabulary; a selection an experiment refuses
+//! (`--q-budget abc`, two scales, `--out` without a path) is
+//! `<id> selection error: …` on stderr with nothing for that experiment
+//! on stdout. Either way the exit code is non-zero.
 
 use mr_bench::experiments::{self, plan, Experiment};
 use mr_bench::sweep;
@@ -161,9 +164,13 @@ fn main() {
             "trace" => selectors.iter().chain(out_extra.iter()).cloned().collect(),
             _ => Vec::new(),
         };
+        let report = e.run(&extra).unwrap_or_else(|err| {
+            eprintln!("{} selection error: {err}", e.id);
+            std::process::exit(1);
+        });
         println!("================================================================");
         println!("[{}]", e.id);
         println!("================================================================");
-        println!("{}", e.run(&extra));
+        println!("{report}");
     }
 }

@@ -78,7 +78,10 @@ enum Outcome {
     Aborted(&'static str, EngineError),
 }
 
-fn run(args: &[String]) -> Result<String, String> {
+/// The `repro dag` runner. `Err` is a selection it refuses (an unknown
+/// workload, a second scale, a malformed `--q-budget`) with the
+/// vocabulary; `repro` prints it on stderr and exits non-zero.
+pub fn run(args: &[String]) -> Result<String, String> {
     let (picked, scale, cluster, trace) = parse(args)?;
     // As in `repro plan`: a resident PlanCache fronts the round-structure
     // search. The first pass populates (all misses, used for execution);
@@ -253,12 +256,6 @@ fn semantic_json(cluster: &ClusterSpec, outcomes: &[Outcome], cache: CacheStats)
     out
 }
 
-/// The `repro dag` runner: selector errors become the report text (the
-/// repro driver validates most tokens up front, so this is a backstop).
-pub fn report_args(args: &[String]) -> String {
-    run(args).unwrap_or_else(|e| format!("dag selection error: {e}"))
-}
-
 /// True when `token` selects a dag workload that is *not* also a shared
 /// family selector (today only `join-agg`) — the repro driver uses this
 /// to accept such tokens on the command line.
@@ -276,7 +273,7 @@ mod tests {
 
     #[test]
     fn default_report_covers_every_workload() {
-        let out = report_args(&args(&["small"]));
+        let out = run(&args(&["small"])).unwrap();
         for w in DagWorkload::ALL {
             assert!(out.contains(w.name()), "{} missing:\n{out}", w.name());
         }
@@ -289,16 +286,16 @@ mod tests {
     #[test]
     fn q_budget_flips_matmul_to_a_multi_round_tree() {
         // Small scale: n = 4, n² = 16.
-        let out = report_args(&args(&["small", "matmul", "--q-budget", "8"]));
+        let out = run(&args(&["small", "matmul", "--q-budget", "8"])).unwrap();
         assert!(out.contains("two-phase(n=4"), "{out}");
         assert!(out.contains("q-budget=8"));
-        let out2 = report_args(&args(&["small", "matmul", "--q-budget", "16"]));
+        let out2 = run(&args(&["small", "matmul", "--q-budget", "16"])).unwrap();
         assert!(out2.contains("one-phase(n=4"), "{out2}");
     }
 
     #[test]
     fn per_round_observations_are_printed_for_every_round() {
-        let out = report_args(&args(&["small", "join-agg"]));
+        let out = run(&args(&["small", "join-agg"])).unwrap();
         // The pushed pipeline has a join round and an aggregate round at
         // minimum; both must appear in the per-round table.
         assert!(out.contains("q(pred)"), "{out}");
@@ -307,18 +304,18 @@ mod tests {
 
     #[test]
     fn impossible_budget_is_refused_not_planned() {
-        let out = report_args(&args(&["small", "matmul", "--q-budget", "1"]));
+        let out = run(&args(&["small", "matmul", "--q-budget", "1"])).unwrap();
         assert!(out.contains("REFUSED"), "{out}");
     }
 
     #[test]
     fn bad_tokens_are_reported_with_the_vocabulary() {
-        let out = report_args(&args(&["bogus"]));
-        assert!(out.contains("dag selection error"));
+        let out = run(&args(&["bogus"])).unwrap_err();
+        assert!(out.contains("unknown dag selector 'bogus'"));
         assert!(out.contains("join-agg"));
-        let out2 = report_args(&args(&["--q-budget"]));
+        let out2 = run(&args(&["--q-budget"])).unwrap_err();
         assert!(out2.contains("requires a value"));
-        let out3 = report_args(&args(&["small", "full"]));
+        let out3 = run(&args(&["small", "full"])).unwrap_err();
         assert!(out3.contains("at most one scale"));
     }
 
@@ -327,7 +324,7 @@ mod tests {
         // Two planning passes over the full workload set: all three plan
         // cleanly on the default cluster, so first pass misses, second hits.
         let n = DagWorkload::ALL.len() as u64;
-        let out = report_args(&args(&["small"]));
+        let out = run(&args(&["small"])).unwrap();
         let expected = format!("\"plan_cache\": {{\"hits\": {n}, \"misses\": {n}}}");
         assert!(out.contains(&expected), "{out}");
     }
@@ -335,7 +332,7 @@ mod tests {
     #[test]
     fn semantic_json_is_byte_identical_across_runs() {
         let json = |_: ()| {
-            let out = report_args(&args(&["small"]));
+            let out = run(&args(&["small"])).unwrap();
             out.split("JSON").nth(1).unwrap().to_string()
         };
         assert_eq!(json(()), json(()));
@@ -343,8 +340,8 @@ mod tests {
 
     #[test]
     fn trace_flag_appends_a_trace_section_without_touching_the_json() {
-        let with = report_args(&args(&["small", "join-agg", "--trace"]));
-        let without = report_args(&args(&["small", "join-agg"]));
+        let with = run(&args(&["small", "join-agg", "--trace"])).unwrap();
+        let without = run(&args(&["small", "join-agg"])).unwrap();
         let json_of = |s: &str| {
             s.split("JSON")
                 .nth(1)

@@ -70,7 +70,10 @@ fn churn_family(family: &'static str, scale: Scale) -> Row {
     }
 }
 
-fn run(args: &[String]) -> Result<String, String> {
+/// The `repro delta` runner. `Err` is a selection it refuses (an unknown
+/// family, a second scale) with the vocabulary; `repro` prints it on
+/// stderr and exits non-zero.
+pub fn run(args: &[String]) -> Result<String, String> {
     let (picked, scale, trace) = parse(args)?;
     let compute = || -> Vec<Row> { picked.iter().map(|f| churn_family(f, scale)).collect() };
     let (rows, trace_report) = if trace {
@@ -169,12 +172,6 @@ fn semantic_json(scale: Scale, rows: &[Row]) -> String {
     out
 }
 
-/// The `repro delta` runner: selector errors become the report text (the
-/// repro driver validates most tokens up front, so this is a backstop).
-pub fn report_args(args: &[String]) -> String {
-    run(args).unwrap_or_else(|e| format!("delta selection error: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,7 +182,7 @@ mod tests {
 
     #[test]
     fn default_report_churns_every_family() {
-        let out = report_args(&args(&["small"]));
+        let out = run(&args(&["small"])).unwrap();
         for family in crate::sweep::available_families() {
             assert!(out.contains(family), "{family} missing:\n{out}");
         }
@@ -196,7 +193,7 @@ mod tests {
 
     #[test]
     fn family_and_scale_selectors_filter_the_run() {
-        let out = report_args(&args(&["small", "triangles"]));
+        let out = run(&args(&["small", "triangles"])).unwrap();
         assert!(out.contains("triangles"));
         assert!(!out.contains("matmul"));
         assert!(out.contains("\"scale\": \"small\""));
@@ -204,17 +201,17 @@ mod tests {
 
     #[test]
     fn bad_tokens_are_reported_with_the_vocabulary() {
-        let out = report_args(&args(&["bogus"]));
-        assert!(out.contains("delta selection error"));
+        let out = run(&args(&["bogus"])).unwrap_err();
+        assert!(out.contains("unknown delta selector 'bogus'"));
         assert!(out.contains("hamming-d1"));
-        let out2 = report_args(&args(&["small", "full"]));
+        let out2 = run(&args(&["small", "full"])).unwrap_err();
         assert!(out2.contains("at most one scale"));
     }
 
     #[test]
     fn semantic_json_is_byte_identical_across_runs() {
         let json = |_: ()| {
-            let out = report_args(&args(&["small", "two-path"]));
+            let out = run(&args(&["small", "two-path"])).unwrap();
             out.split("JSON").nth(1).unwrap().to_string()
         };
         assert_eq!(json(()), json(()));
@@ -222,8 +219,8 @@ mod tests {
 
     #[test]
     fn trace_flag_appends_a_trace_section_without_touching_the_json() {
-        let with = report_args(&args(&["small", "two-path", "--trace"]));
-        let without = report_args(&args(&["small", "two-path"]));
+        let with = run(&args(&["small", "two-path", "--trace"])).unwrap();
+        let without = run(&args(&["small", "two-path"])).unwrap();
         let json_of = |s: &str| {
             s.split("JSON")
                 .nth(1)

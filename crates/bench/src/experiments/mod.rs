@@ -24,9 +24,9 @@ pub enum Runner {
     /// A fixed report: most experiments take no parameters.
     Simple(fn() -> String),
     /// A parameterised report: the runner receives the experiment's
-    /// extra command-line tokens (today only `frontier`, whose args
-    /// select families and a scale preset).
-    WithArgs(fn(&[String]) -> String),
+    /// extra command-line tokens (family/scale selectors and flags) and
+    /// returns `Err` with the vocabulary when it cannot accept them.
+    WithArgs(fn(&[String]) -> Result<String, String>),
 }
 
 /// An experiment: stable id, one-line description (shown by
@@ -42,10 +42,11 @@ pub struct Experiment {
 
 impl Experiment {
     /// Produces the report; `args` are the experiment's extra tokens
-    /// (ignored by [`Runner::Simple`] experiments).
-    pub fn run(&self, args: &[String]) -> String {
+    /// (ignored by [`Runner::Simple`] experiments). `Err` is a selection
+    /// the experiment refuses, with its reason.
+    pub fn run(&self, args: &[String]) -> Result<String, String> {
         match self.runner {
-            Runner::Simple(f) => f(),
+            Runner::Simple(f) => Ok(f()),
             Runner::WithArgs(f) => f(args),
         }
     }
@@ -135,28 +136,28 @@ pub fn all() -> Vec<Experiment> {
             id: "frontier",
             description: "§2.4 vs §§3–6: empirical (q, r) sweep over the family registry; \
                  args select families/scale (e.g. `frontier hamming-d1 matmul`, `frontier small`)",
-            runner: Runner::WithArgs(crate::sweep::report_args),
+            runner: Runner::WithArgs(crate::sweep::report_for),
         },
         Experiment {
             id: "plan",
             description: "mr-plan: cost-based planner — cheapest algorithm per family for a \
                  cluster spec, predicted vs measured (q, r, cost); args select \
                  families/scale and `--q-budget N` (e.g. `plan matmul --q-budget 32`)",
-            runner: Runner::WithArgs(crate::experiments::plan::report_args),
+            runner: Runner::WithArgs(crate::experiments::plan::run),
         },
         Experiment {
             id: "dag",
             description: "mr-plan::dag: round-structure search — cheapest DAG of rounds per \
                  workload, per-round predicted vs measured (q, r) and total cost; args select \
                  workloads/scale and `--q-budget N` (e.g. `dag matmul --q-budget 8`)",
-            runner: Runner::WithArgs(crate::experiments::dag::report_args),
+            runner: Runner::WithArgs(crate::experiments::dag::run),
         },
         Experiment {
             id: "delta",
             description: "incremental execution: churn each resident family, dirty-reducer \
                  count and delta-shuffle volume vs the full run; args select \
                  families/scale (e.g. `delta triangles small`)",
-            runner: Runner::WithArgs(crate::experiments::delta::report_args),
+            runner: Runner::WithArgs(crate::experiments::delta::run),
         },
         Experiment {
             id: "trace",
@@ -164,7 +165,7 @@ pub fn all() -> Vec<Experiment> {
                  snapshot, and Chrome trace_event JSON for Perfetto; args pick a \
                  family or dag workload, a scale, and `--out PATH` \
                  (e.g. `trace hamming-d1 --out trace.json`)",
-            runner: Runner::WithArgs(crate::experiments::trace::report_args),
+            runner: Runner::WithArgs(crate::experiments::trace::run),
         },
     ]
 }

@@ -67,7 +67,10 @@ enum Outcome {
     Aborted(&'static str, EngineError),
 }
 
-fn run(args: &[String]) -> Result<String, String> {
+/// The `repro plan` runner. `Err` is a selection it refuses (an unknown
+/// or unplannable family, a second scale, a malformed `--q-budget`) with
+/// the vocabulary; `repro` prints it on stderr and exits non-zero.
+pub fn run(args: &[String]) -> Result<String, String> {
     let (picked, scale, cluster, trace) = parse(args)?;
     // All planning goes through a resident PlanCache, the way the future
     // mr-serve daemon would hold one: the first pass over the families
@@ -215,15 +218,9 @@ fn semantic_json(cluster: &ClusterSpec, outcomes: &[Outcome], cache: CacheStats)
     out
 }
 
-/// The `repro plan` runner: selector errors become the report text (the
-/// repro driver validates most tokens up front, so this is a backstop).
-pub fn report_args(args: &[String]) -> String {
-    run(args).unwrap_or_else(|e| format!("plan selection error: {e}"))
-}
-
 /// True when `token` is something `repro plan` can consume *besides* the
 /// shared family/scale selectors: today only the budget flag (its numeric
-/// value is validated by [`report_args`]).
+/// value is validated by [`run`]).
 pub fn is_plan_flag(token: &str) -> bool {
     token == Q_BUDGET_FLAG
 }
@@ -238,7 +235,7 @@ mod tests {
 
     #[test]
     fn default_report_plans_every_family() {
-        let out = report_args(&args(&["small"]));
+        let out = run(&args(&["small"])).unwrap();
         for family in plannable_families() {
             assert!(out.contains(family), "{family} missing:\n{out}");
         }
@@ -250,37 +247,37 @@ mod tests {
     #[test]
     fn q_budget_flips_matmul_to_two_phase() {
         // Small scale: n = 4, n² = 16.
-        let out = report_args(&args(&["small", "matmul", "--q-budget", "8"]));
+        let out = run(&args(&["small", "matmul", "--q-budget", "8"])).unwrap();
         assert!(out.contains("two-phase(n=4"), "{out}");
         assert!(out.contains("q-budget=8"));
-        let out2 = report_args(&args(&["small", "matmul", "--q-budget", "16"]));
+        let out2 = run(&args(&["small", "matmul", "--q-budget", "16"])).unwrap();
         assert!(out2.contains("one-phase(n=4"), "{out2}");
     }
 
     #[test]
     fn impossible_budget_is_refused_not_planned() {
-        let out = report_args(&args(&["small", "triangles", "--q-budget", "1"]));
+        let out = run(&args(&["small", "triangles", "--q-budget", "1"])).unwrap();
         assert!(out.contains("REFUSED"), "{out}");
         assert!(out.contains("no schema fits"));
     }
 
     #[test]
     fn bad_tokens_are_reported_with_the_vocabulary() {
-        let out = report_args(&args(&["bogus"]));
-        assert!(out.contains("plan selection error"));
+        let out = run(&args(&["bogus"])).unwrap_err();
+        assert!(out.contains("unknown plan selector 'bogus'"));
         assert!(out.contains("hamming-d1"));
-        let out2 = report_args(&args(&["--q-budget"]));
+        let out2 = run(&args(&["--q-budget"])).unwrap_err();
         assert!(out2.contains("requires a value"));
-        let out3 = report_args(&args(&["--q-budget", "zero"]));
+        let out3 = run(&args(&["--q-budget", "zero"])).unwrap_err();
         assert!(out3.contains("is not a number"));
-        let out4 = report_args(&args(&["small", "full"]));
+        let out4 = run(&args(&["small", "full"])).unwrap_err();
         assert!(out4.contains("at most one scale"));
     }
 
     #[test]
     fn semantic_json_is_byte_identical_across_runs() {
         let json = |_: ()| {
-            let out = report_args(&args(&["small"]));
+            let out = run(&args(&["small"])).unwrap();
             out.split("JSON").nth(1).unwrap().to_string()
         };
         // Everything after the JSON marker excludes wall-clock, so two
@@ -294,7 +291,7 @@ mod tests {
         // second all hits (every family plans cleanly on the default
         // cluster, so nothing is excluded from the cache).
         let n = plannable_families().len() as u64;
-        let out = report_args(&args(&["small"]));
+        let out = run(&args(&["small"])).unwrap();
         let expected = format!("\"plan_cache\": {{\"hits\": {n}, \"misses\": {n}}}");
         assert!(out.contains(&expected), "{out}");
     }
@@ -303,7 +300,7 @@ mod tests {
     fn refused_plans_keep_missing_the_cache() {
         // triangles with q-budget 1 is refused, and refusals are never
         // cached: both passes miss.
-        let out = report_args(&args(&["small", "triangles", "--q-budget", "1"]));
+        let out = run(&args(&["small", "triangles", "--q-budget", "1"])).unwrap();
         assert!(
             out.contains("\"plan_cache\": {\"hits\": 0, \"misses\": 2}"),
             "{out}"
@@ -312,8 +309,8 @@ mod tests {
 
     #[test]
     fn trace_flag_appends_a_trace_section_without_touching_the_json() {
-        let with = report_args(&args(&["small", "two-path", "--trace"]));
-        let without = report_args(&args(&["small", "two-path"]));
+        let with = run(&args(&["small", "two-path", "--trace"])).unwrap();
+        let without = run(&args(&["small", "two-path"])).unwrap();
         let json_of = |s: &str| {
             s.split("JSON")
                 .nth(1)
@@ -332,13 +329,16 @@ mod tests {
 
     #[test]
     fn partition_skew_lands_in_the_table() {
-        let out = report_args(&args(&["small"]));
+        let out = run(&args(&["small"])).unwrap();
         assert!(out.contains("skew"), "{out}");
     }
 
     #[test]
     fn sparse_families_are_not_plannable() {
-        let out = report_args(&args(&["triangles-gnm"]));
-        assert!(out.contains("plan selection error"), "{out}");
+        let out = run(&args(&["triangles-gnm"])).unwrap_err();
+        assert!(
+            out.contains("unknown plan selector 'triangles-gnm'"),
+            "{out}"
+        );
     }
 }

@@ -179,7 +179,11 @@ fn snapshot_json(workload: &str, workers: usize, trace: &mr_obs::Trace) -> Strin
     out
 }
 
-fn run(args: &[String]) -> Result<String, String> {
+/// The `repro trace` runner. `Err` is a selection it refuses (an unknown
+/// or ambiguous workload, a second workload or scale, `--out` without a
+/// path) or an `--out` file it cannot write; `repro` prints it on stderr
+/// and exits non-zero.
+pub fn run(args: &[String]) -> Result<String, String> {
     let (target, scale, out_path) = parse(args)?;
     let workers = 4;
     let engine = EngineConfig::parallel(workers);
@@ -259,12 +263,6 @@ fn run(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// The `repro trace` runner: selector errors become the report text (the
-/// repro driver validates most tokens up front, so this is a backstop).
-pub fn report_args(args: &[String]) -> String {
-    run(args).unwrap_or_else(|e| format!("trace selection error: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,7 +273,7 @@ mod tests {
 
     #[test]
     fn hamming_prefix_traces_the_whole_execution_stack() {
-        let out = report_args(&args(&["hamming", "small"]));
+        let out = run(&args(&["hamming", "small"])).unwrap();
         assert!(out.contains("family hamming-d1"), "{out}");
         assert!(out.contains("span tree: well-formed"), "{out}");
         for span in ["engine.map", "engine.shuffle", "engine.reduce"] {
@@ -286,7 +284,7 @@ mod tests {
 
     #[test]
     fn dag_workloads_are_traceable_too() {
-        let out = report_args(&args(&["join-agg", "small"]));
+        let out = run(&args(&["join-agg", "small"])).unwrap();
         assert!(out.contains("dag workload join-agg"), "{out}");
         assert!(out.contains("dag.execute"), "{out}");
         assert!(out.contains("dag.run"), "{out}");
@@ -294,7 +292,7 @@ mod tests {
 
     #[test]
     fn snapshot_json_parses_back() {
-        let out = report_args(&args(&["triangles", "small"]));
+        let out = run(&args(&["triangles", "small"])).unwrap();
         let start = out.find("{\n  \"subsystem\": \"trace\"").expect("snapshot");
         let snapshot = &out[start..out[start..].find("\n}\n").unwrap() + start + 3];
         let value = json::parse(snapshot).expect("snapshot is valid JSON");
@@ -310,7 +308,7 @@ mod tests {
     fn chrome_json_lands_in_the_out_file() {
         let path = std::env::temp_dir().join("mr-obs-trace-test.json");
         let path_str = path.to_string_lossy().to_string();
-        let out = report_args(&args(&["two-path", "small", OUT_FLAG, &path_str]));
+        let out = run(&args(&["two-path", "small", OUT_FLAG, &path_str])).unwrap();
         assert!(out.contains("written to"), "{out}");
         let written = std::fs::read_to_string(&path).expect("file written");
         assert!(written.contains("\"traceEvents\""));
@@ -320,12 +318,12 @@ mod tests {
 
     #[test]
     fn bad_tokens_are_reported_with_the_vocabulary() {
-        let out = report_args(&args(&["bogus"]));
-        assert!(out.contains("trace selection error"), "{out}");
+        let out = run(&args(&["bogus"])).unwrap_err();
+        assert!(out.contains("unknown trace workload 'bogus'"), "{out}");
         assert!(out.contains("hamming-d1"), "{out}");
-        let out2 = report_args(&args(&[OUT_FLAG]));
+        let out2 = run(&args(&[OUT_FLAG])).unwrap_err();
         assert!(out2.contains("requires a path"), "{out2}");
-        let out3 = report_args(&args(&["hamming-d1", "triangles"]));
+        let out3 = run(&args(&["hamming-d1", "triangles"])).unwrap_err();
         assert!(out3.contains("at most one workload"), "{out3}");
     }
 }

@@ -9,10 +9,13 @@
 //! dialect: compact objects, `", "` separators, shortest-round-trip
 //! numbers.
 //!
-//! [`parse`] is the matching reader: a small recursive-descent parser
-//! used by the baseline round-trip tests to prove that everything the
-//! emitters and `record_bench` write parses back as JSON (emission
-//! without a parser is exactly the kind of contract that silently rots).
+//! [`parse`] is the matching reader, a small recursive-descent parser:
+//! `mr-perf compare` reads saved ledger reports with it, the ledger's
+//! contract tests read `BENCHMARK.json` and every result line with it, and
+//! the `repro trace` tests prove the snapshot and Chrome exports parse
+//! back. Those files come from outside the program, so a malformed one is
+//! an `Err`, never a panic: nesting is capped at [`MAX_DEPTH`] and the
+//! work is linear in the input.
 
 /// Escapes a string for a JSON string literal (quotes, backslashes, and
 /// control characters; everything else passes through).
@@ -103,7 +106,7 @@ impl Obj {
 /// Objects keep their fields in document order (the emitters are
 /// insertion-ordered, and the round-trip tests compare against that
 /// order); numbers are held as `f64`, which is lossless for every count
-/// and millisecond figure the baselines record.
+/// and millisecond figure the reports record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
@@ -155,35 +158,44 @@ impl Value {
     }
 }
 
-/// Parses a complete JSON document (rejecting trailing garbage).
+/// The deepest nesting [`parse`] accepts, an order of magnitude above
+/// anything the emitters write. The parser recurses once per level, so
+/// uncapped a long run of `[` is a stack overflow — an abort, not an `Err`.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document (rejecting trailing garbage and
+/// nesting deeper than [`MAX_DEPTH`]).
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != text.len() {
         return Err(format!("trailing garbage at byte {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Always on a `char` boundary of `text`: every advance is over
+    /// ASCII bytes or one whole scalar.
     pos: usize,
 }
 
 impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.bytes.get(self.pos) == Some(&b) {
+        if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -191,10 +203,15 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+    /// Parses one value sitting `depth` containers deep.
+    fn value(&mut self, depth: usize) -> Result<Value, String> {
+        match self.peek() {
+            Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -205,7 +222,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -216,14 +233,14 @@ impl Parser<'_> {
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
         while matches!(
-            self.bytes.get(self.pos),
+            self.peek(),
             Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
         ) {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
+        self.text[start..self.pos]
+            .parse::<f64>()
             .ok()
-            .and_then(|s| s.parse::<f64>().ok())
             .filter(|x| x.is_finite())
             .map(Value::Num)
             .ok_or_else(|| format!("bad number at byte {start}"))
@@ -233,17 +250,14 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.bytes.get(self.pos) {
+            match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or("unterminated escape".to_string())?;
+                    let esc = self.peek().ok_or("unterminated escape".to_string())?;
                     self.pos += 1;
                     match esc {
                         b'"' => out.push('"'),
@@ -256,9 +270,8 @@ impl Parser<'_> {
                         b't' => out.push('\t'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or(format!("bad \\u escape at byte {}", self.pos))?;
                             // The emitters only write BMP escapes (control
@@ -274,11 +287,12 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // byte boundaries are trustworthy).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|e| format!("invalid UTF-8 at byte {}: {e}", self.pos))?;
-                    let c = rest.chars().next().unwrap();
+                    // Consume one scalar; `text` is a `&str`, so there is
+                    // nothing to re-validate.
+                    let c = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("pos is on a char boundary before the end");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -287,19 +301,19 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    fn array(&mut self, depth: usize) -> Result<Value, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
+        if self.peek() == Some(b']') {
             self.pos += 1;
             return Ok(Value::Arr(items));
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
-            match self.bytes.get(self.pos) {
+            match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
@@ -310,11 +324,11 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    fn object(&mut self, depth: usize) -> Result<Value, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
+        if self.peek() == Some(b'}') {
             self.pos += 1;
             return Ok(Value::Obj(fields));
         }
@@ -324,9 +338,9 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            fields.push((key, self.value()?));
+            fields.push((key, self.value(depth)?));
             self.skip_ws();
-            match self.bytes.get(self.pos) {
+            match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
@@ -420,5 +434,35 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("[1 2]").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        // Uncapped, these overflow the stack: an abort, not a failed test.
+        for opener in ["[", "{\"a\":"] {
+            let err = parse(&opener.repeat(100_000)).unwrap_err();
+            let at = opener.len() * MAX_DEPTH;
+            assert!(
+                err.ends_with(&format!("{MAX_DEPTH} levels at byte {at}")),
+                "{err}"
+            );
+        }
+        let balanced = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&balanced(MAX_DEPTH)).is_ok());
+        assert!(parse(&balanced(MAX_DEPTH + 1)).is_err());
+        // Siblings do not accumulate depth.
+        assert!(parse(&format!("[{}]", vec!["[[]]"; 1000].join(","))).is_ok());
+    }
+
+    #[test]
+    fn a_long_string_parses_in_linear_time() {
+        // No timing assert: work quadratic in the string length takes
+        // minutes at 2 MiB, so a regression is a test that does not finish.
+        let body = "aé𝄞\\n".repeat((2 << 20) / 9);
+        let mut o = Obj::new();
+        o.str("s", &body).int("after", 1);
+        let v = parse(&o.compact()).unwrap();
+        assert_eq!(v.get("s").unwrap().as_str(), Some(body.as_str()));
+        assert_eq!(v.get("after").unwrap().as_f64(), Some(1.0));
     }
 }

@@ -8,12 +8,10 @@
 //! frontier subsystem: it executes every problem family's constructive
 //! schemas through the engine over a q-grid and compares the measured
 //! `(q, r)` curves with the §2.4 analytic lower bounds (`repro frontier`).
-//! The `repro` binary prints them; the Criterion benches in `benches/`
-//! time the underlying workloads, and the [`baseline`] module (via the
-//! `record_bench` binary) re-records the committed `BENCH_*.json`
-//! baselines with an automatic machine stamp.
+//! The `repro` binary prints them. Nothing here times anything for the
+//! record: wall-clock is measured by the `mr-perf` ledger in
+//! `benchmark/`, which compiles against [`sweep`] and [`json`].
 
-pub mod baseline;
 pub mod experiments;
 pub mod json;
 mod selectors;

@@ -422,13 +422,6 @@ pub fn report_for(selectors: &[String]) -> Result<String, String> {
     ))
 }
 
-/// The `repro frontier` runner: selector args as documented in
-/// [`report_for`]; selector errors become the report text (the repro
-/// driver validates tokens up front, so this is a backstop).
-pub fn report_args(args: &[String]) -> String {
-    report_for(args).unwrap_or_else(|e| format!("frontier selection error: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

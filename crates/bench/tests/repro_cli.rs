@@ -1,0 +1,34 @@
+//! `repro`'s exit-code contract, on the built binary: a selection an
+//! experiment refuses is its message on stderr, nothing on stdout and
+//! exit 1, so a script (CI's "Full-scale plans execute under their own
+//! predictions" step) cannot take a mistyped invocation for a passing run.
+
+use std::process::Command;
+
+#[test]
+fn a_refused_selection_is_stderr_and_exit_1_a_well_formed_one_exit_0() {
+    let repro = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("repro runs");
+        let text = |bytes| String::from_utf8(bytes).expect("UTF-8");
+        (out.status.code(), text(out.stdout), text(out.stderr))
+    };
+    let scales = "at most one scale selector (small/default/full) is allowed";
+    let budget = "--q-budget value 'abc' is not a number";
+    let refused: [(&[&str], &str); 5] = [
+        (&["plan", "--q-budget", "abc"], budget),
+        (&["dag", "small", "small"], scales),
+        (&["trace", "--out"], "--out requires a path"),
+        (&["frontier", "small", "full"], scales),
+        (&["delta", "small", "full"], scales),
+    ];
+    for (args, reason) in refused {
+        let stderr = format!("{} selection error: {reason}\n", args[0]);
+        assert_eq!(repro(args), (Some(1), String::new(), stderr), "{args:?}");
+    }
+    let (code, stdout, stderr) = repro(&["plan", "small"]);
+    assert_eq!((code, stderr.as_str()), (Some(0), ""));
+    assert!(stdout.contains("[plan]"), "{stdout}");
+}

@@ -12,9 +12,10 @@
 //! # The recorder
 //!
 //! Tracing is **off by default** and costs one relaxed atomic load per
-//! instrumentation site while off (the `engine_obs` bench pins the
-//! disabled-mode overhead). [`record`] turns it on around a closure and
-//! returns the collected [`Trace`] next to the closure's result:
+//! instrumentation site while off; the cost of turning it *on* is what
+//! the perf ledger reports as `obs.traced_overhead_pct`. [`record`]
+//! turns it on around a closure and returns the collected [`Trace`] next
+//! to the closure's result:
 //!
 //! ```
 //! let (sum, trace) = mr_obs::record(|| {
@@ -254,25 +255,6 @@ pub fn span_with(label: impl FnOnce() -> String) -> SpanGuard {
         return SpanGuard::INERT;
     }
     SpanGuard::begin(Name::Owned(label()))
-}
-
-/// Records a point-in-time marker.
-#[inline]
-pub fn instant(name: &'static str) {
-    if !is_enabled() {
-        return;
-    }
-    let epoch = state().epoch.load(Ordering::Relaxed);
-    push(
-        epoch,
-        RawEvent {
-            name: Name::Static(name),
-            at: Instant::now(),
-            dur: None,
-            value: None,
-            asynchronous: false,
-        },
-    );
 }
 
 /// Records a point-in-time marker carrying a value (an occupancy gauge,
@@ -720,7 +702,6 @@ mod tests {
         let no_session = lock(&state().session);
         assert!(!is_enabled());
         let g = span("never");
-        instant("never");
         instant_value("never", 7);
         assert!(now_if_enabled().is_none());
         drop(g);

@@ -686,14 +686,6 @@ pub(crate) fn choose_dag(
     })
 }
 
-/// Searches every [`DagWorkload`], in display order.
-pub fn plan_all_dags(cluster: &ClusterSpec, scale: Scale) -> Result<Vec<DagPlan>, PlanError> {
-    DagWorkload::ALL
-        .iter()
-        .map(|w| plan_dag(*w, cluster, scale))
-        .collect()
-}
-
 impl DagPlan {
     /// Stages the chosen structure's [`DagJob`] with each round's
     /// predicted `q` as that round's hard budget (and its predicted

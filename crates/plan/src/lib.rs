@@ -58,11 +58,9 @@ pub mod planner;
 pub use cache::{CacheStats, PlanCache};
 pub use cluster::ClusterSpec;
 pub use dag::{
-    enumerate_dag_candidates, plan_all_dags, plan_dag, DagCandidate, DagPlan, DagPlanReport,
-    DagStructure, DagWorkload, RoundDag, RoundObservation, RoundSpec,
+    enumerate_dag_candidates, plan_dag, DagCandidate, DagPlan, DagPlanReport, DagStructure,
+    DagWorkload, RoundDag, RoundObservation, RoundSpec,
 };
 pub use delta::{plan_delta, DeltaPlan};
 pub use plan::{Choice, Plan, PlanReport};
-pub use planner::{
-    plan_all, plan_family, plannable_families, planners, PlanError, Planner, PricedFamily,
-};
+pub use planner::{plan_family, plannable_families, planners, PlanError, Planner, PricedFamily};

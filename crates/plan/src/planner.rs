@@ -455,11 +455,6 @@ pub fn plan_family(family: &str, cluster: &ClusterSpec, scale: Scale) -> Result<
     planner_for(family)?.plan(cluster, scale)
 }
 
-/// Plans every registry family, in registry order.
-pub fn plan_all(cluster: &ClusterSpec, scale: Scale) -> Result<Vec<Plan>, PlanError> {
-    planners().iter().map(|p| p.plan(cluster, scale)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -55,7 +55,7 @@ const SEED: u64 = 0x2545_f491_4f6c_dd1d;
 /// A deterministic, seed-free fingerprint hasher.
 ///
 /// `std`'s `RandomState` is randomly seeded per process, which would make
-/// partition loads — and the committed bench baselines — irreproducible;
+/// partition loads — and the perf ledger's partition counts — irreproducible;
 /// this hasher produces the same fingerprint for the same key bytes on
 /// every run. Each integer write is one MUM step (wyhash's primitive: a
 /// 64×64→128 multiply whose halves are folded together with xor — a
