@@ -371,7 +371,9 @@ where
 /// [`LoadTable`] for the figures `delta_run` budgets the retained run
 /// with, and [`predict_delta`] — the arithmetic and the malformed-removal
 /// refusal [`mr_sim::DeltaJob::predict`] uses — for what the delta does
-/// to it. Removal positions are the base's [`Seq`] ids.
+/// to it, against the table's loads and its histogram (built once here;
+/// a `DeltaJob` keeps its own resident). Removal positions are the base's
+/// [`Seq`] ids.
 fn delta_census_of<I, O, S>(
     inputs: &[I],
     schema: &S,
@@ -384,7 +386,8 @@ where
     let removed: Vec<Seq> = spec.remove.iter().map(|&pos| pos as Seq).collect();
     let delta = predict_delta(
         schema,
-        base.iter(),
+        |rid| base.load(&rid),
+        &base.histogram(),
         |seq| spec.base.get(seq as usize).map(|&ix| &inputs[ix]),
         &removed,
         spec.add.iter().map(|&ix| &inputs[ix]),

@@ -37,15 +37,17 @@
 //! with the same smallest-key offender a full run would report, and the
 //! retained state is left untouched.
 
+use crate::columnar::FingerprintHasher;
 use crate::combiner::{run_round_combined, CombinedMetrics, Combiner};
 use crate::engine::{run_round, EngineConfig, EngineError};
 use crate::mapper::{FnMapper, FnReducer, Mapper, Reducer};
 use crate::metrics::{LoadStats, RoundMetrics, ShuffleStats};
 use crate::naive::{run_round_combined_naive, run_round_naive};
-use crate::schema::{price_change, LoadTable, ReducerId, SchemaJob};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::schema::{price_change, LoadHistogram, LoadTable, ReducerId, SchemaJob};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Debug;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash};
+use std::mem;
 use std::ops::Range;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -317,14 +319,15 @@ fn resolve_removals<'a, I>(
 
 /// Predicts what applying a delta will measure, from the schema's
 /// assignment alone: resolves `removed` against `live`, folds the leaving
-/// and entering inputs into [`LoadTable`]s, and prices them against
-/// `loads` (every live reducer with its current load) with
-/// [`price_change`]. [`DeltaJob::predict`] reads its retained state
+/// and entering inputs into [`LoadTable`]s, and prices them against the
+/// current loads (`load_of` per reducer, `histogram` over all of them)
+/// with [`price_change`]. [`DeltaJob::predict`] reads its retained state
 /// through this; the registry's delta census reads a base instance
 /// through it — same arithmetic, same refusal of a malformed removal.
 pub fn predict_delta<'a, I: 'a, O, S>(
     schema: &S,
-    loads: impl IntoIterator<Item = (ReducerId, u64)>,
+    load_of: impl Fn(ReducerId) -> u64,
+    histogram: &LoadHistogram,
     live: impl Fn(Seq) -> Option<&'a I>,
     removed: &[Seq],
     added: impl IntoIterator<Item = &'a I>,
@@ -334,20 +337,32 @@ where
 {
     let removed = resolve_removals(removed, live)?;
     Ok(price_change(
-        loads,
+        load_of,
+        histogram,
         &LoadTable::of(schema, removed),
         &LoadTable::of(schema, added),
     ))
 }
 
-/// A dirty reducer's staged post-delta state — `(rid, seqs, values)` —
-/// held aside until validation and the budget check pass.
-type StagedReducer<I> = (ReducerId, Vec<Seq>, Vec<I>);
+/// A dirty reducer's post-delta input list, held aside until validation,
+/// the budget check and the re-reduce have all passed.
+struct StagedReducer<I> {
+    rid: ReducerId,
+    /// Where the reducer's state lives, if it is live before the delta.
+    slot: Option<u32>,
+    seqs: Vec<Seq>,
+    values: Vec<I>,
+    /// How many outputs the reducer emitted before the delta — the
+    /// capacity its re-reduce starts with.
+    prior_outputs: usize,
+}
 
-/// One reducer's retained state: its input list (seq-sorted, the order
-/// the engine delivers) and the outputs it emitted for that list.
+/// One reducer's retained state: its id, its input list (seq-sorted, the
+/// order the engine delivers) and the outputs it emitted for that list.
+/// A free slot holds an empty state.
 #[derive(Debug, Clone)]
 struct ReducerState<I, O> {
+    rid: ReducerId,
     seqs: Vec<Seq>,
     values: Vec<I>,
     outputs: Vec<O>,
@@ -361,6 +376,12 @@ struct ReducerState<I, O> {
 /// [`outputs`](DeltaJob::outputs) and [`metrics`](DeltaJob::metrics) always
 /// equal what a fresh [`run_schema`](crate::run_schema) of the live
 /// instance would produce.
+///
+/// Reducer state sits in a dense slab addressed through a hash index, so
+/// an apply looks each dirty reducer up once and writes it back by slot;
+/// slots a reducer empties are recycled. A load histogram of the live
+/// reducers is kept beside it, so [`predict`](DeltaJob::predict) prices a
+/// delta without visiting the clean reducers.
 #[derive(Debug, Clone)]
 pub struct DeltaJob<I, O, S> {
     schema: S,
@@ -368,7 +389,14 @@ pub struct DeltaJob<I, O, S> {
     config: EngineConfig,
     next_seq: Seq,
     live: BTreeMap<Seq, I>,
-    reducers: BTreeMap<ReducerId, ReducerState<I, O>>,
+    /// Reducer state by slot, live and free alike.
+    slab: Vec<ReducerState<I, O>>,
+    /// Live reducer → its slot in `slab`.
+    index: HashMap<ReducerId, u32, BuildHasherDefault<FingerprintHasher>>,
+    /// Slots of `slab` no live reducer holds.
+    free: Vec<u32>,
+    /// Live reducers by load.
+    histogram: LoadHistogram,
 }
 
 /// The retained-state mode of [`run_schema`](crate::run_schema): executes
@@ -410,8 +438,33 @@ where
             config,
             next_seq: 0,
             live: BTreeMap::new(),
-            reducers: BTreeMap::new(),
+            slab: Vec::new(),
+            index: HashMap::default(),
+            free: Vec::new(),
+            histogram: LoadHistogram::default(),
         }
+    }
+
+    /// The current load of reducer `rid` (0 if it is not live).
+    fn load_of(&self, rid: ReducerId) -> u64 {
+        self.index
+            .get(&rid)
+            .map_or(0, |&slot| self.slab[slot as usize].seqs.len() as u64)
+    }
+
+    /// The live reducers' `(rid, slot)` pairs in ascending reducer order —
+    /// the order every full-run-equivalent export follows.
+    fn ordered_slots(&self) -> Vec<(ReducerId, u32)> {
+        let mut order: Vec<(ReducerId, u32)> = Vec::with_capacity(self.index.len());
+        order.extend(
+            self.slab
+                .iter()
+                .zip(0u32..)
+                .filter(|(state, _)| !state.seqs.is_empty())
+                .map(|(state, slot)| (state.rid, slot)),
+        );
+        order.sort_unstable();
+        order
     }
 
     /// Applies one [`Delta`]: routes the changed inputs through the
@@ -419,11 +472,16 @@ where
     /// updated input lists, and merges the result into the retained
     /// state.
     ///
+    /// Bookkeeping costs `O(|Δ|·r)` plus the dirty reducers' input
+    /// lists: each dirty reducer is looked up once, staged, and written
+    /// back by slot.
+    ///
     /// On `Err` — an unknown removal [`Seq`], or a post-delta reducer
     /// load over the configured budget `q` (reported with the batch
-    /// path's smallest-offender semantics) — the retained state is
-    /// **unchanged**: validation and the budget check run against staged
-    /// copies before anything commits.
+    /// path's smallest-offender semantics) — and on a panic in `reduce`,
+    /// the retained state is **unchanged**: validation, the budget check
+    /// and the re-reduce all run against staged copies before anything
+    /// commits.
     pub fn apply(&mut self, delta: &Delta<I>) -> Result<DeltaOutcome<O>, DeltaError> {
         let start = Instant::now();
         let _apply_span = mr_obs::span("delta.apply");
@@ -438,10 +496,7 @@ where
             ops.push((seq, value.clone(), false));
         }
         let added_seqs = self.next_seq..self.next_seq + delta.added.len() as Seq;
-        let mut added_values: BTreeMap<Seq, &I> = BTreeMap::new();
-        for (offset, value) in delta.added.iter().enumerate() {
-            let seq = self.next_seq + offset as Seq;
-            added_values.insert(seq, value);
+        for (seq, value) in added_seqs.clone().zip(&delta.added) {
             ops.push((seq, value.clone(), true));
         }
 
@@ -472,45 +527,56 @@ where
             },
         );
         let routing_span = mr_obs::span("delta.routing");
-        let (groups, routing) =
+        let (mut groups, routing) =
             run_round_on(self.pipeline, &ops, &mapper, &reducer, &routing_config)?;
         drop(routing_span);
 
-        // Stage every dirty reducer's post-delta input list. `groups`
-        // arrives in ascending reducer order (the engine's output
-        // contract), and additions arrive in emission = op order, so
-        // appending keeps the seq-sorted invariant (fresh seqs exceed all
+        // Stage every dirty reducer's post-delta input list, looking each
+        // up once. `groups` arrives in ascending reducer order (the
+        // engine's output contract); sorting a group's changes puts its
+        // removals first and its additions in seq order, so appending
+        // them keeps the seq-sorted invariant (fresh seqs exceed all
         // retained ones).
         let mut staged: Vec<StagedReducer<I>> = Vec::with_capacity(groups.len());
-        for (rid, changes) in &groups {
-            let (mut seqs, mut values) = match self.reducers.get(rid) {
-                Some(state) => (state.seqs.clone(), state.values.clone()),
-                None => (Vec::new(), Vec::new()),
-            };
-            let removes: BTreeSet<Seq> = changes
-                .iter()
-                .filter(|(_, is_add)| !is_add)
-                .map(|(seq, _)| *seq)
-                .collect();
-            if !removes.is_empty() {
-                let mut kept_seqs = Vec::with_capacity(seqs.len());
-                let mut kept_values = Vec::with_capacity(values.len());
-                for (seq, value) in seqs.into_iter().zip(values) {
-                    if !removes.contains(&seq) {
-                        kept_seqs.push(seq);
-                        kept_values.push(value);
+        for (rid, changes) in &mut groups {
+            changes.sort_unstable_by_key(|&(seq, is_add)| (is_add, seq));
+            let (removes, adds) = changes.split_at(changes.partition_point(|&(_, is_add)| !is_add));
+            let slot = self.index.get(rid).copied();
+            let (mut seqs, mut values, prior_outputs) = match slot {
+                Some(slot) => {
+                    let state = &self.slab[slot as usize];
+                    let capacity = state.seqs.len() - removes.len() + adds.len();
+                    let (mut seqs, mut values) =
+                        (Vec::with_capacity(capacity), Vec::with_capacity(capacity));
+                    // Every removal is held here (obliviousness) and both
+                    // lists ascend: copy the runs between the removals.
+                    let mut from = 0;
+                    for (seq, _) in removes {
+                        let at = from
+                            + state.seqs[from..]
+                                .binary_search(seq)
+                                .expect("a removal is held by every reducer it maps to");
+                        seqs.extend_from_slice(&state.seqs[from..at]);
+                        values.extend_from_slice(&state.values[from..at]);
+                        from = at + 1;
                     }
+                    seqs.extend_from_slice(&state.seqs[from..]);
+                    values.extend_from_slice(&state.values[from..]);
+                    (seqs, values, state.outputs.len())
                 }
-                seqs = kept_seqs;
-                values = kept_values;
+                None => (Vec::new(), Vec::new(), 0),
+            };
+            for &(seq, _) in adds {
+                seqs.push(seq);
+                values.push(delta.added[(seq - added_seqs.start) as usize].clone());
             }
-            for &(seq, is_add) in changes {
-                if is_add {
-                    seqs.push(seq);
-                    values.push((*added_values.get(&seq).expect("added seq is staged")).clone());
-                }
-            }
-            staged.push((*rid, seqs, values));
+            staged.push(StagedReducer {
+                rid: *rid,
+                slot,
+                seqs,
+                values,
+                prior_outputs,
+            });
         }
 
         // Post-delta budget check, before anything commits. Clean
@@ -519,11 +585,11 @@ where
         // is the globally smallest — the same offender a full run of the
         // post-delta instance reports.
         if let Some(limit) = self.config.max_reducer_inputs {
-            for (rid, seqs, _) in &staged {
-                let load = seqs.len() as u64;
+            for reducer in &staged {
+                let load = reducer.seqs.len() as u64;
                 if load > limit {
                     return Err(EngineError::ReducerOverflow {
-                        key: format!("{rid:?}"),
+                        key: format!("{:?}", reducer.rid),
                         load,
                         limit,
                     }
@@ -532,9 +598,9 @@ where
             }
         }
 
-        // Re-execute exactly the dirty reducers, at most `workers` chunks
-        // of them at a time. Chunk order in, chunk order out:
-        // deterministic at every worker count.
+        // Re-execute exactly the dirty reducers that stay live, at most
+        // `workers` chunks of them at a time. Chunk order in, chunk order
+        // out: deterministic at every worker count.
         let rereduce_span = mr_obs::span("delta.rereduce");
         let workers = self.config.effective_workers();
         // `max(1)`: nothing staged is no chunks, but `chunks` needs a size.
@@ -547,9 +613,12 @@ where
             .fan_out(workers, chunks, |chunk| {
                 chunk
                     .iter()
-                    .map(|(rid, _, values)| {
+                    .map(|reducer| {
                         let mut out = Vec::new();
-                        schema.reduce(*rid, values, &mut |o| out.push(o));
+                        if !reducer.values.is_empty() {
+                            out.reserve_exact(reducer.prior_outputs);
+                            schema.reduce(reducer.rid, &reducer.values, &mut |o| out.push(o));
+                        }
                         out
                     })
                     .collect::<Vec<Vec<O>>>()
@@ -559,35 +628,68 @@ where
             .collect();
         drop(rereduce_span);
 
-        // Commit. Retractions are the dirty reducers' previous outputs
-        // (moved out of the state); additions are the recomputed ones.
-        let mut retracted: Vec<O> = Vec::new();
-        let mut added_out: Vec<O> = Vec::new();
-        for ((rid, seqs, values), outputs) in staged.into_iter().zip(new_outputs) {
-            if let Some(old) = self.reducers.remove(&rid) {
-                retracted.extend(old.outputs);
-            }
-            if !seqs.is_empty() {
+        // Commit, writing each dirty reducer by the slot staging found.
+        // Retractions are its previous outputs (moved out of the slot);
+        // additions are the recomputed ones.
+        let appearing = staged
+            .iter()
+            .filter(|reducer| reducer.slot.is_none() && !reducer.seqs.is_empty())
+            .count();
+        self.index.reserve(appearing);
+        self.slab.reserve(appearing.saturating_sub(self.free.len()));
+        let mut retracted: Vec<O> =
+            Vec::with_capacity(staged.iter().map(|reducer| reducer.prior_outputs).sum());
+        let mut added_out: Vec<O> = Vec::with_capacity(new_outputs.iter().map(Vec::len).sum());
+        for (reducer, outputs) in staged.into_iter().zip(new_outputs) {
+            let StagedReducer {
+                rid,
+                slot,
+                seqs,
+                values,
+                ..
+            } = reducer;
+            let load = seqs.len() as u64;
+            if load > 0 {
                 added_out.extend(outputs.iter().cloned());
-                self.reducers.insert(
-                    rid,
-                    ReducerState {
-                        seqs,
-                        values,
-                        outputs,
-                    },
-                );
+                self.histogram.insert(load);
+            }
+            let state = ReducerState {
+                rid,
+                seqs,
+                values,
+                outputs,
+            };
+            match slot {
+                Some(slot) => {
+                    let old = mem::replace(&mut self.slab[slot as usize], state);
+                    self.histogram.remove(old.seqs.len() as u64);
+                    retracted.extend(old.outputs);
+                    if load == 0 {
+                        self.index.remove(&rid);
+                        self.free.push(slot);
+                    }
+                }
+                None if load > 0 => {
+                    let slot = match self.free.pop() {
+                        Some(slot) => {
+                            self.slab[slot as usize] = state;
+                            slot
+                        }
+                        None => {
+                            self.slab.push(state);
+                            u32::try_from(self.slab.len() - 1)
+                                .expect("fewer than 2^32 live reducers")
+                        }
+                    };
+                    self.index.insert(rid, slot);
+                }
+                None => {}
             }
         }
         for seq in &delta.removed {
             self.live.remove(seq);
         }
-        for (seq, value) in delta
-            .added
-            .iter()
-            .enumerate()
-            .map(|(offset, value)| (added_seqs.start + offset as Seq, value))
-        {
+        for (seq, value) in added_seqs.clone().zip(&delta.added) {
             self.live.insert(seq, value.clone());
         }
         self.next_seq = added_seqs.end;
@@ -596,7 +698,7 @@ where
         delta_counters().dirty_reducers.add(routing.reducers);
         let metrics = DeltaMetrics {
             dirty_reducers: routing.reducers,
-            total_reducers: self.reducers.len() as u64,
+            total_reducers: self.index.len() as u64,
             inputs_added: delta.added.len() as u64,
             inputs_removed: delta.removed.len() as u64,
             delta_pairs: routing.kv_pairs,
@@ -624,9 +726,8 @@ where
     pub fn predict(&self, delta: &Delta<I>) -> Result<DeltaPrediction, DeltaError> {
         predict_delta(
             &self.schema,
-            self.reducers
-                .iter()
-                .map(|(&rid, state)| (rid, state.seqs.len() as u64)),
+            |rid| self.load_of(rid),
+            &self.histogram,
             |seq| self.live.get(&seq),
             &delta.removed,
             &delta.added,
@@ -638,10 +739,16 @@ where
     /// output, byte for byte — ascending reducer order, emission order
     /// within a reducer.
     pub fn outputs(&self) -> Vec<O> {
-        self.reducers
-            .values()
-            .flat_map(|state| state.outputs.iter().cloned())
-            .collect()
+        let order = self.ordered_slots();
+        let total = order
+            .iter()
+            .map(|&(_, slot)| self.slab[slot as usize].outputs.len())
+            .sum();
+        let mut outputs = Vec::with_capacity(total);
+        for (_, slot) in order {
+            outputs.extend(self.slab[slot as usize].outputs.iter().cloned());
+        }
+        outputs
     }
 
     /// Full-run-equivalent [`RoundMetrics`] of the retained state: equal
@@ -650,15 +757,11 @@ where
     /// measure. The [`ShuffleStats`] are left empty — execution metadata
     /// describes a run, and the retained state may be the work of many.
     pub fn metrics(&self) -> RoundMetrics {
-        let mut loads: Vec<u64> = self
-            .reducers
-            .values()
-            .map(|state| state.seqs.len() as u64)
-            .collect();
-        loads.sort_unstable();
+        let mut loads: Vec<u64> = Vec::with_capacity(self.index.len());
+        loads.extend(self.histogram.loads());
         let outputs: u64 = self
-            .reducers
-            .values()
+            .slab
+            .iter()
             .map(|state| state.outputs.len() as u64)
             .sum();
         RoundMetrics {
@@ -666,7 +769,7 @@ where
             kv_pairs: loads.iter().sum(),
             reducers: loads.len() as u64,
             outputs,
-            load: LoadStats::from_loads(loads.clone()),
+            load: LoadStats::from_sorted(&loads),
             loads,
             shuffle: ShuffleStats::default(),
         }
@@ -695,7 +798,7 @@ where
 
     /// Number of live (non-empty) reducers.
     pub fn num_reducers(&self) -> u64 {
-        self.reducers.len() as u64
+        self.index.len() as u64
     }
 
     /// The schema this job retains state for.

@@ -71,5 +71,6 @@ pub use mapper::{FnMapper, FnReducer, Mapper, Reducer};
 pub use metrics::{JobMetrics, LoadStats, RoundMetrics, ShuffleStats};
 pub use pool::{Executor, WorkerPool};
 pub use schema::{
-    price_change, run_schema, run_schema_dyn, DynSchema, LoadTable, RoundCensus, SchemaJob,
+    price_change, run_schema, run_schema_dyn, DynSchema, LoadHistogram, LoadTable, RoundCensus,
+    SchemaJob,
 };

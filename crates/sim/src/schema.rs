@@ -13,17 +13,18 @@
 //! running the engine: [`LoadTable::of`] is the one place the workspace
 //! folds [`SchemaJob::assign`] into per-reducer loads, and
 //! [`price_change`] the one place a `(removed, added)` change is priced
-//! against such a table. The registry's census, its delta census and
-//! [`DeltaJob::predict`](crate::DeltaJob::predict) are all readers of
-//! these two.
+//! against such loads and their [`LoadHistogram`]. The registry's census,
+//! its delta census and [`DeltaJob::predict`](crate::DeltaJob::predict)
+//! are all readers of these.
 
 use crate::columnar::FingerprintHasher;
 use crate::delta::DeltaPrediction;
 use crate::engine::{run_round, EngineConfig, EngineError};
 use crate::mapper::{FnMapper, FnReducer, Mapper, Reducer};
 use crate::metrics::RoundMetrics;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hash};
+use std::iter;
 use std::time::{Duration, Instant};
 
 /// Identifier of a reducer in a mapping schema.
@@ -112,6 +113,20 @@ impl<K: Hash + Eq> LoadTable<K> {
         self.pairs
     }
 
+    /// The load of `key` (0 for a reducer the assignment never touches).
+    pub fn load(&self, key: &K) -> u64 {
+        self.loads.get(key).copied().unwrap_or(0)
+    }
+
+    /// The table's loads with the keys forgotten.
+    pub fn histogram(&self) -> LoadHistogram {
+        let mut histogram = LoadHistogram::default();
+        for &load in self.loads.values() {
+            histogram.insert(load);
+        }
+        histogram
+    }
+
     /// The table's three totals as the census of one round.
     pub fn census(&self) -> RoundCensus {
         RoundCensus {
@@ -143,6 +158,59 @@ impl LoadTable {
     }
 }
 
+/// How many live reducers hold each load — a load picture with the
+/// reducer ids forgotten, small (one entry per distinct load) and cheap
+/// to keep current: a reducer whose load changes moves between two
+/// levels. [`price_change`] reads the clean maximum off its top levels
+/// instead of visiting every live reducer. Built from a table by
+/// [`LoadTable::histogram`]; a [`DeltaJob`](crate::DeltaJob) keeps its
+/// own current at every apply.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LoadHistogram {
+    /// Load → reducers at that load; neither is ever zero.
+    levels: BTreeMap<u64, u64>,
+    reducers: u64,
+}
+
+impl LoadHistogram {
+    /// Counts one reducer at `load`.
+    ///
+    /// # Panics
+    /// Panics if `load` is zero: a reducer with no inputs is not live.
+    pub(crate) fn insert(&mut self, load: u64) {
+        assert!(load > 0, "a live reducer holds at least one input");
+        *self.levels.entry(load).or_insert(0) += 1;
+        self.reducers += 1;
+    }
+
+    /// Forgets one reducer at `load`.
+    ///
+    /// # Panics
+    /// Panics if no reducer is counted at `load`.
+    pub(crate) fn remove(&mut self, load: u64) {
+        match self.levels.get_mut(&load) {
+            Some(1) => {
+                self.levels.remove(&load);
+            }
+            Some(count) => *count -= 1,
+            None => panic!("no live reducer holds load {load}"),
+        }
+        self.reducers -= 1;
+    }
+
+    /// Number of reducers counted.
+    pub(crate) fn reducers(&self) -> u64 {
+        self.reducers
+    }
+
+    /// Every counted reducer's load, ascending.
+    pub(crate) fn loads(&self) -> impl Iterator<Item = u64> + '_ {
+        self.levels
+            .iter()
+            .flat_map(|(&load, &count)| iter::repeat_n(load, count as usize))
+    }
+}
+
 /// What one round measures that depends on the assignment alone — the
 /// numbers a plan prices a round by. Read off a [`LoadTable`] without
 /// running the round, or off the [`RoundMetrics`] of a round that ran;
@@ -167,42 +235,48 @@ impl From<&RoundMetrics> for RoundCensus {
     }
 }
 
-/// Prices a change against a load table: `loads` lists every live reducer
-/// with its current load, `removed` and `added` are the tables of the
-/// inputs leaving and entering. Exact by obliviousness — an input's
+/// Prices a change against the current loads: `load_of` gives a
+/// reducer's current load (0 if it is not live) and `histogram` counts
+/// every live reducer by load; `removed` and `added` are the tables of
+/// the inputs leaving and entering. Exact by obliviousness — an input's
 /// assignment never depends on the rest of the instance.
 ///
+/// Costs `O(|Δ|·r)` plus the histogram levels it walks, never a visit
+/// per live reducer: the clean reducers' maximum is the highest level
+/// the dirty reducers do not wholly occupy, and the post-change reducer
+/// count is the histogram's, less the dirty reducers that empty, plus
+/// those that appear.
+///
 /// # Panics
-/// Panics if `removed` takes more from a reducer than `loads` holds —
-/// the removed inputs were not part of the instance the load table
-/// describes. Callers resolve removals against their live instance
+/// Panics if `removed` takes more from a reducer than `load_of` says it
+/// holds — the removed inputs were not part of the instance the loads
+/// describe. Callers resolve removals against their live instance
 /// first, so this is an internal invariant, checked identically in debug
 /// and release builds.
 pub fn price_change(
-    loads: impl IntoIterator<Item = (ReducerId, u64)>,
+    load_of: impl Fn(ReducerId) -> u64,
+    histogram: &LoadHistogram,
     removed: &LoadTable,
     added: &LoadTable,
 ) -> DeltaPrediction {
-    // Per dirty reducer: (current load, removals, additions).
-    let mut dirty: HashMap<ReducerId, (u64, u64, u64)> =
-        HashMap::with_capacity(removed.loads.len() + added.loads.len());
+    // Per dirty reducer: (removals, additions).
+    let mut dirty: HashMap<ReducerId, (u64, u64), BuildHasherDefault<FingerprintHasher>> =
+        HashMap::with_capacity_and_hasher(
+            removed.loads.len() + added.loads.len(),
+            Default::default(),
+        );
     for (rid, n) in removed.iter() {
-        dirty.entry(rid).or_default().1 = n;
+        dirty.entry(rid).or_default().0 = n;
     }
     for (rid, n) in added.iter() {
-        dirty.entry(rid).or_default().2 = n;
+        dirty.entry(rid).or_default().1 = n;
     }
-    let (mut post_q, mut post_reducers) = (0u64, 0u64);
-    for (rid, load) in loads {
-        match dirty.get_mut(&rid) {
-            Some(change) => change.0 = load,
-            None => {
-                post_q = post_q.max(load);
-                post_reducers += 1;
-            }
-        }
-    }
-    for (rid, &(current, removals, additions)) in &dirty {
+    let (mut post_q, mut post_reducers) = (0u64, histogram.reducers());
+    // The current loads of the live dirty reducers: the histogram entries
+    // this change moves.
+    let mut moved: Vec<u64> = Vec::with_capacity(dirty.len());
+    for (&rid, &(removals, additions)) in &dirty {
+        let current = load_of(rid);
         let kept = current.checked_sub(removals).unwrap_or_else(|| {
             panic!(
                 "reducer {rid} loses {removals} inputs but holds {current}: \
@@ -210,9 +284,28 @@ pub fn price_change(
             )
         });
         let post = kept + additions;
-        if post > 0 {
-            post_q = post_q.max(post);
-            post_reducers += 1;
+        post_q = post_q.max(post);
+        match (current > 0, post > 0) {
+            (true, false) => post_reducers -= 1,
+            (false, true) => post_reducers += 1,
+            _ => {}
+        }
+        if current > 0 {
+            moved.push(current);
+        }
+    }
+    // Walk the levels from the top: the first one holding a reducer the
+    // change does not move is the clean maximum.
+    moved.sort_unstable_by(|a, b| b.cmp(a));
+    let mut moved = moved.into_iter().peekable();
+    for (&level, &count) in histogram.levels.iter().rev() {
+        let mut dirty_here = 0;
+        while moved.next_if_eq(&level).is_some() {
+            dirty_here += 1;
+        }
+        if dirty_here < count {
+            post_q = post_q.max(level);
+            break;
         }
     }
     DeltaPrediction {
@@ -436,7 +529,7 @@ mod tests {
         let (gone, kept) = inputs.split_at(15);
         let fresh: Vec<u32> = (200..205).collect();
         let (removed, added) = (LoadTable::of(&schema, gone), LoadTable::of(&schema, &fresh));
-        let priced = price_change(table.iter(), &removed, &added);
+        let priced = price_change(|rid| table.load(&rid), &table.histogram(), &removed, &added);
         let post = LoadTable::of(&schema, kept.iter().chain(&fresh));
         assert_eq!(priced.post_q, post.max_load());
         assert_eq!(priced.post_reducers, post.reducers());
@@ -451,7 +544,116 @@ mod tests {
         // around to a load near u64::MAX in release builds.
         let held = LoadTable::of(&PairUp, &[0u32]);
         let taken = LoadTable::of(&PairUp, &[0u32, 1]);
-        price_change(held.iter(), &taken, &LoadTable::default());
+        price_change(
+            |rid| held.load(&rid),
+            &held.histogram(),
+            &taken,
+            &LoadTable::default(),
+        );
+    }
+
+    /// Input `x` goes to reducer `x / 10`, so an instance spells out its
+    /// loads: reducer `r` holds the inputs in `10r..10r + 10`.
+    struct Tens;
+
+    impl SchemaJob<u32, u32> for Tens {
+        fn assign(&self, input: &u32) -> Vec<ReducerId> {
+            vec![(*input / 10) as ReducerId]
+        }
+        fn reduce(&self, _r: ReducerId, _inputs: &[u32], _emit: &mut dyn FnMut(u32)) {}
+    }
+
+    #[test]
+    fn price_change_matches_a_brute_force_post_change_table_on_the_edges() {
+        // (name, base, removed values, added values)
+        type Case = (&'static str, Vec<u32>, Vec<u32>, Vec<u32>);
+        let cases: [Case; 9] = [
+            (
+                "unique max shrinks",
+                vec![0, 1, 2, 3, 4, 10, 11, 12, 20],
+                vec![0, 1, 2],
+                vec![],
+            ),
+            (
+                "tie at max, one dirty",
+                vec![0, 1, 2, 10, 11, 12, 20],
+                vec![0],
+                vec![],
+            ),
+            (
+                "tie at max, both dirty",
+                vec![0, 1, 2, 10, 11, 12, 20],
+                vec![0, 10],
+                vec![],
+            ),
+            (
+                "max drops to zero",
+                vec![0, 1, 2, 10, 20],
+                vec![0, 1, 2],
+                vec![],
+            ),
+            (
+                "a reducer appears",
+                vec![0, 1, 10],
+                vec![],
+                vec![30, 31, 32],
+            ),
+            (
+                "a dirty reducer grows past max",
+                vec![0, 1, 10],
+                vec![10],
+                vec![11, 12, 13],
+            ),
+            ("empty base", vec![], vec![], vec![5, 6, 15]),
+            ("empty delta", vec![0, 1, 2, 10], vec![], vec![]),
+            (
+                "full churn to empty",
+                vec![0, 1, 10, 20],
+                vec![0, 1, 10, 20],
+                vec![],
+            ),
+        ];
+        for (name, base, gone, fresh) in cases {
+            let table = LoadTable::of(&Tens, &base);
+            let (removed, added) = (LoadTable::of(&Tens, &gone), LoadTable::of(&Tens, &fresh));
+            let priced = price_change(|rid| table.load(&rid), &table.histogram(), &removed, &added);
+            let mut post = base.clone();
+            for value in &gone {
+                let at = post
+                    .iter()
+                    .position(|v| v == value)
+                    .expect("removed from base");
+                post.remove(at);
+            }
+            post.extend(&fresh);
+            let post = LoadTable::of(&Tens, &post);
+            let dirty: std::collections::BTreeSet<ReducerId> = removed
+                .iter()
+                .chain(added.iter())
+                .map(|(rid, _)| rid)
+                .collect();
+            let truth = DeltaPrediction {
+                dirty_reducers: dirty.len() as u64,
+                delta_pairs: (gone.len() + fresh.len()) as u64,
+                post_q: post.max_load(),
+                post_reducers: post.reducers(),
+            };
+            assert_eq!(priced, truth, "{name}");
+        }
+    }
+
+    #[test]
+    fn histogram_tracks_moves_between_levels() {
+        let mut histogram = LoadTable::of(&Tens, &[0u32, 1, 10, 20, 21, 22]).histogram();
+        assert_eq!(histogram.loads().collect::<Vec<_>>(), vec![1, 2, 3]);
+        histogram.remove(3);
+        histogram.insert(1);
+        assert_eq!(histogram.loads().collect::<Vec<_>>(), vec![1, 1, 2]);
+        assert_eq!(histogram.reducers(), 3);
+        for load in [1, 1, 2] {
+            histogram.remove(load);
+        }
+        assert_eq!(histogram, LoadHistogram::default());
     }
 
     #[test]

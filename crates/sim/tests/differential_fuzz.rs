@@ -83,40 +83,82 @@ impl SchemaJob<u64, (u64, u64, u64)> for ModFan {
     }
 }
 
-/// Applies `delta` to a retained `ModFan` job and asserts the retained
-/// result equals a fresh full run of the live instance byte-identically —
-/// outputs *and* semantic metrics — with the map-side prediction exact.
-fn assert_delta_matches_full_run(
+/// Runs a retained `ModFan` job through `deltas` in order — its state
+/// carried from each apply into the next — and asserts before every
+/// apply that the map-side prediction is exact, and after it that the
+/// retained result equals a fresh full run of the live instance
+/// byte-identically: outputs *and* semantic metrics.
+fn assert_deltas_match_full_runs(
     name: &str,
     schema: &ModFan,
     base: &[u64],
-    delta: &Delta<u64>,
+    deltas: &[Delta<u64>],
     pipeline: Pipeline,
     config: &EngineConfig,
 ) {
     let mut job = run_schema_retained(base, schema.clone(), pipeline, config)
         .expect("unbudgeted retained init cannot fail");
-    let predicted = job.predict(delta).expect("well-formed delta");
-    let outcome = job.apply(delta).expect("unbudgeted apply cannot fail");
-    let live = job.inputs();
-    let (full_out, full_m) = run_schema(&live, schema, config).expect("no q bound set");
-    assert_eq!(
-        job.outputs(),
-        full_out,
-        "[{name}] retained outputs diverged from the full run ({}, workers={})",
-        pipeline.name(),
-        config.effective_workers()
-    );
-    assert_eq!(
-        job.metrics(),
-        full_m,
-        "[{name}] retained metrics diverged from the full run ({})",
-        pipeline.name()
-    );
-    assert_eq!(outcome.metrics.dirty_reducers, predicted.dirty_reducers);
-    assert_eq!(outcome.metrics.delta_pairs, predicted.delta_pairs);
-    assert_eq!(outcome.metrics.total_reducers, predicted.post_reducers);
-    assert_eq!(job.metrics().load.max, predicted.post_q);
+    for (step, delta) in deltas.iter().enumerate() {
+        let at = format!(
+            "[{name}] step {step} ({}, workers={})",
+            pipeline.name(),
+            config.effective_workers()
+        );
+        let predicted = job.predict(delta).expect("well-formed delta");
+        let outcome = job.apply(delta).expect("unbudgeted apply cannot fail");
+        let live = job.inputs();
+        let (full_out, full_m) = run_schema(&live, schema, config).expect("no q bound set");
+        assert_eq!(
+            job.outputs(),
+            full_out,
+            "{at}: retained outputs diverged from the full run"
+        );
+        assert_eq!(
+            job.metrics(),
+            full_m,
+            "{at}: retained metrics diverged from the full run"
+        );
+        assert_eq!(
+            outcome.metrics.dirty_reducers, predicted.dirty_reducers,
+            "{at}"
+        );
+        assert_eq!(outcome.metrics.delta_pairs, predicted.delta_pairs, "{at}");
+        assert_eq!(
+            outcome.metrics.total_reducers, predicted.post_reducers,
+            "{at}"
+        );
+        assert_eq!(job.num_reducers(), predicted.post_reducers, "{at}");
+        assert_eq!(job.metrics().load.max, predicted.post_q, "{at}");
+    }
+}
+
+/// Turns random picks into a well-formed delta sequence over a base of
+/// `base_len` inputs: step `i` adds `steps[i].0` and removes the live
+/// inputs `steps[i].1` points at (modulo the live count, repeats
+/// dropped, in pick order), tracking seqs the way `DeltaJob` assigns
+/// them.
+fn delta_sequence(base_len: usize, steps: &[(Vec<u64>, Vec<usize>)]) -> Vec<Delta<u64>> {
+    let mut live: Vec<Seq> = (0..base_len as Seq).collect();
+    let mut next = base_len as Seq;
+    steps
+        .iter()
+        .map(|(adds, picks)| {
+            let mut seen = BTreeSet::new();
+            let removed: Vec<Seq> = if live.is_empty() {
+                Vec::new()
+            } else {
+                picks
+                    .iter()
+                    .map(|&p| live[p % live.len()])
+                    .filter(|&seq| seen.insert(seq))
+                    .collect()
+            };
+            live.retain(|seq| !seen.contains(seq));
+            live.extend(next..next + adds.len() as Seq);
+            next += adds.len() as Seq;
+            Delta::new(adds.clone(), removed)
+        })
+        .collect()
 }
 
 // -----------------------------------------------------------------
@@ -154,7 +196,83 @@ fn delta_kinds_match_full_runs_at_every_worker_count() {
         let cfg = EngineConfig::parallel(workers);
         for pipeline in Pipeline::ALL {
             for (name, delta) in &kinds {
-                assert_delta_matches_full_run(name, &schema, &base, delta, pipeline, &cfg);
+                assert_deltas_match_full_runs(
+                    name,
+                    &schema,
+                    &base,
+                    std::slice::from_ref(delta),
+                    pipeline,
+                    &cfg,
+                );
+            }
+        }
+    }
+}
+
+/// `n` inputs that a one-rep `ModFan` over ten groups sends to one
+/// reducer: `x ↦ 7x mod 10` depends only on `x mod 10`, so each `class`
+/// is a reducer (class 0 → reducer 0, 1 → 7, 4 → 8, 5 → 5, 9 → 3).
+fn class(class: u64, n: u64) -> impl Iterator<Item = u64> {
+    (0..n).map(move |i| 100 + 10 * i + class)
+}
+
+/// Multi-step sequences at the edges of the retained state's histogram
+/// and free list, through every worker count, executor and pipeline.
+#[test]
+fn retained_state_edges_match_full_runs_across_applies() {
+    let schema = ModFan {
+        groups: 10,
+        reps: 1,
+    };
+    // (name, base, deltas applied in order)
+    type Sequence = (&'static str, Vec<u64>, Vec<Delta<u64>>);
+    let cases: Vec<Sequence> = vec![
+        (
+            // Loads 5/3/1 (seqs 0..5, 5..8, 8): the max reducer drops to
+            // 2, then the old runner-up falls into a three-way tie.
+            "unique max shrinks",
+            class(0, 5).chain(class(1, 3)).chain(class(2, 1)).collect(),
+            vec![
+                Delta::remove(vec![2, 0, 1]),
+                Delta::new(class(2, 1).map(|x| x + 500).collect(), vec![5]),
+            ],
+        ),
+        (
+            // Loads 3/3/1 (seqs 0..3, 3..6, 6): one of the tied max
+            // reducers is dirty, then the other too.
+            "tie at max with one dirty",
+            class(0, 3).chain(class(1, 3)).chain(class(2, 1)).collect(),
+            vec![Delta::remove(vec![0]), Delta::remove(vec![3])],
+        ),
+        (
+            // Reducer 0 (slot 0) empties; reducer 8 appears in its
+            // recycled slot, ahead of reducer 7 in slot order; reducer 0
+            // then reappears in a fresh slot.
+            "emptied slot is refilled",
+            class(0, 2).chain(class(1, 2)).collect(),
+            vec![
+                Delta::remove(vec![1, 0]),
+                Delta::add(class(4, 3).collect()),
+                Delta::add(class(0, 1).collect()),
+            ],
+        ),
+        (
+            "full churn to empty and back",
+            (0..10).flat_map(|c| class(c, 2)).collect(),
+            vec![
+                Delta::remove((0..20).rev().collect()),
+                Delta::add((0..10).flat_map(|c| class(c, 3)).collect()),
+                Delta::new(class(5, 2).collect(), vec![20, 25, 49]),
+            ],
+        ),
+    ];
+    for (name, base, deltas) in &cases {
+        for workers in 1..=16usize {
+            for executor in Executor::ALL {
+                let cfg = EngineConfig::parallel(workers).with_executor(executor);
+                for pipeline in Pipeline::ALL {
+                    assert_deltas_match_full_runs(name, &schema, base, deltas, pipeline, &cfg);
+                }
             }
         }
     }
@@ -292,7 +410,43 @@ proptest! {
         for executor in Executor::ALL {
             let cfg = EngineConfig::parallel(workers).with_executor(executor);
             for pipeline in Pipeline::ALL {
-                assert_delta_matches_full_run("random", &schema, &base, &delta, pipeline, &cfg);
+                assert_deltas_match_full_runs(
+                    "random",
+                    &schema,
+                    &base,
+                    std::slice::from_ref(&delta),
+                    pipeline,
+                    &cfg,
+                );
+            }
+        }
+    }
+
+    /// Random delta *sequences* through one retained job: 2–12 applies
+    /// in a row, each removing random live inputs in random order and
+    /// adding fresh ones, so slots empty and refill and loads move
+    /// between histogram levels. Before every apply the prediction is
+    /// exact; after it the job equals a fresh full run.
+    #[test]
+    fn random_delta_sequences_match_full_runs(
+        base in proptest::collection::vec(0u64..10_000, 0..120),
+        steps in proptest::collection::vec(
+            (
+                proptest::collection::vec(0u64..10_000, 0..30),
+                proptest::collection::vec(0usize..1_000, 0..30),
+            ),
+            2..13,
+        ),
+        groups in 1u64..40,
+        reps in 1u64..4,
+        workers in 1usize..17,
+    ) {
+        let schema = ModFan { groups, reps };
+        let deltas = delta_sequence(base.len(), &steps);
+        for executor in Executor::ALL {
+            let cfg = EngineConfig::parallel(workers).with_executor(executor);
+            for pipeline in Pipeline::ALL {
+                assert_deltas_match_full_runs("sequence", &schema, &base, &deltas, pipeline, &cfg);
             }
         }
     }

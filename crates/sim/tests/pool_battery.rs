@@ -20,8 +20,8 @@
 use mr_sim::naive::run_round_combined_naive;
 use mr_sim::{
     run_round, run_round_combined_on, run_round_on, run_schema, run_schema_retained, DagJob, Delta,
-    EngineConfig, Executor, FnCombiner, FnMapper, FnReducer, Pipeline, RoundMetrics, SchemaJob,
-    Seq, WorkerPool,
+    DeltaError, DeltaJob, DeltaPrediction, EngineConfig, EngineError, Executor, FnCombiner,
+    FnMapper, FnReducer, Pipeline, RoundMetrics, SchemaJob, Seq, WorkerPool,
 };
 use std::collections::{BTreeSet, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -396,6 +396,119 @@ fn retained_deltas_are_executor_independent() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// The input whose first reducer [`Poisoned`] refuses to reduce.
+const POISON: u64 = 666_666;
+
+/// [`DigestFan`] with one bad reducer: `reduce` panics on the first
+/// reducer [`POISON`] maps to once `POISON` is among its inputs — so a
+/// retained job builds cleanly and fails only on the delta that adds it.
+#[derive(Clone, Copy)]
+struct Poisoned(DigestFan);
+
+impl SchemaJob<u64, u64> for Poisoned {
+    fn assign(&self, x: &u64) -> Vec<u64> {
+        self.0.assign(x)
+    }
+
+    fn reduce(&self, r: u64, inputs: &[u64], emit: &mut dyn FnMut(u64)) {
+        if inputs.contains(&POISON) && r == self.0.assign(&POISON)[0] {
+            panic!("reducer {r} cannot digest the poison input");
+        }
+        self.0.reduce(r, inputs, emit)
+    }
+}
+
+/// Everything a retained job exposes, plus its price for `follow_up`.
+type Snapshot = (
+    Vec<u64>,
+    RoundMetrics,
+    Vec<u64>,
+    Vec<Seq>,
+    u64,
+    DeltaPrediction,
+);
+
+fn snapshot(job: &DeltaJob<u64, u64, Poisoned>, follow_up: &Delta<u64>) -> Snapshot {
+    (
+        job.outputs(),
+        job.metrics(),
+        job.inputs(),
+        job.seqs(),
+        job.num_reducers(),
+        job.predict(follow_up)
+            .expect("the follow-up is well-formed"),
+    )
+}
+
+#[test]
+fn a_failed_apply_leaves_the_retained_job_unchanged() {
+    // Three ways an apply fails after it has started staging: a removal
+    // naming no live input (after a valid one), a post-delta load over
+    // the budget, and a reduce that panics on one dirty reducer. Each
+    // must leave the job exactly as a clone taken before it, on both
+    // substrates at 1, 2 and 4 workers, and the next valid apply must
+    // proceed as if the failure never happened.
+    let schema = Poisoned(DigestFan {
+        groups: 37,
+        reps: 3,
+    });
+    let base: Vec<u64> = (0..200u64).map(|i| i * 13 + 7).collect();
+    let base_q = run_schema(&base, &schema, &EngineConfig::sequential())
+        .unwrap()
+        .1
+        .load
+        .max;
+    let budget = base_q + 2;
+    // Values congruent mod `groups` share all their reducers, so this
+    // many of them overflow every one.
+    let crowd: Vec<u64> = (0..=budget).map(|i| 37 * (1_000 + i)).collect();
+    let follow_up = Delta::new(vec![5_000, 5_001], vec![3, 4, 150]);
+    let failures: [(&str, Delta<u64>); 3] = [
+        ("unknown seq", Delta::new(vec![9_000], vec![0, 999_999])),
+        ("overflow", Delta::new(crowd, vec![1])),
+        ("panicking reduce", Delta::new(vec![POISON, 7_777], vec![2])),
+    ];
+    for executor in Executor::ALL {
+        for workers in [1usize, 2, 4] {
+            let cfg = EngineConfig::parallel(workers)
+                .with_executor(executor)
+                .with_max_reducer_inputs(budget);
+            let case = |name: &str| format!("[{name}] {} workers={workers}", executor.name());
+            let mut job = run_schema_retained(&base, schema, Pipeline::Columnar, &cfg).unwrap();
+            let mut pristine = job.clone();
+            let before = snapshot(&pristine, &follow_up);
+            for (name, delta) in &failures {
+                let result = catch_unwind(AssertUnwindSafe(|| job.apply(delta)));
+                match (*name, result) {
+                    ("unknown seq", Ok(Err(DeltaError::UnknownSeq(999_999)))) => {}
+                    (
+                        "overflow",
+                        Ok(Err(DeltaError::Engine(EngineError::ReducerOverflow { .. }))),
+                    ) => {}
+                    ("panicking reduce", Err(payload)) => {
+                        assert!(panic_message(payload).contains("poison"), "{}", case(name))
+                    }
+                    (_, other) => panic!("{}: unexpected result {other:?}", case(name)),
+                }
+                assert!(
+                    snapshot(&job, &follow_up) == before,
+                    "{}: the failed apply changed the retained job",
+                    case(name)
+                );
+            }
+            let outcome = job.apply(&follow_up).unwrap();
+            let expected = pristine.apply(&follow_up).unwrap();
+            assert_eq!(outcome.added_seqs, 200..202, "{}", case("follow-up"));
+            assert_eq!(outcome.added_seqs, expected.added_seqs);
+            assert_eq!(outcome.retracted, expected.retracted);
+            assert_eq!(outcome.added, expected.added);
+            let (out, m) = run_schema(&job.inputs(), &schema, &cfg).unwrap();
+            assert_eq!(job.outputs(), out, "{}", case("follow-up"));
+            assert_eq!(job.metrics(), m, "{}", case("follow-up"));
         }
     }
 }
