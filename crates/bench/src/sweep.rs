@@ -105,7 +105,7 @@ pub struct SweepPoint {
     pub partition_skew: f64,
     /// Bytes the columnar shuffle moved (`pairs × pair width` — the
     /// communication cost in bytes rather than pairs). Execution
-    /// metadata: the pair width depends on the erased key/value layout.
+    /// metadata: the pair width depends on the family's key/value layout.
     pub shuffle_bytes: u64,
     /// Per-partition shuffle occupancy histogram (execution metadata:
     /// one entry per engine partition, so its shape follows the worker

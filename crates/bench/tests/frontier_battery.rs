@@ -33,10 +33,10 @@ fn semantic_output_is_byte_identical_across_sweep_worker_counts() {
 fn semantic_output_is_byte_identical_across_engine_worker_counts() {
     // The engine's own determinism contract, surfaced at sweep level: the
     // per-point rounds compute identical metrics whether each round runs
-    // sequentially or on a partitioned shuffle. Since the registry
-    // refactor the rounds run through the type-erased
-    // `mr_sim::run_schema_dyn`, so this also pins the erased path's
-    // metric equivalence end to end.
+    // sequentially or on a partitioned shuffle. Every round runs through
+    // `DynFamily::run`, the registry's erasure boundary, so this also pins
+    // that its count-only `run_schema` round is worker-independent end to
+    // end.
     let baseline = sweep_all(&config(2, EngineConfig::sequential())).semantic_json();
     for engine_workers in [2usize, 4] {
         let got = sweep_all(&config(2, EngineConfig::parallel(engine_workers))).semantic_json();

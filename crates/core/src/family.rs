@@ -12,12 +12,13 @@
 //! test batteries) iterate families without ever naming a concrete input
 //! or output type.
 //!
-//! The erasure itself lives **below** this layer, in
-//! [`mr_sim::DynSchema`]: each family's typed
-//! [`SchemaJob`] is erased to index-based closures and
-//! executed with [`mr_sim::run_schema_dyn`], whose metrics are provably
-//! identical to the typed path's. This module only decides *which*
-//! schema runs on *which* instance.
+//! [`DynFamily`] is the erasure boundary. Below it each family keeps its
+//! typed instance inputs and typed [`SchemaJob`]s, and
+//! [`run`](DynFamily::run) executes a grid point with
+//! [`mr_sim::run_schema`] over those very values, counting the schema's
+//! outputs instead of keeping them. Above it nothing names an input or
+//! output type. This module only decides *which* schema runs on *which*
+//! instance.
 //!
 //! # Scales and scenarios
 //!
@@ -67,10 +68,10 @@ use crate::problems::triangle::{g_triangles, NodePartitionSchema, TriangleProble
 use crate::problems::two_path::{BucketPairSchema, PerNodeSchema, TwoPathProblem};
 use crate::recipe::LowerBoundRecipe;
 use mr_graph::{gen, patterns, subgraph, Graph};
-use mr_sim::schema::SchemaJob;
+use mr_sim::schema::{ReducerId, SchemaJob};
 use mr_sim::{
-    predict_delta, run_schema, run_schema_dyn, run_schema_retained, Delta, DeltaError, DynSchema,
-    EngineConfig, EngineError, LoadTable, Pipeline, Seq,
+    predict_delta, run_schema, run_schema_retained, Delta, DeltaError, EngineConfig, EngineError,
+    LoadTable, Pipeline, Seq,
 };
 use std::time::{Duration, Instant};
 
@@ -251,8 +252,9 @@ pub struct FamilyPoint {
     /// Shuffle partition skew — execution metadata, like `wall`.
     pub partition_skew: f64,
     /// Bytes the columnar shuffle moved — `pairs × (fingerprint + key +
-    /// value width)`, the paper's communication cost in bytes rather
-    /// than pairs. Execution metadata, like `wall`.
+    /// value width)`, the value being one of the family's typed inputs:
+    /// the paper's communication cost in bytes rather than pairs.
+    /// Execution metadata, like `wall`.
     pub shuffle_bytes: u64,
     /// Per-partition shuffle occupancy histogram (raw pair count of each
     /// hash partition, in partition order) — execution metadata: its
@@ -476,6 +478,21 @@ impl<I, O> Family<I, O> {
     }
 }
 
+/// A schema whose outputs are counted, not kept: it emits `()` for each
+/// output the wrapped schema emits, so a registry round materialises a
+/// length and nothing else.
+struct CountOutputs<'a, I, O>(&'a dyn SchemaJob<I, O>);
+
+impl<I, O> SchemaJob<I, ()> for CountOutputs<'_, I, O> {
+    fn assign(&self, input: &I) -> Vec<ReducerId> {
+        self.0.assign(input)
+    }
+
+    fn reduce(&self, reducer: ReducerId, inputs: &[I], emit: &mut dyn FnMut(())) {
+        self.0.reduce(reducer, inputs, &mut |_| emit(()))
+    }
+}
+
 impl<I, O> DynFamily for Family<I, O>
 where
     I: Clone + Send + Sync,
@@ -494,13 +511,13 @@ where
     }
 
     /// The single seam between the registry and the engine: the typed
-    /// schema is erased to index closures and run through
-    /// [`run_schema_dyn`].
+    /// schema runs through [`run_schema`] over the typed inputs, its
+    /// outputs counted. `wall` times that call and nothing else.
     fn run(&self, point: usize, engine: &EngineConfig) -> Result<FamilyPoint, EngineError> {
         let declared = &self.grid[point].declared;
-        let job = self.job(point);
-        let erased = DynSchema::erase::<I, O, _>(&self.inputs, &job);
-        let (_outputs, metrics, wall) = run_schema_dyn(&erased, engine)?;
+        let start = Instant::now();
+        let (_, metrics) = run_schema(&self.inputs, &CountOutputs(self.job(point)), engine)?;
+        let wall = start.elapsed();
         let measured = MeasuredPoint::from_round(declared.schema.clone(), &metrics);
         let bound = declared.recipe.clamped_lower_bound(measured.q as f64);
         Ok(FamilyPoint {
@@ -1136,6 +1153,37 @@ mod tests {
         let c = census_of::<u64, u64, _>(&empty, &Nowhere);
         assert_eq!((c.q, c.reducers, c.pairs), (0, 0, 0));
         assert_eq!(c.r, 0.0);
+    }
+
+    #[test]
+    fn counting_outputs_measures_the_typed_round_exactly() {
+        // Reducer `x % 7` emits every pair it holds: outputs, order and
+        // loads all depend on what arrives where.
+        struct Pairs;
+        impl SchemaJob<u64, (u64, u64)> for Pairs {
+            fn assign(&self, input: &u64) -> Vec<ReducerId> {
+                vec![input % 7]
+            }
+            fn reduce(&self, _r: ReducerId, inputs: &[u64], emit: &mut dyn FnMut((u64, u64))) {
+                for (i, a) in inputs.iter().enumerate() {
+                    for b in &inputs[i + 1..] {
+                        emit((*a, *b));
+                    }
+                }
+            }
+        }
+        for inputs in [(0..90).map(|i| i * 37 % 90).collect(), Vec::new()] {
+            let typed = run_schema(&inputs, &Pairs, &EngineConfig::sequential()).unwrap();
+            for workers in [1, 3, 8] {
+                let cfg = EngineConfig::parallel(workers);
+                let (counted, m) = run_schema(&inputs, &CountOutputs(&Pairs), &cfg).unwrap();
+                assert_eq!(counted.len(), typed.0.len(), "workers={workers}");
+                assert_eq!(m, typed.1, "workers={workers}");
+            }
+        }
+        let over = EngineConfig::sequential().with_max_reducer_inputs(12);
+        let inputs: Vec<u64> = (0..90).collect();
+        assert!(run_schema(&inputs, &CountOutputs(&Pairs), &over).is_err());
     }
 
     #[test]

@@ -14,15 +14,15 @@
 //! The flat case `f ≥ m` (one aggregation round) **is** the two-phase
 //! method, byte-for-byte — `flat_recursive_is_two_phase_byte_for_byte`
 //! below proves it against the independent
-//! [`TwoPhaseMatMul`](super::TwoPhaseMatMul) implementation. Deeper trees
-//! trade strictly more rounds (latency) and communication for smaller
-//! per-round reducers, which is exactly the trade the plan layer's
-//! round-structure search prices (§7's open multi-round question).
+//! [`TwoPhaseMatMul`](super::TwoPhaseMatMul) implementation, two plain
+//! rounds run one after the other. Deeper trees trade strictly more
+//! rounds (latency) and communication for smaller per-round reducers,
+//! which is exactly the trade the plan layer's round-structure search
+//! prices (§7's open multi-round question).
 
 use super::matrix::Matrix;
 use super::problem::{numeric_inputs, MatEntry, NumericEntry};
-use super::two_phase::Cell;
-use mr_sim::{DagJob, EngineConfig, EngineError, FnMapper, FnReducer, Job, JobMetrics};
+use mr_sim::{DagJob, EngineConfig, EngineError, FnMapper, FnReducer, JobMetrics};
 
 /// The uniform token a recursive-matmul [`DagJob`] flows between rounds:
 /// matrix entries in, tagged partial cells between and out of rounds.
@@ -41,7 +41,8 @@ pub enum MatToken {
         /// Aggregation group (j-block index divided by `fᵈ` after `d`
         /// aggregation rounds).
         group: u32,
-        /// The partial sum's `f64` bits (big-endian, like [`Cell`]).
+        /// The partial sum's `f64` bits (big-endian, like
+        /// [`Cell`](super::two_phase::Cell)).
         bits: [u8; 8],
     },
 }
@@ -57,7 +58,7 @@ pub struct RecursiveMatMul {
     /// j-dimension block depth (must divide `n`).
     pub t: u32,
     /// Aggregation fan-in `f ≥ 2` (or 1 when a single partial per cell
-    /// makes the tree trivial).
+    /// makes the tree trivial; never 0).
     pub fanin: u32,
 }
 
@@ -67,7 +68,7 @@ impl RecursiveMatMul {
     /// # Panics
     /// Panics unless `s` and `t` divide `n`, and `fanin ≥ 2` (fan-in 1 is
     /// admitted only in the trivial `t = n` case of one partial per
-    /// cell).
+    /// cell; fan-in 0 never).
     pub fn new(n: u32, s: u32, t: u32, fanin: u32) -> Self {
         assert!(
             s >= 1 && s <= n && n.is_multiple_of(s),
@@ -76,6 +77,10 @@ impl RecursiveMatMul {
         assert!(
             t >= 1 && t <= n && n.is_multiple_of(t),
             "t={t} must divide n={n}"
+        );
+        assert!(
+            fanin > 0,
+            "fanin=0: an aggregation round merges at least one group"
         );
         assert!(
             fanin >= 2 || n / t == 1,
@@ -267,27 +272,6 @@ impl RecursiveMatMul {
         dag
     }
 
-    /// The [`Job`]-shaped view of the chain, matching
-    /// [`TwoPhaseMatMul::job`](super::TwoPhaseMatMul::job)'s signature so
-    /// both shapes plug into the same execution paths.
-    pub fn job(&self) -> Job<NumericEntry, Cell> {
-        let me = *self;
-        Job::from_fn(me.num_rounds() as usize, move |inputs, cfg| {
-            let tokens: Vec<MatToken> = inputs.into_iter().map(MatToken::Entry).collect();
-            let (out, metrics) = me.dag().run(&tokens, cfg)?;
-            let cells = out
-                .into_iter()
-                .map(|token| {
-                    let MatToken::Partial { i, k, bits, .. } = token else {
-                        unreachable!("the final aggregation round emits partials only");
-                    };
-                    (i, k, bits)
-                })
-                .collect();
-            Ok((cells, metrics.rounds))
-        })
-    }
-
     /// Runs the multiplication end to end.
     pub fn run(
         &self,
@@ -295,11 +279,16 @@ impl RecursiveMatMul {
         s_mat: &Matrix,
         config: &EngineConfig,
     ) -> Result<(Matrix, JobMetrics), EngineError> {
-        let inputs = numeric_inputs(r, s_mat);
-        let (cells, metrics) = self.job().run(inputs, config)?;
-        let n = r.n();
-        let mut out = Matrix::zeros(n);
-        for (i, k, bits) in cells {
+        let tokens: Vec<MatToken> = numeric_inputs(r, s_mat)
+            .into_iter()
+            .map(MatToken::Entry)
+            .collect();
+        let (cells, metrics) = self.dag().run(&tokens, config)?;
+        let mut out = Matrix::zeros(r.n());
+        for token in cells {
+            let MatToken::Partial { i, k, bits, .. } = token else {
+                unreachable!("the final aggregation round emits partials only");
+            };
             out[(i as usize, k as usize)] = f64::from_bits(u64::from_be_bytes(bits));
         }
         Ok((out, metrics))
@@ -311,28 +300,30 @@ mod tests {
     use super::*;
     use crate::problems::matmul::TwoPhaseMatMul;
 
+    /// Every entry's `f64` bits, row-major.
+    fn bits(m: &Matrix) -> Vec<u64> {
+        let n = m.n();
+        (0..n * n).map(|c| m[(c / n, c % n)].to_bits()).collect()
+    }
+
     #[test]
     fn flat_recursive_is_two_phase_byte_for_byte() {
-        // The flat shape must reproduce the independent two-phase
-        // implementation exactly: outputs and per-round metrics.
+        // The flat shape, staged as a DAG, must reproduce the independent
+        // two-phase implementation — two plain rounds run one after the
+        // other — exactly: every product bit and every round's metrics.
         let n = 8u32;
         let a = Matrix::random(n as usize, 21);
         let b = Matrix::random(n as usize, 22);
-        let inputs = numeric_inputs(&a, &b);
         for (s, t) in [(2u32, 1u32), (4, 2), (2, 2), (8, 4)] {
-            let two = TwoPhaseMatMul::new(n, s, t);
             let flat = RecursiveMatMul::flat(n, s, t);
             assert_eq!(flat.num_rounds(), 2, "(s={s},t={t})");
-            let (cells2, m2) = two
-                .job()
-                .run(inputs.clone(), &EngineConfig::sequential())
-                .unwrap();
-            let (cellsr, mr) = flat
-                .job()
-                .run(inputs.clone(), &EngineConfig::sequential())
-                .unwrap();
-            assert_eq!(cells2, cellsr, "(s={s},t={t}) outputs");
-            assert_eq!(m2, mr, "(s={s},t={t}) metrics");
+            for workers in [1usize, 4] {
+                let cfg = EngineConfig::parallel(workers);
+                let (two, m2) = TwoPhaseMatMul::new(n, s, t).run(&a, &b, &cfg).unwrap();
+                let (tree, mr) = flat.run(&a, &b, &cfg).unwrap();
+                assert_eq!(bits(&two), bits(&tree), "(s={s},t={t}) product");
+                assert_eq!(m2, mr, "(s={s},t={t}) metrics");
+            }
         }
     }
 
@@ -411,5 +402,13 @@ mod tests {
     #[should_panic(expected = "must be at least 2")]
     fn rejects_fanin_one_with_work_to_merge() {
         RecursiveMatMul::new(8, 2, 2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "fanin=0")]
+    fn rejects_fanin_zero_even_with_one_partial_per_cell() {
+        // t = n leaves m = 1 partial per cell, which fan-in 1 admits;
+        // fan-in 0 would divide by zero building the tree.
+        RecursiveMatMul::new(8, 2, 8, 0);
     }
 }

@@ -10,7 +10,7 @@
 
 use super::matrix::Matrix;
 use super::problem::{numeric_inputs, MatEntry, NumericEntry};
-use mr_sim::{EngineConfig, EngineError, FnMapper, FnReducer, Job, JobMetrics};
+use mr_sim::{run_round, EngineConfig, EngineError, FnMapper, FnReducer, JobMetrics};
 
 /// A partial or final output cell `(i, k, f64 bits)`.
 pub type Cell = (u32, u32, [u8; 8]);
@@ -46,7 +46,15 @@ impl TwoPhaseMatMul {
     /// Picks the §6.3-optimal `(s, t)` for a budget `q = 2st`: the
     /// divisors of `n` closest to `s = √q`, `t = √q/2` subject to
     /// `2st ≤ q`.
+    ///
+    /// # Panics
+    /// Panics if `q < 2`: the smallest phase-1 reducer, `s = t = 1`,
+    /// holds one entry of each matrix.
     pub fn for_budget(n: u32, q: u64) -> Self {
+        assert!(
+            q >= 2,
+            "q={q} is below 2, the smallest two-phase budget (s = t = 1 gives 2st = 2)"
+        );
         let divisors: Vec<u32> = (1..=n).filter(|d| n.is_multiple_of(*d)).collect();
         let mut best: Option<(f64, u32, u32)> = None;
         for &s in &divisors {
@@ -81,10 +89,15 @@ impl TwoPhaseMatMul {
         (bi * rb + bk) * jb + bj
     }
 
-    /// Builds the two-round simulator job.
-    pub fn job(&self) -> Job<NumericEntry, Cell> {
+    /// Runs the two-phase multiplication end to end: phase 1, then
+    /// phase 2 over phase 1's partial cells — two plain rounds.
+    pub fn run(
+        &self,
+        r: &Matrix,
+        s_mat: &Matrix,
+        config: &EngineConfig,
+    ) -> Result<(Matrix, JobMetrics), EngineError> {
         let (n, s, t) = (self.n, self.s, self.t);
-        let me = *self;
         let rb = (n / s) as u64;
         let jb = (n / t) as u64;
 
@@ -96,14 +109,14 @@ impl TwoPhaseMatMul {
                         let bi = (*i / s) as u64;
                         let bj = (*j / t) as u64;
                         for bk in 0..rb {
-                            emit(me.cube(bi, bk, bj), *input);
+                            emit(self.cube(bi, bk, bj), *input);
                         }
                     }
                     MatEntry::S(j, k) => {
                         let bj = (*j / t) as u64;
                         let bk = (*k / s) as u64;
                         for bi in 0..rb {
-                            emit(me.cube(bi, bk, bj), *input);
+                            emit(self.cube(bi, bk, bj), *input);
                         }
                     }
                 }
@@ -167,24 +180,19 @@ impl TwoPhaseMatMul {
             },
         );
 
-        Job::single(phase1_map, phase1_reduce).then(phase2_map, phase2_reduce)
-    }
-
-    /// Runs the two-phase multiplication end to end.
-    pub fn run(
-        &self,
-        r: &Matrix,
-        s_mat: &Matrix,
-        config: &EngineConfig,
-    ) -> Result<(Matrix, JobMetrics), EngineError> {
         let inputs = numeric_inputs(r, s_mat);
-        let (cells, metrics) = self.job().run(inputs, config)?;
-        let n = r.n();
-        let mut out = Matrix::zeros(n);
+        let (partials, phase1) = run_round(&inputs, &phase1_map, &phase1_reduce, config)?;
+        let (cells, phase2) = run_round(&partials, &phase2_map, &phase2_reduce, config)?;
+        let mut out = Matrix::zeros(r.n());
         for (i, k, bits) in cells {
             out[(i as usize, k as usize)] = f64::from_bits(u64::from_be_bytes(bits));
         }
-        Ok((out, metrics))
+        Ok((
+            out,
+            JobMetrics {
+                rounds: vec![phase1, phase2],
+            },
+        ))
     }
 }
 
@@ -308,6 +316,12 @@ mod tests {
         let (par, m2) = alg.run(&a, &b, &EngineConfig::parallel(4)).unwrap();
         assert_eq!(seq, par);
         assert_eq!(m1, m2);
+    }
+
+    #[test]
+    #[should_panic(expected = "smallest two-phase budget")]
+    fn for_budget_rejects_a_budget_below_two() {
+        TwoPhaseMatMul::for_budget(8, 1);
     }
 
     #[test]

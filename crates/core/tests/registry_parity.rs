@@ -3,12 +3,12 @@
 //! On a *complete* model instance, exhaustive schema validation
 //! ([`mr_core::model::validate_schema`] — counting assignments over every
 //! potential input) and an actual engine round
-//! ([`mr_sim::run_schema_dyn`] under [`mr_core::family::DynFamily::run`])
+//! ([`mr_sim::run_schema`] under [`mr_core::family::DynFamily::run`])
 //! must agree exactly: the same replication rate `Σ qᵢ / |I|` and the
 //! same maximum reducer load. This pins the §2.3 "all inputs present"
-//! assumption through the registry's type-erased path for **every**
-//! family at once — any family whose erased closures dropped, duplicated,
-//! or rerouted an assignment would split the two numbers apart.
+//! assumption through the registry's type-erased interface for **every**
+//! family at once — any family whose round dropped, duplicated, or
+//! rerouted an assignment would split the two numbers apart.
 
 use mr_core::family::{
     extended_registry, family_by_name, registry_at, sparse_scenarios, DeltaSpec, Scale,
@@ -63,7 +63,7 @@ fn validation_and_engine_agree_for_every_family_at_small_scale() {
 
 #[test]
 fn parity_holds_across_engine_worker_counts() {
-    // The erased path rides the engine's determinism contract: the same
+    // The registry's round rides the engine's determinism contract: the same
     // numbers at any worker count. One family per instance type suffices
     // here (the full cross-product lives in the engine's own batteries).
     for fam in registry_at(Scale::Small) {

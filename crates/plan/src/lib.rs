@@ -23,8 +23,8 @@
 //!   what the engine will measure;
 //! * every [`Plan`] is **runnable**:
 //!   [`Plan::execute`] lowers the choice onto the
-//!   [`DynFamily`](mr_core::family::DynFamily) registry /
-//!   [`mr_sim::run_schema_dyn`] path (or a multi-round matmul tree),
+//!   [`DynFamily`](mr_core::family::DynFamily) registry's
+//!   [`mr_sim::run_schema`] round (or a multi-round matmul tree),
 //!   under a reducer budget equal to its own prediction, and reports
 //!   measured `(q, r, cost)` next to the predicted ones;
 //! * the [`dag`] module generalises the plan *shape*: a

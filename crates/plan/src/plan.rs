@@ -2,7 +2,6 @@
 
 use crate::cluster::ClusterSpec;
 use mr_core::family::{family_by_name, Scale};
-use mr_core::problems::matmul::problem::numeric_inputs;
 use mr_core::problems::matmul::{Matrix, RecursiveMatMul};
 use mr_sim::{EngineConfig, EngineError};
 use std::time::{Duration, Instant};
@@ -11,8 +10,8 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Choice {
     /// Grid point `point` of the named registry family at `scale` —
-    /// lowered through [`DynFamily::run`](mr_core::family::DynFamily::run)
-    /// onto the type-erased [`mr_sim::run_schema_dyn`] path.
+    /// lowered through [`DynFamily::run`](mr_core::family::DynFamily::run),
+    /// the registry's one [`mr_sim::run_schema`] round.
     Registry {
         /// Instance-size preset the plan was made for.
         scale: Scale,
@@ -156,12 +155,12 @@ impl Plan {
                 // directly comparable.
                 let a = Matrix::random(n as usize, 3);
                 let b = Matrix::random(n as usize, 4);
-                let inputs = numeric_inputs(&a, &b);
-                let num_inputs = inputs.len() as f64;
-                let job = RecursiveMatMul::new(n, s, t, fanin).job();
                 let start = Instant::now();
-                let (out, metrics) = job.run(inputs, &budgeted)?;
+                let (_, metrics) = RecursiveMatMul::new(n, s, t, fanin).run(&a, &b, &budgeted)?;
                 let wall = start.elapsed();
+                // Phase 1 reads the instance; the last round emits the
+                // product cells.
+                let num_inputs = metrics.rounds[0].inputs as f64;
                 let measured_q = metrics.max_reducer_load();
                 let measured_r = metrics.total_communication() as f64 / num_inputs;
                 // Per-round pricing plus the latency charge per round —
@@ -179,7 +178,7 @@ impl Plan {
                     measured_q,
                     measured_r,
                     measured_cost,
-                    outputs: out.len() as u64,
+                    outputs: metrics.rounds.last().map_or(0, |m| m.outputs),
                     partition_skew: metrics
                         .rounds
                         .iter()

@@ -1,13 +1,15 @@
 //! A DAG of map-reduce rounds over one token type.
 //!
-//! [`Job`](crate::Job) chains rounds linearly with full type-safety;
-//! planners need more: a **DAG** whose nodes are rounds, whose edges say
-//! "this round's reduce output is (part of) that round's map input", and
-//! whose per-node execution can be budgeted and measured individually.
-//! [`DagJob`] is that executor. It trades `Job`'s per-round typing for a
-//! single *token* type `T` shared by every round (an enum in practice),
-//! which is what lets arbitrary topologies be built at run time — the
-//! plan layer's round-structure search enumerates these.
+//! §6.3's two-phase method chains two rounds: the first round's reduce
+//! output is the second round's map input. Planners need the general
+//! form: a **DAG** whose nodes are rounds, whose edges say "this round's
+//! reduce output is (part of) that round's map input", and whose
+//! per-node execution can be budgeted and measured individually.
+//! [`DagJob`] is that executor, and the crate's one way to chain rounds
+//! (a linear chain is the DAG with one node per level). Every round
+//! shares a single *token* type `T` (an enum in practice), which is what
+//! lets arbitrary topologies be built at run time — the plan layer's
+//! round-structure search enumerates these.
 //!
 //! Execution contract (the same one every other path in this crate
 //! obeys):
@@ -28,7 +30,6 @@
 //!   as the level, with concurrently-running nodes collected in index
 //!   order.
 
-use crate::delta::{run_round_on, Pipeline};
 use crate::engine::{run_round, EngineConfig, EngineError};
 use crate::mapper::{Mapper, Reducer};
 use crate::metrics::{JobMetrics, RoundMetrics};
@@ -136,8 +137,7 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
         )
     }
 
-    /// Adds a round executing a [`SchemaJob`] on the selected shuffle
-    /// [`Pipeline`] — the DAG-shaped view of
+    /// Adds a round executing a [`SchemaJob`] — the DAG-shaped view of
     /// [`run_schema`](crate::run_schema), byte-identical to it (the
     /// degenerate single-node DAG *is* `run_schema`).
     ///
@@ -148,7 +148,6 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
         name: impl Into<String>,
         deps: Vec<usize>,
         schema: S,
-        pipeline: Pipeline,
     ) -> usize
     where
         S: SchemaJob<T, T> + Send + 'static,
@@ -160,7 +159,7 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
             deps,
             Box::new(move |inputs, cfg| {
                 let (mapper, reducer) = schema_round(&*schema);
-                run_round_on(pipeline, inputs, &mapper, &reducer, cfg)
+                run_round(inputs, &mapper, &reducer, cfg)
             }),
             Box::new(move |inputs| LoadTable::of(&*census_schema, inputs).census()),
         )
@@ -377,31 +376,28 @@ mod tests {
     }
 
     #[test]
-    fn linear_chain_matches_job_then() {
-        // DAG a → b must equal Job::single(a).then(b).
+    fn linear_chain_matches_sequential_rounds() {
+        // DAG a → b must equal round a, then round b over a's outputs.
         let mut dag: DagJob<u64> = DagJob::new();
         let a = sum_round(&mut dag, "a", vec![], 3);
         sum_round(&mut dag, "b", vec![a], 2);
         assert_eq!(dag.num_rounds(), 2);
         assert_eq!(dag.depth(), 2);
         let inputs: Vec<u64> = (0..30).collect();
-        let (out, m) = dag.run(&inputs, &EngineConfig::sequential()).unwrap();
+        let cfg = EngineConfig::sequential();
+        let (out, m) = dag.run(&inputs, &cfg).unwrap();
 
-        let job: crate::Job<u64, u64> = crate::Job::single(
-            FnMapper(|x: &u64, emit: &mut dyn FnMut(u64, u64)| emit(x % 3, *x)),
-            FnReducer(|k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| {
-                emit(k * 1_000_000 + vs.iter().sum::<u64>())
-            }),
-        )
-        .then(
-            FnMapper(|x: &u64, emit: &mut dyn FnMut(u64, u64)| emit(x % 2, *x)),
-            FnReducer(|k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| {
-                emit(k * 1_000_000 + vs.iter().sum::<u64>())
-            }),
-        );
-        let (jout, jm) = job.run(inputs, &EngineConfig::sequential()).unwrap();
-        assert_eq!(out, jout);
-        assert_eq!(m, jm);
+        let sum = FnReducer(|k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| {
+            emit(k * 1_000_000 + vs.iter().sum::<u64>())
+        });
+        let by = |modulus: u64| {
+            FnMapper(move |x: &u64, emit: &mut dyn FnMut(u64, u64)| emit(x % modulus, *x))
+        };
+        let (mid, first) = run_round(&inputs, &by(3), &sum, &cfg).unwrap();
+        let (last, second) = run_round(&mid, &by(2), &sum, &cfg).unwrap();
+        assert_eq!(out, last);
+        assert_eq!(m.rounds, vec![first, second]);
+        assert_eq!(m.total_communication(), 30 + 3);
     }
 
     #[test]
@@ -475,6 +471,26 @@ mod tests {
     }
 
     #[test]
+    fn base_budget_aborts_the_second_level() {
+        // No node override: the base budget q = 3 admits level 0 (ten
+        // keys of three) and aborts level 1, which funnels its ten
+        // inputs into one key.
+        let mut dag: DagJob<u64> = DagJob::new();
+        let a = sum_round(&mut dag, "a", vec![], 10);
+        sum_round(&mut dag, "b", vec![a], 1);
+        let cfg = EngineConfig::sequential().with_max_reducer_inputs(3);
+        let err = dag.run(&(0..30).collect::<Vec<_>>(), &cfg).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::ReducerOverflow {
+                key: "0".into(),
+                load: 10,
+                limit: 3
+            }
+        );
+    }
+
+    #[test]
     fn concurrent_failures_report_the_smallest_node() {
         // Two same-stage nodes both overflow; node index 1 must win.
         let build = || {
@@ -514,14 +530,12 @@ mod tests {
         }
         let inputs: Vec<u64> = (0..100).collect();
         let (expect, expect_m) = run_schema(&inputs, &Fan, &EngineConfig::sequential()).unwrap();
-        for pipeline in Pipeline::ALL {
-            let mut dag: DagJob<u64> = DagJob::new();
-            dag.add_schema_round("fan", vec![], Fan, pipeline);
-            assert_eq!(dag.depth(), 1);
-            let (out, m) = dag.run(&inputs, &EngineConfig::parallel(4)).unwrap();
-            assert_eq!(out, expect, "{}", pipeline.name());
-            assert_eq!(m.rounds, vec![expect_m.clone()], "{}", pipeline.name());
-        }
+        let mut dag: DagJob<u64> = DagJob::new();
+        dag.add_schema_round("fan", vec![], Fan);
+        assert_eq!(dag.depth(), 1);
+        let (out, m) = dag.run(&inputs, &EngineConfig::parallel(4)).unwrap();
+        assert_eq!(out, expect);
+        assert_eq!(m.rounds, vec![expect_m]);
     }
 
     #[test]

@@ -38,11 +38,10 @@
 //! retained state is left untouched.
 
 use crate::columnar::FingerprintHasher;
-use crate::combiner::{run_round_combined, CombinedMetrics, Combiner};
 use crate::engine::{run_round, EngineConfig, EngineError};
 use crate::mapper::{FnMapper, FnReducer, Mapper, Reducer};
 use crate::metrics::{LoadStats, RoundMetrics, ShuffleStats};
-use crate::naive::{run_round_combined_naive, run_round_naive};
+use crate::naive::run_round_naive;
 use crate::schema::{price_change, LoadHistogram, LoadTable, ReducerId, SchemaJob};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Debug;
@@ -123,28 +122,6 @@ where
     match pipeline {
         Pipeline::Columnar => run_round(inputs, mapper, reducer, config),
         Pipeline::Naive => run_round_naive(inputs, mapper, reducer, config),
-    }
-}
-
-/// Executes one combined round (map-side combining) on the selected
-/// [`Pipeline`] — the combiner-path twin of [`run_round_on`].
-pub fn run_round_combined_on<I, K, V, O>(
-    pipeline: Pipeline,
-    inputs: &[I],
-    mapper: &dyn Mapper<I, K, V>,
-    combiner: &dyn Combiner<K, V>,
-    reducer: &dyn Reducer<K, V, O>,
-    config: &EngineConfig,
-) -> Result<(Vec<O>, CombinedMetrics), EngineError>
-where
-    I: Sync,
-    K: Ord + Hash + Clone + Debug + Send + Sync + 'static,
-    V: Send + Sync,
-    O: Send,
-{
-    match pipeline {
-        Pipeline::Columnar => run_round_combined(inputs, mapper, combiner, reducer, config),
-        Pipeline::Naive => run_round_combined_naive(inputs, mapper, combiner, reducer, config),
     }
 }
 
@@ -1065,7 +1042,7 @@ mod tests {
 
     #[test]
     fn pipeline_dispatch_planes_agree() {
-        // run_round_on / run_round_combined_on: both planes, same answer.
+        // run_round_on: both planes, same answer.
         let inputs: Vec<u64> = (0..500).map(|x| x * 7 % 40).collect();
         let mapper = FnMapper(|x: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*x % 16, *x));
         let reducer = FnReducer(|k: &u64, vs: &[u64], emit: &mut dyn FnMut((u64, u64))| {
@@ -1077,26 +1054,6 @@ mod tests {
         let (nai, nai_m) = run_round_on(Pipeline::Naive, &inputs, &mapper, &reducer, &cfg).unwrap();
         assert_eq!(col, nai);
         assert_eq!(col_m, nai_m);
-
-        let combiner = crate::combiner::FnCombiner(|_k: &u64, acc: &mut u64, next: u64| {
-            *acc += next;
-        });
-        let (ccol, ccol_m) = run_round_combined_on(
-            Pipeline::Columnar,
-            &inputs,
-            &mapper,
-            &combiner,
-            &reducer,
-            &cfg,
-        )
-        .unwrap();
-        let (cnai, cnai_m) =
-            run_round_combined_on(Pipeline::Naive, &inputs, &mapper, &combiner, &reducer, &cfg)
-                .unwrap();
-        assert_eq!(ccol, cnai);
-        assert_eq!(ccol_m.round, cnai_m.round);
-        assert_eq!(ccol_m.pre_combine_pairs, cnai_m.pre_combine_pairs);
-        assert_eq!(ccol, col);
     }
 
     #[test]

@@ -35,11 +35,9 @@
 //! bytes moved, bucket histogram) varies with the worker count, and that
 //! is excluded from metric equality by design.
 //!
-//! There is one round kernel. A combiner
-//! ([`run_round_combined`](crate::run_round_combined)) is an optional
-//! per-chunk stage of it between map and partition scatter, not a second
-//! pipeline: routing, grouping, the budget check, reduce, the counters and
-//! the spans are the same code either way.
+//! There is one round kernel, [`run_round`]: every production round —
+//! a schema's, a DAG node's, a retained delta's routing round — is a call
+//! of it.
 //!
 //! The engine enforces the paper's central constraint when asked: if
 //! [`EngineConfig::max_reducer_inputs`] (the paper's `q`) is set and any
@@ -53,7 +51,6 @@ use crate::columnar::{
     bucket_count, fingerprint_of, group_buckets, group_partition, partition_of_hash, ColumnBuf,
     GroupedRun, Shuffled,
 };
-use crate::combiner::Combiner;
 use crate::mapper::{Mapper, Reducer};
 use crate::metrics::{LoadStats, RoundMetrics, ShuffleStats};
 use crate::pool::Executor;
@@ -135,7 +132,7 @@ impl EngineConfig {
 
     /// The worker count the engine actually uses: `workers` clamped to at
     /// least 1. This is the **only** clamp site — every execution path
-    /// (engine, combiner, jobs, schemas) normalises the degenerate
+    /// (engine, DAGs, schemas, deltas) normalises the degenerate
     /// `workers: 0` through here.
     pub fn effective_workers(&self) -> usize {
         self.workers.max(1)
@@ -195,7 +192,8 @@ pub(crate) fn pair_bytes<K, V>() -> u64 {
     (std::mem::size_of::<u64>() + std::mem::size_of::<K>() + std::mem::size_of::<V>()) as u64
 }
 
-/// Executes one map-reduce round.
+/// Executes one map-reduce round — the round kernel, §2.2's one thing
+/// called a round: map, route by reducer, reduce.
 ///
 /// Returns the reduce outputs (in ascending key order, emission order
 /// within a key) and the round's metrics.
@@ -230,32 +228,6 @@ where
     M: Mapper<I, K, V> + ?Sized,
     R: Reducer<K, V, O> + ?Sized,
 {
-    let (outputs, metrics, _emitted) = round(inputs, mapper, None, reducer, config)?;
-    Ok((outputs, metrics))
-}
-
-/// The round kernel — §2.2's one thing called a round: map, route by
-/// reducer, reduce. [`run_round`] is this with no combiner;
-/// [`run_round_combined`](crate::run_round_combined) passes one, which
-/// adds a per-chunk stage between map and partition scatter and nothing
-/// else. Returns the outputs, the metrics of what crossed the shuffle, and
-/// the number of pairs the mappers emitted (equal to `kv_pairs` unless a
-/// combiner merged some before the shuffle).
-pub(crate) fn round<I, K, V, O, M, R>(
-    inputs: &[I],
-    mapper: &M,
-    combiner: Option<&dyn Combiner<K, V>>,
-    reducer: &R,
-    config: &EngineConfig,
-) -> Result<(Vec<O>, RoundMetrics, u64), EngineError>
-where
-    I: Sync,
-    K: Ord + Hash + Debug + Send + Sync + 'static,
-    V: Send + Sync,
-    O: Send,
-    M: Mapper<I, K, V> + ?Sized,
-    R: Reducer<K, V, O> + ?Sized,
-{
     let workers = config.effective_workers();
     let _round_span = mr_obs::span("engine.round");
     engine_counters().rounds.incr();
@@ -264,7 +236,7 @@ where
     // allocates more buckets) than there are inputs — the same envelope
     // the chunked map and reduce phases have always had.
     let p = workers.min(inputs.len()).max(1);
-    let (shuffled, stats, kv_pairs, emitted) = if p == 1 && combiner.is_none() {
+    let (shuffled, stats, kv_pairs) = if p == 1 {
         // Single-partition fast path: the map phase routes each emission
         // straight into its radix bucket — the flat per-worker columns
         // and the partition scatter disappear entirely.
@@ -284,14 +256,10 @@ where
             pair_bytes::<K, V>(),
         )?;
         drop(shuffle_span);
-        (shuffled, stats, kv_pairs, kv_pairs)
+        (shuffled, stats, kv_pairs)
     } else {
-        let map_span = mr_obs::span(if combiner.is_some() {
-            "engine.combine"
-        } else {
-            "engine.map"
-        });
-        let (emitted, partitions) = map_columnar_phase(inputs, mapper, combiner, p, config);
+        let map_span = mr_obs::span("engine.map");
+        let partitions = map_columnar_phase(inputs, mapper, p, config);
         drop(map_span);
         let kv_pairs: u64 = partitions.iter().map(|part| part.len() as u64).sum();
         let shuffle_span = mr_obs::span("engine.shuffle");
@@ -303,7 +271,7 @@ where
             config.executor,
         )?;
         drop(shuffle_span);
-        (shuffled, stats, kv_pairs, emitted)
+        (shuffled, stats, kv_pairs)
     };
     engine_counters().kv_pairs.add(kv_pairs);
     let reduce_span = mr_obs::span("engine.reduce");
@@ -316,7 +284,7 @@ where
         outputs.len(),
         stats,
     );
-    Ok((outputs, metrics, emitted))
+    Ok((outputs, metrics))
 }
 
 /// Map phase of the single-partition fast path: emissions are
@@ -382,7 +350,6 @@ where
 /// chunk's column into `p` partitions by the top fingerprint bits and
 /// concatenating chunk sub-columns per partition in chunk (= input)
 /// order — so within any partition, pairs appear in global emission order.
-/// Also returns how many pairs the mappers emitted.
 ///
 /// Each chunk's column is preallocated from the caller's
 /// [`pairs_hint`](EngineConfig::pairs_hint) (split evenly across the `p`
@@ -390,87 +357,43 @@ where
 /// scatter sizes its targets with an exact counting pass. Together these
 /// remove the growth reallocations that made the old map-scatter *slower*
 /// at high worker counts than at low ones.
-///
-/// With a combiner, each chunk's column goes through [`combine_column`]
-/// before the scatter, exactly like Hadoop's combiner running on one
-/// mapper's output: the reducers then see one value per (chunk, key), in
-/// chunk order. The emitted count is taken before that stage, so the
-/// paper's replication numerator is independent of the shuffle.
 fn map_columnar_phase<I, K, V, M>(
     inputs: &[I],
     mapper: &M,
-    combiner: Option<&dyn Combiner<K, V>>,
     p: usize,
     config: &EngineConfig,
-) -> (u64, Vec<ColumnBuf<K, V>>)
+) -> Vec<ColumnBuf<K, V>>
 where
     I: Sync,
-    K: Ord + Hash + Send,
+    K: Hash + Send,
     V: Send,
     M: Mapper<I, K, V> + ?Sized,
 {
     let mut partitions: Vec<ColumnBuf<K, V>> = (0..p).map(|_| ColumnBuf::new()).collect();
     if inputs.is_empty() {
-        return (0, partitions);
+        return partitions;
     }
     let hint = config.pairs_hint.map(|h| (h as usize).div_ceil(p));
-    let chunk_span = if combiner.is_some() {
-        "engine.combine.chunk"
-    } else {
-        "engine.map.chunk"
-    };
-    let map_chunk = |c: &[I]| -> (u64, Vec<ColumnBuf<K, V>>) {
-        let _span = mr_obs::span(chunk_span);
+    let map_chunk = |c: &[I]| -> Vec<ColumnBuf<K, V>> {
+        let _span = mr_obs::span("engine.map.chunk");
         let mut buf = ColumnBuf::with_capacity(hint.unwrap_or(c.len()));
         for input in c {
             mapper.map(input, &mut |k, v| buf.emit(k, v));
         }
-        let emitted = buf.len() as u64;
-        if let Some(combiner) = combiner {
-            buf = combine_column(buf, combiner);
-        }
         if p <= 1 {
-            (emitted, vec![buf])
+            vec![buf]
         } else {
-            (emitted, buf.scatter(p, |h| partition_of_hash(h, p)))
+            buf.scatter(p, |h| partition_of_hash(h, p))
         }
     };
     // At most `p` chunks (`p <= inputs.len()`), one fan-out item each.
     let chunks: Vec<&[I]> = inputs.chunks(inputs.len().div_ceil(p)).collect();
-    let mut emitted = 0;
-    for (chunk_emitted, chunk_bufs) in config.executor.fan_out(p, chunks, map_chunk) {
-        emitted += chunk_emitted;
+    for chunk_bufs in config.executor.fan_out(p, chunks, map_chunk) {
         for (pi, buf) in chunk_bufs.into_iter().enumerate() {
             partitions[pi].append(buf);
         }
     }
-    (emitted, partitions)
-}
-
-/// The combine stage over one chunk's emissions: group the column in
-/// fingerprint order (no key sort — the shuffle re-sorts anyway) and fold
-/// each group's contiguous value run into one combined value. Values
-/// arrive in emission order, so the fold order matches an incremental
-/// per-key combine exactly.
-fn combine_column<K: Ord + Hash, V>(
-    buf: ColumnBuf<K, V>,
-    combiner: &dyn Combiner<K, V>,
-) -> ColumnBuf<K, V> {
-    let run = group_partition(buf);
-    let mut combined = ColumnBuf::with_capacity(run.len());
-    let mut vals = run.values.into_iter();
-    for g in run.groups {
-        let mut acc = vals.next().expect("every group has a first value");
-        for _ in 1..g.len {
-            combiner.combine(&g.key, &mut acc, vals.next().expect("group length"));
-        }
-        // Re-fingerprint the surviving key: the descriptor no longer
-        // carries its hash (keeping the directory small for the far
-        // hotter plain-shuffle sort), and one hash per *distinct* key
-        // is noise next to the per-pair work the combiner just saved.
-        combined.emit(g.key, acc);
-    }
-    combined
+    partitions
 }
 
 /// Groups, key-sorts, budget-checks, and merges columnar partitions — the

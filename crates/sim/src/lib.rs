@@ -32,13 +32,9 @@
 //! * [`delta`] — incremental execution: schemas held resident with
 //!   per-reducer state, re-executing only the reducers a
 //!   `Delta { added, removed }` dirties (exploiting §2.2 obliviousness),
-//! * [`combiner`] — optional map-side combining (a stage of the engine's
-//!   one round kernel) with pre-/post-combine communication accounting,
-//! * [`job`] — type-safe multi-round pipelines (round *i*'s reduce output
-//!   feeds round *i+1*'s map),
 //! * [`dag`] — a DAG of rounds over one token type, staged level by
-//!   level on the execution substrate, for planner-searched round
-//!   structures,
+//!   level on the execution substrate: the one way to chain rounds, from
+//!   §6.3's two-phase method to planner-searched round structures,
 //! * [`pool`] — [`Executor::fan_out`], the one fan-out under every
 //!   parallel site, over the resident work-stealing [`WorkerPool`] by
 //!   default, with the per-call scoped-thread substrate retained as the
@@ -48,29 +44,22 @@
 //!   inputs to reducers) as a map-reduce job.
 
 pub(crate) mod columnar;
-pub mod combiner;
 pub mod dag;
 pub mod delta;
 pub mod engine;
-pub mod job;
 pub mod mapper;
 pub mod metrics;
 pub mod naive;
 pub mod pool;
 pub mod schema;
 
-pub use combiner::{run_round_combined, CombinedMetrics, Combiner, FnCombiner};
 pub use dag::DagJob;
 pub use delta::{
-    predict_delta, run_round_combined_on, run_round_on, run_schema_retained, Delta, DeltaError,
-    DeltaJob, DeltaMetrics, DeltaOutcome, DeltaPrediction, Pipeline, Seq,
+    predict_delta, run_round_on, run_schema_retained, Delta, DeltaError, DeltaJob, DeltaMetrics,
+    DeltaOutcome, DeltaPrediction, Pipeline, Seq,
 };
 pub use engine::{run_round, EngineConfig, EngineError};
-pub use job::Job;
 pub use mapper::{FnMapper, FnReducer, Mapper, Reducer};
 pub use metrics::{JobMetrics, LoadStats, RoundMetrics, ShuffleStats};
 pub use pool::{Executor, WorkerPool};
-pub use schema::{
-    price_change, run_schema, run_schema_dyn, DynSchema, LoadHistogram, LoadTable, RoundCensus,
-    SchemaJob,
-};
+pub use schema::{price_change, run_schema, LoadHistogram, LoadTable, RoundCensus, SchemaJob};

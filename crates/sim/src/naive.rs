@@ -13,7 +13,6 @@
 //! offender, and the `columnar_oracle` battery asserts exactly that
 //! against this module. Do **not** use it in production paths.
 
-use crate::combiner::{CombinedMetrics, Combiner};
 use crate::engine::{pair_bytes, EngineConfig, EngineError};
 use crate::mapper::{Mapper, Reducer};
 use crate::metrics::{LoadStats, RoundMetrics, ShuffleStats};
@@ -335,118 +334,6 @@ where
         outputs
     });
     results.into_iter().flatten().collect()
-}
-
-/// Executes map → (per-worker `BTreeMap` combine) → naive shuffle →
-/// reduce: the pre-columnar combined path, same contract as
-/// [`run_round_combined`](crate::run_round_combined).
-pub fn run_round_combined_naive<I, K, V, O>(
-    inputs: &[I],
-    mapper: &dyn Mapper<I, K, V>,
-    combiner: &dyn Combiner<K, V>,
-    reducer: &dyn Reducer<K, V, O>,
-    config: &EngineConfig,
-) -> Result<(Vec<O>, CombinedMetrics), EngineError>
-where
-    I: Sync,
-    K: Ord + Hash + Clone + Debug + Send + Sync,
-    V: Send + Sync,
-    O: Send,
-{
-    let configured_workers = config.effective_workers();
-    let workers = configured_workers.min(inputs.len().max(1));
-    let chunk = inputs.len().div_ceil(workers);
-    let chunks: Vec<&[I]> = if inputs.is_empty() {
-        Vec::new()
-    } else {
-        inputs.chunks(chunk).collect()
-    };
-
-    // Map + combine per worker.
-    let combine_chunk = |c: &[I]| -> (u64, BTreeMap<K, V>) {
-        let mut emitted = 0u64;
-        let mut acc: BTreeMap<K, V> = BTreeMap::new();
-        for input in c {
-            mapper.map(input, &mut |k, v| {
-                emitted += 1;
-                match acc.get_mut(&k) {
-                    Some(slot) => combiner.combine(&k, slot, v),
-                    None => {
-                        acc.insert(k, v);
-                    }
-                }
-            });
-        }
-        (emitted, acc)
-    };
-
-    let per_worker: Vec<(u64, BTreeMap<K, V>)> = if workers <= 1 || chunks.len() <= 1 {
-        chunks.iter().map(|c| combine_chunk(c)).collect()
-    } else {
-        config.executor.fan_out(workers, chunks, combine_chunk)
-    };
-
-    let pre_combine_pairs: u64 = per_worker.iter().map(|(e, _)| *e).sum();
-
-    let (entries, wire_pairs, shuffle_stats) = if configured_workers <= 1 {
-        let mut groups: BTreeMap<K, Vec<V>> = BTreeMap::new();
-        let mut wire_pairs = 0u64;
-        for (_, map) in per_worker {
-            for (k, v) in map {
-                wire_pairs += 1;
-                groups.entry(k).or_default().push(v);
-            }
-        }
-        if let Some(q) = config.max_reducer_inputs {
-            for (k, vs) in &groups {
-                if vs.len() as u64 > q {
-                    return Err(EngineError::ReducerOverflow {
-                        key: format!("{k:?}"),
-                        load: vs.len() as u64,
-                        limit: q,
-                    });
-                }
-            }
-        }
-        let stats = ShuffleStats::from_partition_loads(&[wire_pairs]);
-        let entries: Vec<(K, Vec<V>)> = groups.into_iter().collect();
-        (entries, wire_pairs, stats)
-    } else {
-        let p = workers;
-        let mut partitions: Vec<Vec<(K, V)>> = (0..p).map(|_| Vec::new()).collect();
-        let mut wire_pairs = 0u64;
-        for (_, map) in per_worker {
-            for (k, v) in map {
-                wire_pairs += 1;
-                partitions[partition_of(&k, p)].push((k, v));
-            }
-        }
-        let (entries, stats) =
-            shuffle_partitioned(partitions, config.max_reducer_inputs, config.executor)?;
-        (entries, wire_pairs, stats)
-    };
-
-    let loads: Vec<u64> = entries.iter().map(|(_, vs)| vs.len() as u64).collect();
-    let reducers = entries.len() as u64;
-    let outputs = naive_reduce_phase(&entries, reducer, configured_workers, config.executor);
-
-    let metrics = CombinedMetrics {
-        round: RoundMetrics {
-            inputs: inputs.len() as u64,
-            kv_pairs: wire_pairs,
-            reducers,
-            outputs: outputs.len() as u64,
-            load: LoadStats::from_loads(loads.clone()),
-            loads: {
-                let mut l = loads;
-                l.sort_unstable();
-                l
-            },
-            shuffle: shuffle_stats,
-        },
-        pre_combine_pairs,
-    };
-    Ok((outputs, metrics))
 }
 
 #[cfg(test)]

@@ -103,8 +103,8 @@ impl Executor {
 
     /// Runs `f` over every item, at most `width` at a time, and returns
     /// the results **in item order** — the one fan-out under the map,
-    /// group, reduce and combine phases, the dirty re-reduce, a DAG level
-    /// and the frontier sweep.
+    /// group and reduce phases, the dirty re-reduce, a DAG level and the
+    /// frontier sweep.
     ///
     /// With `width <= 1` or fewer than two items everything runs inline
     /// on the calling thread: no queue, no latch, no thread. Otherwise

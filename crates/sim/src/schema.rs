@@ -25,7 +25,6 @@ use crate::metrics::RoundMetrics;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hash};
 use std::iter;
-use std::time::{Duration, Instant};
 
 /// Identifier of a reducer in a mapping schema.
 pub type ReducerId = u64;
@@ -361,103 +360,6 @@ where
     run_round(inputs, &mapper, &reducer, config)
 }
 
-/// A fully type-erased schema job: the assignment and reduce logic of a
-/// [`SchemaJob`] with the input and output types compiled away.
-///
-/// The erasure trick is to run the engine over **input indices** instead
-/// of input values: `assign` receives an index into the original input
-/// slice, and `reduce` receives the indices routed to a reducer plus an
-/// `emit` callback that merely *counts* outputs. Because the engine's
-/// metrics depend only on keys and cardinalities — never on value
-/// contents — a dyn round measures exactly what the typed
-/// [`run_schema`] round measures (see
-/// [`run_schema_dyn`] for the precise contract).
-///
-/// This is the boundary that lets heterogeneous problem families (bit
-/// strings, graph edges, join tuples, matrix entries) flow through one
-/// registry: `mr-core`'s `family` module erases each family's typed
-/// schema here, and everything above — the frontier sweep, the repro
-/// driver, the battery — is monomorphism-free.
-pub struct DynSchema<'a> {
-    /// Number of inputs in the erased instance (indices are `0..num_inputs`).
-    pub num_inputs: usize,
-    /// §2.2 assignment over input indices.
-    pub assign: Box<dyn Fn(usize) -> Vec<ReducerId> + Sync + 'a>,
-    /// Reduce logic over input indices; `emit` is called once per output.
-    #[allow(clippy::type_complexity)]
-    pub reduce: Box<dyn Fn(ReducerId, &[usize], &mut dyn FnMut()) + Sync + 'a>,
-}
-
-impl<'a> DynSchema<'a> {
-    /// Erases a typed [`SchemaJob`] over a concrete input slice.
-    ///
-    /// The returned job borrows `inputs` and `schema`; assignment
-    /// delegates to `schema.assign(&inputs[i])`, and reduction gathers
-    /// the indexed inputs (cloned, in arrival order — exactly the slice
-    /// the typed path would hand the reducer) before delegating to
-    /// `schema.reduce`. Output *values* are dropped at this boundary;
-    /// only their count crosses it.
-    pub fn erase<I, O, S>(inputs: &'a [I], schema: &'a S) -> Self
-    where
-        I: Clone + Send + Sync,
-        O: Send,
-        S: SchemaJob<I, O>,
-    {
-        DynSchema {
-            num_inputs: inputs.len(),
-            assign: Box::new(move |i| schema.assign(&inputs[i])),
-            reduce: Box::new(move |rid, indices, emit| {
-                let gathered: Vec<I> = indices.iter().map(|&i| inputs[i].clone()).collect();
-                schema.reduce(rid, &gathered, &mut |_o: O| emit());
-            }),
-        }
-    }
-}
-
-/// An erased schema is a schema over input indices whose outputs carry
-/// nothing but their count.
-impl SchemaJob<usize, ()> for DynSchema<'_> {
-    fn assign(&self, index: &usize) -> Vec<ReducerId> {
-        (self.assign)(*index)
-    }
-
-    fn reduce(&self, reducer: ReducerId, indices: &[usize], emit: &mut dyn FnMut(())) {
-        (self.reduce)(reducer, indices, &mut || emit(()))
-    }
-}
-
-/// Executes a type-erased [`DynSchema`] on the engine, reporting the
-/// output count, the round metrics, and the round's wall-clock time.
-///
-/// # Metric equivalence
-///
-/// For a `DynSchema` built by [`DynSchema::erase`], the returned
-/// [`RoundMetrics`] are **identical** to what [`run_schema`] computes for
-/// the underlying typed schema on the same inputs, at every worker
-/// count. The engine's semantic metrics (pairs, loads, reducer count,
-/// outputs) and its shuffle routing depend only on reducer ids and
-/// emission counts; substituting `usize` indices for input values and
-/// `()` for output values changes neither. The frontier sweep's
-/// byte-identical-output tests ride on this equivalence.
-///
-/// The timing covers exactly the engine run (map, shuffle, reduce) and
-/// nothing else — no input construction, no metric post-processing. It is
-/// *execution metadata* in the same sense as
-/// [`ShuffleStats`](crate::metrics::ShuffleStats): two runs that compute
-/// the same thing will report different durations, so callers comparing
-/// runs for determinism must compare outputs and metrics only. The
-/// frontier sweep in `mr-bench` builds its wall-clock column on it.
-pub fn run_schema_dyn(
-    schema: &DynSchema<'_>,
-    config: &EngineConfig,
-) -> Result<(u64, RoundMetrics, Duration), EngineError> {
-    let indices: Vec<usize> = (0..schema.num_inputs).collect();
-    let start = Instant::now();
-    let (outputs, metrics) = run_schema(&indices, schema, config)?;
-    debug_assert_eq!(outputs.len() as u64, metrics.outputs);
-    Ok((metrics.outputs, metrics, start.elapsed()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -668,69 +570,6 @@ mod tests {
             assert_eq!(seq_out, out, "outputs diverged at workers={workers}");
             assert_eq!(seq_m, m, "metrics diverged at workers={workers}");
         }
-    }
-
-    #[test]
-    fn dyn_run_matches_typed_run_exactly() {
-        // The erasure contract: identical RoundMetrics and output count,
-        // at every worker count.
-        let inputs: Vec<u32> = (0..200).collect();
-        let (typed_out, typed_m) =
-            run_schema(&inputs, &PairUp, &EngineConfig::sequential()).unwrap();
-        for workers in [1usize, 2, 3, 8] {
-            let erased = DynSchema::erase::<u32, (u32, u32), _>(&inputs, &PairUp);
-            let (count, m, wall) =
-                run_schema_dyn(&erased, &EngineConfig::parallel(workers)).unwrap();
-            assert_eq!(count, typed_out.len() as u64, "workers={workers}");
-            assert_eq!(m, typed_m, "metrics diverged at workers={workers}");
-            assert!(wall > Duration::ZERO);
-        }
-    }
-
-    #[test]
-    fn dyn_run_gathers_inputs_in_arrival_order() {
-        // A reduce that is order-sensitive: emit once per *descent* in the
-        // gathered slice. If the erased path permuted values, the count
-        // would differ from the typed path.
-        struct OrderSensitive;
-        impl SchemaJob<u32, u32> for OrderSensitive {
-            fn assign(&self, input: &u32) -> Vec<ReducerId> {
-                vec![(*input % 3) as ReducerId]
-            }
-            fn reduce(&self, _r: ReducerId, inputs: &[u32], emit: &mut dyn FnMut(u32)) {
-                for w in inputs.windows(2) {
-                    if w[1] < w[0] {
-                        emit(w[0]);
-                    }
-                }
-            }
-        }
-        // Interleaved values so arrival order matters.
-        let inputs: Vec<u32> = (0..60).map(|i| (i * 37) % 60).collect();
-        let (typed_out, typed_m) =
-            run_schema(&inputs, &OrderSensitive, &EngineConfig::sequential()).unwrap();
-        let erased = DynSchema::erase::<u32, u32, _>(&inputs, &OrderSensitive);
-        let (count, m, _) = run_schema_dyn(&erased, &EngineConfig::sequential()).unwrap();
-        assert_eq!(count, typed_out.len() as u64);
-        assert_eq!(m, typed_m);
-    }
-
-    #[test]
-    fn dyn_run_propagates_overflow() {
-        let inputs: Vec<u32> = (0..30).collect();
-        let erased = DynSchema::erase::<u32, (u32, u32), _>(&inputs, &PairUp);
-        let cfg = EngineConfig::sequential().with_max_reducer_inputs(1);
-        assert!(run_schema_dyn(&erased, &cfg).is_err());
-    }
-
-    #[test]
-    fn dyn_run_on_empty_input() {
-        let inputs: Vec<u32> = Vec::new();
-        let erased = DynSchema::erase::<u32, (u32, u32), _>(&inputs, &PairUp);
-        let (count, m, _) = run_schema_dyn(&erased, &EngineConfig::sequential()).unwrap();
-        assert_eq!(count, 0);
-        assert_eq!(m.inputs, 0);
-        assert_eq!(m.reducers, 0);
     }
 
     #[test]

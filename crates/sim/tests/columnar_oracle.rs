@@ -4,19 +4,15 @@
 //! [`mr_sim::naive`] is the pre-columnar shuffle, kept precisely so this
 //! suite can exist: for any workload and any worker count, the columnar
 //! engine must produce byte-identical outputs, equal semantic metrics,
-//! the same overflow verdict (down to the reported offender key), and the
-//! same combiner accounting. The battery drives that equivalence over the
-//! four adversarial key distributions (uniform, Zipf-skewed via
-//! `mr-graph`'s Chung–Lu generator, all-one-key, all-distinct) and the
-//! concurrent-offender and combiner fixtures; the *randomised*
-//! cross-checks (workloads, budgets, deltas) live in the unified
-//! `differential_fuzz.rs` battery.
+//! and the same overflow verdict (down to the reported offender key). The
+//! battery drives that equivalence over the four adversarial key
+//! distributions (uniform, Zipf-skewed via `mr-graph`'s Chung–Lu
+//! generator, all-one-key, all-distinct) and the concurrent-offender
+//! fixture; the *randomised* cross-checks (workloads, budgets, deltas)
+//! live in the unified `differential_fuzz.rs` battery.
 
-use mr_sim::naive::{run_round_combined_naive, run_round_naive};
-use mr_sim::{
-    run_round, run_round_combined, EngineConfig, Executor, FnCombiner, FnMapper, FnReducer,
-    RoundMetrics,
-};
+use mr_sim::naive::run_round_naive;
+use mr_sim::{run_round, EngineConfig, Executor, FnMapper, FnReducer, RoundMetrics};
 use proptest::test_runner::TestRng;
 
 /// Worker counts the battery sweeps on both paths.
@@ -240,44 +236,8 @@ fn uneven_chunk_outputs_assemble_like_the_oracle() {
     ];
     for (name, fanout) in shapes {
         assert_assembly_case(name, fanout, |k, j| (k, j));
-        // `O = ()` is what `run_schema_dyn` reduces into: nothing to
-        // copy, only a length to get right.
+        // `O = ()` is what the registry's count-only rounds reduce into:
+        // nothing to copy, only a length to get right.
         assert_assembly_case(&format!("{name}/unit"), fanout, |_, _| ());
-    }
-}
-
-#[test]
-fn combiner_accounting_matches_the_oracle() {
-    // The combined paths chunk inputs identically, so not just outputs
-    // and pre-combine pairs but the post-combine wire pairs (and with
-    // them the full semantic RoundMetrics) must agree at every worker
-    // count.
-    let g = mr_graph::gen::power_law(400, 2.2, 40.0, 13);
-    let inputs: Vec<u64> = g
-        .edges()
-        .iter()
-        .flat_map(|e| [u64::from(e.u), u64::from(e.v)])
-        .collect();
-    let mapper = FnMapper(|k: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*k, 1));
-    let combiner = FnCombiner(|_: &u64, acc: &mut u64, v: u64| *acc += v);
-    let reducer = FnReducer(|k: &u64, vs: &[u64], emit: &mut dyn FnMut((u64, u64))| {
-        emit((*k, vs.iter().sum()))
-    });
-    for workers in WORKER_COUNTS {
-        let cfg = EngineConfig::parallel(workers);
-        let (naive_out, naive_m) =
-            run_round_combined_naive(&inputs, &mapper, &combiner, &reducer, &cfg).unwrap();
-        let (col_out, col_m) =
-            run_round_combined(&inputs, &mapper, &combiner, &reducer, &cfg).unwrap();
-        assert_eq!(naive_out, col_out, "outputs diverged at workers={workers}");
-        assert_eq!(
-            naive_m.pre_combine_pairs, col_m.pre_combine_pairs,
-            "pre-combine accounting diverged at workers={workers}"
-        );
-        assert_eq!(
-            naive_m.round, col_m.round,
-            "post-combine round metrics diverged at workers={workers}"
-        );
-        assert_eq!(naive_m.pairs_saved(), col_m.pairs_saved());
     }
 }

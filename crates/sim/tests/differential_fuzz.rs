@@ -3,7 +3,7 @@
 //! columnar vs naive vs the retained delta pipelines — in one battery.
 //!
 //! The fixed adversarial fixtures (Zipf hubs, all-one-key, concurrent
-//! offenders, hand-computed combiner accounting) stay in
+//! offenders) stay in
 //! `columnar_oracle.rs` / `shuffle_battery.rs`; this file owns all the
 //! *randomised* cross-checks those suites used to duplicate per file,
 //! plus the delta battery: `full_run(I ∪ ΔI) == apply(delta_run(ΔI),
@@ -12,9 +12,8 @@
 
 use mr_sim::naive::run_round_naive;
 use mr_sim::{
-    run_round, run_round_combined_on, run_round_on, run_schema, run_schema_retained, DagJob, Delta,
-    EngineConfig, Executor, FnCombiner, FnMapper, FnReducer, Pipeline, RoundCensus, RoundMetrics,
-    SchemaJob, Seq,
+    run_round, run_round_on, run_schema, run_schema_retained, DagJob, Delta, EngineConfig,
+    Executor, FnMapper, FnReducer, Pipeline, RoundCensus, RoundMetrics, SchemaJob, Seq,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -320,7 +319,7 @@ fn random_dag(masks: &[u64]) -> DagJob<u64> {
             groups: 3 + (7 * i as u64) % 23,
             reps: 1 + (i as u64) % 3,
         };
-        dag.add_schema_round(format!("n{i}"), deps, schema, Pipeline::Columnar);
+        dag.add_schema_round(format!("n{i}"), deps, schema);
     }
     dag
 }
@@ -577,7 +576,7 @@ proptest! {
         let cfg = EngineConfig::parallel(workers);
         let (flat_out, flat_m) = run_schema(&inputs, &schema, &cfg).expect("no budget set");
         let mut dag = DagJob::new();
-        dag.add_schema_round("only", vec![], schema, Pipeline::Columnar);
+        dag.add_schema_round("only", vec![], schema);
         let (dag_out, dag_m) = dag.run(&inputs, &cfg).expect("no budget set");
         prop_assert_eq!(flat_out, dag_out);
         prop_assert_eq!(vec![flat_m], dag_m.rounds);
@@ -692,35 +691,6 @@ fn pairs_hint_misestimates_are_byte_invisible() {
             )
             .unwrap();
             assert_eq!(truth, got, "hint={hint} visible in run_schema");
-        }
-
-        // Combined path, both planes.
-        let mapper = FnMapper(|k: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*k % 97, 1));
-        let combiner = FnCombiner(|_: &u64, acc: &mut u64, v: u64| *acc += v);
-        let reducer = FnReducer(|k: &u64, vs: &[u64], emit: &mut dyn FnMut((u64, u64))| {
-            emit((*k, vs.iter().sum()))
-        });
-        for pipeline in Pipeline::ALL {
-            let (truth_out, truth_m) =
-                run_round_combined_on(pipeline, &keys, &mapper, &combiner, &reducer, &base_cfg)
-                    .unwrap();
-            for hint in hints {
-                let (out, m) = run_round_combined_on(
-                    pipeline,
-                    &keys,
-                    &mapper,
-                    &combiner,
-                    &reducer,
-                    &base_cfg.clone().with_pairs_hint(hint),
-                )
-                .unwrap();
-                assert_eq!(truth_out, out, "hint={hint} visible in combined outputs");
-                assert_eq!(
-                    truth_m.round, m.round,
-                    "hint={hint} visible in combined metrics"
-                );
-                assert_eq!(truth_m.pre_combine_pairs, m.pre_combine_pairs);
-            }
         }
     }
 }

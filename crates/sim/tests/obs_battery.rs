@@ -9,8 +9,8 @@
 //! instrumentation promises.
 
 use mr_sim::{
-    run_round_combined, run_round_on, run_schema, run_schema_retained, DagJob, Delta, EngineConfig,
-    Executor, FnCombiner, FnMapper, FnReducer, Pipeline, RoundMetrics, SchemaJob,
+    run_round_on, run_schema, run_schema_retained, DagJob, Delta, EngineConfig, Executor, FnMapper,
+    FnReducer, Pipeline, RoundMetrics, SchemaJob,
 };
 use std::collections::BTreeSet;
 
@@ -174,7 +174,6 @@ fn dag_runs_are_recorder_invariant_and_name_their_levels() {
             groups: 23,
             reps: 2,
         },
-        Pipeline::Columnar,
     );
     dag.add_schema_round(
         "sink",
@@ -183,7 +182,6 @@ fn dag_runs_are_recorder_invariant_and_name_their_levels() {
             groups: 11,
             reps: 1,
         },
-        Pipeline::Columnar,
     );
     for workers in WORKER_COUNTS {
         let cfg = EngineConfig::parallel(workers);
@@ -232,57 +230,6 @@ fn recorded_traces_name_the_engine_phases_and_pool_events() {
     assert!(mr_obs::global().counter_value("engine.rounds") >= 1);
     assert!(mr_obs::global().counter_value("engine.kv_pairs") >= 1);
     assert!(mr_obs::global().counter_value("pool.tasks") >= 1);
-
-    // A combined round is the same kernel with one more stage, so it is
-    // as visible as a plain one: the round span and both counters, with
-    // the combine stage under its own names. The hub is process-wide and
-    // this binary's other tests run rounds concurrently, so a counter can
-    // be shown to have advanced by at least this round's share, not by
-    // exactly it.
-    let mapper = FnMapper(|x: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*x % 97, 1));
-    let combiner = FnCombiner(|_: &u64, acc: &mut u64, v: u64| *acc += v);
-    let reducer = FnReducer(|k: &u64, vs: &[u64], emit: &mut dyn FnMut((u64, u64))| {
-        emit((*k, vs.iter().sum()))
-    });
-    let counters = || {
-        let hub = mr_obs::global();
-        (
-            hub.counter_value("engine.rounds"),
-            hub.counter_value("engine.kv_pairs"),
-        )
-    };
-    let (rounds_before, pairs_before) = counters();
-    let ((_, combined), trace) = mr_obs::record(|| {
-        run_round_combined(&schema_inputs, &mapper, &combiner, &reducer, &cfg)
-            .expect("no budget set")
-    });
-    let (rounds_after, pairs_after) = counters();
-    trace.check_well_formed().expect("trace well-formed");
-    for name in [
-        "engine.round",
-        "engine.combine",
-        "engine.combine.chunk",
-        "engine.shuffle",
-        "engine.reduce",
-    ] {
-        assert!(
-            trace.span_count(name) >= 1,
-            "span {name} missing from the combined trace; aggregate: {:?}",
-            trace.aggregate().keys().collect::<Vec<_>>()
-        );
-    }
-    assert!(
-        rounds_after > rounds_before,
-        "engine.rounds did not advance"
-    );
-    // What crossed the shuffle is the post-combine pair count.
-    assert!(combined.round.kv_pairs < combined.pre_combine_pairs);
-    assert!(
-        pairs_after - pairs_before >= combined.round.kv_pairs,
-        "engine.kv_pairs advanced by {} for {} wire pairs",
-        pairs_after - pairs_before,
-        combined.round.kv_pairs
-    );
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! threads per call), kept precisely so this suite can exist — the
 //! substrate twin of `mr_sim::naive` pinning the columnar data plane. For
 //! every execution surface the crate offers — raw rounds on both shuffle
-//! pipelines, the combined path, retained deltas, staged DAG levels — the
+//! pipelines, retained deltas, staged DAG levels — the
 //! pooled execution must produce byte-identical outputs, equal semantic
 //! metrics, and the same overflow verdict (down to the reported offender
 //! key) at every worker count 1–16. The battery also pins the worker-count
@@ -17,11 +17,10 @@
 //! width bound, nesting) and its panic contract (the sequential run's
 //! panic, whatever the schedule) are pinned here too.
 
-use mr_sim::naive::run_round_combined_naive;
 use mr_sim::{
-    run_round, run_round_combined_on, run_round_on, run_schema, run_schema_retained, DagJob, Delta,
-    DeltaError, DeltaJob, DeltaPrediction, EngineConfig, EngineError, Executor, FnCombiner,
-    FnMapper, FnReducer, Pipeline, RoundMetrics, SchemaJob, Seq, WorkerPool,
+    run_round, run_round_on, run_schema, run_schema_retained, DagJob, Delta, DeltaError, DeltaJob,
+    DeltaPrediction, EngineConfig, EngineError, Executor, FnMapper, FnReducer, Pipeline,
+    RoundMetrics, SchemaJob, Seq, WorkerPool,
 };
 use std::collections::{BTreeSet, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -240,51 +239,6 @@ fn raw_rounds_are_executor_independent_on_both_pipelines() {
                     pipeline.name(),
                     executor.name()
                 );
-            }
-        }
-    }
-}
-
-#[test]
-fn combined_rounds_keep_exact_accounting_on_the_pool() {
-    // Combined accounting is worker-count *dependent* by contract (the
-    // combiner is chunk-local, so the wire-pair count varies with the
-    // chunking) but must be substrate-independent: at any matching worker
-    // count, pooled, scoped, and the naive oracle agree on outputs,
-    // pre-combine pairs, and the full post-combine RoundMetrics — the
-    // chunk computation was left untouched, only the fan-out substrate
-    // was swapped.
-    let keys = mixed_keys();
-    let mapper = FnMapper(|k: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*k % 97, 1));
-    let combiner = FnCombiner(|_: &u64, acc: &mut u64, v: u64| *acc += v);
-    let reducer = FnReducer(|k: &u64, vs: &[u64], emit: &mut dyn FnMut((u64, u64))| {
-        emit((*k, vs.iter().sum()))
-    });
-    for workers in WORKER_COUNTS {
-        let truth = run_round_combined_naive(
-            &keys,
-            &mapper,
-            &combiner,
-            &reducer,
-            &EngineConfig::parallel(workers).with_executor(Executor::Scoped),
-        )
-        .unwrap();
-        for pipeline in Pipeline::ALL {
-            for executor in Executor::ALL {
-                let cfg = EngineConfig::parallel(workers).with_executor(executor);
-                let (out, m) =
-                    run_round_combined_on(pipeline, &keys, &mapper, &combiner, &reducer, &cfg)
-                        .unwrap();
-                assert_eq!(truth.0, out, "combined outputs diverged");
-                assert_eq!(
-                    truth.1.round,
-                    m.round,
-                    "combined metrics diverged on {}/{} at workers={workers}",
-                    pipeline.name(),
-                    executor.name()
-                );
-                assert_eq!(truth.1.pre_combine_pairs, m.pre_combine_pairs);
-                assert_eq!(truth.1.pairs_saved(), m.pairs_saved());
             }
         }
     }
@@ -526,7 +480,6 @@ fn diamond_dag() -> DagJob<u64> {
             groups: 11,
             reps: 2,
         },
-        Pipeline::Columnar,
     );
     let b = dag.add_schema_round(
         "b",
@@ -535,7 +488,6 @@ fn diamond_dag() -> DagJob<u64> {
             groups: 17,
             reps: 3,
         },
-        Pipeline::Naive,
     );
     let join = dag.add_schema_round(
         "join",
@@ -544,14 +496,8 @@ fn diamond_dag() -> DagJob<u64> {
             groups: 23,
             reps: 2,
         },
-        Pipeline::Columnar,
     );
-    dag.add_schema_round(
-        "tail",
-        vec![join],
-        DigestFan { groups: 7, reps: 1 },
-        Pipeline::Columnar,
-    );
+    dag.add_schema_round("tail", vec![join], DigestFan { groups: 7, reps: 1 });
     dag
 }
 

@@ -1,110 +1,46 @@
 //! Property tests for the engine: determinism across worker counts,
-//! combiner transparency for associative-commutative folds, and pipeline
-//! metric identities.
+//! multi-round metric identities, and exact budget enforcement.
 
-use mr_sim::{
-    run_round, run_round_combined, EngineConfig, Executor, FnCombiner, FnMapper, FnReducer, Job,
-};
+use mr_sim::{run_round, DagJob, EngineConfig, FnMapper, FnReducer};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// A sum-combiner never changes the reduce output, for any input set
-    /// and worker count.
-    #[test]
-    fn combiner_is_transparent_for_sums(
-        inputs in proptest::collection::vec((0u32..40, 1u64..100), 0..400),
-        workers in 1usize..8,
-    ) {
-        let mapper = FnMapper(|&(k, v): &(u32, u64), emit: &mut dyn FnMut(u32, u64)| {
-            emit(k, v)
-        });
-        let reducer = FnReducer(|k: &u32, vs: &[u64], emit: &mut dyn FnMut((u32, u64))| {
-            emit((*k, vs.iter().sum()))
-        });
-        let combiner = FnCombiner(|_: &u32, acc: &mut u64, v: u64| *acc += v);
-        let cfg = EngineConfig::parallel(workers);
-        let (plain, pm) = run_round(&inputs, &mapper, &reducer, &cfg).unwrap();
-        let (combined, cm) = run_round_combined(&inputs, &mapper, &combiner, &reducer, &cfg).unwrap();
-        prop_assert_eq!(plain, combined);
-        // Pre-combine pairs equal the uncombined communication.
-        prop_assert_eq!(cm.pre_combine_pairs, pm.kv_pairs);
-        // Combining cannot increase wire traffic.
-        prop_assert!(cm.round.kv_pairs <= pm.kv_pairs);
-    }
-
-    /// The combined round and the plain round are one kernel: when no two
-    /// emissions of a map chunk share a key the combiner has nothing to
-    /// merge, and then the two entry points agree on everything —
-    /// outputs, semantic metrics, and the execution picture
-    /// (`ShuffleStats`: partition loads, bytes moved, bucket histogram)
-    /// that `RoundMetrics`' own equality leaves out. Fails the day the two
-    /// paths route, chunk or count differently.
-    #[test]
-    fn an_idle_combiner_leaves_the_plain_round(
-        values in proptest::collection::vec(0u64..1_000, 0..300),
-    ) {
-        let inputs: Vec<(u64, u64)> = (0u64..).zip(values).collect();
-        let n = inputs.len();
-        let reducer = FnReducer(|k: &u64, vs: &[u64], emit: &mut dyn FnMut((u64, u64))| {
-            emit((*k, vs.iter().fold(0u64, |acc, v| acc.rotate_left(7) ^ v)))
-        });
-        let combiner = FnCombiner(|k: &u64, _: &mut u64, _: u64| {
-            panic!("key {k} repeats within a chunk: the property's premise is broken")
-        });
-        for workers in [1usize, 2, 5, 16] {
-            // Chunks are runs of at most this many consecutive inputs, so
-            // positions modulo it are distinct within a chunk — and, past
-            // one worker, repeat across chunks.
-            let chunk = n.div_ceil(workers.min(n).max(1)).max(1) as u64;
-            let mapper = FnMapper(move |&(i, v): &(u64, u64), emit: &mut dyn FnMut(u64, u64)| {
-                emit(i % chunk, v);
-                emit(chunk + i % chunk, v ^ i);
-            });
-            for executor in Executor::ALL {
-                let cfg = EngineConfig::parallel(workers).with_executor(executor);
-                let (plain, pm) = run_round(&inputs, &mapper, &reducer, &cfg).unwrap();
-                let (combined, cm) =
-                    run_round_combined(&inputs, &mapper, &combiner, &reducer, &cfg).unwrap();
-                let case = format!("workers={workers} on {}", executor.name());
-                prop_assert_eq!(&plain, &combined, "outputs, {}", case);
-                prop_assert_eq!(&pm, &cm.round, "semantic metrics, {}", case);
-                prop_assert_eq!(&pm.shuffle, &cm.round.shuffle, "shuffle stats, {}", case);
-                prop_assert_eq!(cm.pre_combine_pairs, pm.kv_pairs, "{}", case);
-            }
-        }
-    }
-
-    /// Two-round pipelines are deterministic across worker counts and
-    /// their metrics satisfy the round-communication identity.
+    /// A two-node chain is deterministic across worker counts, equals
+    /// the same two rounds run one after the other with `run_round`, and
+    /// its metrics satisfy the round-communication identity. Tokens are
+    /// `(key, value)` pairs; inputs enter as `(x, x)`.
     #[test]
     fn pipelines_deterministic_and_metrics_consistent(
         inputs in proptest::collection::vec(0u32..500, 1..300),
         buckets in 1u32..12,
         workers in 2usize..6,
     ) {
-        let build = || -> Job<u32, (u32, u64)> {
-            let b = buckets;
-            Job::single(
-                FnMapper(move |x: &u32, emit: &mut dyn FnMut(u32, u32)| emit(x % b, *x)),
-                FnReducer(|k: &u32, vs: &[u32], emit: &mut dyn FnMut((u32, u64))| {
-                    emit((*k, vs.iter().map(|&v| v as u64).sum()))
-                }),
-            )
-            .then(
-                FnMapper(|&(k, s): &(u32, u64), emit: &mut dyn FnMut(u32, u64)| {
-                    emit(k % 2, s)
-                }),
-                FnReducer(|k: &u32, vs: &[u64], emit: &mut dyn FnMut((u32, u64))| {
-                    emit((*k, vs.iter().sum()))
-                }),
-            )
+        let b = buckets;
+        // Plain closures are `Copy`: the chain and the sequential oracle
+        // each wrap their own copy.
+        let first_map = move |&(x, _): &(u32, u64), emit: &mut dyn FnMut(u32, u64)| {
+            emit(x % b, u64::from(x))
         };
-        let (o1, m1) = build().run(inputs.clone(), &EngineConfig::sequential()).unwrap();
-        let (o2, m2) = build().run(inputs.clone(), &EngineConfig::parallel(workers)).unwrap();
+        let second_map = |&(k, s): &(u32, u64), emit: &mut dyn FnMut(u32, u64)| emit(k % 2, s);
+        let sum = |k: &u32, vs: &[u64], emit: &mut dyn FnMut((u32, u64))| {
+            emit((*k, vs.iter().sum()))
+        };
+        let mut dag: DagJob<(u32, u64)> = DagJob::new();
+        let first = dag.add_round("sums", vec![], FnMapper(first_map), FnReducer(sum));
+        dag.add_round("halves", vec![first], FnMapper(second_map), FnReducer(sum));
+        let tokens: Vec<(u32, u64)> = inputs.iter().map(|&x| (x, u64::from(x))).collect();
+        let (o1, m1) = dag.run(&tokens, &EngineConfig::sequential()).unwrap();
+        let (o2, m2) = dag.run(&tokens, &EngineConfig::parallel(workers)).unwrap();
         prop_assert_eq!(&o1, &o2);
         prop_assert_eq!(&m1, &m2);
+        // The chain is the two rounds, run one after the other.
+        let seq = EngineConfig::sequential();
+        let (mid, r1) = run_round(&tokens, &FnMapper(first_map), &FnReducer(sum), &seq).unwrap();
+        let (out, r2) = run_round(&mid, &FnMapper(second_map), &FnReducer(sum), &seq).unwrap();
+        prop_assert_eq!(&o1, &out);
+        prop_assert_eq!(&m1.rounds, &vec![r1, r2]);
         // Conservation: the grand sum survives both rounds.
         let grand: u64 = inputs.iter().map(|&v| v as u64).sum();
         let out_sum: u64 = o1.iter().map(|&(_, s)| s).sum();

@@ -4,15 +4,11 @@
 //! any key distribution and any worker count, outputs and metrics equal
 //! the sequential run's. This suite drives that contract over the four
 //! adversarial distributions (uniform, Zipf-skewed via `mr-graph`'s
-//! Chung–Lu generator, all-one-key, all-distinct), concurrent
-//! multi-partition overflows, and combiner accounting on a hand-computed
-//! fixture; the *randomised* cross-checks (workloads, budgets, deltas)
-//! live in the unified `differential_fuzz.rs` battery.
+//! Chung–Lu generator, all-one-key, all-distinct) and concurrent
+//! multi-partition overflows; the *randomised* cross-checks (workloads,
+//! budgets, deltas) live in the unified `differential_fuzz.rs` battery.
 
-use mr_sim::{
-    run_round, run_round_combined, EngineConfig, EngineError, FnCombiner, FnMapper, FnReducer,
-    RoundMetrics,
-};
+use mr_sim::{run_round, EngineConfig, EngineError, FnMapper, FnReducer, RoundMetrics};
 use proptest::test_runner::TestRng;
 
 /// Worker counts the battery sweeps, per the shuffle acceptance criteria.
@@ -136,96 +132,5 @@ fn concurrent_overflows_report_the_sequential_offender() {
     for workers in [2usize, 3, 8, 16] {
         let par_err = run_round(&inputs, &mapper, &reducer, &cfg(workers)).unwrap_err();
         assert_eq!(seq_err, par_err, "offender diverged at workers={workers}");
-    }
-}
-
-#[test]
-fn combiner_accounting_is_exact_under_partitioning() {
-    // Hand-computed fixture: 8 identical documents "a b". The mapper
-    // emits (word, 1), the combiner sums, the reducer sums.
-    //
-    //   pre-combine pairs  = 8 docs × 2 words = 16, for EVERY worker count
-    //   post-combine pairs = (#map chunks) × 2 distinct words, because
-    //     each worker sends one combined value per key it saw:
-    //       workers=1 → 1 chunk  → 2      workers=3 → 3 chunks → 6
-    //       workers=2 → 2 chunks → 4      workers=4 → 4 chunks → 8
-    //       workers=8 → 8 chunks → 16     workers=16 → clamped to 8 chunks
-    //   outputs           = a:8, b:8 regardless of workers, and their sum
-    //     equals the pre-combine total (each pre-combine pair is a 1).
-    let docs: Vec<&str> = vec!["a b"; 8];
-    let mapper = FnMapper(|doc: &&str, emit: &mut dyn FnMut(String, u64)| {
-        for w in doc.split_whitespace() {
-            emit(w.to_string(), 1);
-        }
-    });
-    let combiner = FnCombiner(|_: &String, acc: &mut u64, v: u64| *acc += v);
-    let reducer = FnReducer(
-        |k: &String, vs: &[u64], emit: &mut dyn FnMut((String, u64))| {
-            emit((k.clone(), vs.iter().sum()))
-        },
-    );
-    for (workers, expected_wire) in [(1u64, 2u64), (2, 4), (3, 6), (4, 8), (8, 16), (16, 16)] {
-        let cfg = EngineConfig::parallel(workers as usize);
-        let (out, m) = run_round_combined(&docs, &mapper, &combiner, &reducer, &cfg).unwrap();
-        assert_eq!(
-            m.pre_combine_pairs, 16,
-            "pre-combine pairs must not depend on workers={workers}"
-        );
-        assert_eq!(
-            m.round.kv_pairs, expected_wire,
-            "wire pairs at workers={workers}"
-        );
-        assert_eq!(m.pairs_saved(), 16 - expected_wire);
-        assert_eq!(
-            out,
-            vec![("a".to_string(), 8), ("b".to_string(), 8)],
-            "combined outputs must be invariant at workers={workers}"
-        );
-        // Value conservation: combining redistributes the 16 unit pairs
-        // without losing any.
-        let total: u64 = out.iter().map(|(_, n)| n).sum();
-        assert_eq!(total, m.pre_combine_pairs);
-    }
-}
-
-#[test]
-fn combined_path_matches_across_worker_counts_on_skewed_keys() {
-    // The combiner path's partitioned shuffle must also be invisible:
-    // same outputs for every worker count, pre-combine pairs invariant.
-    let g = mr_graph::gen::power_law(400, 2.2, 40.0, 13);
-    let inputs: Vec<u64> = g
-        .edges()
-        .iter()
-        .flat_map(|e| [u64::from(e.u), u64::from(e.v)])
-        .collect();
-    let mapper = FnMapper(|k: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*k, 1));
-    let combiner = FnCombiner(|_: &u64, acc: &mut u64, v: u64| *acc += v);
-    let reducer = FnReducer(|k: &u64, vs: &[u64], emit: &mut dyn FnMut((u64, u64))| {
-        emit((*k, vs.iter().sum()))
-    });
-    let (seq_out, seq_m) = run_round_combined(
-        &inputs,
-        &mapper,
-        &combiner,
-        &reducer,
-        &EngineConfig::sequential(),
-    )
-    .unwrap();
-    for workers in WORKER_COUNTS {
-        let (out, m) = run_round_combined(
-            &inputs,
-            &mapper,
-            &combiner,
-            &reducer,
-            &EngineConfig::parallel(workers),
-        )
-        .unwrap();
-        assert_eq!(seq_out, out, "outputs diverged at workers={workers}");
-        assert_eq!(
-            seq_m.pre_combine_pairs, m.pre_combine_pairs,
-            "pre-combine accounting diverged at workers={workers}"
-        );
-        assert_eq!(seq_m.round.reducers, m.round.reducers);
-        assert_eq!(seq_m.round.outputs, m.round.outputs);
     }
 }
