@@ -13,12 +13,11 @@
 //! semantic JSON (which stays byte-identical either way).
 
 use crate::json;
+use crate::selectors::Q_BUDGET_FLAG;
 use crate::table::{fmt, Table};
 use mr_core::family::Scale;
 use mr_plan::{CacheStats, ClusterSpec, DagPlanReport, DagWorkload, PlanCache, PlanError};
 use mr_sim::EngineError;
-
-use super::plan::Q_BUDGET_FLAG;
 
 /// Parses the experiment's tokens into a selection. Scale and budget
 /// tokens work exactly as in `repro plan`; workload tokens name the
@@ -34,16 +33,7 @@ fn parse(args: &[String]) -> Result<(Vec<DagWorkload>, Scale, ClusterSpec, bool)
         if tok == super::trace::TRACE_FLAG {
             trace = true;
         } else if tok == Q_BUDGET_FLAG {
-            let value = it
-                .next()
-                .ok_or_else(|| format!("{Q_BUDGET_FLAG} requires a value"))?;
-            let q: u64 = value
-                .parse()
-                .map_err(|_| format!("{Q_BUDGET_FLAG} value '{value}' is not a number"))?;
-            if q == 0 {
-                return Err(format!("{Q_BUDGET_FLAG} must be positive"));
-            }
-            cluster.reducer_capacity = Some(q);
+            cluster.reducer_capacity = Some(crate::selectors::q_budget(it.next())?);
         } else if let Some(sc) = crate::selectors::scale_token(tok) {
             crate::selectors::set_scale(&mut scale, sc)?;
         } else if let Some(w) = DagWorkload::ALL.iter().find(|w| w.name() == tok.as_str()) {

@@ -15,12 +15,12 @@ use mr_core::family::Scale;
 use mr_plan::{plannable_families, CacheStats, ClusterSpec, PlanCache, PlanError, PlanReport};
 use mr_sim::EngineError;
 
-/// The token that introduces the reducer budget.
-pub const Q_BUDGET_FLAG: &str = "--q-budget";
+pub use crate::selectors::Q_BUDGET_FLAG;
 
 /// Parses the experiment's tokens into a selection. Family/scale tokens
 /// go through the shared [`crate::selectors`] helpers (the same ones the
-/// frontier experiment uses); only the budget flag is plan-specific.
+/// frontier experiment uses), the budget flag through the one shared
+/// with `repro dag`.
 fn parse(args: &[String]) -> Result<(Vec<&'static str>, Scale, ClusterSpec, bool), String> {
     let names = plannable_families();
     let mut picked: Vec<&'static str> = Vec::new();
@@ -32,16 +32,7 @@ fn parse(args: &[String]) -> Result<(Vec<&'static str>, Scale, ClusterSpec, bool
         if tok == super::trace::TRACE_FLAG {
             trace = true;
         } else if tok == Q_BUDGET_FLAG {
-            let value = it
-                .next()
-                .ok_or_else(|| format!("{Q_BUDGET_FLAG} requires a value"))?;
-            let q: u64 = value
-                .parse()
-                .map_err(|_| format!("{Q_BUDGET_FLAG} value '{value}' is not a number"))?;
-            if q == 0 {
-                return Err(format!("{Q_BUDGET_FLAG} must be positive"));
-            }
-            cluster.reducer_capacity = Some(q);
+            cluster.reducer_capacity = Some(crate::selectors::q_budget(it.next())?);
         } else if let Some(sc) = crate::selectors::scale_token(tok) {
             crate::selectors::set_scale(&mut scale, sc)?;
         } else if !crate::selectors::pick_family(&names, tok, &mut picked) {

@@ -1,6 +1,6 @@
 //! Shared CLI selector parsing for the `repro` experiments that take
-//! family/scale tokens (`frontier`, `plan`), so the two vocabularies
-//! cannot drift apart token by token.
+//! family/scale tokens (`frontier`, `plan`) and a reducer budget (`plan`,
+//! `dag`), so the vocabularies cannot drift apart token by token.
 
 use mr_core::family::Scale;
 
@@ -12,6 +12,22 @@ pub(crate) fn scale_token(token: &str) -> Option<Scale> {
         "full" => Some(Scale::Full),
         _ => None,
     }
+}
+
+/// The token that introduces the reducer budget.
+pub const Q_BUDGET_FLAG: &str = "--q-budget";
+
+/// Parses the value following [`Q_BUDGET_FLAG`] (`None` when the flag
+/// ended the argument list) into a positive reducer budget.
+pub(crate) fn q_budget(value: Option<&String>) -> Result<u64, String> {
+    let value = value.ok_or_else(|| format!("{Q_BUDGET_FLAG} requires a value"))?;
+    let q: u64 = value
+        .parse()
+        .map_err(|_| format!("{Q_BUDGET_FLAG} value '{value}' is not a number"))?;
+    if q == 0 {
+        return Err(format!("{Q_BUDGET_FLAG} must be positive"));
+    }
+    Ok(q)
 }
 
 /// Records a scale selection, rejecting a second one.
@@ -51,6 +67,16 @@ mod tests {
         assert_eq!(scale_token("default"), Some(Scale::Default));
         assert_eq!(scale_token("full"), Some(Scale::Full));
         assert_eq!(scale_token("huge"), None);
+    }
+
+    #[test]
+    fn q_budgets_must_be_positive() {
+        // The missing and non-numeric values are covered through both
+        // experiments' `bad_tokens_are_reported_with_the_vocabulary`.
+        assert_eq!(q_budget(Some(&"48".to_string())), Ok(48));
+        assert!(q_budget(Some(&"0".to_string()))
+            .unwrap_err()
+            .contains("must be positive"));
     }
 
     #[test]

@@ -61,7 +61,7 @@ use crate::problems::hamming::{DistanceDSplittingSchema, HammingProblem};
 use crate::problems::join::problem::{MultiwayJoinProblem, SharesOverDomain};
 use crate::problems::join::query::Query;
 use crate::problems::join::shares::SharesSchema;
-use crate::problems::matmul::problem::numeric_inputs;
+use crate::problems::matmul::problem::{numeric_inputs, NumericEntry};
 use crate::problems::matmul::{MatMulProblem, Matrix, OnePhaseSchema};
 use crate::problems::sample_graph::{MultisetPartitionSchema, SampleGraphProblem};
 use crate::problems::triangle::{g_triangles, NodePartitionSchema, TriangleProblem};
@@ -801,15 +801,23 @@ fn join_cycle3(n: u32) -> Box<dyn DynFamily> {
     })
 }
 
+/// The registry's `n×n` matmul instance as engine inputs: `R` and `S`
+/// drawn with seeds 3 and 4. Every matmul plan — a one-round grid point
+/// or a multi-round aggregation tree — runs on it, so their measurements
+/// are directly comparable.
+pub fn matmul_instance(n: u32) -> Vec<NumericEntry> {
+    numeric_inputs(
+        &Matrix::random(n as usize, 3),
+        &Matrix::random(n as usize, 4),
+    )
+}
+
 /// Matrix multiplication (§6): one-phase tiling at every divisor tile
 /// size. `r = 2n²/q` exactly — the bound is tight.
 fn matmul(n: u32) -> Box<dyn DynFamily> {
     let problem = MatMulProblem::new(n);
     let recipe = problem.recipe();
-    let inputs = numeric_inputs(
-        &Matrix::random(n as usize, 3),
-        &Matrix::random(n as usize, 4),
-    );
+    let inputs = matmul_instance(n);
     Box::new(Family {
         name: "matmul",
         instance: format!("{n}×{n} dense pair (|I| = {})", inputs.len()),

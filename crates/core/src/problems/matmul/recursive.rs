@@ -18,7 +18,9 @@
 //! rounds run one after the other. Deeper trees trade strictly more
 //! rounds (latency) and communication for smaller per-round reducers,
 //! which is exactly the trade the plan layer's round-structure search
-//! prices (§7's open multi-round question).
+//! prices (§7's open multi-round question). At `t = n` phase 1 alone is
+//! the §6.2 one-phase tiling ([`RecursiveMatMul::one_phase`]), so every
+//! matmul structure the search can pick stages from this one module.
 
 use super::matrix::Matrix;
 use super::problem::{numeric_inputs, MatEntry, NumericEntry};
@@ -155,14 +157,26 @@ impl RecursiveMatMul {
         (bi * rb + bk) * jb + bj
     }
 
-    /// Builds the round chain as a [`DagJob`] over [`MatToken`]s — the
-    /// executable the plan layer stages, budgets, and measures per round.
-    pub fn dag(&self) -> DagJob<MatToken> {
+    /// The §6.2 one-phase tiling as a single-round [`DagJob`] whose node
+    /// is named `one-phase`: phase 1 at `t = n`, where each cube is one
+    /// pair of `s`-row and `s`-column bands and its reducer emits finished
+    /// product cells (as group-0 partials).
+    ///
+    /// # Panics
+    /// Panics unless `s` divides `n`.
+    pub fn one_phase(n: u32, s: u32) -> DagJob<MatToken> {
+        let mut dag = DagJob::new();
+        RecursiveMatMul::new(n, s, n, 1).add_phase1(&mut dag, "one-phase");
+        dag
+    }
+
+    /// Adds the phase-1 round — block products over the `s × s × t`
+    /// cubes — to `dag` as an input-reading node called `name`.
+    fn add_phase1(&self, dag: &mut DagJob<MatToken>, name: &str) -> usize {
         let me = *self;
-        let (n, s, t, f) = (self.n, self.s, self.t, self.fanin);
+        let (n, s, t) = (self.n, self.s, self.t);
         let rb = (n / s) as u64;
         let jb = (n / t) as u64;
-        let mut dag: DagJob<MatToken> = DagJob::new();
 
         let phase1_map = FnMapper(
             move |input: &MatToken, emit: &mut dyn FnMut(u64, MatToken)| {
@@ -230,7 +244,15 @@ impl RecursiveMatMul {
                 }
             },
         );
-        let mut prev = dag.add_round("phase-1", vec![], phase1_map, phase1_reduce);
+        dag.add_round(name, vec![], phase1_map, phase1_reduce)
+    }
+
+    /// Builds the round chain as a [`DagJob`] over [`MatToken`]s — the
+    /// executable the plan layer stages, budgets, and measures per round.
+    pub fn dag(&self) -> DagJob<MatToken> {
+        let f = self.fanin;
+        let mut dag = DagJob::new();
+        let mut prev = self.add_phase1(&mut dag, "phase-1");
 
         for round in 0..self.agg_rounds() {
             let agg_map = FnMapper(
@@ -298,12 +320,51 @@ impl RecursiveMatMul {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problems::matmul::TwoPhaseMatMul;
+    use crate::problems::matmul::problem::run_one_phase;
+    use crate::problems::matmul::{OnePhaseSchema, TwoPhaseMatMul};
 
     /// Every entry's `f64` bits, row-major.
     fn bits(m: &Matrix) -> Vec<u64> {
         let n = m.n();
         (0..n * n).map(|c| m[(c / n, c % n)].to_bits()).collect()
+    }
+
+    #[test]
+    fn one_phase_round_is_the_one_phase_schema_bit_for_bit() {
+        // Phase 1 at t = n is the §6.2 band tiling: same cubes, same
+        // emission order, same accumulation — so the same product bits
+        // and the same round metrics as `run_one_phase`.
+        let n = 8u32;
+        let a = Matrix::random(n as usize, 61);
+        let b = Matrix::random(n as usize, 62);
+        let tokens: Vec<MatToken> = numeric_inputs(&a, &b)
+            .into_iter()
+            .map(MatToken::Entry)
+            .collect();
+        for s in [1u32, 2, 4, 8] {
+            let dag = RecursiveMatMul::one_phase(n, s);
+            assert_eq!(dag.round_names(), vec!["one-phase"]);
+            for workers in [1usize, 4] {
+                let cfg = EngineConfig::parallel(workers);
+                let (want, round) =
+                    run_one_phase(&a, &b, &OnePhaseSchema::new(n, s), &cfg).unwrap();
+                let (cells, metrics) = dag.run(&tokens, &cfg).unwrap();
+                let mut got = Matrix::zeros(n as usize);
+                for token in cells {
+                    let MatToken::Partial { i, k, group, bits } = token else {
+                        panic!("one-phase emits product cells only");
+                    };
+                    assert_eq!(group, 0, "s={s}: one j-block, one group");
+                    got[(i as usize, k as usize)] = f64::from_bits(u64::from_be_bytes(bits));
+                }
+                assert_eq!(bits(&got), bits(&want), "s={s}, workers={workers}: product");
+                assert_eq!(
+                    metrics.rounds,
+                    vec![round],
+                    "s={s}, workers={workers}: metrics"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The resident plan cache.
 //!
-//! Planning is pure — the [`Planner`](crate::Planner) contract says
-//! *"same cluster and scale, same plan"* — yet every `plan()` call pays
+//! Planning is pure — [`plan_family`](crate::plan_family) promises
+//! *"same family, cluster and scale, same plan"* — yet every call pays
 //! the full price again: the census enumeration over potential inputs,
 //! the Shares LP for join exponents, the DAG round-structure search. A
 //! resident process (the `mr-serve` daemon the roadmap points at)
@@ -20,11 +20,12 @@
 //!
 //! Under the plan memo sits a second one for the **price** step. A
 //! candidate's census does not depend on the cluster, so the priced
-//! tables — [`enumerate_dag_candidates`] per `(workload, scale)`,
-//! [`Planner::price`](crate::Planner::price) per `(family, scale)` — are
-//! kept too, and a miss on a new cluster profile only pays the
-//! [`choose`](crate::planner::PricedFamily::choose) step. Both memos are
-//! fields of the cache instance: a fresh cache prices everything once.
+//! tables — [`enumerate_dag_candidates`] per `(workload, scale)`, a
+//! family's census-priced grid (plus matmul's trees) per
+//! `(family, scale)` — are kept too, and a miss on a new cluster profile
+//! only pays the choose step: the crate's one `pick` over the kept
+//! table. Both memos are fields of the cache instance: a fresh cache
+//! prices everything once.
 //!
 //! [`CacheStats`] hit/miss counters are surfaced in the `repro plan` /
 //! `repro dag` semantic JSON — the first scrapeable operational stat for
@@ -37,9 +38,9 @@
 //! snapshot of the first two.
 
 use crate::cluster::ClusterSpec;
-use crate::dag::{choose_dag, enumerate_dag_candidates, DagCandidate, DagPlan, DagWorkload};
+use crate::dag::{enumerate_dag_candidates, DagCandidate, DagPlan, DagWorkload};
 use crate::plan::Plan;
-use crate::planner::{planner_for, PlanError, PricedFamily};
+use crate::planner::{price_family, PlanError, PricedFamily};
 use mr_core::family::Scale;
 use mr_obs::{Counter, MetricsHub};
 use std::collections::BTreeMap;
@@ -132,9 +133,8 @@ impl PlanCache {
         }
         self.misses.incr();
         cluster.check()?;
-        let planner = planner_for(family)?;
         let priced = self.priced(&self.priced_families, family, scale, || {
-            planner.price(scale)
+            price_family(family, scale)
         })?;
         let plan = priced.choose(cluster)?;
         self.plans
@@ -161,7 +161,7 @@ impl PlanCache {
         let priced = self.priced(&self.priced_dags, workload.name(), scale, || {
             Ok(enumerate_dag_candidates(workload, scale))
         })?;
-        let plan = choose_dag(workload, &priced, cluster, scale)?;
+        let plan = DagPlan::choose(workload, &priced, cluster, scale)?;
         self.dags
             .lock()
             .expect("plan cache poisoned")

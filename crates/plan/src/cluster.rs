@@ -4,14 +4,6 @@ use crate::planner::PlanError;
 use mr_core::cost::CostModel;
 use mr_sim::EngineConfig;
 
-/// Why the planners may `expect` a cost comparison to succeed: every
-/// public planning entry point runs [`ClusterSpec::check`] first, so the
-/// four weights are finite and non-negative; a census `q` is a `u64` and
-/// `r` a ratio of `u64`s with an empty instance read as 0. Every cost
-/// term is therefore in `[0, +∞]` and their sum is never NaN.
-pub(crate) const COSTS_ARE_NUMBERS: &str =
-    "ClusterSpec::check admits only finite non-negative weights, so no cost is NaN";
-
 /// A cluster specification: how many workers execute, how much a reducer
 /// may hold, and what communication and compute cost.
 ///
@@ -110,7 +102,10 @@ impl ClusterSpec {
     /// Refuses a cluster whose weights cannot price a plan: the fields are
     /// public `f64`s, so a NaN, an infinity or a negative price can be
     /// written into them, and a NaN cost is comparable with nothing. Run
-    /// by every planning entry point before any candidate is priced.
+    /// by every planning entry point before any candidate is priced, so
+    /// every cost term the planners compare is in `[0, +∞]` — never NaN
+    /// (a census `q` is a `u64`, its `r` a ratio of `u64`s with an empty
+    /// instance read as 0).
     pub fn check(&self) -> Result<(), PlanError> {
         for (weight, value) in [
             ("comm_weight", self.comm_weight),
@@ -136,6 +131,23 @@ impl ClusterSpec {
     /// Total cost of a `(q, r)` point under this cluster's weights.
     pub fn cost(&self, q: f64, r: f64) -> f64 {
         self.comm_weight * r + self.compute_weight * q + self.latency_weight * q * q
+    }
+
+    /// The cost of a plan whose rounds load `(q_i, r_i)`, with `depth`
+    /// rounds on its critical path:
+    /// `Σ_rounds cost(q_i, r_i) + round_latency · depth`. Predicted and
+    /// measured costs — of a one-round grid point, a matmul tree or any
+    /// [`RoundDag`](crate::RoundDag) — are all this one sum.
+    pub(crate) fn rounds_cost(
+        &self,
+        rounds: impl IntoIterator<Item = (u64, f64)>,
+        depth: usize,
+    ) -> f64 {
+        let per_round: f64 = rounds
+            .into_iter()
+            .map(|(q, r)| self.cost(q as f64, r))
+            .sum();
+        per_round + self.round_latency * depth as f64
     }
 
     /// Whether a reducer load `q` fits the memory budget.

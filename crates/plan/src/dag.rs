@@ -1,8 +1,8 @@
 //! Multi-round plans: a DAG of rounds with per-round `(q, r)` accounting
 //! and a cost-driven **round-structure search**.
 //!
-//! The single-round planners in [`planner`](crate::planner) pick a point
-//! on one schema family's `(q, r)` frontier. This module generalises the
+//! [`plan_family`](crate::plan_family) picks a point on one schema
+//! family's `(q, r)` frontier. This module generalises the
 //! *shape* of the plan itself: a [`RoundDag`] is a DAG whose nodes are
 //! MapReduce rounds, each carrying a census-exact predicted `(q, r)`, and
 //! whose cost is the §1.2 money model summed per round plus a fixed
@@ -21,7 +21,8 @@
 //! prices each candidate, and returns the cheapest as an executable
 //! [`DagPlan`]. Executing the plan stages the corresponding
 //! [`DagJob`] under each round's own predicted `q` as a hard budget and
-//! reports per-round predicted-vs-measured `(q, r)`.
+//! reports per-round predicted-vs-measured `(q, r)` — the one lowering a
+//! matmul-tree [`Plan`](crate::Plan) executes through too.
 //!
 //! Three workloads have multi-round structures to search
 //! ([`DagWorkload`]):
@@ -42,23 +43,24 @@
 //! join — a fold over each round's map-side assignment (§2.2
 //! obliviousness), where the only reducers that run are those whose
 //! output a later round has to read. **Choosing** reads a priced table
-//! against one [`ClusterSpec`]: admit, cost, pick. [`plan_dag`] is the two
-//! in sequence; [`PlanCache`](crate::PlanCache) keeps the priced table
-//! per `(workload, scale)`, so any number of cluster profiles pay for one
+//! against one [`ClusterSpec`]: admit, cost, pick — through the crate's
+//! one cost comparison, the `pick` [`plan_family`](crate::plan_family)
+//! chooses with too. [`plan_dag`] is the two in sequence;
+//! [`PlanCache`](crate::PlanCache) keeps the priced table per
+//! `(workload, scale)`, so any number of cluster profiles pay for one
 //! pricing. Executing a candidate for its numbers survives only as the
 //! batteries' oracle.
 
-use crate::cluster::{ClusterSpec, COSTS_ARE_NUMBERS};
-use crate::planner::PlanError;
-use mr_core::family::{family_by_name, Scale};
+use crate::cluster::ClusterSpec;
+use crate::planner::{param, registry_family, PlanError};
+use mr_core::family::{matmul_instance, Scale};
 use mr_core::problems::hamming::{
     all_strings, parallel_split_dag, split_consolidate_dag, split_dag,
 };
 use mr_core::problems::join::{
     naive_count_dag, pushed_count_dag, tagged_inputs, Database, Query, SharesSchema,
 };
-use mr_core::problems::matmul::problem::numeric_inputs;
-use mr_core::problems::matmul::{MatToken, Matrix, RecursiveMatMul};
+use mr_core::problems::matmul::{MatToken, RecursiveMatMul};
 use mr_sim::{DagJob, EngineConfig, EngineError, JobMetrics};
 use std::time::{Duration, Instant};
 
@@ -144,7 +146,7 @@ impl RoundDag {
 
     /// `pairs / |I|`; an empty instance replicates nothing, so it reads
     /// 0 rather than `0/0` — the convention of the registry's census.
-    fn per_input(&self, pairs: u64) -> f64 {
+    pub(crate) fn per_input(&self, pairs: u64) -> f64 {
         if self.inputs == 0 {
             0.0
         } else {
@@ -178,13 +180,8 @@ impl RoundDag {
     /// single round at `round_latency = 0` reduces to
     /// [`ClusterSpec::cost`] exactly.
     pub fn cost(&self, cluster: &ClusterSpec) -> f64 {
-        let per_round: f64 = self
-            .rounds
-            .iter()
-            .enumerate()
-            .map(|(i, r)| cluster.cost(r.q as f64, self.round_r(i)))
-            .sum();
-        per_round + cluster.round_latency * self.depth() as f64
+        let rounds = self.rounds.iter().enumerate();
+        cluster.rounds_cost(rounds.map(|(i, r)| (r.q, self.round_r(i))), self.depth())
     }
 
     /// Whether every round's predicted load fits the cluster's budget.
@@ -201,15 +198,85 @@ impl RoundDag {
             .collect::<Vec<_>>()
             .join("; ")
     }
+
+    /// Per-round predicted-vs-measured numbers of one execution of this
+    /// DAG (`metrics` in node order).
+    pub(crate) fn observe(&self, metrics: &JobMetrics) -> Vec<RoundObservation> {
+        self.rounds
+            .iter()
+            .enumerate()
+            .zip(&metrics.rounds)
+            .map(|((i, spec), m)| RoundObservation {
+                name: spec.name.clone(),
+                predicted_q: spec.q,
+                measured_q: m.load.max,
+                predicted_r: self.round_r(i),
+                measured_r: self.per_input(m.kv_pairs),
+                partition_skew: m.shuffle.partition_skew(),
+                shuffle_bytes: m.shuffle.bytes_moved.unwrap_or(0),
+            })
+            .collect()
+    }
+
+    /// The cluster cost of an execution's per-round observations — the
+    /// same formula as [`cost`](RoundDag::cost), over measured `(q, r)`.
+    pub(crate) fn measured_cost(&self, cluster: &ClusterSpec, rounds: &[RoundObservation]) -> f64 {
+        let measured = rounds.iter().map(|r| (r.measured_q, r.measured_r));
+        cluster.rounds_cost(measured, self.depth())
+    }
 }
 
-/// Compact deterministic number formatting (same as the planners').
-fn fmt(x: f64) -> String {
+/// Compact deterministic number formatting for rationale strings.
+pub(crate) fn fmt(x: f64) -> String {
     if x == x.trunc() && x.abs() < 1e15 {
         format!("{x}")
     } else {
         format!("{x:.4}")
     }
+}
+
+/// The winner of a [`pick`] and what a rationale reports about the field.
+pub(crate) struct Pick {
+    /// The winner's position in the candidate order.
+    pub index: usize,
+    /// Its cost under the cluster.
+    pub cost: f64,
+    /// How many candidates the cluster admits.
+    pub feasible: usize,
+    /// The cheapest admitted loser: its position and cost.
+    pub runner_up: Option<(usize, f64)>,
+}
+
+/// The crate's one cost comparison: the cheapest of `candidates` that
+/// `cluster` admits, or `None` when it admits none. Strict `<` keeps the
+/// first of equal-cost candidates — enumerations put multi-round
+/// structures first, so a tie breaks toward the smaller per-round
+/// reducers — and the runner-up is the first cheapest of the rest.
+/// Callers have run [`ClusterSpec::check`], so every cost is a number.
+pub(crate) fn pick<'a>(
+    candidates: impl IntoIterator<Item = &'a RoundDag>,
+    cluster: &ClusterSpec,
+) -> Option<Pick> {
+    let admitted: Vec<(usize, f64)> = (candidates.into_iter().enumerate())
+        .filter(|(_, dag)| dag.admitted_by(cluster))
+        .map(|(index, dag)| (index, dag.cost(cluster)))
+        .collect();
+    let cheapest = |except: Option<usize>| {
+        let mut best: Option<(usize, f64)> = None;
+        for &(index, cost) in admitted.iter().filter(|(index, _)| Some(*index) != except) {
+            if best.is_none_or(|(_, least)| cost < least) {
+                best = Some((index, cost));
+            }
+        }
+        best
+    };
+    let (index, cost) = cheapest(None)?;
+    Some(Pick {
+        index,
+        cost,
+        feasible: admitted.len(),
+        runner_up: cheapest(Some(index)),
+    })
 }
 
 /// The round structure a [`DagPlan`] commits to, in lowerable form.
@@ -333,31 +400,16 @@ impl DagWorkload {
         }
     }
 
-    /// The registry family whose declared instance parameters size this
-    /// workload at a given [`Scale`].
-    fn registry_family(&self) -> &'static str {
-        match self {
-            DagWorkload::MatMul => "matmul",
-            DagWorkload::Hamming => "hamming-d1",
-            DagWorkload::JoinAgg => "join-cycle3",
-        }
-    }
-
     /// The workload's size parameter (`n`, `b`, or the join domain) at
-    /// `scale`, read from the registry so DAG plans and single-round
-    /// plans describe the same instances.
+    /// `scale`, read from the registry family whose instance it is, so
+    /// DAG plans and single-round plans describe the same instances.
     pub fn size(&self, scale: Scale) -> u32 {
-        let fam = family_by_name(self.registry_family(), scale)
-            .unwrap_or_else(|| panic!("family {} not in the registry", self.registry_family()));
-        let key = match self {
-            DagWorkload::Hamming => "b",
-            _ => "n",
+        let (family, key) = match self {
+            DagWorkload::MatMul => ("matmul", "n"),
+            DagWorkload::Hamming => ("hamming-d1", "b"),
+            DagWorkload::JoinAgg => ("join-cycle3", "n"),
         };
-        fam.params()
-            .iter()
-            .find(|(k, _)| *k == key)
-            .unwrap_or_else(|| panic!("{}: missing parameter {key}", fam.name()))
-            .1 as u32
+        param(&*registry_family(family, scale), key) as u32
     }
 }
 
@@ -394,7 +446,7 @@ fn divisors(n: u32) -> Vec<u32> {
 }
 
 /// The `(q, pairs)` chain of a [`RecursiveMatMul`] as a [`RoundDag`].
-fn matmul_tree_dag(rm: &RecursiveMatMul) -> RoundDag {
+pub(crate) fn matmul_tree_dag(rm: &RecursiveMatMul) -> RoundDag {
     let n = rm.n as u64;
     let mut rd = RoundDag::new(2 * n * n);
     let mut prev = None;
@@ -408,13 +460,6 @@ fn matmul_tree_dag(rm: &RecursiveMatMul) -> RoundDag {
         prev = Some(rd.push(name, deps, q, pairs));
     }
     rd
-}
-
-/// The instance every matmul DAG plan runs on — the same seeds the
-/// registry's matmul family uses, so one- and multi-round plans are
-/// directly comparable.
-fn matmul_instance(n: u32) -> (Matrix, Matrix) {
-    (Matrix::random(n as usize, 3), Matrix::random(n as usize, 4))
 }
 
 /// The complete chain(2) join→aggregate instance at domain size `n`.
@@ -620,7 +665,7 @@ pub fn plan_dag(
     scale: Scale,
 ) -> Result<DagPlan, PlanError> {
     cluster.check()?;
-    choose_dag(
+    DagPlan::choose(
         workload,
         &enumerate_dag_candidates(workload, scale),
         cluster,
@@ -628,65 +673,50 @@ pub fn plan_dag(
     )
 }
 
-/// The **choose** step: the cheapest of `candidates` (the workload's
-/// priced table at `scale`) that `cluster` admits. Callers have run
-/// [`ClusterSpec::check`], so every cost compared here is a number.
-pub(crate) fn choose_dag(
-    workload: DagWorkload,
-    candidates: &[DagCandidate],
-    cluster: &ClusterSpec,
-    scale: Scale,
-) -> Result<DagPlan, PlanError> {
-    let _span = mr_obs::span("plan.dag.choose");
-    let total = candidates.len();
-    let mut admissible: Vec<(&DagCandidate, f64)> = candidates
-        .iter()
-        .filter(|c| c.dag.admitted_by(cluster))
-        .map(|c| (c, c.dag.cost(cluster)))
-        .collect();
-    let feasible = admissible.len();
-    if admissible.is_empty() {
-        return Err(PlanError::NoFeasiblePoint {
-            family: workload.name(),
-            budget: cluster.reducer_capacity.unwrap_or(0),
-        });
-    }
-    // Stable selection: strict `<` keeps the earliest of equal-cost
-    // candidates, and multi-round structures are enumerated first.
-    let mut best = 0usize;
-    for (i, (_, cost)) in admissible.iter().enumerate().skip(1) {
-        if *cost < admissible[best].1 {
-            best = i;
-        }
-    }
-    let (chosen, cost) = admissible.swap_remove(best);
-    let runner_up = admissible
-        .iter()
-        .min_by(|a, b| a.1.partial_cmp(&b.1).expect(COSTS_ARE_NUMBERS))
-        .map(|(c, cost)| format!(" Runner-up: {} → cost {}.", c.structure.name(), fmt(*cost)))
-        .unwrap_or_default();
-    let rationale = format!(
-        "Round-structure search: {total} candidate DAGs ({feasible} with every round within \
-         budget); cheapest: {} — depth {}, rounds [{}] → cost {}.{}",
-        chosen.structure.name(),
-        chosen.dag.depth(),
-        chosen.dag.describe(),
-        fmt(cost),
-        runner_up,
-    );
-    Ok(DagPlan {
-        workload,
-        structure: chosen.structure,
-        schema: chosen.structure.name(),
-        dag: chosen.dag.clone(),
-        cluster: cluster.clone(),
-        scale,
-        predicted_cost: cost,
-        rationale,
-    })
-}
-
 impl DagPlan {
+    /// The **choose** step: the [`pick`] of `candidates` (the workload's
+    /// priced table at `scale`) under `cluster`. Callers have run
+    /// [`ClusterSpec::check`].
+    pub(crate) fn choose(
+        workload: DagWorkload,
+        candidates: &[DagCandidate],
+        cluster: &ClusterSpec,
+        scale: Scale,
+    ) -> Result<DagPlan, PlanError> {
+        let _span = mr_obs::span("plan.dag.choose");
+        let best = pick(candidates.iter().map(|c| &c.dag), cluster)
+            .ok_or_else(|| PlanError::infeasible(workload.name(), cluster))?;
+        let chosen = &candidates[best.index];
+        let runner_up = best
+            .runner_up
+            .map(|(i, cost)| {
+                let name = candidates[i].structure.name();
+                format!(" Runner-up: {name} → cost {}.", fmt(cost))
+            })
+            .unwrap_or_default();
+        let rationale = format!(
+            "Round-structure search: {} candidate DAGs ({} with every round within \
+             budget); cheapest: {} — depth {}, rounds [{}] → cost {}.{}",
+            candidates.len(),
+            best.feasible,
+            chosen.structure.name(),
+            chosen.dag.depth(),
+            chosen.dag.describe(),
+            fmt(best.cost),
+            runner_up,
+        );
+        Ok(DagPlan {
+            workload,
+            structure: chosen.structure,
+            schema: chosen.structure.name(),
+            dag: chosen.dag.clone(),
+            cluster: cluster.clone(),
+            scale,
+            predicted_cost: best.cost,
+            rationale,
+        })
+    }
+
     /// Stages the chosen structure's [`DagJob`] with each round's
     /// predicted `q` as that round's hard budget (and its predicted
     /// pairs as the emission-buffer hint), runs it on the cluster's
@@ -703,159 +733,83 @@ impl DagPlan {
     /// [`execute`](DagPlan::execute) on an explicit engine configuration.
     pub fn execute_with(&self, engine: &EngineConfig) -> Result<DagPlanReport, EngineError> {
         let _span = mr_obs::span("dag.execute");
-        let (outputs, metrics, wall) = match self.structure {
-            DagStructure::MatMulOnePhase { n, s } | DagStructure::MatMulTree { n, s, .. } => {
-                let (a, b) = matmul_instance(n);
-                let tokens: Vec<MatToken> = numeric_inputs(&a, &b)
-                    .into_iter()
-                    .map(MatToken::Entry)
-                    .collect();
-                let dag = match self.structure {
-                    DagStructure::MatMulOnePhase { .. } => one_phase_dag(n, s),
-                    DagStructure::MatMulTree { t, fanin, .. } => {
-                        RecursiveMatMul::new(n, s, t, fanin).dag()
-                    }
-                    _ => unreachable!(),
-                };
-                self.run_budgeted(dag, &tokens, engine)?
-            }
-            DagStructure::HammingSplit { b, k } => {
-                self.run_budgeted(split_dag(b, k), &all_strings(b), engine)?
-            }
-            DagStructure::HammingParallelSplit { b, k } => {
-                self.run_budgeted(parallel_split_dag(b, k), &all_strings(b), engine)?
-            }
-            DagStructure::HammingSplitConsolidate { b, k } => {
-                self.run_budgeted(split_consolidate_dag(b, k), &all_strings(b), engine)?
-            }
-            DagStructure::JoinAggNaive { n, s } | DagStructure::JoinAggPushed { n, s, .. } => {
-                let (query, db) = join_instance(n);
-                let schema = SharesSchema::new(query, vec![1, s as u64, 1]);
-                let dag = match self.structure {
-                    DagStructure::JoinAggNaive { .. } => naive_count_dag(schema),
-                    DagStructure::JoinAggPushed { fanout, .. } => pushed_count_dag(schema, fanout),
-                    _ => unreachable!(),
-                };
-                self.run_budgeted(dag, &tagged_inputs(&db), engine)?
-            }
-        };
-        let rounds: Vec<RoundObservation> = self
-            .dag
-            .rounds
-            .iter()
-            .enumerate()
-            .zip(&metrics.rounds)
-            .map(|((i, spec), m)| RoundObservation {
-                name: spec.name.clone(),
-                predicted_q: spec.q,
-                measured_q: m.load.max,
-                predicted_r: self.dag.round_r(i),
-                measured_r: self.dag.per_input(m.kv_pairs),
-                partition_skew: m.shuffle.partition_skew(),
-                shuffle_bytes: m.shuffle.bytes_moved.unwrap_or(0),
-            })
-            .collect();
-        let measured_cost: f64 = rounds
-            .iter()
-            .map(|r| self.cluster.cost(r.measured_q as f64, r.measured_r))
-            .sum::<f64>()
-            + self.cluster.round_latency * self.dag.depth() as f64;
+        let (outputs, metrics, wall) = self.structure.run(&self.dag, u64::MAX, engine)?;
+        let rounds = self.dag.observe(&metrics);
         Ok(DagPlanReport {
             plan: self.clone(),
+            measured_cost: self.dag.measured_cost(&self.cluster, &rounds),
             rounds,
-            measured_cost,
             outputs,
             wall,
         })
     }
+}
 
-    /// Applies per-round budgets and hints, then runs.
-    fn run_budgeted<T: Clone + Send + Sync + 'static>(
+impl DagStructure {
+    /// The one budgeted execution of a plan: stages the structure's
+    /// [`DagJob`] on its workload's instance, sets each round's budget to
+    /// its `rounds` prediction capped at `cap` and its pairs hint to the
+    /// predicted pairs, and runs it. Returns the final stage's output
+    /// count, the per-round metrics and the wall-clock time.
+    pub(crate) fn run(
         &self,
-        mut dag: DagJob<T>,
-        inputs: &[T],
+        rounds: &RoundDag,
+        cap: u64,
         engine: &EngineConfig,
     ) -> Result<(u64, JobMetrics, Duration), EngineError> {
-        assert_eq!(dag.num_rounds(), self.dag.rounds.len());
-        for (i, spec) in self.dag.rounds.iter().enumerate() {
-            dag.set_budget(i, spec.q);
-            dag.set_pairs_hint(i, spec.pairs);
+        match *self {
+            DagStructure::MatMulOnePhase { n, s } | DagStructure::MatMulTree { n, s, .. } => {
+                let dag = match *self {
+                    DagStructure::MatMulTree { t, fanin, .. } => {
+                        RecursiveMatMul::new(n, s, t, fanin).dag()
+                    }
+                    _ => RecursiveMatMul::one_phase(n, s),
+                };
+                let tokens: Vec<MatToken> = matmul_instance(n)
+                    .into_iter()
+                    .map(MatToken::Entry)
+                    .collect();
+                run_budgeted(dag, &tokens, rounds, cap, engine)
+            }
+            DagStructure::HammingSplit { b, k }
+            | DagStructure::HammingParallelSplit { b, k }
+            | DagStructure::HammingSplitConsolidate { b, k } => {
+                let dag = match *self {
+                    DagStructure::HammingSplit { .. } => split_dag(b, k),
+                    DagStructure::HammingParallelSplit { .. } => parallel_split_dag(b, k),
+                    _ => split_consolidate_dag(b, k),
+                };
+                run_budgeted(dag, &all_strings(b), rounds, cap, engine)
+            }
+            DagStructure::JoinAggNaive { n, s } | DagStructure::JoinAggPushed { n, s, .. } => {
+                let (query, db) = join_instance(n);
+                let schema = SharesSchema::new(query, vec![1, s as u64, 1]);
+                let dag = match *self {
+                    DagStructure::JoinAggPushed { fanout, .. } => pushed_count_dag(schema, fanout),
+                    _ => naive_count_dag(schema),
+                };
+                run_budgeted(dag, &tagged_inputs(&db), rounds, cap, engine)
+            }
         }
-        let start = Instant::now();
-        let (out, metrics) = dag.run(inputs, engine)?;
-        Ok((out.len() as u64, metrics, start.elapsed()))
     }
 }
 
-/// The one-phase tiling as a single-node [`DagJob`] over [`MatToken`]s,
-/// reproducing [`OnePhaseSchema`](mr_core::problems::matmul::OnePhaseSchema)'s
-/// band assignment so the degenerate structure runs on the same executor
-/// as the trees.
-fn one_phase_dag(n: u32, s: u32) -> DagJob<MatToken> {
-    use mr_core::problems::matmul::problem::MatEntry;
-    use mr_sim::{FnMapper, FnReducer};
-    let groups = (n / s) as u64;
-    let mut dag: DagJob<MatToken> = DagJob::new();
-    dag.add_round(
-        "one-phase",
-        vec![],
-        FnMapper(
-            move |input: &MatToken, emit: &mut dyn FnMut(u64, MatToken)| {
-                let MatToken::Entry((entry, _)) = input else {
-                    unreachable!("one-phase consumes matrix entries only");
-                };
-                match entry {
-                    MatEntry::R(i, _) => {
-                        let bi = (*i / s) as u64;
-                        for bk in 0..groups {
-                            emit(bi * groups + bk, *input);
-                        }
-                    }
-                    MatEntry::S(_, k) => {
-                        let bk = (*k / s) as u64;
-                        for bi in 0..groups {
-                            emit(bi * groups + bk, *input);
-                        }
-                    }
-                }
-            },
-        ),
-        FnReducer(
-            move |band: &u64, inputs: &[MatToken], emit: &mut dyn FnMut(MatToken)| {
-                let (bi, bk) = (band / groups, band % groups);
-                let (row0, col0) = (bi as usize * s as usize, bk as usize * s as usize);
-                let su = s as usize;
-                let nu = n as usize;
-                let mut rows = vec![0.0f64; su * nu];
-                let mut cols = vec![0.0f64; nu * su];
-                for token in inputs {
-                    let MatToken::Entry((e, bits)) = token else {
-                        unreachable!("one-phase consumes matrix entries only");
-                    };
-                    let val = f64::from_bits(u64::from_be_bytes(*bits));
-                    match e {
-                        MatEntry::R(i, j) => rows[(*i as usize - row0) * nu + *j as usize] = val,
-                        MatEntry::S(j, k) => cols[*j as usize * su + (*k as usize - col0)] = val,
-                    }
-                }
-                for di in 0..su {
-                    for dk in 0..su {
-                        let mut acc = 0.0;
-                        for j in 0..nu {
-                            acc += rows[di * nu + j] * cols[j * su + dk];
-                        }
-                        emit(MatToken::Partial {
-                            i: (row0 + di) as u32,
-                            k: (col0 + dk) as u32,
-                            group: 0,
-                            bits: acc.to_bits().to_be_bytes(),
-                        });
-                    }
-                }
-            },
-        ),
-    );
-    dag
+/// [`DagStructure::run`] once the job and its inputs are built.
+fn run_budgeted<T: Clone + Send + Sync + 'static>(
+    mut dag: DagJob<T>,
+    inputs: &[T],
+    rounds: &RoundDag,
+    cap: u64,
+    engine: &EngineConfig,
+) -> Result<(u64, JobMetrics, Duration), EngineError> {
+    assert_eq!(dag.num_rounds(), rounds.rounds.len());
+    for (i, spec) in rounds.rounds.iter().enumerate() {
+        dag.set_budget(i, spec.q.min(cap));
+        dag.set_pairs_hint(i, spec.pairs);
+    }
+    let start = Instant::now();
+    let (out, metrics) = dag.run(inputs, engine)?;
+    Ok((out.len() as u64, metrics, start.elapsed()))
 }
 
 #[cfg(test)]

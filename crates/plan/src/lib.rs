@@ -12,21 +12,22 @@
 //! * [`ClusterSpec`] describes the cluster — worker
 //!   count, per-reducer memory budget, and the §1.2 cost weights
 //!   `a·r + b·q (+ c·q²)` (generalising [`mr_core::cost::CostModel`]);
-//! * the [`Planner`] trait has one implementation per
-//!   problem family, each using the paper's closed forms where it gives
-//!   them — the Theorem 3.2 Hamming hyperbola, §4.1 triangle
-//!   partitioning, the §6 one- vs two-phase matmul crossover at
-//!   `q = n²` — and [`mr_lp::share_exponents`]'s simplex for Shares
-//!   exponents on cycle joins;
+//! * [`plan_family`] plans every registry family from one table of
+//!   entries, each citing the paper's closed form for its family — the
+//!   Theorem 3.2 Hamming hyperbola, §4.1 triangle partitioning, the §6
+//!   one- vs two-phase matmul crossover at `q = n²` — or
+//!   [`mr_lp::share_exponents`]'s simplex for Shares exponents on cycle
+//!   joins;
 //! * candidate points are priced by [`mr_core::family::AssignCensus`] —
 //!   an exact map-side prediction, so `predicted_q`/`predicted_r` equal
 //!   what the engine will measure;
 //! * every [`Plan`] is **runnable**:
 //!   [`Plan::execute`] lowers the choice onto the
 //!   [`DynFamily`](mr_core::family::DynFamily) registry's
-//!   [`mr_sim::run_schema`] round (or a multi-round matmul tree),
-//!   under a reducer budget equal to its own prediction, and reports
-//!   measured `(q, r, cost)` next to the predicted ones;
+//!   [`mr_sim::run_schema`] round (or a multi-round matmul tree, through
+//!   the same budgeted [`DagJob`](mr_sim::DagJob) path a [`DagPlan`]
+//!   runs), under a reducer budget equal to its own prediction, and
+//!   reports measured `(q, r, cost)` next to the predicted ones;
 //! * the [`dag`] module generalises the plan *shape*: a
 //!   [`RoundDag`] is a DAG of rounds with per-round census-exact
 //!   `(q, r)` and cost `Σ rounds (a·r + b·q + c·q²) + ℓ·depth`, and
@@ -39,10 +40,11 @@
 //! resident process can memoise it: [`PlanCache`] fronts [`plan_family`]
 //! and [`plan_dag`] with a bit-exact key over every planner input and
 //! exposes [`CacheStats`] hit/miss counters. Planning is also two steps —
-//! a cluster-independent **price** ([`Planner::price`],
-//! [`enumerate_dag_candidates`]) and a per-cluster **choose** — and the
-//! cache keeps the priced tables, so a new cluster profile pays only the
-//! second.
+//! a cluster-independent **price** (a family's census-priced grid,
+//! [`enumerate_dag_candidates`]) and a per-cluster **choose**, which for
+//! families and DAG workloads alike is one `pick` over priced
+//! [`RoundDag`]s — and the cache keeps the priced tables, so a new
+//! cluster profile pays only the second.
 //!
 //! The `repro plan` and `repro dag` experiments in `mr-bench` drive this
 //! end to end, and the planner-vs-sweep and DAG parity batteries prove
@@ -63,4 +65,4 @@ pub use dag::{
 };
 pub use delta::{plan_delta, DeltaPlan};
 pub use plan::{Choice, Plan, PlanReport};
-pub use planner::{plan_family, plannable_families, planners, PlanError, Planner, PricedFamily};
+pub use planner::{plan_family, plannable_families, PlanError};

@@ -1,10 +1,12 @@
 //! Plans and their execution lowering.
 
 use crate::cluster::ClusterSpec;
-use mr_core::family::{family_by_name, Scale};
-use mr_core::problems::matmul::{Matrix, RecursiveMatMul};
+use crate::dag::{matmul_tree_dag, DagStructure};
+use crate::planner::registry_family;
+use mr_core::family::Scale;
+use mr_core::problems::matmul::RecursiveMatMul;
 use mr_sim::{EngineConfig, EngineError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The algorithm a plan commits to, in lowerable form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,10 +61,11 @@ pub struct Plan {
     pub predicted_r: f64,
     /// Predicted shuffled key-value pairs (census pairs for grid points,
     /// total multi-round communication for trees). Exact, like the
-    /// other predictions — and threaded into execution as the engine's
-    /// [`pairs_hint`](mr_sim::EngineConfig::pairs_hint), so the emission
-    /// buffers of a planned run are sized right up front instead of
-    /// growing through doubling reallocations.
+    /// other predictions — and a grid point's is threaded into execution
+    /// as the engine's [`pairs_hint`](mr_sim::EngineConfig::pairs_hint),
+    /// so the emission buffers of a planned run are sized right up front
+    /// instead of growing through doubling reallocations (a tree's rounds
+    /// each take their own share as the hint).
     pub predicted_pairs: u64,
     /// Predicted cluster cost `a·r + b·q (+ c·q²)`.
     pub predicted_cost: f64,
@@ -105,43 +108,40 @@ impl Plan {
     }
 
     /// Executes the plan on the given engine, **under its own prediction
-    /// as the reducer budget**: every round runs with
-    /// `max_reducer_inputs = predicted_q`, so a plan whose prediction
-    /// undershot reality aborts loudly instead of reporting a happy
-    /// number. Predictions are exact by construction, so this is a
-    /// self-check that every execution re-proves; an
+    /// as the reducer budget**: no round may load more than `predicted_q`,
+    /// so a plan whose prediction undershot reality aborts loudly instead
+    /// of reporting a happy number. Predictions are exact by construction,
+    /// so this is a self-check that every execution re-proves; an
     /// [`EngineError::ReducerOverflow`] here means the planner itself is
     /// wrong, and it is *reported*, not panicked, so callers (the CLI,
     /// the experiments) surface it like any other refusal.
     ///
-    /// The prediction also feeds the engine's performance side:
-    /// `predicted_pairs` becomes the round's
-    /// [`pairs_hint`](EngineConfig::pairs_hint), pre-sizing the columnar
-    /// emission buffers exactly. (For multi-round trees the hint is the
-    /// *total* communication — each round over-reserves a little, which
-    /// is harmless for a capacity hint.)
+    /// A registry point runs its one round under `predicted_q`, with
+    /// `predicted_pairs` as the round's
+    /// [`pairs_hint`](EngineConfig::pairs_hint) — pre-sizing the columnar
+    /// emission buffers exactly. A matmul tree runs on the same budgeted
+    /// [`DagJob`](mr_sim::DagJob) path as a [`DagPlan`](crate::DagPlan):
+    /// every round under its own closed-form `q` (capped at
+    /// `predicted_q`) with its own predicted pairs as the hint.
     ///
     /// # Panics
     /// Panics if the plan's family/point no longer exists in the
     /// registry.
     pub fn execute_with(&self, engine: &EngineConfig) -> Result<PlanReport, EngineError> {
         let _span = mr_obs::span("plan.execute");
-        let budgeted = engine
-            .clone()
-            .with_max_reducer_inputs(self.predicted_q)
-            .with_pairs_hint(self.predicted_pairs);
         match self.choice {
             Choice::Registry { scale, point } => {
-                let fam = family_by_name(self.family, scale)
-                    .unwrap_or_else(|| panic!("family {} not in the registry", self.family));
-                let fp = fam.run(point, &budgeted)?;
+                let budgeted = engine
+                    .clone()
+                    .with_max_reducer_inputs(self.predicted_q)
+                    .with_pairs_hint(self.predicted_pairs);
+                let fp = registry_family(self.family, scale).run(point, &budgeted)?;
                 Ok(PlanReport {
                     measured_q: fp.measured.q,
                     measured_r: fp.measured.r,
-                    // One round pays the per-round latency charge once,
-                    // mirroring the planner's pricing (0 by default).
-                    measured_cost: self.cluster.cost(fp.measured.q as f64, fp.measured.r)
-                        + self.cluster.round_latency,
+                    measured_cost: self
+                        .cluster
+                        .rounds_cost([(fp.measured.q, fp.measured.r)], 1),
                     outputs: fp.measured.outputs,
                     partition_skew: fp.partition_skew,
                     shuffle_bytes: fp.shuffle_bytes,
@@ -150,45 +150,19 @@ impl Plan {
                 })
             }
             Choice::MatMulTree { n, s, t, fanin } => {
-                // The same instance the registry's matmul family builds
-                // (seeds included), so one- and multi-round plans are
-                // directly comparable.
-                let a = Matrix::random(n as usize, 3);
-                let b = Matrix::random(n as usize, 4);
-                let start = Instant::now();
-                let (_, metrics) = RecursiveMatMul::new(n, s, t, fanin).run(&a, &b, &budgeted)?;
-                let wall = start.elapsed();
-                // Phase 1 reads the instance; the last round emits the
-                // product cells.
-                let num_inputs = metrics.rounds[0].inputs as f64;
-                let measured_q = metrics.max_reducer_load();
-                let measured_r = metrics.total_communication() as f64 / num_inputs;
-                // Per-round pricing plus the latency charge per round —
-                // the chain's depth equals its round count.
-                let measured_cost = metrics
-                    .rounds
-                    .iter()
-                    .map(|m| {
-                        self.cluster
-                            .cost(m.load.max as f64, m.kv_pairs as f64 / num_inputs)
-                    })
-                    .sum::<f64>()
-                    + self.cluster.round_latency * metrics.rounds.len() as f64;
+                let structure = DagStructure::MatMulTree { n, s, t, fanin };
+                let dag = matmul_tree_dag(&RecursiveMatMul::new(n, s, t, fanin));
+                let (outputs, metrics, wall) = structure.run(&dag, self.predicted_q, engine)?;
+                let rounds = dag.observe(&metrics);
                 Ok(PlanReport {
-                    measured_q,
-                    measured_r,
-                    measured_cost,
-                    outputs: metrics.rounds.last().map_or(0, |m| m.outputs),
-                    partition_skew: metrics
-                        .rounds
-                        .iter()
-                        .map(|m| m.shuffle.partition_skew())
-                        .fold(0.0, f64::max),
-                    shuffle_bytes: metrics
-                        .rounds
-                        .iter()
-                        .map(|m| m.shuffle.bytes_moved.unwrap_or(0))
-                        .sum(),
+                    measured_q: metrics.max_reducer_load(),
+                    // Total communication over |I|, not a sum of per-round
+                    // rates (which differs in the last bits).
+                    measured_r: dag.per_input(metrics.total_communication()),
+                    measured_cost: dag.measured_cost(&self.cluster, &rounds),
+                    outputs,
+                    partition_skew: rounds.iter().map(|r| r.partition_skew).fold(0.0, f64::max),
+                    shuffle_bytes: rounds.iter().map(|r| r.shuffle_bytes).sum(),
                     wall,
                     plan: self.clone(),
                 })
@@ -197,17 +171,10 @@ impl Plan {
     }
 }
 
-impl PlanReport {
-    /// Absolute relative error of the replication prediction
-    /// (`|predicted − measured| / measured`); 0 for an exact planner.
-    pub fn r_error(&self) -> f64 {
-        (self.plan.predicted_r - self.measured_r).abs() / self.measured_r
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dag::{enumerate_dag_candidates, DagPlan, DagWorkload};
     use crate::planner::plan_family;
 
     #[test]
@@ -217,9 +184,8 @@ mod tests {
         assert!(matches!(plan.choice, Choice::Registry { .. }));
         let report = plan.execute().unwrap();
         assert_eq!(report.measured_q, plan.predicted_q);
-        assert!((report.measured_r - plan.predicted_r).abs() < 1e-12);
+        assert_eq!(report.measured_r, plan.predicted_r);
         assert!((report.measured_cost - plan.predicted_cost).abs() < 1e-9);
-        assert_eq!(report.r_error(), 0.0);
         assert!(report.outputs > 0);
     }
 
@@ -270,6 +236,61 @@ mod tests {
                 "{}: wrong error: {err:?}",
                 plan.family
             );
+        }
+    }
+
+    #[test]
+    fn a_matmul_tree_measures_what_its_dag_plan_twin_measures() {
+        // One lowering: a tree `Plan` runs the very budgeted `DagJob` its
+        // `DagPlan` twin runs, so every measurement agrees to the bit —
+        // under a cluster where every cost term and the per-round latency
+        // are live.
+        let cluster = ClusterSpec::new(4, 1.0, 0.1)
+            .with_latency_weight(1.0)
+            .with_round_latency(0.05);
+        for scale in [Scale::Small, Scale::Full] {
+            for cand in enumerate_dag_candidates(DagWorkload::MatMul, scale) {
+                let DagStructure::MatMulTree { n, s, t, fanin } = cand.structure else {
+                    continue;
+                };
+                let plan = Plan {
+                    family: "matmul",
+                    schema: cand.structure.name(),
+                    choice: Choice::MatMulTree { n, s, t, fanin },
+                    cluster: cluster.clone(),
+                    predicted_q: cand.dag.max_q(),
+                    predicted_r: cand.dag.replication(),
+                    predicted_pairs: cand.dag.total_pairs(),
+                    predicted_cost: cand.dag.cost(&cluster),
+                    rationale: String::new(),
+                };
+                let twin = DagPlan {
+                    workload: DagWorkload::MatMul,
+                    structure: cand.structure,
+                    schema: plan.schema.clone(),
+                    dag: cand.dag.clone(),
+                    cluster: cluster.clone(),
+                    scale,
+                    predicted_cost: plan.predicted_cost,
+                    rationale: String::new(),
+                };
+                for workers in [1usize, 4] {
+                    let engine = EngineConfig::parallel(workers);
+                    let tree = plan.execute_with(&engine).unwrap();
+                    let dag = twin.execute_with(&engine).unwrap();
+                    let name = format!("{}/{scale:?}/w{workers}", plan.schema);
+                    let dag_q = dag.rounds.iter().map(|r| r.measured_q).max();
+                    assert_eq!(Some(tree.measured_q), dag_q, "{name}");
+                    assert_eq!(tree.outputs, dag.outputs, "{name}");
+                    let dag_bytes: u64 = dag.rounds.iter().map(|r| r.shuffle_bytes).sum();
+                    assert_eq!(tree.shuffle_bytes, dag_bytes, "{name}");
+                    assert_eq!(
+                        tree.measured_cost.to_bits(),
+                        dag.measured_cost.to_bits(),
+                        "{name}"
+                    );
+                }
+            }
         }
     }
 

@@ -1,17 +1,21 @@
-//! Per-family planners: closed forms where the paper gives them, the
+//! Per-family planning: closed forms where the paper gives them, the
 //! share-exponent LP for joins, and exact census pricing everywhere.
 //!
-//! A plan is made in two steps. [`Planner::price`] is cluster-independent:
-//! it builds the family's instance, census-prices every grid point (and,
-//! for matmul, collects the multi-round trees) into a [`PricedFamily`].
-//! [`PricedFamily::choose`] reads that table against one [`ClusterSpec`].
+//! A plan is made in two steps. The **price** step is cluster-independent:
+//! it builds the family's instance, census-prices every grid point as a
+//! one-round [`RoundDag`] (and, for matmul, collects the multi-round
+//! trees) into a `PricedFamily`. The **choose** step reads that table
+//! against one [`ClusterSpec`] through the crate's one `pick`, the same
+//! one [`plan_dag`](crate::plan_dag) reads its candidates with.
 //! [`PlanCache`](crate::PlanCache) keeps the table per `(family, scale)`,
 //! so any number of cluster profiles pay for one pricing.
 
-use crate::cluster::{ClusterSpec, COSTS_ARE_NUMBERS};
-use crate::dag::{enumerate_dag_candidates, DagCandidate, DagStructure, DagWorkload};
+use crate::cluster::ClusterSpec;
+use crate::dag::{
+    enumerate_dag_candidates, fmt, pick, DagCandidate, DagStructure, DagWorkload, RoundDag,
+};
 use crate::plan::{Choice, Plan};
-use mr_core::family::{family_by_name, AssignCensus, DynFamily, Scale};
+use mr_core::family::{family_by_name, DynFamily, Scale};
 use mr_lp::cover::share_exponents;
 use mr_lp::{Hypergraph, LpError};
 
@@ -73,49 +77,23 @@ impl From<LpError> for PlanError {
     }
 }
 
-/// A cost-based planner for one problem family.
-///
-/// Planning must be **pure**: same cluster and scale, same plan. The
-/// returned [`Plan`] carries exact predictions (census- or closed-form
-/// priced), so [`Plan::execute`] runs under `predicted_q` as a hard
-/// budget and cannot overflow unless the planner itself is wrong.
-pub trait Planner: Send + Sync {
-    /// The registry family this planner covers.
-    fn family(&self) -> &'static str;
-
-    /// The cluster-independent step: every candidate of the family at
-    /// `scale` with its exact census. For families with multi-round
-    /// structures (matmul), candidates from the round-structure search
-    /// in [`crate::dag`] are priced alongside the grid, so the §6 phase
-    /// crossover is *found* by [`PricedFamily::choose`], not
-    /// special-cased.
-    fn price(&self, scale: Scale) -> Result<PricedFamily, PlanError>;
-
-    /// Produces the cheapest plan for `cluster` at `scale` — cheapest
-    /// among the family's candidates under the cluster's cost weights:
-    /// [`price`](Planner::price), then [`PricedFamily::choose`].
-    fn plan(&self, cluster: &ClusterSpec, scale: Scale) -> Result<Plan, PlanError> {
-        cluster.check()?;
-        self.price(scale)?.choose(cluster)
-    }
-}
-
-/// Compact deterministic number formatting for rationale strings.
-fn fmt(x: f64) -> String {
-    if x == x.trunc() && x.abs() < 1e15 {
-        format!("{x}")
-    } else {
-        format!("{x:.4}")
+impl PlanError {
+    /// The refusal for a cluster that admits none of `family`'s candidates.
+    pub(crate) fn infeasible(family: &'static str, cluster: &ClusterSpec) -> Self {
+        PlanError::NoFeasiblePoint {
+            family,
+            budget: cluster.reducer_capacity.unwrap_or(0),
+        }
     }
 }
 
 /// Builds a registry family by name at the given scale.
-fn registry_family(name: &'static str, scale: Scale) -> Box<dyn DynFamily> {
+pub(crate) fn registry_family(name: &'static str, scale: Scale) -> Box<dyn DynFamily> {
     family_by_name(name, scale).unwrap_or_else(|| panic!("family {name} not in the registry"))
 }
 
 /// Reads one of the family's declared instance parameters.
-fn param(fam: &dyn DynFamily, key: &str) -> u64 {
+pub(crate) fn param(fam: &dyn DynFamily, key: &str) -> u64 {
     fam.params()
         .iter()
         .find(|(k, _)| *k == key)
@@ -123,246 +101,72 @@ fn param(fam: &dyn DynFamily, key: &str) -> u64 {
         .1
 }
 
-/// A family's candidates at one scale with their exact censuses — what
-/// [`Planner::price`] produces and [`choose`](PricedFamily::choose) reads.
-/// Nothing in it depends on a cluster.
-#[derive(Debug, Clone)]
-pub struct PricedFamily {
-    family: &'static str,
-    scale: Scale,
-    /// The family's closed-form story, leading a grid plan's rationale.
-    closed_form: String,
-    /// Every registry grid point, in grid order: schema name and census.
-    grid: Vec<(String, AssignCensus)>,
-    /// Multi-round candidates competing with the grid (matmul's
-    /// aggregation trees; empty for every other family).
-    trees: Vec<DagCandidate>,
+/// One plannable family: its registry name, the paper's closed form for
+/// it — evaluated at the instance's parameters, leading a grid plan's
+/// rationale — and whether matmul's aggregation trees compete with its
+/// grid.
+struct FamilyEntry {
+    name: &'static str,
+    /// Fallible: the join's closed form is the Shares exponent LP.
+    closed_form: fn(&dyn DynFamily) -> Result<String, PlanError>,
+    trees: bool,
 }
 
-/// The shared price step: build the family's instance — just the one,
-/// via [`family_by_name`], instance construction being the expensive part
-/// of the registry — and census every grid point.
-fn price_grid(
-    family: &'static str,
-    scale: Scale,
-    closed_form: impl FnOnce(&dyn DynFamily) -> Result<String, PlanError>,
-) -> Result<PricedFamily, PlanError> {
-    let _span = mr_obs::span("plan.family.price");
-    let fam = registry_family(family, scale);
-    let closed_form = closed_form(&*fam)?;
-    let grid = fam
-        .grid()
-        .iter()
-        .enumerate()
-        .map(|(point, gp)| (gp.schema.clone(), fam.census(point)))
-        .collect();
-    Ok(PricedFamily {
-        family,
-        scale,
-        closed_form,
-        grid,
-        trees: Vec::new(),
-    })
-}
-
-impl PricedFamily {
-    /// The choose step: the cheapest candidate `cluster` admits. Callers
-    /// have run [`ClusterSpec::check`] (as [`Planner::plan`] does), so
-    /// every cost compared here is a number.
-    ///
-    /// The grid and the trees are priced under the *same* per-round model
-    /// `Σ rounds (a·r + b·q + c·q²) + ℓ·depth` (see [`crate::dag`]). A cost
-    /// **tie breaks toward the multi-round structure** — equal money, but
-    /// its per-round reducers are smaller, which is the resource the
-    /// budget actually constrains.
-    pub fn choose(&self, cluster: &ClusterSpec) -> Result<Plan, PlanError> {
-        let _span = mr_obs::span("plan.family.choose");
-        // First wins ties — candidate order is fixed.
-        let tree = self
-            .trees
-            .iter()
-            .filter(|c| c.dag.admitted_by(cluster))
-            .map(|c| (c, c.dag.cost(cluster)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect(COSTS_ARE_NUMBERS));
-        match (tree, self.cheapest_grid_plan(cluster)) {
-            (Some((tree, cost)), Ok(grid)) if cost <= grid.predicted_cost => {
-                Ok(tree_plan(tree, cost, cluster, Some(grid.predicted_cost)))
-            }
-            (Some((tree, cost)), Err(_)) => Ok(tree_plan(tree, cost, cluster, None)),
-            (_, grid) => grid,
-        }
-    }
-
-    /// The grid path: keep the admissible points, pick the cheapest
-    /// (first wins ties — grid order is fixed), and package the plan with
-    /// the family's closed-form story in front.
-    fn cheapest_grid_plan(&self, cluster: &ClusterSpec) -> Result<Plan, PlanError> {
-        let mut best: Option<(usize, f64)> = None;
-        let mut feasible = 0usize;
-        for (point, (_, census)) in self.grid.iter().enumerate() {
-            if !cluster.admits(census.q) {
-                continue;
-            }
-            feasible += 1;
-            // A grid point is one round, so it pays the per-round latency
-            // charge exactly once (a no-op at the default ℓ = 0) — the same
-            // model multi-round DAG candidates are priced under.
-            let cost = cluster.cost(census.q as f64, census.r) + cluster.round_latency;
-            if best.is_none_or(|(_, b)| cost < b) {
-                best = Some((point, cost));
-            }
-        }
-        let (point, cost) = best.ok_or(PlanError::NoFeasiblePoint {
-            family: self.family,
-            budget: cluster.reducer_capacity.unwrap_or(0),
-        })?;
-        let (schema, census) = &self.grid[point];
-        let rationale = format!(
-            "{}. Census-priced {} grid points ({} within budget); cheapest: {} \
-             with exact (q={}, r={}) → cost {}.",
-            self.closed_form,
-            self.grid.len(),
-            feasible,
-            schema,
-            census.q,
-            fmt(census.r),
-            fmt(cost),
-        );
-        Ok(Plan {
-            family: self.family,
-            schema: schema.clone(),
-            choice: Choice::Registry {
-                scale: self.scale,
-                point,
-            },
-            cluster: cluster.clone(),
-            predicted_q: census.q,
-            predicted_r: census.r,
-            predicted_pairs: census.pairs,
-            predicted_cost: cost,
-            rationale,
-        })
-    }
-}
-
-/// Packages a winning matmul tree candidate as a [`Plan`].
-fn tree_plan(
-    tree: &DagCandidate,
-    cost: f64,
-    cluster: &ClusterSpec,
-    grid_cost: Option<f64>,
-) -> Plan {
-    let DagStructure::MatMulTree { n, s, t, fanin } = tree.structure else {
-        unreachable!("only matmul prices tree candidates");
-    };
-    let against = match grid_cost {
-        Some(g) => format!("beats the cheapest one-phase grid point ({})", fmt(g)),
-        None => "no one-phase grid point fits the budget".to_string(),
-    };
-    Plan {
-        family: "matmul",
-        schema: tree.structure.name(),
-        choice: Choice::MatMulTree { n, s, t, fanin },
-        cluster: cluster.clone(),
-        predicted_q: tree.dag.max_q(),
-        predicted_r: tree.dag.replication(),
-        predicted_pairs: tree.dag.total_pairs(),
-        predicted_cost: cost,
-        rationale: format!(
-            "§6 crossover found by round-structure search: {} at per-round cost {} \
-             {}. Rounds [{}]; total communication {}, max reducer load {}.",
-            tree.structure.name(),
-            fmt(cost),
-            against,
-            tree.dag.describe(),
-            tree.dag.total_pairs(),
-            tree.dag.max_q(),
-        ),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Per-family planners.
-// ---------------------------------------------------------------------
-
-/// The planner of a family whose whole candidate set is its registry
-/// grid: census-price every point, with the paper's closed form for the
-/// family — evaluated at the instance's parameters — leading the
-/// rationale.
-pub struct GridPlanner {
-    family: &'static str,
-    closed_form: fn(&dyn DynFamily) -> String,
-}
-
-impl Planner for GridPlanner {
-    fn family(&self) -> &'static str {
-        self.family
-    }
-
-    fn price(&self, scale: Scale) -> Result<PricedFamily, PlanError> {
-        price_grid(self.family, scale, |fam| Ok((self.closed_form)(fam)))
-    }
-}
-
-/// Hamming distance 1 (§3): the Theorem 3.2 hyperbola at divisor points.
-const HAMMING: GridPlanner = GridPlanner {
-    family: "hamming-d1",
-    closed_form: |fam| {
-        format!(
-            "Thm 3.2: every algorithm obeys r ≥ b/log₂q (b={}); splitting sits exactly \
-             on that hyperbola at the divisor points q=2^(b/k), r=k",
-            param(fam, "b")
-        )
+/// Every plannable family, in registry order.
+static FAMILIES: [FamilyEntry; 6] = [
+    // Hamming distance 1 (§3): the Theorem 3.2 hyperbola at divisor points.
+    FamilyEntry {
+        name: "hamming-d1",
+        closed_form: |fam| {
+            Ok(format!(
+                "Thm 3.2: every algorithm obeys r ≥ b/log₂q (b={}); splitting sits exactly \
+                 on that hyperbola at the divisor points q=2^(b/k), r=k",
+                param(fam, "b")
+            ))
+        },
+        trees: false,
     },
-};
-
-/// Triangles (§4): node partition against the `n/√(2q)` bound.
-const TRIANGLES: GridPlanner = GridPlanner {
-    family: "triangles",
-    closed_form: |fam| {
-        format!(
-            "§4.1: r ≥ n/√(2q) (n={}); node partition into k groups achieves r ≈ k at \
-             q ≈ 3(n/k choose 2) — within the constant factor 3 of the bound",
-            param(fam, "n")
-        )
+    // Triangles (§4): node partition against the `n/√(2q)` bound.
+    FamilyEntry {
+        name: "triangles",
+        closed_form: |fam| {
+            Ok(format!(
+                "§4.1: r ≥ n/√(2q) (n={}); node partition into k groups achieves r ≈ k at \
+                 q ≈ 3(n/k choose 2) — within the constant factor 3 of the bound",
+                param(fam, "n")
+            ))
+        },
+        trees: false,
     },
-};
-
-/// Sample graphs (§5.1–5.3): the 4-cycle pattern under multiset partition.
-const SAMPLE_GRAPH: GridPlanner = GridPlanner {
-    family: "sample-c4",
-    closed_form: |fam| {
-        format!(
-            "§5.3: Alon-class sample graph with s={} nodes (n={}), g(q) = q^(s/2); \
-             multiset partition over k groups trades r ~ k^(s-2) against q",
-            param(fam, "s"),
-            param(fam, "n")
-        )
+    // Sample graphs (§5.1–5.3): the 4-cycle pattern under multiset partition.
+    FamilyEntry {
+        name: "sample-c4",
+        closed_form: |fam| {
+            Ok(format!(
+                "§5.3: Alon-class sample graph with s={} nodes (n={}), g(q) = q^(s/2); \
+                 multiset partition over k groups trades r ~ k^(s-2) against q",
+                param(fam, "s"),
+                param(fam, "n")
+            ))
+        },
+        trees: false,
     },
-};
-
-/// 2-paths (§5.4): per-node vs the bucket-pair refinement.
-const TWO_PATH: GridPlanner = GridPlanner {
-    family: "two-path",
-    closed_form: |fam| {
-        format!(
-            "§5.4: r ≥ 2n/q (n={}); per-node (q=n, r=2) is bound-optimal, bucket-pair \
-             buys q ≈ 2n/k at r = 2(k−1)",
-            param(fam, "n")
-        )
+    // 2-paths (§5.4): per-node vs the bucket-pair refinement.
+    FamilyEntry {
+        name: "two-path",
+        closed_form: |fam| {
+            Ok(format!(
+                "§5.4: r ≥ 2n/q (n={}); per-node (q=n, r=2) is bound-optimal, bucket-pair \
+                 buys q ≈ 2n/k at r = 2(k−1)",
+                param(fam, "n")
+            ))
+        },
+        trees: false,
     },
-};
-
-/// Multiway joins (§5.5): symmetric Shares with LP-derived exponents.
-pub struct JoinPlanner;
-
-impl Planner for JoinPlanner {
-    fn family(&self) -> &'static str {
-        "join-cycle3"
-    }
-
-    fn price(&self, scale: Scale) -> Result<PricedFamily, PlanError> {
-        price_grid(self.family(), scale, |fam| {
+    // Multiway joins (§5.5): symmetric Shares with LP-derived exponents.
+    FamilyEntry {
+        name: "join-cycle3",
+        closed_form: |fam| {
             let atoms = param(fam, "atoms") as usize;
             // The Shares exponents x_v (s_v = p^{x_v}) by simplex — in the
             // spirit of Abo Khamis–Ngo–Suciu's fractional-cover machinery.
@@ -375,84 +179,184 @@ impl Planner for JoinPlanner {
                  symmetric (s_v = p^(1/{atoms})) with per-atom replication p^(1−τ)",
                 fmt(tau)
             ))
-        })
-    }
-}
-
-/// Matrix multiplication (§6): the round-structure search decides the
-/// number of phases.
-///
-/// **Contract of the phase dispatch.** One-phase tiling, the flat §6.3
-/// two-phase method, and the deeper recursive aggregation trees are all
-/// priced under the *same* per-round model
-/// `Σ rounds (a·r + b·q + c·q²) + ℓ·depth` (see [`crate::dag`]), and the
-/// cheapest admissible structure wins. The §6.3 crossover at `q = n²`
-/// falls out of this search rather than being special-cased: below the
-/// boundary no one-phase point fits the budget, so the flat tree wins;
-/// at and above it the one-phase grid is cheaper under
-/// communication-leaning weights; ties go to the multi-round structure
-/// (see [`PricedFamily::choose`]). (Exactly at the crossover the flat
-/// tree and the one-phase point tie in communication, so the boundary
-/// stays at `q = n²`.)
-pub struct MatMulPlanner;
-
-impl Planner for MatMulPlanner {
-    fn family(&self) -> &'static str {
-        "matmul"
-    }
-
-    fn price(&self, scale: Scale) -> Result<PricedFamily, PlanError> {
-        let mut priced = price_grid(self.family(), scale, |fam| {
+        },
+        trees: false,
+    },
+    // Matrix multiplication (§6): one-phase tiling, the flat §6.3
+    // two-phase method and the deeper aggregation trees are all priced
+    // under the same per-round model, so the `q = n²` crossover falls out
+    // of the pick rather than being special-cased: below it no one-phase
+    // point fits the budget, at and above it the grid is cheaper under
+    // communication-leaning weights (exactly at it the flat tree and the
+    // one-phase point tie in communication, so the boundary stays at
+    // `q = n²`). A cost tie goes to the tree.
+    FamilyEntry {
+        name: "matmul",
+        closed_form: |fam| {
             Ok(format!(
                 "§6.1–6.2: one-phase square tiling sits exactly on r = 2n²/q (n={}), and \
                  under this cluster it prices below every §6.3-style multi-round \
                  aggregation tree the round-structure search enumerated",
                 param(fam, "n")
             ))
-        })?;
-        priced.trees = enumerate_dag_candidates(DagWorkload::MatMul, scale)
+        },
+        trees: true,
+    },
+];
+
+impl FamilyEntry {
+    /// The price step: build the family's instance — just the one, via
+    /// [`family_by_name`], instance construction being the expensive part
+    /// of the registry — census every grid point, and collect the trees.
+    fn price(&self, scale: Scale) -> Result<PricedFamily, PlanError> {
+        let _span = mr_obs::span("plan.family.price");
+        let fam = registry_family(self.name, scale);
+        let closed_form = (self.closed_form)(&*fam)?;
+        let grid = fam
+            .grid()
             .into_iter()
-            .filter(|c| matches!(c.structure, DagStructure::MatMulTree { .. }))
+            .enumerate()
+            .map(|(point, gp)| {
+                let census = fam.census(point);
+                let mut dag = RoundDag::new(fam.num_inputs() as u64);
+                dag.push(gp.schema, vec![], census.q, census.pairs);
+                dag
+            })
             .collect();
-        Ok(priced)
+        let trees = if self.trees {
+            enumerate_dag_candidates(DagWorkload::MatMul, scale)
+                .into_iter()
+                .filter(|c| matches!(c.structure, DagStructure::MatMulTree { .. }))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Ok(PricedFamily {
+            family: self.name,
+            scale,
+            closed_form,
+            grid,
+            trees,
+        })
     }
 }
 
-// ---------------------------------------------------------------------
-// The planner registry.
-// ---------------------------------------------------------------------
+/// A family's candidates at one scale with their exact censuses — what
+/// the price step produces and [`choose`](PricedFamily::choose) reads.
+/// Nothing in it depends on a cluster.
+#[derive(Debug, Clone)]
+pub(crate) struct PricedFamily {
+    family: &'static str,
+    scale: Scale,
+    /// The family's closed-form story, leading a grid plan's rationale.
+    closed_form: String,
+    /// Every registry grid point, in grid order, as a one-round DAG whose
+    /// round is named after the point's schema.
+    grid: Vec<RoundDag>,
+    /// Multi-round candidates competing with the grid (matmul's
+    /// aggregation trees; empty for every other family).
+    trees: Vec<DagCandidate>,
+}
 
-/// All per-family planners, in registry order.
-pub fn planners() -> Vec<Box<dyn Planner>> {
-    vec![
-        Box::new(HAMMING),
-        Box::new(TRIANGLES),
-        Box::new(SAMPLE_GRAPH),
-        Box::new(TWO_PATH),
-        Box::new(JoinPlanner),
-        Box::new(MatMulPlanner),
-    ]
+impl PricedFamily {
+    /// The choose step: the cheapest candidate `cluster` admits. Callers
+    /// have run [`ClusterSpec::check`].
+    ///
+    /// The grid and the trees are priced under the *same* per-round model
+    /// `Σ rounds (a·r + b·q + c·q²) + ℓ·depth` (see [`crate::dag`]), and
+    /// the trees go first in the pick, so a cost **tie breaks toward the
+    /// multi-round structure** — equal money, but its per-round reducers
+    /// are smaller, which is the resource the budget actually constrains.
+    pub(crate) fn choose(&self, cluster: &ClusterSpec) -> Result<Plan, PlanError> {
+        let _span = mr_obs::span("plan.family.choose");
+        let trees = self.trees.iter().map(|c| &c.dag);
+        let best = pick(trees.chain(&self.grid), cluster)
+            .ok_or_else(|| PlanError::infeasible(self.family, cluster))?;
+        let grid = pick(&self.grid, cluster);
+        let (dag, schema, choice, rationale) = match self.trees.get(best.index) {
+            Some(tree) => {
+                let DagStructure::MatMulTree { n, s, t, fanin } = tree.structure else {
+                    unreachable!("only matmul prices tree candidates");
+                };
+                let against = match grid {
+                    Some(g) => format!("beats the cheapest one-phase grid point ({})", fmt(g.cost)),
+                    None => "no one-phase grid point fits the budget".to_string(),
+                };
+                let rationale = format!(
+                    "§6 crossover found by round-structure search: {} at per-round cost {} \
+                     {}. Rounds [{}]; total communication {}, max reducer load {}.",
+                    tree.structure.name(),
+                    fmt(best.cost),
+                    against,
+                    tree.dag.describe(),
+                    tree.dag.total_pairs(),
+                    tree.dag.max_q(),
+                );
+                let choice = Choice::MatMulTree { n, s, t, fanin };
+                (&tree.dag, tree.structure.name(), choice, rationale)
+            }
+            None => {
+                let grid = grid.expect("a grid point won, so the grid has a pick");
+                let point = best.index - self.trees.len();
+                let dag = &self.grid[point];
+                let schema = dag.rounds[0].name.clone();
+                let rationale = format!(
+                    "{}. Census-priced {} grid points ({} within budget); cheapest: {} \
+                     with exact (q={}, r={}) → cost {}.",
+                    self.closed_form,
+                    self.grid.len(),
+                    grid.feasible,
+                    schema,
+                    dag.max_q(),
+                    fmt(dag.replication()),
+                    fmt(best.cost),
+                );
+                let choice = Choice::Registry {
+                    scale: self.scale,
+                    point,
+                };
+                (dag, schema, choice, rationale)
+            }
+        };
+        Ok(Plan {
+            family: self.family,
+            schema,
+            choice,
+            cluster: cluster.clone(),
+            predicted_q: dag.max_q(),
+            predicted_r: dag.replication(),
+            predicted_pairs: dag.total_pairs(),
+            predicted_cost: best.cost,
+            rationale,
+        })
+    }
 }
 
 /// The family names [`plan_family`] accepts, in registry order.
 pub fn plannable_families() -> Vec<&'static str> {
-    planners().iter().map(|p| p.family()).collect()
+    FAMILIES.iter().map(|f| f.name).collect()
 }
 
-/// The planner of one family by name.
-pub(crate) fn planner_for(family: &str) -> Result<Box<dyn Planner>, PlanError> {
-    planners()
-        .into_iter()
-        .find(|p| p.family() == family)
+/// The price step of one family by name — what
+/// [`PlanCache`](crate::PlanCache) keeps per `(family, scale)`.
+pub(crate) fn price_family(family: &str, scale: Scale) -> Result<PricedFamily, PlanError> {
+    let entry = FAMILIES.iter().find(|f| f.name == family);
+    entry
         .ok_or_else(|| PlanError::UnknownFamily {
             family: family.to_string(),
             known: plannable_families(),
-        })
+        })?
+        .price(scale)
 }
 
-/// Plans one family by name.
+/// Plans one family by name: the cheapest of its candidates under
+/// `cluster`'s cost weights, with exact predictions — so
+/// [`Plan::execute`] runs under `predicted_q` as a hard budget and cannot
+/// overflow unless the planner itself is wrong. Planning is **pure**:
+/// same family, cluster and scale, same plan.
 pub fn plan_family(family: &str, cluster: &ClusterSpec, scale: Scale) -> Result<Plan, PlanError> {
-    planner_for(family)?.plan(cluster, scale)
+    cluster.check()?;
+    price_family(family, scale)?.choose(cluster)
 }
 
 #[cfg(test)]

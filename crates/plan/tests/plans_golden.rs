@@ -92,6 +92,26 @@ fn assert_matches_golden(rendered: &str, through: &str) {
 }
 
 #[test]
+fn matmul_plans_alike_as_a_family_and_as_a_dag_workload() {
+    // Both entry points pick from the same priced structures with the
+    // same pick, so they must agree on the winner and its exact cost.
+    for scale in [Scale::Small, Scale::Full] {
+        for (profile, cluster) in profiles() {
+            let family = plan_family("matmul", &cluster, scale).unwrap();
+            let dag = plan_dag(DagWorkload::MatMul, &cluster, scale).unwrap();
+            assert_eq!(family.schema, dag.schema, "{scale:?} | {profile}");
+            assert_eq!(
+                family.predicted_cost.to_bits(),
+                dag.predicted_cost.to_bits(),
+                "{scale:?} | {profile}: {} vs {}",
+                family.predicted_cost,
+                dag.predicted_cost
+            );
+        }
+    }
+}
+
+#[test]
 fn every_standing_plan_matches_the_golden_table() {
     assert_matches_golden(&render(plan_family, plan_dag), "free functions");
     let cache = PlanCache::new();
