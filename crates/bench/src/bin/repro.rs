@@ -35,6 +35,7 @@
 
 use mr_bench::experiments::{self, plan, Experiment};
 use mr_bench::sweep;
+use mr_core::family::Scale;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -99,7 +100,7 @@ fn main() {
         eprintln!(
             "frontier selectors: {} (scales: {})",
             sweep::available_families().join(", "),
-            sweep::SCALE_TOKENS.join(", ")
+            Scale::ALL.map(Scale::name).join(", ")
         );
         eprintln!(
             "plan flags: {} N; trace flags: {}, {} PATH",

@@ -43,13 +43,14 @@ fn parse(args: &[String]) -> Result<(Vec<DagWorkload>, Scale, ClusterSpec, bool)
             picked.push(*w);
         } else {
             return Err(format!(
-                "unknown dag selector '{tok}'; workloads: {}; scales: small, default, full; \
+                "unknown dag selector '{tok}'; workloads: {}; scales: {}; \
                  budget: {Q_BUDGET_FLAG} N",
                 DagWorkload::ALL
                     .iter()
                     .map(|w| w.name())
                     .collect::<Vec<_>>()
-                    .join(", ")
+                    .join(", "),
+                crate::selectors::scale_names(", ")
             ));
         }
     }

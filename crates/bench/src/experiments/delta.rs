@@ -30,8 +30,9 @@ fn parse(args: &[String]) -> Result<(Vec<&'static str>, Scale, bool), String> {
             crate::selectors::set_scale(&mut scale, sc)?;
         } else if !crate::selectors::pick_family(&names, tok, &mut picked) {
             return Err(format!(
-                "unknown delta selector '{tok}'; families: {}; scales: small, default, full",
-                names.join(", ")
+                "unknown delta selector '{tok}'; families: {}; scales: {}",
+                names.join(", "),
+                crate::selectors::scale_names(", ")
             ));
         }
     }
@@ -141,7 +142,7 @@ fn semantic_json(scale: Scale, rows: &[Row]) -> String {
     let mut out = String::from("{\n  \"subsystem\": \"delta\",\n");
     out.push_str(&format!(
         "  \"scale\": \"{}\",\n  \"runs\": [\n",
-        format!("{scale:?}").to_lowercase()
+        scale.name()
     ));
     for (i, r) in rows.iter().enumerate() {
         let rep = &r.report;

@@ -4,8 +4,9 @@
 //! partial-aggregation push-down (the §6.3 mechanism applied to SQL).
 
 use crate::table::{fmt, Table};
-use mr_core::problems::join::aggregate::{count_by_first_var_naive, count_by_first_var_pushed};
-use mr_core::problems::join::{Database, Query, SharesSchema};
+use mr_core::problems::join::{
+    naive_count_dag, pushed_count_dag, tagged_inputs, Database, Query, SharesSchema,
+};
 use mr_sim::EngineConfig;
 
 /// Renders the comparison for growing join output sizes.
@@ -41,8 +42,9 @@ pub fn report() -> String {
     for (name, query, db, shares) in cases {
         let schema = SharesSchema::new(query, shares);
         let cfg = EngineConfig::parallel(4);
-        let (naive_counts, naive) = count_by_first_var_naive(&schema, &db, &cfg).unwrap();
-        let (pushed_counts, pushed) = count_by_first_var_pushed(&schema, &db, &cfg).unwrap();
+        let inputs = tagged_inputs(&db);
+        let (naive_counts, naive) = naive_count_dag(schema.clone()).run(&inputs, &cfg).unwrap();
+        let (pushed_counts, pushed) = pushed_count_dag(schema, 1).run(&inputs, &cfg).unwrap();
         let join_rows = naive.rounds[1].inputs;
         t.row(vec![
             name.into(),

@@ -37,9 +37,10 @@ fn parse(args: &[String]) -> Result<(Vec<&'static str>, Scale, ClusterSpec, bool
             crate::selectors::set_scale(&mut scale, sc)?;
         } else if !crate::selectors::pick_family(&names, tok, &mut picked) {
             return Err(format!(
-                "unknown plan selector '{tok}'; families: {}; scales: small, default, full; \
+                "unknown plan selector '{tok}'; families: {}; scales: {}; \
                  budget: {Q_BUDGET_FLAG} N",
-                names.join(", ")
+                names.join(", "),
+                crate::selectors::scale_names(", ")
             ));
         }
     }

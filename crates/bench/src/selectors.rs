@@ -4,14 +4,14 @@
 
 use mr_core::family::Scale;
 
-/// Parses a scale token (`small`/`default`/`full`).
+/// Parses a scale token ([`Scale::name`] of one of [`Scale::ALL`]).
 pub(crate) fn scale_token(token: &str) -> Option<Scale> {
-    match token {
-        "small" => Some(Scale::Small),
-        "default" => Some(Scale::Default),
-        "full" => Some(Scale::Full),
-        _ => None,
-    }
+    Scale::ALL.into_iter().find(|s| s.name() == token)
+}
+
+/// The scale tokens joined by `sep`, for messages.
+pub(crate) fn scale_names(sep: &str) -> String {
+    Scale::ALL.map(Scale::name).join(sep)
 }
 
 /// The token that introduces the reducer budget.
@@ -33,7 +33,10 @@ pub(crate) fn q_budget(value: Option<&String>) -> Result<u64, String> {
 /// Records a scale selection, rejecting a second one.
 pub(crate) fn set_scale(slot: &mut Option<Scale>, scale: Scale) -> Result<(), String> {
     if slot.is_some() {
-        return Err("at most one scale selector (small/default/full) is allowed".into());
+        return Err(format!(
+            "at most one scale selector ({}) is allowed",
+            scale_names("/")
+        ));
     }
     *slot = Some(scale);
     Ok(())

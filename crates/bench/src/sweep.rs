@@ -39,10 +39,9 @@
 //! magnitude across the grid). Results come back in grid order whichever
 //! worker ran what, so the sweep's semantic output is **byte-identical
 //! for every worker count** — the same contract the engine itself makes.
-//! Only two
-//! fields depend on how a sweep was executed rather than what it
-//! computed: wall-clock and the shuffle's execution picture (partition
-//! skew, bytes moved, occupancy histogram).
+//! Four per-point fields depend on how a sweep was executed rather than
+//! what it computed: wall-clock and the shuffle's execution picture
+//! (partition skew, bytes moved, occupancy histogram).
 //! [`SweepReport::semantic_json`] excludes them (and is what the
 //! determinism tests compare); [`SweepReport::full_json`] includes them
 //! for human consumption.
@@ -201,9 +200,10 @@ pub fn sweep_families(families: &[Box<dyn DynFamily>], config: &SweepConfig) -> 
 /// [`registry`] at default scale through [`sweep_families`].
 ///
 /// The returned curves are fully deterministic in everything except the
-/// two execution-metadata fields (wall-clock, partition skew): same
-/// results for any `sweep_workers`, and the semantic fields are also
-/// identical for any engine worker count (the engine's own contract).
+/// four execution-metadata fields (wall-clock, partition skew, shuffle
+/// bytes, occupancy histogram): same results for any `sweep_workers`, and
+/// the semantic fields are also identical for any engine worker count
+/// (the engine's own contract).
 ///
 /// # Panics
 /// Panics if `config.engine` carries a `max_reducer_inputs` budget
@@ -274,9 +274,11 @@ impl SweepReport {
         self.json(false)
     }
 
-    /// The full JSON serialisation: the semantic fields plus per-point
-    /// `partition_skew` and `wall_ms` and the engine worker count. The
-    /// extra fields describe one particular execution and vary run to run.
+    /// The full JSON serialisation: the semantic fields plus the four
+    /// per-point execution-metadata fields (`partition_skew`,
+    /// `shuffle_bytes`, `bucket_loads`, `wall_ms`) and the engine worker
+    /// count. The extra fields describe one particular execution and vary
+    /// run to run.
     pub fn full_json(&self) -> String {
         self.json(true)
     }
@@ -337,16 +339,14 @@ fn render(report: &SweepReport) -> String {
 /// The JSON block is deliberately [`semantic_json`](SweepReport::semantic_json):
 /// the repro binary's long-standing contract is byte-identical output
 /// across runs, and only the table's human-facing `wall(ms)` column is
-/// exempt. Execution metadata (`wall_ms`, `partition_skew`,
-/// `engine_workers`) is available programmatically via
+/// exempt. The four per-point execution-metadata fields (`wall_ms`,
+/// `partition_skew`, `shuffle_bytes`, `bucket_loads`) and
+/// `engine_workers` are available programmatically via
 /// [`SweepReport::full_json`].
 pub fn report() -> String {
     let report = sweep_all(&SweepConfig::default());
     render(&report)
 }
-
-/// The scale selector tokens `repro frontier` understands.
-pub const SCALE_TOKENS: [&str; 3] = ["small", "default", "full"];
 
 /// The family names selectable in `repro frontier` (complete families
 /// plus sparse scenarios, in registry order).
@@ -372,7 +372,7 @@ pub fn available_families() -> Vec<&'static str> {
 /// True when `token` is something `repro frontier` can consume: a family
 /// name or a scale keyword.
 pub fn is_selector(token: &str) -> bool {
-    SCALE_TOKENS.contains(&token) || available_families().contains(&token)
+    crate::selectors::scale_token(token).is_some() || available_families().contains(&token)
 }
 
 /// The `repro frontier` report for a selection: family names filter the
@@ -393,7 +393,7 @@ pub fn report_for(selectors: &[String]) -> Result<String, String> {
             return Err(format!(
                 "unknown frontier selector '{tok}'; families: {}; scales: {}",
                 names.join(", "),
-                SCALE_TOKENS.join(", ")
+                crate::selectors::scale_names(", ")
             ));
         }
     }
@@ -408,11 +408,7 @@ pub fn report_for(selectors: &[String]) -> Result<String, String> {
     let report = sweep_families(&families, &SweepConfig::default());
     Ok(format!(
         "Selection: scale={}, families={}.\n\n{}",
-        match scale {
-            Scale::Small => "small",
-            Scale::Default => "default",
-            Scale::Full => "full",
-        },
+        scale.name(),
         if picked.is_empty() {
             "all".to_string()
         } else {
@@ -612,8 +608,8 @@ mod tests {
         for fam in available_families() {
             assert!(is_selector(fam), "{fam} must be selectable");
         }
-        for scale in SCALE_TOKENS {
-            assert!(is_selector(scale));
+        for scale in Scale::ALL {
+            assert!(is_selector(scale.name()));
         }
         assert!(!is_selector("fig1"));
         assert!(!is_selector("nonsense"));

@@ -74,33 +74,6 @@ impl CostModel {
             .filter(|&(_, _, cost)| !cost.is_nan())
             .min_by(|a, b| a.2.partial_cmp(&b.2).expect("NaN costs were filtered"))
     }
-
-    /// Minimises `a·f(q) + processing(q)` over a q-grid for an analytic
-    /// tradeoff curve `f`. Returns `Some((q*, cost*))`, skipping grid
-    /// points whose cost evaluates to NaN; `None` when the grid is empty
-    /// or every point's cost is NaN.
-    ///
-    /// ```
-    /// use mr_core::cost::CostModel;
-    /// let m = CostModel::linear(1.0, 1.0);
-    /// assert_eq!(m.minimize_over_curve(|q| 100.0 / q, &[]), None);
-    /// // f(0) = NaN·… is skipped, not propagated.
-    /// let (q, _) = m
-    ///     .minimize_over_curve(|q| 0.0 / q, &[0.0, 2.0])
-    ///     .unwrap();
-    /// assert_eq!(q, 2.0);
-    /// ```
-    pub fn minimize_over_curve(
-        &self,
-        f: impl Fn(f64) -> f64,
-        q_grid: &[f64],
-    ) -> Option<(f64, f64)> {
-        q_grid
-            .iter()
-            .map(|&q| (q, self.total(q, f(q))))
-            .filter(|&(_, cost)| !cost.is_nan())
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN costs were filtered"))
-    }
 }
 
 #[cfg(test)]
@@ -140,42 +113,25 @@ mod tests {
     }
 
     #[test]
-    fn interior_minimum_on_curve() {
-        // With balanced prices the optimum falls strictly inside the
-        // curve r = f(q) = 1000/q, cost = f(q) + q → q* = sqrt(1000).
-        let m = CostModel::linear(1.0, 1.0);
-        let grid: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let (q_star, _) = m.minimize_over_curve(|q| 1000.0 / q, &grid).unwrap();
-        assert!((q_star - 32.0).abs() < 1.0, "q* = {q_star}");
-    }
-
-    #[test]
     fn empty_frontier_is_none() {
         let m = CostModel::linear(1.0, 1.0);
         assert!(m.cheapest_point(&[]).is_none());
-        assert!(m.minimize_over_curve(|q| q, &[]).is_none());
     }
 
     #[test]
     fn nan_points_are_skipped_not_propagated() {
         let m = CostModel::linear(1.0, 1.0);
-        // NaN q, NaN r, and a NaN produced inside the curve itself must
-        // all be ignored; the finite minimum survives.
+        // NaN q and NaN r must both be ignored; the finite minimum
+        // survives.
         let frontier = [(f64::NAN, 1.0), (3.0, f64::NAN), (5.0, 2.0), (2.0, 4.0)];
         let (q, r, cost) = m.cheapest_point(&frontier).unwrap();
         assert_eq!((q, r), (2.0, 4.0));
         assert!((cost - 6.0).abs() < 1e-12);
-
-        let grid = [f64::NAN, 1.0, 4.0];
-        let (q_star, cost_star) = m.minimize_over_curve(|q| 16.0 / q, &grid).unwrap();
-        assert_eq!(q_star, 4.0);
-        assert!((cost_star - 8.0).abs() < 1e-12);
     }
 
     #[test]
     fn all_nan_inputs_yield_none() {
         let m = CostModel::linear(1.0, 1.0);
         assert!(m.cheapest_point(&[(f64::NAN, 1.0)]).is_none());
-        assert!(m.minimize_over_curve(|_| f64::NAN, &[1.0, 2.0]).is_none());
     }
 }

@@ -87,6 +87,20 @@ pub enum Scale {
     Full,
 }
 
+impl Scale {
+    /// Every preset, smallest first.
+    pub const ALL: [Scale; 3] = [Scale::Small, Scale::Default, Scale::Full];
+
+    /// The preset's selector token (`small`/`default`/`full`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Small => "small",
+            Scale::Default => "default",
+            Scale::Full => "full",
+        }
+    }
+}
+
 /// One declared point of a family's schema grid: the §2.2 design budget,
 /// the schema's display name, and the family's §2.4 recipe evaluated at
 /// that point.
@@ -1019,7 +1033,7 @@ mod tests {
 
     #[test]
     fn every_scale_has_nonempty_deduplicated_grids() {
-        for scale in [Scale::Small, Scale::Default, Scale::Full] {
+        for scale in Scale::ALL {
             for fam in extended_registry(scale) {
                 let grid = fam.grid();
                 assert!(
@@ -1120,7 +1134,7 @@ mod tests {
 
     #[test]
     fn family_by_name_covers_the_registries_and_rejects_unknowns() {
-        for scale in [Scale::Small, Scale::Default, Scale::Full] {
+        for scale in Scale::ALL {
             for fam in extended_registry(scale) {
                 let single = family_by_name(fam.name(), scale)
                     .unwrap_or_else(|| panic!("{} not constructible alone", fam.name()));

@@ -12,11 +12,9 @@
 //! computed "pretend\[ing\] that we have an instance of the problem where
 //! all inputs over the given domain are present").
 
+pub use mr_sim::schema::ReducerId;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Debug;
-
-/// Identifier of a reducer in a mapping schema.
-pub type ReducerId = u64;
 
 /// A problem in the §2 model.
 ///

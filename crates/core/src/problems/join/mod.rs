@@ -15,22 +15,19 @@
 //! * [`problem`] — the complete-instance join as a §2 [`Problem`](crate::model::Problem),
 //!   so Shares grids validate exhaustively like every other family;
 //! * [`bounds`] — the §5.5.1/§5.5.2 closed forms for chains and stars;
-//! * [`aggregate`] — two-round join-then-aggregate pipelines with and
-//!   without partial-aggregation push-down (§7.1's open direction);
-//! * [`pipeline`] — the same pipelines re-expressed as [`DagJob`]s over a
-//!   uniform token, including a three-round partial-merge tree, for the
-//!   planner's round-structure search.
+//! * [`pipeline`] — join-then-aggregate pipelines (§7.1's open direction)
+//!   as [`DagJob`]s over a uniform token: with and without
+//!   partial-aggregation push-down, and a three-round partial-merge tree
+//!   for the planner's round-structure search.
 //!
 //! [`DagJob`]: mr_sim::DagJob
 
-pub mod aggregate;
 pub mod bounds;
 pub mod pipeline;
 pub mod problem;
 pub mod query;
 pub mod shares;
 
-pub use aggregate::{count_by_first_var_naive, count_by_first_var_pushed};
 pub use bounds::{
     chain_lower_bound, chain_upper_bound, multiway_lower_bound, star_lower_bound, star_replication,
 };

@@ -1,9 +1,11 @@
 //! Join→aggregate pipelines as DAGs of rounds (§7.1's suggested
-//! direction, generalising [`aggregate`](super::aggregate)).
+//! direction).
 //!
-//! The query is the experiment-`e71` canonical instance —
-//! `SELECT A₀, COUNT(*) FROM (chain join) GROUP BY A₀` — expressed over a
-//! uniform [`JoinToken`] so the round structure becomes a searchable
+//! The paper closes by asking whether the §6.3 two-round analysis extends
+//! to "SQL statements that require two phases of map-reduce, e.g., joins
+//! followed by aggregations". The canonical instance, experiment `e71`'s —
+//! `SELECT A₀, COUNT(*) FROM (chain join) GROUP BY A₀` — is expressed over
+//! a uniform [`JoinToken`] so the round structure becomes a searchable
 //! [`DagJob`]:
 //!
 //! * [`naive_count_dag`] — round 1 computes the full Shares join, round 2
@@ -20,7 +22,11 @@
 //!
 //! All variants produce identical counts; they differ only in where the
 //! communication and the reducer sizes land, which is exactly what the
-//! plan layer's round-structure search prices.
+//! plan layer's round-structure search prices. The partial-count trick is
+//! the §6.3 mechanism (associative aggregation lets phase-1 reducers
+//! pre-combine), and the measured gap mirrors the matrix-multiplication
+//! result: push-down never loses and usually wins by the join's output
+//! blow-up factor.
 
 use super::query::Database;
 use super::shares::{SharesSchema, TaggedTuple};
@@ -214,6 +220,13 @@ mod tests {
         (SharesSchema::new(query, vec![1, 3, 1]), db)
     }
 
+    /// A sparse random chain-3 instance beside [`setup`]'s complete one.
+    fn random_chain3() -> (SharesSchema, Database) {
+        let query = Query::chain(3);
+        let db = Database::random(&query, 16, 200, 5);
+        (SharesSchema::new(query, vec![1, 2, 2, 1]), db)
+    }
+
     fn counts_of(dag: &DagJob<JoinToken>, db: &Database, cfg: &EngineConfig) -> Vec<(u32, u64)> {
         let (out, _) = dag.run(&tagged_inputs(db), cfg).unwrap();
         out.into_iter()
@@ -253,6 +266,18 @@ mod tests {
     }
 
     #[test]
+    fn both_plans_compute_the_same_counts() {
+        let (schema, db) = random_chain3();
+        let expected = serial_counts(&schema, &db);
+        let cfg = EngineConfig::sequential();
+        assert_eq!(
+            counts_of(&naive_count_dag(schema.clone()), &db, &cfg),
+            expected
+        );
+        assert_eq!(counts_of(&pushed_count_dag(schema, 1), &db, &cfg), expected);
+    }
+
+    #[test]
     fn round_counts_and_depths() {
         let (schema, _) = setup();
         assert_eq!(naive_count_dag(schema.clone()).num_rounds(), 2);
@@ -277,6 +302,47 @@ mod tests {
     }
 
     #[test]
+    fn push_down_never_communicates_more() {
+        let (schema, db) = random_chain3();
+        let cfg = EngineConfig::sequential();
+        let (_, naive) = naive_count_dag(schema.clone())
+            .run(&tagged_inputs(&db), &cfg)
+            .unwrap();
+        let (_, pushed) = pushed_count_dag(schema, 1)
+            .run(&tagged_inputs(&db), &cfg)
+            .unwrap();
+        // Round 1 (join shuffle) is identical; round 2 differs.
+        assert_eq!(naive.rounds[0].kv_pairs, pushed.rounds[0].kv_pairs);
+        assert!(
+            pushed.rounds[1].kv_pairs <= naive.rounds[1].kv_pairs,
+            "pushed {} > naive {}",
+            pushed.rounds[1].kv_pairs,
+            naive.rounds[1].kv_pairs
+        );
+        assert!(pushed.total_communication() <= naive.total_communication());
+    }
+
+    #[test]
+    fn push_down_wins_by_the_output_blowup() {
+        // On the complete instance the join output is n^m — far larger
+        // than the domain — so push-down should save orders of magnitude.
+        let query = Query::chain(2);
+        let db = Database::complete(&query, 8); // join = 8³ = 512 rows
+        let schema = SharesSchema::new(query, vec![1, 4, 1]);
+        let cfg = EngineConfig::sequential();
+        let (_, naive) = naive_count_dag(schema.clone())
+            .run(&tagged_inputs(&db), &cfg)
+            .unwrap();
+        let (_, pushed) = pushed_count_dag(schema, 1)
+            .run(&tagged_inputs(&db), &cfg)
+            .unwrap();
+        assert_eq!(naive.rounds[1].kv_pairs, 512);
+        // Pushed round 2: at most reducers × distinct A0 = 4 × 8.
+        assert!(pushed.rounds[1].kv_pairs <= 32);
+        assert!(pushed.total_communication() < naive.total_communication());
+    }
+
+    #[test]
     fn pipelines_are_worker_count_independent() {
         let (schema, db) = setup();
         for dag in [
@@ -295,5 +361,19 @@ mod tests {
                 assert_eq!(ms, mp, "workers={workers}");
             }
         }
+    }
+
+    #[test]
+    fn parallel_matches_sequential() {
+        let (schema, db) = random_chain3();
+        let dag = pushed_count_dag(schema, 1);
+        let (a, ma) = dag
+            .run(&tagged_inputs(&db), &EngineConfig::sequential())
+            .unwrap();
+        let (b, mb) = dag
+            .run(&tagged_inputs(&db), &EngineConfig::parallel(4))
+            .unwrap();
+        assert_eq!(a, b);
+        assert_eq!(ma, mb);
     }
 }

@@ -1,22 +1,20 @@
-//! Dense square matrices and the serial multiplication baseline.
+//! Dense matrices and the serial multiplication baseline.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// A dense `n×n` matrix in row-major order.
+/// A dense `rows×cols` matrix in row-major order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
-    n: usize,
+    rows: usize,
+    cols: usize,
     data: Vec<f64>,
 }
 
 impl Matrix {
-    /// The zero matrix.
+    /// The `n×n` zero matrix.
     pub fn zeros(n: usize) -> Self {
-        Matrix {
-            n,
-            data: vec![0.0; n * n],
-        }
+        Matrix::from_rows(n, vec![0.0; n * n])
     }
 
     /// The identity matrix.
@@ -28,44 +26,62 @@ impl Matrix {
         m
     }
 
-    /// A seeded random matrix with entries uniform in `[-1, 1)`.
+    /// A seeded random `n×n` matrix with entries uniform in `[-1, 1)`.
     pub fn random(n: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        Matrix {
-            n,
-            data: (0..n * n).map(|_| rng.random_range(-1.0..1.0)).collect(),
-        }
+        Matrix::from_rows(n, (0..n * n).map(|_| rng.random_range(-1.0..1.0)).collect())
     }
 
-    /// Builds a matrix from a row-major vector.
+    /// Builds an `n×n` matrix from a row-major vector.
     ///
     /// # Panics
     /// Panics if `data.len() != n²`.
     pub fn from_rows(n: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), n * n, "need n² entries");
-        Matrix { n, data }
+        Matrix::with_shape(n, n, data)
     }
 
-    /// Side length.
+    /// Builds a `rows×cols` matrix from a row-major vector.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != rows·cols`.
+    pub fn with_shape(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+        assert_eq!(data.len(), rows * cols, "need rows·cols entries");
+        Matrix { rows, cols, data }
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Side length of a square matrix.
+    ///
+    /// # Panics
+    /// Panics if the matrix is not square.
     pub fn n(&self) -> usize {
-        self.n
+        assert_eq!(self.rows, self.cols, "not a square matrix");
+        self.rows
     }
 
     /// Serial product baseline (ikj loop order).
     ///
     /// # Panics
-    /// Panics on dimension mismatch.
+    /// Panics unless `self` has as many columns as `other` has rows.
     pub fn multiply(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.n, other.n, "dimension mismatch");
-        let n = self.n;
-        let mut out = Matrix::zeros(n);
-        for i in 0..n {
-            for k in 0..n {
+        assert_eq!(self.cols, other.rows, "dimension mismatch");
+        let mut out = Matrix::with_shape(self.rows, other.cols, vec![0.0; self.rows * other.cols]);
+        for i in 0..self.rows {
+            for k in 0..self.cols {
                 let r = self[(i, k)];
                 if r == 0.0 {
                     continue;
                 }
-                for j in 0..n {
+                for j in 0..other.cols {
                     out[(i, j)] += r * other[(k, j)];
                 }
             }
@@ -73,9 +89,9 @@ impl Matrix {
         out
     }
 
-    /// Max absolute entry difference against another matrix.
+    /// Max absolute entry difference against a matrix of the same shape.
     pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
-        assert_eq!(self.n, other.n);
+        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         self.data
             .iter()
             .zip(&other.data)
@@ -87,13 +103,13 @@ impl Matrix {
 impl std::ops::Index<(usize, usize)> for Matrix {
     type Output = f64;
     fn index(&self, (i, j): (usize, usize)) -> &f64 {
-        &self.data[i * self.n + j]
+        &self.data[i * self.cols + j]
     }
 }
 
 impl std::ops::IndexMut<(usize, usize)> for Matrix {
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
-        &mut self.data[i * self.n + j]
+        &mut self.data[i * self.cols + j]
     }
 }
 

@@ -10,24 +10,23 @@
 //! beating the one-phase `4n⁴/q` whenever `q < n²`.
 //!
 //! * [`matrix`] — dense matrices and the serial product baseline;
-//! * [`problem`] — the model instance, bounds, and the one-phase schema;
+//! * [`problem`] — the model instance and its bounds for `m×n · n×p`
+//!   (the square case is `m = n = p`), the one-phase schema, and the cube
+//!   tiling every entry-reading round shares;
 //! * [`two_phase`] — the two-round job and its communication accounting;
 //! * [`recursive`] — the multi-round aggregation-tree generalisation the
 //!   planner's round-structure search enumerates (flat case ≡ two-phase,
-//!   proven byte-for-byte);
-//! * [`rectangular`] — the `m×n · n×p` generalisation (extension beyond
-//!   the paper's square case).
+//!   proven byte-for-byte).
 
 pub mod matrix;
 pub mod problem;
-pub mod rectangular;
 pub mod recursive;
 pub mod two_phase;
 
 pub use matrix::Matrix;
 pub use problem::{
-    lower_bound_r, one_phase_communication, MatEntry, MatMulProblem, OnePhaseSchema,
+    lower_bound_r, one_phase_communication, rect_lower_bound, MatEntry, MatMulProblem,
+    OnePhaseSchema,
 };
-pub use rectangular::{rect_lower_bound, RectMatMulProblem, RectOnePhaseSchema};
 pub use recursive::{MatToken, RecursiveMatMul};
 pub use two_phase::{two_phase_communication, TwoPhaseMatMul};

@@ -23,7 +23,7 @@
 //! matmul structure the search can pick stages from this one module.
 
 use super::matrix::Matrix;
-use super::problem::{numeric_inputs, MatEntry, NumericEntry};
+use super::problem::{assemble, numeric_inputs, Cubes, MatMulProblem, NumericEntry};
 use mr_sim::{DagJob, EngineConfig, EngineError, FnMapper, FnReducer, JobMetrics};
 
 /// The uniform token a recursive-matmul [`DagJob`] flows between rounds:
@@ -44,7 +44,7 @@ pub enum MatToken {
         /// aggregation rounds).
         group: u32,
         /// The partial sum's `f64` bits (big-endian, like
-        /// [`Cell`](super::two_phase::Cell)).
+        /// [`Cell`](super::problem::Cell)).
         bits: [u8; 8],
     },
 }
@@ -149,14 +149,6 @@ impl RecursiveMatMul {
         self.round_specs().iter().map(|&(_, p)| p as f64).sum()
     }
 
-    /// Encodes a phase-1 cube id from block coordinates (identical to the
-    /// two-phase method's encoding).
-    fn cube(&self, bi: u64, bk: u64, bj: u64) -> u64 {
-        let rb = (self.n / self.s) as u64;
-        let jb = (self.n / self.t) as u64;
-        (bi * rb + bk) * jb + bj
-    }
-
     /// The §6.2 one-phase tiling as a single-round [`DagJob`] whose node
     /// is named `one-phase`: phase 1 at `t = n`, where each cube is one
     /// pair of `s`-row and `s`-column bands and its reducer emits finished
@@ -173,75 +165,20 @@ impl RecursiveMatMul {
     /// Adds the phase-1 round — block products over the `s × s × t`
     /// cubes — to `dag` as an input-reading node called `name`.
     fn add_phase1(&self, dag: &mut DagJob<MatToken>, name: &str) -> usize {
-        let me = *self;
-        let (n, s, t) = (self.n, self.s, self.t);
-        let rb = (n / s) as u64;
-        let jb = (n / t) as u64;
-
+        let cubes = Cubes::new(MatMulProblem::new(self.n), self.s, self.s, self.t);
         let phase1_map = FnMapper(
             move |input: &MatToken, emit: &mut dyn FnMut(u64, MatToken)| {
-                let MatToken::Entry((entry, _bits)) = input else {
-                    unreachable!("phase 1 consumes matrix entries only");
-                };
-                match entry {
-                    MatEntry::R(i, j) => {
-                        let bi = (*i / s) as u64;
-                        let bj = (*j / t) as u64;
-                        for bk in 0..rb {
-                            emit(me.cube(bi, bk, bj), *input);
-                        }
-                    }
-                    MatEntry::S(j, k) => {
-                        let bj = (*j / t) as u64;
-                        let bk = (*k / s) as u64;
-                        for bi in 0..rb {
-                            emit(me.cube(bi, bk, bj), *input);
-                        }
-                    }
+                for cube in cubes.assign(&entry_of(input).0) {
+                    emit(cube, *input);
                 }
             },
         );
         let phase1_reduce = FnReducer(
             move |cube: &u64, inputs: &[MatToken], emit: &mut dyn FnMut(MatToken)| {
-                let bj = cube % jb;
-                let bk = (cube / jb) % rb;
-                let bi = cube / jb / rb;
-                let (row0, col0, j0) = (
-                    bi as usize * s as usize,
-                    bk as usize * s as usize,
-                    bj as usize * t as usize,
-                );
-                let (su, tu) = (s as usize, t as usize);
-                let mut rblock = vec![0.0f64; su * tu];
-                let mut sblock = vec![0.0f64; tu * su];
-                for token in inputs {
-                    let MatToken::Entry((e, bits)) = token else {
-                        unreachable!("phase 1 consumes matrix entries only");
-                    };
-                    let val = f64::from_bits(u64::from_be_bytes(*bits));
-                    match e {
-                        MatEntry::R(i, j) => {
-                            rblock[(*i as usize - row0) * tu + (*j as usize - j0)] = val;
-                        }
-                        MatEntry::S(j, k) => {
-                            sblock[(*j as usize - j0) * su + (*k as usize - col0)] = val;
-                        }
-                    }
-                }
-                for di in 0..su {
-                    for dk in 0..su {
-                        let mut acc = 0.0;
-                        for dj in 0..tu {
-                            acc += rblock[di * tu + dj] * sblock[dj * su + dk];
-                        }
-                        emit(MatToken::Partial {
-                            i: (row0 + di) as u32,
-                            k: (col0 + dk) as u32,
-                            group: bj as u32,
-                            bits: acc.to_bits().to_be_bytes(),
-                        });
-                    }
-                }
+                let group = cubes.j_block(*cube);
+                cubes.product(*cube, inputs.iter().map(entry_of), |(i, k, bits)| {
+                    emit(MatToken::Partial { i, k, group, bits })
+                });
             },
         );
         dag.add_round(name, vec![], phase1_map, phase1_reduce)
@@ -305,16 +242,24 @@ impl RecursiveMatMul {
             .into_iter()
             .map(MatToken::Entry)
             .collect();
-        let (cells, metrics) = self.dag().run(&tokens, config)?;
-        let mut out = Matrix::zeros(r.n());
-        for token in cells {
+        let (tokens, metrics) = self.dag().run(&tokens, config)?;
+        let cells = tokens.into_iter().map(|token| {
             let MatToken::Partial { i, k, bits, .. } = token else {
                 unreachable!("the final aggregation round emits partials only");
             };
-            out[(i as usize, k as usize)] = f64::from_bits(u64::from_be_bytes(bits));
-        }
-        Ok((out, metrics))
+            (i, k, bits)
+        });
+        let n = r.n();
+        Ok((assemble(n, n, cells), metrics))
     }
+}
+
+/// The matrix entry a phase-1 token carries.
+fn entry_of(token: &MatToken) -> &NumericEntry {
+    let MatToken::Entry(entry) = token else {
+        unreachable!("phase 1 consumes matrix entries only");
+    };
+    entry
 }
 
 #[cfg(test)]

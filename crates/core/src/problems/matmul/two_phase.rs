@@ -9,11 +9,8 @@
 //! giving `4n³/√q` — less than the one-phase `4n⁴/q` whenever `q < n²`.
 
 use super::matrix::Matrix;
-use super::problem::{numeric_inputs, MatEntry, NumericEntry};
+use super::problem::{assemble, numeric_inputs, Cell, Cubes, MatMulProblem, NumericEntry};
 use mr_sim::{run_round, EngineConfig, EngineError, FnMapper, FnReducer, JobMetrics};
-
-/// A partial or final output cell `(i, k, f64 bits)`.
-pub type Cell = (u32, u32, [u8; 8]);
 
 /// The two-phase algorithm with first-phase blocks of `s × s × t`.
 #[derive(Debug, Clone, Copy)]
@@ -82,13 +79,6 @@ impl TwoPhaseMatMul {
         self_comm(self.n, self.s, self.t)
     }
 
-    /// Encodes a phase-1 cube id from block coordinates.
-    fn cube(&self, bi: u64, bk: u64, bj: u64) -> u64 {
-        let rb = (self.n / self.s) as u64; // row/col blocks
-        let jb = (self.n / self.t) as u64;
-        (bi * rb + bk) * jb + bj
-    }
-
     /// Runs the two-phase multiplication end to end: phase 1, then
     /// phase 2 over phase 1's partial cells — two plain rounds.
     pub fn run(
@@ -97,70 +87,17 @@ impl TwoPhaseMatMul {
         s_mat: &Matrix,
         config: &EngineConfig,
     ) -> Result<(Matrix, JobMetrics), EngineError> {
-        let (n, s, t) = (self.n, self.s, self.t);
-        let rb = (n / s) as u64;
-        let jb = (n / t) as u64;
-
+        let cubes = Cubes::new(MatMulProblem::new(self.n), self.s, self.s, self.t);
         let phase1_map = FnMapper(
             move |input: &NumericEntry, emit: &mut dyn FnMut(u64, NumericEntry)| {
-                let (entry, _bits) = input;
-                match entry {
-                    MatEntry::R(i, j) => {
-                        let bi = (*i / s) as u64;
-                        let bj = (*j / t) as u64;
-                        for bk in 0..rb {
-                            emit(self.cube(bi, bk, bj), *input);
-                        }
-                    }
-                    MatEntry::S(j, k) => {
-                        let bj = (*j / t) as u64;
-                        let bk = (*k / s) as u64;
-                        for bi in 0..rb {
-                            emit(self.cube(bi, bk, bj), *input);
-                        }
-                    }
+                for cube in cubes.assign(&input.0) {
+                    emit(cube, *input);
                 }
             },
         );
-
         let phase1_reduce = FnReducer(
             move |cube: &u64, inputs: &[NumericEntry], emit: &mut dyn FnMut(Cell)| {
-                let bj = cube % jb;
-                let bk = (cube / jb) % rb;
-                let bi = cube / jb / rb;
-                let (row0, col0, j0) = (
-                    bi as usize * s as usize,
-                    bk as usize * s as usize,
-                    bj as usize * t as usize,
-                );
-                let (su, tu) = (s as usize, t as usize);
-                // Local s×t and t×s blocks.
-                let mut rblock = vec![0.0f64; su * tu];
-                let mut sblock = vec![0.0f64; tu * su];
-                for (e, bits) in inputs {
-                    let val = f64::from_bits(u64::from_be_bytes(*bits));
-                    match e {
-                        MatEntry::R(i, j) => {
-                            rblock[(*i as usize - row0) * tu + (*j as usize - j0)] = val;
-                        }
-                        MatEntry::S(j, k) => {
-                            sblock[(*j as usize - j0) * su + (*k as usize - col0)] = val;
-                        }
-                    }
-                }
-                for di in 0..su {
-                    for dk in 0..su {
-                        let mut acc = 0.0;
-                        for dj in 0..tu {
-                            acc += rblock[di * tu + dj] * sblock[dj * su + dk];
-                        }
-                        emit((
-                            (row0 + di) as u32,
-                            (col0 + dk) as u32,
-                            acc.to_bits().to_be_bytes(),
-                        ));
-                    }
-                }
+                cubes.product(*cube, inputs, emit)
             },
         );
 
@@ -183,12 +120,9 @@ impl TwoPhaseMatMul {
         let inputs = numeric_inputs(r, s_mat);
         let (partials, phase1) = run_round(&inputs, &phase1_map, &phase1_reduce, config)?;
         let (cells, phase2) = run_round(&partials, &phase2_map, &phase2_reduce, config)?;
-        let mut out = Matrix::zeros(r.n());
-        for (i, k, bits) in cells {
-            out[(i as usize, k as usize)] = f64::from_bits(u64::from_be_bytes(bits));
-        }
+        let n = r.n();
         Ok((
-            out,
+            assemble(n, n, cells),
             JobMetrics {
                 rounds: vec![phase1, phase2],
             },

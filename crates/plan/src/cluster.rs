@@ -1,19 +1,17 @@
 //! The cluster description a plan is made *for*.
 
 use crate::planner::PlanError;
-use mr_core::cost::CostModel;
 use mr_sim::EngineConfig;
 
 /// A cluster specification: how many workers execute, how much a reducer
 /// may hold, and what communication and compute cost.
 ///
-/// This generalises [`CostModel`] — the §1.2 money/time model
-/// `a·r + b·q (+ c·q²)` — with the two operational facts a planner also
-/// needs: the **reducer capacity** (a hard per-reducer memory budget on
-/// `q`, the paper's design constraint) and the **worker count** plans
-/// execute with. [`cost_model`](ClusterSpec::cost_model) recovers the
-/// plain `CostModel`, so anything priced here is priced identically by
-/// the rest of the workspace.
+/// This generalises [`CostModel`](mr_core::cost::CostModel) — the §1.2
+/// money/time model `a·r + b·q (+ c·q²)` — with the two operational facts
+/// a planner also needs: the **reducer capacity** (a hard per-reducer
+/// memory budget on `q`, the paper's design constraint) and the **worker
+/// count** plans execute with. [`cost`](ClusterSpec::cost) prices a point
+/// exactly as `CostModel::with_wall_clock` over the same weights does.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Engine worker threads a plan executes with. Semantically inert —
@@ -123,11 +121,6 @@ impl ClusterSpec {
         Ok(())
     }
 
-    /// The equivalent §1.2 [`CostModel`]: `a·r + b·q + c·q²`.
-    pub fn cost_model(&self) -> CostModel {
-        CostModel::with_wall_clock(self.comm_weight, self.compute_weight, self.latency_weight)
-    }
-
     /// Total cost of a `(q, r)` point under this cluster's weights.
     pub fn cost(&self, q: f64, r: f64) -> f64 {
         self.comm_weight * r + self.compute_weight * q + self.latency_weight * q * q
@@ -188,11 +181,12 @@ impl ClusterSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mr_core::cost::CostModel;
 
     #[test]
     fn cost_matches_cost_model() {
         let c = ClusterSpec::new(2, 3.0, 0.5).with_latency_weight(0.01);
-        let m = c.cost_model();
+        let m = CostModel::with_wall_clock(c.comm_weight, c.compute_weight, c.latency_weight);
         for (q, r) in [(2.0, 10.0), (64.0, 2.0), (1.0, 1.0)] {
             assert!((c.cost(q, r) - m.total(q, r)).abs() < 1e-12, "({q}, {r})");
         }

@@ -53,7 +53,6 @@
 pub mod cache;
 pub mod cluster;
 pub mod dag;
-pub mod delta;
 pub mod plan;
 pub mod planner;
 
@@ -63,6 +62,5 @@ pub use dag::{
     enumerate_dag_candidates, plan_dag, DagCandidate, DagPlan, DagPlanReport, DagStructure,
     DagWorkload, RoundDag, RoundObservation, RoundSpec,
 };
-pub use delta::{plan_delta, DeltaPlan};
 pub use plan::{Choice, Plan, PlanReport};
 pub use planner::{plan_family, plannable_families, PlanError};

@@ -984,6 +984,49 @@ mod tests {
         assert_matches_full_run(&job, &cfg);
     }
 
+    /// Every input lands on reducer 0, so `q` = the live instance size.
+    struct Funnel;
+
+    impl SchemaJob<u32, u32> for Funnel {
+        fn assign(&self, _input: &u32) -> Vec<ReducerId> {
+            vec![0]
+        }
+        fn reduce(&self, _r: ReducerId, inputs: &[u32], emit: &mut dyn FnMut(u32)) {
+            emit(inputs.iter().sum())
+        }
+    }
+
+    #[test]
+    fn under_predicted_post_q_aborts_loudly() {
+        // The honesty contract itself: budget the retained job one unit
+        // below the true post-delta q and the apply must abort with the
+        // overflow — and leave the retained state untouched.
+        let base: Vec<u32> = vec![1, 2, 3];
+        let grow = Delta::add(vec![4, 5]); // post-q = 5
+        let exact = EngineConfig::sequential().with_max_reducer_inputs(5);
+        let mut job = run_schema_retained(&base, Funnel, Pipeline::Columnar, &exact).unwrap();
+        let predicted = job.predict(&grow).unwrap();
+        assert_eq!(predicted.post_q, 5);
+
+        let short = EngineConfig::sequential().with_max_reducer_inputs(4);
+        let mut starved = run_schema_retained(&base, Funnel, Pipeline::Columnar, &short).unwrap();
+        let err = starved.apply(&grow).unwrap_err();
+        assert_eq!(
+            err,
+            DeltaError::Engine(EngineError::ReducerOverflow {
+                key: "0".into(),
+                load: 5,
+                limit: 4,
+            })
+        );
+        assert_eq!(starved.outputs(), vec![6]); // state preserved
+
+        // Under the exact predicted budget the same delta lands.
+        let outcome = job.apply(&grow).unwrap();
+        assert_eq!(outcome.metrics.dirty_reducers, 1);
+        assert_eq!(job.outputs(), vec![15]);
+    }
+
     #[test]
     fn prediction_is_exact() {
         let inputs: Vec<u32> = (0..60).collect();

@@ -184,13 +184,6 @@ impl RoundMetrics {
     pub fn replication_rate(&self) -> f64 {
         self.kv_pairs as f64 / self.inputs as f64
     }
-
-    /// Total reducer computation cost under a per-reducer cost model
-    /// `f(q_i)` — e.g. `|q| (q*q) as f64` for the all-pairs comparison
-    /// model of Example 1.1. The total is `Σ_i f(q_i)` over all reducers.
-    pub fn compute_cost(&self, f: impl Fn(u64) -> f64) -> f64 {
-        self.loads.iter().map(|&q| f(q)).sum()
-    }
 }
 
 /// Metrics for a (possibly multi-round) job.
@@ -260,16 +253,6 @@ mod tests {
             ..Default::default()
         };
         assert!((m.replication_rate() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn compute_cost_quadratic_model() {
-        let m = RoundMetrics {
-            loads: vec![2, 3],
-            ..Default::default()
-        };
-        // Example 1.1: all-pairs work is q^2 per reducer.
-        assert!((m.compute_cost(|q| (q * q) as f64) - 13.0).abs() < 1e-12);
     }
 
     #[test]

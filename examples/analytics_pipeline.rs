@@ -11,10 +11,10 @@
 //! (join reducers emit per-user partial counts), and compare total
 //! communication — the §6.3 two-phase insight applied to SQL.
 
-use mapreduce_bounds::core::problems::join::aggregate::{
-    count_by_first_var_naive, count_by_first_var_pushed,
+use mapreduce_bounds::core::problems::join::{
+    naive_count_dag, optimize_shares, pushed_count_dag, tagged_inputs, Database, Query,
+    SharesSchema,
 };
-use mapreduce_bounds::core::problems::join::{optimize_shares, Database, Query, SharesSchema};
 use mapreduce_bounds::sim::EngineConfig;
 
 fn main() {
@@ -24,6 +24,7 @@ fn main() {
     println!("Chain join of 3 relations, 1200 rows each, domain 40.\n");
 
     let cfg = EngineConfig::parallel(4);
+    let inputs = tagged_inputs(&db);
     println!(
         "{:>6} {:>12} {:>18} {:>18} {:>8}",
         "p", "join rows", "naive total comm", "pushed total comm", "saving"
@@ -31,8 +32,8 @@ fn main() {
     for p in [4u64, 16, 64] {
         let shares = optimize_shares(&query, &[1200; 3], p);
         let schema = SharesSchema::new(query.clone(), shares);
-        let (naive_counts, naive) = count_by_first_var_naive(&schema, &db, &cfg).unwrap();
-        let (pushed_counts, pushed) = count_by_first_var_pushed(&schema, &db, &cfg).unwrap();
+        let (naive_counts, naive) = naive_count_dag(schema.clone()).run(&inputs, &cfg).unwrap();
+        let (pushed_counts, pushed) = pushed_count_dag(schema, 1).run(&inputs, &cfg).unwrap();
         assert_eq!(naive_counts, pushed_counts, "plans must agree");
         println!(
             "{:>6} {:>12} {:>18} {:>18} {:>8.2}",
