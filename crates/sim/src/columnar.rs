@@ -10,14 +10,16 @@
 //!    ([`fingerprint_of`]). Emissions land in [`ColumnBuf`]s — three
 //!    parallel arrays `(hashes, keys, vals)` — so the map phase is pure
 //!    appends.
-//! 2. **Radix partition by hash bits.** The *top* fingerprint bits route a
-//!    pair to its shuffle partition ([`partition_of_hash`], one partition
-//!    per worker); inside a partition the *low* bits select a cache-sized
-//!    radix bucket ([`bucket_count`] of them). A key's pairs always share
-//!    a fingerprint, so they always share a partition and a bucket. The
-//!    sequential engine routes emissions straight into bucket columns;
-//!    the parallel engine scatters per-partition columns into buckets
-//!    afterwards ([`group_partition`]).
+//! 2. **Radix partition by hash bits, at emit.** The *top* fingerprint
+//!    bits route a pair to its shuffle partition ([`partition_of_hash`],
+//!    one partition per worker); inside a partition the *low* bits select
+//!    a cache-sized radix bucket ([`bucket_count`] of them). A key's pairs
+//!    always share a fingerprint, so they always share a partition and a
+//!    bucket. Every map chunk pushes each emission straight into its
+//!    `(partition, bucket)` column ([`column_of`]); a partition's bucket
+//!    is its chunks' columns concatenated in chunk order
+//!    ([`group_buckets`]). The sequential engine is the one-chunk,
+//!    one-partition case of the same route.
 //! 3. **Group each bucket with an open-addressing table.** A small
 //!    linear-probing table (bucket-sized, cache-resident) maps each
 //!    fingerprint to a group id in one `O(n)` pass — no per-pair sort at
@@ -168,9 +170,9 @@ pub(crate) fn partition_of_hash(h: u64, partitions: usize) -> usize {
 
 /// Flat, append-only emission storage: three parallel columns
 /// `(hashes, keys, vals)` of equal length. This is the unit the map
-/// phase fills, the radix scatter routes, and the grouping stage
-/// consumes — `(K, V)` pairs never exist as boxed or tree-resident
-/// values anywhere in the data plane.
+/// phase routes into and the grouping stage consumes — `(K, V)` pairs
+/// never exist as boxed or tree-resident values anywhere in the data
+/// plane.
 pub(crate) struct ColumnBuf<K, V> {
     /// Per-emission key fingerprints (computed once, at emit).
     pub hashes: Vec<u64>,
@@ -181,14 +183,9 @@ pub(crate) struct ColumnBuf<K, V> {
 }
 
 impl<K, V> ColumnBuf<K, V> {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
     /// An empty buffer with all three columns preallocated for `n`
-    /// emissions — the reallocation fix for the map phase: a worker that
-    /// knows (or can bound) its emission count never grows mid-map.
+    /// emissions, so a column whose share of the round is known (or
+    /// bounded) never grows mid-map.
     pub fn with_capacity(n: usize) -> Self {
         ColumnBuf {
             hashes: Vec::with_capacity(n),
@@ -217,34 +214,34 @@ impl<K, V> ColumnBuf<K, V> {
         self.vals.append(&mut other.vals);
     }
 
-    /// Splits the buffer into `parts` buffers routed by `route(hash)`,
-    /// preserving arrival order within each part. A counting pass sizes
-    /// every part exactly before a single move pass fills them — no
-    /// growth reallocation, the second half of the map-scatter
-    /// reallocation fix.
-    pub fn scatter(self, parts: usize, route: impl Fn(u64) -> usize) -> Vec<ColumnBuf<K, V>> {
-        let _span = mr_obs::span("columnar.scatter");
-        let mut counts = vec![0usize; parts];
-        for &h in &self.hashes {
-            counts[route(h)] += 1;
+    /// Drains `segments` into one buffer, in order. A lone segment moves
+    /// as is; several are copied once into an exactly sized buffer.
+    fn concat(segments: &mut Vec<ColumnBuf<K, V>>) -> ColumnBuf<K, V> {
+        if segments.len() == 1 {
+            return segments.pop().expect("one segment");
         }
-        let mut out: Vec<ColumnBuf<K, V>> =
-            counts.into_iter().map(ColumnBuf::with_capacity).collect();
-        let ColumnBuf { hashes, keys, vals } = self;
-        for ((h, k), v) in hashes.into_iter().zip(keys).zip(vals) {
-            out[route(h)].push(h, k, v);
+        let mut out = ColumnBuf::with_capacity(segments.iter().map(ColumnBuf::len).sum());
+        for segment in segments.drain(..) {
+            out.append(segment);
         }
         out
     }
 }
 
-impl<K: Hash, V> ColumnBuf<K, V> {
-    /// Appends a mapper emission, fingerprinting the key exactly once.
-    #[inline]
-    pub fn emit(&mut self, key: K, val: V) {
-        let h = fingerprint_of(&key);
-        self.push(h, key, val);
-    }
+/// The route of fingerprint `h`: bucket `h & (bucket_count - 1)` of
+/// partition [`partition_of_hash`]`(h, partitions)`, as an index into
+/// `partitions × bucket_count` columns held partition-major (bucket `b`
+/// of partition `pi` is column `pi * bucket_count + b`). A map chunk
+/// pushes every emission straight into this column, so each pair is
+/// written once, already in the bucket it is grouped from.
+///
+/// For `bucket_count >= 1` the result is below
+/// `partitions × bucket_count`; `bucket_count` should be a power of two
+/// (as [`bucket_count`] returns) so the mask selects whole hash bits.
+#[inline]
+pub(crate) fn column_of(h: u64, partitions: usize, bucket_count: usize) -> usize {
+    debug_assert!(bucket_count.is_power_of_two());
+    partition_of_hash(h, partitions) * bucket_count + (h & (bucket_count - 1) as u64) as usize
 }
 
 /// One reduce group: a distinct key and the `values[start..start + len]`
@@ -428,16 +425,19 @@ struct GroupScratch {
 }
 
 /// Groups every bucket of one shuffle partition, appending to a single
-/// [`GroupedRun`]. Buckets must refine the partition by fingerprint
-/// (all pairs of one key in one bucket, e.g. routed by
-/// `hash & (bucket_count - 1)`); within each bucket pairs must be in
-/// emission order. Group descriptors come out in deterministic
-/// (bucket, first-arrival) order — callers that need the engine's
-/// ascending-key contract follow with
+/// [`GroupedRun`]. `chunks` holds one list of bucket columns per map
+/// chunk, in chunk (= input) order, every list the same length. Buckets
+/// must refine the partition by fingerprint (all pairs of one key in one
+/// bucket index, e.g. routed by [`column_of`]); within each
+/// column pairs must be in emission order. Bucket `b` is the chunks'
+/// `b`-th columns concatenated in chunk order, so arrival order across
+/// chunks is emission order too. Group descriptors come out in
+/// deterministic (bucket, first-arrival) order — callers that need the
+/// engine's ascending-key contract follow with
 /// [`GroupedRun::sort_groups_by_key`]. Within every group, values are in
 /// arrival (= emission) order.
-pub(crate) fn group_buckets<K: Ord, V>(buckets: Vec<ColumnBuf<K, V>>) -> GroupedRun<K, V> {
-    let total: usize = buckets.iter().map(ColumnBuf::len).sum();
+pub(crate) fn group_buckets<K: Ord, V>(chunks: Vec<Vec<ColumnBuf<K, V>>>) -> GroupedRun<K, V> {
+    let total: usize = chunks.iter().flatten().map(ColumnBuf::len).sum();
     assert!(
         total <= u32::MAX as usize,
         "a shuffle partition exceeds the u32 index space ({total} pairs)"
@@ -452,22 +452,17 @@ pub(crate) fn group_buckets<K: Ord, V>(buckets: Vec<ColumnBuf<K, V>>) -> Grouped
         values: Vec::with_capacity(total),
     };
     let mut scratch = GroupScratch::default();
-    for bucket in buckets {
-        group_bucket_hashed(bucket, &mut run, &mut scratch);
+    let buckets = chunks.first().map_or(0, Vec::len);
+    let mut chunks: Vec<_> = chunks.into_iter().map(Vec::into_iter).collect();
+    let mut segments = Vec::with_capacity(chunks.len());
+    for _ in 0..buckets {
+        segments.extend(chunks.iter_mut().map(|c| {
+            c.next()
+                .expect("every chunk holds the same number of buckets")
+        }));
+        group_bucket_hashed(ColumnBuf::concat(&mut segments), &mut run, &mut scratch);
     }
     run
-}
-
-/// Groups one shuffle partition that is not yet bucketed: radix-scatter
-/// by low fingerprint bits, then [`group_buckets`].
-pub(crate) fn group_partition<K: Ord, V>(buf: ColumnBuf<K, V>) -> GroupedRun<K, V> {
-    let bc = bucket_count(buf.len());
-    if bc <= 1 {
-        group_buckets(vec![buf])
-    } else {
-        let mask = (bc - 1) as u64;
-        group_buckets(buf.scatter(bc, |h| (h & mask) as usize))
-    }
 }
 
 /// Groups one radix bucket with a linear-probing fingerprint table —
@@ -960,23 +955,63 @@ mod tests {
             .collect()
     }
 
+    /// Routes `rows` (with their given fingerprints) as one map chunk
+    /// into `p × bc` columns by [`column_of`], partition-major.
+    fn route(rows: &[(u64, u64, u64)], p: usize, bc: usize) -> Vec<ColumnBuf<u64, u64>> {
+        let mut columns: Vec<_> = (0..p * bc).map(|_| ColumnBuf::with_capacity(0)).collect();
+        for &(h, k, v) in rows {
+            columns[column_of(h, p, bc)].push(h, k, v);
+        }
+        columns
+    }
+
+    /// Routes `rows` as one map chunk into the `bucket_count(rows.len())`
+    /// buckets of one partition.
+    fn routed(rows: &[(u64, u64, u64)]) -> Vec<ColumnBuf<u64, u64>> {
+        route(rows, 1, bucket_count(rows.len()))
+    }
+
+    /// Groups `rows` as one partition fed by one map chunk.
+    fn group_routed(rows: &[(u64, u64, u64)]) -> GroupedRun<u64, u64> {
+        group_buckets(vec![routed(rows)])
+    }
+
     #[test]
     fn grouping_splits_full_fingerprint_collisions_by_key() {
         // Three distinct keys share one fingerprint; values interleave.
         // The probe pass must detect the collision and fall back to the
         // exact sort-based path.
-        let mut run = group_partition(buf_with_hashes(&[
+        let mut run = group_routed(&[
             (7, 100, 0),
             (7, 200, 1),
             (7, 100, 2),
             (7, 300, 3),
             (7, 200, 4),
             (7, 100, 5),
-        ]));
+        ]);
         run.sort_groups_by_key();
         assert_eq!(
             groups_of(&run),
             vec![(100, vec![0, 2, 5]), (200, vec![1, 4]), (300, vec![3]),]
+        );
+    }
+
+    #[test]
+    fn collisions_across_chunk_segments_group_in_arrival_order() {
+        // One bucket fed by three map chunks; distinct keys sharing one
+        // fabricated fingerprint arrive from different chunks. The bucket
+        // is the chunks' segments in chunk order, so the cold path must
+        // split the keys exactly and keep that order inside each key.
+        let mut run = group_buckets(vec![
+            routed(&[(9, 100, 0), (9, 200, 1)]),
+            routed(&[]),
+            routed(&[(9, 200, 2), (9, 100, 3), (9, 300, 4)]),
+            routed(&[(9, 300, 5), (9, 100, 6)]),
+        ]);
+        run.sort_groups_by_key();
+        assert_eq!(
+            groups_of(&run),
+            vec![(100, vec![0, 3, 6]), (200, vec![1, 2]), (300, vec![4, 5]),]
         );
     }
 
@@ -989,7 +1024,7 @@ mod tests {
             .collect();
         assert!(bucket_count(rows.len()) > 1, "need several buckets");
         rows.push((fingerprint_of(&3u64), 1_000, 777)); // same print, new key
-        let mut run = group_partition(buf_with_hashes(&rows));
+        let mut run = group_routed(&rows);
         run.sort_groups_by_key();
         assert_eq!(run.len(), 51);
         let by_key = groups_of(&run);
@@ -1003,7 +1038,7 @@ mod tests {
         let rows: Vec<(u64, u64, u64)> = (0..100)
             .map(|i| (fingerprint_of(&(i % 7)), i % 7, i))
             .collect();
-        let mut run = group_partition(buf_with_hashes(&rows));
+        let mut run = group_routed(&rows);
         run.sort_groups_by_key();
         assert_eq!(run.len(), 7);
         for gi in 0..run.len() {
@@ -1023,7 +1058,7 @@ mod tests {
             })
             .collect();
         assert!(bucket_count(rows.len()) > 1);
-        let mut run = group_partition(buf_with_hashes(&rows));
+        let mut run = group_routed(&rows);
         run.sort_groups_by_key();
         assert_eq!(run.len(), 5_000);
         // Keys ascend and every value is in arrival order.
@@ -1068,15 +1103,15 @@ mod tests {
 
     #[test]
     fn merge_interleaves_disjoint_runs_in_key_order() {
-        let mut a = group_partition(buf_with_hashes(&[
+        let mut a = group_routed(&[
             (fingerprint_of(&1u64), 1, 10),
             (fingerprint_of(&5u64), 5, 50),
-        ]));
+        ]);
         a.sort_groups_by_key();
-        let mut b = group_partition(buf_with_hashes(&[
+        let mut b = group_routed(&[
             (fingerprint_of(&2u64), 2, 20),
             (fingerprint_of(&4u64), 4, 40),
-        ]));
+        ]);
         b.sort_groups_by_key();
         let shuffled = Shuffled::merge(vec![a, b]);
         let keys: Vec<u64> = (0..shuffled.len()).map(|i| *shuffled.entry(i).0).collect();
@@ -1086,11 +1121,11 @@ mod tests {
 
     #[test]
     fn single_run_merge_is_identity() {
-        let mut run = group_partition(buf_with_hashes(&[
+        let mut run = group_routed(&[
             (fingerprint_of(&3u64), 3, 30),
             (fingerprint_of(&1u64), 1, 10),
             (fingerprint_of(&2u64), 2, 20),
-        ]));
+        ]);
         run.sort_groups_by_key();
         let shuffled = Shuffled::merge(vec![run]);
         assert_eq!(shuffled.len(), 3);
@@ -1100,15 +1135,29 @@ mod tests {
     }
 
     #[test]
-    fn scatter_preserves_arrival_order_and_counts() {
-        let rows: Vec<(u64, u64, u64)> = (0..1000u64).map(|i| (i % 16, i, i)).collect();
-        let parts = buf_with_hashes(&rows).scatter(4, |h| (h % 4) as usize);
-        assert_eq!(parts.iter().map(ColumnBuf::len).sum::<usize>(), 1000);
-        for (pi, part) in parts.iter().enumerate() {
-            assert!(part.hashes.iter().all(|&h| (h % 4) as usize == pi));
-            // Within a part, values (== arrival stamps) strictly ascend.
-            assert!(part.vals.windows(2).all(|w| w[0] < w[1]));
+    fn routing_preserves_arrival_order_and_counts() {
+        // Three partitions (not a power of two) of four buckets each:
+        // every (partition, bucket) segment holds only the fingerprints
+        // routed to it, in arrival order, and no pair is lost.
+        let (p, bc) = (3usize, 4usize);
+        let rows: Vec<(u64, u64, u64)> = (0..1000u64)
+            .map(|i| (fingerprint_of(&(i % 64)), i % 64, i))
+            .collect();
+        let columns = route(&rows, p, bc);
+        assert_eq!(columns.len(), p * bc);
+        let mut total = 0;
+        for (pi, buckets) in columns.chunks(bc).enumerate() {
+            for (b, bucket) in buckets.iter().enumerate() {
+                assert!(bucket
+                    .hashes
+                    .iter()
+                    .all(|&h| partition_of_hash(h, p) == pi && (h as usize & (bc - 1)) == b));
+                // Within a segment, values (== arrival stamps) strictly ascend.
+                assert!(bucket.vals.windows(2).all(|w| w[0] < w[1]));
+                total += bucket.len();
+            }
         }
+        assert_eq!(total, 1000);
     }
 
     #[test]

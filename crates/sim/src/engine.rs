@@ -11,23 +11,24 @@
 //!
 //! The shuffle is the **columnar radix-partitioned data plane** of the
 //! internal `columnar` module: every emission is fingerprinted once at
-//! emit time into flat `(hash, key, value)` columns, the top fingerprint
-//! bits route pairs to `P = min(workers, inputs)` partitions, the low bits
-//! scatter each partition into cache-sized radix buckets, and each bucket
-//! is grouped in `O(n)` by a small open-addressing fingerprint table (an
-//! exact sort-based path catches full 64-bit collisions) — no `BTreeMap`,
-//! no per-key allocation. Sorting the per-partition group *directories* by
-//! key and P-way-merging them (keys are disjoint across partitions)
-//! restores the exact output the old map-based shuffle produced.
+//! emit time and pushed straight into a flat `(hash, key, value)` column
+//! — the top fingerprint bits pick one of `P = min(workers, inputs)`
+//! partitions, the low bits a cache-sized radix bucket within it — and
+//! each bucket is grouped in `O(n)` by a small open-addressing
+//! fingerprint table (an exact sort-based path catches full 64-bit
+//! collisions) — no `BTreeMap`, no per-key allocation, no scatter pass.
+//! Sorting the per-partition group *directories* by key and
+//! P-way-merging them (keys are disjoint across partitions) restores the
+//! exact output the old map-based shuffle produced.
 //!
-//! With `workers <= 1` the same pipeline runs on the calling thread with a
-//! single partition; with `workers > 1` each map chunk, each partition
-//! group-sort and each reduce range is one item of an
-//! [`Executor::fan_out`] — a task on the resident
-//! [`WorkerPool`](crate::WorkerPool) by default, or a fresh
+//! Every worker count runs the same code: with `workers <= 1` it is one
+//! map chunk routing into one partition on the calling thread; with
+//! `workers > 1` each map chunk, each partition group-sort and each
+//! reduce range is one item of an [`Executor::fan_out`] — a task on the
+//! resident [`WorkerPool`](crate::WorkerPool) by default, or a fresh
 //! `std::thread::scope` thread on the retained [`Executor::Scoped`]
-//! oracle. Because chunk emission buffers are concatenated per partition
-//! in chunk (= input) order and the group sort ties on arrival order,
+//! oracle. Because each bucket is its chunks' columns concatenated in
+//! chunk (= input) order and grouping keeps arrival order,
 //! outputs and semantic metrics are identical at every worker count on
 //! either substrate; the retained [`naive`](crate::naive) module keeps the
 //! original `BTreeMap` pipeline as the oracle for exactly that claim. Only
@@ -48,8 +49,7 @@
 //! smallest over-budget key in key order.
 
 use crate::columnar::{
-    bucket_count, fingerprint_of, group_buckets, group_partition, partition_of_hash, ColumnBuf,
-    GroupedRun, Shuffled,
+    bucket_count, column_of, fingerprint_of, group_buckets, ColumnBuf, GroupedRun, Shuffled,
 };
 use crate::mapper::{Mapper, Reducer};
 use crate::metrics::{LoadStats, RoundMetrics, ShuffleStats};
@@ -236,43 +236,28 @@ where
     // allocates more buckets) than there are inputs — the same envelope
     // the chunked map and reduce phases have always had.
     let p = workers.min(inputs.len()).max(1);
-    let (shuffled, stats, kv_pairs) = if p == 1 {
-        // Single-partition fast path: the map phase routes each emission
-        // straight into its radix bucket — the flat per-worker columns
-        // and the partition scatter disappear entirely.
-        let est = config
-            .pairs_hint
-            .map(|h| h as usize)
-            .unwrap_or(inputs.len());
-        let map_span = mr_obs::span("engine.map");
-        let buckets = map_bucketed_phase(inputs, mapper, est);
-        drop(map_span);
-        let kv_pairs: u64 = buckets.iter().map(|b| b.len() as u64).sum();
-        let shuffle_span = mr_obs::span("engine.shuffle");
-        let (shuffled, stats) = shuffle_bucketed(
-            buckets,
-            kv_pairs,
-            config.max_reducer_inputs,
-            pair_bytes::<K, V>(),
-        )?;
-        drop(shuffle_span);
-        (shuffled, stats, kv_pairs)
-    } else {
-        let map_span = mr_obs::span("engine.map");
-        let partitions = map_columnar_phase(inputs, mapper, p, config);
-        drop(map_span);
-        let kv_pairs: u64 = partitions.iter().map(|part| part.len() as u64).sum();
-        let shuffle_span = mr_obs::span("engine.shuffle");
-        let (shuffled, stats) = shuffle_columns(
-            partitions,
-            config.max_reducer_inputs,
-            workers,
-            pair_bytes::<K, V>(),
-            config.executor,
-        )?;
-        drop(shuffle_span);
-        (shuffled, stats, kv_pairs)
-    };
+    let est = config
+        .pairs_hint
+        .map(|h| h as usize)
+        .unwrap_or(inputs.len());
+    let map_span = mr_obs::span("engine.map");
+    let partitions = map_phase(inputs, mapper, p, est, config.executor);
+    drop(map_span);
+    let loads: Vec<u64> = partitions
+        .iter()
+        .map(|chunks| chunks.iter().flatten().map(|b| b.len() as u64).sum())
+        .collect();
+    let kv_pairs: u64 = loads.iter().sum();
+    let mut stats = ShuffleStats::from_partition_loads(&loads);
+    stats.bytes_moved = Some(kv_pairs * pair_bytes::<K, V>());
+    let shuffle_span = mr_obs::span("engine.shuffle");
+    let shuffled = shuffle_phase(
+        partitions,
+        config.max_reducer_inputs,
+        workers,
+        config.executor,
+    )?;
+    drop(shuffle_span);
     engine_counters().kv_pairs.add(kv_pairs);
     let reduce_span = mr_obs::span("engine.reduce");
     let outputs = reduce_phase(&shuffled, reducer, workers, config.executor);
@@ -287,120 +272,115 @@ where
     Ok((outputs, metrics))
 }
 
-/// Map phase of the single-partition fast path: emissions are
-/// fingerprinted and routed straight into per-bucket columns, so the
-/// grouping stage starts from cache-sized buckets without any
-/// intermediate flat column or scatter pass. `estimated_pairs` (the
-/// caller's [`pairs_hint`](EngineConfig::pairs_hint) or the input count)
-/// sizes the bucket fan-out and preallocates each bucket with ~25%
-/// headroom; a wrong estimate only costs reallocation, never
-/// correctness.
-fn map_bucketed_phase<I, K, V, M>(
-    inputs: &[I],
-    mapper: &M,
-    estimated_pairs: usize,
-) -> Vec<ColumnBuf<K, V>>
-where
-    K: Hash,
-    M: Mapper<I, K, V> + ?Sized,
-{
-    let bc = bucket_count(estimated_pairs);
-    let mask = (bc - 1) as u64;
-    let cap = if bc > 1 {
-        estimated_pairs / bc + estimated_pairs / (bc * 4) + 8
-    } else {
-        estimated_pairs
-    };
-    let mut buckets: Vec<ColumnBuf<K, V>> =
-        (0..bc).map(|_| ColumnBuf::with_capacity(cap)).collect();
-    for input in inputs {
-        mapper.map(input, &mut |k, v| {
-            let h = fingerprint_of(&k);
-            // SAFETY: `mask == bc - 1` with `bc == buckets.len()`, so
-            // `h & mask` is always in bounds.
-            let bucket = unsafe { buckets.get_unchecked_mut((h & mask) as usize) };
-            bucket.push(h, k, v);
-        });
-    }
-    buckets
-}
+/// One shuffle partition's bucket columns: one list of buckets per map
+/// chunk, in chunk (= input) order — the input of [`group_buckets`].
+type PartitionColumns<K, V> = Vec<Vec<ColumnBuf<K, V>>>;
 
-/// Shuffle back half of the single-partition fast path: group the
-/// pre-bucketed columns, key-sort the directory, budget-check, and wrap
-/// the single run as the (identity-order) merged view.
-fn shuffle_bucketed<K, V>(
-    buckets: Vec<ColumnBuf<K, V>>,
-    kv_pairs: u64,
-    q: Option<u64>,
-    bytes_per_pair: u64,
-) -> Result<(Shuffled<K, V>, ShuffleStats), EngineError>
-where
-    K: Ord + Debug + 'static,
-{
-    let mut stats = ShuffleStats::from_partition_loads(&[kv_pairs]);
-    stats.bytes_moved = Some(kv_pairs * bytes_per_pair);
-    let mut run = group_buckets(buckets);
-    run.sort_groups_by_key();
-    let runs = vec![run];
-    check_budget(&runs, q)?;
-    Ok((Shuffled::merge(runs), stats))
-}
-
-/// Runs the map phase into per-chunk emission columns, scattering each
-/// chunk's column into `p` partitions by the top fingerprint bits and
-/// concatenating chunk sub-columns per partition in chunk (= input)
-/// order — so within any partition, pairs appear in global emission order.
+/// Runs the map phase as one routed pass: each of at most `p` input
+/// chunks is one [`fan_out`](Executor::fan_out) item ([`map_chunk`])
+/// that fingerprints every emission once and pushes it straight into its
+/// `(partition, radix bucket)` column. The chunks' columns are then
+/// transposed from `[chunk][partition][bucket]` to
+/// `[partition][chunk][bucket]`, moving only `Vec` headers. At `p = 1`
+/// this is one chunk routing into
+/// the radix buckets of one partition.
 ///
-/// Each chunk's column is preallocated from the caller's
-/// [`pairs_hint`](EngineConfig::pairs_hint) (split evenly across the `p`
-/// chunks) or, absent a hint, from its chunk length; the partition
-/// scatter sizes its targets with an exact counting pass. Together these
-/// remove the growth reallocations that made the old map-scatter *slower*
-/// at high worker counts than at low ones.
-fn map_columnar_phase<I, K, V, M>(
+/// `est` (the caller's [`pairs_hint`](EngineConfig::pairs_hint) or the
+/// input count) sizes the buckets: `bucket_count(est / p)` per
+/// partition, so a partition's buckets stay cache-sized, and each
+/// chunk's columns are preallocated with ~25% headroom over their share
+/// of `est`. A wrong estimate only costs reallocation, never
+/// correctness.
+fn map_phase<I, K, V, M>(
     inputs: &[I],
     mapper: &M,
     p: usize,
-    config: &EngineConfig,
-) -> Vec<ColumnBuf<K, V>>
+    est: usize,
+    executor: Executor,
+) -> Vec<PartitionColumns<K, V>>
 where
     I: Sync,
     K: Hash + Send,
     V: Send,
     M: Mapper<I, K, V> + ?Sized,
 {
-    let mut partitions: Vec<ColumnBuf<K, V>> = (0..p).map(|_| ColumnBuf::new()).collect();
-    if inputs.is_empty() {
-        return partitions;
-    }
-    let hint = config.pairs_hint.map(|h| (h as usize).div_ceil(p));
-    let map_chunk = |c: &[I]| -> Vec<ColumnBuf<K, V>> {
-        let _span = mr_obs::span("engine.map.chunk");
-        let mut buf = ColumnBuf::with_capacity(hint.unwrap_or(c.len()));
-        for input in c {
-            mapper.map(input, &mut |k, v| buf.emit(k, v));
-        }
-        if p <= 1 {
-            vec![buf]
-        } else {
-            buf.scatter(p, |h| partition_of_hash(h, p))
-        }
+    let bc = bucket_count(est / p);
+    // At most `p` chunks (`p <= inputs.len()`, or `p = 1` and no chunk at
+    // all when there are no inputs), one fan-out item each.
+    let chunks: Vec<&[I]> = inputs.chunks(inputs.len().div_ceil(p).max(1)).collect();
+    let slots = chunks.len() * p * bc;
+    let share = est / slots.max(1);
+    let cap = if slots > 1 {
+        share + share / 4 + 8
+    } else {
+        est
     };
-    // At most `p` chunks (`p <= inputs.len()`), one fan-out item each.
-    let chunks: Vec<&[I]> = inputs.chunks(inputs.len().div_ceil(p)).collect();
-    for chunk_bufs in config.executor.fan_out(p, chunks, map_chunk) {
-        for (pi, buf) in chunk_bufs.into_iter().enumerate() {
-            partitions[pi].append(buf);
+    let mut partitions: Vec<PartitionColumns<K, V>> =
+        (0..p).map(|_| Vec::with_capacity(chunks.len())).collect();
+    let routed = if p == 1 {
+        executor.fan_out(p, chunks, |c| {
+            map_chunk::<true, _, _, _, _>(c, mapper, p, bc, cap)
+        })
+    } else {
+        executor.fan_out(p, chunks, |c| {
+            map_chunk::<false, _, _, _, _>(c, mapper, p, bc, cap)
+        })
+    };
+    for columns in routed {
+        let mut columns = columns.into_iter();
+        for partition in &mut partitions {
+            partition.push(columns.by_ref().take(bc).collect());
         }
     }
     partitions
 }
 
-/// Groups, key-sorts, budget-checks, and merges columnar partitions — the
-/// back half of the partitioned shuffle.
+/// One map chunk: every emission fingerprinted once and pushed into its
+/// [`column_of`] column among `p × bc`, each preallocated for `cap`
+/// pairs. Returned partition-major, bucket `b` of partition `pi` at
+/// `pi * bc + b`.
 ///
-/// Every partition is radix-bucketed, code-sorted, run-scanned into a
-/// [`GroupedRun`], and its group directory key-sorted — as its own
+/// `ONE` says `p = 1` in the type, so the emit closure — which the
+/// mapper calls indirectly, one call per pair — is compiled with the
+/// partition term of the route folded away. Left in at run time, it
+/// cost the sequential `matmul_tree` ≈ 10 % of its time.
+fn map_chunk<const ONE: bool, I, K, V, M>(
+    chunk: &[I],
+    mapper: &M,
+    p: usize,
+    bc: usize,
+    cap: usize,
+) -> Vec<ColumnBuf<K, V>>
+where
+    K: Hash,
+    M: Mapper<I, K, V> + ?Sized,
+{
+    let _span = mr_obs::span("engine.map.chunk");
+    let p = if ONE { 1 } else { p };
+    let n = p
+        .checked_mul(bc)
+        .filter(|&n| n > 0)
+        .expect("a chunk routes into 1 ..= usize::MAX columns");
+    let mut columns: Vec<ColumnBuf<K, V>> = (0..n).map(|_| ColumnBuf::with_capacity(cap)).collect();
+    for input in chunk {
+        mapper.map(input, &mut |k, v| {
+            let h = fingerprint_of(&k);
+            let column = column_of(h, if ONE { 1 } else { p }, bc);
+            // SAFETY: `n = p * bc` did not overflow and `bc >= 1` (checked
+            // above), so `column_of`'s `partition_of_hash(h, p) * bc +
+            // (h & (bc - 1))` is at most `(p - 1) * bc + bc - 1 < n`, and
+            // `columns.len() == n`.
+            unsafe { columns.get_unchecked_mut(column) }.push(h, k, v);
+        });
+    }
+    columns
+}
+
+/// Groups, key-sorts, budget-checks, and merges the routed partitions —
+/// the back half of the shuffle.
+///
+/// Every partition's buckets are grouped into a [`GroupedRun`]
+/// ([`group_buckets`]) and its group directory key-sorted — as its own
 /// [`fan_out`](Executor::fan_out) item, so concurrently when `workers > 1`
 /// and there is more than one partition. If any
 /// group exceeds `q`, the error names the globally smallest over-budget
@@ -409,31 +389,26 @@ where
 /// surviving runs are merged into a [`Shuffled`] view in global ascending
 /// key order (keys are disjoint across partitions, so a P-way merge of the
 /// sorted directories is exact).
-fn shuffle_columns<K, V>(
-    partitions: Vec<ColumnBuf<K, V>>,
+fn shuffle_phase<K, V>(
+    partitions: Vec<PartitionColumns<K, V>>,
     q: Option<u64>,
     workers: usize,
-    bytes_per_pair: u64,
     executor: Executor,
-) -> Result<(Shuffled<K, V>, ShuffleStats), EngineError>
+) -> Result<Shuffled<K, V>, EngineError>
 where
     K: Ord + Debug + Send + 'static,
     V: Send,
 {
-    let partition_loads: Vec<u64> = partitions.iter().map(|p| p.len() as u64).collect();
-    let mut stats = ShuffleStats::from_partition_loads(&partition_loads);
-    stats.bytes_moved = Some(partition_loads.iter().sum::<u64>() * bytes_per_pair);
-
-    let group_one = |buf: ColumnBuf<K, V>| -> GroupedRun<K, V> {
+    let group_one = |chunks: PartitionColumns<K, V>| -> GroupedRun<K, V> {
         let _span = mr_obs::span("engine.group.partition");
-        let mut run = group_partition(buf);
+        let mut run = group_buckets(chunks);
         run.sort_groups_by_key();
         run
     };
     let runs: Vec<GroupedRun<K, V>> = executor.fan_out(workers, partitions, group_one);
 
     check_budget(&runs, q)?;
-    Ok((Shuffled::merge(runs), stats))
+    Ok(Shuffled::merge(runs))
 }
 
 /// Enforces the reducer-size budget `q` over key-sorted runs. Each run's

@@ -25,8 +25,8 @@
 //!   partitions, clamped to the input size, merged in key order so
 //!   results never depend on the worker count),
 //! * `columnar` (internal) — the flat data plane under the shuffle:
-//!   fingerprint columns, radix bucket scatter, code-sort grouping,
-//!   merged views,
+//!   fingerprint columns routed at emit into `(partition, radix bucket)`
+//!   columns, open-addressing grouping, merged views,
 //! * [`naive`] — the original `BTreeMap` shuffle, retained as the
 //!   test-only regression oracle for the columnar path,
 //! * [`delta`] — incremental execution: schemas held resident with

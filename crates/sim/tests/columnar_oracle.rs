@@ -170,6 +170,102 @@ fn overflow_offender_parity_on_scattered_hot_keys() {
     }
 }
 
+/// Inputs `(position, key, reps)`: the mapper emits `reps` pairs under
+/// `key`, so a case controls which map chunks emit at all.
+fn routed_round(
+    inputs: &[(u64, u64, u64)],
+    config: &EngineConfig,
+    naive: bool,
+) -> (Vec<(u64, u64, u64)>, RoundMetrics) {
+    let mapper = FnMapper(
+        |&(idx, key, reps): &(u64, u64, u64), emit: &mut dyn FnMut(u64, u64)| {
+            for j in 0..reps {
+                emit(key, idx * 8 + j);
+            }
+        },
+    );
+    let reducer = digest_reducer();
+    if naive {
+        run_round_naive(inputs, &mapper, &reducer, config)
+    } else {
+        run_round(inputs, &mapper, &reducer, config)
+    }
+    .expect("no q bound set")
+}
+
+/// The one-route claim: every map chunk routes straight into
+/// `(partition, bucket)` columns and each bucket concatenates its chunks'
+/// segments in chunk order, so outputs and metrics equal the naive
+/// oracle and the `workers = 1` run at every worker count and under any
+/// pair hint; the hint moves no execution metadata either.
+fn assert_routing_case(name: &str, inputs: &[(u64, u64, u64)]) {
+    let (oracle_out, oracle_m) = routed_round(inputs, &EngineConfig::sequential(), true);
+    let (seq_out, seq_m) = routed_round(inputs, &EngineConfig::sequential(), false);
+    assert_eq!(
+        oracle_out, seq_out,
+        "[{name}] workers=1 diverged from naive"
+    );
+    assert_eq!(oracle_m, seq_m, "[{name}] workers=1 metrics diverged");
+    let pairs = oracle_m.kv_pairs;
+    for workers in [2usize, 3, 4, 7, 16] {
+        for executor in Executor::ALL {
+            let base = EngineConfig::parallel(workers).with_executor(executor);
+            let (_, unhinted) = routed_round(inputs, &base, false);
+            for hint in [None, Some(pairs / 10), Some(pairs * 10)] {
+                let cfg = match hint {
+                    Some(h) => base.clone().with_pairs_hint(h),
+                    None => base.clone(),
+                };
+                let (out, m) = routed_round(inputs, &cfg, false);
+                let at = format!("[{name}] workers={workers} {executor:?} hint={hint:?}");
+                assert_eq!(oracle_out, out, "{at}: outputs diverged from naive");
+                assert_eq!(seq_out, out, "{at}: outputs diverged from workers=1");
+                assert_eq!(oracle_m, m, "{at}: metrics diverged from naive");
+                assert_eq!(seq_m, m, "{at}: metrics diverged from workers=1");
+                assert_eq!(
+                    unhinted.shuffle, m.shuffle,
+                    "{at}: the hint moved ShuffleStats"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn routed_chunks_match_the_oracle_at_every_worker_count_and_hint() {
+    let mut rng = TestRng::deterministic("columnar-oracle-routing");
+    let with_reps = |keys: &[u64], reps: &dyn Fn(usize) -> u64| -> Vec<(u64, u64, u64)> {
+        keys.iter()
+            .enumerate()
+            .map(|(i, &k)| (i as u64, k, reps(i)))
+            .collect()
+    };
+    // Enough pairs that every partition splits into several buckets.
+    let uniform: Vec<u64> = (0..12_000).map(|_| rng.below(3_000)).collect();
+    assert_routing_case("uniform", &with_reps(&uniform, &|i| 1 + (i % 3) as u64));
+    // Fewer inputs than p²: at 4, 7 and 16 workers the chunks hold one or
+    // two inputs each, and most (partition, bucket) columns stay empty.
+    assert_routing_case("tiny", &with_reps(&[5, 3, 5, 9, 3, 5, 1, 9, 9, 2], &|_| 2));
+    // Chunks that emit nothing: only the middle third and the last input
+    // emit, so whole chunks (first, last-but-one, …) contribute no pairs.
+    let n = uniform.len();
+    assert_routing_case(
+        "silent-chunks",
+        &with_reps(&uniform, &|i| {
+            u64::from((n / 3..2 * n / 3).contains(&i) || i == n - 1) * 2
+        }),
+    );
+    // One key fed by every chunk: its bucket is every chunk's segment
+    // concatenated, so value order across segments is the arrival order
+    // the digest pins.
+    let mut one_key = vec![77u64; 6_000];
+    one_key.extend((0..3_000u64).map(|x| x * 13 + 1));
+    assert_routing_case(
+        "one-key-every-chunk",
+        &with_reps(&one_key, &|i| 1 + (i % 2) as u64),
+    );
+}
+
 /// One distinct-key round whose reducer for key `k` emits `fanout(k)`
 /// outputs, checked against the columnar sequential run and the naive
 /// oracle at workers 1–16 on both executors. `item` builds the `j`-th
