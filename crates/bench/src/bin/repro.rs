@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Regenerates every table and figure of the paper.
 //!
 //! ```sh

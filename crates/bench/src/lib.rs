@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Experiment drivers regenerating every table and figure of the paper.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! The paper's contribution: a model of single-round map-reduce problems,
 //! the generic lower-bound recipe, and matching constructive algorithms.

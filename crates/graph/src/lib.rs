@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Graph substrate for the map-reduce bounds reproduction.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Structured observability for the execution stack: a sharded span
 //! recorder and a counter registry.

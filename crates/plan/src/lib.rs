@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! The decision layer between `mr-core`'s analytic bounds and `mr-sim`'s
 //! executor: given a **cluster**, pick the **cheapest algorithm**.

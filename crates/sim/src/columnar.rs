@@ -27,9 +27,10 @@
 //!    order, so a prefix sum over group sizes places every value with one
 //!    more pass. Distinct keys that collide on the full 64-bit
 //!    fingerprint (possible, vanishingly rare) are detected during
-//!    probing and that bucket falls back to an exact sort-based path
-//!    (`(fingerprint, arrival)` code sort plus a key-compare repair), so
-//!    grouping is exact for *any* `Hash` impl.
+//!    probing and that bucket falls back to an exact sort-based path (two
+//!    slice sorts: rows by `(fingerprint, arrival)`, then each
+//!    equal-fingerprint run by `(key, arrival)`), so grouping is exact for
+//!    *any* `Hash` impl.
 //!
 //! The result is a [`GroupedRun`]: a flat `values` column holding every
 //! group's values contiguously (arrival order within a group) plus one
@@ -44,7 +45,7 @@
 //! [`naive`](crate::naive) module implements the old `BTreeMap` pipeline
 //! and is the regression oracle proving the two paths byte-identical.
 
-use std::any::TypeId;
+use std::any::Any;
 use std::hash::{Hash, Hasher};
 
 /// Multiplier of the MUM fingerprint mix (the splitmix64 increment — an
@@ -298,14 +299,20 @@ impl<K: Ord + 'static, V> GroupedRun<K, V> {
     /// that actually vary — which was the one comparison sort left on
     /// the columnar plane. Everything else (or anything below
     /// [`RADIX_MIN`], where one comparison sort beats eight counting
-    /// passes) falls back to `sort_unstable_by`. Both orders are the
-    /// same total key order, so the choice is invisible to callers.
+    /// passes) falls back to `sort_unstable_by`. The radix path is picked
+    /// by downcasting the directory through `Any`: stable Rust cannot
+    /// specialise on "`K` is `u64`", but it can test the concrete type.
+    /// Both orders are the same total key order, so the choice is
+    /// invisible to callers.
     pub fn sort_groups_by_key(&mut self) {
-        if self.groups.len() >= RADIX_MIN
-            && (radix_sort_groups_as::<K, u64>(&mut self.groups)
-                || radix_sort_groups_as::<K, u32>(&mut self.groups))
-        {
-            return;
+        if self.groups.len() >= RADIX_MIN {
+            let groups: &mut dyn Any = &mut self.groups;
+            if let Some(groups) = groups.downcast_mut::<Vec<Group<u64>>>() {
+                return radix_sort_groups(groups);
+            }
+            if let Some(groups) = groups.downcast_mut::<Vec<Group<u32>>>() {
+                return radix_sort_groups(groups);
+            }
         }
         self.groups.sort_unstable_by(|a, b| a.key.cmp(&b.key));
     }
@@ -318,7 +325,7 @@ const RADIX_MIN: usize = 2048;
 
 /// Fixed-width unsigned key types the group directory can be
 /// radix-sorted on: the `u64` image must order exactly like `Ord`.
-trait RadixKey: Copy + 'static {
+trait RadixKey: Copy {
     /// The key as a `u64` whose natural order matches the key's `Ord`.
     fn radix(self) -> u64;
 }
@@ -333,23 +340,6 @@ impl RadixKey for u32 {
     fn radix(self) -> u64 {
         u64::from(self)
     }
-}
-
-/// Radix-sorts the directory if `K` *is* the radix-capable type `T`
-/// (checked by `TypeId`), returning whether it did. This is a concrete
-/// per-type downcast, not specialisation: stable Rust cannot dispatch on
-/// "K is u64" generically, but it can compare `TypeId`s and reinterpret
-/// the vector once the types are proven identical.
-fn radix_sort_groups_as<K: 'static, T: RadixKey>(groups: &mut Vec<Group<K>>) -> bool {
-    if TypeId::of::<K>() != TypeId::of::<T>() {
-        return false;
-    }
-    // SAFETY: `TypeId` equality above proves `K` and `T` are the same
-    // type, so `Vec<Group<K>>` and `Vec<Group<T>>` are the same type and
-    // the pointer cast is an identity reinterpretation.
-    let groups = unsafe { &mut *(std::ptr::from_mut(groups) as *mut Vec<Group<T>>) };
-    radix_sort_groups(groups);
-    true
 }
 
 /// LSD radix sort of a group directory by key: one stable counting pass
@@ -472,6 +462,7 @@ pub(crate) fn group_buckets<K: Ord, V>(chunks: Vec<Vec<ColumnBuf<K, V>>>) -> Gro
 /// order) and compares keys whenever two pairs share a fingerprint; if
 /// any such pair has *different* keys (a full 64-bit collision), the
 /// bucket is handed to the exact sort-based cold path instead.
+#[allow(unsafe_code)]
 fn group_bucket_hashed<K: Ord, V>(
     bucket: ColumnBuf<K, V>,
     out: &mut GroupedRun<K, V>,
@@ -509,22 +500,17 @@ fn group_bucket_hashed<K: Ord, V>(
     let mut collided = false;
     for (j, &h) in hashes.iter().enumerate() {
         let mut idx = (h >> 8) as usize & tmask;
-        // SAFETY for the unchecked reads below: `idx` is always masked by
-        // `tmask = table.len() - 1`; any non-empty slot holds a group id
-        // `< reps.len()` (assigned from `reps.len()` at insertion); every
-        // `reps` entry is a bucket position `< n = hashes.len()`. All
-        // three invariants are established by this loop itself.
         let gid = loop {
-            let slot = unsafe { *table.get_unchecked(idx) };
+            let slot = table[idx];
             if slot == u32::MAX {
                 let g = reps.len() as u32;
-                unsafe { *table.get_unchecked_mut(idx) = g };
+                table[idx] = g;
                 reps.push(j as u32);
                 lens.push(0);
                 break g;
             }
-            let rep = unsafe { *reps.get_unchecked(slot as usize) } as usize;
-            if unsafe { *hashes.get_unchecked(rep) } == h {
+            let rep = reps[slot as usize] as usize;
+            if hashes[rep] == h {
                 if keys[rep] != keys[j] {
                     collided = true;
                 }
@@ -532,7 +518,7 @@ fn group_bucket_hashed<K: Ord, V>(
             }
             idx = (idx + 1) & tmask;
         };
-        unsafe { *lens.get_unchecked_mut(gid as usize) += 1 };
+        lens[gid as usize] += 1;
         group_of.push(gid);
     }
     if collided {
@@ -578,15 +564,21 @@ fn group_bucket_hashed<K: Ord, V>(
 
     // Values: one scatter pass moves every value directly to its final
     // slot in the output column, advancing its group's cursor.
+    assert_eq!(vals.len(), n, "a bucket's columns differ in length");
     let old_len = out.values.len();
     out.values.reserve(n);
-    // SAFETY: `starts` are prefix sums of `lens`, and each position
-    // advances its own group's cursor, so the n destinations are exactly
-    // the distinct offsets 0..n — every output slot in the reserved
-    // region is written once, every source slot is read once. `vals`'
-    // length is zeroed first so its elements are never dropped in place
-    // (a panic in the safe indexing below would leak, not double-drop),
-    // and the output length is raised only after all n writes.
+    // SAFETY: `vals` holds exactly the `n` values `group_of` indexes
+    // (asserted above). `starts` are prefix sums of `lens`, and each
+    // position advances its own group's cursor, so the n destinations are
+    // exactly the distinct offsets 0..n — every output slot in the
+    // reserved region is written once, every source slot is read once.
+    // `vals`' length is zeroed first so its elements are never dropped in
+    // place, nothing between the two `set_len`s can panic, and the output
+    // length is raised only after all n writes.
+    // Price: the safe twin (a cycle-swap permutation of `vals`, then one
+    // append) cost `matmul_tree` `seq_iter_ms_p50` +12.4 % (0/8 pairs
+    // better) and `hamming_join` +7.1 % (1/8) — medians of 8 alternated
+    // 25 s `mr-perf --trace 0` pairs on a 2-core host, 2026-10-17.
     unsafe {
         let dst = out.values.as_mut_ptr().add(old_len);
         let src = vals.as_ptr();
@@ -604,137 +596,37 @@ fn group_bucket_hashed<K: Ord, V>(
 
 /// Exact sort-based grouping of one bucket — the cold path for full
 /// fingerprint collisions (and the reference the hot path must match):
-/// sort `(fingerprint, arrival)` codes, gather the columns, repair
-/// collision runs by key, run-scan the boundaries.
+/// sort the `(fingerprint, arrival, key, value)` rows by `(fingerprint,
+/// arrival)`, which never compares a key, then re-sort each
+/// equal-fingerprint run by `(key, arrival)` and cut a group wherever the
+/// fingerprint or the key changes.
 fn group_bucket_sorted<K: Ord, V>(bucket: ColumnBuf<K, V>, out: &mut GroupedRun<K, V>) {
-    let n = bucket.len();
-    if n == 0 {
-        return;
-    }
     let ColumnBuf { hashes, keys, vals } = bucket;
-
-    // Pack (fingerprint, arrival) into one integer and pdqsort it: equal
-    // fingerprints become adjacent, arrival order survives inside them,
-    // and the sort never touches a key.
-    let mut codes: Vec<u128> = hashes
-        .iter()
+    let mut rows: Vec<(u64, u32, K, V)> = hashes
+        .into_iter()
+        .zip(keys)
+        .zip(vals)
         .enumerate()
-        .map(|(i, &h)| (u128::from(h) << 32) | i as u128)
+        .map(|(i, ((h, k), v))| (h, i as u32, k, v))
         .collect();
-    codes.sort_unstable();
-    let mut order: Vec<u32> = codes.iter().map(|&c| c as u32).collect();
-    let hash_at = |j: usize| (codes[j] >> 32) as u64;
-
-    let mut keys = take_in_order(keys, &order);
-    let mut vals = take_in_order(vals, &order);
-
-    // Collision repair: a run of equal fingerprints holding more than one
-    // distinct key is re-sorted by (key, arrival) so the boundary scan
-    // below cuts exact per-key groups.
-    let mut j = 0;
-    while j < n {
-        let mut end = j + 1;
-        while end < n && hash_at(end) == hash_at(j) {
-            end += 1;
+    rows.sort_unstable_by_key(|&(h, arrival, ..)| (h, arrival));
+    for run in rows.chunk_by_mut(|a, b| a.0 == b.0) {
+        run.sort_unstable_by(|a, b| a.2.cmp(&b.2).then(a.1.cmp(&b.1)));
+    }
+    // Exactly one key per group survives; the duplicates drop here.
+    let mut prev = None;
+    for (h, _, key, val) in rows {
+        match out.groups.last_mut() {
+            Some(g) if prev == Some(h) && g.key == key => g.len += 1,
+            _ => out.groups.push(Group {
+                key,
+                start: out.values.len() as u32,
+                len: 1,
+            }),
         }
-        if keys[j + 1..end].iter().any(|k| *k != keys[j]) {
-            co_sort_by_key(&mut keys[j..end], &mut vals[j..end], &mut order[j..end]);
-        }
-        j = end;
+        prev = Some(h);
+        out.values.push(val);
     }
-
-    // Run-scan: one pass cuts group boundaries (fingerprint change, or —
-    // inside a repaired collision run — key change).
-    let mut bounds: Vec<(u64, u32)> = Vec::new();
-    for j in 0..n {
-        if j == 0 || hash_at(j) != hash_at(j - 1) || keys[j] != keys[j - 1] {
-            bounds.push((hash_at(j), 1));
-        } else {
-            bounds.last_mut().expect("non-empty at j > 0").1 += 1;
-        }
-    }
-
-    // Append: the whole value column moves once; exactly one key per
-    // group survives (the duplicates drop here).
-    let mut start = out.values.len() as u32;
-    out.values.append(&mut vals);
-    let mut key_it = keys.into_iter();
-    for (_hash, len) in bounds {
-        let key = key_it.next().expect("every group has a first key");
-        for _ in 1..len {
-            key_it.next();
-        }
-        out.groups.push(Group { key, start, len });
-        start += len;
-    }
-}
-
-/// Reorders `keys`, `vals`, and `arrivals` jointly so they ascend by
-/// `(key, arrival)`. Used only to repair fingerprint-collision runs;
-/// `O(m log m)` via an index sort plus cycle-following swaps, so even an
-/// adversarial `Hash` impl that collides everything degrades gracefully.
-fn co_sort_by_key<K: Ord, V>(keys: &mut [K], vals: &mut [V], arrivals: &mut [u32]) {
-    let m = keys.len();
-    let mut perm: Vec<u32> = (0..m as u32).collect();
-    {
-        let keys: &[K] = keys;
-        let arrivals: &[u32] = arrivals;
-        perm.sort_unstable_by(|&a, &b| {
-            keys[a as usize]
-                .cmp(&keys[b as usize])
-                .then_with(|| arrivals[a as usize].cmp(&arrivals[b as usize]))
-        });
-    }
-    // Apply the permutation in place with swaps: position i receives the
-    // element that started at perm[i]; indices already passed are chased
-    // to wherever earlier swaps moved their element.
-    for i in 0..m {
-        let mut from = perm[i] as usize;
-        while from < i {
-            from = perm[from] as usize;
-        }
-        keys.swap(i, from);
-        vals.swap(i, from);
-        arrivals.swap(i, from);
-        perm[i] = from as u32;
-    }
-}
-
-/// Consumes `src` and returns its elements reordered so slot `i` holds
-/// `src[order[i]]` — the move-gather that realises a sort permutation
-/// over a column without cloning.
-///
-/// `order` must be a permutation of `0..src.len()`; this is verified up
-/// front (cheap next to the sort that produced `order`), so the unsafe
-/// block below is sound for every caller: each source slot is read
-/// exactly once, and the source vector's length is zeroed first so its
-/// elements are never dropped in place.
-pub(crate) fn take_in_order<T>(mut src: Vec<T>, order: &[u32]) -> Vec<T> {
-    let n = src.len();
-    assert_eq!(order.len(), n, "order length must match the column length");
-    let mut seen = vec![false; n];
-    for &i in order {
-        let i = i as usize;
-        assert!(
-            i < n && !seen[i],
-            "order is not a permutation of 0..{n} (index {i})"
-        );
-        seen[i] = true;
-    }
-    let mut out: Vec<T> = Vec::with_capacity(n);
-    let base = src.as_mut_ptr();
-    // SAFETY: `order` is a verified permutation of 0..n, so every slot of
-    // `src` is moved out exactly once. Setting src's length to 0 first
-    // transfers drop responsibility for all n elements to this loop (and
-    // then to `out`); `src`'s allocation is still freed normally. No
-    // operation between `set_len` and the final push can panic.
-    unsafe {
-        src.set_len(0);
-        for &i in order {
-            out.push(std::ptr::read(base.add(i as usize)));
-        }
-    }
-    out
 }
 
 /// The merged view over every partition's [`GroupedRun`]: a global
@@ -864,6 +756,7 @@ impl<K, V> Shuffled<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn fingerprints_are_stable_and_spread() {
@@ -891,51 +784,6 @@ mod tests {
                 assert!(partition_of_hash(h, p) < p);
             }
         }
-    }
-
-    #[test]
-    fn take_in_order_moves_each_element_once() {
-        let src = vec!["a".to_string(), "b".into(), "c".into(), "d".into()];
-        let out = take_in_order(src, &[2, 0, 3, 1]);
-        assert_eq!(out, vec!["c", "a", "d", "b"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a permutation")]
-    fn take_in_order_rejects_duplicates() {
-        take_in_order(vec![1, 2, 3], &[0, 0, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a permutation")]
-    fn take_in_order_rejects_out_of_range() {
-        take_in_order(vec![1, 2, 3], &[0, 1, 3]);
-    }
-
-    #[test]
-    fn co_sort_matches_reference_sort() {
-        // Reference: sort (key, arrival, val) tuples directly.
-        let keys0 = [3u64, 1, 3, 2, 1, 1, 2];
-        let vals0 = ["a", "b", "c", "d", "e", "f", "g"];
-        let arr0: Vec<u32> = (0..keys0.len() as u32).collect();
-        let mut expect: Vec<(u64, u32, &str)> = keys0
-            .iter()
-            .zip(&arr0)
-            .zip(&vals0)
-            .map(|((&k, &a), &v)| (k, a, v))
-            .collect();
-        expect.sort();
-        let mut keys = keys0.to_vec();
-        let mut vals = vals0.to_vec();
-        let mut arr = arr0.clone();
-        co_sort_by_key(&mut keys, &mut vals, &mut arr);
-        let got: Vec<(u64, u32, &str)> = keys
-            .iter()
-            .zip(&arr)
-            .zip(&vals)
-            .map(|((&k, &a), &v)| (k, a, v))
-            .collect();
-        assert_eq!(got, expect);
     }
 
     /// Builds a ColumnBuf with *fabricated* fingerprints, to drive the
@@ -1070,6 +918,45 @@ mod tests {
             assert!(vs.windows(2).all(|w| w[0] < w[1]));
         }
         assert_eq!(run.values.len(), 20_000);
+    }
+
+    #[test]
+    fn grouping_moves_every_value_and_the_run_drops_each_once() {
+        // Drop-counting values, fed by two map chunks, through hot
+        // buckets and one bucket holding a fabricated full-fingerprint
+        // collision: grouping moves values and never drops one, and
+        // dropping the run drops every value exactly once.
+        struct Tracked<'a>(&'a AtomicUsize);
+        impl Drop for Tracked<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let mut rows: Vec<(u64, u64)> = (0..5_000u64)
+            .map(|i| (fingerprint_of(&(i % 50)), i % 50))
+            .collect();
+        rows.push((fingerprint_of(&3u64), 1_000)); // same print, new key
+        let drops: Vec<AtomicUsize> = rows.iter().map(|_| AtomicUsize::new(0)).collect();
+        let bc = bucket_count(rows.len());
+        assert!(bc > 1, "need several buckets");
+        let chunks = rows
+            .chunks(2_000)
+            .zip(drops.chunks(2_000))
+            .map(|(rows, drops)| {
+                let mut columns: Vec<_> = (0..bc).map(|_| ColumnBuf::with_capacity(0)).collect();
+                for (&(h, k), d) in rows.iter().zip(drops) {
+                    columns[column_of(h, 1, bc)].push(h, k, Tracked(d));
+                }
+                columns
+            })
+            .collect();
+        let run = group_buckets(chunks);
+        assert_eq!(run.len(), 51);
+        assert_eq!(run.values.len(), rows.len());
+        let dropped = |times| drops.iter().all(|d| d.load(Ordering::Relaxed) == times);
+        assert!(dropped(0), "grouping dropped a value");
+        drop(run);
+        assert!(dropped(1), "a value was not dropped exactly once");
     }
 
     #[test]

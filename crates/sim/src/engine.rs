@@ -344,6 +344,7 @@ where
 /// mapper calls indirectly, one call per pair — is compiled with the
 /// partition term of the route folded away. Left in at run time, it
 /// cost the sequential `matmul_tree` ≈ 10 % of its time.
+#[allow(unsafe_code)]
 fn map_chunk<const ONE: bool, I, K, V, M>(
     chunk: &[I],
     mapper: &M,
@@ -370,6 +371,11 @@ where
             // above), so `column_of`'s `partition_of_hash(h, p) * bc +
             // (h & (bc - 1))` is at most `(p - 1) * bc + bc - 1 < n`, and
             // `columns.len() == n`.
+            // Price: bounds-checked, it cost `matmul_tree`
+            // `seq_iter_ms_p50` +14.2 % (5/18 pairs better; +18.0 %, 2/10,
+            // on the second set of 10) and `hamming_join` +1.8 % (8/18,
+            // within noise) — medians of alternated 25 s `mr-perf
+            // --trace 0` pairs on a 2-core host, 2026-10-17.
             unsafe { columns.get_unchecked_mut(column) }.push(h, k, v);
         });
     }
