@@ -14,7 +14,6 @@
 use crate::json;
 use crate::table::{fmt, Table};
 use mr_core::family::{family_by_name, DeltaReport, DeltaSpec, Scale};
-use mr_sim::Pipeline;
 
 /// Parses the experiment's tokens through the shared
 /// [`crate::selectors`] helpers (the same ones frontier and plan use).
@@ -58,12 +57,7 @@ fn churn_family(family: &'static str, scale: Scale) -> Row {
         .expect("grids are non-empty");
     let schema = fam.grid()[point].schema.clone();
     let spec = DeltaSpec::tail_churn(fam.num_inputs());
-    let report = fam.delta_run(
-        point,
-        &mr_sim::EngineConfig::parallel(4),
-        Pipeline::Columnar,
-        &spec,
-    );
+    let report = fam.delta_run(point, &mr_sim::EngineConfig::parallel(4), &spec);
     Row {
         family,
         schema,

@@ -32,9 +32,8 @@
 //! # Parallelism and determinism
 //!
 //! Grid points are independent, so the driver hands them to one
-//! [`Executor::fan_out`](mr_sim::Executor::fan_out) on the configured
-//! executor — a single batch on the resident
-//! [`WorkerPool`](mr_sim::WorkerPool) by default, whose work-stealing
+//! [`mr_sim::fan_out`] — a single batch on the resident
+//! [`WorkerPool`](mr_sim::WorkerPool), whose work-stealing
 //! injector gives dynamic load balancing (point costs vary by orders of
 //! magnitude across the grid). Results come back in grid order whichever
 //! worker ran what, so the sweep's semantic output is **byte-identical
@@ -49,7 +48,7 @@
 use crate::json;
 use crate::table::{fmt, Table};
 use mr_core::family::{extended_registry, registry, DynFamily, Scale};
-use mr_sim::{EngineConfig, Executor};
+use mr_sim::{fan_out, EngineConfig, Executor};
 use std::time::Duration;
 
 /// Configuration of one sweep run.
@@ -63,10 +62,10 @@ pub struct SweepConfig {
     /// sequential: the sweep parallelises *across* grid points, which
     /// dominates intra-round parallelism for the small model instances.
     pub engine: EngineConfig,
-    /// Which substrate the grid itself fans out on: the resident
-    /// [`WorkerPool`](mr_sim::WorkerPool) (default) or per-sweep scoped
-    /// threads (the retained oracle). Semantic results are byte-identical
-    /// on both.
+    /// Unread and one-valued: the grid always fans out through
+    /// [`mr_sim::fan_out`]. Kept only because the perf ledger's
+    /// `plan_and_sweep` workload spells the field out; the follow-up to
+    /// ROADMAP item 1(e) deletes it.
     pub executor: Executor,
 }
 
@@ -150,28 +149,26 @@ pub fn sweep_families(families: &[Box<dyn DynFamily>], config: &SweepConfig) -> 
         .enumerate()
         .flat_map(|(fi, fam)| (0..fam.grid().len()).map(move |pi| (fi, pi)))
         .collect();
-    let points = config
-        .executor
-        .fan_out(config.sweep_workers, grid, |(fi, pi)| {
-            let fp = families[fi]
-                .run(pi, engine)
-                .expect("a sweep round overflowed the caller-supplied reducer budget");
-            let point = SweepPoint {
-                algorithm: fp.measured.algorithm,
-                q_declared: fp.q_declared,
-                q: fp.measured.q,
-                r: fp.measured.r,
-                bound: fp.bound,
-                gap: fp.gap,
-                load_skew: fp.measured.load_skew,
-                partition_skew: fp.partition_skew,
-                shuffle_bytes: fp.shuffle_bytes,
-                bucket_loads: fp.bucket_loads,
-                outputs: fp.measured.outputs,
-                wall: fp.wall,
-            };
-            (fi, point)
-        });
+    let points = fan_out(config.sweep_workers, grid, |(fi, pi)| {
+        let fp = families[fi]
+            .run(pi, engine)
+            .expect("a sweep round overflowed the caller-supplied reducer budget");
+        let point = SweepPoint {
+            algorithm: fp.measured.algorithm,
+            q_declared: fp.q_declared,
+            q: fp.measured.q,
+            r: fp.measured.r,
+            bound: fp.bound,
+            gap: fp.gap,
+            load_skew: fp.measured.load_skew,
+            partition_skew: fp.partition_skew,
+            shuffle_bytes: fp.shuffle_bytes,
+            bucket_loads: fp.bucket_loads,
+            outputs: fp.measured.outputs,
+            wall: fp.wall,
+        };
+        (fi, point)
+    });
 
     let mut curves: Vec<FamilyCurve> = families
         .iter()

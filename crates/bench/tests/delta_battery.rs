@@ -2,12 +2,12 @@
 //! incremental execution: `full_run(I ∪ ΔI) == apply(delta_run(ΔI),
 //! retained)` **byte-identically** (outputs and semantic metrics) for
 //! every registry family, every delta kind (adds, removes, mixed, empty,
-//! full-churn), every worker count 1–16, through both the columnar and
-//! retained naive pipelines — with the map-side census exact and a small
-//! delta re-executing strictly fewer reducers than a full run uses.
+//! full-churn), every worker count 1–16 — with the map-side census exact
+//! and a small delta re-executing strictly fewer reducers than a full run
+//! uses.
 
 use mr_core::family::{extended_registry, DeltaSpec, DynFamily, Scale};
-use mr_sim::{EngineConfig, Pipeline};
+use mr_sim::EngineConfig;
 
 /// The delta shapes the battery drives per family. `n` is the family's
 /// instance size; every shape keeps indices in `0..n`.
@@ -50,7 +50,7 @@ fn delta_kinds(n: usize) -> Vec<(&'static str, DeltaSpec)> {
     ]
 }
 
-/// One family × one spec × one engine × one pipeline: assert the two
+/// One family × one spec × one engine: assert the two
 /// verdicts the typed layer computes (byte-identity against the fresh
 /// full run, census exactness) plus the census-bound on dirty reducers.
 fn assert_family_delta(
@@ -59,15 +59,13 @@ fn assert_family_delta(
     kind: &str,
     spec: &DeltaSpec,
     engine: &EngineConfig,
-    pipeline: Pipeline,
 ) {
     let census = fam.delta_census(point, spec);
-    let report = fam.delta_run(point, engine, pipeline, spec);
+    let report = fam.delta_run(point, engine, spec);
     let label = format!(
-        "{} [{kind}] workers={} {}",
+        "{} [{kind}] workers={}",
         fam.name(),
-        engine.effective_workers(),
-        pipeline.name()
+        engine.effective_workers()
     );
     assert!(
         report.matches_full_run,
@@ -87,15 +85,13 @@ fn assert_family_delta(
 }
 
 #[test]
-fn every_family_every_kind_every_worker_count_both_pipelines() {
+fn every_family_every_kind_every_worker_count() {
     for fam in extended_registry(Scale::Small) {
         let n = fam.num_inputs();
         for (kind, spec) in delta_kinds(n) {
             for workers in 1..=16usize {
                 let engine = EngineConfig::parallel(workers);
-                for pipeline in Pipeline::ALL {
-                    assert_family_delta(fam.as_ref(), 0, kind, &spec, &engine, pipeline);
-                }
+                assert_family_delta(fam.as_ref(), 0, kind, &spec, &engine);
             }
         }
     }
@@ -104,14 +100,12 @@ fn every_family_every_kind_every_worker_count_both_pipelines() {
 #[test]
 fn deltas_also_land_on_every_grid_point() {
     // Worker-count and kind coverage above; here the grid axis — every
-    // point of every family, one mixed churn, both pipelines.
+    // point of every family, one mixed churn.
     let engine = EngineConfig::parallel(4);
     for fam in extended_registry(Scale::Small) {
         let spec = DeltaSpec::tail_churn(fam.num_inputs());
         for point in 0..fam.grid().len() {
-            for pipeline in Pipeline::ALL {
-                assert_family_delta(fam.as_ref(), point, "mixed", &spec, &engine, pipeline);
-            }
+            assert_family_delta(fam.as_ref(), point, "mixed", &spec, &engine);
         }
     }
 }
@@ -132,12 +126,7 @@ fn small_deltas_beat_full_runs_on_reducer_count_and_shuffle_volume() {
             remove: vec![0, n / 2],
             add: vec![],
         };
-        let report = fam.delta_run(
-            point,
-            &EngineConfig::sequential(),
-            Pipeline::Columnar,
-            &spec,
-        );
+        let report = fam.delta_run(point, &EngineConfig::sequential(), &spec);
         assert!(
             report.matches_full_run && report.prediction_exact,
             "{}",

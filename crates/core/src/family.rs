@@ -345,7 +345,7 @@ pub trait DynFamily: Send + Sync {
     fn delta_census(&self, point: usize, spec: &DeltaSpec) -> DeltaCensus;
 
     /// Executes `spec` incrementally at grid point `point`: retains the
-    /// base through the selected [`Pipeline`], applies the delta
+    /// base, applies the delta
     /// (re-executing only the dirty reducers, under the census-predicted
     /// post-`q` as a hard budget), runs the full-instance oracle, and
     /// reports both sides — see [`DeltaReport`].
@@ -354,13 +354,7 @@ pub trait DynFamily: Send + Sync {
     /// Panics if `point`/`spec` are out of range, if `spec.remove`
     /// repeats a position, or if the census-predicted budget overflows
     /// (a prediction bug by definition).
-    fn delta_run(
-        &self,
-        point: usize,
-        engine: &EngineConfig,
-        pipeline: Pipeline,
-        spec: &DeltaSpec,
-    ) -> DeltaReport;
+    fn delta_run(&self, point: usize, engine: &EngineConfig, spec: &DeltaSpec) -> DeltaReport;
 }
 
 /// Folds a schema's assignment over the instance into an
@@ -580,13 +574,7 @@ where
 
     /// Runs `spec` through the retained incremental path and the full-run
     /// oracle, and packages the comparison.
-    fn delta_run(
-        &self,
-        point: usize,
-        engine: &EngineConfig,
-        pipeline: Pipeline,
-        spec: &DeltaSpec,
-    ) -> DeltaReport {
+    fn delta_run(&self, point: usize, engine: &EngineConfig, spec: &DeltaSpec) -> DeltaReport {
         let inputs = &self.inputs;
         let census = self.delta_census(point, spec);
         let base: Vec<I> = spec.base.iter().map(|&ix| inputs[ix].clone()).collect();
@@ -598,8 +586,9 @@ where
             .clone()
             .with_max_reducer_inputs(census.base_q.max(census.post_q))
             .with_pairs_hint(census.base_pairs);
-        let mut job = run_schema_retained(&base, self.job(point), pipeline, &retained_cfg)
-            .expect("a census-budgeted base run cannot overflow");
+        let mut job =
+            run_schema_retained(&base, self.job(point), Pipeline::Columnar, &retained_cfg)
+                .expect("a census-budgeted base run cannot overflow");
 
         let delta = Delta::new(
             spec.add.iter().map(|&ix| inputs[ix].clone()).collect(),
@@ -1217,26 +1206,22 @@ mod tests {
             let spec = DeltaSpec::tail_churn(fam.num_inputs());
             assert!(spec.changes() > 0, "{}: degenerate spec", fam.name());
             let census = fam.delta_census(0, &spec);
-            for pipeline in Pipeline::ALL {
-                let report = fam.delta_run(0, &EngineConfig::parallel(4), pipeline, &spec);
-                assert!(
-                    report.matches_full_run,
-                    "{} / {}: retained result diverged from the full run",
-                    fam.name(),
-                    pipeline.name()
-                );
-                assert!(
-                    report.prediction_exact,
-                    "{} / {}: census mispredicted the delta",
-                    fam.name(),
-                    pipeline.name()
-                );
-                assert_eq!(report.census, census, "{}", fam.name());
-                assert_eq!(report.dirty_reducers, census.dirty_reducers);
-                assert!(report.dirty_reducers <= report.full_reducers);
-                assert!(report.delta_pairs <= report.full_pairs);
-                assert_eq!(report.full_q, census.post_q);
-            }
+            let report = fam.delta_run(0, &EngineConfig::parallel(4), &spec);
+            assert!(
+                report.matches_full_run,
+                "{}: retained result diverged from the full run",
+                fam.name()
+            );
+            assert!(
+                report.prediction_exact,
+                "{}: census mispredicted the delta",
+                fam.name()
+            );
+            assert_eq!(report.census, census, "{}", fam.name());
+            assert_eq!(report.dirty_reducers, census.dirty_reducers);
+            assert!(report.dirty_reducers <= report.full_reducers);
+            assert!(report.delta_pairs <= report.full_pairs);
+            assert_eq!(report.full_q, census.post_q);
         }
     }
 
@@ -1255,12 +1240,7 @@ mod tests {
                 remove: vec![0],
                 add: vec![],
             };
-            let report = fam.delta_run(
-                point,
-                &EngineConfig::sequential(),
-                Pipeline::Columnar,
-                &spec,
-            );
+            let report = fam.delta_run(point, &EngineConfig::sequential(), &spec);
             assert!(
                 report.matches_full_run && report.prediction_exact,
                 "{}",

@@ -152,18 +152,25 @@ pub fn max_outputs_covered<P: Problem>(problem: &P, q: usize) -> u64 {
     }
 }
 
-/// Binomial coefficient with saturation (used for guardrails and closed
-/// forms).
+/// Binomial coefficient `C(n, k)`: exact whenever it fits a `u64`, and
+/// `u64::MAX` when it does not (used for guardrails and closed forms).
 pub fn binomial(n: u64, k: u64) -> u64 {
     if k > n {
         return 0;
     }
     let k = k.min(n - k);
-    let mut result: u64 = 1;
+    // `C(n, i) · (n − i) = C(n, i + 1) · (i + 1)`, so each step divides
+    // exactly, and the product of a `u64` and a `u64` fits a `u128`. The
+    // running `C(n, i)` only grows for `i ≤ k ≤ n/2`, so once it leaves
+    // `u64` the answer has too.
+    let mut result: u128 = 1;
     for i in 0..k {
-        result = result.saturating_mul(n - i) / (i + 1);
+        result = result * u128::from(n - i) / u128::from(i + 1);
+        if result > u128::from(u64::MAX) {
+            return u64::MAX;
+        }
     }
-    result
+    result as u64
 }
 
 #[cfg(test)]
@@ -178,6 +185,28 @@ mod tests {
         assert_eq!(binomial(10, 10), 1);
         assert_eq!(binomial(4, 5), 0);
         assert_eq!(binomial(52, 5), 2_598_960);
+    }
+
+    #[test]
+    fn binomial_is_exact_until_it_saturates() {
+        // Every C(n, k) with n ≤ 67 fits a u64 (C(67, 33) ≈ 1.42e19);
+        // check each, and k past n, against a u128 Pascal triangle.
+        let mut row: Vec<u128> = vec![1];
+        for n in 0..=67u64 {
+            for k in 0..=n + 1 {
+                let want = row.get(k as usize).copied().unwrap_or(0);
+                assert_eq!(u128::from(binomial(n, k)), want, "C({n}, {k})");
+            }
+            let mut next = vec![1u128; row.len() + 1];
+            for i in 1..row.len() {
+                next[i] = row[i - 1] + row[i];
+            }
+            row = next;
+        }
+        // Intermediate products that overflow a u64 used to corrupt these.
+        assert_eq!(binomial(63, 31), 916_312_070_471_295_267);
+        assert_eq!(binomial(64, 32), 1_832_624_140_942_590_534);
+        assert_eq!(binomial(100, 50), u64::MAX);
     }
 
     #[test]

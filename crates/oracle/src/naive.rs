@@ -7,16 +7,14 @@
 //! modulo), each partition is grouped into its own `BTreeMap`, and the
 //! per-partition sorted runs are merged by smallest head key. It is
 //! comparison-bound and allocation-heavy — that is the point: the
-//! columnar engine in [`engine`](crate::engine) must produce
+//! columnar engine in [`mr_sim::engine`] must produce
 //! byte-identical outputs and semantic metrics on every workload at
 //! every worker count, including the same smallest-key overflow
 //! offender, and the `columnar_oracle` battery asserts exactly that
 //! against this module. Do **not** use it in production paths.
 
-use crate::engine::{pair_bytes, EngineConfig, EngineError};
-use crate::mapper::{Mapper, Reducer};
-use crate::metrics::{LoadStats, RoundMetrics, ShuffleStats};
-use crate::pool::Executor;
+use mr_sim::{fan_out, EngineConfig, EngineError, LoadStats, RoundMetrics, ShuffleStats};
+use mr_sim::{Mapper, Reducer};
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
@@ -24,6 +22,13 @@ use std::hash::{Hash, Hasher};
 /// Key-sorted reduce groups: one `(key, values)` entry per distinct key,
 /// ascending by key, values in arrival order.
 type Groups<K, V> = Vec<(K, Vec<V>)>;
+
+/// Bytes one `(fingerprint, key, value)` triple occupies in the columnar
+/// shuffle — `mr-sim`'s unit behind [`ShuffleStats::bytes_moved`], which
+/// this oracle reports too.
+fn pair_bytes<K, V>() -> u64 {
+    (std::mem::size_of::<u64>() + std::mem::size_of::<K>() + std::mem::size_of::<V>()) as u64
+}
 
 /// The pre-columnar deterministic, seed-free multiply-rotate hasher
 /// (FxHash-style byte loop) used for partition routing.
@@ -50,7 +55,7 @@ fn partition_of<K: Hash>(key: &K, partitions: usize) -> usize {
 }
 
 /// Executes one round through the naive `BTreeMap` pipeline. Same
-/// contract as [`run_round`](crate::run_round): outputs in ascending key
+/// contract as [`mr_sim::run_round`]: outputs in ascending key
 /// order, emission order within a key, identical at every worker count.
 pub fn run_round_naive<I, K, V, O>(
     inputs: &[I],
@@ -135,12 +140,11 @@ where
     O: Send,
 {
     let p = workers.min(inputs.len()).max(1);
-    let partitions = map_scatter_phase(inputs, mapper, workers, p, config.executor);
+    let partitions = map_scatter_phase(inputs, mapper, workers, p);
     let kv_pairs: u64 = partitions.iter().map(|p| p.len() as u64).sum();
-    let (entries, mut shuffle_stats) =
-        shuffle_partitioned(partitions, config.max_reducer_inputs, config.executor)?;
+    let (entries, mut shuffle_stats) = shuffle_partitioned(partitions, config.max_reducer_inputs)?;
     shuffle_stats.bytes_moved = Some(kv_pairs * pair_bytes::<K, V>());
-    let outputs = naive_reduce_phase(&entries, reducer, workers, config.executor);
+    let outputs = naive_reduce_phase(&entries, reducer, workers);
     let metrics = round_metrics(
         inputs.len(),
         kv_pairs,
@@ -183,7 +187,6 @@ fn map_scatter_phase<I, K, V>(
     mapper: &dyn Mapper<I, K, V>,
     workers: usize,
     p: usize,
-    executor: Executor,
 ) -> Vec<Vec<(K, V)>>
 where
     I: Sync,
@@ -197,7 +200,7 @@ where
     let map_workers = workers.min(inputs.len());
     let chunk = inputs.len().div_ceil(map_workers);
     let chunks: Vec<&[I]> = inputs.chunks(chunk).collect();
-    let per_worker = executor.fan_out(workers, chunks, |c| {
+    let per_worker = fan_out(workers, chunks, |c| {
         let mut buckets: Vec<Vec<(K, V)>> = (0..p).map(|_| Vec::new()).collect();
         for input in c {
             mapper.map(input, &mut |k, v| {
@@ -221,7 +224,6 @@ where
 fn shuffle_partitioned<K, V>(
     partitions: Vec<Vec<(K, V)>>,
     q: Option<u64>,
-    executor: Executor,
 ) -> Result<(Groups<K, V>, ShuffleStats), EngineError>
 where
     K: Ord + Debug + Send,
@@ -231,7 +233,7 @@ where
     let stats = ShuffleStats::from_partition_loads(&partition_loads);
 
     let lanes = partitions.len();
-    let grouped: Vec<(BTreeMap<K, Vec<V>>, bool)> = executor.fan_out(lanes, partitions, |pairs| {
+    let grouped: Vec<(BTreeMap<K, Vec<V>>, bool)> = fan_out(lanes, partitions, |pairs| {
         let mut groups: BTreeMap<K, Vec<V>> = BTreeMap::new();
         for (k, v) in pairs {
             groups.entry(k).or_default().push(v);
@@ -309,7 +311,6 @@ fn naive_reduce_phase<K, V, O>(
     entries: &[(K, Vec<V>)],
     reducer: &dyn Reducer<K, V, O>,
     workers: usize,
-    executor: Executor,
 ) -> Vec<O>
 where
     K: Send + Sync,
@@ -326,7 +327,7 @@ where
     let workers = workers.min(entries.len());
     let chunk = entries.len().div_ceil(workers);
     let chunks: Vec<&[(K, Vec<V>)]> = entries.chunks(chunk).collect();
-    let results = executor.fan_out(workers, chunks, |c| {
+    let results = fan_out(workers, chunks, |c| {
         let mut outputs = Vec::new();
         for (k, vs) in c {
             reducer.reduce(k, vs, &mut |o| outputs.push(o));
@@ -339,7 +340,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapper::{FnMapper, FnReducer};
+    use mr_sim::{FnMapper, FnReducer};
 
     #[test]
     fn naive_path_still_works_standalone() {

@@ -41,9 +41,9 @@
 //! emission order within a key — at the cost of one sort over distinct
 //! keys instead of one over all pairs; for large directories with
 //! fixed-width unsigned keys even that is an `O(n)` LSD radix sort
-//! rather than a comparison sort. The retained
-//! [`naive`](crate::naive) module implements the old `BTreeMap` pipeline
-//! and is the regression oracle proving the two paths byte-identical.
+//! rather than a comparison sort. The dev-only `mr-oracle` crate keeps
+//! the old `BTreeMap` pipeline as the regression oracle proving the two
+//! paths byte-identical.
 
 use std::any::Any;
 use std::hash::{Hash, Hasher};

@@ -24,15 +24,14 @@
 //!   stage fail, the error of the smallest node index is returned, so
 //!   multi-node failures are deterministic too.
 //! * **Staging** — nodes execute in ASAP levels (a node runs as soon as
-//!   all its dependencies have), each level one
-//!   [`fan_out`](crate::Executor::fan_out) on the configured executor —
-//!   the resident [`WorkerPool`](crate::WorkerPool) by default — as wide
-//!   as the level, with concurrently-running nodes collected in index
-//!   order.
+//!   all its dependencies have), each level one [`fan_out`] — a batch
+//!   on the resident [`WorkerPool`](crate::WorkerPool) — as wide as the
+//!   level, with concurrently-running nodes collected in index order.
 
 use crate::engine::{run_round, EngineConfig, EngineError};
 use crate::mapper::{Mapper, Reducer};
 use crate::metrics::{JobMetrics, RoundMetrics};
+use crate::pool::fan_out;
 use crate::schema::{schema_round, LoadTable, RoundCensus, SchemaJob};
 use std::borrow::Cow;
 use std::fmt::Debug;
@@ -237,7 +236,7 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
 
             // A level is as wide as its nodes, whatever the rounds inside
             // are configured to use; a one-node level runs on the caller.
-            let outcomes = config.executor.fan_out(staged.len(), staged, |(i, input)| {
+            let outcomes = fan_out(staged.len(), staged, |(i, input)| {
                 (i, self.run_node(i, &input, config))
             });
 

@@ -27,9 +27,7 @@
 //! The correctness contract, proven per registry family by the delta
 //! battery in `mr-bench`, is
 //! `full_run(I ∪ ΔI) == apply(delta_run(ΔI), retained)` — byte-identical
-//! outputs and equal semantic metrics, at every worker count, on both the
-//! columnar and the retained [`naive`](crate::naive) pipelines
-//! (selectable via [`Pipeline`]).
+//! outputs and equal semantic metrics, at every worker count.
 //!
 //! The reducer budget `q` keeps its batch semantics: a delta whose
 //! post-delta reducer load would exceed
@@ -39,13 +37,13 @@
 
 use crate::columnar::FingerprintHasher;
 use crate::engine::{run_round, EngineConfig, EngineError};
-use crate::mapper::{FnMapper, FnReducer, Mapper, Reducer};
+use crate::mapper::{FnMapper, FnReducer};
 use crate::metrics::{LoadStats, RoundMetrics, ShuffleStats};
-use crate::naive::run_round_naive;
+use crate::pool::fan_out;
 use crate::schema::{price_change, LoadHistogram, LoadTable, ReducerId, SchemaJob};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Debug;
-use std::hash::{BuildHasherDefault, Hash};
+use std::hash::BuildHasherDefault;
 use std::mem;
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -71,58 +69,14 @@ fn delta_counters() -> &'static DeltaCounters {
 /// values repeat.
 pub type Seq = u64;
 
-/// Which shuffle data plane a round executes on.
-///
-/// The engine's default is the columnar radix-partitioned plane; the
-/// original `BTreeMap` shuffle is retained in [`naive`](crate::naive) as
-/// the regression oracle. Both planes honour the same determinism
-/// contract, so everything built on rounds — including delta execution —
-/// is parameterised over the plane and differential tests can cross-check
-/// them in one loop.
+/// A one-valued name, kept only because the perf ledger's
+/// `steady_churn` workload still passes `Pipeline::Columnar` to
+/// [`run_schema_retained`]. Nothing reads it: every round runs on the
+/// columnar data plane. The follow-up to ROADMAP item 1(e) deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pipeline {
-    /// The columnar radix-partitioned shuffle (the production plane).
+    /// The columnar radix-partitioned shuffle, the only data plane.
     Columnar,
-    /// The retained `BTreeMap` shuffle (the oracle plane).
-    Naive,
-}
-
-impl Pipeline {
-    /// Both planes, for exhaustive differential loops.
-    pub const ALL: [Pipeline; 2] = [Pipeline::Columnar, Pipeline::Naive];
-
-    /// Short display name (`"columnar"` / `"naive"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Pipeline::Columnar => "columnar",
-            Pipeline::Naive => "naive",
-        }
-    }
-}
-
-/// Executes one round on the selected [`Pipeline`].
-///
-/// Dispatches to [`run_round`] (columnar) or
-/// [`run_round_naive`] — both satisfy the same
-/// determinism contract, so callers may treat the plane as an opaque
-/// execution detail.
-pub fn run_round_on<I, K, V, O>(
-    pipeline: Pipeline,
-    inputs: &[I],
-    mapper: &dyn Mapper<I, K, V>,
-    reducer: &dyn Reducer<K, V, O>,
-    config: &EngineConfig,
-) -> Result<(Vec<O>, RoundMetrics), EngineError>
-where
-    I: Sync,
-    K: Ord + Hash + Debug + Send + Sync + 'static,
-    V: Send + Sync,
-    O: Send,
-{
-    match pipeline {
-        Pipeline::Columnar => run_round(inputs, mapper, reducer, config),
-        Pipeline::Naive => run_round_naive(inputs, mapper, reducer, config),
-    }
 }
 
 /// A batch of changes to a retained instance: values to add and the
@@ -231,8 +185,8 @@ pub struct DeltaMetrics {
     pub outputs_retracted: u64,
     /// Outputs added (everything the dirty reducers re-emitted).
     pub outputs_added: u64,
-    /// Engine metrics of the delta routing round (executed on the
-    /// retained pipeline over the changed inputs): its `kv_pairs` is
+    /// Engine metrics of the delta routing round (one [`run_round`]
+    /// over the changed inputs): its `kv_pairs` is
     /// `delta_pairs`, its `reducers` is `dirty_reducers`, its `loads` are
     /// per-dirty-reducer change counts.
     pub routing: RoundMetrics,
@@ -362,7 +316,6 @@ struct ReducerState<I, O> {
 #[derive(Debug, Clone)]
 pub struct DeltaJob<I, O, S> {
     schema: S,
-    pipeline: Pipeline,
     config: EngineConfig,
     next_seq: Seq,
     live: BTreeMap<Seq, I>,
@@ -377,9 +330,9 @@ pub struct DeltaJob<I, O, S> {
 }
 
 /// The retained-state mode of [`run_schema`](crate::run_schema): executes
-/// the schema over `inputs` through the selected [`Pipeline`], keeping
-/// per-reducer input lists and reduce outputs resident for incremental
-/// re-execution. Inputs receive [`Seq`] ids `0..inputs.len()` in order.
+/// the schema over `inputs`, keeping per-reducer input lists and reduce
+/// outputs resident for incremental re-execution. Inputs receive [`Seq`]
+/// ids `0..inputs.len()` in order. The [`Pipeline`] argument is unread.
 ///
 /// Equivalent to `DeltaJob::new` followed by an all-additions
 /// [`apply`](DeltaJob::apply); the budget `q` (if configured) is enforced
@@ -387,7 +340,7 @@ pub struct DeltaJob<I, O, S> {
 pub fn run_schema_retained<I, O, S>(
     inputs: &[I],
     schema: S,
-    pipeline: Pipeline,
+    _pipeline: Pipeline,
     config: &EngineConfig,
 ) -> Result<DeltaJob<I, O, S>, DeltaError>
 where
@@ -395,7 +348,7 @@ where
     O: Clone + Send,
     S: SchemaJob<I, O>,
 {
-    let mut job = DeltaJob::new(schema, pipeline, config.clone());
+    let mut job = DeltaJob::new(schema, config.clone());
     job.apply(&Delta::add(inputs.to_vec()))?;
     Ok(job)
 }
@@ -408,10 +361,9 @@ where
 {
     /// A retained job over the **empty** instance. `config`'s budget and
     /// worker count govern every subsequent [`apply`](DeltaJob::apply).
-    pub fn new(schema: S, pipeline: Pipeline, config: EngineConfig) -> Self {
+    pub fn new(schema: S, config: EngineConfig) -> Self {
         DeltaJob {
             schema,
-            pipeline,
             config,
             next_seq: 0,
             live: BTreeMap::new(),
@@ -477,8 +429,7 @@ where
             ops.push((seq, value.clone(), true));
         }
 
-        // Route the changed inputs through the retained pipeline: one
-        // engine round whose reduce merely *groups* the changes per dirty
+        // Route the changed inputs through the shuffle: one engine round whose reduce merely *groups* the changes per dirty
         // reducer. Its metrics are the delta's communication picture —
         // `kv_pairs` is the delta-shuffle volume, `reducers` the dirty
         // count. No budget here: this round's loads count *changes*, not
@@ -504,8 +455,7 @@ where
             },
         );
         let routing_span = mr_obs::span("delta.routing");
-        let (mut groups, routing) =
-            run_round_on(self.pipeline, &ops, &mapper, &reducer, &routing_config)?;
+        let (mut groups, routing) = run_round(&ops, &mapper, &reducer, &routing_config)?;
         drop(routing_span);
 
         // Stage every dirty reducer's post-delta input list, looking each
@@ -584,25 +534,22 @@ where
         let chunks: Vec<&[StagedReducer<I>]> = staged
             .chunks(staged.len().div_ceil(workers).max(1))
             .collect();
-        let new_outputs: Vec<Vec<O>> = self
-            .config
-            .executor
-            .fan_out(workers, chunks, |chunk| {
-                chunk
-                    .iter()
-                    .map(|reducer| {
-                        let mut out = Vec::new();
-                        if !reducer.values.is_empty() {
-                            out.reserve_exact(reducer.prior_outputs);
-                            schema.reduce(reducer.rid, &reducer.values, &mut |o| out.push(o));
-                        }
-                        out
-                    })
-                    .collect::<Vec<Vec<O>>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
+        let new_outputs: Vec<Vec<O>> = fan_out(workers, chunks, |chunk| {
+            chunk
+                .iter()
+                .map(|reducer| {
+                    let mut out = Vec::new();
+                    if !reducer.values.is_empty() {
+                        out.reserve_exact(reducer.prior_outputs);
+                        schema.reduce(reducer.rid, &reducer.values, &mut |o| out.push(o));
+                    }
+                    out
+                })
+                .collect::<Vec<Vec<O>>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         drop(rereduce_span);
 
         // Commit, writing each dirty reducer by the slot staging found.
@@ -783,11 +730,6 @@ where
         &self.schema
     }
 
-    /// The shuffle plane deltas execute on.
-    pub fn pipeline(&self) -> Pipeline {
-        self.pipeline
-    }
-
     /// The engine configuration (budget, workers) applications run under.
     pub fn config(&self) -> &EngineConfig {
         &self.config
@@ -841,35 +783,31 @@ mod tests {
     }
 
     #[test]
-    fn retained_init_matches_full_run_on_both_pipelines() {
+    fn retained_init_matches_full_run() {
         let inputs: Vec<u32> = (0..40).collect();
-        for pipeline in Pipeline::ALL {
-            for workers in [1usize, 4] {
-                let cfg = EngineConfig::parallel(workers);
-                let job = run_schema_retained(&inputs, PairUp, pipeline, &cfg).unwrap();
-                assert_eq!(job.len(), 40);
-                assert_eq!(job.seqs(), (0..40).collect::<Vec<Seq>>());
-                assert_matches_full_run(&job, &cfg);
-            }
+        for workers in [1usize, 4] {
+            let cfg = EngineConfig::parallel(workers);
+            let job = run_schema_retained(&inputs, PairUp, Pipeline::Columnar, &cfg).unwrap();
+            assert_eq!(job.len(), 40);
+            assert_eq!(job.seqs(), (0..40).collect::<Vec<Seq>>());
+            assert_matches_full_run(&job, &cfg);
         }
     }
 
     #[test]
     fn mixed_delta_matches_full_rerun() {
         let inputs: Vec<u32> = (0..30).collect();
-        for pipeline in Pipeline::ALL {
-            for workers in [1usize, 4] {
-                let cfg = EngineConfig::parallel(workers);
-                let mut job = run_schema_retained(&inputs, PairUp, pipeline, &cfg).unwrap();
-                let delta = Delta::new(vec![100, 101, 7], vec![4, 5, 17]);
-                let outcome = job.apply(&delta).unwrap();
-                // Removals dirty reducers {2, 8} (values 4, 5, 17);
-                // additions dirty {50, 3} (values 100, 101, 7).
-                assert_eq!(outcome.metrics.dirty_reducers, 4);
-                assert_eq!(outcome.metrics.delta_pairs, 6);
-                assert_eq!(outcome.added_seqs, 30..33);
-                assert_matches_full_run(&job, &cfg);
-            }
+        for workers in [1usize, 4] {
+            let cfg = EngineConfig::parallel(workers);
+            let mut job = run_schema_retained(&inputs, PairUp, Pipeline::Columnar, &cfg).unwrap();
+            let delta = Delta::new(vec![100, 101, 7], vec![4, 5, 17]);
+            let outcome = job.apply(&delta).unwrap();
+            // Removals dirty reducers {2, 8} (values 4, 5, 17);
+            // additions dirty {50, 3} (values 100, 101, 7).
+            assert_eq!(outcome.metrics.dirty_reducers, 4);
+            assert_eq!(outcome.metrics.delta_pairs, 6);
+            assert_eq!(outcome.added_seqs, 30..33);
+            assert_matches_full_run(&job, &cfg);
         }
     }
 
@@ -918,7 +856,7 @@ mod tests {
         let mut job = run_schema_retained(
             &[0u32, 1, 2],
             PairUp,
-            Pipeline::Naive,
+            Pipeline::Columnar,
             &EngineConfig::sequential(),
         )
         .unwrap();
@@ -1048,7 +986,6 @@ mod tests {
         // delta under the predicted q as a hard budget succeeds.
         let mut budgeted_job = DeltaJob::new(
             Replicate(3),
-            Pipeline::Columnar,
             EngineConfig::sequential().with_max_reducer_inputs(predicted.post_q),
         );
         budgeted_job.apply(&Delta::add(job.inputs())).unwrap();
@@ -1056,7 +993,7 @@ mod tests {
 
     #[test]
     fn seqs_stay_monotonic_across_applies() {
-        let mut job = DeltaJob::new(PairUp, Pipeline::Columnar, EngineConfig::sequential());
+        let mut job = DeltaJob::new(PairUp, EngineConfig::sequential());
         let first = job.apply(&Delta::add(vec![0, 1])).unwrap();
         assert_eq!(first.added_seqs, 0..2);
         job.apply(&Delta::remove(vec![0])).unwrap();
@@ -1081,22 +1018,6 @@ mod tests {
         job.apply(&Delta::remove(vec![0])).unwrap();
         assert_eq!(job.outputs(), vec![(6, 7)]);
         assert_matches_full_run(&job, &EngineConfig::sequential());
-    }
-
-    #[test]
-    fn pipeline_dispatch_planes_agree() {
-        // run_round_on: both planes, same answer.
-        let inputs: Vec<u64> = (0..500).map(|x| x * 7 % 40).collect();
-        let mapper = FnMapper(|x: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*x % 16, *x));
-        let reducer = FnReducer(|k: &u64, vs: &[u64], emit: &mut dyn FnMut((u64, u64))| {
-            emit((*k, vs.iter().sum()))
-        });
-        let cfg = EngineConfig::parallel(4);
-        let (col, col_m) =
-            run_round_on(Pipeline::Columnar, &inputs, &mapper, &reducer, &cfg).unwrap();
-        let (nai, nai_m) = run_round_on(Pipeline::Naive, &inputs, &mapper, &reducer, &cfg).unwrap();
-        assert_eq!(col, nai);
-        assert_eq!(col_m, nai_m);
     }
 
     #[test]

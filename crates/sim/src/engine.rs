@@ -24,14 +24,12 @@
 //! Every worker count runs the same code: with `workers <= 1` it is one
 //! map chunk routing into one partition on the calling thread; with
 //! `workers > 1` each map chunk, each partition group-sort and each
-//! reduce range is one item of an [`Executor::fan_out`] — a task on the
-//! resident [`WorkerPool`](crate::WorkerPool) by default, or a fresh
-//! `std::thread::scope` thread on the retained [`Executor::Scoped`]
-//! oracle. Because each bucket is its chunks' columns concatenated in
-//! chunk (= input) order and grouping keeps arrival order,
-//! outputs and semantic metrics are identical at every worker count on
-//! either substrate; the retained [`naive`](crate::naive) module keeps the
-//! original `BTreeMap` pipeline as the oracle for exactly that claim. Only
+//! reduce range is one item of a [`fan_out`] — a task on the resident
+//! [`WorkerPool`](crate::WorkerPool). Because each bucket is its chunks'
+//! columns concatenated in chunk (= input) order and grouping keeps
+//! arrival order, outputs and semantic metrics are identical at every
+//! worker count; the dev-only `mr-oracle` crate keeps the original
+//! `BTreeMap` pipeline as the oracle for exactly that claim. Only
 //! the [`ShuffleStats`] execution metadata (partition count, balance,
 //! bytes moved, bucket histogram) varies with the worker count, and that
 //! is excluded from metric equality by design.
@@ -53,7 +51,7 @@ use crate::columnar::{
 };
 use crate::mapper::{Mapper, Reducer};
 use crate::metrics::{LoadStats, RoundMetrics, ShuffleStats};
-use crate::pool::Executor;
+use crate::pool::fan_out;
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::sync::OnceLock;
@@ -78,8 +76,8 @@ fn engine_counters() -> &'static EngineCounters {
 pub struct EngineConfig {
     /// Number of worker threads. `0` and `1` both run fully sequentially on
     /// the calling thread; larger values shard the map, shuffle, and reduce
-    /// phases across the configured [`executor`](EngineConfig::executor)
-    /// substrate. Results are identical either way. The raw value is
+    /// phases across the resident [`WorkerPool`](crate::WorkerPool).
+    /// Results are identical either way. The raw value is
     /// preserved as written;
     /// [`effective_workers`](EngineConfig::effective_workers) is the single
     /// place the degenerate `0` is clamped.
@@ -93,12 +91,6 @@ pub struct EngineConfig {
     /// any value (or `None`) yields identical outputs and metrics.
     /// `mr-plan` threads its census-exact pair prediction through here.
     pub pairs_hint: Option<u64>,
-    /// Which parallel substrate fan-outs run on: the resident
-    /// [`WorkerPool`](crate::WorkerPool) (default) or fresh
-    /// `std::thread::scope` threads per call (the retained oracle).
-    /// Purely an execution choice — outputs and semantic metrics are
-    /// byte-identical on both.
-    pub executor: Executor,
 }
 
 impl Default for EngineConfig {
@@ -107,7 +99,6 @@ impl Default for EngineConfig {
             workers: 1,
             max_reducer_inputs: None,
             pairs_hint: None,
-            executor: Executor::Pool,
         }
     }
 }
@@ -150,13 +141,6 @@ impl EngineConfig {
         self.pairs_hint = Some(pairs);
         self
     }
-
-    /// Selects the parallel substrate (see
-    /// [`executor`](EngineConfig::executor)).
-    pub fn with_executor(mut self, executor: Executor) -> Self {
-        self.executor = executor;
-        self
-    }
 }
 
 /// Failure modes of a round.
@@ -188,7 +172,7 @@ impl std::error::Error for EngineError {}
 
 /// Bytes one `(fingerprint, key, value)` triple occupies in the shuffle
 /// columns — the unit behind [`ShuffleStats::bytes_moved`].
-pub(crate) fn pair_bytes<K, V>() -> u64 {
+fn pair_bytes<K, V>() -> u64 {
     (std::mem::size_of::<u64>() + std::mem::size_of::<K>() + std::mem::size_of::<V>()) as u64
 }
 
@@ -241,7 +225,7 @@ where
         .map(|h| h as usize)
         .unwrap_or(inputs.len());
     let map_span = mr_obs::span("engine.map");
-    let partitions = map_phase(inputs, mapper, p, est, config.executor);
+    let partitions = map_phase(inputs, mapper, p, est);
     drop(map_span);
     let loads: Vec<u64> = partitions
         .iter()
@@ -251,16 +235,11 @@ where
     let mut stats = ShuffleStats::from_partition_loads(&loads);
     stats.bytes_moved = Some(kv_pairs * pair_bytes::<K, V>());
     let shuffle_span = mr_obs::span("engine.shuffle");
-    let shuffled = shuffle_phase(
-        partitions,
-        config.max_reducer_inputs,
-        workers,
-        config.executor,
-    )?;
+    let shuffled = shuffle_phase(partitions, config.max_reducer_inputs, workers)?;
     drop(shuffle_span);
     engine_counters().kv_pairs.add(kv_pairs);
     let reduce_span = mr_obs::span("engine.reduce");
-    let outputs = reduce_phase(&shuffled, reducer, workers, config.executor);
+    let outputs = reduce_phase(&shuffled, reducer, workers);
     drop(reduce_span);
     let metrics = round_metrics(
         inputs.len(),
@@ -277,7 +256,7 @@ where
 type PartitionColumns<K, V> = Vec<Vec<ColumnBuf<K, V>>>;
 
 /// Runs the map phase as one routed pass: each of at most `p` input
-/// chunks is one [`fan_out`](Executor::fan_out) item ([`map_chunk`])
+/// chunks is one [`fan_out`](fan_out) item ([`map_chunk`])
 /// that fingerprints every emission once and pushes it straight into its
 /// `(partition, radix bucket)` column. The chunks' columns are then
 /// transposed from `[chunk][partition][bucket]` to
@@ -296,7 +275,6 @@ fn map_phase<I, K, V, M>(
     mapper: &M,
     p: usize,
     est: usize,
-    executor: Executor,
 ) -> Vec<PartitionColumns<K, V>>
 where
     I: Sync,
@@ -318,11 +296,11 @@ where
     let mut partitions: Vec<PartitionColumns<K, V>> =
         (0..p).map(|_| Vec::with_capacity(chunks.len())).collect();
     let routed = if p == 1 {
-        executor.fan_out(p, chunks, |c| {
+        fan_out(p, chunks, |c| {
             map_chunk::<true, _, _, _, _>(c, mapper, p, bc, cap)
         })
     } else {
-        executor.fan_out(p, chunks, |c| {
+        fan_out(p, chunks, |c| {
             map_chunk::<false, _, _, _, _>(c, mapper, p, bc, cap)
         })
     };
@@ -387,7 +365,7 @@ where
 ///
 /// Every partition's buckets are grouped into a [`GroupedRun`]
 /// ([`group_buckets`]) and its group directory key-sorted — as its own
-/// [`fan_out`](Executor::fan_out) item, so concurrently when `workers > 1`
+/// [`fan_out`](fan_out) item, so concurrently when `workers > 1`
 /// and there is more than one partition. If any
 /// group exceeds `q`, the error names the globally smallest over-budget
 /// key — exactly the key the sequential in-key-order scan would have
@@ -399,7 +377,6 @@ fn shuffle_phase<K, V>(
     partitions: Vec<PartitionColumns<K, V>>,
     q: Option<u64>,
     workers: usize,
-    executor: Executor,
 ) -> Result<Shuffled<K, V>, EngineError>
 where
     K: Ord + Debug + Send + 'static,
@@ -411,7 +388,7 @@ where
         run.sort_groups_by_key();
         run
     };
-    let runs: Vec<GroupedRun<K, V>> = executor.fan_out(workers, partitions, group_one);
+    let runs: Vec<GroupedRun<K, V>> = fan_out(workers, partitions, group_one);
 
     check_budget(&runs, q)?;
     Ok(Shuffled::merge(runs))
@@ -469,15 +446,10 @@ fn round_metrics(
 /// Runs the reduce phase over the merged shuffle view, concatenating
 /// outputs in ascending key order. The global key order is cut into at
 /// most `workers` ranges, each reduced as one
-/// [`fan_out`](Executor::fan_out) item (a single range runs inline on the
+/// [`fan_out`](fan_out) item (a single range runs inline on the
 /// caller); range-order concatenation keeps the output identical to
 /// sequential.
-fn reduce_phase<K, V, O, R>(
-    shuffled: &Shuffled<K, V>,
-    reducer: &R,
-    workers: usize,
-    executor: Executor,
-) -> Vec<O>
+fn reduce_phase<K, V, O, R>(shuffled: &Shuffled<K, V>, reducer: &R, workers: usize) -> Vec<O>
 where
     K: Send + Sync,
     V: Send + Sync,
@@ -491,7 +463,7 @@ where
         .step_by(chunk)
         .map(|s| (s, (s + chunk).min(n)))
         .collect();
-    let results = executor.fan_out(workers, ranges, |(s, e)| {
+    let results = fan_out(workers, ranges, |(s, e)| {
         let _span = mr_obs::span("engine.reduce.chunk");
         let mut outputs = Vec::with_capacity(e - s);
         shuffled.for_each_in(s..e, |k, vs| {

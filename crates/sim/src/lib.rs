@@ -28,21 +28,22 @@
 //! * `columnar` (internal) — the flat data plane under the shuffle:
 //!   fingerprint columns routed at emit into `(partition, radix bucket)`
 //!   columns, open-addressing grouping, merged views,
-//! * [`naive`] — the original `BTreeMap` shuffle, retained as the
-//!   test-only regression oracle for the columnar path,
 //! * [`delta`] — incremental execution: schemas held resident with
 //!   per-reducer state, re-executing only the reducers a
 //!   `Delta { added, removed }` dirties (exploiting §2.2 obliviousness),
 //! * [`dag`] — a DAG of rounds over one token type, staged level by
 //!   level on the execution substrate: the one way to chain rounds, from
 //!   §6.3's two-phase method to planner-searched round structures,
-//! * [`pool`] — [`Executor::fan_out`], the one fan-out under every
-//!   parallel site, over the resident work-stealing [`WorkerPool`] by
-//!   default, with the per-call scoped-thread substrate retained as the
-//!   [`Executor::Scoped`] oracle,
+//! * [`pool`] — [`fan_out`], the one fan-out under every parallel site:
+//!   inline at width 1, otherwise one batch on the resident
+//!   work-stealing [`WorkerPool`],
 //! * [`metrics`] — per-round and per-job measurements,
 //! * [`schema`] — running an abstract *mapping schema* (assignment of
 //!   inputs to reducers) as a map-reduce job.
+//!
+//! The test oracles live outside the crate: the original `BTreeMap`
+//! shuffle is the dev-only `mr-oracle` crate, which only the integration
+//! tests reach, and the pool's twin is the inline `workers = 1` run.
 //!
 //! `unsafe` code is denied crate-wide. Three functions opt back in, each
 //! for one site whose safe form measured slower in the perf ledger: the
@@ -56,17 +57,16 @@ pub mod delta;
 pub mod engine;
 pub mod mapper;
 pub mod metrics;
-pub mod naive;
 pub mod pool;
 pub mod schema;
 
 pub use dag::DagJob;
 pub use delta::{
-    predict_delta, run_round_on, run_schema_retained, Delta, DeltaError, DeltaJob, DeltaMetrics,
-    DeltaOutcome, DeltaPrediction, Pipeline, Seq,
+    predict_delta, run_schema_retained, Delta, DeltaError, DeltaJob, DeltaMetrics, DeltaOutcome,
+    DeltaPrediction, Pipeline, Seq,
 };
 pub use engine::{run_round, EngineConfig, EngineError};
 pub use mapper::{FnMapper, FnReducer, Mapper, Reducer};
 pub use metrics::{JobMetrics, LoadStats, RoundMetrics, ShuffleStats};
-pub use pool::{Executor, WorkerPool};
+pub use pool::{fan_out, Executor, WorkerPool};
 pub use schema::{price_change, run_schema, LoadHistogram, LoadTable, RoundCensus, SchemaJob};

@@ -1,13 +1,8 @@
 //! The resident execution substrate: a persistent work-stealing pool.
 //!
-//! Every fan-out in this workspace used to spawn fresh threads through
-//! [`std::thread::scope`] — once per map phase, per partition group-sort,
-//! per reduce range, per DAG level, per dirty-reducer chunk, per sweep
-//! q-point. On the small-and-medium rounds the planner actually emits,
-//! that spawn + join barrier dominates wall-clock: the paper's cost model
-//! prices communication, but the reproduction was paying orchestration.
-//!
-//! [`WorkerPool`] replaces the spawn with a **resident** pool:
+//! Fresh threads per map phase, partition group-sort, reduce range, DAG
+//! level or sweep point would make spawn + join dominate the small rounds
+//! the planner emits. [`WorkerPool`] is a **resident** pool instead:
 //!
 //! * **One spawn, ever.** [`WorkerPool::global`] lazily spawns
 //!   `available_parallelism` workers on first use; every subsequent batch
@@ -28,19 +23,18 @@
 //!   the count for the battery that pins this.
 //! * **Determinism.** Results land in per-task slots indexed by
 //!   submission order, so a batch's result vector is byte-identical no
-//!   matter which worker ran what or in what order — the same
-//!   chunk-order-in/chunk-order-out contract the scoped substrate had.
-//!   [`Executor::Scoped`] retains that original substrate as the oracle,
-//!   the way [`naive`](crate::naive) pins the columnar data plane.
+//!   matter which worker ran what or in what order. Its twin is the
+//!   inline run: [`fan_out`] at width 1 maps the items in order on the
+//!   calling thread, and every pooled run must equal it.
 //! * **Panic transparency.** A panicking task does not kill its worker:
 //!   the payload is caught, the batch completes, and the payload of the
 //!   **lowest-index** failing task is re-thrown on the submitting thread.
-//!   Tasks are claimed in index order, so that is the panic a sequential
-//!   run over the same items raises first — the message a caller sees
-//!   does not depend on the schedule, the worker count or the substrate.
-//! * **One dispatch.** [`Executor::fan_out`] is the only place the
-//!   workspace chooses between running inline, submitting a pool batch
-//!   and spawning scoped threads; every parallel site calls it.
+//!   That is the panic the inline run over the same items raises first,
+//!   so the message a caller sees does not depend on the schedule or the
+//!   worker count.
+//! * **One dispatch.** [`fan_out`] is the only place the workspace
+//!   chooses between running inline and submitting a pool batch; every
+//!   parallel site calls it.
 //!
 //! # Safety story
 //!
@@ -75,109 +69,44 @@ fn pool_counters() -> &'static PoolCounters {
     })
 }
 
-/// Which parallel substrate a fan-out executes on.
-///
-/// The engine's default is the resident [`WorkerPool`]; the original
-/// per-call [`std::thread::scope`] substrate is retained as the oracle —
-/// the substrate twin of [`Pipeline`](crate::Pipeline)'s data-plane pair.
-/// Both satisfy the same determinism contract, so everything built on the
-/// engine is parameterised over the substrate and differential tests can
-/// cross-check them in one loop.
+/// A one-valued name, kept only because the perf ledger's
+/// `plan_and_sweep` workload still spells out `mr_bench::SweepConfig`'s
+/// `executor` field. Nothing reads it: every fan-out runs through
+/// [`fan_out`]. The follow-up to ROADMAP item 1(e) deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Executor {
-    /// The resident work-stealing pool (the production substrate).
+    /// The resident work-stealing pool, the only substrate.
     Pool,
-    /// Fresh `std::thread::scope` threads per call (the oracle substrate).
-    Scoped,
 }
 
-impl Executor {
-    /// Both substrates, for exhaustive differential loops.
-    pub const ALL: [Executor; 2] = [Executor::Pool, Executor::Scoped];
-
-    /// Short display name (`"pool"` / `"scoped"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Executor::Pool => "pool",
-            Executor::Scoped => "scoped",
-        }
+/// Runs `f` over every item and returns the results **in item order** —
+/// the one fan-out under the map, group and reduce phases, the dirty
+/// re-reduce, a DAG level and the frontier sweep.
+///
+/// With `width <= 1` or fewer than two items everything runs inline on
+/// the calling thread: no queue, no latch, no thread. Otherwise the items
+/// go down as one [`WorkerPool::global`] batch, whose width is the pool's
+/// own. Item order in, item order out makes a pooled run bit-identical
+/// to the inline one.
+///
+/// # Panics
+/// If `f` panics, the payload of the lowest-index failing item is
+/// re-thrown here (after every other item has run on the pool) — the
+/// panic the inline run raises.
+pub fn fan_out<T: Send, R: Send>(width: usize, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    // One compiled copy of `f` per call site, shared by both ways of
+    // running it below; an indirect call per item is nothing next to an
+    // item's work.
+    let f: &(dyn Fn(T) -> R + Sync) = &f;
+    if width <= 1 || items.len() < 2 {
+        return items.into_iter().map(f).collect();
     }
-
-    /// Runs `f` over every item, at most `width` at a time, and returns
-    /// the results **in item order** — the one fan-out under the map,
-    /// group and reduce phases, the dirty re-reduce, a DAG level and the
-    /// frontier sweep.
-    ///
-    /// With `width <= 1` or fewer than two items everything runs inline
-    /// on the calling thread: no queue, no latch, no thread. Otherwise
-    /// the items go down as one [`WorkerPool::global`] batch (whose width
-    /// is the pool's own), or, on the scoped oracle, `min(width, items)`
-    /// fresh threads claim items in index order. Item order in, item
-    /// order out is what makes parallel execution bit-identical to
-    /// sequential on either substrate.
-    ///
-    /// # Panics
-    /// If `f` panics, the payload of the lowest-index failing item is
-    /// re-thrown here, on both substrates (which still run every other
-    /// item first) — the panic the inline run raises.
-    pub fn fan_out<T: Send, R: Send>(
-        self,
-        width: usize,
-        items: Vec<T>,
-        f: impl Fn(T) -> R + Sync,
-    ) -> Vec<R> {
-        // One compiled copy of `f` per call site, shared by the three ways
-        // of running it below; an indirect call per item is nothing next
-        // to an item's work.
-        let f: &(dyn Fn(T) -> R + Sync) = &f;
-        if width <= 1 || items.len() < 2 {
-            return items.into_iter().map(f).collect();
-        }
-        match self {
-            Executor::Pool => WorkerPool::global().run(
-                items
-                    .into_iter()
-                    .map(|t| Box::new(move || f(t)) as Box<dyn FnOnce() -> R + Send + '_>)
-                    .collect(),
-            ),
-            Executor::Scoped => {
-                let lanes = width.min(items.len());
-                let outcomes: Vec<Mutex<Option<std::thread::Result<R>>>> =
-                    items.iter().map(|_| Mutex::new(None)).collect();
-                let queue = Mutex::new(items.into_iter().enumerate());
-                // Claim under the lock, run outside it, file the outcome
-                // under the item's index.
-                let lane = || loop {
-                    let claimed = queue.lock().expect("fan-out queue poisoned").next();
-                    let Some((i, item)) = claimed else { return };
-                    let outcome = catch_unwind(AssertUnwindSafe(|| f(item)));
-                    *outcomes[i].lock().expect("fan-out slot poisoned") = Some(outcome);
-                };
-                scoped_lanes(lanes, &lane);
-                // Item order, so the first failure met is the lowest-index one.
-                outcomes
-                    .into_iter()
-                    .map(|slot| {
-                        slot.into_inner()
-                            .expect("fan-out slot poisoned")
-                            .expect("the lanes drained the queue")
-                            .unwrap_or_else(|payload| resume_unwind(payload))
-                    })
-                    .collect()
-            }
-        }
-    }
-}
-
-/// Runs `lane` on `lanes` fresh scoped threads and returns when all have
-/// finished. Not generic, so the thread machinery is compiled once however
-/// many item and result types [`Executor::fan_out`] is used at.
-fn scoped_lanes(lanes: usize, lane: &(dyn Fn() + Sync)) {
-    std::thread::scope(|s| {
-        for _ in 0..lanes {
-            s.spawn(lane);
-        }
-    });
+    WorkerPool::global().run(
+        items
+            .into_iter()
+            .map(|t| Box::new(move || f(t)) as Box<dyn FnOnce() -> R + Send + '_>)
+            .collect(),
+    )
 }
 
 /// A lifetime-erased batch task.
@@ -311,8 +240,7 @@ impl WorkerPool {
 
     /// The process-wide resident pool, spawned on first use with
     /// `available_parallelism` workers and never torn down — the
-    /// substrate every `EngineConfig { executor: Pool, .. }` fan-out
-    /// shares.
+    /// substrate every [`fan_out`] wider than one item shares.
     pub fn global() -> &'static WorkerPool {
         static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
         GLOBAL.get_or_init(|| {
@@ -617,12 +545,5 @@ mod tests {
         let b = WorkerPool::global() as *const WorkerPool;
         assert_eq!(a, b);
         assert!(WorkerPool::global().workers() >= 1);
-    }
-
-    #[test]
-    fn executor_vocabulary() {
-        assert_eq!(Executor::ALL.len(), 2);
-        assert_eq!(Executor::Pool.name(), "pool");
-        assert_eq!(Executor::Scoped.name(), "scoped");
     }
 }

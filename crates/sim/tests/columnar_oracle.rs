@@ -1,7 +1,7 @@
 //! Oracle battery: the columnar radix-partitioned data plane against the
-//! retained naive `BTreeMap` pipeline.
+//! naive `BTreeMap` pipeline.
 //!
-//! [`mr_sim::naive`] is the pre-columnar shuffle, kept precisely so this
+//! `mr_oracle::naive` is the pre-columnar shuffle, kept precisely so this
 //! suite can exist: for any workload and any worker count, the columnar
 //! engine must produce byte-identical outputs, equal semantic metrics,
 //! and the same overflow verdict (down to the reported offender key). The
@@ -11,67 +11,22 @@
 //! fixture; the *randomised* cross-checks (workloads, budgets, deltas)
 //! live in the unified `differential_fuzz.rs` battery.
 
-use mr_sim::naive::run_round_naive;
-use mr_sim::{run_round, EngineConfig, Executor, FnMapper, FnReducer, RoundMetrics};
+use mr_oracle::{digest_reducer, digest_round, digest_round_naive, indexed, run_round_naive};
+use mr_sim::{run_round, EngineConfig, FnMapper, FnReducer, RoundMetrics};
 use proptest::test_runner::TestRng;
 
 /// Worker counts the battery sweeps on both paths.
 const WORKER_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
-
-/// Runs one round through the columnar engine with an order-sensitive
-/// reducer (rotate-xor value chaining), so any within-key reordering or
-/// cross-key leakage relative to the oracle changes the output.
-fn columnar_round(
-    inputs: &[(u64, u64)],
-    config: &EngineConfig,
-) -> (Vec<(u64, u64, u64)>, RoundMetrics) {
-    let (mapper, reducer) = (digest_mapper(), digest_reducer());
-    run_round(inputs, &mapper, &reducer, config).expect("no q bound set")
-}
-
-/// The same round through the naive `BTreeMap` oracle.
-fn naive_round(
-    inputs: &[(u64, u64)],
-    config: &EngineConfig,
-) -> (Vec<(u64, u64, u64)>, RoundMetrics) {
-    let (mapper, reducer) = (digest_mapper(), digest_reducer());
-    run_round_naive(inputs, &mapper, &reducer, config).expect("no q bound set")
-}
-
-type DigestMapper = FnMapper<fn(&(u64, u64), &mut dyn FnMut(u64, u64))>;
-type DigestReducer = FnReducer<fn(&u64, &[u64], &mut dyn FnMut((u64, u64, u64)))>;
-
-fn digest_mapper() -> DigestMapper {
-    FnMapper(|&(idx, key), emit| emit(key, idx))
-}
-
-fn digest_reducer() -> DigestReducer {
-    FnReducer(|k, vs, emit| {
-        emit((
-            *k,
-            vs.len() as u64,
-            vs.iter().fold(0u64, |acc, v| acc.rotate_left(7) ^ v),
-        ))
-    })
-}
-
-/// Indexes a key sequence into `(position, key)` inputs.
-fn indexed(keys: &[u64]) -> Vec<(u64, u64)> {
-    keys.iter()
-        .enumerate()
-        .map(|(i, &k)| (i as u64, k))
-        .collect()
-}
 
 /// The core assertion: the columnar engine is indistinguishable from the
 /// naive oracle at every worker count — on both engines' own worker
 /// sweeps, pinned to the naive sequential run as ground truth.
 fn assert_oracle_case(name: &str, keys: &[u64]) {
     let inputs = indexed(keys);
-    let (oracle_out, oracle_m) = naive_round(&inputs, &EngineConfig::sequential());
+    let (oracle_out, oracle_m) = digest_round_naive(&inputs, &EngineConfig::sequential());
     for workers in WORKER_COUNTS {
         let cfg = EngineConfig::parallel(workers);
-        let (col_out, col_m) = columnar_round(&inputs, &cfg);
+        let (col_out, col_m) = digest_round(&inputs, &cfg);
         assert_eq!(
             oracle_out, col_out,
             "[{name}] columnar outputs diverged from the oracle at workers={workers}"
@@ -83,7 +38,7 @@ fn assert_oracle_case(name: &str, keys: &[u64]) {
         // The oracle itself is worker-count independent too — the two
         // pipelines must agree at *matching* worker counts, not just
         // against the sequential baseline.
-        let (naive_out, naive_m) = naive_round(&inputs, &cfg);
+        let (naive_out, naive_m) = digest_round_naive(&inputs, &cfg);
         assert_eq!(oracle_out, naive_out, "[{name}] oracle drifted");
         assert_eq!(oracle_m, naive_m, "[{name}] oracle metrics drifted");
     }
@@ -208,25 +163,23 @@ fn assert_routing_case(name: &str, inputs: &[(u64, u64, u64)]) {
     assert_eq!(oracle_m, seq_m, "[{name}] workers=1 metrics diverged");
     let pairs = oracle_m.kv_pairs;
     for workers in [2usize, 3, 4, 7, 16] {
-        for executor in Executor::ALL {
-            let base = EngineConfig::parallel(workers).with_executor(executor);
-            let (_, unhinted) = routed_round(inputs, &base, false);
-            for hint in [None, Some(pairs / 10), Some(pairs * 10)] {
-                let cfg = match hint {
-                    Some(h) => base.clone().with_pairs_hint(h),
-                    None => base.clone(),
-                };
-                let (out, m) = routed_round(inputs, &cfg, false);
-                let at = format!("[{name}] workers={workers} {executor:?} hint={hint:?}");
-                assert_eq!(oracle_out, out, "{at}: outputs diverged from naive");
-                assert_eq!(seq_out, out, "{at}: outputs diverged from workers=1");
-                assert_eq!(oracle_m, m, "{at}: metrics diverged from naive");
-                assert_eq!(seq_m, m, "{at}: metrics diverged from workers=1");
-                assert_eq!(
-                    unhinted.shuffle, m.shuffle,
-                    "{at}: the hint moved ShuffleStats"
-                );
-            }
+        let base = EngineConfig::parallel(workers);
+        let (_, unhinted) = routed_round(inputs, &base, false);
+        for hint in [None, Some(pairs / 10), Some(pairs * 10)] {
+            let cfg = match hint {
+                Some(h) => base.clone().with_pairs_hint(h),
+                None => base.clone(),
+            };
+            let (out, m) = routed_round(inputs, &cfg, false);
+            let at = format!("[{name}] workers={workers} hint={hint:?}");
+            assert_eq!(oracle_out, out, "{at}: outputs diverged from naive");
+            assert_eq!(seq_out, out, "{at}: outputs diverged from workers=1");
+            assert_eq!(oracle_m, m, "{at}: metrics diverged from naive");
+            assert_eq!(seq_m, m, "{at}: metrics diverged from workers=1");
+            assert_eq!(
+                unhinted.shuffle, m.shuffle,
+                "{at}: the hint moved ShuffleStats"
+            );
         }
     }
 }
@@ -268,7 +221,7 @@ fn routed_chunks_match_the_oracle_at_every_worker_count_and_hint() {
 
 /// One distinct-key round whose reducer for key `k` emits `fanout(k)`
 /// outputs, checked against the columnar sequential run and the naive
-/// oracle at workers 1–16 on both executors. `item` builds the `j`-th
+/// oracle at workers 1–16. `item` builds the `j`-th
 /// output of key `k`, so the same shapes run with a zero-sized `O`.
 fn assert_assembly_case<O: PartialEq + std::fmt::Debug + Send>(
     name: &str,
@@ -297,18 +250,13 @@ fn assert_assembly_case<O: PartialEq + std::fmt::Debug + Send>(
     );
     assert_eq!(naive_m, seq_m, "[{name}] sequential metrics diverged");
     for workers in 1..=16 {
-        for executor in Executor::ALL {
-            let cfg = EngineConfig::parallel(workers).with_executor(executor);
-            let (out, m) = run_round(&inputs, &mapper, &reducer, &cfg).expect("no q bound set");
-            assert_eq!(
-                seq_out, out,
-                "[{name}] outputs diverged at workers={workers} on {executor:?}"
-            );
-            assert_eq!(
-                seq_m, m,
-                "[{name}] metrics diverged at workers={workers} on {executor:?}"
-            );
-        }
+        let cfg = EngineConfig::parallel(workers);
+        let (out, m) = run_round(&inputs, &mapper, &reducer, &cfg).expect("no q bound set");
+        assert_eq!(
+            seq_out, out,
+            "[{name}] outputs diverged at workers={workers}"
+        );
+        assert_eq!(seq_m, m, "[{name}] metrics diverged at workers={workers}");
     }
 }
 

@@ -1,6 +1,7 @@
 //! The unified differential fuzz loop (ROADMAP item 1): random workloads
 //! and budgets cross-check every execution path the crate offers —
-//! columnar vs naive vs the retained delta pipelines — in one battery.
+//! columnar vs the naive oracle from `mr-oracle` vs the retained delta
+//! path — in one battery.
 //!
 //! The fixed adversarial fixtures (Zipf hubs, all-one-key, concurrent
 //! offenders) stay in
@@ -8,50 +9,16 @@
 //! *randomised* cross-checks those suites used to duplicate per file,
 //! plus the delta battery: `full_run(I ∪ ΔI) == apply(delta_run(ΔI),
 //! retained)` byte-identically for random deltas (adds, removes, mixed,
-//! empty, full-churn), every worker count 1–16, on both pipelines.
+//! empty, full-churn) at every worker count 1–16.
 
-use mr_sim::naive::run_round_naive;
+use mr_oracle::DIGEST_PLANES;
+use mr_oracle::{digest_round, digest_round_naive, indexed, run_round_naive, DigestFan};
 use mr_sim::{
-    run_round, run_round_on, run_schema, run_schema_retained, DagJob, Delta, EngineConfig,
-    Executor, FnMapper, FnReducer, Pipeline, RoundCensus, RoundMetrics, SchemaJob, Seq,
+    run_round, run_schema, run_schema_retained, DagJob, Delta, EngineConfig, FnMapper, FnReducer,
+    Pipeline, RoundCensus, SchemaJob, Seq,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-
-// -----------------------------------------------------------------
-// Shared workload: order-sensitive keyed digests over (index, key).
-// -----------------------------------------------------------------
-
-/// Indexes a key sequence into `(position, key)` inputs.
-fn indexed(keys: &[u64]) -> Vec<(u64, u64)> {
-    keys.iter()
-        .enumerate()
-        .map(|(i, &k)| (i as u64, k))
-        .collect()
-}
-
-/// One round with an order-sensitive reducer (rotate-xor value chaining),
-/// so any within-key reordering or cross-key leakage between two paths
-/// changes the output.
-fn digest_round(
-    pipeline: Pipeline,
-    inputs: &[(u64, u64)],
-    config: &EngineConfig,
-) -> (Vec<(u64, u64, u64)>, RoundMetrics) {
-    let mapper = FnMapper(|&(idx, key): &(u64, u64), emit: &mut dyn FnMut(u64, u64)| {
-        emit(key, idx);
-    });
-    let reducer = FnReducer(
-        |k: &u64, vs: &[u64], emit: &mut dyn FnMut((u64, u64, u64))| {
-            emit((
-                *k,
-                vs.len() as u64,
-                vs.iter().fold(0u64, |acc, v| acc.rotate_left(7) ^ v),
-            ))
-        },
-    );
-    run_round_on(pipeline, inputs, &mapper, &reducer, config).expect("no q bound set")
-}
 
 // -----------------------------------------------------------------
 // Shared oblivious schema for the delta battery: input x lands on
@@ -92,15 +59,13 @@ fn assert_deltas_match_full_runs(
     schema: &ModFan,
     base: &[u64],
     deltas: &[Delta<u64>],
-    pipeline: Pipeline,
     config: &EngineConfig,
 ) {
-    let mut job = run_schema_retained(base, schema.clone(), pipeline, config)
+    let mut job = run_schema_retained(base, schema.clone(), Pipeline::Columnar, config)
         .expect("unbudgeted retained init cannot fail");
     for (step, delta) in deltas.iter().enumerate() {
         let at = format!(
-            "[{name}] step {step} ({}, workers={})",
-            pipeline.name(),
+            "[{name}] step {step} (workers={})",
             config.effective_workers()
         );
         let predicted = job.predict(delta).expect("well-formed delta");
@@ -162,7 +127,7 @@ fn delta_sequence(base_len: usize, steps: &[(Vec<u64>, Vec<usize>)]) -> Vec<Delt
 
 // -----------------------------------------------------------------
 // The delta battery, exhaustive axes: every delta kind × every worker
-// count 1–16 × both pipelines.
+// count 1–16.
 // -----------------------------------------------------------------
 
 #[test]
@@ -193,17 +158,8 @@ fn delta_kinds_match_full_runs_at_every_worker_count() {
     ];
     for workers in 1..=16usize {
         let cfg = EngineConfig::parallel(workers);
-        for pipeline in Pipeline::ALL {
-            for (name, delta) in &kinds {
-                assert_deltas_match_full_runs(
-                    name,
-                    &schema,
-                    &base,
-                    std::slice::from_ref(delta),
-                    pipeline,
-                    &cfg,
-                );
-            }
+        for (name, delta) in &kinds {
+            assert_deltas_match_full_runs(name, &schema, &base, std::slice::from_ref(delta), &cfg);
         }
     }
 }
@@ -216,7 +172,7 @@ fn class(class: u64, n: u64) -> impl Iterator<Item = u64> {
 }
 
 /// Multi-step sequences at the edges of the retained state's histogram
-/// and free list, through every worker count, executor and pipeline.
+/// and free list, through every worker count.
 #[test]
 fn retained_state_edges_match_full_runs_across_applies() {
     let schema = ModFan {
@@ -267,45 +223,17 @@ fn retained_state_edges_match_full_runs_across_applies() {
     ];
     for (name, base, deltas) in &cases {
         for workers in 1..=16usize {
-            for executor in Executor::ALL {
-                let cfg = EngineConfig::parallel(workers).with_executor(executor);
-                for pipeline in Pipeline::ALL {
-                    assert_deltas_match_full_runs(name, &schema, base, deltas, pipeline, &cfg);
-                }
-            }
+            let cfg = EngineConfig::parallel(workers);
+            assert_deltas_match_full_runs(name, &schema, base, deltas, &cfg);
         }
     }
 }
 
 // -----------------------------------------------------------------
-// Shared schema for the DAG topology fuzz: same fan shape as `ModFan`
-// but closed over `u64` (DAG rounds feed outputs back in as inputs),
-// with an order-sensitive digest folded into every emitted value.
+// The DAG topology fuzz runs `mr_oracle::DigestFan` rounds: the same
+// fan shape as `ModFan`, closed over `u64` (DAG rounds feed outputs
+// back in as inputs), with an order-sensitive digest in every output.
 // -----------------------------------------------------------------
-
-#[derive(Clone, Copy)]
-struct DigestFan {
-    groups: u64,
-    reps: u64,
-}
-
-impl SchemaJob<u64, u64> for DigestFan {
-    fn assign(&self, x: &u64) -> Vec<u64> {
-        let set: BTreeSet<u64> = (0..self.reps)
-            .map(|j| x.wrapping_mul(2 * j + 7).wrapping_add(j) % self.groups)
-            .collect();
-        set.into_iter().collect()
-    }
-
-    fn reduce(&self, r: u64, inputs: &[u64], emit: &mut dyn FnMut(u64)) {
-        let digest = inputs.iter().fold(0u64, |acc, v| acc.rotate_left(9) ^ v);
-        emit(
-            r.wrapping_mul(1_000_003)
-                .wrapping_add(inputs.len() as u64)
-                .wrapping_add(digest.rotate_left(17)),
-        );
-    }
-}
 
 /// Builds a random-topology [`DagJob`] over [`DigestFan`] rounds: node
 /// `i`'s dependencies are the earlier nodes selected by the bits of
@@ -341,13 +269,12 @@ proptest! {
         workers in 1usize..17,
     ) {
         let inputs = indexed(&keys);
-        let (truth_out, truth_m) =
-            digest_round(Pipeline::Naive, &inputs, &EngineConfig::sequential());
+        let (truth_out, truth_m) = digest_round_naive(&inputs, &EngineConfig::sequential());
         let cfg = EngineConfig::parallel(workers);
-        for pipeline in Pipeline::ALL {
-            let (out, m) = digest_round(pipeline, &inputs, &cfg);
-            prop_assert_eq!(&truth_out, &out, "{} diverged", pipeline.name());
-            prop_assert_eq!(&truth_m, &m, "{} metrics diverged", pipeline.name());
+        for (plane, round) in DIGEST_PLANES {
+            let (out, m) = round(&inputs, &cfg);
+            prop_assert_eq!(&truth_out, &out, "{} diverged", plane);
+            prop_assert_eq!(&truth_m, &m, "{} metrics diverged", plane);
         }
     }
 
@@ -383,7 +310,7 @@ proptest! {
         }
     }
 
-    /// Random deltas through both retained pipelines: arbitrary base,
+    /// Random deltas through the retained path: arbitrary base,
     /// adds, and removal picks — the retained result must equal a fresh
     /// full run of the live instance byte-identically, with the
     /// prediction exact. Degenerate shapes (empty base, empty delta,
@@ -406,19 +333,8 @@ proptest! {
             set.into_iter().collect()
         };
         let delta = Delta::new(adds, removed);
-        for executor in Executor::ALL {
-            let cfg = EngineConfig::parallel(workers).with_executor(executor);
-            for pipeline in Pipeline::ALL {
-                assert_deltas_match_full_runs(
-                    "random",
-                    &schema,
-                    &base,
-                    std::slice::from_ref(&delta),
-                    pipeline,
-                    &cfg,
-                );
-            }
-        }
+        let cfg = EngineConfig::parallel(workers);
+        assert_deltas_match_full_runs("random", &schema, &base, std::slice::from_ref(&delta), &cfg);
     }
 
     /// Random delta *sequences* through one retained job: 2–12 applies
@@ -442,49 +358,31 @@ proptest! {
     ) {
         let schema = ModFan { groups, reps };
         let deltas = delta_sequence(base.len(), &steps);
-        for executor in Executor::ALL {
-            let cfg = EngineConfig::parallel(workers).with_executor(executor);
-            for pipeline in Pipeline::ALL {
-                assert_deltas_match_full_runs("sequence", &schema, &base, &deltas, pipeline, &cfg);
-            }
-        }
+        let cfg = EngineConfig::parallel(workers);
+        assert_deltas_match_full_runs("sequence", &schema, &base, &deltas, &cfg);
     }
 
-    /// The pooled-vs-scoped arm: for random workloads at any worker
-    /// count, the resident-pool substrate is indistinguishable from
-    /// fresh scoped threads (outputs and semantic metrics) on both
-    /// shuffle pipelines. The pool is the default; the scoped oracle is
-    /// retained precisely for this cross-check.
+    /// The pool-vs-inline arm: for random workloads at any worker count,
+    /// a run on the resident pool is indistinguishable from the inline
+    /// `workers = 1` run (outputs and semantic metrics) on both data
+    /// planes.
     #[test]
     fn random_workloads_agree_across_executors(
         keys in proptest::collection::vec(0u64..5_000, 0..600),
         workers in 1usize..17,
     ) {
         let inputs = indexed(&keys);
-        let truth = digest_round(
-            Pipeline::Naive,
-            &inputs,
-            &EngineConfig::sequential().with_executor(Executor::Scoped),
-        );
-        for pipeline in Pipeline::ALL {
-            for executor in Executor::ALL {
-                let cfg = EngineConfig::parallel(workers).with_executor(executor);
-                let got = digest_round(pipeline, &inputs, &cfg);
-                prop_assert_eq!(
-                    &truth,
-                    &got,
-                    "{}/{} diverged at workers={}",
-                    pipeline.name(),
-                    executor.name(),
-                    workers
-                );
-            }
+        let truth = digest_round_naive(&inputs, &EngineConfig::sequential());
+        let cfg = EngineConfig::parallel(workers);
+        for (plane, round) in DIGEST_PLANES {
+            let got = round(&inputs, &cfg);
+            prop_assert_eq!(&truth, &got, "{} diverged at workers={}", plane, workers);
         }
     }
 
-    /// The pooled-vs-scoped arm for budgets: the overflow verdict — both
-    /// succeed, or both fail with the same smallest offender — is
-    /// executor-independent at any worker count.
+    /// The pool-vs-inline arm for budgets: the overflow verdict — both
+    /// succeed, or both fail with the same smallest offender — is the
+    /// inline run's at any worker count.
     #[test]
     fn random_budget_verdicts_agree_across_executors(
         keys in proptest::collection::vec(0u64..40, 1..300),
@@ -496,23 +394,19 @@ proptest! {
             emit(key, idx);
         });
         let reducer = FnReducer(|_: &u64, _: &[u64], _: &mut dyn FnMut(u64)| {});
-        let cfg = |e: Executor| {
-            EngineConfig::parallel(workers)
-                .with_max_reducer_inputs(q)
-                .with_executor(e)
-        };
-        let scoped = run_round(&inputs, &mapper, &reducer, &cfg(Executor::Scoped));
-        let pooled = run_round(&inputs, &mapper, &reducer, &cfg(Executor::Pool));
-        match (scoped, pooled) {
-            (Ok((so, sm)), Ok((po, pm))) => {
-                prop_assert_eq!(so, po);
-                prop_assert_eq!(sm, pm);
+        let cfg = |w: usize| EngineConfig::parallel(w).with_max_reducer_inputs(q);
+        let inline = run_round(&inputs, &mapper, &reducer, &cfg(1));
+        let pooled = run_round(&inputs, &mapper, &reducer, &cfg(workers));
+        match (inline, pooled) {
+            (Ok((io, im)), Ok((po, pm))) => {
+                prop_assert_eq!(io, po);
+                prop_assert_eq!(im, pm);
             }
-            (Err(se), Err(pe)) => prop_assert_eq!(se, pe),
-            (s, p) => prop_assert!(
+            (Err(ie), Err(pe)) => prop_assert_eq!(ie, pe),
+            (i, p) => prop_assert!(
                 false,
-                "verdicts diverged: scoped ok={} pooled ok={}",
-                s.is_ok(),
+                "verdicts diverged: inline ok={} pooled ok={}",
+                i.is_ok(),
                 p.is_ok()
             ),
         }
@@ -531,29 +425,13 @@ proptest! {
     ) {
         let dag = random_dag(&masks);
         let (truth_out, truth_m) = dag
-            .run(
-                &inputs,
-                &EngineConfig::sequential().with_executor(Executor::Scoped),
-            )
+            .run(&inputs, &EngineConfig::sequential())
             .expect("no budget set");
-        for executor in Executor::ALL {
-            let cfg = EngineConfig::parallel(workers).with_executor(executor);
-            let (out, m) = dag.run(&inputs, &cfg).expect("no budget set");
-            prop_assert_eq!(
-                &truth_out,
-                &out,
-                "outputs diverged on {} at workers={}",
-                executor.name(),
-                workers
-            );
-            prop_assert_eq!(
-                &truth_m,
-                &m,
-                "metrics diverged on {} at workers={}",
-                executor.name(),
-                workers
-            );
-        }
+        let (out, m) = dag
+            .run(&inputs, &EngineConfig::parallel(workers))
+            .expect("no budget set");
+        prop_assert_eq!(&truth_out, &out, "outputs diverged at workers={}", workers);
+        prop_assert_eq!(&truth_m, &m, "metrics diverged at workers={}", workers);
         // Pricing without executing: the census walk — which reduces only
         // the nodes another node reads from — reports, node for node,
         // what the run measured, on multi-dependency nodes and empty
@@ -584,7 +462,7 @@ proptest! {
 
     /// The recorder arm (invariant #12): random workloads run under
     /// `mr_obs::record` are byte-identical — outputs and semantic
-    /// metrics — to the disabled run, on both pipelines at any worker
+    /// metrics — to the disabled run, on both data planes at any worker
     /// count, and every collected trace is structurally well-formed.
     #[test]
     fn random_workloads_are_recorder_invariant(
@@ -593,14 +471,14 @@ proptest! {
     ) {
         let inputs = indexed(&keys);
         let cfg = EngineConfig::parallel(workers);
-        for pipeline in Pipeline::ALL {
-            let truth = digest_round(pipeline, &inputs, &cfg);
-            let (recorded, trace) = mr_obs::record(|| digest_round(pipeline, &inputs, &cfg));
+        for (plane, round) in DIGEST_PLANES {
+            let truth = round(&inputs, &cfg);
+            let (recorded, trace) = mr_obs::record(|| round(&inputs, &cfg));
             prop_assert_eq!(
                 &truth,
                 &recorded,
                 "recorder perturbed {} at workers={}",
-                pipeline.name(),
+                plane,
                 workers
             );
             prop_assert!(trace.check_well_formed().is_ok(), "malformed trace");
@@ -620,23 +498,19 @@ proptest! {
         let schema = ModFan { groups, reps: 2 };
         let cfg = EngineConfig::parallel(workers).with_max_reducer_inputs(q);
         let full = run_schema(&base, &schema, &cfg);
-        for pipeline in Pipeline::ALL {
-            let retained = run_schema_retained(&base, schema.clone(), pipeline, &cfg);
-            match (&full, retained) {
-                (Ok((fo, fm)), Ok(job)) => {
-                    prop_assert_eq!(fo, &job.outputs());
-                    prop_assert_eq!(fm, &job.metrics());
-                }
-                (Err(fe), Err(re)) => {
-                    prop_assert_eq!(&mr_sim::DeltaError::Engine(fe.clone()), &re)
-                }
-                (f, r) => prop_assert!(
-                    false,
-                    "verdicts diverged: full ok={} retained ok={}",
-                    f.is_ok(),
-                    r.is_ok()
-                ),
+        let retained = run_schema_retained(&base, schema.clone(), Pipeline::Columnar, &cfg);
+        match (full, retained) {
+            (Ok((fo, fm)), Ok(job)) => {
+                prop_assert_eq!(fo, job.outputs());
+                prop_assert_eq!(fm, job.metrics());
             }
+            (Err(fe), Err(re)) => prop_assert_eq!(mr_sim::DeltaError::Engine(fe), re),
+            (f, r) => prop_assert!(
+                false,
+                "verdicts diverged: full ok={} retained ok={}",
+                f.is_ok(),
+                r.is_ok()
+            ),
         }
     }
 }
@@ -662,21 +536,17 @@ fn pairs_hint_misestimates_are_byte_invisible() {
         // hint=0 / hint=1 under-estimate, ×100 grossly over-estimates.
         // (The hint sizes real allocations, so it is exercised at
         // plausible magnitudes, not at u64::MAX.)
-        let exact_pairs = digest_round(Pipeline::Columnar, &inputs, &base_cfg)
-            .1
-            .kv_pairs;
+        let exact_pairs = digest_round(&inputs, &base_cfg).1.kv_pairs;
         let hints = [0, 1, exact_pairs, exact_pairs * 100];
 
         // Raw round, both planes.
-        for pipeline in Pipeline::ALL {
-            let truth = digest_round(pipeline, &inputs, &base_cfg);
+        for (plane, round) in DIGEST_PLANES {
+            let truth = round(&inputs, &base_cfg);
             for hint in hints {
-                let got = digest_round(pipeline, &inputs, &base_cfg.clone().with_pairs_hint(hint));
+                let got = round(&inputs, &base_cfg.clone().with_pairs_hint(hint));
                 assert_eq!(
-                    truth,
-                    got,
-                    "hint={hint} visible on {} at workers={workers}",
-                    pipeline.name()
+                    truth, got,
+                    "hint={hint} visible on {plane} at workers={workers}"
                 );
             }
         }

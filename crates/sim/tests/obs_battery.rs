@@ -1,29 +1,18 @@
 //! Observability battery (invariant #12): enabling the mr-obs recorder
-//! never perturbs semantics. For every execution surface — raw rounds on
-//! both shuffle pipelines, the schema path, retained deltas, staged DAG
-//! levels — outputs and semantic metrics under `mr_obs::record` are
-//! byte-identical to the disabled run, on every executor at every worker
-//! count 1–16. The battery also pins the trace's own structural
+//! never perturbs semantics. For every execution surface — raw rounds
+//! (columnar, and the naive oracle from `mr-oracle`), the schema path,
+//! retained deltas, staged DAG levels — outputs and semantic metrics
+//! under `mr_obs::record` are byte-identical to the disabled run at every
+//! worker count 1–16. The battery also pins the trace's own structural
 //! contract: collected traces are well-formed (spans closed, nested or
 //! disjoint per lane) and name the engine phases and pool events the
 //! instrumentation promises.
 
-use mr_sim::{
-    run_round_on, run_schema, run_schema_retained, DagJob, Delta, EngineConfig, Executor, FnMapper,
-    FnReducer, Pipeline, RoundMetrics, SchemaJob,
-};
-use std::collections::BTreeSet;
+use mr_oracle::{digest_round, indexed, DigestFan, DIGEST_PLANES};
+use mr_sim::{run_schema, run_schema_retained, DagJob, Delta, EngineConfig, Pipeline};
 
-/// Worker counts the battery sweeps on every executor.
+/// Worker counts the battery sweeps.
 const WORKER_COUNTS: [usize; 6] = [1, 2, 3, 4, 8, 16];
-
-/// Indexes a key sequence into `(position, key)` inputs.
-fn indexed(keys: &[u64]) -> Vec<(u64, u64)> {
-    keys.iter()
-        .enumerate()
-        .map(|(i, &k)| (i as u64, k))
-        .collect()
-}
 
 /// A mixed-skew key workload (heavy hubs plus a distinct tail).
 fn mixed_keys() -> Vec<u64> {
@@ -35,53 +24,6 @@ fn mixed_keys() -> Vec<u64> {
     keys
 }
 
-/// One round with an order-sensitive reducer, so any perturbation the
-/// recorder could introduce (reordering, cross-key leakage) shows up.
-fn digest_round(
-    pipeline: Pipeline,
-    inputs: &[(u64, u64)],
-    config: &EngineConfig,
-) -> (Vec<(u64, u64, u64)>, RoundMetrics) {
-    let mapper = FnMapper(|&(idx, key): &(u64, u64), emit: &mut dyn FnMut(u64, u64)| {
-        emit(key, idx);
-    });
-    let reducer = FnReducer(
-        |k: &u64, vs: &[u64], emit: &mut dyn FnMut((u64, u64, u64))| {
-            emit((
-                *k,
-                vs.len() as u64,
-                vs.iter().fold(0u64, |acc, v| acc.rotate_left(7) ^ v),
-            ))
-        },
-    );
-    run_round_on(pipeline, inputs, &mapper, &reducer, config).expect("no q bound set")
-}
-
-/// The shared oblivious schema with an order-sensitive digest reducer.
-#[derive(Clone, Copy)]
-struct DigestFan {
-    groups: u64,
-    reps: u64,
-}
-
-impl SchemaJob<u64, u64> for DigestFan {
-    fn assign(&self, x: &u64) -> Vec<u64> {
-        let set: BTreeSet<u64> = (0..self.reps)
-            .map(|j| x.wrapping_mul(2 * j + 7).wrapping_add(j) % self.groups)
-            .collect();
-        set.into_iter().collect()
-    }
-
-    fn reduce(&self, r: u64, inputs: &[u64], emit: &mut dyn FnMut(u64)) {
-        let digest = inputs.iter().fold(0u64, |acc, v| acc.rotate_left(9) ^ v);
-        emit(
-            r.wrapping_mul(1_000_003)
-                .wrapping_add(inputs.len() as u64)
-                .wrapping_add(digest.rotate_left(17)),
-        );
-    }
-}
-
 #[test]
 fn rounds_and_schemas_are_recorder_invariant_at_every_worker_count() {
     let inputs = indexed(&mixed_keys());
@@ -90,32 +32,25 @@ fn rounds_and_schemas_are_recorder_invariant_at_every_worker_count() {
         groups: 53,
         reps: 3,
     };
-    for executor in Executor::ALL {
-        for workers in WORKER_COUNTS {
-            let cfg = EngineConfig::parallel(workers).with_executor(executor);
-            for pipeline in Pipeline::ALL {
-                let truth = digest_round(pipeline, &inputs, &cfg);
-                let (recorded, trace) = mr_obs::record(|| digest_round(pipeline, &inputs, &cfg));
-                assert_eq!(
-                    truth,
-                    recorded,
-                    "recorder perturbed {}/{} at workers={workers}",
-                    pipeline.name(),
-                    executor.name()
-                );
-                trace.check_well_formed().expect("trace well-formed");
-            }
-            let truth = run_schema(&schema_inputs, &schema, &cfg).expect("no budget set");
-            let (recorded, trace) =
-                mr_obs::record(|| run_schema(&schema_inputs, &schema, &cfg).expect("no budget"));
+    for workers in WORKER_COUNTS {
+        let cfg = EngineConfig::parallel(workers);
+        for (plane, round) in DIGEST_PLANES {
+            let truth = round(&inputs, &cfg);
+            let (recorded, trace) = mr_obs::record(|| round(&inputs, &cfg));
             assert_eq!(
-                truth,
-                recorded,
-                "recorder perturbed run_schema on {} at workers={workers}",
-                executor.name()
+                truth, recorded,
+                "recorder perturbed {plane} at workers={workers}"
             );
             trace.check_well_formed().expect("trace well-formed");
         }
+        let truth = run_schema(&schema_inputs, &schema, &cfg).expect("no budget set");
+        let (recorded, trace) =
+            mr_obs::record(|| run_schema(&schema_inputs, &schema, &cfg).expect("no budget"));
+        assert_eq!(
+            truth, recorded,
+            "recorder perturbed run_schema at workers={workers}"
+        );
+        trace.check_well_formed().expect("trace well-formed");
     }
 }
 
@@ -132,34 +67,30 @@ fn delta_applies_are_recorder_invariant() {
     );
     for workers in WORKER_COUNTS {
         let cfg = EngineConfig::parallel(workers);
-        for pipeline in Pipeline::ALL {
-            let churn = || {
-                let mut job = run_schema_retained(&base, schema, pipeline, &cfg)
-                    .expect("unbudgeted init cannot fail");
-                let outcome = job.apply(&delta).expect("unbudgeted apply cannot fail");
-                let m = outcome.metrics;
-                // Semantic fields only: the outcome's wall-clock varies.
-                (
-                    job.outputs(),
-                    job.metrics(),
-                    m.dirty_reducers,
-                    m.delta_pairs,
-                    m.total_reducers,
-                )
-            };
-            let truth = churn();
-            let (recorded, trace) = mr_obs::record(churn);
-            assert_eq!(
-                truth,
-                recorded,
-                "recorder perturbed the delta path on {} at workers={workers}",
-                pipeline.name()
-            );
-            trace.check_well_formed().expect("trace well-formed");
-            assert!(trace.span_count("delta.apply") >= 1);
-            assert!(trace.span_count("delta.routing") >= 1);
-            assert!(trace.span_count("delta.rereduce") >= 1);
-        }
+        let churn = || {
+            let mut job = run_schema_retained(&base, schema, Pipeline::Columnar, &cfg)
+                .expect("unbudgeted init cannot fail");
+            let outcome = job.apply(&delta).expect("unbudgeted apply cannot fail");
+            let m = outcome.metrics;
+            // Semantic fields only: the outcome's wall-clock varies.
+            (
+                job.outputs(),
+                job.metrics(),
+                m.dirty_reducers,
+                m.delta_pairs,
+                m.total_reducers,
+            )
+        };
+        let truth = churn();
+        let (recorded, trace) = mr_obs::record(churn);
+        assert_eq!(
+            truth, recorded,
+            "recorder perturbed the delta path at workers={workers}"
+        );
+        trace.check_well_formed().expect("trace well-formed");
+        assert!(trace.span_count("delta.apply") >= 1);
+        assert!(trace.span_count("delta.routing") >= 1);
+        assert!(trace.span_count("delta.rereduce") >= 1);
     }
 }
 
@@ -207,7 +138,7 @@ fn recorded_traces_name_the_engine_phases_and_pool_events() {
         groups: 97,
         reps: 3,
     };
-    let cfg = EngineConfig::parallel(4).with_executor(Executor::Pool);
+    let cfg = EngineConfig::parallel(4);
     let (_, trace) =
         mr_obs::record(|| run_schema(&schema_inputs, &schema, &cfg).expect("no budget set"));
     trace.check_well_formed().expect("trace well-formed");
@@ -237,7 +168,7 @@ fn disabled_mode_records_nothing() {
     // Outside a session the instrumented paths must leave no trace: a
     // later empty session sees an empty event set.
     let inputs = indexed(&mixed_keys());
-    let _ = digest_round(Pipeline::Columnar, &inputs, &EngineConfig::parallel(4));
+    let _ = digest_round(&inputs, &EngineConfig::parallel(4));
     let ((), trace) = mr_obs::record(|| {});
     // Concurrent tests in this binary may be recording their own work
     // during our session window, so only assert nothing *from before*

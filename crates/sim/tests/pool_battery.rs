@@ -1,44 +1,38 @@
-//! Executor parity battery: the resident [`WorkerPool`] substrate against
-//! the retained scoped-thread oracle.
+//! Pool parity battery: the resident [`WorkerPool`] against the inline
+//! run.
 //!
-//! [`Executor::Scoped`] is the pre-pool fan-out (fresh `std::thread::scope`
-//! threads per call), kept precisely so this suite can exist — the
-//! substrate twin of `mr_sim::naive` pinning the columnar data plane. For
-//! every execution surface the crate offers — raw rounds on both shuffle
-//! pipelines, retained deltas, staged DAG levels — the
-//! pooled execution must produce byte-identical outputs, equal semantic
-//! metrics, and the same overflow verdict (down to the reported offender
-//! key) at every worker count 1–16. The battery also pins the worker-count
-//! clamp contract through the pooled path: `workers: 0` and absurdly large
-//! worker counts are behavioural no-ops.
+//! [`fan_out`] runs everything inline on the calling thread at width 1
+//! and as one pool batch otherwise, so the `workers = 1` run is the
+//! pool's twin: for every execution surface the crate offers — raw
+//! rounds (columnar, and the naive oracle from `mr-oracle`), retained
+//! deltas, staged DAG levels — the pooled execution must produce
+//! byte-identical outputs, equal semantic metrics, the same overflow
+//! verdict (down to the reported offender key) and the same panic
+//! payload at every worker count 1–16. The battery also pins the
+//! worker-count clamp contract through the pooled path: `workers: 0` and
+//! absurdly large worker counts are behavioural no-ops.
 //!
-//! Both substrates live behind one function, [`Executor::fan_out`]; its
-//! own contract (item order, exactly-once, the inline rule, the scoped
-//! width bound, nesting) and its panic contract (the sequential run's
-//! panic, whatever the schedule) are pinned here too.
+//! [`fan_out`]'s own contract (item order, exactly-once, the inline rule,
+//! nesting) and its panic contract (the inline run's panic, whatever the
+//! schedule) are pinned here too.
 
-use mr_sim::{
-    run_round, run_round_on, run_schema, run_schema_retained, DagJob, Delta, DeltaError, DeltaJob,
-    DeltaPrediction, EngineConfig, EngineError, Executor, FnMapper, FnReducer, Pipeline,
-    RoundMetrics, SchemaJob, Seq, WorkerPool,
+use mr_oracle::{
+    digest_round, digest_round_naive, indexed, run_round_naive, DigestFan, DIGEST_PLANES,
 };
-use std::collections::{BTreeSet, HashSet};
+use mr_sim::{
+    fan_out, run_round, run_schema, run_schema_retained, DagJob, Delta, DeltaError, DeltaJob,
+    DeltaPrediction, EngineConfig, EngineError, FnMapper, FnReducer, Pipeline, RoundMetrics,
+    SchemaJob, Seq, WorkerPool,
+};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::Duration;
 
-/// Worker counts the battery sweeps on every executor.
+/// Worker counts the battery sweeps.
 const WORKER_COUNTS: [usize; 6] = [1, 2, 3, 4, 8, 16];
-
-/// Indexes a key sequence into `(position, key)` inputs.
-fn indexed(keys: &[u64]) -> Vec<(u64, u64)> {
-    keys.iter()
-        .enumerate()
-        .map(|(i, &k)| (i as u64, k))
-        .collect()
-}
 
 /// A mixed-skew key workload: a few heavy hubs plus a long distinct tail,
 /// so radix buckets fill unevenly and morsel sizes differ across workers.
@@ -51,107 +45,49 @@ fn mixed_keys() -> Vec<u64> {
     keys
 }
 
-/// One round with an order-sensitive reducer (rotate-xor value chaining),
-/// so any within-key reordering or cross-key leakage between substrates
-/// changes the output.
-fn digest_round(
-    pipeline: Pipeline,
-    inputs: &[(u64, u64)],
-    config: &EngineConfig,
-) -> (Vec<(u64, u64, u64)>, RoundMetrics) {
-    let mapper = FnMapper(|&(idx, key): &(u64, u64), emit: &mut dyn FnMut(u64, u64)| {
-        emit(key, idx);
-    });
-    let reducer = FnReducer(
-        |k: &u64, vs: &[u64], emit: &mut dyn FnMut((u64, u64, u64))| {
-            emit((
-                *k,
-                vs.len() as u64,
-                vs.iter().fold(0u64, |acc, v| acc.rotate_left(7) ^ v),
-            ))
-        },
-    );
-    run_round_on(pipeline, inputs, &mapper, &reducer, config).expect("no q bound set")
-}
-
-/// The shared oblivious schema (input `x` fans out to `reps` reducers
-/// derived from `x` alone, each emitting an order-sensitive digest).
-#[derive(Clone, Copy)]
-struct DigestFan {
-    groups: u64,
-    reps: u64,
-}
-
-impl SchemaJob<u64, u64> for DigestFan {
-    fn assign(&self, x: &u64) -> Vec<u64> {
-        let set: BTreeSet<u64> = (0..self.reps)
-            .map(|j| x.wrapping_mul(2 * j + 7).wrapping_add(j) % self.groups)
-            .collect();
-        set.into_iter().collect()
-    }
-
-    fn reduce(&self, r: u64, inputs: &[u64], emit: &mut dyn FnMut(u64)) {
-        let digest = inputs.iter().fold(0u64, |acc, v| acc.rotate_left(9) ^ v);
-        emit(
-            r.wrapping_mul(1_000_003)
-                .wrapping_add(inputs.len() as u64)
-                .wrapping_add(digest.rotate_left(17)),
-        );
-    }
-}
-
 #[test]
-fn fan_out_honours_its_contract_on_both_substrates() {
+fn fan_out_honours_its_contract() {
     /// An item that cannot be copied: whoever ran it, consumed it.
     struct Token(usize);
     let caller = std::thread::current().id();
-    for executor in Executor::ALL {
-        for width in [0usize, 1, 2, 3, 16, 100_000] {
-            for n in [0usize, 1, 2, 7, 1_000] {
-                let case = format!("{} width={width} items={n}", executor.name());
-                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                let threads: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
-                let items: Vec<Token> = (0..n).map(Token).collect();
-                let results = executor.fan_out(width, items, |Token(i)| {
-                    runs[i].fetch_add(1, Ordering::Relaxed);
-                    threads
-                        .lock()
-                        .expect("no task panics while recording")
-                        .insert(std::thread::current().id());
-                    i * 3 + 1
-                });
-                let expect: Vec<usize> = (0..n).map(|i| i * 3 + 1).collect();
-                assert_eq!(results, expect, "{case}: results out of item order");
+    for width in [0usize, 1, 2, 3, 16, 100_000] {
+        for n in [0usize, 1, 2, 7, 1_000] {
+            let case = format!("width={width} items={n}");
+            let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let threads: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
+            let items: Vec<Token> = (0..n).map(Token).collect();
+            let results = fan_out(width, items, |Token(i)| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+                threads
+                    .lock()
+                    .expect("no task panics while recording")
+                    .insert(std::thread::current().id());
+                i * 3 + 1
+            });
+            let expect: Vec<usize> = (0..n).map(|i| i * 3 + 1).collect();
+            assert_eq!(results, expect, "{case}: results out of item order");
+            assert!(
+                runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                "{case}: an item ran more or less than once"
+            );
+            let threads = threads.into_inner().expect("no task panicked");
+            if width <= 1 || n < 2 {
                 assert!(
-                    runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
-                    "{case}: an item ran more or less than once"
+                    threads.iter().all(|&t| t == caller),
+                    "{case}: must run inline on the calling thread"
                 );
-                let threads = threads.into_inner().expect("no task panicked");
-                if width <= 1 || n < 2 {
-                    assert!(
-                        threads.iter().all(|&t| t == caller),
-                        "{case}: must run inline on the calling thread"
-                    );
-                } else if executor == Executor::Scoped {
-                    assert!(
-                        threads.len() <= width.min(n),
-                        "{case}: {} lanes ran items",
-                        threads.len()
-                    );
-                }
             }
         }
-        // A fan-out issued from inside a fan-out task completes (on the
-        // pool the submitting task drains its own batch, so nesting cannot
-        // starve even with every worker busy in the outer one).
-        let sums = executor.fan_out(4, (0..4u64).collect(), |i| {
-            executor
-                .fan_out(3, (0..5u64).collect(), |j| i * 10 + j)
-                .iter()
-                .sum::<u64>()
-        });
-        assert_eq!(sums, vec![10, 60, 110, 160], "{}", executor.name());
     }
+    // A fan-out issued from inside a fan-out task completes: the
+    // submitting task drains its own batch, so nesting cannot starve even
+    // with every worker busy in the outer one.
+    let sums = fan_out(4, (0..4u64).collect(), |i| {
+        fan_out(3, (0..5u64).collect(), |j| i * 10 + j)
+            .iter()
+            .sum::<u64>()
+    });
+    assert_eq!(sums, vec![10, 60, 110, 160]);
 }
 
 /// The message a caught panic carried, whether it was raised with a
@@ -167,13 +103,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 #[test]
-fn a_panicking_task_raises_the_sequential_panic_on_both_substrates() {
+fn a_panicking_task_raises_the_sequential_panic() {
     // Two of a hundred tasks panic, and the lower one is slow: raised
-    // first in time it is not. The sequential run reports it anyway, so
-    // every worker count on both substrates must too. The sleep is not a
-    // synchronisation the assertion leans on - lowest-index-wins holds
-    // under any schedule - it only keeps a first-in-time implementation
-    // from passing by luck.
+    // first in time it is not. The inline run reports it anyway, so every
+    // worker count must too. The sleep is not a synchronisation the
+    // assertion leans on - lowest-index-wins holds under any schedule -
+    // it only keeps a first-in-time implementation from passing by luck.
     let boom = |x: u64| {
         if x == 10 {
             std::thread::sleep(Duration::from_millis(30));
@@ -193,28 +128,25 @@ fn a_panicking_task_raises_the_sequential_panic_on_both_substrates() {
         emit(vs[0]);
     });
     let good_reducer = FnReducer(|_: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs[0]));
-    for executor in Executor::ALL {
-        for workers in [1usize, 2, 3, 8, 16] {
-            let cfg = EngineConfig::parallel(workers).with_executor(executor);
-            let in_reduce = catch_unwind(AssertUnwindSafe(|| {
-                run_round(&inputs, &good_mapper, &bad_reducer, &cfg)
-            }));
-            let in_map = catch_unwind(AssertUnwindSafe(|| {
-                run_round(&inputs, &bad_mapper, &good_reducer, &cfg)
-            }));
-            for (phase, caught) in [("reducer", in_reduce), ("mapper", in_map)] {
-                let payload = caught.expect_err("the round must panic");
-                assert_eq!(
-                    panic_message(payload),
-                    "boom 10",
-                    "{phase} panic on {} at workers={workers}",
-                    executor.name()
-                );
-            }
+    for workers in [1usize, 2, 3, 8, 16] {
+        let cfg = EngineConfig::parallel(workers);
+        let in_reduce = catch_unwind(AssertUnwindSafe(|| {
+            run_round(&inputs, &good_mapper, &bad_reducer, &cfg)
+        }));
+        let in_map = catch_unwind(AssertUnwindSafe(|| {
+            run_round(&inputs, &bad_mapper, &good_reducer, &cfg)
+        }));
+        for (phase, caught) in [("reducer", in_reduce), ("mapper", in_map)] {
+            let payload = caught.expect_err("the round must panic");
+            assert_eq!(
+                panic_message(payload),
+                "boom 10",
+                "{phase} panic at workers={workers}"
+            );
         }
     }
     // The resident pool took those panicking batches and is still whole.
-    let cfg = EngineConfig::parallel(4).with_executor(Executor::Pool);
+    let cfg = EngineConfig::parallel(4);
     let (out, _) = run_round(&inputs, &good_mapper, &good_reducer, &cfg).expect("no q bound set");
     assert_eq!(out, inputs);
 }
@@ -222,32 +154,23 @@ fn a_panicking_task_raises_the_sequential_panic_on_both_substrates() {
 #[test]
 fn raw_rounds_are_executor_independent_on_both_pipelines() {
     let inputs = indexed(&mixed_keys());
-    let truth = digest_round(
-        Pipeline::Naive,
-        &inputs,
-        &EngineConfig::sequential().with_executor(Executor::Scoped),
-    );
-    for pipeline in Pipeline::ALL {
-        for executor in Executor::ALL {
-            for workers in WORKER_COUNTS {
-                let cfg = EngineConfig::parallel(workers).with_executor(executor);
-                let got = digest_round(pipeline, &inputs, &cfg);
-                assert_eq!(
-                    truth,
-                    got,
-                    "{}/{} diverged at workers={workers}",
-                    pipeline.name(),
-                    executor.name()
-                );
-            }
+    let truth = digest_round_naive(&inputs, &EngineConfig::sequential());
+    for workers in WORKER_COUNTS {
+        let cfg = EngineConfig::parallel(workers);
+        for (plane, round) in DIGEST_PLANES {
+            assert_eq!(
+                truth,
+                round(&inputs, &cfg),
+                "{plane} diverged at workers={workers}"
+            );
         }
     }
 }
 
 #[test]
 fn overflow_offenders_are_executor_independent() {
-    // Many concurrently over-budget keys: both substrates must report the
-    // *same* offender — the smallest in key order — at every worker count.
+    // Many concurrently over-budget keys: every worker count must report
+    // the *same* offender as the inline run — the smallest in key order.
     let mut keys: Vec<u64> = Vec::new();
     for hot in 0..64u64 {
         keys.extend(std::iter::repeat_n(hot * 1_000_003 + 11, 8));
@@ -260,38 +183,25 @@ fn overflow_offenders_are_executor_independent() {
     let reducer = FnReducer(|_: &u64, _: &[u64], _: &mut dyn FnMut(u64)| {
         panic!("reducer must not run on an over-budget round")
     });
-    let cfg = |w: usize, e: Executor| {
-        EngineConfig::parallel(w)
-            .with_max_reducer_inputs(5)
-            .with_executor(e)
-    };
-    let truth = run_round_on(
-        Pipeline::Columnar,
-        &inputs,
-        &mapper,
-        &reducer,
-        &cfg(1, Executor::Scoped),
-    )
-    .unwrap_err();
-    for pipeline in Pipeline::ALL {
-        for executor in Executor::ALL {
-            for workers in WORKER_COUNTS {
-                let err = run_round_on(
-                    pipeline,
-                    &inputs,
-                    &mapper,
-                    &reducer,
-                    &cfg(workers, executor),
-                )
-                .unwrap_err();
-                assert_eq!(
-                    truth,
-                    err,
-                    "offender diverged on {}/{} at workers={workers}",
-                    pipeline.name(),
-                    executor.name()
-                );
-            }
+    let cfg = |w: usize| EngineConfig::parallel(w).with_max_reducer_inputs(5);
+    let truth = run_round(&inputs, &mapper, &reducer, &cfg(1)).unwrap_err();
+    for workers in WORKER_COUNTS {
+        let planes = [
+            (
+                "columnar",
+                run_round(&inputs, &mapper, &reducer, &cfg(workers)),
+            ),
+            (
+                "naive",
+                run_round_naive(&inputs, &mapper, &reducer, &cfg(workers)),
+            ),
+        ];
+        for (plane, result) in planes {
+            assert_eq!(
+                truth,
+                result.unwrap_err(),
+                "offender diverged on {plane} at workers={workers}"
+            );
         }
     }
 }
@@ -299,8 +209,8 @@ fn overflow_offenders_are_executor_independent() {
 #[test]
 fn retained_deltas_are_executor_independent() {
     // The full retained lifecycle — init, mixed churn, full-churn — must
-    // be byte-identical across substrates: routing fan-outs and the dirty
-    // re-reduce both ride the configured executor.
+    // be byte-identical to the inline run: routing fan-outs and the dirty
+    // re-reduce both ride the pool.
     let schema = DigestFan {
         groups: 37,
         reps: 3,
@@ -321,35 +231,27 @@ fn retained_deltas_are_executor_independent() {
             Delta::new((20_000..20_400).collect(), (0..400 as Seq).collect()),
         ),
     ];
-    // Scoped sequential ground truth per delta kind.
+    // Inline ground truth per delta kind.
     for (name, delta) in &deltas {
-        let truth_cfg = EngineConfig::sequential().with_executor(Executor::Scoped);
+        let truth_cfg = EngineConfig::sequential();
         let mut truth_job =
             run_schema_retained(&base, schema, Pipeline::Columnar, &truth_cfg).unwrap();
         truth_job.apply(delta).unwrap();
         let (truth_out, truth_m) = (truth_job.outputs(), truth_job.metrics());
-        for pipeline in Pipeline::ALL {
-            for executor in Executor::ALL {
-                for workers in WORKER_COUNTS {
-                    let cfg = EngineConfig::parallel(workers).with_executor(executor);
-                    let mut job = run_schema_retained(&base, schema, pipeline, &cfg).unwrap();
-                    job.apply(delta).unwrap();
-                    assert_eq!(
-                        truth_out,
-                        job.outputs(),
-                        "[{name}] delta outputs diverged on {}/{} at workers={workers}",
-                        pipeline.name(),
-                        executor.name()
-                    );
-                    assert_eq!(
-                        truth_m,
-                        job.metrics(),
-                        "[{name}] delta metrics diverged on {}/{} at workers={workers}",
-                        pipeline.name(),
-                        executor.name()
-                    );
-                }
-            }
+        for workers in WORKER_COUNTS {
+            let cfg = EngineConfig::parallel(workers);
+            let mut job = run_schema_retained(&base, schema, Pipeline::Columnar, &cfg).unwrap();
+            job.apply(delta).unwrap();
+            assert_eq!(
+                truth_out,
+                job.outputs(),
+                "[{name}] delta outputs diverged at workers={workers}"
+            );
+            assert_eq!(
+                truth_m,
+                job.metrics(),
+                "[{name}] delta metrics diverged at workers={workers}"
+            );
         }
     }
 }
@@ -403,9 +305,9 @@ fn a_failed_apply_leaves_the_retained_job_unchanged() {
     // Three ways an apply fails after it has started staging: a removal
     // naming no live input (after a valid one), a post-delta load over
     // the budget, and a reduce that panics on one dirty reducer. Each
-    // must leave the job exactly as a clone taken before it, on both
-    // substrates at 1, 2 and 4 workers, and the next valid apply must
-    // proceed as if the failure never happened.
+    // must leave the job exactly as a clone taken before it, at 1, 2 and
+    // 4 workers, and the next valid apply must proceed as if the failure
+    // never happened.
     let schema = Poisoned(DigestFan {
         groups: 37,
         reps: 3,
@@ -426,49 +328,42 @@ fn a_failed_apply_leaves_the_retained_job_unchanged() {
         ("overflow", Delta::new(crowd, vec![1])),
         ("panicking reduce", Delta::new(vec![POISON, 7_777], vec![2])),
     ];
-    for executor in Executor::ALL {
-        for workers in [1usize, 2, 4] {
-            let cfg = EngineConfig::parallel(workers)
-                .with_executor(executor)
-                .with_max_reducer_inputs(budget);
-            let case = |name: &str| format!("[{name}] {} workers={workers}", executor.name());
-            let mut job = run_schema_retained(&base, schema, Pipeline::Columnar, &cfg).unwrap();
-            let mut pristine = job.clone();
-            let before = snapshot(&pristine, &follow_up);
-            for (name, delta) in &failures {
-                let result = catch_unwind(AssertUnwindSafe(|| job.apply(delta)));
-                match (*name, result) {
-                    ("unknown seq", Ok(Err(DeltaError::UnknownSeq(999_999)))) => {}
-                    (
-                        "overflow",
-                        Ok(Err(DeltaError::Engine(EngineError::ReducerOverflow { .. }))),
-                    ) => {}
-                    ("panicking reduce", Err(payload)) => {
-                        assert!(panic_message(payload).contains("poison"), "{}", case(name))
-                    }
-                    (_, other) => panic!("{}: unexpected result {other:?}", case(name)),
+    for workers in [1usize, 2, 4] {
+        let cfg = EngineConfig::parallel(workers).with_max_reducer_inputs(budget);
+        let case = |name: &str| format!("[{name}] workers={workers}");
+        let mut job = run_schema_retained(&base, schema, Pipeline::Columnar, &cfg).unwrap();
+        let mut pristine = job.clone();
+        let before = snapshot(&pristine, &follow_up);
+        for (name, delta) in &failures {
+            let result = catch_unwind(AssertUnwindSafe(|| job.apply(delta)));
+            match (*name, result) {
+                ("unknown seq", Ok(Err(DeltaError::UnknownSeq(999_999)))) => {}
+                ("overflow", Ok(Err(DeltaError::Engine(EngineError::ReducerOverflow { .. })))) => {}
+                ("panicking reduce", Err(payload)) => {
+                    assert!(panic_message(payload).contains("poison"), "{}", case(name))
                 }
-                assert!(
-                    snapshot(&job, &follow_up) == before,
-                    "{}: the failed apply changed the retained job",
-                    case(name)
-                );
+                (_, other) => panic!("{}: unexpected result {other:?}", case(name)),
             }
-            let outcome = job.apply(&follow_up).unwrap();
-            let expected = pristine.apply(&follow_up).unwrap();
-            assert_eq!(outcome.added_seqs, 200..202, "{}", case("follow-up"));
-            assert_eq!(outcome.added_seqs, expected.added_seqs);
-            assert_eq!(outcome.retracted, expected.retracted);
-            assert_eq!(outcome.added, expected.added);
-            let (out, m) = run_schema(&job.inputs(), &schema, &cfg).unwrap();
-            assert_eq!(job.outputs(), out, "{}", case("follow-up"));
-            assert_eq!(job.metrics(), m, "{}", case("follow-up"));
+            assert!(
+                snapshot(&job, &follow_up) == before,
+                "{}: the failed apply changed the retained job",
+                case(name)
+            );
         }
+        let outcome = job.apply(&follow_up).unwrap();
+        let expected = pristine.apply(&follow_up).unwrap();
+        assert_eq!(outcome.added_seqs, 200..202, "{}", case("follow-up"));
+        assert_eq!(outcome.added_seqs, expected.added_seqs);
+        assert_eq!(outcome.retracted, expected.retracted);
+        assert_eq!(outcome.added, expected.added);
+        let (out, m) = run_schema(&job.inputs(), &schema, &cfg).unwrap();
+        assert_eq!(job.outputs(), out, "{}", case("follow-up"));
+        assert_eq!(job.metrics(), m, "{}", case("follow-up"));
     }
 }
 
 /// A diamond-with-tail DAG over [`DigestFan`] rounds: two independent
-/// sources (a real same-level fan-out for the staged executor), a join
+/// sources (a real same-level fan-out for the staged levels), a join
 /// node reading both, and a tail round — deep enough that pooled DAG
 /// staging nests pool-backed rounds inside pool-backed level fan-outs.
 fn diamond_dag() -> DagJob<u64> {
@@ -506,29 +401,85 @@ fn dag_levels_are_executor_independent() {
     let dag = diamond_dag();
     let inputs: Vec<u64> = (0..600u64).map(|i| i * 31 + 5).collect();
     let truth = dag
-        .run(
-            &inputs,
-            &EngineConfig::sequential().with_executor(Executor::Scoped),
-        )
+        .run(&inputs, &EngineConfig::sequential())
         .expect("no budget set");
-    for executor in Executor::ALL {
-        for workers in WORKER_COUNTS {
-            let cfg = EngineConfig::parallel(workers).with_executor(executor);
-            let got = dag.run(&inputs, &cfg).expect("no budget set");
-            assert_eq!(
-                truth.0,
-                got.0,
-                "DAG outputs diverged on {} at workers={workers}",
-                executor.name()
-            );
-            assert_eq!(
-                truth.1,
-                got.1,
-                "DAG metrics diverged on {} at workers={workers}",
-                executor.name()
-            );
-        }
+    for workers in WORKER_COUNTS {
+        let got = dag
+            .run(&inputs, &EngineConfig::parallel(workers))
+            .expect("no budget set");
+        assert_eq!(truth.0, got.0, "DAG outputs diverged at workers={workers}");
+        assert_eq!(truth.1, got.1, "DAG metrics diverged at workers={workers}");
     }
+}
+
+/// The key [`panicking_dag`]'s `right` node cannot reduce.
+const BAD_KEY: u64 = 3;
+
+/// A DAG whose level 1 holds two nodes reading one source: `left`, a
+/// healthy [`DigestFan`] round, and `right`, whose reduce panics on
+/// [`BAD_KEY`]. At `workers > 1` that panic is raised in a reduce-phase
+/// fan-out nested inside the level's node fan-out, both on the pool.
+fn panicking_dag() -> DagJob<u64> {
+    let mut dag = DagJob::new();
+    let src = dag.add_schema_round(
+        "src",
+        vec![],
+        DigestFan {
+            groups: 17,
+            reps: 2,
+        },
+    );
+    dag.add_schema_round(
+        "left",
+        vec![src],
+        DigestFan {
+            groups: 11,
+            reps: 2,
+        },
+    );
+    dag.add_round(
+        "right",
+        vec![src],
+        FnMapper(|x: &u64, emit: &mut dyn FnMut(u64, u64)| emit(x % 5, *x)),
+        FnReducer(|k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| {
+            if *k == BAD_KEY {
+                panic!("node right cannot reduce key {k}");
+            }
+            emit(vs.iter().fold(0u64, |acc, v| acc.wrapping_add(*v)))
+        }),
+    );
+    dag
+}
+
+#[test]
+fn a_panicking_dag_node_raises_the_inline_panic() {
+    let dag = panicking_dag();
+    let inputs: Vec<u64> = (0..600u64).map(|i| i * 31 + 5).collect();
+    let caught = |workers: usize| {
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            dag.run(&inputs, &EngineConfig::parallel(workers))
+        }));
+        panic_message(run.expect_err("node right must panic"))
+    };
+    let inline = caught(1);
+    assert_eq!(inline, format!("node right cannot reduce key {BAD_KEY}"));
+    for workers in 2..=16 {
+        assert_eq!(
+            inline,
+            caught(workers),
+            "panic payload at workers={workers}"
+        );
+    }
+    // The pool took those nested panics and still runs the next DAG
+    // exactly like the inline run.
+    let healthy = diamond_dag();
+    let truth = healthy
+        .run(&inputs, &EngineConfig::sequential())
+        .expect("no budget set");
+    let pooled = healthy
+        .run(&inputs, &EngineConfig::parallel(4))
+        .expect("no budget set");
+    assert_eq!(truth, pooled, "the DAG after the panics diverged");
 }
 
 #[test]
@@ -543,13 +494,13 @@ fn worker_count_clamps_identically_through_the_pool() {
         reps: 2,
     };
     let schema_inputs: Vec<u64> = (0..800u64).map(|i| i * 7 + 1).collect();
-    let truth_cfg = EngineConfig::parallel(1).with_executor(Executor::Pool);
-    let truth_round = digest_round(Pipeline::Columnar, &inputs, &truth_cfg);
+    let truth_cfg = EngineConfig::parallel(1);
+    let truth_round = digest_round(&inputs, &truth_cfg);
     let truth_schema = run_schema(&schema_inputs, &schema, &truth_cfg).unwrap();
     for workers in [0usize, 1, 4_096, 1 << 20] {
-        let cfg = EngineConfig::parallel(workers).with_executor(Executor::Pool);
+        let cfg = EngineConfig::parallel(workers);
         assert_eq!(cfg.effective_workers(), workers.max(1));
-        let got = digest_round(Pipeline::Columnar, &inputs, &cfg);
+        let got = digest_round(&inputs, &cfg);
         assert_eq!(truth_round, got, "clamp visible at workers={workers}");
         let got_schema = run_schema(&schema_inputs, &schema, &cfg).unwrap();
         assert_eq!(

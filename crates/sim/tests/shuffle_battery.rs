@@ -8,49 +8,18 @@
 //! multi-partition overflows; the *randomised* cross-checks (workloads,
 //! budgets, deltas) live in the unified `differential_fuzz.rs` battery.
 
-use mr_sim::{run_round, EngineConfig, EngineError, FnMapper, FnReducer, RoundMetrics};
+use mr_oracle::{digest_round, indexed};
+use mr_sim::{run_round, EngineConfig, EngineError, FnMapper, FnReducer};
 use proptest::test_runner::TestRng;
 
 /// Worker counts the battery sweeps, per the shuffle acceptance criteria.
 const WORKER_COUNTS: [usize; 5] = [1, 2, 3, 8, 16];
 
-/// Runs one round over `(index, key)` inputs with an order-sensitive
-/// reducer, so any within-key reordering or cross-key leakage between the
-/// sequential and partitioned shuffles changes the output.
-fn keyed_round(
-    inputs: &[(u64, u64)],
-    config: &EngineConfig,
-) -> (Vec<(u64, u64, u64)>, RoundMetrics) {
-    let mapper = FnMapper(|&(idx, key): &(u64, u64), emit: &mut dyn FnMut(u64, u64)| {
-        emit(key, idx);
-    });
-    // Order-sensitive fold: rotate-xor chains the values, so swapping two
-    // values within a key changes the digest.
-    let reducer = FnReducer(
-        |k: &u64, vs: &[u64], emit: &mut dyn FnMut((u64, u64, u64))| {
-            emit((
-                *k,
-                vs.len() as u64,
-                vs.iter().fold(0u64, |acc, v| acc.rotate_left(7) ^ v),
-            ))
-        },
-    );
-    run_round(inputs, &mapper, &reducer, config).expect("no q bound set")
-}
-
-/// Indexes a key sequence into `(position, key)` inputs.
-fn indexed(keys: &[u64]) -> Vec<(u64, u64)> {
-    keys.iter()
-        .enumerate()
-        .map(|(i, &k)| (i as u64, k))
-        .collect()
-}
-
 fn assert_battery_case(name: &str, keys: &[u64]) {
     let inputs = indexed(keys);
-    let (seq_out, seq_m) = keyed_round(&inputs, &EngineConfig::sequential());
+    let (seq_out, seq_m) = digest_round(&inputs, &EngineConfig::sequential());
     for workers in WORKER_COUNTS {
-        let (out, m) = keyed_round(&inputs, &EngineConfig::parallel(workers));
+        let (out, m) = digest_round(&inputs, &EngineConfig::parallel(workers));
         assert_eq!(
             seq_out, out,
             "[{name}] outputs diverged at workers={workers}"
@@ -80,7 +49,7 @@ fn zipf_skewed_keys_shuffle_identically() {
         .collect();
     assert!(keys.len() > 300, "degenerate power-law instance");
     // Sanity: the distribution is actually skewed (hubs dominate).
-    let (_, m) = keyed_round(&indexed(&keys), &EngineConfig::sequential());
+    let (_, m) = digest_round(&indexed(&keys), &EngineConfig::sequential());
     assert!(
         m.load.skew() > 3.0,
         "expected a heavy hub, got {}",
