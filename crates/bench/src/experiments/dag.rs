@@ -24,7 +24,8 @@ use mr_sim::EngineError;
 /// searchable workloads (a superset view: `join-agg` is the join
 /// pipeline workload over the `join-cycle3` registry instance).
 fn parse(args: &[String]) -> Result<(Vec<DagWorkload>, Scale, ClusterSpec, bool), String> {
-    let mut picked: Vec<DagWorkload> = Vec::new();
+    let names = DagWorkload::ALL.map(|w| w.name());
+    let mut picked: Vec<&'static str> = Vec::new();
     let mut scale: Option<Scale> = None;
     let mut cluster = ClusterSpec::default();
     let mut trace = false;
@@ -36,27 +37,20 @@ fn parse(args: &[String]) -> Result<(Vec<DagWorkload>, Scale, ClusterSpec, bool)
             cluster.reducer_capacity = Some(crate::selectors::q_budget(it.next())?);
         } else if let Some(sc) = crate::selectors::scale_token(tok) {
             crate::selectors::set_scale(&mut scale, sc)?;
-        } else if let Some(w) = DagWorkload::ALL.iter().find(|w| w.name() == tok.as_str()) {
-            if picked.contains(w) {
-                return Err(format!("workload '{tok}' selected twice"));
-            }
-            picked.push(*w);
-        } else {
+        } else if !crate::selectors::pick_family(&names, tok, &mut picked) {
             return Err(format!(
                 "unknown dag selector '{tok}'; workloads: {}; scales: {}; \
                  budget: {Q_BUDGET_FLAG} N",
-                DagWorkload::ALL
-                    .iter()
-                    .map(|w| w.name())
-                    .collect::<Vec<_>>()
-                    .join(", "),
+                names.join(", "),
                 crate::selectors::scale_names(", ")
             ));
         }
     }
     if picked.is_empty() {
-        picked = DagWorkload::ALL.to_vec();
+        picked = names.to_vec();
     }
+    let by_name = |name: &str| DagWorkload::ALL.into_iter().find(|w| w.name() == name);
+    let picked = picked.into_iter().filter_map(by_name).collect();
     Ok((picked, scale.unwrap_or_default(), cluster, trace))
 }
 

@@ -100,20 +100,20 @@ pub fn run(args: &[String]) -> Result<String, String> {
         "wall Δ/full (ms)",
     ]);
     for r in &rows {
-        let rep = &r.report;
+        let (rep, m) = (&r.report, &r.report.metrics);
         t.row(vec![
             r.family.to_string(),
             r.schema.clone(),
             rep.base_inputs.to_string(),
-            format!("+{}/-{}", rep.added, rep.removed),
-            format!("{}/{}", rep.dirty_reducers, rep.full_reducers),
-            format!("{}/{}", rep.delta_pairs, rep.full_pairs),
-            format!("{}/{}", rep.outputs_retracted, rep.outputs_added),
+            format!("+{}/-{}", m.inputs_added, m.inputs_removed),
+            format!("{}/{}", m.dirty_reducers, rep.full.reducers),
+            format!("{}/{}", m.delta_pairs, rep.full.pairs),
+            format!("{}/{}", m.outputs_retracted, m.outputs_added),
             if rep.matches_full_run { "yes" } else { "NO" }.to_string(),
             if rep.prediction_exact { "exact" } else { "OFF" }.to_string(),
             format!(
                 "{}/{}",
-                fmt(rep.wall_delta.as_secs_f64() * 1e3),
+                fmt(m.wall.as_secs_f64() * 1e3),
                 fmt(rep.wall_full.as_secs_f64() * 1e3)
             ),
         ]);
@@ -139,21 +139,21 @@ fn semantic_json(scale: Scale, rows: &[Row]) -> String {
         scale.name()
     ));
     for (i, r) in rows.iter().enumerate() {
-        let rep = &r.report;
+        let (rep, m) = (&r.report, &r.report.metrics);
         let mut obj = json::Obj::new();
         obj.str("family", r.family)
             .str("schema", &r.schema)
             .int("base_inputs", rep.base_inputs)
-            .int("added", rep.added)
-            .int("removed", rep.removed)
-            .int("dirty_reducers", rep.dirty_reducers)
-            .int("full_reducers", rep.full_reducers)
-            .int("delta_pairs", rep.delta_pairs)
-            .int("full_pairs", rep.full_pairs)
-            .int("outputs_retracted", rep.outputs_retracted)
-            .int("outputs_added", rep.outputs_added)
+            .int("added", m.inputs_added)
+            .int("removed", m.inputs_removed)
+            .int("dirty_reducers", m.dirty_reducers)
+            .int("full_reducers", rep.full.reducers)
+            .int("delta_pairs", m.delta_pairs)
+            .int("full_pairs", rep.full.pairs)
+            .int("outputs_retracted", m.outputs_retracted)
+            .int("outputs_added", m.outputs_added)
             .int("outputs_total", rep.outputs_total)
-            .int("post_q", rep.census.post_q)
+            .int("post_q", rep.census.delta.post_q)
             .raw("matches_full_run", rep.matches_full_run.to_string())
             .raw("prediction_exact", rep.prediction_exact.to_string());
         out.push_str("    ");

@@ -202,8 +202,8 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 format!(
                     "family {name} / {schema} — {} inputs, q={}, r={:.3}",
                     fam.num_inputs(),
-                    fp.measured.q,
-                    fp.measured.r
+                    fp.q,
+                    fp.r
                 ),
                 trace,
             )

@@ -1,6 +1,7 @@
 //! Shared CLI selector parsing for the `repro` experiments that take
-//! family/scale tokens (`frontier`, `plan`) and a reducer budget (`plan`,
-//! `dag`), so the vocabularies cannot drift apart token by token.
+//! family or workload tokens and a scale (`frontier`, `plan`, `delta`,
+//! `dag`) and a reducer budget (`plan`, `dag`), so the vocabularies
+//! cannot drift apart token by token.
 
 use mr_core::family::Scale;
 
@@ -42,8 +43,9 @@ pub(crate) fn set_scale(slot: &mut Option<Scale>, scale: Scale) -> Result<(), St
     Ok(())
 }
 
-/// Adds `token` to `picked` when it names one of `names` (deduplicated,
-/// canonical `&'static str`). Returns whether it matched.
+/// Adds `token` to `picked` when it names one of `names` (a family, or a
+/// `repro dag` workload), deduplicated as the canonical `&'static str`.
+/// Returns whether it matched.
 pub(crate) fn pick_family(
     names: &[&'static str],
     token: &str,

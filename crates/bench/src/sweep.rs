@@ -8,9 +8,12 @@
 //! registry refactor it no longer knows any family by name: it asks
 //! [`mr_core::family::registry`] for the implemented families as
 //! `Box<dyn DynFamily>`, fans their grid points out over worker threads,
-//! and merges the measured points back in grid order. Each point records
+//! and merges the measured points back in grid order. Each point is the
+//! [`FamilyPoint`] the family's [`run`](DynFamily::run) returned,
+//! unchanged:
 //!
 //! * the measured reducer size `q` (max load) and replication rate `r`,
+//!   and the outputs the round emitted,
 //! * the reducer-load skew and the shuffle's partition skew, bytes moved,
 //!   and per-partition occupancy histogram
 //!   ([`ShuffleStats`](mr_sim::ShuffleStats)),
@@ -47,9 +50,8 @@
 
 use crate::json;
 use crate::table::{fmt, Table};
-use mr_core::family::{extended_registry, registry, DynFamily, Scale};
+use mr_core::family::{extended_registry, registry, DynFamily, FamilyPoint, Scale};
 use mr_sim::{fan_out, EngineConfig, Executor};
-use std::time::Duration;
 
 /// Configuration of one sweep run.
 #[derive(Debug, Clone)]
@@ -81,40 +83,6 @@ impl Default for SweepConfig {
     }
 }
 
-/// One measured grid point of a family's frontier.
-#[derive(Debug, Clone)]
-pub struct SweepPoint {
-    /// Schema name with its grid parameter, e.g. `splitting-d(b=10, k=5, d=1)`.
-    pub algorithm: String,
-    /// The schema's declared reducer budget (its design `q`).
-    pub q_declared: u64,
-    /// Measured maximum reducer load — the point's effective `q`.
-    pub q: u64,
-    /// Measured replication rate.
-    pub r: f64,
-    /// The family's clamped §2.4 lower bound evaluated at the measured `q`.
-    pub bound: f64,
-    /// Gap ratio `r / bound` (≥ 1 for every valid schema).
-    pub gap: f64,
-    /// Reducer-load skew `max / mean`.
-    pub load_skew: f64,
-    /// Shuffle partition skew (execution metadata; 1 partition when the
-    /// engine runs sequentially, so 1.0 or 0.0 there).
-    pub partition_skew: f64,
-    /// Bytes the columnar shuffle moved (`pairs × pair width` — the
-    /// communication cost in bytes rather than pairs). Execution
-    /// metadata: the pair width depends on the family's key/value layout.
-    pub shuffle_bytes: u64,
-    /// Per-partition shuffle occupancy histogram (execution metadata:
-    /// one entry per engine partition, so its shape follows the worker
-    /// count).
-    pub bucket_loads: Vec<u64>,
-    /// Outputs the round emitted.
-    pub outputs: u64,
-    /// Wall-clock time of the engine round (execution metadata).
-    pub wall: Duration,
-}
-
 /// A family's measured frontier: grid points sorted by ascending `q`.
 #[derive(Debug, Clone)]
 pub struct FamilyCurve {
@@ -123,7 +91,7 @@ pub struct FamilyCurve {
     /// Human-readable description of the model instance swept.
     pub instance: String,
     /// Measured points, ascending in `q`.
-    pub points: Vec<SweepPoint>,
+    pub points: Vec<FamilyPoint>,
 }
 
 /// The result of a whole sweep.
@@ -150,23 +118,9 @@ pub fn sweep_families(families: &[Box<dyn DynFamily>], config: &SweepConfig) -> 
         .flat_map(|(fi, fam)| (0..fam.grid().len()).map(move |pi| (fi, pi)))
         .collect();
     let points = fan_out(config.sweep_workers, grid, |(fi, pi)| {
-        let fp = families[fi]
+        let point = families[fi]
             .run(pi, engine)
             .expect("a sweep round overflowed the caller-supplied reducer budget");
-        let point = SweepPoint {
-            algorithm: fp.measured.algorithm,
-            q_declared: fp.q_declared,
-            q: fp.measured.q,
-            r: fp.measured.r,
-            bound: fp.bound,
-            gap: fp.gap,
-            load_skew: fp.measured.load_skew,
-            partition_skew: fp.partition_skew,
-            shuffle_bytes: fp.shuffle_bytes,
-            bucket_loads: fp.bucket_loads,
-            outputs: fp.measured.outputs,
-            wall: fp.wall,
-        };
         (fi, point)
     });
 

@@ -77,10 +77,10 @@ fn assert_family_delta(
     );
     assert_eq!(report.census, census, "{label}: census drifted");
     assert!(
-        report.dirty_reducers <= census.dirty_reducers,
+        report.metrics.dirty_reducers <= census.delta.dirty_reducers,
         "{label}: dirty {} above the census bound {}",
-        report.dirty_reducers,
-        census.dirty_reducers
+        report.metrics.dirty_reducers,
+        census.delta.dirty_reducers
     );
 }
 
@@ -132,19 +132,20 @@ fn small_deltas_beat_full_runs_on_reducer_count_and_shuffle_volume() {
             "{}",
             fam.name()
         );
+        let (m, full) = (&report.metrics, &report.full);
         assert!(
-            report.dirty_reducers < report.full_reducers,
+            m.dirty_reducers < full.reducers,
             "{}: dirty {} not strictly below full {}",
             fam.name(),
-            report.dirty_reducers,
-            report.full_reducers
+            m.dirty_reducers,
+            full.reducers
         );
         assert!(
-            report.delta_pairs < report.full_pairs,
+            m.delta_pairs < full.pairs,
             "{}: delta shuffle {} not strictly below full {}",
             fam.name(),
-            report.delta_pairs,
-            report.full_pairs
+            m.delta_pairs,
+            full.pairs
         );
     }
 }

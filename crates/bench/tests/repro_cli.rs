@@ -31,4 +31,17 @@ fn a_refused_selection_is_stderr_and_exit_1_a_well_formed_one_exit_0() {
     let (code, stdout, stderr) = repro(&["plan", "small"]);
     assert_eq!((code, stderr.as_str()), (Some(0), ""));
     assert!(stdout.contains("[plan]"), "{stdout}");
+    // `plan` and `dag` read their tokens through one shared selector, so
+    // a repeated family or workload selects it once: the same report
+    // from the JSON marker on (the tables above carry wall-clock).
+    let semantic = |(code, out, err): (_, String, String)| {
+        let json = out.split_once("JSON").map(|(_, json)| json.to_string());
+        (code, err, json)
+    };
+    for experiment in ["plan", "dag"] {
+        let once = semantic(repro(&[experiment, "small", "matmul"]));
+        assert!(once.2.is_some(), "{experiment}: {once:?}");
+        let twice = semantic(repro(&[experiment, "small", "matmul", "matmul"]));
+        assert_eq!(twice, (Some(0), String::new(), once.2), "{experiment}");
+    }
 }

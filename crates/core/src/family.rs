@@ -32,14 +32,18 @@
 //! recipe's `|I|` and `|O|` are the *instance's* edge and occurrence
 //! counts rather than the complete model's.
 //!
-//! # One census, three views
+//! # One census, one record per quantity
 //!
 //! §2.2 makes `q`, `r`, the pair count and the reducer count folds over a
 //! schema's input→reducer assignment. That fold exists once, in
 //! [`mr_sim::LoadTable`]; pricing a `(removed, added)` change against a
-//! load table exists once, in [`mr_sim::price_change`]. [`AssignCensus`],
-//! [`DeltaCensus`] and [`mr_sim::DeltaPrediction`] are three views of that
-//! arithmetic, and a malformed delta is refused the same way on all three.
+//! load table exists once, in [`mr_sim::price_change`]. Their results are
+//! stored in one record type per quantity: a predicted round is a
+//! [`RoundCensus`], a priced change a [`DeltaPrediction`], a measured
+//! round or apply the engine's [`RoundMetrics`](mr_sim::RoundMetrics) /
+//! [`DeltaMetrics`], and a measured grid point one [`FamilyPoint`].
+//! [`DeltaCensus`] and [`DeltaReport`] hold those records, not copies of
+//! their fields, so prediction and measurement compare as values.
 //!
 //! # Adding a family
 //!
@@ -55,7 +59,7 @@
 //! the registry. The README's "adding a new problem family" walkthrough
 //! shows a worked example.
 
-use crate::frontier::{bound_gap, MeasuredPoint};
+use crate::frontier::bound_gap;
 use crate::model::{validate_schema, MappingSchema, Problem, SchemaReport};
 use crate::problems::hamming::{DistanceDSplittingSchema, HammingProblem};
 use crate::problems::join::problem::{MultiwayJoinProblem, SharesOverDomain};
@@ -70,8 +74,8 @@ use crate::recipe::LowerBoundRecipe;
 use mr_graph::{gen, patterns, subgraph, Graph};
 use mr_sim::schema::{ReducerId, SchemaJob};
 use mr_sim::{
-    predict_delta, run_schema, run_schema_retained, Delta, DeltaError, EngineConfig, EngineError,
-    LoadTable, Pipeline, Seq,
+    predict_delta, run_schema, run_schema_retained, Delta, DeltaMetrics, DeltaPrediction,
+    EngineConfig, EngineError, LoadTable, Pipeline, RoundCensus, Seq,
 };
 use std::time::{Duration, Instant};
 
@@ -113,28 +117,6 @@ pub struct GridPoint {
     pub schema: String,
     /// The family's §2.4 lower-bound recipe.
     pub recipe: LowerBoundRecipe,
-}
-
-/// An exact map-side prediction of one grid point: the §2.2 assignment
-/// function applied to every instance input, with no shuffle and no
-/// reduce work.
-///
-/// The engine's semantic load metrics depend only on assignments, so the
-/// census `q` and `r` are **exactly** what a full
-/// [`run`](DynFamily::run) of the same point will measure — at a
-/// fraction of the cost. This is the planner layer's prediction
-/// primitive: `mr-plan` prices candidate points with a census and only
-/// executes the one it picks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AssignCensus {
-    /// Exact maximum reducer load — the point's effective `q`.
-    pub q: u64,
-    /// Exact replication rate `Σᵢ qᵢ / |I|`.
-    pub r: f64,
-    /// Number of distinct reducers the assignment touches.
-    pub reducers: u64,
-    /// Total key-value pairs the map phase would shuffle.
-    pub pairs: u64,
 }
 
 /// An index-based delta request crossing the erased registry boundary:
@@ -180,73 +162,45 @@ impl DeltaSpec {
     }
 }
 
-/// The delta counterpart of [`AssignCensus`]: what a [`DeltaSpec`] *will*
-/// touch, computed from the schema's assignment function alone — no
-/// engine, no reduce work. Exact by §2.2 obliviousness, so
-/// [`delta_run`](DynFamily::delta_run) executes under `post_q` as a hard
-/// reducer budget and an under-prediction aborts loudly (the planner
-/// layer's honesty contract, extended to deltas).
+/// What a [`DeltaSpec`] *will* touch, computed from the schema's
+/// assignment function alone — no engine, no reduce work: the base
+/// instance's census and the priced change. Exact by §2.2 obliviousness,
+/// so [`delta_run`](DynFamily::delta_run) executes under `delta.post_q`
+/// as a hard reducer budget and an under-prediction aborts loudly (the
+/// planner layer's honesty contract, extended to deltas).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaCensus {
-    /// Maximum reducer load of the base instance.
-    pub base_q: u64,
-    /// Key-value pairs a full run of the base shuffles.
-    pub base_pairs: u64,
-    /// Reducers the base instance touches.
-    pub base_reducers: u64,
-    /// Reducers the delta dirties (the incremental path re-executes
-    /// exactly these).
-    pub dirty_reducers: u64,
-    /// Key-value pairs the delta round shuffles — `Σ |assign(i)|` over
-    /// the changed inputs only.
-    pub delta_pairs: u64,
-    /// Maximum reducer load after the delta (over all reducers).
-    pub post_q: u64,
-    /// Live reducers after the delta.
-    pub post_reducers: u64,
+    /// The retained base instance's census.
+    pub base: RoundCensus,
+    /// What the delta does to it.
+    pub delta: DeltaPrediction,
 }
 
 /// The result of one incremental execution through
-/// [`delta_run`](DynFamily::delta_run): the delta-path measurements next
-/// to their full-run equivalents, plus the two correctness verdicts the
+/// [`delta_run`](DynFamily::delta_run): the delta path's measurements next
+/// to the census of a full run, plus the two correctness verdicts the
 /// battery asserts per family.
 #[derive(Debug, Clone)]
 pub struct DeltaReport {
     /// Inputs in the retained base.
     pub base_inputs: u64,
-    /// Inputs the delta added / removed.
-    pub added: u64,
-    /// Inputs the delta removed.
-    pub removed: u64,
-    /// Dirty reducers the delta path re-executed — vs
-    /// [`full_reducers`](DeltaReport::full_reducers) for the saving.
-    pub dirty_reducers: u64,
-    /// Key-value pairs the delta round shuffled — vs
-    /// [`full_pairs`](DeltaReport::full_pairs).
-    pub delta_pairs: u64,
-    /// Outputs the delta retracted.
-    pub outputs_retracted: u64,
-    /// Outputs the delta added.
-    pub outputs_added: u64,
-    /// Reducers a full run of the post-delta instance uses.
-    pub full_reducers: u64,
-    /// Key-value pairs a full run of the post-delta instance shuffles.
-    pub full_pairs: u64,
-    /// Maximum reducer load of the post-delta instance.
-    pub full_q: u64,
+    /// What the delta application measured — its `dirty_reducers` and
+    /// `delta_pairs` against [`full`](DeltaReport::full)'s `reducers` and
+    /// `pairs` for the saving; its `wall` is execution metadata.
+    pub metrics: DeltaMetrics,
+    /// The census of a full run of the post-delta instance.
+    pub full: RoundCensus,
     /// Outputs of the post-delta instance.
     pub outputs_total: u64,
     /// Whether the retained result equals the full run of the post-delta
     /// instance **byte-identically** (outputs and semantic metrics) —
     /// `full_run(I ∪ ΔI) == apply(delta_run(ΔI), retained)`.
     pub matches_full_run: bool,
-    /// Whether the [`DeltaCensus`] predicted the measured dirty count,
-    /// delta pairs, post-`q`, and post-reducer count exactly.
+    /// Whether the census's [`DeltaPrediction`] equals the one the
+    /// application measured.
     pub prediction_exact: bool,
     /// The census the run was priced (and budgeted) with.
     pub census: DeltaCensus,
-    /// Wall-clock of the delta application (execution metadata).
-    pub wall_delta: Duration,
     /// Wall-clock of the oracle full run (execution metadata).
     pub wall_full: Duration,
 }
@@ -254,16 +208,22 @@ pub struct DeltaReport {
 /// The result of executing one grid point through the engine.
 #[derive(Debug, Clone)]
 pub struct FamilyPoint {
-    /// The grid point's declared budget.
+    /// Schema name with its grid parameter, e.g. `splitting-d(b=10, k=5, d=1)`.
+    pub algorithm: String,
+    /// The schema's declared reducer budget (its design `q`).
     pub q_declared: u64,
-    /// What the engine measured (algorithm name, effective `q`, `r`,
-    /// load skew, outputs).
-    pub measured: MeasuredPoint,
-    /// The clamped §2.4 bound evaluated at the *measured* `q`.
+    /// Measured maximum reducer load — the point's effective `q`.
+    pub q: u64,
+    /// Measured replication rate `(shuffled pairs) / (inputs)`.
+    pub r: f64,
+    /// The family's clamped §2.4 lower bound evaluated at the measured `q`.
     pub bound: f64,
     /// Gap ratio `r / bound` (≥ 1 for every valid schema).
     pub gap: f64,
-    /// Shuffle partition skew — execution metadata, like `wall`.
+    /// Reducer-load skew `max / mean` (1.0 when perfectly balanced).
+    pub load_skew: f64,
+    /// Shuffle partition skew (execution metadata; 1 partition when the
+    /// engine runs sequentially, so 1.0 or 0.0 there).
     pub partition_skew: f64,
     /// Bytes the columnar shuffle moved — `pairs × (fingerprint + key +
     /// value width)`, the value being one of the family's typed inputs:
@@ -274,6 +234,8 @@ pub struct FamilyPoint {
     /// hash partition, in partition order) — execution metadata: its
     /// length is the engine's partition count.
     pub bucket_loads: Vec<u64>,
+    /// Outputs the round emitted.
+    pub outputs: u64,
     /// Wall-clock time of the engine round (execution metadata).
     pub wall: Duration,
 }
@@ -314,13 +276,15 @@ pub trait DynFamily: Send + Sync {
     /// scenarios (sparse random graphs) return `None`.
     fn validate(&self, point: usize) -> Option<SchemaReport>;
 
-    /// Exact map-side prediction of grid point `point` — see
-    /// [`AssignCensus`]. Costs one pass of the assignment function over
-    /// the instance; never runs the engine.
+    /// Exact map-side prediction of grid point `point`: the census
+    /// [`run`](DynFamily::run) will measure, read off the point's
+    /// [`LoadTable`]. Costs one pass of the assignment function over the
+    /// instance; never runs the engine. The point's `r` is `pairs` over
+    /// [`num_inputs`](DynFamily::num_inputs) (0 for an empty instance).
     ///
     /// # Panics
     /// Panics if `point` is out of range for [`grid`](DynFamily::grid).
-    fn census(&self, point: usize) -> AssignCensus;
+    fn census(&self, point: usize) -> RoundCensus;
 
     /// The instance's defining parameters as `(name, value)` pairs — the
     /// type-erased hook the planner layer uses to evaluate the paper's
@@ -334,7 +298,8 @@ pub trait DynFamily: Send + Sync {
     fn num_inputs(&self) -> usize;
 
     /// Map-side prediction of what `spec` will touch at grid point
-    /// `point` — see [`DeltaCensus`]. Never runs the engine.
+    /// `point`: the base's [`RoundCensus`] and the change's
+    /// [`DeltaPrediction`] — see [`DeltaCensus`]. Never runs the engine.
     ///
     /// # Panics
     /// Panics if `point` is out of range, if `spec.base`/`spec.add` hold
@@ -355,62 +320,6 @@ pub trait DynFamily: Send + Sync {
     /// repeats a position, or if the census-predicted budget overflows
     /// (a prediction bug by definition).
     fn delta_run(&self, point: usize, engine: &EngineConfig, spec: &DeltaSpec) -> DeltaReport;
-}
-
-/// Folds a schema's assignment over the instance into an
-/// [`AssignCensus`] — one read of [`LoadTable`], the census primitive the
-/// delta census and [`mr_sim::DeltaJob::predict`] read too.
-fn census_of<I, O, S>(inputs: &[I], schema: &S) -> AssignCensus
-where
-    S: SchemaJob<I, O> + ?Sized,
-{
-    let table = LoadTable::of(schema, inputs);
-    AssignCensus {
-        q: table.max_load(),
-        r: if inputs.is_empty() {
-            0.0
-        } else {
-            table.pairs() as f64 / inputs.len() as f64
-        },
-        reducers: table.reducers(),
-        pairs: table.pairs(),
-    }
-}
-
-/// Prices a [`DeltaSpec`] with assignment passes alone: the base's
-/// [`LoadTable`] for the figures `delta_run` budgets the retained run
-/// with, and [`predict_delta`] — the arithmetic and the malformed-removal
-/// refusal [`mr_sim::DeltaJob::predict`] uses — for what the delta does
-/// to it, against the table's loads and its histogram (built once here;
-/// a `DeltaJob` keeps its own resident). Removal positions are the base's
-/// [`Seq`] ids.
-fn delta_census_of<I, O, S>(
-    inputs: &[I],
-    schema: &S,
-    spec: &DeltaSpec,
-) -> Result<DeltaCensus, DeltaError>
-where
-    S: SchemaJob<I, O> + ?Sized,
-{
-    let base = LoadTable::of(schema, spec.base.iter().map(|&ix| &inputs[ix]));
-    let removed: Vec<Seq> = spec.remove.iter().map(|&pos| pos as Seq).collect();
-    let delta = predict_delta(
-        schema,
-        |rid| base.load(&rid),
-        &base.histogram(),
-        |seq| spec.base.get(seq as usize).map(|&ix| &inputs[ix]),
-        &removed,
-        spec.add.iter().map(|&ix| &inputs[ix]),
-    )?;
-    Ok(DeltaCensus {
-        base_q: base.max_load(),
-        base_pairs: base.pairs(),
-        base_reducers: base.reducers(),
-        dirty_reducers: delta.dirty_reducers,
-        delta_pairs: delta.delta_pairs,
-        post_q: delta.post_q,
-        post_reducers: delta.post_reducers,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -526,20 +435,24 @@ where
         let start = Instant::now();
         let (_, metrics) = run_schema(&self.inputs, &CountOutputs(self.job(point)), engine)?;
         let wall = start.elapsed();
-        let measured = MeasuredPoint::from_round(declared.schema.clone(), &metrics);
-        let bound = declared.recipe.clamped_lower_bound(measured.q as f64);
+        let (q, r) = (metrics.load.max, metrics.replication_rate());
+        let bound = declared.recipe.clamped_lower_bound(q as f64);
         Ok(FamilyPoint {
+            algorithm: declared.schema.clone(),
             q_declared: declared.q_declared,
-            gap: bound_gap(measured.r, bound),
+            q,
+            r,
             bound,
+            gap: bound_gap(r, bound),
+            load_skew: metrics.load.skew(),
             partition_skew: metrics.shuffle.partition_skew(),
             // Registry rounds always run the real engine, which fills the
             // byte count; `unwrap_or(0)` only guards a hypothetical synthetic
             // stats path.
             shuffle_bytes: metrics.shuffle.bytes_moved.unwrap_or(0),
-            bucket_loads: metrics.shuffle.bucket_loads.clone(),
+            bucket_loads: metrics.shuffle.bucket_loads,
+            outputs: metrics.outputs,
             wall,
-            measured,
         })
     }
 
@@ -550,8 +463,8 @@ where
             .map(|validate| validate())
     }
 
-    fn census(&self, point: usize) -> AssignCensus {
-        census_of(&self.inputs, self.job(point))
+    fn census(&self, point: usize) -> RoundCensus {
+        LoadTable::of(self.job(point), &self.inputs).census()
     }
 
     fn params(&self) -> Vec<(&'static str, u64)> {
@@ -562,14 +475,36 @@ where
         self.inputs.len()
     }
 
+    /// Prices `spec` with assignment passes alone: the base's
+    /// [`LoadTable`] for the census `delta_run` budgets the retained run
+    /// with, and [`predict_delta`] — the arithmetic and the
+    /// malformed-removal refusal [`mr_sim::DeltaJob::predict`] uses — for
+    /// what the delta does to it, against the table's loads and its
+    /// histogram (built once here; a `DeltaJob` keeps its own resident).
+    /// Removal positions are the base's [`Seq`] ids.
     fn delta_census(&self, point: usize, spec: &DeltaSpec) -> DeltaCensus {
-        delta_census_of(&self.inputs, self.job(point), spec).unwrap_or_else(|e| {
+        let inputs = &self.inputs;
+        let base = LoadTable::of(self.job(point), spec.base.iter().map(|&ix| &inputs[ix]));
+        let removed: Vec<Seq> = spec.remove.iter().map(|&pos| pos as Seq).collect();
+        let delta = predict_delta(
+            self.job(point),
+            |rid| base.load(&rid),
+            &base.histogram(),
+            |seq| spec.base.get(seq as usize).map(|&ix| &inputs[ix]),
+            &removed,
+            spec.add.iter().map(|&ix| &inputs[ix]),
+        )
+        .unwrap_or_else(|e| {
             panic!(
                 "{} / {} (point {point}): malformed DeltaSpec — {e} \
                  (`remove` holds positions within `base`, each at most once)",
                 self.name, self.grid[point].declared.schema
             )
-        })
+        });
+        DeltaCensus {
+            base: base.census(),
+            delta,
+        }
     }
 
     /// Runs `spec` through the retained incremental path and the full-run
@@ -584,8 +519,8 @@ where
         // itself fits.
         let retained_cfg = engine
             .clone()
-            .with_max_reducer_inputs(census.base_q.max(census.post_q))
-            .with_pairs_hint(census.base_pairs);
+            .with_max_reducer_inputs(census.base.q.max(census.delta.post_q))
+            .with_pairs_hint(census.base.pairs);
         let mut job =
             run_schema_retained(&base, self.job(point), Pipeline::Columnar, &retained_cfg)
                 .expect("a census-budgeted base run cannot overflow");
@@ -594,16 +529,15 @@ where
             spec.add.iter().map(|&ix| inputs[ix].clone()).collect(),
             spec.remove.iter().map(|&pos| pos as Seq).collect(),
         );
-        let start = Instant::now();
-        let outcome = job
+        let metrics = job
             .apply(&delta)
-            .expect("a census-budgeted delta cannot overflow");
-        let wall_delta = start.elapsed();
+            .expect("a census-budgeted delta cannot overflow")
+            .metrics;
 
         // Oracle: a fresh full run of the post-delta instance, budgeted at
         // the census-predicted post-q — an under-prediction aborts here.
         let live = job.inputs();
-        let full_cfg = engine.clone().with_max_reducer_inputs(census.post_q);
+        let full_cfg = engine.clone().with_max_reducer_inputs(census.delta.post_q);
         let start = Instant::now();
         let (full_out, full_m) = run_schema(&live, job.schema(), &full_cfg)
             .expect("the census-predicted post-delta q cannot overflow");
@@ -611,28 +545,22 @@ where
 
         let retained_m = job.metrics();
         let matches_full_run = retained_m == full_m && job.outputs() == full_out;
-        let m = &outcome.metrics;
-        let prediction_exact = census.dirty_reducers == m.dirty_reducers
-            && census.delta_pairs == m.delta_pairs
-            && census.post_reducers == m.total_reducers
-            && census.post_q == retained_m.load.max;
+        let prediction_exact = census.delta
+            == DeltaPrediction {
+                dirty_reducers: metrics.dirty_reducers,
+                delta_pairs: metrics.delta_pairs,
+                post_q: retained_m.load.max,
+                post_reducers: metrics.total_reducers,
+            };
 
         DeltaReport {
             base_inputs: spec.base.len() as u64,
-            added: m.inputs_added,
-            removed: m.inputs_removed,
-            dirty_reducers: m.dirty_reducers,
-            delta_pairs: m.delta_pairs,
-            outputs_retracted: m.outputs_retracted,
-            outputs_added: m.outputs_added,
-            full_reducers: full_m.reducers,
-            full_pairs: full_m.kv_pairs,
-            full_q: full_m.load.max,
+            metrics,
+            full: RoundCensus::from(&full_m),
             outputs_total: full_out.len() as u64,
             matches_full_run,
             prediction_exact,
             census,
-            wall_delta,
             wall_full,
         }
     }
@@ -1051,22 +979,22 @@ mod tests {
             for (p, gp) in fam.grid().iter().enumerate() {
                 let fp = fam.run(p, &EngineConfig::sequential()).unwrap();
                 assert!(
-                    fp.measured.q <= fp.q_declared,
+                    fp.q <= fp.q_declared,
                     "{} / {}: load {} exceeds declared {}",
                     fam.name(),
                     gp.schema,
-                    fp.measured.q,
+                    fp.q,
                     fp.q_declared
                 );
                 assert!(
-                    fp.measured.r >= fp.bound - 1e-9,
+                    fp.r >= fp.bound - 1e-9,
                     "{} / {}: r={} below bound={}",
                     fam.name(),
                     gp.schema,
-                    fp.measured.r,
+                    fp.r,
                     fp.bound
                 );
-                assert_eq!(fp.measured.algorithm, gp.schema);
+                assert_eq!(fp.algorithm, gp.schema);
             }
         }
     }
@@ -1087,7 +1015,7 @@ mod tests {
         assert!(expected > 0, "test instance must contain triangles");
         for p in 0..fam.grid().len() {
             let fp = fam.run(p, &EngineConfig::sequential()).unwrap();
-            assert_eq!(fp.measured.outputs, expected, "point {p}");
+            assert_eq!(fp.outputs, expected, "point {p}");
         }
     }
 
@@ -1102,18 +1030,19 @@ mod tests {
                 let fp = fam.run(p, &EngineConfig::sequential()).unwrap();
                 assert_eq!(
                     census.q,
-                    fp.measured.q,
+                    fp.q,
                     "{} / {}: census q diverged",
                     fam.name(),
                     gp.schema
                 );
-                assert!(
-                    (census.r - fp.measured.r).abs() < 1e-12,
-                    "{} / {}: census r={} vs measured {}",
+                let r = census.pairs as f64 / fam.num_inputs() as f64;
+                assert_eq!(
+                    r.to_bits(),
+                    fp.r.to_bits(),
+                    "{} / {}: census r={r} vs measured {}",
                     fam.name(),
                     gp.schema,
-                    census.r,
-                    fp.measured.r
+                    fp.r
                 );
                 assert!(census.reducers > 0);
                 assert!(census.pairs >= census.q, "pairs can't undercut max load");
@@ -1153,7 +1082,6 @@ mod tests {
 
     #[test]
     fn census_of_empty_instance_is_all_zero() {
-        let empty: Vec<u64> = Vec::new();
         struct Nowhere;
         impl SchemaJob<u64, u64> for Nowhere {
             fn assign(&self, _input: &u64) -> Vec<u64> {
@@ -1161,9 +1089,43 @@ mod tests {
             }
             fn reduce(&self, _r: u64, _inputs: &[u64], _emit: &mut dyn FnMut(u64)) {}
         }
-        let c = census_of::<u64, u64, _>(&empty, &Nowhere);
-        assert_eq!((c.q, c.reducers, c.pairs), (0, 0, 0));
-        assert_eq!(c.r, 0.0);
+        let recipe = LowerBoundRecipe::new(|q| q, 1.0, 1.0);
+        let fam = Family {
+            name: "nowhere",
+            instance: String::new(),
+            params: vec![],
+            inputs: Vec::<u64>::new(),
+            grid: vec![Point::new(1, "nowhere".into(), &recipe, Nowhere)],
+        };
+        let zero = RoundCensus {
+            q: 0,
+            pairs: 0,
+            reducers: 0,
+        };
+        assert_eq!(fam.census(0), zero);
+        assert_eq!(fam.num_inputs(), 0);
+    }
+
+    #[test]
+    fn run_reads_its_point_off_the_engine_round() {
+        // A family point is the round's own measurement: the same schema
+        // run directly measures the same q, r, skew and outputs, and on
+        // the complete instance exhaustive validation agrees on (q, r).
+        let fam = triangles(12);
+        let s = NodePartitionSchema::new(12, 3);
+        let point = fam.grid().iter().position(|gp| gp.schema == s.name());
+        let fp = fam
+            .run(point.unwrap(), &EngineConfig::sequential())
+            .unwrap();
+        let edges = Graph::complete(12).edges().to_vec();
+        let (_, m) = run_schema(&edges, &s, &EngineConfig::sequential()).unwrap();
+        assert_eq!((fp.q, fp.outputs), (m.load.max, m.outputs));
+        assert_eq!(fp.r.to_bits(), m.replication_rate().to_bits());
+        assert_eq!(fp.load_skew.to_bits(), m.load.skew().to_bits());
+        assert!(fp.load_skew >= 1.0);
+        let report = validate_schema(&TriangleProblem::new(12), &s);
+        assert_eq!(fp.q, report.max_load);
+        assert!((fp.r - report.replication_rate).abs() < 1e-12);
     }
 
     #[test]
@@ -1218,10 +1180,11 @@ mod tests {
                 fam.name()
             );
             assert_eq!(report.census, census, "{}", fam.name());
-            assert_eq!(report.dirty_reducers, census.dirty_reducers);
-            assert!(report.dirty_reducers <= report.full_reducers);
-            assert!(report.delta_pairs <= report.full_pairs);
-            assert_eq!(report.full_q, census.post_q);
+            let m = &report.metrics;
+            assert_eq!(m.dirty_reducers, census.delta.dirty_reducers);
+            assert!(m.dirty_reducers <= report.full.reducers);
+            assert!(m.delta_pairs <= report.full.pairs);
+            assert_eq!(report.full.q, census.delta.post_q);
         }
     }
 
@@ -1246,19 +1209,20 @@ mod tests {
                 "{}",
                 fam.name()
             );
+            let (m, full) = (&report.metrics, &report.full);
             assert!(
-                report.dirty_reducers < report.full_reducers,
+                m.dirty_reducers < full.reducers,
                 "{}: dirty {} not strictly below full {}",
                 fam.name(),
-                report.dirty_reducers,
-                report.full_reducers
+                m.dirty_reducers,
+                full.reducers
             );
             assert!(
-                report.delta_pairs < report.full_pairs,
+                m.delta_pairs < full.pairs,
                 "{}: delta shuffle {} not below full {}",
                 fam.name(),
-                report.delta_pairs,
-                report.full_pairs
+                m.delta_pairs,
+                full.pairs
             );
         }
     }

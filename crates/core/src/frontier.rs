@@ -5,14 +5,15 @@
 //! module *constructs* those curves by validating every algorithm the
 //! library implements at a sweep of parameters, returning the achieved
 //! `(q, r)` points ready for [`CostModel`](crate::cost::CostModel)
-//! minimisation.
+//! minimisation. The same schemas executed by an engine round on instance
+//! data are [`FamilyPoint`](crate::family::FamilyPoint)s, and
+//! [`bound_gap`] measures either kind against the §2.4 recipe.
 
 use crate::model::validate_schema;
 use crate::problems::hamming::{HammingProblem, SplittingSchema, WeightSchema2D};
 use crate::problems::matmul::{MatMulProblem, OnePhaseSchema};
 use crate::problems::triangle::{NodePartitionSchema, TriangleProblem};
 use crate::problems::two_path::{BucketPairSchema, PerNodeSchema, TwoPathProblem};
-use mr_sim::RoundMetrics;
 
 /// One achieved point on a tradeoff frontier.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,52 +24,6 @@ pub struct FrontierPoint {
     pub q: u64,
     /// Achieved replication rate (exact, from exhaustive validation).
     pub r: f64,
-}
-
-/// One point of an *executed* frontier: the engine-measured counterpart of
-/// [`FrontierPoint`].
-///
-/// Analytic frontiers ([`hamming_frontier`] and friends) come from
-/// exhaustive schema validation over the space of potential inputs; a
-/// `MeasuredPoint` records what one actual
-/// [`run_schema`](mr_sim::run_schema) round of the same schema achieved on
-/// instance data — the quantities the frontier-sweep subsystem in
-/// `mr-bench` compares against the §2.4 lower-bound recipe.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeasuredPoint {
-    /// Human-readable algorithm identifier.
-    pub algorithm: String,
-    /// Measured maximum reducer load (the run's effective `q`).
-    pub q: u64,
-    /// Measured replication rate `(shuffled pairs) / (inputs)`.
-    pub r: f64,
-    /// Reducer-load skew `max / mean` (1.0 when perfectly balanced).
-    pub load_skew: f64,
-    /// Outputs the round emitted.
-    pub outputs: u64,
-}
-
-impl MeasuredPoint {
-    /// Extracts the measured point of one engine round.
-    pub fn from_round(algorithm: impl Into<String>, metrics: &RoundMetrics) -> Self {
-        MeasuredPoint {
-            algorithm: algorithm.into(),
-            q: metrics.load.max,
-            r: metrics.replication_rate(),
-            load_skew: metrics.load.skew(),
-            outputs: metrics.outputs,
-        }
-    }
-
-    /// Projects to the `(q, r)` [`FrontierPoint`] shape used by
-    /// [`pareto`] and [`as_cost_points`].
-    pub fn to_frontier_point(&self) -> FrontierPoint {
-        FrontierPoint {
-            algorithm: self.algorithm.clone(),
-            q: self.q,
-            r: self.r,
-        }
-    }
 }
 
 /// The gap ratio `measured r / analytic lower bound` — 1.0 when the
@@ -260,29 +215,6 @@ mod tests {
             f.iter().any(|p| p.algorithm.starts_with("weight-2d")),
             "{f:?}"
         );
-    }
-
-    #[test]
-    fn measured_point_extracts_round_quantities() {
-        use crate::problems::triangle::NodePartitionSchema;
-        use mr_graph::Graph;
-        use mr_sim::{run_schema, EngineConfig};
-        let g = Graph::complete(12);
-        let s = NodePartitionSchema::new(12, 3);
-        let (_, m) = run_schema(g.edges(), &s, &EngineConfig::sequential()).unwrap();
-        let p = MeasuredPoint::from_round("node-partition(k=3)", &m);
-        assert_eq!(p.q, m.load.max);
-        assert!((p.r - m.replication_rate()).abs() < 1e-12);
-        assert!(p.load_skew >= 1.0);
-        assert_eq!(p.outputs, m.outputs);
-        // On the complete instance the engine measures exactly what
-        // exhaustive validation computes.
-        let report = validate_schema(&TriangleProblem::new(12), &s);
-        assert_eq!(p.q, report.max_load);
-        assert!((p.r - report.replication_rate).abs() < 1e-12);
-        // And the projection keeps (q, r).
-        let fp = p.to_frontier_point();
-        assert_eq!((fp.q, fp.r), (p.q, p.r));
     }
 
     #[test]

@@ -41,6 +41,6 @@ pub mod model;
 pub mod problems;
 pub mod recipe;
 
-pub use family::{registry, AssignCensus, DynFamily, FamilyPoint, GridPoint, Scale};
+pub use family::{registry, DynFamily, FamilyPoint, GridPoint, Scale};
 pub use model::{validate_schema, MappingSchema, Problem, SchemaReport};
 pub use recipe::LowerBoundRecipe;

@@ -68,10 +68,15 @@ impl RecursiveMatMul {
     /// Creates the job description.
     ///
     /// # Panics
-    /// Panics unless `s` and `t` divide `n`, and `fanin ≥ 2` (fan-in 1 is
-    /// admitted only in the trivial `t = n` case of one partial per
-    /// cell; fan-in 0 never).
+    /// Panics unless `2n³` fits a `u64` (`n < 2²¹`) — every closed-form
+    /// term of [`round_specs`](Self::round_specs) is at most `2n³` — `s`
+    /// and `t` divide `n`, and `fanin ≥ 2` (fan-in 1 is admitted only in
+    /// the trivial `t = n` case of one partial per cell; fan-in 0 never).
     pub fn new(n: u32, s: u32, t: u32, fanin: u32) -> Self {
+        assert!(
+            n < 1 << 21,
+            "n={n}: the phase-1 communication 2n³ does not fit a u64"
+        );
         assert!(
             s >= 1 && s <= n && n.is_multiple_of(s),
             "s={s} must divide n={n}"
@@ -402,6 +407,13 @@ mod tests {
             assert_eq!(seq, par, "workers={workers}");
             assert_eq!(m1, m2, "workers={workers}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "n=2097152: the phase-1 communication 2n³ does not fit a u64")]
+    fn rejects_a_shape_whose_communication_overflows_a_u64() {
+        // 2·(2²¹)³ = 2⁶⁴: unchecked, phase 1's pairs wrap to 0 in release.
+        RecursiveMatMul::new(1 << 21, 1, 1 << 21, 1);
     }
 
     #[test]

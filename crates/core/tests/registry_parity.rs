@@ -11,7 +11,8 @@
 //! rerouted an assignment would split the two numbers apart.
 
 use mr_core::family::{
-    extended_registry, family_by_name, registry_at, sparse_scenarios, DeltaSpec, Scale,
+    extended_registry, family_by_name, registry_at, sparse_scenarios, DeltaCensus, DeltaSpec,
+    FamilyPoint, Scale,
 };
 use mr_sim::{DeltaError, EngineConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -34,25 +35,25 @@ fn validation_and_engine_agree_for_every_family_at_small_scale() {
             let run = fam.run(pi, &EngineConfig::sequential()).unwrap();
             assert_eq!(
                 report.max_load,
-                run.measured.q,
+                run.q,
                 "{} / {}: validated max load differs from engine-measured q",
                 fam.name(),
                 gp.schema
             );
             assert!(
-                (report.replication_rate - run.measured.r).abs() < 1e-12,
+                (report.replication_rate - run.r).abs() < 1e-12,
                 "{} / {}: validated r={} vs engine r={}",
                 fam.name(),
                 gp.schema,
                 report.replication_rate,
-                run.measured.r
+                run.r
             );
             // The §2.2 coverage condition showed up in is_valid(); the
             // engine side must also have emitted every output exactly
             // once, so the counts agree too.
             assert_eq!(
                 report.num_outputs,
-                run.measured.outputs,
+                run.outputs,
                 "{} / {}: engine outputs differ from the model's |O|",
                 fam.name(),
                 gp.schema
@@ -66,11 +67,12 @@ fn parity_holds_across_engine_worker_counts() {
     // The registry's round rides the engine's determinism contract: the same
     // numbers at any worker count. One family per instance type suffices
     // here (the full cross-product lives in the engine's own batteries).
+    let semantic = |p: &FamilyPoint| (p.algorithm.clone(), p.q, p.r, p.load_skew, p.outputs);
     for fam in registry_at(Scale::Small) {
         let baseline = fam.run(0, &EngineConfig::sequential()).unwrap();
         for workers in [2usize, 4] {
             let par = fam.run(0, &EngineConfig::parallel(workers)).unwrap();
-            assert_eq!(baseline.measured, par.measured, "{}", fam.name());
+            assert_eq!(semantic(&baseline), semantic(&par), "{}", fam.name());
         }
     }
 }
@@ -109,8 +111,9 @@ fn render_small_registry() -> String {
         let churn = DeltaSpec::tail_churn(n);
         for (pi, gp) in fam.grid().iter().enumerate() {
             let census = fam.census(pi);
+            let r = census.pairs as f64 / n as f64;
             let run = fam.run(pi, &EngineConfig::sequential()).unwrap();
-            let d = fam.delta_census(pi, &churn);
+            let DeltaCensus { base, delta: d } = fam.delta_census(pi, &churn);
             table += &format!(
                 "  {} | q_declared {} | census q={} r={:?} pairs={} reducers={} | outputs {} | \
                  validates {} | churn base(q={} pairs={} reducers={}) dirty={} delta_pairs={} \
@@ -118,14 +121,14 @@ fn render_small_registry() -> String {
                 gp.schema,
                 gp.q_declared,
                 census.q,
-                census.r,
+                r,
                 census.pairs,
                 census.reducers,
-                run.measured.outputs,
+                run.outputs,
                 fam.validate(pi).is_some(),
-                d.base_q,
-                d.base_pairs,
-                d.base_reducers,
+                base.q,
+                base.pairs,
+                base.reducers,
                 d.dirty_reducers,
                 d.delta_pairs,
                 d.post_q,

@@ -512,16 +512,12 @@ pub fn enumerate_dag_candidates(workload: DagWorkload, scale: Scale) -> Vec<DagC
                     }
                 }
             }
-            // One-phase tiling: a single round, q = 2sn, pairs = 2n³/s.
+            // One-phase tiling: phase 1 at t = n, the round
+            // `RecursiveMatMul::one_phase` stages.
             for &s in &divs {
-                let n64 = n as u64;
-                let mut rd = RoundDag::new(2 * n64 * n64);
-                rd.push(
-                    "one-phase",
-                    vec![],
-                    2 * s as u64 * n64,
-                    2 * n64 * n64 * (n64 / s as u64),
-                );
+                let (q, pairs) = RecursiveMatMul::new(n, s, n, 1).round_specs()[0];
+                let mut rd = RoundDag::new(2 * n as u64 * n as u64);
+                rd.push("one-phase", vec![], q, pairs);
                 out.push(DagCandidate {
                     structure: DagStructure::MatMulOnePhase { n, s },
                     dag: rd,

@@ -19,9 +19,10 @@
 //!   one- vs two-phase matmul crossover at `q = n²` — or
 //!   [`mr_lp::share_exponents`]'s simplex for Shares exponents on cycle
 //!   joins;
-//! * candidate points are priced by [`mr_core::family::AssignCensus`] —
-//!   an exact map-side prediction, so `predicted_q`/`predicted_r` equal
-//!   what the engine will measure;
+//! * candidate points are priced by their
+//!   [`DynFamily::census`](mr_core::family::DynFamily::census) — an exact
+//!   map-side prediction, so `predicted_q`/`predicted_r` equal what the
+//!   engine will measure;
 //! * every [`Plan`] is **runnable**:
 //!   [`Plan::execute`] lowers the choice onto the
 //!   [`DynFamily`](mr_core::family::DynFamily) registry's

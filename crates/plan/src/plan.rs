@@ -52,9 +52,9 @@ pub struct Plan {
     /// The cluster the plan was made for (costs and execution workers).
     pub cluster: ClusterSpec,
     /// Predicted maximum reducer load. Exact: grid points are priced by
-    /// [`AssignCensus`](mr_core::family::AssignCensus), multi-round trees
-    /// by their closed-form per-round loads — so execution runs under
-    /// this very value as a hard budget.
+    /// their [`census`](mr_core::family::DynFamily::census), multi-round
+    /// trees by their closed-form per-round loads — so execution runs
+    /// under this very value as a hard budget.
     pub predicted_q: u64,
     /// Predicted replication rate (for multi-round choices: total
     /// communication over `|I|`).
@@ -137,12 +137,10 @@ impl Plan {
                     .with_pairs_hint(self.predicted_pairs);
                 let fp = registry_family(self.family, scale).run(point, &budgeted)?;
                 Ok(PlanReport {
-                    measured_q: fp.measured.q,
-                    measured_r: fp.measured.r,
-                    measured_cost: self
-                        .cluster
-                        .rounds_cost([(fp.measured.q, fp.measured.r)], 1),
-                    outputs: fp.measured.outputs,
+                    measured_q: fp.q,
+                    measured_r: fp.r,
+                    measured_cost: self.cluster.rounds_cost([(fp.q, fp.r)], 1),
+                    outputs: fp.outputs,
                     partition_skew: fp.partition_skew,
                     shuffle_bytes: fp.shuffle_bytes,
                     wall: fp.wall,
