@@ -519,8 +519,7 @@ where
         // itself fits.
         let retained_cfg = engine
             .clone()
-            .with_max_reducer_inputs(census.base.q.max(census.delta.post_q))
-            .with_pairs_hint(census.base.pairs);
+            .with_max_reducer_inputs(census.base.q.max(census.delta.post_q));
         let mut job =
             run_schema_retained(&base, self.job(point), Pipeline::Columnar, &retained_cfg)
                 .expect("a census-budgeted base run cannot overflow");

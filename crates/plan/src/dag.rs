@@ -164,9 +164,12 @@ impl RoundDag {
         self.rounds.iter().map(|r| r.q).max().unwrap_or(0)
     }
 
-    /// Total predicted communication across all rounds.
+    /// Total predicted communication across all rounds: exact whenever
+    /// it fits a `u64`, and `u64::MAX` when it does not (as
+    /// [`binomial`](mr_core::recipe::binomial) saturates), so an
+    /// overflowing DAG prices as the most expensive, never the cheapest.
     pub fn total_pairs(&self) -> u64 {
-        self.rounds.iter().map(|r| r.pairs).sum()
+        self.rounds.iter().fold(0, |t, r| t.saturating_add(r.pairs))
     }
 
     /// Total communication over `|I|` — the multi-round generalisation of
@@ -714,9 +717,9 @@ impl DagPlan {
     }
 
     /// Stages the chosen structure's [`DagJob`] with each round's
-    /// predicted `q` as that round's hard budget (and its predicted
-    /// pairs as the emission-buffer hint), runs it on the cluster's
-    /// engine, and reports per-round predicted-vs-measured `(q, r)`.
+    /// predicted `q` as that round's hard budget, runs it on the
+    /// cluster's engine, and reports per-round predicted-vs-measured
+    /// `(q, r)`.
     ///
     /// Errors are the engine's: a round that overflows its own
     /// prediction surfaces as
@@ -744,9 +747,9 @@ impl DagPlan {
 impl DagStructure {
     /// The one budgeted execution of a plan: stages the structure's
     /// [`DagJob`] on its workload's instance, sets each round's budget to
-    /// its `rounds` prediction capped at `cap` and its pairs hint to the
-    /// predicted pairs, and runs it. Returns the final stage's output
-    /// count, the per-round metrics and the wall-clock time.
+    /// its `rounds` prediction capped at `cap`, and runs it. Returns the
+    /// final stage's output count, the per-round metrics and the
+    /// wall-clock time.
     pub(crate) fn run(
         &self,
         rounds: &RoundDag,
@@ -801,7 +804,6 @@ fn run_budgeted<T: Clone + Send + Sync + 'static>(
     assert_eq!(dag.num_rounds(), rounds.rounds.len());
     for (i, spec) in rounds.rounds.iter().enumerate() {
         dag.set_budget(i, spec.q.min(cap));
-        dag.set_pairs_hint(i, spec.pairs);
     }
     let start = Instant::now();
     let (out, metrics) = dag.run(inputs, engine)?;
@@ -844,6 +846,16 @@ mod tests {
         assert_eq!(rd.edges(), vec![(0, 2), (1, 2)]);
         assert_eq!(rd.max_q(), 1);
         assert_eq!(rd.total_pairs(), 30);
+    }
+
+    #[test]
+    fn total_pairs_saturates_instead_of_wrapping() {
+        // u64::MAX + 2 pairs wrapped to 1 in release builds.
+        let mut rd = RoundDag::new(1);
+        rd.push("a", vec![], 1, u64::MAX);
+        rd.push("b", vec![0], 1, 2);
+        assert_eq!(rd.total_pairs(), u64::MAX);
+        assert_eq!(rd.replication(), u64::MAX as f64);
     }
 
     #[test]

@@ -61,11 +61,7 @@ pub struct Plan {
     pub predicted_r: f64,
     /// Predicted shuffled key-value pairs (census pairs for grid points,
     /// total multi-round communication for trees). Exact, like the
-    /// other predictions — and a grid point's is threaded into execution
-    /// as the engine's [`pairs_hint`](mr_sim::EngineConfig::pairs_hint),
-    /// so the emission buffers of a planned run are sized right up front
-    /// instead of growing through doubling reallocations (a tree's rounds
-    /// each take their own share as the hint).
+    /// other predictions.
     pub predicted_pairs: u64,
     /// Predicted cluster cost `a·r + b·q (+ c·q²)`.
     pub predicted_cost: f64,
@@ -116,13 +112,10 @@ impl Plan {
     /// wrong, and it is *reported*, not panicked, so callers (the CLI,
     /// the experiments) surface it like any other refusal.
     ///
-    /// A registry point runs its one round under `predicted_q`, with
-    /// `predicted_pairs` as the round's
-    /// [`pairs_hint`](EngineConfig::pairs_hint) — pre-sizing the columnar
-    /// emission buffers exactly. A matmul tree runs on the same budgeted
-    /// [`DagJob`](mr_sim::DagJob) path as a [`DagPlan`](crate::DagPlan):
-    /// every round under its own closed-form `q` (capped at
-    /// `predicted_q`) with its own predicted pairs as the hint.
+    /// A registry point runs its one round under `predicted_q`. A matmul
+    /// tree runs on the same budgeted [`DagJob`](mr_sim::DagJob) path as
+    /// a [`DagPlan`](crate::DagPlan): every round under its own
+    /// closed-form `q` (capped at `predicted_q`).
     ///
     /// # Panics
     /// Panics if the plan's family/point no longer exists in the
@@ -131,10 +124,7 @@ impl Plan {
         let _span = mr_obs::span("plan.execute");
         match self.choice {
             Choice::Registry { scale, point } => {
-                let budgeted = engine
-                    .clone()
-                    .with_max_reducer_inputs(self.predicted_q)
-                    .with_pairs_hint(self.predicted_pairs);
+                let budgeted = engine.clone().with_max_reducer_inputs(self.predicted_q);
                 let fp = registry_family(self.family, scale).run(point, &budgeted)?;
                 Ok(PlanReport {
                     measured_q: fp.q,

@@ -474,10 +474,10 @@ mod tests {
 
     #[test]
     fn predicted_pairs_match_the_census() {
-        // The pairs prediction (the execution path's pairs_hint) is exact
-        // for grid choices: it is the census's pair count, re-derivable
-        // from the chosen point. Two-phase matmul plans carry the §6.3
-        // closed-form total instead, which is nonzero by construction.
+        // The pairs prediction is exact for grid choices: it is the
+        // census's pair count, re-derivable from the chosen point.
+        // Two-phase matmul plans carry the §6.3 closed-form total
+        // instead, which is nonzero by construction.
         for family in plannable_families() {
             let plan = plan_family(family, &ClusterSpec::default(), Scale::Small).unwrap();
             assert!(plan.predicted_pairs > 0, "{family}: zero pairs predicted");

@@ -45,13 +45,13 @@ type NodeFn<T> =
 /// keys folded into a [`LoadTable`], nothing shuffled or reduced.
 type CensusFn<T> = Box<dyn Fn(&[T]) -> RoundCensus + Sync>;
 
-/// One round of a [`DagJob`]: a name, the rounds feeding it, optional
-/// per-round engine overrides, and the round body.
+/// One round of a [`DagJob`]: a name, the rounds feeding it, an optional
+/// reducer budget overriding the base configuration's, and the round
+/// body.
 struct DagNode<T> {
     name: String,
     deps: Vec<usize>,
     budget: Option<u64>,
-    pairs_hint: Option<u64>,
     run: NodeFn<T>,
     census: CensusFn<T>,
 }
@@ -96,7 +96,6 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
             name,
             deps,
             budget: None,
-            pairs_hint: None,
             run,
             census,
         });
@@ -172,16 +171,6 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
     /// Panics if `node` is out of range.
     pub fn set_budget(&mut self, node: usize, q: u64) {
         self.nodes[node].budget = Some(q);
-    }
-
-    /// Sets a per-node pairs hint (a pure performance knob — see
-    /// [`EngineConfig::with_pairs_hint`]), overriding the base
-    /// configuration's hint for that round only.
-    ///
-    /// # Panics
-    /// Panics if `node` is out of range.
-    pub fn set_pairs_hint(&mut self, node: usize, pairs: u64) {
-        self.nodes[node].pairs_hint = Some(pairs);
     }
 
     /// Number of rounds (nodes) in the DAG.
@@ -335,8 +324,8 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
             .collect()
     }
 
-    /// Runs one node under the base configuration with the node's
-    /// budget/hint overrides applied.
+    /// Runs one node under the base configuration, with the node's
+    /// budget, if it has one, in place of the base budget.
     fn run_node(
         &self,
         i: usize,
@@ -346,12 +335,7 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
         let node = &self.nodes[i];
         let _span = mr_obs::span_with(|| format!("dag.node.{}", node.name));
         let mut cfg = config.clone();
-        if let Some(q) = node.budget {
-            cfg = cfg.with_max_reducer_inputs(q);
-        }
-        if let Some(h) = node.pairs_hint {
-            cfg = cfg.with_pairs_hint(h);
-        }
+        cfg.max_reducer_inputs = node.budget.or(config.max_reducer_inputs);
         (node.run)(input, &cfg)
     }
 }

@@ -438,7 +438,6 @@ where
         let schema = &self.schema;
         let routing_config = EngineConfig {
             max_reducer_inputs: None,
-            pairs_hint: None,
             ..self.config.clone()
         };
         let mapper = FnMapper(

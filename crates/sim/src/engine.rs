@@ -85,12 +85,6 @@ pub struct EngineConfig {
     /// The paper's reducer-size bound `q`: if set, a reducer receiving more
     /// than this many values aborts the round.
     pub max_reducer_inputs: Option<u64>,
-    /// Expected total mapper emissions for the round (the paper's
-    /// `r · |I|`), used to preallocate per-worker emission columns so the
-    /// map phase never reallocates mid-chunk. Purely a performance hint:
-    /// any value (or `None`) yields identical outputs and metrics.
-    /// `mr-plan` threads its census-exact pair prediction through here.
-    pub pairs_hint: Option<u64>,
 }
 
 impl Default for EngineConfig {
@@ -98,7 +92,6 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: 1,
             max_reducer_inputs: None,
-            pairs_hint: None,
         }
     }
 }
@@ -132,13 +125,6 @@ impl EngineConfig {
     /// Sets the reducer-size bound `q`.
     pub fn with_max_reducer_inputs(mut self, q: u64) -> Self {
         self.max_reducer_inputs = Some(q);
-        self
-    }
-
-    /// Sets the expected-emission capacity hint (see
-    /// [`pairs_hint`](EngineConfig::pairs_hint)).
-    pub fn with_pairs_hint(mut self, pairs: u64) -> Self {
-        self.pairs_hint = Some(pairs);
         self
     }
 }
@@ -220,12 +206,8 @@ where
     // allocates more buckets) than there are inputs — the same envelope
     // the chunked map and reduce phases have always had.
     let p = workers.min(inputs.len()).max(1);
-    let est = config
-        .pairs_hint
-        .map(|h| h as usize)
-        .unwrap_or(inputs.len());
     let map_span = mr_obs::span("engine.map");
-    let partitions = map_phase(inputs, mapper, p, est);
+    let partitions = map_phase(inputs, mapper, p);
     drop(map_span);
     let loads: Vec<u64> = partitions
         .iter()
@@ -264,35 +246,26 @@ type PartitionColumns<K, V> = Vec<Vec<ColumnBuf<K, V>>>;
 /// this is one chunk routing into
 /// the radix buckets of one partition.
 ///
-/// `est` (the caller's [`pairs_hint`](EngineConfig::pairs_hint) or the
-/// input count) sizes the buckets: `bucket_count(est / p)` per
+/// The input count `n` sizes the buckets: `bucket_count(n / p)` per
 /// partition, so a partition's buckets stay cache-sized, and each
 /// chunk's columns are preallocated with ~25% headroom over their share
-/// of `est`. A wrong estimate only costs reallocation, never
-/// correctness.
-fn map_phase<I, K, V, M>(
-    inputs: &[I],
-    mapper: &M,
-    p: usize,
-    est: usize,
-) -> Vec<PartitionColumns<K, V>>
+/// of `n`. However many pairs each input emits, a column that outgrows
+/// its share only reallocates: sizing never changes a result.
+fn map_phase<I, K, V, M>(inputs: &[I], mapper: &M, p: usize) -> Vec<PartitionColumns<K, V>>
 where
     I: Sync,
     K: Hash + Send,
     V: Send,
     M: Mapper<I, K, V> + ?Sized,
 {
-    let bc = bucket_count(est / p);
+    let n = inputs.len();
+    let bc = bucket_count(n / p);
     // At most `p` chunks (`p <= inputs.len()`, or `p = 1` and no chunk at
     // all when there are no inputs), one fan-out item each.
-    let chunks: Vec<&[I]> = inputs.chunks(inputs.len().div_ceil(p).max(1)).collect();
+    let chunks: Vec<&[I]> = inputs.chunks(n.div_ceil(p).max(1)).collect();
     let slots = chunks.len() * p * bc;
-    let share = est / slots.max(1);
-    let cap = if slots > 1 {
-        share + share / 4 + 8
-    } else {
-        est
-    };
+    let share = n / slots.max(1);
+    let cap = if slots > 1 { share + share / 4 + 8 } else { n };
     let mut partitions: Vec<PartitionColumns<K, V>> =
         (0..p).map(|_| Vec::with_capacity(chunks.len())).collect();
     let routed = if p == 1 {
@@ -644,25 +617,6 @@ mod tests {
             let (out, m) = wordcount(&docs, &cfg);
             assert_eq!(out, seq_out);
             assert_eq!(m, seq_m);
-        }
-    }
-
-    #[test]
-    fn pairs_hint_is_a_pure_performance_knob() {
-        // Any hint value — exact, absurdly large, or zero — must leave
-        // outputs and metrics untouched at every worker count.
-        let docs: Vec<String> = (0..64)
-            .map(|i| format!("k{} k{} x", i % 9, i % 4))
-            .collect();
-        let doc_refs: Vec<&str> = docs.iter().map(String::as_str).collect();
-        let (base_out, base_m) = wordcount(&doc_refs, &EngineConfig::parallel(4));
-        for hint in [0u64, 1, 192, 1 << 20] {
-            for workers in [1usize, 4] {
-                let cfg = EngineConfig::parallel(workers).with_pairs_hint(hint);
-                let (out, m) = wordcount(&doc_refs, &cfg);
-                assert_eq!(base_out, out, "hint={hint} workers={workers}");
-                assert_eq!(base_m, m, "hint={hint} workers={workers}");
-            }
         }
     }
 

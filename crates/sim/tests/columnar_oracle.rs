@@ -135,7 +135,7 @@ fn routed_round(
     let mapper = FnMapper(
         |&(idx, key, reps): &(u64, u64, u64), emit: &mut dyn FnMut(u64, u64)| {
             for j in 0..reps {
-                emit(key, idx * 8 + j);
+                emit(key, (idx << 16) + j);
             }
         },
     );
@@ -151,8 +151,7 @@ fn routed_round(
 /// The one-route claim: every map chunk routes straight into
 /// `(partition, bucket)` columns and each bucket concatenates its chunks'
 /// segments in chunk order, so outputs and metrics equal the naive
-/// oracle and the `workers = 1` run at every worker count and under any
-/// pair hint; the hint moves no execution metadata either.
+/// oracle and the `workers = 1` run at every worker count.
 fn assert_routing_case(name: &str, inputs: &[(u64, u64, u64)]) {
     let (oracle_out, oracle_m) = routed_round(inputs, &EngineConfig::sequential(), true);
     let (seq_out, seq_m) = routed_round(inputs, &EngineConfig::sequential(), false);
@@ -161,31 +160,18 @@ fn assert_routing_case(name: &str, inputs: &[(u64, u64, u64)]) {
         "[{name}] workers=1 diverged from naive"
     );
     assert_eq!(oracle_m, seq_m, "[{name}] workers=1 metrics diverged");
-    let pairs = oracle_m.kv_pairs;
     for workers in [2usize, 3, 4, 7, 16] {
-        let base = EngineConfig::parallel(workers);
-        let (_, unhinted) = routed_round(inputs, &base, false);
-        for hint in [None, Some(pairs / 10), Some(pairs * 10)] {
-            let cfg = match hint {
-                Some(h) => base.clone().with_pairs_hint(h),
-                None => base.clone(),
-            };
-            let (out, m) = routed_round(inputs, &cfg, false);
-            let at = format!("[{name}] workers={workers} hint={hint:?}");
-            assert_eq!(oracle_out, out, "{at}: outputs diverged from naive");
-            assert_eq!(seq_out, out, "{at}: outputs diverged from workers=1");
-            assert_eq!(oracle_m, m, "{at}: metrics diverged from naive");
-            assert_eq!(seq_m, m, "{at}: metrics diverged from workers=1");
-            assert_eq!(
-                unhinted.shuffle, m.shuffle,
-                "{at}: the hint moved ShuffleStats"
-            );
-        }
+        let (out, m) = routed_round(inputs, &EngineConfig::parallel(workers), false);
+        let at = format!("[{name}] workers={workers}");
+        assert_eq!(oracle_out, out, "{at}: outputs diverged from naive");
+        assert_eq!(seq_out, out, "{at}: outputs diverged from workers=1");
+        assert_eq!(oracle_m, m, "{at}: metrics diverged from naive");
+        assert_eq!(seq_m, m, "{at}: metrics diverged from workers=1");
     }
 }
 
 #[test]
-fn routed_chunks_match_the_oracle_at_every_worker_count_and_hint() {
+fn routed_chunks_match_the_oracle_at_every_worker_count() {
     let mut rng = TestRng::deterministic("columnar-oracle-routing");
     let with_reps = |keys: &[u64], reps: &dyn Fn(usize) -> u64| -> Vec<(u64, u64, u64)> {
         keys.iter()
@@ -216,6 +202,15 @@ fn routed_chunks_match_the_oracle_at_every_worker_count_and_hint() {
     assert_routing_case(
         "one-key-every-chunk",
         &with_reps(&one_key, &|i| 1 + (i % 2) as u64),
+    );
+    // The engine sizes its columns from the input count. Every input
+    // emitting 100–106 pairs makes that ≥ 100× too low, so the columns
+    // grow mid-chunk; 1 input in 100 emitting makes it ≈ 100× too high.
+    let heavy: Vec<u64> = (0..400).map(|_| rng.below(700)).collect();
+    assert_routing_case("heavy", &with_reps(&heavy, &|i| 100 + (i % 7) as u64));
+    assert_routing_case(
+        "sparse",
+        &with_reps(&uniform, &|i| u64::from(i % 100 == 37)),
     );
 }
 

@@ -12,7 +12,7 @@
 //! empty, full-churn) at every worker count 1–16.
 
 use mr_oracle::DIGEST_PLANES;
-use mr_oracle::{digest_round, digest_round_naive, indexed, run_round_naive, DigestFan};
+use mr_oracle::{digest_round_naive, indexed, run_round_naive, DigestFan};
 use mr_sim::{
     run_round, run_schema, run_schema_retained, DagJob, Delta, EngineConfig, FnMapper, FnReducer,
     Pipeline, RoundCensus, SchemaJob, Seq,
@@ -511,56 +511,6 @@ proptest! {
                 f.is_ok(),
                 r.is_ok()
             ),
-        }
-    }
-}
-
-// -----------------------------------------------------------------
-// pairs_hint regression: the hint is a pure performance knob, so
-// under- and over-estimates (hint=0, hint ≫ pairs) must be invisible
-// in outputs and semantic metrics. Only the exact-hint path was
-// exercised before this test.
-// -----------------------------------------------------------------
-
-#[test]
-fn pairs_hint_misestimates_are_byte_invisible() {
-    let keys: Vec<u64> = (0..3_000u64).map(|i| (i * 31 + 5) % 700).collect();
-    let inputs = indexed(&keys);
-    let schema = ModFan {
-        groups: 53,
-        reps: 3,
-    };
-    let schema_inputs: Vec<u64> = (0..2_000u64).map(|i| i * 11 + 3).collect();
-    for workers in [1usize, 3, 8, 16] {
-        let base_cfg = EngineConfig::parallel(workers);
-        // hint=0 / hint=1 under-estimate, ×100 grossly over-estimates.
-        // (The hint sizes real allocations, so it is exercised at
-        // plausible magnitudes, not at u64::MAX.)
-        let exact_pairs = digest_round(&inputs, &base_cfg).1.kv_pairs;
-        let hints = [0, 1, exact_pairs, exact_pairs * 100];
-
-        // Raw round, both planes.
-        for (plane, round) in DIGEST_PLANES {
-            let truth = round(&inputs, &base_cfg);
-            for hint in hints {
-                let got = round(&inputs, &base_cfg.clone().with_pairs_hint(hint));
-                assert_eq!(
-                    truth, got,
-                    "hint={hint} visible on {plane} at workers={workers}"
-                );
-            }
-        }
-
-        // Schema path.
-        let truth = run_schema(&schema_inputs, &schema, &base_cfg).unwrap();
-        for hint in hints {
-            let got = run_schema(
-                &schema_inputs,
-                &schema,
-                &base_cfg.clone().with_pairs_hint(hint),
-            )
-            .unwrap();
-            assert_eq!(truth, got, "hint={hint} visible in run_schema");
         }
     }
 }
