@@ -16,7 +16,7 @@ use crate::json;
 use crate::selectors::Q_BUDGET_FLAG;
 use crate::table::{fmt, Table};
 use mr_core::family::Scale;
-use mr_plan::{CacheStats, ClusterSpec, DagPlanReport, DagWorkload, PlanCache, PlanError};
+use mr_plan::{plan_dag, ClusterSpec, DagPlanReport, DagWorkload, PlanError};
 use mr_sim::EngineError;
 
 /// Parses the experiment's tokens into a selection. Scale and budget
@@ -68,27 +68,19 @@ enum Outcome {
 /// vocabulary; `repro` prints it on stderr and exits non-zero.
 pub fn run(args: &[String]) -> Result<String, String> {
     let (picked, scale, cluster, trace) = parse(args)?;
-    // As in `repro plan`: a resident PlanCache fronts the round-structure
-    // search. The first pass populates (all misses, used for execution);
-    // the second pass proves a repeated request skips the search.
     let compute = || {
-        let cache = PlanCache::new();
-        let outcomes: Vec<Outcome> = picked
+        picked
             .iter()
-            .map(|w| match cache.plan_dag(*w, &cluster, scale) {
+            .map(|w| match plan_dag(*w, &cluster, scale) {
                 Ok(plan) => match plan.execute() {
                     Ok(report) => Outcome::Planned(Box::new(report)),
                     Err(e) => Outcome::Aborted(w.name(), e),
                 },
                 Err(e) => Outcome::Refused(w.name(), e),
             })
-            .collect();
-        for w in &picked {
-            let _ = cache.plan_dag(*w, &cluster, scale);
-        }
-        (outcomes, cache.stats())
+            .collect::<Vec<Outcome>>()
     };
-    let ((outcomes, cache_stats), trace_report) = if trace {
+    let (outcomes, trace_report) = if trace {
         let (result, tr) = mr_obs::record(compute);
         (result, Some(tr))
     } else {
@@ -166,18 +158,11 @@ pub fn run(args: &[String]) -> Result<String, String> {
         }
     }
 
-    out.push_str(&format!(
-        "\nPlan cache: {} hits, {} misses over two planning passes (a repeated\n\
-         request is answered from the resident cache without re-running the\n\
-         round-structure search; refusals are never cached).\n",
-        cache_stats.hits, cache_stats.misses
-    ));
-
     out.push_str(
         "\nJSON (semantic — deterministic across runs; wall-clock is execution metadata,\n\
          see the table):\n\n",
     );
-    out.push_str(&semantic_json(&cluster, &outcomes, cache_stats));
+    out.push_str(&semantic_json(&cluster, &outcomes));
     if let Some(tr) = &trace_report {
         out.push_str(&super::trace::trace_section(tr));
     }
@@ -185,7 +170,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
 }
 
 /// The deterministic JSON serialisation of a dag run (no wall-clock).
-fn semantic_json(cluster: &ClusterSpec, outcomes: &[Outcome], cache: CacheStats) -> String {
+fn semantic_json(cluster: &ClusterSpec, outcomes: &[Outcome]) -> String {
     let mut out = String::from("{\n  \"subsystem\": \"dag-planner\",\n");
     out.push_str(&format!(
         "  \"cluster\": \"{}\",\n  \"plans\": [\n",
@@ -233,11 +218,7 @@ fn semantic_json(cluster: &ClusterSpec, outcomes: &[Outcome], cache: CacheStats)
         }
         out.push('\n');
     }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"plan_cache\": {{\"hits\": {}, \"misses\": {}}}\n}}\n",
-        cache.hits, cache.misses
-    ));
+    out.push_str("  ]\n}\n");
     out
 }
 
@@ -302,16 +283,6 @@ mod tests {
         assert!(out2.contains("requires a value"));
         let out3 = run(&args(&["small", "full"])).unwrap_err();
         assert!(out3.contains("at most one scale"));
-    }
-
-    #[test]
-    fn plan_cache_counters_land_in_the_semantic_json() {
-        // Two planning passes over the full workload set: all three plan
-        // cleanly on the default cluster, so first pass misses, second hits.
-        let n = DagWorkload::ALL.len() as u64;
-        let out = run(&args(&["small"])).unwrap();
-        let expected = format!("\"plan_cache\": {{\"hits\": {n}, \"misses\": {n}}}");
-        assert!(out.contains(&expected), "{out}");
     }
 
     #[test]

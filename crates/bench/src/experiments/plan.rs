@@ -12,7 +12,7 @@
 use crate::json;
 use crate::table::{fmt, Table};
 use mr_core::family::Scale;
-use mr_plan::{plannable_families, CacheStats, ClusterSpec, PlanCache, PlanError, PlanReport};
+use mr_plan::{plan_family, plannable_families, ClusterSpec, PlanError, PlanReport};
 use mr_sim::EngineError;
 
 pub use crate::selectors::Q_BUDGET_FLAG;
@@ -64,32 +64,21 @@ enum Outcome {
 /// the vocabulary; `repro` prints it on stderr and exits non-zero.
 pub fn run(args: &[String]) -> Result<String, String> {
     let (picked, scale, cluster, trace) = parse(args)?;
-    // All planning goes through a resident PlanCache, the way the future
-    // mr-serve daemon would hold one: the first pass over the families
-    // populates it (all misses), and a second pass demonstrates that a
-    // repeated request skips the census/LP entirely (all hits, except for
-    // refused plans, which are deliberately never cached).
     let compute = || {
-        let cache = PlanCache::new();
-        let outcomes: Vec<Outcome> = picked
+        picked
             .iter()
-            .map(|family| match cache.plan_family(family, &cluster, scale) {
+            .map(|family| match plan_family(family, &cluster, scale) {
                 Ok(plan) => match plan.execute() {
                     Ok(report) => Outcome::Planned(Box::new(report)),
                     Err(e) => Outcome::Aborted(family, e),
                 },
                 Err(e) => Outcome::Refused(family, e),
             })
-            .collect();
-        for family in &picked {
-            let _ = cache.plan_family(family, &cluster, scale);
-        }
-        let stats = cache.stats();
-        (outcomes, stats)
+            .collect::<Vec<Outcome>>()
     };
     // Recording never perturbs semantics (invariant #12), so the traced
     // report's semantic JSON stays byte-identical to the untraced one.
-    let ((outcomes, cache_stats), trace_report) = if trace {
+    let (outcomes, trace_report) = if trace {
         let (result, tr) = mr_obs::record(compute);
         (result, Some(tr))
     } else {
@@ -148,18 +137,11 @@ pub fn run(args: &[String]) -> Result<String, String> {
         }
     }
 
-    out.push_str(&format!(
-        "\nPlan cache: {} hits, {} misses over two planning passes (a repeated\n\
-         request is answered from the resident cache without re-running the\n\
-         census or the LP; refusals are never cached).\n",
-        cache_stats.hits, cache_stats.misses
-    ));
-
     out.push_str(
         "\nJSON (semantic — deterministic across runs; wall-clock is execution metadata,\n\
          see the table):\n\n",
     );
-    out.push_str(&semantic_json(&cluster, &outcomes, cache_stats));
+    out.push_str(&semantic_json(&cluster, &outcomes));
     if let Some(tr) = &trace_report {
         out.push_str(&super::trace::trace_section(tr));
     }
@@ -167,7 +149,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
 }
 
 /// The deterministic JSON serialisation of a plan run (no wall-clock).
-fn semantic_json(cluster: &ClusterSpec, outcomes: &[Outcome], cache: CacheStats) -> String {
+fn semantic_json(cluster: &ClusterSpec, outcomes: &[Outcome]) -> String {
     let mut out = String::from("{\n  \"subsystem\": \"planner\",\n");
     out.push_str(&format!(
         "  \"cluster\": \"{}\",\n  \"plans\": [\n",
@@ -202,11 +184,7 @@ fn semantic_json(cluster: &ClusterSpec, outcomes: &[Outcome], cache: CacheStats)
         }
         out.push('\n');
     }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"plan_cache\": {{\"hits\": {}, \"misses\": {}}}\n}}\n",
-        cache.hits, cache.misses
-    ));
+    out.push_str("  ]\n}\n");
     out
 }
 
@@ -275,28 +253,6 @@ mod tests {
         // Everything after the JSON marker excludes wall-clock, so two
         // runs must agree byte for byte.
         assert_eq!(json(()), json(()));
-    }
-
-    #[test]
-    fn plan_cache_counters_land_in_the_semantic_json() {
-        // Two planning passes over n families: the first all misses, the
-        // second all hits (every family plans cleanly on the default
-        // cluster, so nothing is excluded from the cache).
-        let n = plannable_families().len() as u64;
-        let out = run(&args(&["small"])).unwrap();
-        let expected = format!("\"plan_cache\": {{\"hits\": {n}, \"misses\": {n}}}");
-        assert!(out.contains(&expected), "{out}");
-    }
-
-    #[test]
-    fn refused_plans_keep_missing_the_cache() {
-        // triangles with q-budget 1 is refused, and refusals are never
-        // cached: both passes miss.
-        let out = run(&args(&["small", "triangles", "--q-budget", "1"])).unwrap();
-        assert!(
-            out.contains("\"plan_cache\": {\"hits\": 0, \"misses\": 2}"),
-            "{out}"
-        );
     }
 
     #[test]

@@ -657,7 +657,8 @@ pub struct DagPlanReport {
 
 /// Searches the workload's round structures and returns the cheapest
 /// admissible one as an executable plan: [`enumerate_dag_candidates`]
-/// prices, the choose step reads the priced table against `cluster`.
+/// prices, [`DagPlan::choose`] reads the priced table against `cluster`.
+/// An invalid `cluster` is refused before anything is priced.
 pub fn plan_dag(
     workload: DagWorkload,
     cluster: &ClusterSpec,
@@ -673,16 +674,22 @@ pub fn plan_dag(
 }
 
 impl DagPlan {
-    /// The **choose** step: the [`pick`] of `candidates` (the workload's
-    /// priced table at `scale`) under `cluster`. Callers have run
-    /// [`ClusterSpec::check`].
-    pub(crate) fn choose(
+    /// The **choose** step: the cheapest of `candidates` — the
+    /// workload's priced table at `scale`, as [`enumerate_dag_candidates`]
+    /// returns it — that `cluster` admits, as the plan [`plan_dag`] would
+    /// return for the same workload, cluster and scale. A caller that
+    /// plans one workload under many cluster profiles prices it once and
+    /// chooses per profile. Fails with [`PlanError::InvalidCluster`] when
+    /// [`ClusterSpec::check`] refuses `cluster`, and with
+    /// [`PlanError::NoFeasiblePoint`] when no candidate fits its budget.
+    pub fn choose(
         workload: DagWorkload,
         candidates: &[DagCandidate],
         cluster: &ClusterSpec,
         scale: Scale,
     ) -> Result<DagPlan, PlanError> {
         let _span = mr_obs::span("plan.dag.choose");
+        cluster.check()?;
         let best = pick(candidates.iter().map(|c| &c.dag), cluster)
             .ok_or_else(|| PlanError::infeasible(workload.name(), cluster))?;
         let chosen = &candidates[best.index];

@@ -41,12 +41,13 @@
 //! Planning is pure — same `(family, cluster, scale)`, same plan — so a
 //! resident process can memoise it: [`PlanCache`] fronts [`plan_family`]
 //! and [`plan_dag`] with a bit-exact key over every planner input and
-//! exposes [`CacheStats`] hit/miss counters. Planning is also two steps —
-//! a cluster-independent **price** (a family's census-priced grid,
-//! [`enumerate_dag_candidates`]) and a per-cluster **choose**, which for
-//! families and DAG workloads alike is one `pick` over priced
-//! [`RoundDag`]s — and the cache keeps the priced tables, so a new
-//! cluster profile pays only the second.
+//! exposes [`CacheStats`] hit/miss counters. Planning is also two steps,
+//! both public — a cluster-independent **price** ([`price_family`],
+//! [`enumerate_dag_candidates`]) and a per-cluster **choose**
+//! ([`PricedFamily::choose`], [`DagPlan::choose`]), which for families
+//! and DAG workloads alike is one `pick` over priced [`RoundDag`]s — so a
+//! caller comparing cluster profiles prices once and chooses per
+//! profile, and the cache keeps the priced tables for the same reason.
 //!
 //! The `repro plan` and `repro dag` experiments in `mr-bench` drive this
 //! end to end, and the planner-vs-sweep and DAG parity batteries prove
@@ -65,4 +66,4 @@ pub use dag::{
     DagWorkload, RoundDag, RoundObservation, RoundSpec,
 };
 pub use plan::{Choice, Plan, PlanReport};
-pub use planner::{plan_family, plannable_families, PlanError};
+pub use planner::{plan_family, plannable_families, price_family, PlanError, PricedFamily};

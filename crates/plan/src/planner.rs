@@ -4,11 +4,13 @@
 //! A plan is made in two steps. The **price** step is cluster-independent:
 //! it builds the family's instance, census-prices every grid point as a
 //! one-round [`RoundDag`] (and, for matmul, collects the multi-round
-//! trees) into a `PricedFamily`. The **choose** step reads that table
-//! against one [`ClusterSpec`] through the crate's one `pick`, the same
-//! one [`plan_dag`](crate::plan_dag) reads its candidates with.
-//! [`PlanCache`](crate::PlanCache) keeps the table per `(family, scale)`,
-//! so any number of cluster profiles pay for one pricing.
+//! trees) into a [`PricedFamily`] ([`price_family`]). The **choose** step
+//! ([`PricedFamily::choose`]) reads that table against one
+//! [`ClusterSpec`] through the crate's one `pick`, the same one
+//! [`plan_dag`](crate::plan_dag) reads its candidates with. A caller that
+//! plans one family under many cluster profiles prices it once and
+//! chooses per profile; [`PlanCache`](crate::PlanCache) keeps the table
+//! per `(family, scale)` for the same reason.
 
 use crate::cluster::ClusterSpec;
 use crate::dag::{
@@ -242,10 +244,11 @@ impl FamilyEntry {
 }
 
 /// A family's candidates at one scale with their exact censuses — what
-/// the price step produces and [`choose`](PricedFamily::choose) reads.
-/// Nothing in it depends on a cluster.
+/// [`price_family`] produces and [`choose`](PricedFamily::choose) reads.
+/// Nothing in it depends on a cluster, so one priced table serves every
+/// cluster profile.
 #[derive(Debug, Clone)]
-pub(crate) struct PricedFamily {
+pub struct PricedFamily {
     family: &'static str,
     scale: Scale,
     /// The family's closed-form story, leading a grid plan's rationale.
@@ -259,16 +262,20 @@ pub(crate) struct PricedFamily {
 }
 
 impl PricedFamily {
-    /// The choose step: the cheapest candidate `cluster` admits. Callers
-    /// have run [`ClusterSpec::check`].
+    /// The choose step: the cheapest candidate `cluster` admits, as the
+    /// [`Plan`] [`plan_family`] would return for the same family, cluster
+    /// and scale. Fails with [`PlanError::InvalidCluster`] when
+    /// [`ClusterSpec::check`] refuses `cluster`, and with
+    /// [`PlanError::NoFeasiblePoint`] when no candidate fits its budget.
     ///
     /// The grid and the trees are priced under the *same* per-round model
     /// `Σ rounds (a·r + b·q + c·q²) + ℓ·depth` (see [`crate::dag`]), and
     /// the trees go first in the pick, so a cost **tie breaks toward the
     /// multi-round structure** — equal money, but its per-round reducers
     /// are smaller, which is the resource the budget actually constrains.
-    pub(crate) fn choose(&self, cluster: &ClusterSpec) -> Result<Plan, PlanError> {
+    pub fn choose(&self, cluster: &ClusterSpec) -> Result<Plan, PlanError> {
         let _span = mr_obs::span("plan.family.choose");
+        cluster.check()?;
         let trees = self.trees.iter().map(|c| &c.dag);
         let best = pick(trees.chain(&self.grid), cluster)
             .ok_or_else(|| PlanError::infeasible(self.family, cluster))?;
@@ -337,9 +344,13 @@ pub fn plannable_families() -> Vec<&'static str> {
     FAMILIES.iter().map(|f| f.name).collect()
 }
 
-/// The price step of one family by name — what
-/// [`PlanCache`](crate::PlanCache) keeps per `(family, scale)`.
-pub(crate) fn price_family(family: &str, scale: Scale) -> Result<PricedFamily, PlanError> {
+/// The price step of one family by name: builds its instance at `scale`
+/// and census-prices every candidate, independently of any cluster.
+/// [`PricedFamily::choose`] then plans it under each cluster profile
+/// without pricing again. Fails with [`PlanError::UnknownFamily`] on a
+/// name [`plannable_families`] does not list, and with
+/// [`PlanError::Lp`] when a join's share-exponent LP fails.
+pub fn price_family(family: &str, scale: Scale) -> Result<PricedFamily, PlanError> {
     let entry = FAMILIES.iter().find(|f| f.name == family);
     entry
         .ok_or_else(|| PlanError::UnknownFamily {
@@ -354,6 +365,9 @@ pub(crate) fn price_family(family: &str, scale: Scale) -> Result<PricedFamily, P
 /// [`Plan::execute`] runs under `predicted_q` as a hard budget and cannot
 /// overflow unless the planner itself is wrong. Planning is **pure**:
 /// same family, cluster and scale, same plan.
+///
+/// [`price_family`] then [`PricedFamily::choose`]; an invalid `cluster`
+/// is refused before anything is priced.
 pub fn plan_family(family: &str, cluster: &ClusterSpec, scale: Scale) -> Result<Plan, PlanError> {
     cluster.check()?;
     price_family(family, scale)?.choose(cluster)
@@ -379,6 +393,28 @@ mod tests {
                 assert_eq!(known, plannable_families());
             }
             other => panic!("wrong error: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn both_choose_steps_refuse_a_cluster_that_cannot_price() {
+        // The choose steps are public, so they check the cluster
+        // themselves rather than trust the caller to have.
+        let nan_comm = ClusterSpec::new(4, f64::NAN, 0.05);
+        let priced = price_family("matmul", Scale::Small).unwrap();
+        let candidates = enumerate_dag_candidates(DagWorkload::Hamming, Scale::Small);
+        let refusals = [
+            priced.choose(&nan_comm).err(),
+            crate::DagPlan::choose(DagWorkload::Hamming, &candidates, &nan_comm, Scale::Small)
+                .err(),
+        ];
+        for refusal in refusals {
+            match refusal {
+                Some(PlanError::InvalidCluster { weight, .. }) => {
+                    assert_eq!(weight, "comm_weight")
+                }
+                other => panic!("expected InvalidCluster, got {other:?}"),
+            }
         }
     }
 

@@ -2,8 +2,10 @@
 //!
 //! Six families and three DAG workloads, under the default cluster and
 //! the four `plan_and_sweep` profiles, at `Small` and `Full` scale — once
-//! through the free [`plan_family`]/[`plan_dag`] functions and once
-//! through one shared [`PlanCache`], which must agree line for line. The
+//! through the free [`plan_family`]/[`plan_dag`] functions, once through
+//! one shared [`PlanCache`], and once by pricing each family and workload
+//! per scale ([`price_family`], [`enumerate_dag_candidates`]) and
+//! choosing per profile; all three must agree line for line. The
 //! table pins what a plan *says* (`schema`, the per-round description,
 //! `predicted_cost`, `rationale`), so a change to how candidates are
 //! priced or chosen that moves any plan shows up as a diff here. It is a
@@ -12,8 +14,8 @@
 
 use mr_core::family::Scale;
 use mr_plan::{
-    plan_dag, plan_family, plannable_families, ClusterSpec, DagPlan, DagWorkload, Plan, PlanCache,
-    PlanError,
+    enumerate_dag_candidates, plan_dag, plan_family, plannable_families, price_family, ClusterSpec,
+    DagPlan, DagWorkload, Plan, PlanCache, PlanError,
 };
 use std::fmt::Write;
 
@@ -125,4 +127,34 @@ fn every_standing_plan_matches_the_golden_table() {
     // 2 scales × 5 profiles × (6 + 3) keys, every one planned exactly once.
     assert_eq!(cache.stats().hits, 0);
     assert_eq!(cache.stats().misses, 90);
+
+    // Price each family and workload once per scale, choose per profile.
+    let scales = [Scale::Small, Scale::Full];
+    let families: Vec<_> = scales
+        .into_iter()
+        .flat_map(|scale| {
+            plannable_families()
+                .into_iter()
+                .map(move |name| ((name, scale), price_family(name, scale)))
+        })
+        .collect();
+    let dags: Vec<_> = scales
+        .into_iter()
+        .flat_map(|scale| {
+            DagWorkload::ALL.map(|w| ((w, scale), enumerate_dag_candidates(w, scale)))
+        })
+        .collect();
+    assert_matches_golden(
+        &render(
+            |f, c, s| {
+                let (_, priced) = families.iter().find(|(key, _)| *key == (f, s)).unwrap();
+                priced.as_ref().map_err(Clone::clone)?.choose(c)
+            },
+            |w, c, s| {
+                let (_, priced) = dags.iter().find(|(key, _)| *key == (w, s)).unwrap();
+                DagPlan::choose(w, priced, c, s)
+            },
+        ),
+        "priced once, chosen per profile",
+    );
 }

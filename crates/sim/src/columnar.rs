@@ -219,6 +219,7 @@ impl<K, V> ColumnBuf<K, V> {
     /// as is; several are copied once into an exactly sized buffer.
     fn concat(segments: &mut Vec<ColumnBuf<K, V>>) -> ColumnBuf<K, V> {
         if segments.len() == 1 {
+            // Cannot fire: the guard just saw exactly one segment.
             return segments.pop().expect("one segment");
         }
         let mut out = ColumnBuf::with_capacity(segments.iter().map(ColumnBuf::len).sum());
@@ -446,6 +447,8 @@ pub(crate) fn group_buckets<K: Ord, V>(chunks: Vec<Vec<ColumnBuf<K, V>>>) -> Gro
     let mut chunks: Vec<_> = chunks.into_iter().map(Vec::into_iter).collect();
     let mut segments = Vec::with_capacity(chunks.len());
     for _ in 0..buckets {
+        // Cannot fire: every chunk of a partition was routed into the
+        // same `bc` buckets, and `buckets` is the first chunk's count.
         segments.extend(chunks.iter_mut().map(|c| {
             c.next()
                 .expect("every chunk holds the same number of buckets")
@@ -552,6 +555,8 @@ fn group_bucket_hashed<K: Ord, V>(
             key_it.next();
             consumed += 1;
         }
+        // Cannot fire: `rep` is an index into `keys`, and reps ascend, so
+        // the iterator has not yet passed it.
         let key = key_it.next().expect("rep indexes a live key");
         consumed += 1;
         out.groups.push(Group {

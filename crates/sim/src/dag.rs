@@ -243,6 +243,8 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
         let mut outputs = Vec::new();
         let mut rounds = Vec::with_capacity(self.nodes.len());
         for (i, slot) in results.into_iter().enumerate() {
+            // Cannot fire: every level ran each of its nodes, and a
+            // failing level returned above.
             let (out, metrics) = slot.expect("every node ran");
             if !consumed[i] {
                 outputs.extend(out);
@@ -312,6 +314,8 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
         if deps.is_empty() {
             return Cow::Borrowed(inputs);
         }
+        // Cannot fire: `add_round` admits only earlier nodes as
+        // dependencies, so each sits on an earlier level, which has run.
         deps.iter()
             .flat_map(|&d| {
                 results[d]

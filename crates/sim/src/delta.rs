@@ -44,7 +44,6 @@ use crate::schema::{price_change, LoadHistogram, LoadTable, ReducerId, SchemaJob
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Debug;
 use std::hash::BuildHasherDefault;
-use std::mem;
 use std::ops::Range;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -279,8 +278,6 @@ where
 /// the budget check and the re-reduce have all passed.
 struct StagedReducer<I> {
     rid: ReducerId,
-    /// Where the reducer's state lives, if it is live before the delta.
-    slot: Option<u32>,
     seqs: Vec<Seq>,
     values: Vec<I>,
     /// How many outputs the reducer emitted before the delta — the
@@ -288,12 +285,10 @@ struct StagedReducer<I> {
     prior_outputs: usize,
 }
 
-/// One reducer's retained state: its id, its input list (seq-sorted, the
+/// One live reducer's retained state: its input list (seq-sorted, the
 /// order the engine delivers) and the outputs it emitted for that list.
-/// A free slot holds an empty state.
 #[derive(Debug, Clone)]
 struct ReducerState<I, O> {
-    rid: ReducerId,
     seqs: Vec<Seq>,
     values: Vec<I>,
     outputs: Vec<O>,
@@ -308,9 +303,9 @@ struct ReducerState<I, O> {
 /// equal what a fresh [`run_schema`](crate::run_schema) of the live
 /// instance would produce.
 ///
-/// Reducer state sits in a dense slab addressed through a hash index, so
-/// an apply looks each dirty reducer up once and writes it back by slot;
-/// slots a reducer empties are recycled. A load histogram of the live
+/// Reducer state sits in one hash map from reducer id to state, holding
+/// live reducers only, so an apply looks each dirty reducer up once and
+/// inserts or removes it on commit. A load histogram of the live
 /// reducers is kept beside it, so [`predict`](DeltaJob::predict) prices a
 /// delta without visiting the clean reducers.
 #[derive(Debug, Clone)]
@@ -319,12 +314,8 @@ pub struct DeltaJob<I, O, S> {
     config: EngineConfig,
     next_seq: Seq,
     live: BTreeMap<Seq, I>,
-    /// Reducer state by slot, live and free alike.
-    slab: Vec<ReducerState<I, O>>,
-    /// Live reducer → its slot in `slab`.
-    index: HashMap<ReducerId, u32, BuildHasherDefault<FingerprintHasher>>,
-    /// Slots of `slab` no live reducer holds.
-    free: Vec<u32>,
+    /// Live reducer → its retained state.
+    reducers: HashMap<ReducerId, ReducerState<I, O>, BuildHasherDefault<FingerprintHasher>>,
     /// Live reducers by load.
     histogram: LoadHistogram,
 }
@@ -367,33 +358,16 @@ where
             config,
             next_seq: 0,
             live: BTreeMap::new(),
-            slab: Vec::new(),
-            index: HashMap::default(),
-            free: Vec::new(),
+            reducers: HashMap::default(),
             histogram: LoadHistogram::default(),
         }
     }
 
     /// The current load of reducer `rid` (0 if it is not live).
     fn load_of(&self, rid: ReducerId) -> u64 {
-        self.index
+        self.reducers
             .get(&rid)
-            .map_or(0, |&slot| self.slab[slot as usize].seqs.len() as u64)
-    }
-
-    /// The live reducers' `(rid, slot)` pairs in ascending reducer order —
-    /// the order every full-run-equivalent export follows.
-    fn ordered_slots(&self) -> Vec<(ReducerId, u32)> {
-        let mut order: Vec<(ReducerId, u32)> = Vec::with_capacity(self.index.len());
-        order.extend(
-            self.slab
-                .iter()
-                .zip(0u32..)
-                .filter(|(state, _)| !state.seqs.is_empty())
-                .map(|(state, slot)| (state.rid, slot)),
-        );
-        order.sort_unstable();
-        order
+            .map_or(0, |state| state.seqs.len() as u64)
     }
 
     /// Applies one [`Delta`]: routes the changed inputs through the
@@ -402,8 +376,8 @@ where
     /// state.
     ///
     /// Bookkeeping costs `O(|Δ|·r)` plus the dirty reducers' input
-    /// lists: each dirty reducer is looked up once, staged, and written
-    /// back by slot.
+    /// lists: each dirty reducer is looked up once, staged, and inserted
+    /// (or removed, once empty) on commit.
     ///
     /// On `Err` — an unknown removal [`Seq`], or a post-delta reducer
     /// load over the configured budget `q` (reported with the batch
@@ -464,20 +438,22 @@ where
         // them keeps the seq-sorted invariant (fresh seqs exceed all
         // retained ones).
         let mut staged: Vec<StagedReducer<I>> = Vec::with_capacity(groups.len());
+        let mut appearing = 0;
         for (rid, changes) in &mut groups {
             changes.sort_unstable_by_key(|&(seq, is_add)| (is_add, seq));
             let (removes, adds) = changes.split_at(changes.partition_point(|&(_, is_add)| !is_add));
-            let slot = self.index.get(rid).copied();
-            let (mut seqs, mut values, prior_outputs) = match slot {
-                Some(slot) => {
-                    let state = &self.slab[slot as usize];
+            let (mut seqs, mut values, prior_outputs) = match self.reducers.get(rid) {
+                Some(state) => {
                     let capacity = state.seqs.len() - removes.len() + adds.len();
                     let (mut seqs, mut values) =
                         (Vec::with_capacity(capacity), Vec::with_capacity(capacity));
-                    // Every removal is held here (obliviousness) and both
-                    // lists ascend: copy the runs between the removals.
+                    // Every removal is held here and both lists ascend:
+                    // copy the runs between the removals.
                     let mut from = 0;
                     for (seq, _) in removes {
+                        // Cannot fire: assignment is oblivious (§2.2), so a
+                        // removed input maps to the reducers its insertion
+                        // did; and nothing has been mutated yet if it does.
                         let at = from
                             + state.seqs[from..]
                                 .binary_search(seq)
@@ -490,7 +466,10 @@ where
                     values.extend_from_slice(&state.values[from..]);
                     (seqs, values, state.outputs.len())
                 }
-                None => (Vec::new(), Vec::new(), 0),
+                None => {
+                    appearing += 1;
+                    (Vec::new(), Vec::new(), 0)
+                }
             };
             for &(seq, _) in adds {
                 seqs.push(seq);
@@ -498,7 +477,6 @@ where
             }
             staged.push(StagedReducer {
                 rid: *rid,
-                slot,
                 seqs,
                 values,
                 prior_outputs,
@@ -551,62 +529,33 @@ where
         .collect();
         drop(rereduce_span);
 
-        // Commit, writing each dirty reducer by the slot staging found.
-        // Retractions are its previous outputs (moved out of the slot);
-        // additions are the recomputed ones.
-        let appearing = staged
-            .iter()
-            .filter(|reducer| reducer.slot.is_none() && !reducer.seqs.is_empty())
-            .count();
-        self.index.reserve(appearing);
-        self.slab.reserve(appearing.saturating_sub(self.free.len()));
+        // Commit: each dirty reducer that stays live is inserted over its
+        // old state, one that empties is removed; the old state's outputs
+        // become the retractions, the recomputed ones the additions.
+        self.reducers.reserve(appearing);
         let mut retracted: Vec<O> =
             Vec::with_capacity(staged.iter().map(|reducer| reducer.prior_outputs).sum());
         let mut added_out: Vec<O> = Vec::with_capacity(new_outputs.iter().map(Vec::len).sum());
         for (reducer, outputs) in staged.into_iter().zip(new_outputs) {
             let StagedReducer {
-                rid,
-                slot,
-                seqs,
-                values,
-                ..
+                rid, seqs, values, ..
             } = reducer;
             let load = seqs.len() as u64;
-            if load > 0 {
+            let old = if load > 0 {
                 added_out.extend(outputs.iter().cloned());
                 self.histogram.insert(load);
-            }
-            let state = ReducerState {
-                rid,
-                seqs,
-                values,
-                outputs,
+                let state = ReducerState {
+                    seqs,
+                    values,
+                    outputs,
+                };
+                self.reducers.insert(rid, state)
+            } else {
+                self.reducers.remove(&rid)
             };
-            match slot {
-                Some(slot) => {
-                    let old = mem::replace(&mut self.slab[slot as usize], state);
-                    self.histogram.remove(old.seqs.len() as u64);
-                    retracted.extend(old.outputs);
-                    if load == 0 {
-                        self.index.remove(&rid);
-                        self.free.push(slot);
-                    }
-                }
-                None if load > 0 => {
-                    let slot = match self.free.pop() {
-                        Some(slot) => {
-                            self.slab[slot as usize] = state;
-                            slot
-                        }
-                        None => {
-                            self.slab.push(state);
-                            u32::try_from(self.slab.len() - 1)
-                                .expect("fewer than 2^32 live reducers")
-                        }
-                    };
-                    self.index.insert(rid, slot);
-                }
-                None => {}
+            if let Some(old) = old {
+                self.histogram.remove(old.seqs.len() as u64);
+                retracted.extend(old.outputs);
             }
         }
         for seq in &delta.removed {
@@ -621,7 +570,7 @@ where
         delta_counters().dirty_reducers.add(routing.reducers);
         let metrics = DeltaMetrics {
             dirty_reducers: routing.reducers,
-            total_reducers: self.index.len() as u64,
+            total_reducers: self.reducers.len() as u64,
             inputs_added: delta.added.len() as u64,
             inputs_removed: delta.removed.len() as u64,
             delta_pairs: routing.kv_pairs,
@@ -662,14 +611,12 @@ where
     /// output, byte for byte — ascending reducer order, emission order
     /// within a reducer.
     pub fn outputs(&self) -> Vec<O> {
-        let order = self.ordered_slots();
-        let total = order
-            .iter()
-            .map(|&(_, slot)| self.slab[slot as usize].outputs.len())
-            .sum();
+        let mut order: Vec<(&ReducerId, &ReducerState<I, O>)> = self.reducers.iter().collect();
+        order.sort_unstable_by_key(|&(rid, _)| *rid);
+        let total = order.iter().map(|(_, state)| state.outputs.len()).sum();
         let mut outputs = Vec::with_capacity(total);
-        for (_, slot) in order {
-            outputs.extend(self.slab[slot as usize].outputs.iter().cloned());
+        for (_, state) in order {
+            outputs.extend(state.outputs.iter().cloned());
         }
         outputs
     }
@@ -680,11 +627,11 @@ where
     /// measure. The [`ShuffleStats`] are left empty — execution metadata
     /// describes a run, and the retained state may be the work of many.
     pub fn metrics(&self) -> RoundMetrics {
-        let mut loads: Vec<u64> = Vec::with_capacity(self.index.len());
+        let mut loads: Vec<u64> = Vec::with_capacity(self.reducers.len());
         loads.extend(self.histogram.loads());
         let outputs: u64 = self
-            .slab
-            .iter()
+            .reducers
+            .values()
             .map(|state| state.outputs.len() as u64)
             .sum();
         RoundMetrics {
@@ -721,7 +668,7 @@ where
 
     /// Number of live (non-empty) reducers.
     pub fn num_reducers(&self) -> u64 {
-        self.index.len() as u64
+        self.reducers.len() as u64
     }
 
     /// The schema this job retains state for.

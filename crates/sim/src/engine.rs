@@ -309,6 +309,9 @@ where
 {
     let _span = mr_obs::span("engine.map.chunk");
     let p = if ONE { 1 } else { p };
+    // Cannot fire: `run_round` clamps `p` to `1 ..= max(inputs, 1)` and
+    // `bucket_count` returns `1 ..= 256`, so the product is positive and
+    // at most 256 columns per input.
     let n = p
         .checked_mul(bc)
         .filter(|&n| n > 0)

@@ -118,6 +118,7 @@ impl ShuffleStats {
             return ShuffleStats::default();
         }
         let total: u64 = loads.iter().sum();
+        // The `unwrap`s cannot fire: `loads` is not empty (checked above).
         ShuffleStats {
             partitions: loads.len() as u64,
             min_partition_load: *loads.iter().min().unwrap(),

@@ -192,6 +192,8 @@ impl LoadHistogram {
                 self.levels.remove(&load);
             }
             Some(count) => *count -= 1,
+            // Cannot fire from `DeltaJob`: it removes only the load of a
+            // state it holds, which it inserted at that load.
             None => panic!("no live reducer holds load {load}"),
         }
         self.reducers -= 1;
@@ -276,6 +278,8 @@ pub fn price_change(
     let mut moved: Vec<u64> = Vec::with_capacity(dirty.len());
     for (&rid, &(removals, additions)) in &dirty {
         let current = load_of(rid);
+        // Cannot fire: removals are resolved against the live instance,
+        // and by obliviousness (§2.2) each is held by every reducer it maps to.
         let kept = current.checked_sub(removals).unwrap_or_else(|| {
             panic!(
                 "reducer {rid} loses {removals} inputs but holds {current}: \

@@ -171,8 +171,8 @@ fn class(class: u64, n: u64) -> impl Iterator<Item = u64> {
     (0..n).map(move |i| 100 + 10 * i + class)
 }
 
-/// Multi-step sequences at the edges of the retained state's histogram
-/// and free list, through every worker count.
+/// Multi-step sequences at the edges of the retained state's load
+/// histogram and reducer map, through every worker count.
 #[test]
 fn retained_state_edges_match_full_runs_across_applies() {
     let schema = ModFan {
@@ -200,10 +200,10 @@ fn retained_state_edges_match_full_runs_across_applies() {
             vec![Delta::remove(vec![0]), Delta::remove(vec![3])],
         ),
         (
-            // Reducer 0 (slot 0) empties; reducer 8 appears in its
-            // recycled slot, ahead of reducer 7 in slot order; reducer 0
-            // then reappears in a fresh slot.
-            "emptied slot is refilled",
+            // Reducer 0 empties and leaves the map; reducer 8 appears;
+            // reducer 0 then comes back. Reducers arrive as 7, 8, 0 and
+            // still export in rid order 0, 7, 8.
+            "removed reducer re-added, arriving out of rid order",
             class(0, 2).chain(class(1, 2)).collect(),
             vec![
                 Delta::remove(vec![1, 0]),
