@@ -1,5 +1,6 @@
 //! The distance-`d` Splitting reducer allocates nothing per candidate
-//! pair — pinned as a count, so the property cannot silently rot.
+//! pair, and a retained delta apply allocates per change, not per dirty
+//! reducer — both pinned as counts, so the properties cannot silently rot.
 //!
 //! This binary installs its own counting `#[global_allocator]`; it is a
 //! separate integration test so that no other test runs under it. Counts
@@ -8,6 +9,7 @@
 
 use mr_core::problems::hamming::splitting::DistanceDSplittingSchema;
 use mr_sim::schema::{ReducerId, SchemaJob};
+use mr_sim::{run_schema_retained, Delta, EngineConfig, Pipeline, Seq};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -84,6 +86,56 @@ fn splitting_reduce_allocates_nothing() {
             });
             assert_eq!(n, 0, "b={b} k={k} d={d}: reducer {reducer} allocated");
             assert!(emitted > 0, "b={b} k={k} d={d}: reducer {reducer} is idle");
+        }
+    }
+}
+
+#[test]
+fn delta_apply_allocates_per_change_not_per_dirty_reducer() {
+    // All 2^12 strings at d = 1: 6 · 2^10 reducers of 4 inputs each.
+    let (b, churn) = (12, 64);
+    let schema = DistanceDSplittingSchema::new(b, 6, 1);
+    let inputs: Vec<u64> = (0..1u64 << b).collect();
+    let mut job = run_schema_retained(
+        &inputs,
+        schema,
+        Pipeline::Columnar,
+        &EngineConfig::sequential(),
+    )
+    .expect("no budget to exceed");
+    let reducers = job.num_reducers();
+    // String w is input w, so its first seq is w. Step s removes the
+    // strings k · 1031 mod 2^b for k in s·churn..(s + 1)·churn (an odd
+    // stride: never a string twice) and re-adds the previous step's, as
+    // `steady_churn` does; step 0 only removes.
+    let mut seq_of: Vec<Seq> = inputs.clone();
+    let strings = |step: u64| (step * churn..(step + 1) * churn).map(|k| k * 1031 % (1 << b));
+    for step in 0..3 {
+        let removed = strings(step).map(|w| seq_of[w as usize]).collect();
+        let added = if step == 0 {
+            Vec::new()
+        } else {
+            strings(step - 1).collect()
+        };
+        let delta = Delta::new(added, removed);
+        let mut outcome = None;
+        let n = allocations_during(|| outcome = Some(job.apply(&delta).expect("valid delta")));
+        let outcome = outcome.expect("apply ran");
+        for (w, seq) in delta.added.iter().zip(outcome.added_seqs.clone()) {
+            seq_of[*w as usize] = seq;
+        }
+        assert_eq!(
+            job.num_reducers(),
+            reducers,
+            "step {step}: a reducer emptied"
+        );
+        if step > 0 {
+            let dirty = outcome.metrics.dirty_reducers;
+            assert!(
+                n < dirty / 2,
+                "step {step}: {n} allocations for {} changes over {dirty} dirty reducers",
+                delta.changes()
+            );
         }
     }
 }

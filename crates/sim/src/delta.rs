@@ -41,6 +41,7 @@ use crate::mapper::{FnMapper, FnReducer};
 use crate::metrics::{LoadStats, RoundMetrics, ShuffleStats};
 use crate::pool::fan_out;
 use crate::schema::{price_change, LoadHistogram, LoadTable, ReducerId, SchemaJob};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Debug;
 use std::hash::BuildHasherDefault;
@@ -185,9 +186,10 @@ pub struct DeltaMetrics {
     /// Outputs added (everything the dirty reducers re-emitted).
     pub outputs_added: u64,
     /// Engine metrics of the delta routing round (one [`run_round`]
-    /// over the changed inputs): its `kv_pairs` is
-    /// `delta_pairs`, its `reducers` is `dirty_reducers`, its `loads` are
-    /// per-dirty-reducer change counts.
+    /// over the changed inputs): its `kv_pairs` and `outputs` are both
+    /// `delta_pairs` (the round re-emits every routed change), its
+    /// `reducers` is `dirty_reducers`, its `loads` are per-dirty-reducer
+    /// change counts.
     pub routing: RoundMetrics,
     /// Wall-clock time of the whole application (execution metadata).
     pub wall: Duration,
@@ -274,16 +276,9 @@ where
     ))
 }
 
-/// A dirty reducer's post-delta input list, held aside until validation,
-/// the budget check and the re-reduce have all passed.
-struct StagedReducer<I> {
-    rid: ReducerId,
-    seqs: Vec<Seq>,
-    values: Vec<I>,
-    /// How many outputs the reducer emitted before the delta — the
-    /// capacity its re-reduce starts with.
-    prior_outputs: usize,
-}
+/// A dirty reducer staged for commit: its id, the range of the apply's
+/// shared columns holding its post-delta input list, its prior output count.
+type Staged = (ReducerId, Range<usize>, usize);
 
 /// One live reducer's retained state: its input list (seq-sorted, the
 /// order the engine delivers) and the outputs it emitted for that list.
@@ -304,8 +299,9 @@ struct ReducerState<I, O> {
 /// instance would produce.
 ///
 /// Reducer state sits in one hash map from reducer id to state, holding
-/// live reducers only, so an apply looks each dirty reducer up once and
-/// inserts or removes it on commit. A load histogram of the live
+/// live reducers only, so an apply looks each dirty reducer up once. On
+/// commit a reducer that stays live is overwritten in place and keeps
+/// its buffers; one that empties is removed. A load histogram of the live
 /// reducers is kept beside it, so [`predict`](DeltaJob::predict) prices a
 /// delta without visiting the clean reducers.
 #[derive(Debug, Clone)]
@@ -376,8 +372,9 @@ where
     /// state.
     ///
     /// Bookkeeping costs `O(|Δ|·r)` plus the dirty reducers' input
-    /// lists: each dirty reducer is looked up once, staged, and inserted
-    /// (or removed, once empty) on commit.
+    /// lists: each dirty reducer is looked up once and staged in two
+    /// columns the whole apply shares. Its allocations grow with the
+    /// changes and the reducers that appear, not with the dirty count.
     ///
     /// On `Err` — an unknown removal [`Seq`], or a post-delta reducer
     /// load over the configured budget `q` (reported with the batch
@@ -394,21 +391,21 @@ where
         // which reducers it had been assigned to — obliviousness
         // guarantees the assignment is the same one the insertion used).
         let leaving = resolve_removals(&delta.removed, |seq| self.live.get(&seq))?;
-        let mut ops: Vec<(Seq, I, bool)> = Vec::with_capacity(delta.changes());
+        let mut changed: Vec<(Seq, I, bool)> = Vec::with_capacity(delta.changes());
         for (&seq, value) in delta.removed.iter().zip(leaving) {
-            ops.push((seq, value.clone(), false));
+            changed.push((seq, value.clone(), false));
         }
         let added_seqs = self.next_seq..self.next_seq + delta.added.len() as Seq;
         for (seq, value) in added_seqs.clone().zip(&delta.added) {
-            ops.push((seq, value.clone(), true));
+            changed.push((seq, value.clone(), true));
         }
 
-        // Route the changed inputs through the shuffle: one engine round whose reduce merely *groups* the changes per dirty
-        // reducer. Its metrics are the delta's communication picture —
-        // `kv_pairs` is the delta-shuffle volume, `reducers` the dirty
-        // count. No budget here: this round's loads count *changes*, not
-        // retained inputs; the real `q` check runs on the staged
-        // post-delta loads below.
+        // Route the changed inputs through the shuffle: one engine round
+        // whose reduce re-emits each change under its dirty reducer. Its
+        // metrics are the delta's communication picture — `kv_pairs` is
+        // the delta-shuffle volume, `reducers` the dirty count. No budget
+        // here: this round's loads count *changes*, not retained inputs;
+        // the real `q` check runs on the staged post-delta loads below.
         let schema = &self.schema;
         let routing_config = EngineConfig {
             max_reducer_inputs: None,
@@ -421,36 +418,36 @@ where
                 }
             },
         );
-        type Grouped = (ReducerId, Vec<(Seq, bool)>);
         let reducer = FnReducer(
-            |rid: &ReducerId, changes: &[(Seq, bool)], emit: &mut dyn FnMut(Grouped)| {
-                emit((*rid, changes.to_vec()))
+            |rid: &ReducerId, ops: &[(Seq, bool)], emit: &mut dyn FnMut((ReducerId, Seq, bool))| {
+                for &(seq, is_add) in ops {
+                    emit((*rid, seq, is_add));
+                }
             },
         );
         let routing_span = mr_obs::span("delta.routing");
-        let (mut groups, routing) = run_round(&ops, &mapper, &reducer, &routing_config)?;
+        let (mut changes, routing) = run_round(&changed, &mapper, &reducer, &routing_config)?;
         drop(routing_span);
 
-        // Stage every dirty reducer's post-delta input list, looking each
-        // up once. `groups` arrives in ascending reducer order (the
-        // engine's output contract); sorting a group's changes puts its
-        // removals first and its additions in seq order, so appending
-        // them keeps the seq-sorted invariant (fresh seqs exceed all
-        // retained ones).
-        let mut staged: Vec<StagedReducer<I>> = Vec::with_capacity(groups.len());
+        // Stage every dirty reducer's post-delta input list in two shared
+        // columns, looking each up once. `changes` ascends by reducer (the
+        // engine's output contract), so each run of one `rid` is one dirty
+        // reducer's changes; sorting a run puts its removals first and its
+        // additions in seq order, so appending them keeps the seq-sorted
+        // invariant (fresh seqs exceed all retained ones).
+        let (mut seqs, mut values): (Vec<Seq>, Vec<I>) = (Vec::new(), Vec::new());
+        let mut staged: Vec<Staged> = Vec::with_capacity(routing.reducers as usize);
         let mut appearing = 0;
-        for (rid, changes) in &mut groups {
-            changes.sort_unstable_by_key(|&(seq, is_add)| (is_add, seq));
-            let (removes, adds) = changes.split_at(changes.partition_point(|&(_, is_add)| !is_add));
-            let (mut seqs, mut values, prior_outputs) = match self.reducers.get(rid) {
+        for run in changes.chunk_by_mut(|a, b| a.0 == b.0) {
+            run.sort_unstable_by_key(|&(_, seq, is_add)| (is_add, seq));
+            let (removes, adds) = run.split_at(run.partition_point(|&(_, _, is_add)| !is_add));
+            let (rid, start) = (run[0].0, seqs.len());
+            let prior_outputs = match self.reducers.get(&rid) {
                 Some(state) => {
-                    let capacity = state.seqs.len() - removes.len() + adds.len();
-                    let (mut seqs, mut values) =
-                        (Vec::with_capacity(capacity), Vec::with_capacity(capacity));
                     // Every removal is held here and both lists ascend:
                     // copy the runs between the removals.
                     let mut from = 0;
-                    for (seq, _) in removes {
+                    for (_, seq, _) in removes {
                         // Cannot fire: assignment is oblivious (§2.2), so a
                         // removed input maps to the reducers its insertion
                         // did; and nothing has been mutated yet if it does.
@@ -464,23 +461,18 @@ where
                     }
                     seqs.extend_from_slice(&state.seqs[from..]);
                     values.extend_from_slice(&state.values[from..]);
-                    (seqs, values, state.outputs.len())
+                    state.outputs.len()
                 }
                 None => {
                     appearing += 1;
-                    (Vec::new(), Vec::new(), 0)
+                    0
                 }
             };
-            for &(seq, _) in adds {
+            for &(_, seq, _) in adds {
                 seqs.push(seq);
                 values.push(delta.added[(seq - added_seqs.start) as usize].clone());
             }
-            staged.push(StagedReducer {
-                rid: *rid,
-                seqs,
-                values,
-                prior_outputs,
-            });
+            staged.push((rid, start..seqs.len(), prior_outputs));
         }
 
         // Post-delta budget check, before anything commits. Clean
@@ -489,81 +481,89 @@ where
         // is the globally smallest — the same offender a full run of the
         // post-delta instance reports.
         if let Some(limit) = self.config.max_reducer_inputs {
-            for reducer in &staged {
-                let load = reducer.seqs.len() as u64;
-                if load > limit {
-                    return Err(EngineError::ReducerOverflow {
-                        key: format!("{:?}", reducer.rid),
-                        load,
-                        limit,
-                    }
-                    .into());
-                }
+            if let Some((rid, range, _)) = staged.iter().find(|s| s.1.len() as u64 > limit) {
+                let (key, load) = (format!("{rid:?}"), range.len() as u64);
+                return Err(EngineError::ReducerOverflow { key, load, limit }.into());
             }
         }
 
         // Re-execute exactly the dirty reducers that stay live, at most
-        // `workers` chunks of them at a time. Chunk order in, chunk order
-        // out: deterministic at every worker count.
+        // `workers` chunks of them at a time, each chunk into one output
+        // `Vec` plus its reducers' output counts. Chunk order in, chunk
+        // order out: deterministic at every worker count, and the chunks'
+        // outputs concatenated are the additions.
         let rereduce_span = mr_obs::span("delta.rereduce");
         let workers = self.config.effective_workers();
         // `max(1)`: nothing staged is no chunks, but `chunks` needs a size.
-        let chunks: Vec<&[StagedReducer<I>]> = staged
+        let chunks: Vec<&[Staged]> = staged
             .chunks(staged.len().div_ceil(workers).max(1))
             .collect();
-        let new_outputs: Vec<Vec<O>> = fan_out(workers, chunks, |chunk| {
-            chunk
+        let mut reduced = fan_out(workers, chunks, |chunk| {
+            let mut out = Vec::with_capacity(chunk.iter().map(|(_, _, prior)| prior).sum());
+            let counts: Vec<usize> = chunk
                 .iter()
-                .map(|reducer| {
-                    let mut out = Vec::new();
-                    if !reducer.values.is_empty() {
-                        out.reserve_exact(reducer.prior_outputs);
-                        schema.reduce(reducer.rid, &reducer.values, &mut |o| out.push(o));
+                .map(|(rid, range, _)| {
+                    let before = out.len();
+                    if !range.is_empty() {
+                        schema.reduce(*rid, &values[range.clone()], &mut |o| out.push(o));
                     }
-                    out
+                    out.len() - before
                 })
-                .collect::<Vec<Vec<O>>>()
+                .collect();
+            (out, counts)
         })
-        .into_iter()
-        .flatten()
-        .collect();
+        .into_iter();
+        let (mut added, mut counts) = reduced.next().unwrap_or_default();
+        for (out, chunk_counts) in reduced {
+            added.extend(out);
+            counts.extend(chunk_counts);
+        }
         drop(rereduce_span);
 
-        // Commit: each dirty reducer that stays live is inserted over its
-        // old state, one that empties is removed; the old state's outputs
-        // become the retractions, the recomputed ones the additions.
+        // Commit. A dirty reducer that stays live keeps its buffers: its
+        // old outputs drain into the retractions and its input list and
+        // outputs are overwritten from the shared columns. One that
+        // empties is removed; only one that appears gets fresh buffers.
         self.reducers.reserve(appearing);
-        let mut retracted: Vec<O> =
-            Vec::with_capacity(staged.iter().map(|reducer| reducer.prior_outputs).sum());
-        let mut added_out: Vec<O> = Vec::with_capacity(new_outputs.iter().map(Vec::len).sum());
-        for (reducer, outputs) in staged.into_iter().zip(new_outputs) {
-            let StagedReducer {
-                rid, seqs, values, ..
-            } = reducer;
-            let load = seqs.len() as u64;
-            let old = if load > 0 {
-                added_out.extend(outputs.iter().cloned());
-                self.histogram.insert(load);
-                let state = ReducerState {
-                    seqs,
-                    values,
-                    outputs,
-                };
-                self.reducers.insert(rid, state)
-            } else {
-                self.reducers.remove(&rid)
-            };
-            if let Some(old) = old {
-                self.histogram.remove(old.seqs.len() as u64);
-                retracted.extend(old.outputs);
+        let mut retracted: Vec<O> = Vec::with_capacity(staged.iter().map(|s| s.2).sum());
+        let mut from = 0;
+        for ((rid, range, _), count) in staged.into_iter().zip(counts) {
+            let outputs = &added[from..from + count];
+            from += count;
+            if range.is_empty() {
+                if let Some(old) = self.reducers.remove(&rid) {
+                    self.histogram.remove(old.seqs.len() as u64);
+                    retracted.extend(old.outputs);
+                }
+                continue;
+            }
+            // Insert before removing, so an unchanged load keeps its level.
+            self.histogram.insert(range.len() as u64);
+            match self.reducers.entry(rid) {
+                Entry::Occupied(entry) => {
+                    let state = entry.into_mut();
+                    self.histogram.remove(state.seqs.len() as u64);
+                    retracted.append(&mut state.outputs);
+                    state.seqs.clear();
+                    state.seqs.extend_from_slice(&seqs[range.clone()]);
+                    state.values.clear();
+                    state.values.extend_from_slice(&values[range]);
+                    state.outputs.extend_from_slice(outputs);
+                }
+                Entry::Vacant(entry) => {
+                    entry.insert(ReducerState {
+                        seqs: seqs[range.clone()].to_vec(),
+                        values: values[range].to_vec(),
+                        outputs: outputs.to_vec(),
+                    });
+                }
             }
         }
         for seq in &delta.removed {
             self.live.remove(seq);
         }
-        for (seq, value) in added_seqs.clone().zip(&delta.added) {
-            self.live.insert(seq, value.clone());
-        }
+        let entering = added_seqs.clone().zip(delta.added.iter().cloned());
+        self.live.extend(entering);
         self.next_seq = added_seqs.end;
 
         delta_counters().applies.incr();
@@ -575,13 +575,13 @@ where
             inputs_removed: delta.removed.len() as u64,
             delta_pairs: routing.kv_pairs,
             outputs_retracted: retracted.len() as u64,
-            outputs_added: added_out.len() as u64,
+            outputs_added: added.len() as u64,
             routing,
             wall: start.elapsed(),
         };
         Ok(DeltaOutcome {
             retracted,
-            added: added_out,
+            added,
             added_seqs,
             metrics,
         })
@@ -909,6 +909,32 @@ mod tests {
         let outcome = job.apply(&grow).unwrap();
         assert_eq!(outcome.metrics.dirty_reducers, 1);
         assert_eq!(job.outputs(), vec![15]);
+    }
+
+    #[test]
+    fn a_reducer_overwritten_in_place_tracks_its_live_inputs() {
+        // Reducer 0 stays live through every apply, so each commit
+        // overwrites its buffers in place: shrinking, growing, then both.
+        let cfg = EngineConfig::sequential();
+        let mut job = run_schema_retained(&[1u32, 2, 3], Funnel, Pipeline::Columnar, &cfg).unwrap();
+        let deltas = [
+            Delta::remove(vec![0, 1]),
+            Delta::add(vec![4, 5, 6]),
+            Delta::new(vec![7], vec![2, 4]),
+        ];
+        let mut before = vec![6];
+        for delta in &deltas {
+            let predicted = job.predict(delta).unwrap();
+            let outcome = job.apply(delta).unwrap();
+            let (out, m) = run_schema(&job.inputs(), &Funnel, &cfg).unwrap();
+            assert_eq!(outcome.retracted, before);
+            assert_eq!(outcome.added, out);
+            assert_eq!(job.outputs(), out);
+            assert_eq!(job.metrics(), m);
+            assert_eq!(predicted.post_q, m.load.max);
+            before = out;
+        }
+        assert_eq!(before, vec![17]);
     }
 
     #[test]

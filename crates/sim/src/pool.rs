@@ -149,6 +149,7 @@ impl Batch {
     fn pop(&self) -> Option<(usize, Task)> {
         self.queue
             .lock()
+            // Cannot fire: a queue lock is held only across `pop_front` and `is_empty`.
             .expect("pool batch queue poisoned")
             .pop_front()
     }
@@ -168,11 +169,13 @@ impl Batch {
     /// with the smallest task index is kept, whichever happened first.
     fn run_task(&self, index: usize, task: Task) {
         if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
+            // Cannot fire unless a replaced payload's `Drop` panics: nothing else runs under it.
             let mut slot = self.panic.lock().expect("pool panic slot poisoned");
             if slot.as_ref().is_none_or(|(kept, _)| index < *kept) {
                 *slot = Some((index, payload));
             }
         }
+        // Cannot fire: the latch is held only to count down, notify or wait, none of which unwinds.
         let mut remaining = self.remaining.lock().expect("pool batch latch poisoned");
         *remaining -= 1;
         if *remaining == 0 {
@@ -182,11 +185,13 @@ impl Batch {
 
     /// Blocks until every task of the batch has finished.
     fn wait(&self) {
+        // Cannot fire: as in `run_task`, nothing that holds the latch unwinds.
         let mut remaining = self.remaining.lock().expect("pool batch latch poisoned");
         while *remaining > 0 {
             remaining = self
                 .done
                 .wait(remaining)
+                // Cannot fire: `wait` fails only on a poisoned latch, which it never is.
                 .expect("pool batch latch poisoned");
         }
     }
@@ -227,12 +232,13 @@ impl WorkerPool {
             workers: workers.max(1),
         });
         let handles = (0..workers.max(1))
-            .map(|i| {
+            .filter_map(|i| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("mr-pool-{i}"))
                     .spawn(move || worker_loop(&inner))
-                    .expect("failed to spawn pool worker")
+                    // A refused spawn leaves one worker fewer: callers drain their own batches.
+                    .ok()
             })
             .collect();
         WorkerPool { inner, handles }
@@ -281,6 +287,7 @@ impl WorkerPool {
         pool_counters().batches.incr();
         pool_counters().tasks.add(n as u64);
         if n == 1 {
+            // Cannot fire: `n == 1` was just checked.
             let task = tasks.into_iter().next().expect("len checked");
             let _span = mr_obs::span("pool.task");
             return vec![task()];
@@ -294,6 +301,7 @@ impl WorkerPool {
             .map(|(i, task)| {
                 let slot = &slots[i];
                 let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                    // Cannot fire: `task()` runs before the lock; only a store happens under it.
                     *slot.lock().expect("pool result slot poisoned") = Some(task());
                 });
                 // SAFETY: the lifetime erasure scoped threads perform
@@ -316,6 +324,7 @@ impl WorkerPool {
             .collect();
         let batch = Arc::new(Batch::new(erased));
         {
+            // Cannot fire: no user code runs under the injector lock; tasks run after it.
             let mut injector = self.inner.injector.lock().expect("pool injector poisoned");
             injector.push_back(Arc::clone(&batch));
             self.inner.work.notify_all();
@@ -329,6 +338,7 @@ impl WorkerPool {
         }
         drop(caller_span);
         batch.wait();
+        // Cannot fire: see `run_task`, the only other holder of the panic slot.
         if let Some((_, payload)) = batch.panic.lock().expect("pool panic slot poisoned").take() {
             resume_unwind(payload);
         }
@@ -336,7 +346,9 @@ impl WorkerPool {
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
+                    // Cannot fire: the task closure above holds a slot only for a store.
                     .expect("pool result slot poisoned")
+                    // Cannot fire: no panic was caught, so every task returned and wrote its slot.
                     .expect("batch latch guarantees every slot is written")
             })
             .collect()
@@ -350,6 +362,7 @@ impl Drop for WorkerPool {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         {
+            // Cannot fire: as in `run`, no user code runs under the injector lock.
             let _guard = self.inner.injector.lock().expect("pool injector poisoned");
             self.inner.work.notify_all();
         }
@@ -364,6 +377,7 @@ impl Drop for WorkerPool {
 fn worker_loop(inner: &Inner) {
     loop {
         let claimed: (Arc<Batch>, (usize, Task)) = {
+            // Cannot fire: this loop runs no user code under the injector lock.
             let mut injector = inner.injector.lock().expect("pool injector poisoned");
             loop {
                 if inner.shutdown.load(Ordering::SeqCst) {
@@ -373,6 +387,7 @@ fn worker_loop(inner: &Inner) {
                 // Scan from the oldest batch; drop batches whose queues
                 // have drained (their claimed tasks finish elsewhere).
                 while let Some(front) = injector.front().cloned() {
+                    // Cannot fire: as in `Batch::pop`.
                     let mut queue = front.queue.lock().expect("pool batch queue poisoned");
                     if let Some(task) = queue.pop_front() {
                         let drained = queue.is_empty();
@@ -392,6 +407,7 @@ fn worker_loop(inner: &Inner) {
                 // Parked-idle protocol: no work anywhere — sleep until a
                 // submission (or shutdown) signals the condvar.
                 inner.parked.fetch_add(1, Ordering::SeqCst);
+                // Cannot fire: `wait` fails only on a poisoned injector, which it never is.
                 injector = inner.work.wait(injector).expect("pool injector poisoned");
                 inner.parked.fetch_sub(1, Ordering::SeqCst);
             }
