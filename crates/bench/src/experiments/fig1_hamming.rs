@@ -4,7 +4,7 @@
 
 use crate::table::{fmt, Table};
 use mr_core::model::validate_schema;
-use mr_core::problems::hamming::{theorem32_lower_bound, HammingProblem, SplittingSchema};
+use mr_core::problems::hamming::{theorem32_lower_bound, DistanceDSplittingSchema, HammingProblem};
 
 /// The series of Figure 1 for a given `b`: `(c, log2 q, hyperbola, measured r)`.
 pub fn series(b: u32) -> Vec<(u32, f64, f64, f64)> {
@@ -12,7 +12,7 @@ pub fn series(b: u32) -> Vec<(u32, f64, f64, f64)> {
     (1..=b)
         .filter(|c| b.is_multiple_of(*c))
         .map(|c| {
-            let schema = SplittingSchema::new(b, c);
+            let schema = DistanceDSplittingSchema::new(b, c, 1);
             let report = validate_schema(&problem, &schema);
             assert!(report.is_valid(), "splitting c={c} invalid");
             let log_q = (schema.q() as f64).log2();

@@ -4,16 +4,16 @@
 
 use crate::table::{fmt, Table};
 use mr_core::model::validate_schema;
-use mr_core::problems::hamming::{HammingProblem, WeightSchema2D};
+use mr_core::problems::hamming::{weight_2d_approx_q, HammingProblem, WeightSchemaD};
 
 /// One measured point: `(b, k, exact max load, approx q, exact r, approx r)`.
 pub fn point(b: u32, k: u32) -> (u32, u32, u64, f64, f64, f64) {
-    let s = WeightSchema2D::new(b, k);
+    let s = WeightSchemaD::new(b, 2, k);
     (
         b,
         k,
         s.exact_max_load(),
-        s.approx_q(),
+        weight_2d_approx_q(b, k),
         s.exact_replication(),
         s.approx_replication(),
     )
@@ -44,7 +44,7 @@ pub fn report() -> String {
         // Exhaustive validation is feasible for b <= 16.
         let validated = if b <= 16 {
             let problem = HammingProblem::distance_one(b);
-            let schema = WeightSchema2D::new(b, k);
+            let schema = WeightSchemaD::new(b, 2, k);
             validate_schema(&problem, &schema).is_valid().to_string()
         } else {
             "(analytic)".into()

@@ -5,7 +5,7 @@
 use crate::table::{fmt, Table};
 use mr_core::problems::matmul::problem::run_one_phase;
 use mr_core::problems::matmul::{
-    one_phase_communication, two_phase_communication, Matrix, OnePhaseSchema, TwoPhaseMatMul,
+    one_phase_communication, two_phase_communication, Matrix, OnePhaseSchema, RecursiveMatMul,
 };
 use mr_sim::EngineConfig;
 
@@ -22,7 +22,7 @@ pub fn measure(n: u32, q: u64, a: &Matrix, b: &Matrix) -> (u64, u64, bool) {
     };
     let one = OnePhaseSchema::new(n, s);
     let (p1, m1) = run_one_phase(a, b, &one, &EngineConfig::parallel(4)).unwrap();
-    let two = TwoPhaseMatMul::for_budget(n, q);
+    let two = RecursiveMatMul::flat_for_budget(n, q);
     let (p2, m2) = two.run(a, b, &EngineConfig::parallel(4)).unwrap();
     let correct = p1.max_abs_diff(&expected) < 1e-9 && p2.max_abs_diff(&expected) < 1e-9;
     (m1.kv_pairs, m2.total_communication(), correct)

@@ -3,7 +3,7 @@
 
 use crate::table::{fmt, Table};
 use mr_core::model::validate_schema;
-use mr_core::problems::hamming::{HammingProblem, SplittingSchema};
+use mr_core::problems::hamming::{DistanceDSplittingSchema, HammingProblem};
 use mr_core::problems::join::{chain_upper_bound, optimize_shares, Database, Query, SharesSchema};
 use mr_core::problems::matmul::problem::run_one_phase;
 use mr_core::problems::matmul::{lower_bound_r as matmul_bound, Matrix, OnePhaseSchema};
@@ -28,7 +28,7 @@ pub fn report() -> String {
     {
         let b = 12;
         let p = HammingProblem::distance_one(b);
-        let s = SplittingSchema::new(b, 3);
+        let s = DistanceDSplittingSchema::new(b, 3, 1);
         let rep = validate_schema(&p, &s);
         t.row(vec![
             "Hamming-1 / Splitting (b=12, c=3)".into(),

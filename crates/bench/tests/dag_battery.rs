@@ -180,9 +180,9 @@ fn per_round_predictions_are_census_exact_at_every_node() {
 fn crossover_boundary_matches_the_retired_two_phase_closed_forms() {
     // Small scale: n = 4, n² = 16. Below the boundary the search must
     // emit exactly the flat §6.3 two-phase method, and its numbers must
-    // be the retired `Choice::TwoPhaseMatMul` planner arm's closed forms
-    // digit for digit: q = max(2st, n/t), comm = 2n³/s + n³/t over the
-    // two rounds, r = comm / (2n²).
+    // be §6.3's two-phase closed forms, which a former planner arm priced
+    // directly, digit for digit: q = max(2st, n/t), comm = 2n³/s + n³/t
+    // over the two rounds, r = comm / (2n²).
     let n = 4u64;
     for budget in [15u64, 12, 8, 4] {
         let cluster = ClusterSpec::default().with_q_budget(budget);

@@ -10,7 +10,7 @@
 //! [`bound_gap`] measures either kind against the §2.4 recipe.
 
 use crate::model::validate_schema;
-use crate::problems::hamming::{HammingProblem, SplittingSchema, WeightSchema2D};
+use crate::problems::hamming::{DistanceDSplittingSchema, HammingProblem, WeightSchemaD};
 use crate::problems::matmul::{MatMulProblem, OnePhaseSchema};
 use crate::problems::triangle::{NodePartitionSchema, TriangleProblem};
 use crate::problems::two_path::{BucketPairSchema, PerNodeSchema, TwoPathProblem};
@@ -64,7 +64,7 @@ pub fn hamming_frontier(b: u32) -> Vec<FrontierPoint> {
     let problem = HammingProblem::distance_one(b);
     let mut points = Vec::new();
     for c in (1..=b).filter(|c| b.is_multiple_of(*c)) {
-        let s = SplittingSchema::new(b, c);
+        let s = DistanceDSplittingSchema::new(b, c, 1);
         let rep = validate_schema(&problem, &s);
         debug_assert!(rep.is_valid());
         points.push(FrontierPoint {
@@ -76,7 +76,7 @@ pub fn hamming_frontier(b: u32) -> Vec<FrontierPoint> {
     if b.is_multiple_of(2) {
         let half = b / 2;
         for k in (1..=half).filter(|k| half.is_multiple_of(*k) && half / k >= 2) {
-            let s = WeightSchema2D::new(b, k);
+            let s = WeightSchemaD::new(b, 2, k);
             let rep = validate_schema(&problem, &s);
             debug_assert!(rep.is_valid());
             points.push(FrontierPoint {

@@ -7,10 +7,11 @@
 //! * [`problem`] — the [`Problem`](crate::model::Problem) instance and the
 //!   closed-form bounds (`|O| = (b/2)·2^b` for `d=1`, Lemma 3.1's
 //!   `g(q) = (q/2)·log₂q`, Theorem 3.2's `r ≥ b/log₂q`);
-//! * [`splitting`] — the q=2 pairs schema and the Splitting algorithm
-//!   family (§3.3), plus the distance-`d` generalisation (§3.6);
-//! * [`weight`] — the weight-partition algorithms for large `q` (§3.4
-//!   two-dimensional, §3.5 `d`-dimensional);
+//! * [`splitting`] — the q=2 pairs schema and the distance-`d` Splitting
+//!   schema (§3.6), whose `d = 1` case is the Splitting algorithm family
+//!   (§3.3);
+//! * [`weight`] — the `d`-dimensional weight-partition algorithm for
+//!   large `q` (§3.5), whose `d = 2` case is §3.4's;
 //! * [`ball`] — the Ball-2 schema for distance 2 (§3.6);
 //! * [`multi_round`] — splitting re-expressed as DAGs of rounds (parallel
 //!   per-segment nodes, depth-2 consolidation) for the planner's
@@ -26,6 +27,8 @@ pub use ball::Ball2Schema;
 pub use multi_round::{
     all_strings, parallel_split_dag, split_consolidate_dag, split_dag, HamToken,
 };
-pub use problem::{hamming_distance, lemma31_g, theorem32_lower_bound, HammingProblem};
-pub use splitting::{DistanceDSplittingSchema, PairsSchema, SplittingSchema};
-pub use weight::{WeightSchema2D, WeightSchemaD};
+pub use problem::{
+    hamming_distance, lemma31_g, theorem32_lower_bound, weight_2d_approx_q, HammingProblem,
+};
+pub use splitting::{DistanceDSplittingSchema, PairsSchema};
+pub use weight::WeightSchemaD;

@@ -2,7 +2,8 @@
 //! search.
 //!
 //! The one-round Splitting algorithm (§3.3,
-//! [`SplittingSchema`](super::splitting::SplittingSchema)) sits
+//! [`DistanceDSplittingSchema`](super::splitting::DistanceDSplittingSchema)
+//! at `d = 1`) sits
 //! exactly on the Theorem 3.2 hyperbola: `k` segments give `q = 2^{b/k}`,
 //! `r = k`. This module re-expresses it as a [`DagJob`] and adds the two
 //! multi-round variants the planner enumerates:
@@ -70,9 +71,10 @@ fn emit_close_pairs(inputs: &[HamToken], emit: &mut dyn FnMut(HamToken)) {
 
 /// The one-round Splitting algorithm as a single-node DAG: string `w`
 /// goes to the `k` reducers obtained by deleting one segment (group `i`
-/// prefixed into the key, exactly like [`SplittingSchema`]).
+/// prefixed into the key, exactly like [`DistanceDSplittingSchema`] at
+/// `d = 1`).
 ///
-/// [`SplittingSchema`]: super::splitting::SplittingSchema
+/// [`DistanceDSplittingSchema`]: super::splitting::DistanceDSplittingSchema
 pub fn split_dag(b: u32, k: u32) -> DagJob<HamToken> {
     check(b, k);
     let width = b / k;

@@ -169,6 +169,14 @@ pub fn theorem32_lower_bound(b: u32, q: f64) -> f64 {
     b as f64 / q.log2()
 }
 
+/// §3.4's estimate of the most populous cell of the 2-D weight partition
+/// with bucket side `k`: `k²·2^b/(πb)`.
+pub fn weight_2d_approx_q(b: u32, k: u32) -> f64 {
+    let k = k as f64;
+    let b = b as f64;
+    k * k * 2f64.powf(b) / (std::f64::consts::PI * b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,5 +1,5 @@
 //! The Splitting algorithm family (§3.3) and its distance-`d`
-//! generalisation (§3.6).
+//! generalisation (§3.6), one type: [`DistanceDSplittingSchema`].
 //!
 //! For `c | b`, the Splitting algorithm cuts each `b`-bit string into `c`
 //! segments of `b/c` bits. There are `c` groups of reducers; the Group-`i`
@@ -7,7 +7,8 @@
 //! distance 1 disagree in exactly one segment `i` and therefore meet at
 //! their common Group-`i` reducer. Reducer size is `q = 2^{b/c}` and the
 //! replication rate is exactly `c = b / log₂q` — *on* the Theorem 3.2
-//! hyperbola (the dots of Figure 1).
+//! hyperbola (the dots of Figure 1). That is
+//! `DistanceDSplittingSchema::new(b, c, 1)`.
 //!
 //! For distance `d ≤ k`, deleting every `d`-subset of `k` segments covers
 //! all pairs at distance ≤ `d` with replication `C(k,d)` (§3.6).
@@ -80,61 +81,6 @@ fn remove_segments(w: u64, segs: &[u32], width: u32) -> u64 {
         out = remove_segment(out, s, width);
     }
     out
-}
-
-/// The Splitting algorithm (§3.3) with `c` segments: `q = 2^{b/c}`,
-/// `r = c`, exactly matching Theorem 3.2.
-#[derive(Debug, Clone, Copy)]
-pub struct SplittingSchema {
-    /// Bit-string length.
-    pub b: u32,
-    /// Number of segments (must divide `b`).
-    pub c: u32,
-}
-
-impl SplittingSchema {
-    /// Creates the schema.
-    ///
-    /// # Panics
-    /// Panics unless `1 <= c <= b <= 64`, `c` divides `b`, and both the
-    /// reducer size `2^{b/c}` and the id space `c · 2^{b − b/c}` fit 64 bits.
-    pub fn new(b: u32, c: u32) -> Self {
-        assert!(c >= 1 && c <= b, "c={c} must be in 1..={b}");
-        assert_eq!(b % c, 0, "c={c} must divide b={b}");
-        assert_encodable(b, c, 1);
-        SplittingSchema { b, c }
-    }
-
-    /// Reducer size `q = 2^{b/c}`.
-    pub fn q(&self) -> u64 {
-        1u64 << (self.b / self.c)
-    }
-
-    /// Replication rate `r = c` (matches `b / log₂q` exactly).
-    pub fn replication(&self) -> u64 {
-        self.c as u64
-    }
-}
-
-impl MappingSchema<HammingProblem> for SplittingSchema {
-    fn assign(&self, input: &u64) -> Vec<ReducerId> {
-        let width = self.b / self.c;
-        let residual_bits = self.b - width;
-        (0..self.c)
-            .map(|i| {
-                let key = remove_segment(*input, i, width);
-                (i as u64) << residual_bits | key
-            })
-            .collect()
-    }
-
-    fn max_inputs_per_reducer(&self) -> u64 {
-        self.q()
-    }
-
-    fn name(&self) -> String {
-        format!("splitting(b={}, c={})", self.b, self.c)
-    }
 }
 
 /// The distance-`d` generalisation (§3.6): split into `k` segments and
@@ -331,7 +277,7 @@ mod tests {
         let b = 8;
         let p = HammingProblem::distance_one(b);
         for c in [1u32, 2, 4, 8] {
-            let s = SplittingSchema::new(b, c);
+            let s = DistanceDSplittingSchema::new(b, c, 1);
             let report = validate_schema(&p, &s);
             assert!(report.is_valid(), "c={c}: {report:?}");
             // Replication is exactly c — exactly on the hyperbola.
@@ -340,6 +286,7 @@ mod tests {
                 "c={c}: r={}",
                 report.replication_rate
             );
+            assert_eq!(s.replication(), c as u64);
             // Reducer load is exactly 2^{b/c} for every reducer.
             assert_eq!(report.max_load, s.q());
             let bound = theorem32_lower_bound(b, s.q() as f64);
@@ -353,7 +300,7 @@ mod tests {
 
     #[test]
     fn splitting_c1_is_single_reducer() {
-        let s = SplittingSchema::new(6, 1);
+        let s = DistanceDSplittingSchema::new(6, 1, 1);
         let p = HammingProblem::distance_one(6);
         let report = validate_schema(&p, &s);
         assert!(report.is_valid());
@@ -364,20 +311,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "must divide")]
     fn splitting_rejects_non_divisor() {
-        SplittingSchema::new(8, 3);
+        DistanceDSplittingSchema::new(8, 3, 1);
     }
 
     #[test]
     #[should_panic(expected = "does not fit a 64-bit string")]
     fn splitting_rejects_strings_wider_than_64_bits() {
-        SplittingSchema::new(128, 2);
+        DistanceDSplittingSchema::new(128, 2, 1);
     }
 
     #[test]
     #[should_panic(expected = "does not fit a ReducerId")]
     fn splitting_rejects_an_id_space_wider_than_a_reducer_id() {
         // 64 groups over 63 surviving bits: 2^69 ids.
-        SplittingSchema::new(64, 64);
+        DistanceDSplittingSchema::new(64, 64, 1);
     }
 
     #[test]
@@ -426,13 +373,25 @@ mod tests {
 
     #[test]
     fn distance_d_reduces_to_plain_splitting_when_d_is_1() {
+        // §3.3's Splitting: string `w`'s Group-`i` reducer is `w` with
+        // segment `i` deleted, the group index packed above the surviving
+        // bits; `k` groups of `2^{b − b/k}` reducers, each of size `2^{b/k}`.
         let b = 8;
         let p = HammingProblem::distance_one(b);
-        let plain = validate_schema(&p, &SplittingSchema::new(b, 4));
-        let viad = validate_schema(&p, &DistanceDSplittingSchema::new(b, 4, 1));
-        assert_eq!(plain.replication_rate, viad.replication_rate);
-        assert_eq!(plain.max_load, viad.max_load);
-        assert_eq!(plain.num_reducers, viad.num_reducers);
+        for k in [1u32, 2, 4, 8] {
+            let s = DistanceDSplittingSchema::new(b, k, 1);
+            let width = b / k;
+            for w in 0..1u64 << b {
+                let plain: Vec<ReducerId> = (0..k)
+                    .map(|i| (i as u64) << (b - width) | remove_segment(w, i, width))
+                    .collect();
+                assert_eq!(MappingSchema::assign(&s, &w), plain, "k={k}, w={w}");
+            }
+            let report = validate_schema(&p, &s);
+            assert_eq!(report.replication_rate, k as f64, "k={k}");
+            assert_eq!(report.max_load, 1 << width, "k={k}");
+            assert_eq!(report.num_reducers, (k as u64) << (b - width), "k={k}");
+        }
     }
 
     #[test]

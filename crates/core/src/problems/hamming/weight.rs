@@ -1,19 +1,21 @@
-//! Weight-partition algorithms for large `q` (§3.4, §3.5).
+//! Weight-partition algorithms for large `q` (§3.4, §3.5), one type:
+//! [`WeightSchemaD`].
 //!
 //! These algorithms reach replication rates strictly below 2 — the region
 //! between `log₂q = b/2` and `log₂q = b` in Figure 1 that the Splitting
 //! family cannot reach.
 //!
-//! The 2-D version (§3.4) halves each string and buckets it by the pair of
-//! half weights, `k` consecutive weights per bucket. Strings whose half
-//! weight sits on the *lower border* of its bucket are replicated to the
-//! neighbouring bucket so that flipping a 1→0 across the border is still
-//! covered. Replication is `1 + 2/k − O(1/k²)` (§3.4 approximates it as
-//! `1 + 2/k`), and the most populous cell has about `k²·2^b/(πb)` strings.
+//! The `d`-dimensional version (§3.5) splits each string into `d` pieces,
+//! buckets it by the tuple of piece weights, `k` consecutive weights per
+//! bucket, and replicates across each of the `d` lower faces: strings whose
+//! piece weight sits on the *lower border* of its bucket are replicated to
+//! the neighbouring bucket so that flipping a 1→0 across the border is
+//! still covered. `r = 1 + d/k`, `log₂q ≈ b − (d/2)·log₂b`.
 //!
-//! The `d`-dimensional version (§3.5) splits into `d` pieces and replicates
-//! across each of the `d` lower faces: `r = 1 + d/k`,
-//! `log₂q ≈ b − (d/2)·log₂b`.
+//! The 2-D version (§3.4) is `d = 2`: each string is halved, replication
+//! is `1 + 2/k − O(1/k²)` (§3.4 approximates it as `1 + 2/k`), and the
+//! most populous cell has about `k²·2^b/(πb)` strings
+//! ([`weight_2d_approx_q`](super::problem::weight_2d_approx_q)).
 
 use crate::model::{MappingSchema, ReducerId};
 use crate::problems::hamming::problem::HammingProblem;
@@ -46,107 +48,6 @@ fn dim_counts(piece: u32, k: u32, num_groups: u32) -> (Vec<u64>, Vec<u64>) {
         }
     }
     (native, replica)
-}
-
-/// The two-dimensional weight-partition schema (§3.4).
-#[derive(Debug, Clone, Copy)]
-pub struct WeightSchema2D {
-    /// Bit-string length (must be even).
-    pub b: u32,
-    /// Bucket side: `k` consecutive weights per bucket (must divide `b/2`).
-    pub k: u32,
-}
-
-impl WeightSchema2D {
-    /// Creates the schema.
-    ///
-    /// # Panics
-    /// Panics unless `b` is even and `k` divides `b/2`.
-    pub fn new(b: u32, k: u32) -> Self {
-        assert!(b >= 2 && b.is_multiple_of(2), "b={b} must be even");
-        let half = b / 2;
-        assert!(k >= 1 && k <= half, "k={k} must be in 1..={half}");
-        assert_eq!(half % k, 0, "k={k} must divide b/2={half}");
-        WeightSchema2D { b, k }
-    }
-
-    fn num_groups(&self) -> u32 {
-        (self.b / 2) / self.k
-    }
-
-    /// Exact maximum cell load, counted with binomials. A cell `(i, j)`
-    /// holds its native strings plus single-dimension border replicas from
-    /// the bucket above in *one* coordinate (a distance-1 pair changes only
-    /// one half, so no diagonal replicas exist):
-    /// `load = Nᵢ·Nⱼ + Rᵢ·Nⱼ + Nᵢ·Rⱼ`.
-    pub fn exact_max_load(&self) -> u64 {
-        let (native, replica) = dim_counts(self.b / 2, self.k, self.num_groups());
-        let ng = self.num_groups() as usize;
-        let mut max = 0u64;
-        for i in 0..ng {
-            for j in 0..ng {
-                let load = native[i] * native[j] + replica[i] * native[j] + native[i] * replica[j];
-                max = max.max(load);
-            }
-        }
-        max
-    }
-
-    /// §3.4's approximation of the most populous cell: `k²·2^b/(πb)`.
-    pub fn approx_q(&self) -> f64 {
-        let k = self.k as f64;
-        let b = self.b as f64;
-        k * k * (2.0f64).powf(b) / (std::f64::consts::PI * b)
-    }
-
-    /// §3.4's replication approximation `1 + 2/k`.
-    pub fn approx_replication(&self) -> f64 {
-        1.0 + 2.0 / self.k as f64
-    }
-
-    /// Exact replication rate: the fraction of strings whose left (resp.
-    /// right) half weight is a lower border, counted with binomials.
-    pub fn exact_replication(&self) -> f64 {
-        let half = self.b / 2;
-        let ng = self.num_groups();
-        let total: u64 = 1u64 << half;
-        let border: u64 = (0..=half)
-            .filter(|&w| is_lower_border(w, self.k, ng))
-            .map(|w| binomial(half as u64, w as u64))
-            .sum();
-        let frac = border as f64 / total as f64;
-        // Each half contributes independently: E[replicas] = 1 + 2·frac.
-        1.0 + 2.0 * frac
-    }
-}
-
-impl MappingSchema<HammingProblem> for WeightSchema2D {
-    fn assign(&self, input: &u64) -> Vec<ReducerId> {
-        let half = self.b / 2;
-        let ng = self.num_groups();
-        let mask = (1u64 << half) - 1;
-        let wl = (*input & mask).count_ones();
-        let wr = (*input >> half).count_ones();
-        let gl = group_of(wl, self.k, ng);
-        let gr = group_of(wr, self.k, ng);
-        let id = |a: u32, b_: u32| (a as u64) * ng as u64 + b_ as u64;
-        let mut rs = vec![id(gl, gr)];
-        if is_lower_border(wl, self.k, ng) {
-            rs.push(id(gl - 1, gr));
-        }
-        if is_lower_border(wr, self.k, ng) {
-            rs.push(id(gl, gr - 1));
-        }
-        rs
-    }
-
-    fn max_inputs_per_reducer(&self) -> u64 {
-        self.exact_max_load()
-    }
-
-    fn name(&self) -> String {
-        format!("weight-2d(b={}, k={})", self.b, self.k)
-    }
 }
 
 /// The `d`-dimensional weight-partition schema (§3.5): split into `d`
@@ -183,6 +84,20 @@ impl WeightSchemaD {
     /// §3.5's replication approximation `1 + d/k`.
     pub fn approx_replication(&self) -> f64 {
         1.0 + self.d as f64 / self.k as f64
+    }
+
+    /// Exact replication rate: the fraction of `b/d`-bit pieces whose
+    /// weight is a lower border, counted with binomials. Each piece is a
+    /// lower border independently, so `E[replicas] = 1 + d·frac`.
+    pub fn exact_replication(&self) -> f64 {
+        let piece = self.b / self.d;
+        let ng = self.num_groups();
+        let border: u64 = (0..=piece)
+            .filter(|&w| is_lower_border(w, self.k, ng))
+            .map(|w| binomial(piece as u64, w as u64))
+            .sum();
+        let frac = border as f64 / (1u64 << piece) as f64;
+        1.0 + self.d as f64 * frac
     }
 
     /// Exact maximum cell load over all group tuples. A cell's load is
@@ -264,6 +179,7 @@ impl MappingSchema<HammingProblem> for WeightSchemaD {
 mod tests {
     use super::*;
     use crate::model::validate_schema;
+    use crate::problems::hamming::problem::weight_2d_approx_q;
 
     #[test]
     fn group_and_border_logic() {
@@ -284,7 +200,8 @@ mod tests {
         // border machinery is actually exercised.
         for (b, k) in [(8u32, 2u32), (10, 1), (12, 2), (12, 3)] {
             let p = HammingProblem::distance_one(b);
-            let s = WeightSchema2D::new(b, k);
+            let s = WeightSchemaD::new(b, 2, k);
+            assert_eq!(s.name(), format!("weight-2d(b={b}, k={k})"));
             let report = validate_schema(&p, &s);
             assert!(report.is_valid(), "b={b} k={k}: {report:?}");
             // Exact replication accounting matches the measured rate.
@@ -309,7 +226,7 @@ mod tests {
         // The whole point of §3.4: r < 2 where splitting can only give 2.
         // (k must leave at least two buckets per half, else r trivially 1.)
         for k in [2u32, 3] {
-            let s = WeightSchema2D::new(12, k);
+            let s = WeightSchemaD::new(12, 2, k);
             let p = HammingProblem::distance_one(12);
             let report = validate_schema(&p, &s);
             assert!(
@@ -324,7 +241,7 @@ mod tests {
     #[test]
     fn weight_2d_exact_max_load_matches_measured() {
         let b = 10;
-        let s = WeightSchema2D::new(b, 1);
+        let s = WeightSchemaD::new(b, 2, 1);
         let p = HammingProblem::distance_one(b);
         let report = validate_schema(&p, &s);
         assert_eq!(report.max_load, s.exact_max_load());
@@ -336,29 +253,14 @@ mod tests {
         // term and ignores the replicated border weight, so it undershoots
         // by a b-independent constant; check the ratio is bounded and does
         // not grow with b.
-        let ratio = |b: u32| {
-            let s = WeightSchema2D::new(b, 2);
-            s.exact_max_load() as f64 / s.approx_q()
-        };
+        let ratio =
+            |b: u32| WeightSchemaD::new(b, 2, 2).exact_max_load() as f64 / weight_2d_approx_q(b, 2);
         // With k=2 the true cell load is ≈ 8·C(b/2, b/4)² ≈ 8·approx/k²·…,
         // i.e. the ratio tends to a constant ≈ 8 from below.
         let r16 = ratio(16);
         let r32 = ratio(32);
         assert!((1.0..8.0).contains(&r16), "ratio at b=16: {r16}");
         assert!((1.0..8.0).contains(&r32), "ratio at b=32: {r32}");
-    }
-
-    #[test]
-    fn weight_d_reduces_to_2d() {
-        let b = 8;
-        let p = HammingProblem::distance_one(b);
-        let s2 = WeightSchema2D::new(b, 2);
-        let sd = WeightSchemaD::new(b, 2, 2);
-        let r2 = validate_schema(&p, &s2);
-        let rd = validate_schema(&p, &sd);
-        assert_eq!(r2.total_assignments, rd.total_assignments);
-        assert_eq!(r2.max_load, rd.max_load);
-        assert!(rd.is_valid());
     }
 
     #[test]
@@ -377,12 +279,18 @@ mod tests {
                 report.replication_rate
             );
             assert_eq!(report.max_load, s.exact_max_load(), "d={d} k={k}");
+            assert!(
+                (report.replication_rate - s.exact_replication()).abs() < 1e-9,
+                "d={d} k={k}: measured {} vs exact {}",
+                report.replication_rate,
+                s.exact_replication()
+            );
         }
     }
 
     #[test]
     #[should_panic(expected = "must divide")]
     fn rejects_bad_k() {
-        WeightSchema2D::new(10, 4); // 4 does not divide 5
+        WeightSchemaD::new(10, 2, 4); // 4 does not divide 5
     }
 }

@@ -15,10 +15,9 @@
 //! square output tiles stay optimal (`w = h` in the bound).
 //!
 //! Every matmul round that reads matrix entries — the one-phase schema
-//! here, §6.3's phase 1 in [`two_phase`](super::two_phase) and
-//! [`recursive`](super::recursive) — assigns and multiplies through one
-//! cube tiling, `Cubes`: the one-phase tiling is phase 1 with a single
-//! block of `t = n` j-values.
+//! here and §6.3's phase 1 in [`recursive`](super::recursive) — assigns
+//! and multiplies through one cube tiling, `Cubes`: the one-phase tiling
+//! is phase 1 with a single block of `t = n` j-values.
 
 use super::matrix::Matrix;
 use crate::model::{MappingSchema, Problem, ReducerId};

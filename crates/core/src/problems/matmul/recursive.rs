@@ -11,16 +11,24 @@
 //! `j` has reducer size `min(f, m_{j-1})` and after
 //! `d = ⌈log_f m⌉` rounds a single group — the final cell — remains.
 //!
-//! The flat case `f ≥ m` (one aggregation round) **is** the two-phase
-//! method, byte-for-byte — `flat_recursive_is_two_phase_byte_for_byte`
-//! below proves it against the independent
-//! [`TwoPhaseMatMul`](super::TwoPhaseMatMul) implementation, two plain
-//! rounds run one after the other. Deeper trees trade strictly more
-//! rounds (latency) and communication for smaller per-round reducers,
-//! which is exactly the trade the plan layer's round-structure search
-//! prices (§7's open multi-round question). At `t = n` phase 1 alone is
-//! the §6.2 one-phase tiling ([`RecursiveMatMul::one_phase`]), so every
-//! matmul structure the search can pick stages from this one module.
+//! The flat case `f ≥ m` (one aggregation round,
+//! [`RecursiveMatMul::flat`]) **is** the two-phase method:
+//! `flat_recursive_is_two_phase_byte_for_byte` below pins it
+//! byte-for-byte against a reference kept inside that test, the two
+//! phases as two plain rounds run one after the other. Its total
+//! communication is `2n³/s + n³/t`; under the reducer budget `q = 2st`
+//! the Lagrangean optimum is `s = 2t` (aspect ratio 2:1), i.e. `s = √q`,
+//! `t = √q/2`, giving [`two_phase_communication`]'s `4n³/√q` — less than
+//! the one-phase `4n⁴/q` whenever `q < n²`.
+//! [`RecursiveMatMul::flat_for_budget`] picks, among the divisor pairs
+//! of `n` within the budget, the one that communicates least.
+//!
+//! Deeper trees trade strictly more rounds (latency) and communication
+//! for smaller per-round reducers, which is exactly the trade the plan
+//! layer's round-structure search prices (§7's open multi-round
+//! question). At `t = n` phase 1 alone is the §6.2 one-phase tiling
+//! ([`RecursiveMatMul::one_phase`]), so every matmul structure the
+//! search can pick stages from this one module.
 
 use super::matrix::Matrix;
 use super::problem::{assemble, numeric_inputs, Cubes, MatMulProblem, NumericEntry};
@@ -101,6 +109,35 @@ impl RecursiveMatMul {
     /// the classic §6.3 two-phase method.
     pub fn flat(n: u32, s: u32, t: u32) -> Self {
         RecursiveMatMul::new(n, s, t, (n / t).max(1))
+    }
+
+    /// The §6.3-optimal flat shape for a budget `q = 2st`: among the
+    /// divisor pairs of `n` with `2st ≤ q`, the first with the least
+    /// communication `2n³/s + n³/t` — near `s = √q`, `t = √q/2`.
+    ///
+    /// # Panics
+    /// Panics if `q < 2`: the smallest phase-1 reducer, `s = t = 1`,
+    /// holds one entry of each matrix.
+    pub fn flat_for_budget(n: u32, q: u64) -> Self {
+        assert!(
+            q >= 2,
+            "q={q} is below 2, the smallest two-phase budget (s = t = 1 gives 2st = 2)"
+        );
+        let divisors: Vec<u32> = (1..=n).filter(|d| n.is_multiple_of(*d)).collect();
+        let mut best: Option<(f64, RecursiveMatMul)> = None;
+        for &s in &divisors {
+            for &t in &divisors {
+                if 2 * (s as u64) * (t as u64) > q {
+                    continue;
+                }
+                let flat = RecursiveMatMul::flat(n, s, t);
+                let comm = flat.predicted_communication();
+                if best.is_none_or(|(c, _)| comm < c) {
+                    best = Some((comm, flat));
+                }
+            }
+        }
+        best.expect("s = t = 1 is always feasible").1
     }
 
     /// Partials per output cell after phase 1, `m = n/t`.
@@ -259,6 +296,11 @@ impl RecursiveMatMul {
     }
 }
 
+/// §6.3: total communication of the optimal two-phase method, `4n³/√q`.
+pub fn two_phase_communication(n: u32, q: f64) -> f64 {
+    4.0 * (n as f64).powi(3) / q.sqrt()
+}
+
 /// The matrix entry a phase-1 token carries.
 fn entry_of(token: &MatToken) -> &NumericEntry {
     let MatToken::Entry(entry) = token else {
@@ -270,8 +312,9 @@ fn entry_of(token: &MatToken) -> &NumericEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problems::matmul::problem::run_one_phase;
-    use crate::problems::matmul::{OnePhaseSchema, TwoPhaseMatMul};
+    use crate::problems::matmul::problem::{run_one_phase, Cell};
+    use crate::problems::matmul::OnePhaseSchema;
+    use mr_sim::run_round;
 
     /// Every entry's `f64` bits, row-major.
     fn bits(m: &Matrix) -> Vec<u64> {
@@ -293,7 +336,7 @@ mod tests {
             .collect();
         for s in [1u32, 2, 4, 8] {
             let dag = RecursiveMatMul::one_phase(n, s);
-            assert_eq!(dag.round_names(), vec!["one-phase"]);
+            assert!(dag.rounds().eq([("one-phase", &[][..])]));
             for workers in [1usize, 4] {
                 let cfg = EngineConfig::parallel(workers);
                 let (want, round) =
@@ -317,11 +360,55 @@ mod tests {
         }
     }
 
+    /// §6.3's two-phase method as two plain rounds run one after the
+    /// other, outside any [`DagJob`]: phase 1 over the `s × s × t` cubes,
+    /// then phase 2 summing each cell's partials. The reference the flat
+    /// tree is pinned against.
+    fn two_plain_rounds(
+        (n, s, t): (u32, u32, u32),
+        a: &Matrix,
+        b: &Matrix,
+        config: &EngineConfig,
+    ) -> (Matrix, JobMetrics) {
+        let cubes = Cubes::new(MatMulProblem::new(n), s, s, t);
+        let phase1_map = FnMapper(
+            move |input: &NumericEntry, emit: &mut dyn FnMut(u64, NumericEntry)| {
+                for cube in cubes.assign(&input.0) {
+                    emit(cube, *input);
+                }
+            },
+        );
+        let phase1_reduce = FnReducer(
+            move |cube: &u64, inputs: &[NumericEntry], emit: &mut dyn FnMut(Cell)| {
+                cubes.product(*cube, inputs, emit)
+            },
+        );
+        let phase2_map = FnMapper(
+            move |cell: &Cell, emit: &mut dyn FnMut((u32, u32), [u8; 8])| {
+                emit((cell.0, cell.1), cell.2);
+            },
+        );
+        let phase2_reduce = FnReducer(
+            move |key: &(u32, u32), partials: &[[u8; 8]], emit: &mut dyn FnMut(Cell)| {
+                let sum: f64 = partials
+                    .iter()
+                    .map(|bits| f64::from_bits(u64::from_be_bytes(*bits)))
+                    .sum();
+                emit((key.0, key.1, sum.to_bits().to_be_bytes()));
+            },
+        );
+        let inputs = numeric_inputs(a, b);
+        let (partials, phase1) = run_round(&inputs, &phase1_map, &phase1_reduce, config).unwrap();
+        let (cells, phase2) = run_round(&partials, &phase2_map, &phase2_reduce, config).unwrap();
+        let rounds = vec![phase1, phase2];
+        (assemble(a.n(), a.n(), cells), JobMetrics { rounds })
+    }
+
     #[test]
     fn flat_recursive_is_two_phase_byte_for_byte() {
-        // The flat shape, staged as a DAG, must reproduce the independent
-        // two-phase implementation — two plain rounds run one after the
-        // other — exactly: every product bit and every round's metrics.
+        // The flat shape, staged as a DAG, must reproduce the two-phase
+        // method run as two plain rounds one after the other exactly:
+        // every product bit and every round's metrics.
         let n = 8u32;
         let a = Matrix::random(n as usize, 21);
         let b = Matrix::random(n as usize, 22);
@@ -330,7 +417,7 @@ mod tests {
             assert_eq!(flat.num_rounds(), 2, "(s={s},t={t})");
             for workers in [1usize, 4] {
                 let cfg = EngineConfig::parallel(workers);
-                let (two, m2) = TwoPhaseMatMul::new(n, s, t).run(&a, &b, &cfg).unwrap();
+                let (two, m2) = two_plain_rounds((n, s, t), &a, &b, &cfg);
                 let (tree, mr) = flat.run(&a, &b, &cfg).unwrap();
                 assert_eq!(bits(&two), bits(&tree), "(s={s},t={t}) product");
                 assert_eq!(m2, mr, "(s={s},t={t}) metrics");

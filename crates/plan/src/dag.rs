@@ -426,19 +426,15 @@ pub struct DagCandidate {
 }
 
 /// Builds a [`RoundDag`] from the candidate's [`DagJob::census`] — exact
-/// by §2.2 obliviousness, with no sink reduced and nothing shuffled.
-fn priced_round_dag<T: Clone + Send + Sync + 'static>(
-    dag: &DagJob<T>,
-    deps: Vec<Vec<usize>>,
-    inputs: &[T],
-) -> RoundDag {
+/// by §2.2 obliviousness, with no sink reduced and nothing shuffled — and
+/// its topology from [`DagJob::rounds`].
+fn priced_round_dag<T: Clone + Send + Sync + 'static>(dag: &DagJob<T>, inputs: &[T]) -> RoundDag {
     let census = dag
         .census(inputs)
         .expect("pricing applies no budget, so no round can overflow one");
-    assert_eq!(deps.len(), census.len());
     let mut rd = RoundDag::new(inputs.len() as u64);
-    for ((name, c), d) in dag.round_names().into_iter().zip(census).zip(deps) {
-        rd.push(name, d, c.q, c.pairs);
+    for ((name, deps), c) in dag.rounds().zip(census) {
+        rd.push(name, deps.to_vec(), c.q, c.pairs);
     }
     rd
 }
@@ -532,10 +528,7 @@ pub fn enumerate_dag_candidates(workload: DagWorkload, scale: Scale) -> Vec<DagC
             let strings = all_strings(b);
             for k in divisors(b) {
                 if k >= 2 {
-                    let mut deps = vec![vec![]; k as usize];
-                    deps.push((0..k as usize).collect());
-                    let consolidate =
-                        priced_round_dag(&split_consolidate_dag(b, k), deps, &strings);
+                    let consolidate = priced_round_dag(&split_consolidate_dag(b, k), &strings);
                     // `split_consolidate_dag` is `parallel_split_dag` plus
                     // one round, so its first `k` priced rounds *are* the
                     // parallel split's: the shared prefix is priced once.
@@ -552,7 +545,7 @@ pub fn enumerate_dag_candidates(workload: DagWorkload, scale: Scale) -> Vec<DagC
                 }
                 out.push(DagCandidate {
                     structure: DagStructure::HammingSplit { b, k },
-                    dag: priced_round_dag(&split_dag(b, k), vec![vec![]], &strings),
+                    dag: priced_round_dag(&split_dag(b, k), &strings),
                 });
             }
         }
@@ -567,28 +560,16 @@ pub fn enumerate_dag_candidates(workload: DagWorkload, scale: Scale) -> Vec<DagC
                 for fanout in 2..s {
                     out.push(DagCandidate {
                         structure: DagStructure::JoinAggPushed { n, s, fanout },
-                        dag: priced_round_dag(
-                            &pushed_count_dag(schema(s), fanout),
-                            vec![vec![], vec![0], vec![1]],
-                            &inputs,
-                        ),
+                        dag: priced_round_dag(&pushed_count_dag(schema(s), fanout), &inputs),
                     });
                 }
                 out.push(DagCandidate {
                     structure: DagStructure::JoinAggPushed { n, s, fanout: 1 },
-                    dag: priced_round_dag(
-                        &pushed_count_dag(schema(s), 1),
-                        vec![vec![], vec![0]],
-                        &inputs,
-                    ),
+                    dag: priced_round_dag(&pushed_count_dag(schema(s), 1), &inputs),
                 });
                 out.push(DagCandidate {
                     structure: DagStructure::JoinAggNaive { n, s },
-                    dag: priced_round_dag(
-                        &naive_count_dag(schema(s)),
-                        vec![vec![], vec![0]],
-                        &inputs,
-                    ),
+                    dag: priced_round_dag(&naive_count_dag(schema(s)), &inputs),
                 });
             }
         }

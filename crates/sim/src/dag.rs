@@ -178,9 +178,11 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
         self.nodes.len()
     }
 
-    /// The node names, in node order.
-    pub fn round_names(&self) -> Vec<&str> {
-        self.nodes.iter().map(|n| n.name.as_str()).collect()
+    /// Each node's name and the nodes feeding it, in node order.
+    pub fn rounds(&self) -> impl Iterator<Item = (&str, &[usize])> {
+        self.nodes
+            .iter()
+            .map(|n| (n.name.as_str(), n.deps.as_slice()))
     }
 
     /// ASAP level of every node: 0 for source nodes, else one more than

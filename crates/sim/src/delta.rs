@@ -445,16 +445,19 @@ where
             let prior_outputs = match self.reducers.get(&rid) {
                 Some(state) => {
                     // Every removal is held here and both lists ascend:
-                    // copy the runs between the removals.
+                    // copy the runs between the removals. An input `assign`
+                    // names twice is held twice and removed twice, so each
+                    // removal takes the first copy still at or past `from`.
                     let mut from = 0;
                     for (_, seq, _) in removes {
+                        let at = from + state.seqs[from..].partition_point(|s| s < seq);
                         // Cannot fire: assignment is oblivious (§2.2), so a
                         // removed input maps to the reducers its insertion
                         // did; and nothing has been mutated yet if it does.
-                        let at = from
-                            + state.seqs[from..]
-                                .binary_search(seq)
-                                .expect("a removal is held by every reducer it maps to");
+                        assert!(
+                            state.seqs.get(at) == Some(seq),
+                            "a removal is held by every reducer it maps to: {seq}"
+                        );
                         seqs.extend_from_slice(&state.seqs[from..at]);
                         values.extend_from_slice(&state.values[from..at]);
                         from = at + 1;

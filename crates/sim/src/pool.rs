@@ -167,12 +167,22 @@ impl Batch {
     /// Runs one claimed task, capturing a panic instead of unwinding into
     /// the worker loop, and counts it finished. Of several panics the one
     /// with the smallest task index is kept, whichever happened first.
+    /// The payload not kept is dropped after the slot is released, and a
+    /// `Drop` of it that panics is caught there too (its own payload is
+    /// leaked, as dropping it could panic once more).
     fn run_task(&self, index: usize, task: Task) {
         if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
-            // Cannot fire unless a replaced payload's `Drop` panics: nothing else runs under it.
-            let mut slot = self.panic.lock().expect("pool panic slot poisoned");
-            if slot.as_ref().is_none_or(|(kept, _)| index < *kept) {
-                *slot = Some((index, payload));
+            let discarded = {
+                // Cannot fire: only a compare and a move run under the slot.
+                let mut slot = self.panic.lock().expect("pool panic slot poisoned");
+                if slot.as_ref().is_none_or(|(kept, _)| index < *kept) {
+                    slot.replace((index, payload)).map(|(_, old)| old)
+                } else {
+                    Some(payload)
+                }
+            };
+            if let Err(second) = catch_unwind(AssertUnwindSafe(move || drop(discarded))) {
+                std::mem::forget(second);
             }
         }
         // Cannot fire: the latch is held only to count down, notify or wait, none of which unwinds.

@@ -32,11 +32,16 @@ struct ModFan {
     reps: u64,
 }
 
+impl ModFan {
+    /// The `reps` reducers `x` maps to, repeats included.
+    fn fan(&self, x: u64) -> impl Iterator<Item = u64> + '_ {
+        (0..self.reps).map(move |j| x.wrapping_mul(2 * j + 7).wrapping_add(j) % self.groups)
+    }
+}
+
 impl SchemaJob<u64, (u64, u64, u64)> for ModFan {
     fn assign(&self, x: &u64) -> Vec<u64> {
-        let set: BTreeSet<u64> = (0..self.reps)
-            .map(|j| x.wrapping_mul(2 * j + 7).wrapping_add(j) % self.groups)
-            .collect();
+        let set: BTreeSet<u64> = self.fan(*x).collect();
         set.into_iter().collect()
     }
 
@@ -49,14 +54,31 @@ impl SchemaJob<u64, (u64, u64, u64)> for ModFan {
     }
 }
 
-/// Runs a retained `ModFan` job through `deltas` in order — its state
-/// carried from each apply into the next — and asserts before every
-/// apply that the map-side prediction is exact, and after it that the
-/// retained result equals a fresh full run of the live instance
-/// byte-identically: outputs *and* semantic metrics.
-fn assert_deltas_match_full_runs(
+/// `ModFan` with its repeats kept: `assign` may name one reducer more
+/// than once, and each naming sends the input there once more (the
+/// `SchemaJob::assign` contract). Over five groups with three reps, every
+/// `x ≡ 2 (mod 5)` names one reducer three times.
+#[derive(Clone)]
+struct RepeatFan(ModFan);
+
+impl SchemaJob<u64, (u64, u64, u64)> for RepeatFan {
+    fn assign(&self, x: &u64) -> Vec<u64> {
+        self.0.fan(*x).collect()
+    }
+
+    fn reduce(&self, r: u64, inputs: &[u64], emit: &mut dyn FnMut((u64, u64, u64))) {
+        self.0.reduce(r, inputs, emit)
+    }
+}
+
+/// Runs a retained job through `deltas` in order — its state carried
+/// from each apply into the next — and asserts before every apply that
+/// the map-side prediction is exact, and after it that the retained
+/// result equals a fresh full run of the live instance byte-identically:
+/// outputs *and* semantic metrics.
+fn assert_deltas_match_full_runs<S: SchemaJob<u64, (u64, u64, u64)> + Clone>(
     name: &str,
-    schema: &ModFan,
+    schema: &S,
     base: &[u64],
     deltas: &[Delta<u64>],
     config: &EngineConfig,
@@ -130,14 +152,9 @@ fn delta_sequence(base_len: usize, steps: &[(Vec<u64>, Vec<usize>)]) -> Vec<Delt
 // count 1–16.
 // -----------------------------------------------------------------
 
-#[test]
-fn delta_kinds_match_full_runs_at_every_worker_count() {
-    let schema = ModFan {
-        groups: 37,
-        reps: 3,
-    };
-    let base: Vec<u64> = (0..200u64).map(|i| i * 13 + 7).collect();
-    let kinds: Vec<(&str, Delta<u64>)> = vec![
+/// One delta of each kind over a base of 200 inputs (seqs `0..200`).
+fn delta_kinds() -> Vec<(&'static str, Delta<u64>)> {
+    vec![
         ("empty", Delta::empty()),
         ("adds", Delta::add((1_000..1_040).collect())),
         (
@@ -155,10 +172,37 @@ fn delta_kinds_match_full_runs_at_every_worker_count() {
             "full-churn",
             Delta::new((2_000..2_200).collect(), (0..200 as Seq).collect()),
         ),
-    ];
+    ]
+}
+
+#[test]
+fn delta_kinds_match_full_runs_at_every_worker_count() {
+    let schema = ModFan {
+        groups: 37,
+        reps: 3,
+    };
+    let base: Vec<u64> = (0..200u64).map(|i| i * 13 + 7).collect();
     for workers in 1..=16usize {
         let cfg = EngineConfig::parallel(workers);
-        for (name, delta) in &kinds {
+        for (name, delta) in &delta_kinds() {
+            assert_deltas_match_full_runs(name, &schema, &base, std::slice::from_ref(delta), &cfg);
+        }
+    }
+}
+
+/// An input that `assign` sends to one reducer several times is held
+/// there once per naming, and removing it removes every copy.
+#[test]
+fn repeated_assignments_match_full_runs_at_every_worker_count() {
+    let schema = RepeatFan(ModFan { groups: 5, reps: 3 });
+    let base: Vec<u64> = (0..200u64).map(|i| i * 13 + 7).collect();
+    assert!(base.iter().any(|x| {
+        let ids = schema.assign(x);
+        ids.iter().collect::<BTreeSet<_>>().len() < ids.len()
+    }));
+    for workers in 1..=16usize {
+        let cfg = EngineConfig::parallel(workers);
+        for (name, delta) in &delta_kinds() {
             assert_deltas_match_full_runs(name, &schema, &base, std::slice::from_ref(delta), &cfg);
         }
     }

@@ -151,6 +151,53 @@ fn a_panicking_task_raises_the_sequential_panic() {
     assert_eq!(out, inputs);
 }
 
+/// A panic payload whose `Drop` panics too.
+struct Bomb(usize);
+
+impl Drop for Bomb {
+    fn drop(&mut self) {
+        panic!("bomb {} went off in drop", self.0);
+    }
+}
+
+#[test]
+fn a_payload_whose_drop_panics_stays_inside_the_pool() {
+    // Every task panics with a `Bomb`, so every payload but the kept one
+    // is discarded, and each discard panics again. The caller must still
+    // get task 0's payload, and the pool must still run the next batch.
+    // The batches run on a helper thread under a deadline: a worker killed
+    // by a discard never counts its task down, and the caller would wait
+    // for it forever.
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let pool = WorkerPool::with_workers(2);
+        let bombs: Vec<Box<dyn FnOnce() + Send>> = (0..8usize)
+            .map(|i| Box::new(move || std::panic::panic_any(Bomb(i))) as Box<dyn FnOnce() + Send>)
+            .collect();
+        let payload =
+            catch_unwind(AssertUnwindSafe(|| pool.run(bombs))).expect_err("every task panicked");
+        let kept = match payload.downcast::<Bomb>() {
+            Ok(bomb) => {
+                let index = bomb.0;
+                std::mem::forget(bomb);
+                Ok(index)
+            }
+            Err(other) => Err(panic_message(other)),
+        };
+        let next = pool.run(
+            (0..8u64)
+                .map(|i| Box::new(move || i * 3) as Box<_>)
+                .collect(),
+        );
+        let _ = done.send((kept, next));
+    });
+    let (kept, next) = outcome
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the pool lost a task to a panicking discard and never finished the batch");
+    assert_eq!(kept, Ok(0), "the re-thrown payload");
+    assert_eq!(next, (0..8u64).map(|i| i * 3).collect::<Vec<_>>());
+}
+
 #[test]
 fn raw_rounds_are_executor_independent_on_both_pipelines() {
     let inputs = indexed(&mixed_keys());

@@ -13,7 +13,7 @@
 use mapreduce_bounds::core::family::Scale;
 use mapreduce_bounds::core::problems::matmul::problem::run_one_phase;
 use mapreduce_bounds::core::problems::matmul::{
-    one_phase_communication, two_phase_communication, Matrix, OnePhaseSchema, TwoPhaseMatMul,
+    one_phase_communication, two_phase_communication, Matrix, OnePhaseSchema, RecursiveMatMul,
 };
 use mapreduce_bounds::plan::{plan_family, ClusterSpec};
 use mapreduce_bounds::sim::EngineConfig;
@@ -37,7 +37,7 @@ fn main() {
         let (got1, m1) = run_one_phase(&a, &b, &one, &EngineConfig::parallel(4)).unwrap();
 
         // Two-phase: best (s, t) with 2st ≤ q.
-        let two = TwoPhaseMatMul::for_budget(n, q);
+        let two = RecursiveMatMul::flat_for_budget(n, q);
         let (got2, m2) = two.run(&a, &b, &EngineConfig::parallel(4)).unwrap();
 
         let c1 = m1.kv_pairs;

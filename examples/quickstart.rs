@@ -10,7 +10,7 @@
 
 use mapreduce_bounds::core::model::validate_schema;
 use mapreduce_bounds::core::problems::hamming::{
-    theorem32_lower_bound, HammingProblem, SplittingSchema,
+    theorem32_lower_bound, DistanceDSplittingSchema, HammingProblem,
 };
 
 fn main() {
@@ -42,7 +42,7 @@ fn main() {
         "c", "q", "r (measured)", "r (bound)", "valid"
     );
     for c in [1u32, 2, 3, 4, 6, 12] {
-        let schema = SplittingSchema::new(b, c);
+        let schema = DistanceDSplittingSchema::new(b, c, 1);
         let report = validate_schema(&problem, &schema);
         println!(
             "  {:>3} {:>8} {:>12.3} {:>12.3} {:>8}",

@@ -12,7 +12,9 @@
 
 use mapreduce_bounds::core::cost::CostModel;
 use mapreduce_bounds::core::model::{validate_schema, MappingSchema};
-use mapreduce_bounds::core::problems::hamming::{HammingProblem, SplittingSchema, WeightSchema2D};
+use mapreduce_bounds::core::problems::hamming::{
+    DistanceDSplittingSchema, HammingProblem, WeightSchemaD,
+};
 
 fn main() {
     let b = 16;
@@ -24,16 +26,16 @@ fn main() {
 
     // Candidate schemas across the tradeoff curve.
     println!(
-        "{:<24} {:>10} {:>10} {:>8}",
+        "{:<28} {:>10} {:>10} {:>8}",
         "schema", "q (max)", "r", "valid"
     );
     let mut frontier: Vec<(f64, f64)> = Vec::new();
     for c in [1u32, 2, 4, 8] {
-        let s = SplittingSchema::new(b, c);
+        let s = DistanceDSplittingSchema::new(b, c, 1);
         let report = validate_schema(&problem, &s);
         frontier.push((report.max_load as f64, report.replication_rate));
         println!(
-            "{:<24} {:>10} {:>10.3} {:>8}",
+            "{:<28} {:>10} {:>10.3} {:>8}",
             s.name(),
             report.max_load,
             report.replication_rate,
@@ -41,11 +43,11 @@ fn main() {
         );
     }
     for k in [2u32, 4] {
-        let s = WeightSchema2D::new(b, k);
+        let s = WeightSchemaD::new(b, 2, k);
         let report = validate_schema(&problem, &s);
         frontier.push((report.max_load as f64, report.replication_rate));
         println!(
-            "{:<24} {:>10} {:>10.3} {:>8}",
+            "{:<28} {:>10} {:>10.3} {:>8}",
             s.name(),
             report.max_load,
             report.replication_rate,

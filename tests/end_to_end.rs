@@ -4,11 +4,11 @@
 
 use mapreduce_bounds::core::model::validate_schema;
 use mapreduce_bounds::core::problems::hamming::{
-    theorem32_lower_bound, HammingProblem, SplittingSchema, WeightSchema2D,
+    theorem32_lower_bound, DistanceDSplittingSchema, HammingProblem, WeightSchemaD,
 };
 use mapreduce_bounds::core::problems::join::{optimize_shares, Database, Query, SharesSchema};
 use mapreduce_bounds::core::problems::matmul::problem::run_one_phase;
-use mapreduce_bounds::core::problems::matmul::{Matrix, OnePhaseSchema, TwoPhaseMatMul};
+use mapreduce_bounds::core::problems::matmul::{Matrix, OnePhaseSchema, RecursiveMatMul};
 use mapreduce_bounds::core::problems::triangle::{NodePartitionSchema, TriangleProblem};
 use mapreduce_bounds::core::problems::two_path::{BucketPairSchema, TwoPathProblem};
 use mapreduce_bounds::graph::{gen, subgraph};
@@ -21,7 +21,7 @@ fn hamming_splitting_exactly_on_the_hyperbola() {
     let b = 12;
     let problem = HammingProblem::distance_one(b);
     for c in [1u32, 2, 3, 4, 6, 12] {
-        let schema = SplittingSchema::new(b, c);
+        let schema = DistanceDSplittingSchema::new(b, c, 1);
         let report = validate_schema(&problem, &schema);
         assert!(report.is_valid());
         let bound = theorem32_lower_bound(b, schema.q() as f64);
@@ -39,8 +39,8 @@ fn hamming_splitting_exactly_on_the_hyperbola() {
 fn hamming_weight_algorithm_fills_the_large_q_gap() {
     let b = 12;
     let problem = HammingProblem::distance_one(b);
-    let splitting_q = SplittingSchema::new(b, 2).q(); // 2^{b/2}
-    let schema = WeightSchema2D::new(b, 3); // two buckets per half
+    let splitting_q = DistanceDSplittingSchema::new(b, 2, 1).q(); // 2^{b/2}
+    let schema = WeightSchemaD::new(b, 2, 3); // two buckets per half
     let report = validate_schema(&problem, &schema);
     assert!(report.is_valid());
     assert!(report.replication_rate < 2.0);
@@ -137,7 +137,7 @@ fn matmul_two_phase_beats_one_phase() {
     // Equal budget q = 64 < n² = 256.
     let one = OnePhaseSchema::new(n, 2); // q = 2sn = 64
     assert_eq!(one.q(), 64);
-    let two = TwoPhaseMatMul::for_budget(n, 64);
+    let two = RecursiveMatMul::flat_for_budget(n, 64);
 
     let (p1, m1) = run_one_phase(&a, &b, &one, &EngineConfig::sequential()).unwrap();
     let (p2, m2) = two.run(&a, &b, &EngineConfig::sequential()).unwrap();

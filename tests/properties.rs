@@ -9,7 +9,7 @@
 
 use mapreduce_bounds::core::model::validate_schema;
 use mapreduce_bounds::core::problems::hamming::{
-    theorem32_lower_bound, HammingProblem, SplittingSchema,
+    theorem32_lower_bound, DistanceDSplittingSchema, HammingProblem,
 };
 use mapreduce_bounds::core::problems::join::{Database, Query, SharesSchema};
 use mapreduce_bounds::core::problems::triangle::NodePartitionSchema;
@@ -55,7 +55,7 @@ proptest! {
         let divisors: Vec<u32> = (1..=b).filter(|d| b.is_multiple_of(*d)).collect();
         let c = divisors[c_idx % divisors.len()];
         let problem = HammingProblem::distance_one(b);
-        let schema = SplittingSchema::new(b, c);
+        let schema = DistanceDSplittingSchema::new(b, c, 1);
         let report = validate_schema(&problem, &schema);
         prop_assert!(report.is_valid());
         let bound = theorem32_lower_bound(b, schema.q() as f64);
@@ -180,7 +180,7 @@ proptest! {
         let divisors: Vec<u32> = (1..=b).filter(|d| b.is_multiple_of(*d)).collect();
         let c = divisors[c_idx % divisors.len()];
         let problem = HammingProblem::distance_one(b);
-        let schema = SplittingSchema::new(b, c);
+        let schema = DistanceDSplittingSchema::new(b, c, 1);
         let report = validate_schema(&problem, &schema);
         let recipe = problem.recipe();
         let lower = recipe.clamped_lower_bound(report.max_load as f64);
