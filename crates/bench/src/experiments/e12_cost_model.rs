@@ -4,8 +4,18 @@
 //! optimal algorithm moves along the curve.
 
 use crate::table::{fmt, Table};
-use mr_core::cost::CostModel;
 use mr_core::frontier::{as_cost_points, hamming_frontier, matmul_frontier};
+use mr_plan::ClusterSpec;
+
+/// A §1.2 price profile: the three cost weights of a [`ClusterSpec`].
+fn profile(comm_weight: f64, compute_weight: f64, latency_weight: f64) -> ClusterSpec {
+    ClusterSpec {
+        comm_weight,
+        compute_weight,
+        latency_weight,
+        ..ClusterSpec::default()
+    }
+}
 
 /// Renders the §1.2 experiment on two frontiers.
 pub fn report() -> String {
@@ -19,20 +29,14 @@ pub fn report() -> String {
     ] {
         let pts = as_cost_points(&frontier);
         let mut t = Table::new(&["cluster profile", "chosen q", "chosen r", "total cost"]);
-        let profiles: Vec<(&str, CostModel)> = vec![
-            (
-                "comm-heavy   (a=100, b=0.01)",
-                CostModel::linear(100.0, 0.01),
-            ),
-            ("balanced     (a=1,   b=1)", CostModel::linear(1.0, 1.0)),
-            ("compute-heavy(a=0.01,b=10)", CostModel::linear(0.01, 10.0)),
-            (
-                "latency-aware(+c·q², c=0.01)",
-                CostModel::with_wall_clock(1.0, 0.1, 0.01),
-            ),
+        let profiles = [
+            ("comm-heavy   (a=100, b=0.01)", profile(100.0, 0.01, 0.0)),
+            ("balanced     (a=1,   b=1)", profile(1.0, 1.0, 0.0)),
+            ("compute-heavy(a=0.01,b=10)", profile(0.01, 10.0, 0.0)),
+            ("latency-aware(+c·q², c=0.01)", profile(1.0, 0.1, 0.01)),
         ];
-        for (pname, model) in profiles {
-            let (q, r, cost) = model.cheapest_point(&pts).expect("non-empty frontier");
+        for (pname, cluster) in profiles {
+            let (q, r, cost) = cluster.cheapest_point(&pts).expect("non-empty frontier");
             t.row(vec![pname.into(), fmt(q), fmt(r), fmt(cost)]);
         }
         out.push_str(&format!(
@@ -62,16 +66,13 @@ pub fn report() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mr_core::cost::CostModel;
-    use mr_core::frontier::{as_cost_points, hamming_frontier};
 
     #[test]
     fn optimum_moves_monotonically_with_comm_price() {
         let pts = as_cost_points(&hamming_frontier(12));
         let mut last_q = 0.0;
         for a in [0.01, 1.0, 100.0, 10_000.0] {
-            let model = CostModel::linear(a, 1.0);
-            let (q, _, _) = model.cheapest_point(&pts).unwrap();
+            let (q, _, _) = profile(a, 1.0, 0.0).cheapest_point(&pts).unwrap();
             assert!(q >= last_q, "q must grow with comm price: {q} < {last_q}");
             last_q = q;
         }

@@ -6,7 +6,7 @@
 //! Parity between the two is therefore the planner's whole correctness
 //! story: for every registry family at Small scale, the planner's chosen
 //! point's **measured** cost must be within 5% of the cheapest measured
-//! sweep-grid point under the same `CostModel` (census exactness actually
+//! sweep-grid point under the same `ClusterSpec` (census exactness actually
 //! makes them equal — the 5% tolerance is the acceptance contract, not
 //! slack the implementation uses). The §6 matmul crossover gets its own
 //! exact boundary check.
@@ -112,7 +112,7 @@ fn matmul_planner_switches_to_two_phase_exactly_below_n_squared() {
         )
         .unwrap();
         assert!(
-            matches!(plan.choice, Choice::MatMulTree { .. }),
+            matches!(plan.choice, Choice::Tree { .. }),
             "budget {budget} < n²: expected a multi-round tree, got {}",
             plan.schema
         );
@@ -156,7 +156,7 @@ fn comm_heavy_and_compute_heavy_bracket_the_frontier() {
         assert_eq!(big.predicted_q, max_q, "{}: comm-heavy", fam.family);
         if fam.family == "matmul" {
             assert!(
-                matches!(small.choice, Choice::MatMulTree { .. }),
+                matches!(small.choice, Choice::Tree { .. }),
                 "matmul: compute-heavy should go multi-round, got {}",
                 small.schema
             );

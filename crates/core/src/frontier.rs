@@ -2,18 +2,16 @@
 //!
 //! §1.2 assumes "we have determined that the best algorithms for a problem
 //! have replication rate r and reducer size q, where r = f(q)". This
-//! module *constructs* those curves by validating every algorithm the
-//! library implements at a sweep of parameters, returning the achieved
-//! `(q, r)` points ready for [`CostModel`](crate::cost::CostModel)
-//! minimisation. The same schemas executed by an engine round on instance
+//! module *constructs* two such curves, Hamming distance 1 and one-phase
+//! matmul, by validating each algorithm at a sweep of parameters; `mr-plan`'s
+//! `ClusterSpec::cheapest_point` minimises §1.2's cost over the achieved
+//! `(q, r)` points. The same schemas executed by an engine round on instance
 //! data are [`FamilyPoint`](crate::family::FamilyPoint)s, and
 //! [`bound_gap`] measures either kind against the §2.4 recipe.
 
 use crate::model::validate_schema;
 use crate::problems::hamming::{DistanceDSplittingSchema, HammingProblem, WeightSchemaD};
 use crate::problems::matmul::{MatMulProblem, OnePhaseSchema};
-use crate::problems::triangle::{NodePartitionSchema, TriangleProblem};
-use crate::problems::two_path::{BucketPairSchema, PerNodeSchema, TwoPathProblem};
 
 /// One achieved point on a tradeoff frontier.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,51 +87,6 @@ pub fn hamming_frontier(b: u32) -> Vec<FrontierPoint> {
     pareto(points)
 }
 
-/// The triangle frontier on `n` nodes across group counts.
-pub fn triangle_frontier(n: u32, ks: &[u32]) -> Vec<FrontierPoint> {
-    let problem = TriangleProblem::new(n);
-    let points = ks
-        .iter()
-        .map(|&k| {
-            let s = NodePartitionSchema::new(n, k);
-            let rep = validate_schema(&problem, &s);
-            debug_assert!(rep.is_valid());
-            FrontierPoint {
-                algorithm: format!("node-partition(k={k})"),
-                q: rep.max_load,
-                r: rep.replication_rate,
-            }
-        })
-        .collect();
-    pareto(points)
-}
-
-/// The 2-path frontier on `n` nodes: per-node plus bucket-pair sweeps.
-pub fn two_path_frontier(n: u32, ks: &[u32]) -> Vec<FrontierPoint> {
-    let problem = TwoPathProblem::new(n);
-    let mut points = Vec::new();
-    {
-        let s = PerNodeSchema { n };
-        let rep = validate_schema(&problem, &s);
-        points.push(FrontierPoint {
-            algorithm: "per-node".into(),
-            q: rep.max_load,
-            r: rep.replication_rate,
-        });
-    }
-    for &k in ks.iter().filter(|&&k| k >= 2) {
-        let s = BucketPairSchema::new(n, k);
-        let rep = validate_schema(&problem, &s);
-        debug_assert!(rep.is_valid());
-        points.push(FrontierPoint {
-            algorithm: format!("bucket-pair(k={k})"),
-            q: rep.max_load,
-            r: rep.replication_rate,
-        });
-    }
-    pareto(points)
-}
-
 /// The matrix-multiplication frontier for `n×n` one-phase tiling across
 /// divisor group sizes.
 pub fn matmul_frontier(n: u32) -> Vec<FrontierPoint> {
@@ -162,7 +115,6 @@ pub fn as_cost_points(frontier: &[FrontierPoint]) -> Vec<(f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostModel;
 
     #[test]
     fn pareto_drops_dominated_points() {
@@ -192,12 +144,7 @@ mod tests {
     #[test]
     fn frontiers_are_monotone() {
         // On a Pareto frontier r strictly decreases as q grows.
-        for frontier in [
-            hamming_frontier(12),
-            triangle_frontier(20, &[1, 2, 3, 4, 5]),
-            two_path_frontier(24, &[2, 3, 4, 6]),
-            matmul_frontier(12),
-        ] {
+        for frontier in [hamming_frontier(12), matmul_frontier(12)] {
             assert!(frontier.len() >= 2, "{frontier:?}");
             for w in frontier.windows(2) {
                 assert!(w[1].q > w[0].q, "{frontier:?}");
@@ -227,20 +174,5 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn bound_gap_rejects_nonpositive_bound() {
         bound_gap(1.0, 0.0);
-    }
-
-    #[test]
-    fn cost_model_integration() {
-        let f = matmul_frontier(12);
-        let pts = as_cost_points(&f);
-        // Communication-dominated cost picks the largest-q point (r = 1).
-        let comm = CostModel::linear(1e6, 1e-6);
-        let (q, r, _) = comm.cheapest_point(&pts).unwrap();
-        assert_eq!(r, 1.0);
-        assert_eq!(q, 2.0 * 144.0);
-        // Compute-dominated cost picks the smallest-q point.
-        let cpu = CostModel::linear(1e-6, 1e6);
-        let (q2, _, _) = cpu.cheapest_point(&pts).unwrap();
-        assert_eq!(q2, f[0].q as f64);
     }
 }

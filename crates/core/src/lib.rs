@@ -21,10 +21,8 @@
 //! * [`recipe`] — the four-step lower-bound recipe of §2.4 plus an
 //!   empirical `g(q)` prober used to validate each problem's claimed bound
 //!   on small instances;
-//! * [`cost`] — the §1.2 cluster cost model `a·r + b·q (+ c·q²)` and
-//!   frontier minimisation;
-//! * [`frontier`] — measured `(q, r)` tradeoff curves built by sweeping
-//!   every implemented algorithm, ready for cost minimisation;
+//! * [`frontier`] — measured `(q, r)` tradeoff curves, ready for the §1.2
+//!   cost minimisation of `mr-plan`'s `ClusterSpec`;
 //! * [`family`] — the type-erased problem-family registry: every family
 //!   behind one `DynFamily` interface (grids, scale presets, sparse
 //!   scenarios), so executors iterate families without naming their
@@ -34,7 +32,6 @@
 //!   2-paths (§5.4), multiway joins (§5.5), matrix multiplication (§6), and
 //!   the illustrative model examples of §2.1.
 
-pub mod cost;
 pub mod family;
 pub mod frontier;
 pub mod model;

@@ -368,6 +368,18 @@ pub fn numeric_inputs(r: &Matrix, s: &Matrix) -> Vec<NumericEntry> {
         .collect()
 }
 
+/// Checks that `R` is `m×n` and `S` is `n×p` for `dims` before a run, so
+/// a mismatch panics here, naming both shapes, and not as an index out
+/// of bounds inside a reducer.
+pub(super) fn assert_shapes(dims: MatMulProblem, r: &Matrix, s: &Matrix) {
+    let MatMulProblem { m, n, p } = dims;
+    let [rr, rc, sr, sc] = [r.rows(), r.cols(), s.rows(), s.cols()];
+    assert!(
+        [rr, rc, sr, sc] == [m, n, n, p].map(|d| d as usize),
+        "R is {rr}×{rc} and S is {sr}×{sc}, but the schema multiplies {m}×{n} by {n}×{p}"
+    );
+}
+
 /// The `rows×cols` matrix a round's output cells describe.
 pub(super) fn assemble(rows: usize, cols: usize, cells: impl IntoIterator<Item = Cell>) -> Matrix {
     let mut out = Matrix::with_shape(rows, cols, vec![0.0; rows * cols]);
@@ -379,12 +391,16 @@ pub(super) fn assemble(rows: usize, cols: usize, cells: impl IntoIterator<Item =
 
 /// Runs the one-phase algorithm end to end on `R` (`m×n`) and `S`
 /// (`n×p`), returning the `m×p` product and the round metrics.
+///
+/// # Panics
+/// Panics unless `R` is `m×n` and `S` is `n×p` (the schema's `dims`).
 pub fn run_one_phase(
     r: &Matrix,
     s: &Matrix,
     schema: &OnePhaseSchema,
     config: &EngineConfig,
 ) -> Result<(Matrix, RoundMetrics), EngineError> {
+    assert_shapes(schema.dims, r, s);
     let (cells, metrics) = run_schema(&numeric_inputs(r, s), schema, config)?;
     Ok((assemble(r.rows(), s.cols(), cells), metrics))
 }
@@ -396,6 +412,18 @@ mod tests {
     use crate::recipe::max_outputs_covered;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+
+    #[test]
+    #[should_panic(expected = "R is 4×4 and S is 4×4, but the schema multiplies 8×8 by 8×8")]
+    fn run_one_phase_rejects_matrices_of_another_shape() {
+        let m = Matrix::random(4, 1);
+        let _ = run_one_phase(
+            &m,
+            &m,
+            &OnePhaseSchema::new(8, 2),
+            &EngineConfig::sequential(),
+        );
+    }
 
     fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -31,7 +31,7 @@
 //! search can pick stages from this one module.
 
 use super::matrix::Matrix;
-use super::problem::{assemble, numeric_inputs, Cubes, MatMulProblem, NumericEntry};
+use super::problem::{assemble, assert_shapes, numeric_inputs, Cubes, MatMulProblem, NumericEntry};
 use mr_sim::{DagJob, EngineConfig, EngineError, FnMapper, FnReducer, JobMetrics};
 
 /// The uniform token a recursive-matmul [`DagJob`] flows between rounds:
@@ -274,12 +274,16 @@ impl RecursiveMatMul {
     }
 
     /// Runs the multiplication end to end.
+    ///
+    /// # Panics
+    /// Panics unless `R` and `S` are both `n×n`.
     pub fn run(
         &self,
         r: &Matrix,
         s_mat: &Matrix,
         config: &EngineConfig,
     ) -> Result<(Matrix, JobMetrics), EngineError> {
+        assert_shapes(MatMulProblem::new(self.n), r, s_mat);
         let tokens: Vec<MatToken> = numeric_inputs(r, s_mat)
             .into_iter()
             .map(MatToken::Entry)
@@ -501,6 +505,13 @@ mod tests {
     fn rejects_a_shape_whose_communication_overflows_a_u64() {
         // 2·(2²¹)³ = 2⁶⁴: unchecked, phase 1's pairs wrap to 0 in release.
         RecursiveMatMul::new(1 << 21, 1, 1 << 21, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "R is 4×4 and S is 4×4, but the schema multiplies 8×8 by 8×8")]
+    fn run_rejects_matrices_of_another_size() {
+        let m = Matrix::random(4, 1);
+        let _ = RecursiveMatMul::new(8, 2, 2, 2).run(&m, &m, &EngineConfig::sequential());
     }
 
     #[test]

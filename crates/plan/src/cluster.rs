@@ -6,12 +6,11 @@ use mr_sim::EngineConfig;
 /// A cluster specification: how many workers execute, how much a reducer
 /// may hold, and what communication and compute cost.
 ///
-/// This generalises [`CostModel`](mr_core::cost::CostModel) — the §1.2
-/// money/time model `a·r + b·q (+ c·q²)` — with the two operational facts
-/// a planner also needs: the **reducer capacity** (a hard per-reducer
+/// It is the workspace's one §1.2 money/time model `a·r + b·q (+ c·q²)`
+/// ([`cost`](ClusterSpec::cost)), with the two operational facts a
+/// planner also needs: the **reducer capacity** (a hard per-reducer
 /// memory budget on `q`, the paper's design constraint) and the **worker
-/// count** plans execute with. [`cost`](ClusterSpec::cost) prices a point
-/// exactly as `CostModel::with_wall_clock` over the same weights does.
+/// count** plans execute with.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Engine worker threads a plan executes with. Semantically inert —
@@ -126,6 +125,26 @@ impl ClusterSpec {
         self.comm_weight * r + self.compute_weight * q + self.latency_weight * q * q
     }
 
+    /// The cheapest `(q, r, cost)` of a frontier of achieved `(q, r)`
+    /// points: the first of equal-cost points, skipping NaN costs; `None`
+    /// when no point is left.
+    ///
+    /// ```
+    /// use mr_plan::ClusterSpec;
+    /// let c = ClusterSpec::new(4, 1.0, 1.0);
+    /// assert_eq!(c.cheapest_point(&[]), None);
+    /// // The NaN point is ignored; the finite one wins.
+    /// let (q, r, cost) = c.cheapest_point(&[(f64::NAN, 1.0), (4.0, 2.0)]).unwrap();
+    /// assert_eq!((q, r, cost), (4.0, 2.0, 6.0));
+    /// ```
+    pub fn cheapest_point(&self, frontier: &[(f64, f64)]) -> Option<(f64, f64, f64)> {
+        frontier
+            .iter()
+            .map(|&(q, r)| (q, r, self.cost(q, r)))
+            .filter(|&(_, _, cost)| !cost.is_nan())
+            .min_by(|a, b| a.2.partial_cmp(&b.2).expect("NaN costs were filtered"))
+    }
+
     /// The cost of a plan whose rounds load `(q_i, r_i)`, with `depth`
     /// rounds on its critical path:
     /// `Σ_rounds cost(q_i, r_i) + round_latency · depth`. Predicted and
@@ -181,15 +200,51 @@ impl ClusterSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mr_core::cost::CostModel;
+    use mr_core::frontier::{as_cost_points, matmul_frontier};
 
     #[test]
-    fn cost_matches_cost_model() {
-        let c = ClusterSpec::new(2, 3.0, 0.5).with_latency_weight(0.01);
-        let m = CostModel::with_wall_clock(c.comm_weight, c.compute_weight, c.latency_weight);
-        for (q, r) in [(2.0, 10.0), (64.0, 2.0), (1.0, 1.0)] {
-            assert!((c.cost(q, r) - m.total(q, r)).abs() < 1e-12, "({q}, {r})");
+    fn cost_saturates_to_infinity_not_nan() {
+        // The largest weights at the largest census `q`: every term is
+        // non-negative, so the sum overflows to +∞ and never reaches the
+        // NaN of ∞ − ∞.
+        let c = ClusterSpec {
+            comm_weight: f64::MAX,
+            compute_weight: f64::MAX,
+            latency_weight: f64::MAX,
+            round_latency: f64::MAX,
+            ..ClusterSpec::default()
+        };
+        let q = u64::MAX as f64;
+        for r in [0.0, 1.0, q] {
+            assert_eq!(c.cost(q, r), f64::INFINITY, "r = {r}");
         }
+        assert_eq!(c.rounds_cost([(u64::MAX, 1.0)], 1), f64::INFINITY);
+        // Equal (infinite) costs keep the first point.
+        let (q1, r1, cost) = c.cheapest_point(&[(q, 3.0), (q, 1.0), (q, 2.0)]).unwrap();
+        assert_eq!((q1, r1, cost), (q, 3.0, f64::INFINITY));
+    }
+
+    #[test]
+    fn cost_model_integration() {
+        let f = matmul_frontier(12);
+        let pts = as_cost_points(&f);
+        // Communication-dominated cost picks the largest-q point (r = 1).
+        let comm = ClusterSpec {
+            comm_weight: 1e6,
+            compute_weight: 1e-6,
+            ..ClusterSpec::default()
+        };
+        let (q, r, _) = comm.cheapest_point(&pts).unwrap();
+        assert_eq!(r, 1.0);
+        assert_eq!(q, 2.0 * 144.0);
+        // Compute-dominated cost picks the smallest-q point.
+        let cpu = ClusterSpec {
+            comm_weight: 1e-6,
+            compute_weight: 1e6,
+            ..ClusterSpec::default()
+        };
+        let (q2, _, _) = cpu.cheapest_point(&pts).unwrap();
+        assert_eq!(q2, f[0].q as f64);
     }
 
     #[test]

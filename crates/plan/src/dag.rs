@@ -86,7 +86,7 @@ pub struct RoundSpec {
 /// `r` for a round is its shuffled pairs over the *plan's* input count
 /// `|I|` — so a one-round DAG's `r` is the paper's replication rate, and
 /// the sum over rounds prices total communication in the same unit.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundDag {
     /// `|I|`: number of external inputs the DAG reads.
     pub inputs: u64,
@@ -444,10 +444,11 @@ fn divisors(n: u32) -> Vec<u32> {
     (1..=n).filter(|d| n.is_multiple_of(*d)).collect()
 }
 
-/// The `(q, pairs)` chain of a [`RecursiveMatMul`] as a [`RoundDag`].
-pub(crate) fn matmul_tree_dag(rm: &RecursiveMatMul) -> RoundDag {
-    let n = rm.n as u64;
-    let mut rd = RoundDag::new(2 * n * n);
+/// A [`RecursiveMatMul`] as a candidate: its shape, and its
+/// [`round_specs`](RecursiveMatMul::round_specs) chain as a [`RoundDag`].
+fn matmul_tree(rm: RecursiveMatMul) -> DagCandidate {
+    let RecursiveMatMul { n, s, t, fanin } = rm;
+    let mut rd = RoundDag::new(2 * n as u64 * n as u64);
     let mut prev = None;
     for (i, (q, pairs)) in rm.round_specs().into_iter().enumerate() {
         let name = if i == 0 {
@@ -458,7 +459,10 @@ pub(crate) fn matmul_tree_dag(rm: &RecursiveMatMul) -> RoundDag {
         let deps = prev.map(|p| vec![p]).unwrap_or_default();
         prev = Some(rd.push(name, deps, q, pairs));
     }
-    rd
+    DagCandidate {
+        structure: DagStructure::MatMulTree { n, s, t, fanin },
+        dag: rd,
+    }
 }
 
 /// The complete chain(2) join→aggregate instance at domain size `n`.
@@ -486,28 +490,14 @@ pub fn enumerate_dag_candidates(workload: DagWorkload, scale: Scale) -> Vec<DagC
             // Flat two-phase shapes (fanin = n/t), lexicographic (s, t).
             for &s in &divs {
                 for &t in &divs {
-                    let rm = RecursiveMatMul::flat(n, s, t);
-                    out.push(DagCandidate {
-                        structure: DagStructure::MatMulTree {
-                            n,
-                            s,
-                            t,
-                            fanin: (n / t).max(1),
-                        },
-                        dag: matmul_tree_dag(&rm),
-                    });
+                    out.push(matmul_tree(RecursiveMatMul::flat(n, s, t)));
                 }
             }
             // Deeper trees: fan-in strictly below n/t (3+ rounds).
             for &s in &divs {
                 for &t in &divs {
-                    let m = n / t;
-                    for fanin in 2..m {
-                        let rm = RecursiveMatMul::new(n, s, t, fanin);
-                        out.push(DagCandidate {
-                            structure: DagStructure::MatMulTree { n, s, t, fanin },
-                            dag: matmul_tree_dag(&rm),
-                        });
+                    for fanin in 2..n / t {
+                        out.push(matmul_tree(RecursiveMatMul::new(n, s, t, fanin)));
                     }
                 }
             }

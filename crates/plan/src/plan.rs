@@ -1,10 +1,9 @@
 //! Plans and their execution lowering.
 
 use crate::cluster::ClusterSpec;
-use crate::dag::{matmul_tree_dag, DagStructure};
+use crate::dag::{DagStructure, RoundDag};
 use crate::planner::registry_family;
 use mr_core::family::Scale;
-use mr_core::problems::matmul::RecursiveMatMul;
 use mr_sim::{EngineConfig, EngineError};
 use std::time::Duration;
 
@@ -20,21 +19,14 @@ pub enum Choice {
         /// Index into the family's [`grid`](mr_core::family::DynFamily::grid).
         point: usize,
     },
-    /// A multi-round matrix-multiplication aggregation tree — the
-    /// algorithms the one-phase registry grid cannot express, chosen by
-    /// the round-structure search whenever some tree prices below every
-    /// grid point (e.g. whenever the reducer budget drops below `n²`).
-    /// `fanin = n/t` is exactly the §6.3 two-phase method; smaller
-    /// fan-ins are deeper trees.
-    MatMulTree {
-        /// Matrix side length.
-        n: u32,
-        /// Row/column block side (divides `n`).
-        s: u32,
-        /// j-dimension block depth (divides `n`).
-        t: u32,
-        /// Aggregation-tree fan-in.
-        fanin: u32,
+    /// A multi-round candidate of the round-structure search (matmul's
+    /// aggregation trees, which the one-phase grid cannot express), as
+    /// priced; lowered on the path a [`DagPlan`](crate::DagPlan) runs.
+    Tree {
+        /// The chosen round structure.
+        structure: DagStructure,
+        /// Its priced rounds; each one's `q` is that round's budget.
+        rounds: RoundDag,
     },
 }
 
@@ -112,20 +104,20 @@ impl Plan {
     /// wrong, and it is *reported*, not panicked, so callers (the CLI,
     /// the experiments) surface it like any other refusal.
     ///
-    /// A registry point runs its one round under `predicted_q`. A matmul
-    /// tree runs on the same budgeted [`DagJob`](mr_sim::DagJob) path as
-    /// a [`DagPlan`](crate::DagPlan): every round under its own
-    /// closed-form `q` (capped at `predicted_q`).
+    /// A registry point runs its one round under `predicted_q`. A tree
+    /// runs its priced `rounds` on the same budgeted
+    /// [`DagJob`](mr_sim::DagJob) path as a [`DagPlan`](crate::DagPlan):
+    /// every round under its own predicted `q`, capped at `predicted_q`.
     ///
     /// # Panics
     /// Panics if the plan's family/point no longer exists in the
     /// registry.
     pub fn execute_with(&self, engine: &EngineConfig) -> Result<PlanReport, EngineError> {
         let _span = mr_obs::span("plan.execute");
-        match self.choice {
+        match &self.choice {
             Choice::Registry { scale, point } => {
                 let budgeted = engine.clone().with_max_reducer_inputs(self.predicted_q);
-                let fp = registry_family(self.family, scale).run(point, &budgeted)?;
+                let fp = registry_family(self.family, *scale).run(*point, &budgeted)?;
                 Ok(PlanReport {
                     measured_q: fp.q,
                     measured_r: fp.r,
@@ -137,20 +129,21 @@ impl Plan {
                     plan: self.clone(),
                 })
             }
-            Choice::MatMulTree { n, s, t, fanin } => {
-                let structure = DagStructure::MatMulTree { n, s, t, fanin };
-                let dag = matmul_tree_dag(&RecursiveMatMul::new(n, s, t, fanin));
-                let (outputs, metrics, wall) = structure.run(&dag, self.predicted_q, engine)?;
-                let rounds = dag.observe(&metrics);
+            Choice::Tree { structure, rounds } => {
+                let (outputs, metrics, wall) = structure.run(rounds, self.predicted_q, engine)?;
+                let observed = rounds.observe(&metrics);
                 Ok(PlanReport {
                     measured_q: metrics.max_reducer_load(),
                     // Total communication over |I|, not a sum of per-round
                     // rates (which differs in the last bits).
-                    measured_r: dag.per_input(metrics.total_communication()),
-                    measured_cost: dag.measured_cost(&self.cluster, &rounds),
+                    measured_r: rounds.per_input(metrics.total_communication()),
+                    measured_cost: rounds.measured_cost(&self.cluster, &observed),
                     outputs,
-                    partition_skew: rounds.iter().map(|r| r.partition_skew).fold(0.0, f64::max),
-                    shuffle_bytes: rounds.iter().map(|r| r.shuffle_bytes).sum(),
+                    partition_skew: observed
+                        .iter()
+                        .map(|r| r.partition_skew)
+                        .fold(0.0, f64::max),
+                    shuffle_bytes: observed.iter().map(|r| r.shuffle_bytes).sum(),
                     wall,
                     plan: self.clone(),
                 })
@@ -184,7 +177,7 @@ mod tests {
         // multi-round execution to the pair.
         let cluster = ClusterSpec::default().with_q_budget(8);
         let plan = plan_family("matmul", &cluster, Scale::Small).unwrap();
-        assert!(matches!(plan.choice, Choice::MatMulTree { .. }));
+        assert!(matches!(plan.choice, Choice::Tree { .. }));
         let report = plan.execute().unwrap();
         assert_eq!(report.measured_q, plan.predicted_q);
         assert!(
@@ -213,7 +206,7 @@ mod tests {
             Scale::Small,
         )
         .unwrap();
-        assert!(matches!(tree.choice, Choice::MatMulTree { .. }));
+        assert!(matches!(tree.choice, Choice::Tree { .. }));
         let grid = plan_family("two-path", &ClusterSpec::default(), Scale::Small).unwrap();
         assert!(matches!(grid.choice, Choice::Registry { .. }));
         for mut plan in [tree, grid] {
@@ -238,13 +231,16 @@ mod tests {
             .with_round_latency(0.05);
         for scale in [Scale::Small, Scale::Full] {
             for cand in enumerate_dag_candidates(DagWorkload::MatMul, scale) {
-                let DagStructure::MatMulTree { n, s, t, fanin } = cand.structure else {
+                if !matches!(cand.structure, DagStructure::MatMulTree { .. }) {
                     continue;
-                };
+                }
                 let plan = Plan {
                     family: "matmul",
                     schema: cand.structure.name(),
-                    choice: Choice::MatMulTree { n, s, t, fanin },
+                    choice: Choice::Tree {
+                        structure: cand.structure,
+                        rounds: cand.dag.clone(),
+                    },
                     cluster: cluster.clone(),
                     predicted_q: cand.dag.max_q(),
                     predicted_r: cand.dag.replication(),

@@ -282,9 +282,6 @@ impl PricedFamily {
         let grid = pick(&self.grid, cluster);
         let (dag, schema, choice, rationale) = match self.trees.get(best.index) {
             Some(tree) => {
-                let DagStructure::MatMulTree { n, s, t, fanin } = tree.structure else {
-                    unreachable!("only matmul prices tree candidates");
-                };
                 let against = match grid {
                     Some(g) => format!("beats the cheapest one-phase grid point ({})", fmt(g.cost)),
                     None => "no one-phase grid point fits the budget".to_string(),
@@ -299,7 +296,10 @@ impl PricedFamily {
                     tree.dag.total_pairs(),
                     tree.dag.max_q(),
                 );
-                let choice = Choice::MatMulTree { n, s, t, fanin };
+                let choice = Choice::Tree {
+                    structure: tree.structure,
+                    rounds: tree.dag.clone(),
+                };
                 (&tree.dag, tree.structure.name(), choice, rationale)
             }
             None => {
@@ -474,7 +474,7 @@ mod tests {
             )
             .unwrap();
             assert!(
-                matches!(plan.choice, Choice::MatMulTree { .. }),
+                matches!(plan.choice, Choice::Tree { .. }),
                 "budget {budget}: expected two-phase, got {}",
                 plan.schema
             );

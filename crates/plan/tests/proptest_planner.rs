@@ -67,7 +67,7 @@ proptest! {
         let plan = plan_family("matmul", &cluster(a, b, c, Some(budget)), Scale::Small)
             .expect("budgets ≥ 4 admit a flat tree shape at n = 4");
         prop_assert!(
-            matches!(plan.choice, Choice::MatMulTree { .. }),
+            matches!(plan.choice, Choice::Tree { .. }),
             "budget {budget} picked {}", plan.schema
         );
         prop_assert!(plan.predicted_q <= budget);

@@ -10,11 +10,11 @@
 //! baseline, Splitting, and the weight-based algorithm — and use the §1.2
 //! cost model to pick one for a hypothetical cluster.
 
-use mapreduce_bounds::core::cost::CostModel;
 use mapreduce_bounds::core::model::{validate_schema, MappingSchema};
 use mapreduce_bounds::core::problems::hamming::{
     DistanceDSplittingSchema, HammingProblem, WeightSchemaD,
 };
+use mapreduce_bounds::plan::ClusterSpec;
 
 fn main() {
     let b = 16;
@@ -63,8 +63,12 @@ fn main() {
         ("communication-expensive (egress billed)", 500.0, 0.01),
         ("compute-expensive (spot CPUs)", 1.0, 0.5),
     ] {
-        let model = CostModel::linear(a, bb);
-        let (q, r, cost) = model
+        let cluster = ClusterSpec {
+            comm_weight: a,
+            compute_weight: bb,
+            ..ClusterSpec::default()
+        };
+        let (q, r, cost) = cluster
             .cheapest_point(&frontier)
             .expect("frontier is non-empty");
         println!("  {name}: best q = {q:.0}, r = {r:.2}, cost = {cost:.1}");
