@@ -28,8 +28,7 @@
 //! [`HammingProblem`](super::problem::HammingProblem)
 //! requires, so the variants are interchangeable up to output order.
 
-use super::problem::hamming_distance;
-use super::splitting::remove_segment;
+use super::splitting::{assert_encodable, near_pairs, remove_segment};
 use mr_sim::{DagJob, FnMapper, FnReducer};
 
 /// The uniform token a Hamming [`DagJob`] flows between rounds: input
@@ -48,25 +47,33 @@ pub fn all_strings(b: u32) -> Vec<HamToken> {
     (0..(1u64 << b)).map(HamToken::Str).collect()
 }
 
-/// Asserts the segment-count precondition shared by every variant.
+/// Asserts the shape precondition shared by every variant: the one
+/// [`DistanceDSplittingSchema`] refuses at `d = 1`, so a variant never
+/// runs a shape whose group ids would alias.
+///
+/// [`DistanceDSplittingSchema`]: super::splitting::DistanceDSplittingSchema
 fn check(b: u32, k: u32) {
     assert!(k >= 1 && k <= b, "k={k} must be in 1..={b}");
     assert_eq!(b % k, 0, "k={k} must divide b={b}");
+    assert_encodable(b, k, 1);
+}
+
+/// The string a split round's token carries.
+fn string(token: &HamToken) -> u64 {
+    let HamToken::Str(w) = *token else {
+        unreachable!("split rounds consume strings only");
+    };
+    w
 }
 
 /// Emits each distance-1 pair among the reducer's strings, smaller
-/// endpoint first, in scan order over the input slice.
+/// endpoint first, in scan order over the input slice: the Splitting
+/// reducer's kernel, [`near_pairs`], at `d = 1`.
 fn emit_close_pairs(inputs: &[HamToken], emit: &mut dyn FnMut(HamToken)) {
-    for i in 0..inputs.len() {
-        for j in (i + 1)..inputs.len() {
-            let (HamToken::Str(a), HamToken::Str(b)) = (inputs[i], inputs[j]) else {
-                unreachable!("split rounds consume strings only");
-            };
-            if hamming_distance(a, b) == 1 {
-                emit(HamToken::Pair(a.min(b), a.max(b)));
-            }
-        }
-    }
+    near_pairs(inputs, string, 1, |i, j| {
+        let (a, b) = (string(&inputs[i]), string(&inputs[j]));
+        emit(HamToken::Pair(a.min(b), a.max(b)));
+    });
 }
 
 /// The one-round Splitting algorithm as a single-node DAG: string `w`
@@ -85,11 +92,9 @@ pub fn split_dag(b: u32, k: u32) -> DagJob<HamToken> {
         vec![],
         FnMapper(
             move |token: &HamToken, emit: &mut dyn FnMut(u64, HamToken)| {
-                let HamToken::Str(w) = token else {
-                    unreachable!("split rounds consume strings only");
-                };
+                let w = string(token);
                 for i in 0..k {
-                    let key = remove_segment(*w, i, width);
+                    let key = remove_segment(w, i, width);
                     emit((i as u64) << residual_bits | key, *token);
                 }
             },
@@ -116,10 +121,7 @@ pub fn parallel_split_dag(b: u32, k: u32) -> DagJob<HamToken> {
             vec![],
             FnMapper(
                 move |token: &HamToken, emit: &mut dyn FnMut(u64, HamToken)| {
-                    let HamToken::Str(w) = token else {
-                        unreachable!("split rounds consume strings only");
-                    };
-                    emit(remove_segment(*w, i, width), *token);
+                    emit(remove_segment(string(token), i, width), *token);
                 },
             ),
             FnReducer(
@@ -164,6 +166,7 @@ pub fn split_consolidate_dag(b: u32, k: u32) -> DagJob<HamToken> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::problem::hamming_distance;
     use super::*;
     use mr_sim::EngineConfig;
 
@@ -246,6 +249,40 @@ mod tests {
     fn parallel_split_runs_in_one_stage_and_consolidate_in_two() {
         assert_eq!(parallel_split_dag(6, 3).depth(), 1);
         assert_eq!(split_consolidate_dag(6, 3).depth(), 2);
+    }
+
+    #[test]
+    fn split_dag_emits_the_splitting_schemas_sequence() {
+        use crate::problems::hamming::splitting::DistanceDSplittingSchema;
+        use mr_sim::run_schema;
+        // One kernel: the DAG's reducers and the schema's at d = 1 emit the
+        // same pairs in the same order, element for element.
+        for b in [8u32, 12] {
+            let strings: Vec<u64> = (0..1u64 << b).collect();
+            for k in (1..=b).filter(|k| b % k == 0) {
+                let schema = DistanceDSplittingSchema::new(b, k, 1);
+                for workers in [1usize, 4] {
+                    let cfg = EngineConfig::parallel(workers);
+                    let (tokens, _) = split_dag(b, k).run(&all_strings(b), &cfg).unwrap();
+                    let dag: Vec<(u64, u64)> = tokens
+                        .into_iter()
+                        .map(|t| match t {
+                            HamToken::Pair(u, v) => (u, v),
+                            HamToken::Str(_) => panic!("strings in the output"),
+                        })
+                        .collect();
+                    let (pairs, _) = run_schema(&strings, &schema, &cfg).unwrap();
+                    assert_eq!(dag, pairs, "b={b} k={k} workers={workers}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a ReducerId")]
+    fn split_dag_refuses_group_ids_that_alias() {
+        // 64 groups of one bit each: group 2's id would shift 2 past bit 63.
+        split_dag(64, 64);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub(crate) fn remove_segment(w: u64, seg: u32, width: u32) -> u64 {
 /// Refuses the shapes the encodings cannot hold: strings are `u64`s, a
 /// reducer's size `2^{(b/k)·d}` is reported as a `u64`, and a reducer id
 /// packs the group index above the `b − (b/k)·d` surviving bits.
-fn assert_encodable(b: u32, k: u32, d: u32) {
+pub(crate) fn assert_encodable(b: u32, k: u32, d: u32) {
     assert!(b <= u64::BITS, "b={b} does not fit a 64-bit string");
     let deleted = b / k * d;
     assert!(
@@ -73,12 +73,75 @@ fn assert_encodable(b: u32, k: u32, d: u32) {
     );
 }
 
-/// Deletes several segments (indices sorted ascending) of equal `width`.
-fn remove_segments(w: u64, segs: &[u32], width: u32) -> u64 {
+/// Candidate pairs [`near_pairs`] buffers on the stack before handing them
+/// on; a power of two, so a position below it indexes the block unchecked.
+const CANDIDATE_BLOCK: usize = 64;
+
+/// The near-pair kernel every Hamming reducer runs: calls `on_pair(i, j)`
+/// for every `i < j` whose strings `word(&items[i])` and `word(&items[j])`
+/// lie at Hamming distance `1..=d`, in the `i < j` scan's order.
+///
+/// The scan takes no branch that depends on the strings. Every pair's
+/// positions, packed as `i << 32 | j`, are written to a fixed stack block,
+/// whose length then grows by the distance test's 0 or 1:
+/// `popcount(a ^ b).wrapping_sub(1) < d`, where distance 0 wraps to
+/// `u32::MAX`. A full block, and the last partial one, is handed to
+/// `on_pair` in order, so whatever the caller decides per pair runs on
+/// candidates only.
+///
+/// # Panics
+/// Panics on more than `2^32` items, whose positions do not pack.
+// Inlined into each caller, so a constant `d` (the DAG reducers' 1) folds
+// into the distance test: out of line it ran the general popcount.
+#[inline]
+pub(crate) fn near_pairs<T>(
+    items: &[T],
+    word: impl Fn(&T) -> u64,
+    d: u32,
+    mut on_pair: impl FnMut(usize, usize),
+) {
+    let n = items.len();
+    assert!(
+        n as u64 <= 1 << 32,
+        "{n} strings in one reducer: positions pack in 32 bits"
+    );
+    let mut block = [0u64; CANDIDATE_BLOCK];
+    let mut len = 0;
+    let mut flush = |block: &[u64]| {
+        for &pair in block {
+            on_pair((pair >> 32) as usize, pair as u32 as usize);
+        }
+    };
+    for (i, a) in items.iter().enumerate() {
+        let a = word(a);
+        let mut from = i + 1;
+        while from < n {
+            // The block has room for every pair up to `end`, so `len` stays
+            // below `CANDIDATE_BLOCK` inside the scan and the index is in range.
+            let end = n.min(from + CANDIDATE_BLOCK - len);
+            let first = (i as u64) << 32 | from as u64;
+            for (pair, b) in (first..).zip(&items[from..end]) {
+                block[len % CANDIDATE_BLOCK] = pair;
+                len += ((a ^ word(b)).count_ones().wrapping_sub(1) < d) as usize;
+            }
+            from = end;
+            if len == CANDIDATE_BLOCK {
+                flush(&block);
+                len = 0;
+            }
+        }
+    }
+    flush(&block[..len]);
+}
+
+/// Deletes the segments set in the mask `segs`, each of `width` bits.
+fn remove_segments(w: u64, mut segs: u64, width: u32) -> u64 {
     // Delete from the highest segment down so lower indices stay valid.
     let mut out = w;
-    for &s in segs.iter().rev() {
+    while segs != 0 {
+        let s = u64::BITS - 1 - segs.leading_zeros();
         out = remove_segment(out, s, width);
+        segs ^= 1 << s;
     }
     out
 }
@@ -96,7 +159,10 @@ pub struct DistanceDSplittingSchema {
     pub k: u32,
     /// Distance bound (number of segments deleted per reducer group).
     pub d: u32,
-    combos: Vec<Vec<u32>>,
+    /// Each group's deletion set as a mask of segment bits, in group order.
+    groups: Vec<u64>,
+    /// The segment each of the 64 bit positions lies in.
+    segment_of: [u8; 64],
 }
 
 impl DistanceDSplittingSchema {
@@ -115,7 +181,11 @@ impl DistanceDSplittingSchema {
             b,
             k,
             d,
-            combos: combinations(k, d),
+            groups: combinations(k, d)
+                .iter()
+                .map(|segs| segs.iter().fold(0, |mask, &seg| mask | 1 << seg))
+                .collect(),
+            segment_of: std::array::from_fn(|bit| (bit as u32 / (b / k)) as u8),
         }
     }
 
@@ -157,10 +227,10 @@ impl MappingSchema<HammingProblem> for DistanceDSplittingSchema {
     fn assign(&self, input: &u64) -> Vec<ReducerId> {
         let width = self.b / self.k;
         let residual_bits = self.b - width * self.d;
-        self.combos
+        self.groups
             .iter()
             .enumerate()
-            .map(|(ci, segs)| {
+            .map(|(ci, &segs)| {
                 let key = remove_segments(*input, segs, width);
                 (ci as u64) << residual_bits | key
             })
@@ -185,12 +255,18 @@ impl MappingSchema<HammingProblem> for DistanceDSplittingSchema {
 ///
 /// The owner is `D` padded with the lowest-numbered segments not in it
 /// until it has `d` members. Segment sets are subsets of `0..k` with
-/// `k ≤ 64`, so the rule is mask arithmetic on a `u64`: fold the set bits
-/// of `u ^ v` into a segment mask, set its lowest clear bit until `d` bits
-/// are set, and compare with the mask of the reducer's own deletion set.
-/// Nothing is allocated per candidate pair. The rule only *filters* the
-/// `i < j` scan, which still runs in input order, so a reducer's emit
-/// sequence is that scan's order exactly.
+/// `k ≤ 64`, so the rule is mask arithmetic on a `u64`: map each set bit
+/// of `u ^ v` to its segment through a 64-entry table built in `new`
+/// (counting the distinct segments as they are set), set the mask's lowest
+/// clear bit once per missing member, and compare with the reducer's
+/// deletion mask, also precomputed per group.
+///
+/// The pairs come from `near_pairs`, the one kernel every Hamming
+/// reducer runs (the `DagJob` variants in `multi_round` too): a
+/// branch-free pass buffers the positions of the pairs at distance
+/// `1..=d`, and the owner rule runs on those candidates only. Nothing is
+/// allocated per pair, and a reducer's emit sequence is the `i < j` scan's
+/// order exactly.
 impl mr_sim::schema::SchemaJob<u64, (u64, u64)> for DistanceDSplittingSchema {
     fn assign(&self, input: &u64) -> Vec<crate::model::ReducerId> {
         MappingSchema::assign(self, input)
@@ -202,33 +278,29 @@ impl mr_sim::schema::SchemaJob<u64, (u64, u64)> for DistanceDSplittingSchema {
         inputs: &[u64],
         emit: &mut dyn FnMut((u64, u64)),
     ) {
-        let width = self.b / self.k;
-        let residual_bits = self.b - width * self.d;
-        let combo_index = (reducer >> residual_bits) as usize;
-        let combo = self.combos[combo_index]
-            .iter()
-            .fold(0u64, |mask, &seg| mask | 1 << seg);
-        for i in 0..inputs.len() {
-            for j in (i + 1)..inputs.len() {
+        let residual_bits = self.b - self.b / self.k * self.d;
+        let group = self.groups[(reducer >> residual_bits) as usize];
+        near_pairs(
+            inputs,
+            |&w| w,
+            self.d,
+            |i, j| {
                 let (u, v) = (inputs[i].min(inputs[j]), inputs[i].max(inputs[j]));
-                let mut diff = u ^ v;
-                let dist = diff.count_ones();
-                if dist == 0 || dist > self.d {
-                    continue;
-                }
-                let mut owner = 0u64;
+                let (mut diff, mut owner, mut segments) = (u ^ v, 0u64, 0);
                 while diff != 0 {
-                    owner |= 1 << (diff.trailing_zeros() / width);
+                    let segment = 1 << self.segment_of[diff.trailing_zeros() as usize];
+                    segments += (owner & segment == 0) as u32;
+                    owner |= segment;
                     diff &= diff - 1;
                 }
-                while owner.count_ones() < self.d {
+                for _ in segments..self.d {
                     owner |= owner + 1;
                 }
-                if owner == combo {
+                if owner == group {
                     emit((u, v));
                 }
-            }
-        }
+            },
+        );
     }
 }
 
@@ -255,8 +327,8 @@ mod tests {
     #[test]
     fn remove_multiple_segments() {
         let w = 0b11_10_01_00u64; // b=8, width 2
-        assert_eq!(remove_segments(w, &[0, 3], 2), 0b10_01);
-        assert_eq!(remove_segments(w, &[1, 2], 2), 0b11_00);
+        assert_eq!(remove_segments(w, 0b1001, 2), 0b10_01);
+        assert_eq!(remove_segments(w, 0b0110, 2), 0b11_00);
     }
 
     #[test]
@@ -474,17 +546,19 @@ mod tests {
 
     /// The owner rule as it was before the mask kernel: the differing
     /// segments as a `Vec`, padded with the smallest absent segments,
-    /// sorted and compared with the reducer's deletion set. Kept as the
-    /// reference the mask version is tested against.
+    /// sorted and compared with the reducer's deletion set, one of
+    /// `combos = combinations(k, d)`. Kept as the reference the mask
+    /// version is tested against.
     fn reduce_reference(
         schema: &DistanceDSplittingSchema,
+        combos: &[Vec<u32>],
         reducer: ReducerId,
         inputs: &[u64],
         emit: &mut dyn FnMut((u64, u64)),
     ) {
         let width = schema.b / schema.k;
         let residual_bits = schema.b - width * schema.d;
-        let combo = &schema.combos[(reducer >> residual_bits) as usize];
+        let combo = &combos[(reducer >> residual_bits) as usize];
         let seg_mask = |seg: u32| (u64::MAX >> (64 - width)) << (seg * width);
         for i in 0..inputs.len() {
             for j in (i + 1)..inputs.len() {
@@ -524,6 +598,7 @@ mod tests {
             let d = rng.random_range(1..=k.min(3));
             let b = width * k;
             let schema = DistanceDSplittingSchema::new(b, k, d);
+            let combos = combinations(k, d);
             let domain = u64::MAX >> (64 - b);
 
             // A multiset built to collide: a few bases, each with near
@@ -568,7 +643,7 @@ mod tests {
                 let mut mask = Vec::new();
                 let mut reference = Vec::new();
                 mr_sim::schema::SchemaJob::reduce(&schema, id, inputs, &mut |p| mask.push(p));
-                reduce_reference(&schema, id, inputs, &mut |p| reference.push(p));
+                reduce_reference(&schema, &combos, id, inputs, &mut |p| reference.push(p));
                 assert_eq!(
                     mask, reference,
                     "case {case}: b={b} k={k} d={d} reducer {id}: emit sequence differs"
@@ -582,6 +657,34 @@ mod tests {
                 serial_scan(&strings, d),
                 "case {case}: b={b} k={k} d={d}"
             );
+        }
+    }
+
+    #[test]
+    fn reducers_beyond_one_candidate_block_match_the_reference() {
+        // One reducer of all 256 strings: 1,024 pairs at distance 1 for
+        // (8, 1, 1), 4,608 at distance 1..=2 for (8, 2, 2), so the kernel
+        // flushes full blocks before its last partial one. The strings come
+        // ascending, then scrambled by an odd multiplier.
+        for (b, k, d, pairs) in [(8u32, 1u32, 1u32, 1024usize), (8, 2, 2, 4608)] {
+            let schema = DistanceDSplittingSchema::new(b, k, d);
+            let combos = combinations(k, d);
+            for stride in [1u64, 167] {
+                let strings: Vec<u64> = (0..1u64 << b).map(|w| w * stride % (1 << b)).collect();
+                let mut reducers = std::collections::BTreeSet::new();
+                for w in &strings {
+                    reducers.extend(MappingSchema::assign(&schema, w));
+                }
+                assert_eq!(reducers.len(), 1, "b={b} k={k} d={d}");
+                let id = reducers.into_iter().next().unwrap();
+                let mut kernel = Vec::new();
+                let mut reference = Vec::new();
+                mr_sim::schema::SchemaJob::reduce(&schema, id, &strings, &mut |p| kernel.push(p));
+                reduce_reference(&schema, &combos, id, &strings, &mut |p| reference.push(p));
+                assert_eq!(kernel.len(), pairs, "b={b} k={k} d={d}");
+                assert!(pairs > CANDIDATE_BLOCK);
+                assert_eq!(kernel, reference, "b={b} k={k} d={d} stride {stride}");
+            }
         }
     }
 

@@ -70,8 +70,10 @@ fn the_counter_sees_an_allocation() {
 #[test]
 fn splitting_reduce_allocates_nothing() {
     // (b, k, d, q): d = 1 is the `hamming_join` shape with its 8-input
-    // reducers; d = 2 pads owners and has 16-input reducers.
-    for (b, k, d, q) in [(18, 6, 1, 8), (12, 6, 2, 16)] {
+    // reducers; d = 2 pads owners and has 16-input reducers; k = 1 is one
+    // reducer of 256 strings whose 1,024 pairs flush the kernel's
+    // candidate block many times over.
+    for (b, k, d, q) in [(18, 6, 1, 8), (12, 6, 2, 16), (8, 1, 1, 256)] {
         let schema = DistanceDSplittingSchema::new(b, k, d);
         // One reducer from every group a string belongs to.
         for reducer in SchemaJob::assign(&schema, &(0x2_B3A5 & ((1 << b) - 1))) {
