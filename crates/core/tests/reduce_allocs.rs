@@ -132,11 +132,13 @@ fn delta_apply_allocates_per_change_not_per_dirty_reducer() {
             "step {step}: a reducer emptied"
         );
         if step > 0 {
-            let dirty = outcome.metrics.dirty_reducers;
+            // One allocation per change is `assign`'s `Vec` (128 of the
+            // 196 this shape makes); what the pin forbids is one per
+            // dirty reducer.
+            let (changes, dirty) = (delta.changes() as u64, outcome.metrics.dirty_reducers);
             assert!(
-                n < dirty / 2,
-                "step {step}: {n} allocations for {} changes over {dirty} dirty reducers",
-                delta.changes()
+                n < changes + dirty / 8,
+                "step {step}: {n} allocations for {changes} changes over {dirty} dirty reducers"
             );
         }
     }

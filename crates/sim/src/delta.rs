@@ -10,14 +10,16 @@
 //!
 //! [`DeltaJob`] exploits this in the style of incremental view
 //! maintenance (DBSP, Differential Dataflow): [`run_schema_retained`] is
-//! the retained-state mode of [`run_schema`](crate::run_schema) — it
-//! executes the round through the real shuffle pipeline but keeps every
-//! reducer's input list and outputs resident. Applying a
-//! [`Delta`]`{ added, removed }` then
+//! the retained-state mode of [`run_schema`](crate::run_schema) — one
+//! all-additions apply to an empty job, which keeps every reducer's input
+//! list and outputs resident. Applying a [`Delta`]`{ added, removed }`
+//! then
 //!
-//! 1. routes only the *changed* inputs through the shuffle (the
-//!    delta-shuffle volume is `Σ |assign(i)|` over changed inputs, not
-//!    over the instance),
+//! 1. routes only the *changed* inputs, by sorting their `assign` triples
+//!    by reducer — no engine round runs, and the shuffle a distributed
+//!    run would do is priced from the sorted keys (the delta-shuffle
+//!    volume is `Σ |assign(i)|` over changed inputs, not over the
+//!    instance),
 //! 2. re-executes only the **dirty** reducers — those any changed input
 //!    maps to, found by the same assignment census `mr-plan` prices plans
 //!    with,
@@ -36,9 +38,8 @@
 //! retained state is left untouched.
 
 use crate::columnar::FingerprintHasher;
-use crate::engine::{run_round, EngineConfig, EngineError};
-use crate::mapper::{FnMapper, FnReducer};
-use crate::metrics::{LoadStats, RoundMetrics, ShuffleStats};
+use crate::engine::{EngineConfig, EngineError};
+use crate::metrics::{price_round, LoadStats, RoundMetrics, ShuffleStats};
 use crate::pool::fan_out;
 use crate::schema::{price_change, LoadHistogram, LoadTable, ReducerId, SchemaJob};
 use std::collections::hash_map::Entry;
@@ -133,8 +134,8 @@ impl<I> Delta<I> {
 /// Failure modes of delta application.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeltaError {
-    /// An engine round failed — in practice a [`ReducerOverflow`]
-    /// (the post-delta load of some reducer exceeded the budget `q`).
+    /// The post-delta load of some reducer exceeded the budget `q`: the
+    /// [`ReducerOverflow`] a full run of the post-delta instance reports.
     /// The retained state is unchanged.
     ///
     /// [`ReducerOverflow`]: EngineError::ReducerOverflow
@@ -177,7 +178,7 @@ pub struct DeltaMetrics {
     pub inputs_added: u64,
     /// Inputs the delta removed.
     pub inputs_removed: u64,
-    /// Key-value pairs the delta round shuffled: `Σ |assign(i)|` over the
+    /// Key-value pairs the delta routed: `Σ |assign(i)|` over the
     /// *changed* inputs only — the delta-shuffle volume, vs the full
     /// run's `kv_pairs` over the whole instance.
     pub delta_pairs: u64,
@@ -185,11 +186,12 @@ pub struct DeltaMetrics {
     pub outputs_retracted: u64,
     /// Outputs added (everything the dirty reducers re-emitted).
     pub outputs_added: u64,
-    /// Engine metrics of the delta routing round (one [`run_round`]
-    /// over the changed inputs): its `kv_pairs` and `outputs` are both
-    /// `delta_pairs` (the round re-emits every routed change), its
-    /// `reducers` is `dirty_reducers`, its `loads` are per-dirty-reducer
-    /// change counts.
+    /// The routing, a sort of the changed inputs by reducer, priced as a
+    /// round: exactly what the engine would measure for a round that
+    /// shuffles each change to its reducers and re-emits it, shuffle
+    /// statistics included. Its `kv_pairs` and `outputs` are both
+    /// `delta_pairs`, its `reducers` is `dirty_reducers`, its `loads` are
+    /// per-dirty-reducer change counts.
     pub routing: RoundMetrics,
     /// Wall-clock time of the whole application (execution metadata).
     pub wall: Duration,
@@ -222,7 +224,7 @@ pub struct DeltaOutcome<O> {
 pub struct DeltaPrediction {
     /// Reducers the delta will dirty.
     pub dirty_reducers: u64,
-    /// Key-value pairs the delta round will shuffle.
+    /// Key-value pairs the delta will route.
     pub delta_pairs: u64,
     /// Maximum reducer load after the delta (over all reducers, clean
     /// ones included) — the post-delta effective `q`.
@@ -281,7 +283,7 @@ where
 type Staged = (ReducerId, Range<usize>, usize);
 
 /// One live reducer's retained state: its input list (seq-sorted, the
-/// order the engine delivers) and the outputs it emitted for that list.
+/// order a full run delivers) and the outputs it emitted for that list.
 #[derive(Debug, Clone)]
 struct ReducerState<I, O> {
     seqs: Vec<Seq>,
@@ -366,15 +368,16 @@ where
             .map_or(0, |state| state.seqs.len() as u64)
     }
 
-    /// Applies one [`Delta`]: routes the changed inputs through the
-    /// shuffle, re-executes exactly the dirty reducers against their
-    /// updated input lists, and merges the result into the retained
-    /// state.
+    /// Applies one [`Delta`]: routes the changed inputs to their
+    /// reducers by one sort, re-executes exactly the dirty reducers
+    /// against their updated input lists, and merges the result into the
+    /// retained state.
     ///
-    /// Bookkeeping costs `O(|Δ|·r)` plus the dirty reducers' input
-    /// lists: each dirty reducer is looked up once and staged in two
-    /// columns the whole apply shares. Its allocations grow with the
-    /// changes and the reducers that appear, not with the dirty count.
+    /// Bookkeeping costs one sort of the `|Δ|·r` routing triples plus the
+    /// dirty reducers' input lists: each dirty reducer is looked up once
+    /// and staged in two columns the whole apply shares. Its allocations
+    /// grow with the changes and the reducers that appear, not with the
+    /// dirty count.
     ///
     /// On `Err` — an unknown removal [`Seq`], or a post-delta reducer
     /// load over the configured budget `q` (reported with the batch
@@ -386,61 +389,43 @@ where
         let start = Instant::now();
         let _apply_span = mr_obs::span("delta.apply");
 
-        // Resolve and validate the changed inputs. Removals are looked up
-        // in the live map (the mapper needs the removed *value* to know
-        // which reducers it had been assigned to — obliviousness
-        // guarantees the assignment is the same one the insertion used).
+        // Route the changed inputs by one sort of `(rid, is_add, seq)`
+        // triples. A removal's *value* names its reducers: by obliviousness,
+        // the ones its insertion used. The sorted runs are the dirty
+        // reducers, and the round that would shuffle each change to its
+        // reducers as a `(seq, is_add)` value is priced from them.
         let leaving = resolve_removals(&delta.removed, |seq| self.live.get(&seq))?;
-        let mut changed: Vec<(Seq, I, bool)> = Vec::with_capacity(delta.changes());
-        for (&seq, value) in delta.removed.iter().zip(leaving) {
-            changed.push((seq, value.clone(), false));
-        }
         let added_seqs = self.next_seq..self.next_seq + delta.added.len() as Seq;
-        for (seq, value) in added_seqs.clone().zip(&delta.added) {
-            changed.push((seq, value.clone(), true));
-        }
-
-        // Route the changed inputs through the shuffle: one engine round
-        // whose reduce re-emits each change under its dirty reducer. Its
-        // metrics are the delta's communication picture — `kv_pairs` is
-        // the delta-shuffle volume, `reducers` the dirty count. No budget
-        // here: this round's loads count *changes*, not retained inputs;
-        // the real `q` check runs on the staged post-delta loads below.
-        let schema = &self.schema;
-        let routing_config = EngineConfig {
-            max_reducer_inputs: None,
-            ..self.config.clone()
-        };
-        let mapper = FnMapper(
-            |op: &(Seq, I, bool), emit: &mut dyn FnMut(ReducerId, (Seq, bool))| {
-                for rid in schema.assign(&op.1) {
-                    emit(rid, (op.0, op.2));
-                }
-            },
-        );
-        let reducer = FnReducer(
-            |rid: &ReducerId, ops: &[(Seq, bool)], emit: &mut dyn FnMut((ReducerId, Seq, bool))| {
-                for &(seq, is_add) in ops {
-                    emit((*rid, seq, is_add));
-                }
-            },
-        );
         let routing_span = mr_obs::span("delta.routing");
-        let (mut changes, routing) = run_round(&changed, &mapper, &reducer, &routing_config)?;
+        let schema = &self.schema;
+        let mut routed: Vec<(ReducerId, bool, Seq)> = Vec::with_capacity(delta.changes());
+        for (&seq, value) in delta.removed.iter().zip(leaving) {
+            for rid in schema.assign(value) {
+                routed.push((rid, false, seq));
+            }
+        }
+        for (seq, value) in added_seqs.clone().zip(&delta.added) {
+            for rid in schema.assign(value) {
+                routed.push((rid, true, seq));
+            }
+        }
+        routed.sort_unstable();
+        let workers = self.config.effective_workers();
+        let runs = routed.chunk_by(|a, b| a.0 == b.0);
+        let groups = runs.clone().map(|run| (run[0].0, run.len() as u64));
+        let routing =
+            price_round::<ReducerId, (Seq, bool)>(delta.changes(), groups, routed.len(), workers);
         drop(routing_span);
 
         // Stage every dirty reducer's post-delta input list in two shared
-        // columns, looking each up once. `changes` ascends by reducer (the
-        // engine's output contract), so each run of one `rid` is one dirty
-        // reducer's changes; sorting a run puts its removals first and its
-        // additions in seq order, so appending them keeps the seq-sorted
-        // invariant (fresh seqs exceed all retained ones).
+        // columns, looking each up once. Each run holds its removals
+        // first and its additions in seq order, so appending them keeps
+        // the seq-sorted invariant (fresh seqs exceed all retained ones).
         let (mut seqs, mut values): (Vec<Seq>, Vec<I>) = (Vec::new(), Vec::new());
         let mut staged: Vec<Staged> = Vec::with_capacity(routing.reducers as usize);
         let mut appearing = 0;
-        for run in changes.chunk_by_mut(|a, b| a.0 == b.0) {
-            run.sort_unstable_by_key(|&(_, seq, is_add)| (is_add, seq));
-            let (removes, adds) = run.split_at(run.partition_point(|&(_, _, is_add)| !is_add));
+        for run in runs {
+            let (removes, adds) = run.split_at(run.partition_point(|&(_, is_add, _)| !is_add));
             let (rid, start) = (run[0].0, seqs.len());
             let prior_outputs = match self.reducers.get(&rid) {
                 Some(state) => {
@@ -449,7 +434,7 @@ where
                     // names twice is held twice and removed twice, so each
                     // removal takes the first copy still at or past `from`.
                     let mut from = 0;
-                    for (_, seq, _) in removes {
+                    for (_, _, seq) in removes {
                         let at = from + state.seqs[from..].partition_point(|s| s < seq);
                         // Cannot fire: assignment is oblivious (§2.2), so a
                         // removed input maps to the reducers its insertion
@@ -471,7 +456,7 @@ where
                     0
                 }
             };
-            for &(_, seq, _) in adds {
+            for &(_, _, seq) in adds {
                 seqs.push(seq);
                 values.push(delta.added[(seq - added_seqs.start) as usize].clone());
             }
@@ -496,7 +481,6 @@ where
         // order out: deterministic at every worker count, and the chunks'
         // outputs concatenated are the additions.
         let rereduce_span = mr_obs::span("delta.rereduce");
-        let workers = self.config.effective_workers();
         // `max(1)`: nothing staged is no chunks, but `chunks` needs a size.
         let chunks: Vec<&[Staged]> = staged
             .chunks(staged.len().div_ceil(workers).max(1))

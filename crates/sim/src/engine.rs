@@ -35,8 +35,9 @@
 //! is excluded from metric equality by design.
 //!
 //! There is one round kernel, [`run_round`]: every production round —
-//! a schema's, a DAG node's, a retained delta's routing round — is a call
-//! of it.
+//! a schema's, a DAG node's — is a call of it. A retained delta runs no
+//! round to route its changes: it sorts them by reducer and prices the
+//! shuffle it skipped (`metrics::price_round`).
 //!
 //! The engine enforces the paper's central constraint when asked: if
 //! [`EngineConfig::max_reducer_inputs`] (the paper's `q`) is set and any
@@ -158,8 +159,17 @@ impl std::error::Error for EngineError {}
 
 /// Bytes one `(fingerprint, key, value)` triple occupies in the shuffle
 /// columns — the unit behind [`ShuffleStats::bytes_moved`].
-fn pair_bytes<K, V>() -> u64 {
+pub(crate) fn pair_bytes<K, V>() -> u64 {
     (std::mem::size_of::<u64>() + std::mem::size_of::<K>() + std::mem::size_of::<V>()) as u64
+}
+
+/// The shuffle partition count of a round over `inputs` inputs: `P =
+/// workers`, clamped to the input size so a huge worker count over a
+/// tiny input never spawns more threads (or allocates more buckets) than
+/// there are inputs — the same envelope the chunked map and reduce phases
+/// have always had.
+pub(crate) fn partition_count(workers: usize, inputs: usize) -> usize {
+    workers.min(inputs).max(1)
 }
 
 /// Executes one map-reduce round — the round kernel, §2.2's one thing
@@ -201,11 +211,7 @@ where
     let workers = config.effective_workers();
     let _round_span = mr_obs::span("engine.round");
     engine_counters().rounds.incr();
-    // Partition count: P = workers, clamped to the input size so a huge
-    // worker count over a tiny input never spawns more threads (or
-    // allocates more buckets) than there are inputs — the same envelope
-    // the chunked map and reduce phases have always had.
-    let p = workers.min(inputs.len()).max(1);
+    let p = partition_count(workers, inputs.len());
     let map_span = mr_obs::span("engine.map");
     let partitions = map_phase(inputs, mapper, p);
     drop(map_span);
@@ -400,7 +406,7 @@ fn check_budget<K: Ord + Debug, V>(
 
 /// Assembles [`RoundMetrics`] from per-reducer loads in key order: one
 /// sort serves both the summary statistics and the retained raw vector.
-fn round_metrics(
+pub(crate) fn round_metrics(
     inputs: usize,
     kv_pairs: u64,
     mut loads: Vec<u64>,

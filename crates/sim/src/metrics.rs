@@ -7,6 +7,10 @@
 //! is compared to the one-phase method on
 //! [`total_communication`](JobMetrics::total_communication).
 
+use crate::columnar::{fingerprint_of, partition_of_hash};
+use crate::engine::{pair_bytes, partition_count, round_metrics};
+use std::hash::Hash;
+
 /// Distribution statistics over per-reducer input counts.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LoadStats {
@@ -138,6 +142,34 @@ impl ShuffleStats {
             self.max_partition_load as f64 / self.mean_partition_load
         }
     }
+}
+
+/// The [`RoundMetrics`] [`run_round`](crate::run_round) measures at
+/// `workers` for a round of `inputs` inputs that emits `outputs` and whose
+/// shuffle carries `groups` — each reduce-key with its pair count —
+/// priced without running the shuffle. The map phase routes every pair of
+/// a key to partition `partition_of_hash(fingerprint_of(&key), p)` of the
+/// round's [`partition_count`], so the partition loads are those sums,
+/// and `bytes_moved` is the pairs times [`pair_bytes`]`::<K, V>()`.
+pub(crate) fn price_round<K: Hash, V>(
+    inputs: usize,
+    groups: impl IntoIterator<Item = (K, u64)>,
+    outputs: usize,
+    workers: usize,
+) -> RoundMetrics {
+    let p = partition_count(workers, inputs);
+    let mut partition_loads = vec![0; p];
+    let loads: Vec<u64> = groups
+        .into_iter()
+        .map(|(key, pairs)| {
+            partition_loads[partition_of_hash(fingerprint_of(&key), p)] += pairs;
+            pairs
+        })
+        .collect();
+    let kv_pairs = loads.iter().sum();
+    let mut shuffle = ShuffleStats::from_partition_loads(&partition_loads);
+    shuffle.bytes_moved = Some(kv_pairs * pair_bytes::<K, V>());
+    round_metrics(inputs, kv_pairs, loads, outputs, shuffle)
 }
 
 /// Exact measurements of one map-reduce round.

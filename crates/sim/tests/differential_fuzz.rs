@@ -208,6 +208,88 @@ fn repeated_assignments_match_full_runs_at_every_worker_count() {
     }
 }
 
+/// Applies `delta` to a job retained over `base` and asserts that its
+/// priced `routing` equals what a routing round measures through
+/// `run_round`: each change mapped to `(rid, (seq, is_add))` once per
+/// naming in `assign`, and re-emitted under its reducer.
+fn assert_routing_is_priced_exactly<S: SchemaJob<u64, (u64, u64, u64)> + Clone>(
+    at: &str,
+    schema: &S,
+    base: &[u64],
+    delta: &Delta<u64>,
+    config: &EngineConfig,
+) {
+    let removed = delta
+        .removed
+        .iter()
+        .map(|&seq| (seq, base[seq as usize], false));
+    let added = (base.len() as Seq..)
+        .zip(&delta.added)
+        .map(|(seq, &v)| (seq, v, true));
+    let changed: Vec<(Seq, u64, bool)> = removed.chain(added).collect();
+    let mapper = FnMapper(
+        |op: &(Seq, u64, bool), emit: &mut dyn FnMut(u64, (Seq, bool))| {
+            for rid in schema.assign(&op.1) {
+                emit(rid, (op.0, op.2));
+            }
+        },
+    );
+    let reducer = FnReducer(
+        |rid: &u64, ops: &[(Seq, bool)], emit: &mut dyn FnMut((u64, Seq, bool))| {
+            for &(seq, is_add) in ops {
+                emit((*rid, seq, is_add));
+            }
+        },
+    );
+    let (_, round) = run_round(&changed, &mapper, &reducer, config).expect("no q bound set");
+    let mut job = run_schema_retained(base, schema.clone(), Pipeline::Columnar, config)
+        .expect("unbudgeted retained init cannot fail");
+    let priced = job
+        .apply(delta)
+        .expect("unbudgeted apply cannot fail")
+        .metrics
+        .routing;
+    // `RoundMetrics::eq` compares the semantic fields and skips `shuffle`;
+    // `ShuffleStats::eq` compares every one of its fields.
+    assert_eq!(priced, round, "{at}: semantic routing metrics");
+    assert_eq!(priced.shuffle, round.shuffle, "{at}: shuffle statistics");
+    assert!(round.shuffle.bytes_moved.is_some(), "{at}");
+}
+
+/// The routing an apply prices from its sorted keys is the routing round
+/// it no longer runs, field for field — partitions, partition loads and
+/// bytes moved included — for every delta kind, with and without
+/// repeated assignments, at every worker count.
+#[test]
+fn priced_routing_equals_the_routing_round_at_every_worker_count() {
+    let base: Vec<u64> = (0..200u64).map(|i| i * 13 + 7).collect();
+    let distinct = ModFan {
+        groups: 37,
+        reps: 3,
+    };
+    let repeated = RepeatFan(ModFan { groups: 5, reps: 3 });
+    for workers in 1..=16usize {
+        let cfg = EngineConfig::parallel(workers);
+        for (name, delta) in &delta_kinds() {
+            let at = format!("{name} (workers={workers})");
+            assert_routing_is_priced_exactly(
+                &format!("ModFan {at}"),
+                &distinct,
+                &base,
+                delta,
+                &cfg,
+            );
+            assert_routing_is_priced_exactly(
+                &format!("RepeatFan {at}"),
+                &repeated,
+                &base,
+                delta,
+                &cfg,
+            );
+        }
+    }
+}
+
 /// `n` inputs that a one-rep `ModFan` over ten groups sends to one
 /// reducer: `x ↦ 7x mod 10` depends only on `x mod 10`, so each `class`
 /// is a reducer (class 0 → reducer 0, 1 → 7, 4 → 8, 5 → 5, 9 → 3).

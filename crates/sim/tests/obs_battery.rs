@@ -91,6 +91,21 @@ fn delta_applies_are_recorder_invariant() {
         assert!(trace.span_count("delta.apply") >= 1);
         assert!(trace.span_count("delta.routing") >= 1);
         assert!(trace.span_count("delta.rereduce") >= 1);
+        // Routing is a sort, not a round: an apply runs no engine round.
+        // Recording is process-wide and other tests run rounds meanwhile,
+        // so count on this thread's lane, where a round's span would open.
+        let mut job = run_schema_retained(&base, schema, Pipeline::Columnar, &cfg)
+            .expect("unbudgeted init cannot fail");
+        let (_, trace) = mr_obs::record(|| job.apply(&delta).expect("unbudgeted apply"));
+        let here = std::thread::current().name().map(str::to_owned);
+        let lane = trace
+            .lanes
+            .iter()
+            .find(|lane| Some(&lane.name) == here.as_ref())
+            .expect("the apply records on its own thread's lane");
+        let on_lane = |name: &str| lane.events.iter().filter(|e| e.name == name).count();
+        assert_eq!(on_lane("delta.routing"), 1, "workers={workers}");
+        assert_eq!(on_lane("engine.round"), 0, "workers={workers}");
     }
 }
 
