@@ -4,8 +4,8 @@
 //! algorithm on Erdős–Rényi vs power-law graphs of equal size.
 
 use crate::table::{fmt, Table};
-use mr_core::problems::triangle::NodePartitionSchema;
-use mr_graph::gen;
+use mr_core::problems::sample_graph::MultisetPartitionSchema;
+use mr_graph::{gen, patterns};
 use mr_sim::{run_schema, EngineConfig};
 
 /// Renders the skew comparison.
@@ -24,11 +24,10 @@ pub fn report() -> String {
         "skew (max/mean)",
     ]);
     for k in [3u32, 6, 10] {
-        let schema = NodePartitionSchema::new(n as u32, k);
+        let schema = MultisetPartitionSchema::new(patterns::triangle(), n as u32, k);
         for (name, g) in [("Erdos-Renyi", &er), ("power-law", &pl)] {
             let (_, m) =
-                run_schema::<_, [u32; 3], _>(g.edges(), &schema, &EngineConfig::parallel(4))
-                    .expect("no budget");
+                run_schema(g.edges(), &schema, &EngineConfig::parallel(4)).expect("no budget");
             t.row(vec![
                 name.into(),
                 g.num_edges().to_string(),
@@ -57,11 +56,9 @@ mod tests {
         let n = 150usize;
         let er = gen::gnm(n, 1200, 1);
         let pl = gen::power_law(n, 2.1, 16.0, 2);
-        let schema = NodePartitionSchema::new(n as u32, 6);
-        let (_, mer) =
-            run_schema::<_, [u32; 3], _>(er.edges(), &schema, &EngineConfig::sequential()).unwrap();
-        let (_, mpl) =
-            run_schema::<_, [u32; 3], _>(pl.edges(), &schema, &EngineConfig::sequential()).unwrap();
+        let schema = MultisetPartitionSchema::new(patterns::triangle(), n as u32, 6);
+        let (_, mer) = run_schema(er.edges(), &schema, &EngineConfig::sequential()).unwrap();
+        let (_, mpl) = run_schema(pl.edges(), &schema, &EngineConfig::sequential()).unwrap();
         assert!(
             mpl.load.skew() > mer.load.skew(),
             "power-law skew {} should exceed ER skew {}",

@@ -3,8 +3,9 @@
 //! factor, and the distributed count always matches the serial baseline.
 
 use crate::table::{fmt, Table};
-use mr_core::problems::triangle::{sparse_lower_bound_r, NodePartitionSchema};
-use mr_graph::{gen, subgraph, Graph};
+use mr_core::problems::sample_graph::MultisetPartitionSchema;
+use mr_core::problems::triangle::sparse_lower_bound_r;
+use mr_graph::{gen, patterns, subgraph, Graph};
 use mr_sim::{run_schema, EngineConfig};
 
 /// One measured configuration.
@@ -24,7 +25,7 @@ pub struct SparsePoint {
 /// Runs the node-partition algorithm on `g` for a given `k`.
 pub fn measure(g: &Graph, k: u32) -> SparsePoint {
     let n = g.num_nodes() as u32;
-    let schema = NodePartitionSchema::new(n, k);
+    let schema = MultisetPartitionSchema::new(patterns::triangle(), n, k);
     let (found, metrics) =
         run_schema(g.edges(), &schema, &EngineConfig::parallel(4)).expect("no q bound");
     let serial = subgraph::triangle_count(g);

@@ -8,7 +8,7 @@ use mr_core::problems::join::{chain_upper_bound, optimize_shares, Database, Quer
 use mr_core::problems::matmul::problem::run_one_phase;
 use mr_core::problems::matmul::{lower_bound_r as matmul_bound, Matrix, OnePhaseSchema};
 use mr_core::problems::sample_graph::{MultisetPartitionSchema, SampleGraphProblem};
-use mr_core::problems::triangle::{NodePartitionSchema, TriangleProblem};
+use mr_core::problems::triangle::TriangleProblem;
 use mr_core::problems::two_path::{BucketPairSchema, TwoPathProblem};
 use mr_graph::patterns;
 use mr_sim::EngineConfig;
@@ -43,7 +43,7 @@ pub fn report() -> String {
     {
         let n = 24;
         let p = TriangleProblem::new(n);
-        let s = NodePartitionSchema::new(n, 4);
+        let s = MultisetPartitionSchema::new(patterns::triangle(), n, 4);
         let rep = validate_schema(&p, &s);
         t.row(vec![
             "Triangles / node-partition (n=24, k=4)".into(),

@@ -68,7 +68,7 @@ use crate::problems::join::shares::SharesSchema;
 use crate::problems::matmul::problem::{numeric_inputs, NumericEntry};
 use crate::problems::matmul::{MatMulProblem, Matrix, OnePhaseSchema};
 use crate::problems::sample_graph::{MultisetPartitionSchema, SampleGraphProblem};
-use crate::problems::triangle::{g_triangles, NodePartitionSchema, TriangleProblem};
+use crate::problems::triangle::{g_triangles, TriangleProblem};
 use crate::problems::two_path::{BucketPairSchema, PerNodeSchema, TwoPathProblem};
 use crate::recipe::LowerBoundRecipe;
 use mr_graph::{gen, patterns, subgraph, Graph};
@@ -631,7 +631,8 @@ fn hamming_d1(b: u32) -> Box<dyn DynFamily> {
     })
 }
 
-/// Triangles (§4): node partition at divisor group counts.
+/// Triangles (§4): node partition — the multiset partition over the
+/// triangle pattern — at divisor group counts.
 fn triangles(n: u32) -> Box<dyn DynFamily> {
     let problem = TriangleProblem::new(n);
     let recipe = problem.recipe();
@@ -644,8 +645,8 @@ fn triangles(n: u32) -> Box<dyn DynFamily> {
         grid: (1..=n)
             .filter(|k| n.is_multiple_of(*k) && *k <= n / 2)
             .map(|k| {
-                let schema = NodePartitionSchema::new(n, k);
-                Point::of::<TriangleProblem, _>(schema, &recipe).validated(problem, schema)
+                let schema = MultisetPartitionSchema::new(patterns::triangle(), n, k);
+                Point::of::<TriangleProblem, _>(schema.clone(), &recipe).validated(problem, schema)
             })
             .collect(),
     })
@@ -793,7 +794,10 @@ fn triangles_gnm(n: u32, m: usize) -> Box<dyn DynFamily> {
         inputs: graph.edges().to_vec(),
         grid: [1, 2, 3, 4, 6]
             .into_iter()
-            .map(|k| Point::of::<TriangleProblem, _>(NodePartitionSchema::new(n, k), &recipe))
+            .map(|k| {
+                let schema = MultisetPartitionSchema::new(patterns::triangle(), n, k);
+                Point::of::<TriangleProblem, _>(schema, &recipe)
+            })
             .collect(),
     })
 }
@@ -1111,8 +1115,9 @@ mod tests {
         // run directly measures the same q, r, skew and outputs, and on
         // the complete instance exhaustive validation agrees on (q, r).
         let fam = triangles(12);
-        let s = NodePartitionSchema::new(12, 3);
-        let point = fam.grid().iter().position(|gp| gp.schema == s.name());
+        let s = MultisetPartitionSchema::new(patterns::triangle(), 12, 3);
+        let name = MappingSchema::<TriangleProblem>::name(&s);
+        let point = fam.grid().iter().position(|gp| gp.schema == name);
         let fp = fam
             .run(point.unwrap(), &EngineConfig::sequential())
             .unwrap();

@@ -7,12 +7,24 @@
 //! the recipe gives `r = Ω((n/√q)^{s−2})` (§5.2), or
 //! `Ω((√(m/q))^{s−2})` in terms of edges (§5.3).
 //!
-//! The matching algorithm generalises the triangle node-partition schema:
-//! nodes hashed into `k` groups, one reducer per unordered group multiset
-//! of size `s`, each edge sent to every multiset containing both endpoint
-//! groups.
+//! The matching algorithm generalises §4's triangle node partition, and
+//! is that schema at `s = 3`: nodes hashed into `k` groups, one reducer
+//! per unordered group multiset of size `s`, each edge sent to every
+//! multiset containing both endpoint groups. [`MultisetPartitionSchema`]
+//! is the one type for both.
+//!
+//! Every reducer, and [`enumerate_instances`] over a whole graph, runs one
+//! join: sorted adjacency over the edges at hand, pattern nodes matched in
+//! BFS order from the intersection of their matched neighbours' lists —
+//! the worst-case-optimal evaluation (generic join, Abo Khamis–Ngo–Suciu)
+//! that §5.5's `g(q) = q^ρ` presumes. Constraints `img(v) < img(u)` taken
+//! from the pattern's automorphisms find each instance once; a reducer
+//! tests ownership on the matched nodes' groups before it builds an edge
+//! list, and emits its instances sorted. `mr_graph::subgraph` counts
+//! instances independently.
 
 use crate::model::{MappingSchema, Problem, ReducerId};
+use crate::problems::triangle::TriangleProblem;
 use crate::recipe::LowerBoundRecipe;
 use mr_graph::alon::is_alon_class;
 use mr_graph::graph::{Edge, Graph};
@@ -115,65 +127,138 @@ impl Problem for SampleGraphProblem {
     }
 }
 
-/// Enumerates instances of `pattern` in `g` as canonical (sorted,
-/// deduplicated) edge lists.
+/// Enumerates instances of `pattern` in `g` as canonical (sorted) edge
+/// lists, sorted: the one reducer of the schema at `k = 1`, run over the
+/// whole graph.
+///
+/// # Panics
+/// Panics if a pattern node has no edge (an instance is its edge set).
 pub fn enumerate_instances(pattern: &Graph, g: &Graph) -> Vec<Vec<(u32, u32)>> {
-    let s = pattern.num_nodes();
-    let mut out: Vec<Vec<(u32, u32)>> = Vec::new();
-    let mut assignment: Vec<Option<u32>> = vec![None; s];
-    let mut used = vec![false; g.num_nodes()];
-    fn recurse(
-        pattern: &Graph,
-        g: &Graph,
-        pos: usize,
-        assignment: &mut Vec<Option<u32>>,
-        used: &mut Vec<bool>,
-        out: &mut Vec<Vec<(u32, u32)>>,
-    ) {
-        if pos == pattern.num_nodes() {
-            let mut edges: Vec<(u32, u32)> = pattern
-                .edges()
-                .iter()
-                .map(|e| {
-                    let a = assignment[e.u as usize].expect("assigned");
-                    let b = assignment[e.v as usize].expect("assigned");
-                    (a.min(b), a.max(b))
-                })
-                .collect();
-            edges.sort_unstable();
-            out.push(edges);
-            return;
-        }
-        'cand: for c in 0..g.num_nodes() as u32 {
-            if used[c as usize] {
-                continue;
-            }
-            for &p in pattern.neighbors(pos as u32) {
-                if (p as usize) < pos {
-                    let img = assignment[p as usize].expect("assigned earlier");
-                    if !g.has_edge(img, c) {
-                        continue 'cand;
-                    }
-                }
-            }
-            assignment[pos] = Some(c);
-            used[c as usize] = true;
-            recurse(pattern, g, pos + 1, assignment, used, out);
-            used[c as usize] = false;
-            assignment[pos] = None;
-        }
-    }
-    recurse(pattern, g, 0, &mut assignment, &mut used, &mut out);
-    // The backtracking enumerates injective homomorphisms; collapse the
-    // |Aut(pattern)| copies of each instance.
-    out.sort_unstable();
-    out.dedup();
+    let schema = MultisetPartitionSchema::new(pattern.clone(), g.num_nodes().max(1) as u32, 1);
+    let mut out = Vec::new();
+    schema.reduce(0, g.edges(), &mut |instance| out.push(instance));
     out
 }
 
-/// The generalised node-partition schema: reducers are unordered multisets
-/// of `s` groups out of `k`; an edge goes to every multiset containing
-/// both endpoint groups.
+/// A pattern compiled for a worst-case-optimal join over sorted adjacency
+/// (generic join, Abo Khamis–Ngo–Suciu): pattern nodes are matched in BFS
+/// order, each from the intersection of its matched neighbours' lists —
+/// from every node when none is matched yet, as in `matching(2)`.
+///
+/// Symmetry is broken up front (Grochow–Kellis): the first position that
+/// some automorphism moves must map below the rest of its orbit, the
+/// automorphisms are cut to those fixing it, and so on until only the
+/// identity is left, so each instance is matched once. For the triangle
+/// the constraints read `u < v < w`.
+#[derive(Debug, Clone)]
+struct PatternJoin {
+    /// For each position, the earlier positions adjacent to it.
+    back: Vec<Vec<usize>>,
+    /// For each position, the earlier positions whose images it must
+    /// exceed.
+    above: Vec<Vec<usize>>,
+    /// The pattern's edges as position pairs.
+    edges: Vec<(usize, usize)>,
+}
+
+impl PatternJoin {
+    /// Compiles `pattern`, finding its automorphisms as its matches in
+    /// itself.
+    ///
+    /// # Panics
+    /// Panics if a pattern node has no edge.
+    fn new(pattern: &Graph) -> Self {
+        let s = pattern.num_nodes();
+        assert!(
+            (0..s as u32).all(|u| pattern.degree(u) > 0),
+            "every pattern node needs an edge: an instance is its edge set"
+        );
+        let mut order: Vec<u32> = Vec::with_capacity(s);
+        for root in 0..s as u32 {
+            let mut head = order.len();
+            if !order.contains(&root) {
+                order.push(root);
+            }
+            while let Some(&u) = order.get(head) {
+                for &w in pattern.neighbors(u) {
+                    if !order.contains(&w) {
+                        order.push(w);
+                    }
+                }
+                head += 1;
+            }
+        }
+        let pos = |u: u32| order.iter().position(|&x| x == u).expect("ordered");
+        let mut join = PatternJoin {
+            back: (0..s)
+                .map(|i| {
+                    let adjacent = pattern.neighbors(order[i]).iter().map(|&w| pos(w));
+                    adjacent.filter(|&j| j < i).collect()
+                })
+                .collect(),
+            above: vec![Vec::new(); s],
+            edges: pattern
+                .edges()
+                .iter()
+                .map(|e| (pos(e.u), pos(e.v)))
+                .collect(),
+        };
+        let mut automorphisms: Vec<Vec<u32>> = Vec::new();
+        join.run(pattern, |img| automorphisms.push(img.to_vec()));
+        for (i, &v) in order.iter().enumerate() {
+            // The automorphisms left fix every earlier position, so v's
+            // orbit lies at later ones.
+            for u in (0..s as u32).filter(|&u| u != v) {
+                if automorphisms.iter().any(|img| img[i] == u) {
+                    join.above[pos(u)].push(i);
+                }
+            }
+            automorphisms.retain(|img| img[i] == v);
+        }
+        join
+    }
+
+    /// Calls `visit` with every match of the pattern in `g` that meets the
+    /// symmetry constraints, as the node of each position.
+    fn run(&self, g: &Graph, mut visit: impl FnMut(&[u32])) {
+        self.extend(g, &mut vec![0; self.back.len()], 0, &mut visit);
+    }
+
+    fn extend(&self, g: &Graph, img: &mut [u32], pos: usize, visit: &mut impl FnMut(&[u32])) {
+        let Some(back) = self.back.get(pos) else {
+            return visit(img);
+        };
+        let floor = self.above[pos]
+            .iter()
+            .map(|&j| img[j] + 1)
+            .max()
+            .unwrap_or(0);
+        let list = back.first().map(|&j| g.neighbors(img[j]));
+        let mut try_candidate = |c: u32| {
+            let fits = !img[..pos].contains(&c)
+                && back
+                    .iter()
+                    .skip(1)
+                    .all(|&j| g.neighbors(img[j]).binary_search(&c).is_ok());
+            if fits {
+                img[pos] = c;
+                self.extend(g, img, pos + 1, visit);
+            }
+        };
+        match list {
+            Some(list) => list[list.partition_point(|&c| c < floor)..]
+                .iter()
+                .for_each(|&c| try_candidate(c)),
+            None => (floor..g.num_nodes() as u32).for_each(try_candidate),
+        }
+    }
+}
+
+/// The node-partition schema for any sample graph: reducers are unordered
+/// multisets of `s` groups out of `k`; an edge goes to every multiset
+/// containing both endpoint groups. Over `patterns::triangle()` it is
+/// §4's triangle schema, and it is a [`MappingSchema`] of
+/// [`TriangleProblem`] too.
 #[derive(Debug, Clone)]
 pub struct MultisetPartitionSchema {
     /// Number of data nodes.
@@ -182,22 +267,47 @@ pub struct MultisetPartitionSchema {
     pub k: u32,
     /// Pattern size `s` (multiset arity).
     pub s: usize,
-    pattern: Graph,
+    join: PatternJoin,
+    /// Every sorted multiset of `s − 2` groups (the "other groups" an
+    /// edge is combined with), concatenated in ascending order.
+    fills: Vec<u32>,
+    num_fills: usize,
 }
 
 impl MultisetPartitionSchema {
     /// Creates the schema for a given pattern.
     ///
     /// # Panics
-    /// Panics if `k == 0` or the pattern has fewer than 2 nodes.
+    /// Panics if `k` is 0 or exceeds `n`, if the pattern has fewer than 2
+    /// nodes or a node with no edge, or if `kˢ` reducer ids do not fit a
+    /// `u64` (distinct multisets would share an id).
     pub fn new(pattern: Graph, n: u32, k: u32) -> Self {
-        assert!(k >= 1, "k must be positive");
-        assert!(pattern.num_nodes() >= 2, "pattern too small");
+        assert!(k >= 1 && k <= n, "k={k} must be in 1..={n}");
+        let s = pattern.num_nodes();
+        assert!(s >= 2, "pattern too small");
+        assert!(
+            (k as u64).checked_pow(s as u32).is_some(),
+            "k={k} groups of an s={s} node pattern need k^s reducer ids, more than a u64 holds"
+        );
+        let (mut fills, mut num_fills, mut fill) = (Vec::new(), 0, vec![0u32; s - 2]);
+        loop {
+            fills.extend_from_slice(&fill);
+            num_fills += 1;
+            // The next sorted multiset: bump the last digit below k − 1
+            // and repeat it to the end.
+            let Some(i) = (0..fill.len()).rev().find(|&i| fill[i] + 1 < k) else {
+                break;
+            };
+            let g = fill[i] + 1;
+            fill[i..].fill(g);
+        }
         MultisetPartitionSchema {
             n,
             k,
-            s: pattern.num_nodes(),
-            pattern,
+            s,
+            join: PatternJoin::new(&pattern),
+            fills,
+            num_fills,
         }
     }
 
@@ -206,62 +316,45 @@ impl MultisetPartitionSchema {
         u % self.k
     }
 
-    /// Encodes a sorted multiset of groups as a reducer id (base-`k`
-    /// digits).
-    fn encode(&self, sorted: &[u32]) -> ReducerId {
-        sorted
-            .iter()
-            .fold(0u64, |acc, &g| acc * self.k as u64 + g as u64)
-    }
-
-    /// Decodes a reducer id to its sorted group multiset.
-    pub fn decode(&self, id: ReducerId) -> Vec<u32> {
-        let k = self.k as u64;
-        let mut digits = vec![0u32; self.s];
-        let mut rest = id;
-        for slot in digits.iter_mut().rev() {
-            *slot = (rest % k) as u32;
-            rest /= k;
-        }
-        digits
-    }
-
-    /// All sorted multisets of size `s-2` over `0..k` (the "other groups"
-    /// an edge is combined with).
-    fn fill_multisets(&self) -> Vec<Vec<u32>> {
-        let mut out = Vec::new();
-        let mut cur = Vec::new();
-        fn rec(k: u32, remaining: usize, start: u32, cur: &mut Vec<u32>, out: &mut Vec<Vec<u32>>) {
-            if remaining == 0 {
-                out.push(cur.clone());
-                return;
-            }
-            for g in start..k {
-                cur.push(g);
-                rec(k, remaining - 1, g, cur, out);
-                cur.pop();
-            }
-        }
-        rec(self.k, self.s - 2, 0, &mut cur, &mut out);
-        out
-    }
-
+    /// The reducers of an edge: the base-`k` digits of each fill with the
+    /// endpoint groups merged in.
     fn edge_reducers(&self, u: u32, v: u32) -> Vec<ReducerId> {
         let (gu, gv) = (self.group(u), self.group(v));
-        let mut ids: Vec<ReducerId> = self
-            .fill_multisets()
-            .iter()
-            .map(|fill| {
-                let mut ms = fill.clone();
-                ms.push(gu);
-                ms.push(gv);
-                ms.sort_unstable();
-                self.encode(&ms)
+        let (k, width) = (self.k as u64, self.s - 2);
+        let mut ids: Vec<ReducerId> = (0..self.num_fills)
+            .map(|i| {
+                let mut pair = [gu.min(gv), gu.max(gv)].into_iter().peekable();
+                let mut id = 0;
+                for &g in &self.fills[i * width..(i + 1) * width] {
+                    while let Some(x) = pair.next_if(|&x| x <= g) {
+                        id = id * k + x as u64;
+                    }
+                    id = id * k + g as u64;
+                }
+                pair.fold(id, |id, x| id * k + x as u64)
             })
             .collect();
         ids.sort_unstable();
         ids.dedup();
         ids
+    }
+
+    /// The exact largest reducer load on the complete instance. A reducer
+    /// (a multiset of `s` groups) holds `C(|g|, 2)` edges within each group
+    /// of multiplicity ≥ 2 and `|g|·|h|` between each pair of distinct
+    /// groups. Every term grows with group size, so among multisets of `t`
+    /// distinct groups the largest takes the `t` largest groups (the
+    /// first, under `u % k`) and doubles the largest `min(t, s − t)`.
+    fn exact_max_load(&self) -> u64 {
+        let size = |g: usize| ((self.n as usize - g - 1) / self.k as usize + 1) as u64;
+        (1..=self.s.min(self.k as usize))
+            .map(|t| {
+                let within = (0..t.min(self.s - t)).map(|g| size(g) * (size(g) - 1) / 2);
+                let cross = (0..t).flat_map(|g| (0..g).map(move |h| size(g) * size(h)));
+                within.sum::<u64>() + cross.sum::<u64>()
+            })
+            .max()
+            .unwrap_or(0)
     }
 
     /// The idealised replication rate: an edge with distinct endpoint
@@ -293,32 +386,60 @@ impl MappingSchema<SampleGraphProblem> for MultisetPartitionSchema {
     }
 }
 
-/// Running the schema on a real data graph: each reducer enumerates the
-/// pattern instances among its local edges and emits those it owns (the
-/// instance's sorted group multiset equals the reducer's).
+/// §4's triangle schema is this schema over `patterns::triangle()`: it
+/// declares the exact load and keeps §4's name.
+impl MappingSchema<TriangleProblem> for MultisetPartitionSchema {
+    fn assign(&self, input: &(u32, u32)) -> Vec<ReducerId> {
+        self.edge_reducers(input.0, input.1)
+    }
+
+    fn max_inputs_per_reducer(&self) -> u64 {
+        self.exact_max_load()
+    }
+
+    fn name(&self) -> String {
+        format!("node-partition(n={}, k={})", self.n, self.k)
+    }
+}
+
+/// Running the schema on a real data graph: each reducer joins the
+/// pattern over sorted adjacency of its own edges, and emits, sorted, the
+/// instances it owns (those whose sorted node groups are its multiset).
 impl SchemaJob<Edge, Vec<(u32, u32)>> for MultisetPartitionSchema {
     fn assign(&self, input: &Edge) -> Vec<ReducerId> {
         self.edge_reducers(input.u, input.v)
     }
 
     fn reduce(&self, reducer: ReducerId, inputs: &[Edge], emit: &mut dyn FnMut(Vec<(u32, u32)>)) {
-        // Build a local graph on the original node ids.
-        let mut local = Graph::new(self.n as usize);
-        for e in inputs {
-            local.add_edge(e.u, e.v);
-        }
-        local.finish();
-        for inst in enumerate_instances(&self.pattern, &local) {
-            // Owning reducer: the sorted multiset of the instance's node
-            // groups.
-            let mut nodes: Vec<u32> = inst.iter().flat_map(|&(a, b)| [a, b]).collect();
-            nodes.sort_unstable();
-            nodes.dedup();
-            let mut gs: Vec<u32> = nodes.iter().map(|&u| self.group(u)).collect();
-            gs.sort_unstable();
-            if self.encode(&gs) == reducer {
-                emit(inst);
+        // The reducer's nodes, renumbered 0.. in ascending order.
+        let mut nodes: Vec<u32> = inputs.iter().flat_map(|e| [e.u, e.v]).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let local = |u: u32| nodes.binary_search(&u).expect("an endpoint") as u32;
+        let graph = Graph::from_edges(nodes.len(), inputs.iter().map(|e| (local(e.u), local(e.v))));
+        let (mut groups, mut owned) = (Vec::with_capacity(self.s), Vec::new());
+        self.join.run(&graph, |img| {
+            groups.clear();
+            groups.extend(img.iter().map(|&x| self.group(nodes[x as usize])));
+            groups.sort_unstable();
+            let owner = groups
+                .iter()
+                .fold(0, |id, &g| id * self.k as u64 + g as u64);
+            if owner == reducer {
+                let node = |j: usize| nodes[img[j] as usize];
+                let mut edges: Vec<(u32, u32)> = self
+                    .join
+                    .edges
+                    .iter()
+                    .map(|&(a, b)| (node(a).min(node(b)), node(a).max(node(b))))
+                    .collect();
+                edges.sort_unstable();
+                owned.push(edges);
             }
+        });
+        owned.sort_unstable();
+        for instance in owned {
+            emit(instance);
         }
     }
 }
@@ -329,6 +450,223 @@ mod tests {
     use crate::model::validate_schema;
     use mr_graph::{gen, patterns};
     use mr_sim::{run_schema, EngineConfig};
+    use std::collections::BTreeMap;
+
+    /// The reference enumerator: backtracking over every node of `g` at
+    /// every pattern position, then sorting away the automorphic copies.
+    fn reference_instances(pattern: &Graph, g: &Graph) -> Vec<Vec<(u32, u32)>> {
+        fn recurse(
+            pattern: &Graph,
+            g: &Graph,
+            assignment: &mut Vec<u32>,
+            out: &mut Vec<Vec<(u32, u32)>>,
+        ) {
+            let pos = assignment.len();
+            if pos == pattern.num_nodes() {
+                let mut edges: Vec<(u32, u32)> = pattern
+                    .edges()
+                    .iter()
+                    .map(|e| {
+                        let (a, b) = (assignment[e.u as usize], assignment[e.v as usize]);
+                        (a.min(b), a.max(b))
+                    })
+                    .collect();
+                edges.sort_unstable();
+                out.push(edges);
+                return;
+            }
+            for c in 0..g.num_nodes() as u32 {
+                let fits = !assignment.contains(&c)
+                    && pattern
+                        .neighbors(pos as u32)
+                        .iter()
+                        .all(|&p| (p as usize) >= pos || g.has_edge(assignment[p as usize], c));
+                if fits {
+                    assignment.push(c);
+                    recurse(pattern, g, assignment, out);
+                    assignment.pop();
+                }
+            }
+        }
+        let mut out = Vec::new();
+        recurse(pattern, g, &mut Vec::new(), &mut out);
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// The reference reducer: the reference enumerator over an `n`-node
+    /// graph of the reducer's edges, keeping the instances whose sorted
+    /// node groups encode to the reducer.
+    struct Reference<'a>(&'a MultisetPartitionSchema, &'a Graph);
+
+    impl SchemaJob<Edge, Vec<(u32, u32)>> for Reference<'_> {
+        fn assign(&self, input: &Edge) -> Vec<ReducerId> {
+            SchemaJob::assign(self.0, input)
+        }
+
+        fn reduce(
+            &self,
+            reducer: ReducerId,
+            inputs: &[Edge],
+            emit: &mut dyn FnMut(Vec<(u32, u32)>),
+        ) {
+            let schema = self.0;
+            let mut local = Graph::new(schema.n as usize);
+            for e in inputs {
+                local.add_edge(e.u, e.v);
+            }
+            local.finish();
+            for instance in reference_instances(self.1, &local) {
+                let mut nodes: Vec<u32> = instance.iter().flat_map(|&(a, b)| [a, b]).collect();
+                nodes.sort_unstable();
+                nodes.dedup();
+                let mut groups: Vec<u32> = nodes.iter().map(|&u| schema.group(u)).collect();
+                groups.sort_unstable();
+                let id = groups
+                    .iter()
+                    .fold(0u64, |id, &g| id * schema.k as u64 + g as u64);
+                if id == reducer {
+                    emit(instance);
+                }
+            }
+        }
+    }
+
+    /// Asserts that every reducer of `schema` on `g` emits exactly the
+    /// reference's sequence, and so does the whole engine round.
+    fn assert_matches_reference(pattern: &Graph, g: &Graph, k: u32, label: &str) {
+        let schema = MultisetPartitionSchema::new(pattern.clone(), g.num_nodes() as u32, k);
+        let reference = Reference(&schema, pattern);
+        let mut reducers: BTreeMap<ReducerId, Vec<Edge>> = BTreeMap::new();
+        for e in g.edges() {
+            for r in SchemaJob::assign(&schema, e) {
+                reducers.entry(r).or_default().push(*e);
+            }
+        }
+        for (&r, inputs) in &reducers {
+            let (mut ours, mut theirs) = (Vec::new(), Vec::new());
+            schema.reduce(r, inputs, &mut |o| ours.push(o));
+            reference.reduce(r, inputs, &mut |o| theirs.push(o));
+            assert_eq!(ours, theirs, "{label} k={k}: reducer {r}");
+        }
+        let cfg = EngineConfig::sequential();
+        let (ours, m1) = run_schema(g.edges(), &schema, &cfg).unwrap();
+        let (theirs, m2) = run_schema(g.edges(), &reference, &cfg).unwrap();
+        assert_eq!(ours, theirs, "{label} k={k}: round outputs");
+        assert_eq!(m1, m2, "{label} k={k}: round metrics");
+    }
+
+    /// The seven sample graphs `e52` lists.
+    fn e52_patterns() -> Vec<(&'static str, Graph)> {
+        vec![
+            ("triangle", patterns::triangle()),
+            ("C4", patterns::cycle(4)),
+            ("K4", patterns::clique(4)),
+            ("path-2", patterns::path(2)),
+            ("path-3", patterns::path(3)),
+            ("star K1,3", patterns::star(3)),
+            ("matching x2", patterns::matching(2)),
+        ]
+    }
+
+    #[test]
+    fn join_matches_the_reference_on_every_e52_pattern() {
+        for (n, m, seed) in [(12, 30, 1), (14, 40, 2), (9, 36, 3)] {
+            let g = gen::gnm(n, m, seed);
+            for (name, pattern) in e52_patterns() {
+                let label = format!("{name} on G({n}, {m}) seed {seed}");
+                let ours = enumerate_instances(&pattern, &g);
+                assert_eq!(ours, reference_instances(&pattern, &g), "{label}");
+                assert_eq!(
+                    ours.len() as u64,
+                    subgraph::instances(&pattern, &g),
+                    "{label}"
+                );
+                for k in 1..=4 {
+                    assert_matches_reference(&pattern, &g, k, &label);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn c4_families_emit_the_reference_sequence_at_every_scale() {
+        // The registry's sample-c4 (K_n) and sample-c4-gnm (seed 42) grids
+        // at Small, Default and Full scale.
+        for n in [6u32, 8, 10] {
+            let g = Graph::complete(n as usize);
+            for k in [1, 2, 3, 4, n] {
+                assert_matches_reference(&patterns::cycle(4), &g, k, &format!("K_{n}"));
+            }
+        }
+        for (n, m) in [(10, 22), (16, 44), (24, 90)] {
+            let g = gen::gnm(n, m, 42);
+            for k in 1..=4 {
+                let label = format!("G({n}, {m})");
+                assert_matches_reference(&patterns::cycle(4), &g, k, &label);
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_edges_count_once() {
+        // A retained job may hold one edge twice; the reducer sees a
+        // simple graph, as the reference's `Graph` does.
+        let g = gen::gnm(10, 25, 4);
+        let pattern = patterns::cycle(4);
+        let schema = MultisetPartitionSchema::new(pattern.clone(), 10, 2);
+        let reference = Reference(&schema, &pattern);
+        let twice: Vec<Edge> = g.edges().iter().chain(g.edges()).copied().collect();
+        let cfg = EngineConfig::sequential();
+        let (ours, _) = run_schema(&twice, &schema, &cfg).unwrap();
+        let (theirs, _) = run_schema(&twice, &reference, &cfg).unwrap();
+        assert_eq!(ours, theirs);
+    }
+
+    #[test]
+    #[should_panic(expected = "k=0 must be in 1..=10")]
+    fn rejects_zero_groups() {
+        MultisetPartitionSchema::new(patterns::triangle(), 10, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "k=11 must be in 1..=10")]
+    fn rejects_more_groups_than_nodes() {
+        MultisetPartitionSchema::new(patterns::triangle(), 10, 11);
+    }
+
+    #[test]
+    #[should_panic(expected = "k=10000 groups of an s=5 node pattern need k^s reducer ids")]
+    fn rejects_reducer_ids_that_overflow_a_u64() {
+        // 10,000⁵ = 10²⁰ > 2⁶⁴: unchecked, encode wraps and distinct
+        // multisets share an id in release builds.
+        MultisetPartitionSchema::new(patterns::path(4), 10_000, 10_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "every pattern node needs an edge")]
+    fn rejects_a_pattern_node_without_an_edge() {
+        MultisetPartitionSchema::new(Graph::from_edges(3, [(0, 1)]), 10, 2);
+    }
+
+    #[test]
+    fn exact_load_matches_validation_beyond_triangles() {
+        for pattern in [
+            patterns::two_path(),
+            patterns::cycle(4),
+            patterns::matching(2),
+        ] {
+            for n in 4..=9 {
+                let problem = SampleGraphProblem::new(pattern.clone(), n);
+                for k in 1..=n {
+                    let s = MultisetPartitionSchema::new(pattern.clone(), n, k);
+                    let report = validate_schema(&problem, &s);
+                    assert_eq!(report.max_load, s.exact_max_load(), "s={} n={n} k={k}", s.s);
+                }
+            }
+        }
+    }
 
     #[test]
     fn problem_counts_for_triangle_pattern() {

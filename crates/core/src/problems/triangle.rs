@@ -12,13 +12,16 @@
 //! reducer per unordered group triple (with repetition); an edge is sent
 //! to every triple containing both endpoint groups. Replication is
 //! ~`k` against a lower bound of `k/3` — matching within a constant
-//! factor.
+//! factor. It is §5's sample-graph schema at `s = 3`:
+//! [`MultisetPartitionSchema`](super::sample_graph::MultisetPartitionSchema)
+//! over `patterns::triangle()`, which is a [`MappingSchema`] of
+//! [`TriangleProblem`] named `node-partition(n, k)` with its exact load
+//! as the declared `q`.
+//!
+//! [`MappingSchema`]: crate::model::MappingSchema
 
-use crate::model::{MappingSchema, Problem, ReducerId};
+use crate::model::Problem;
 use crate::recipe::LowerBoundRecipe;
-use mr_graph::graph::Edge;
-use mr_sim::schema::SchemaJob;
-use std::collections::HashMap;
 
 /// The triangle-finding problem on `n` nodes, all edges potential.
 #[derive(Debug, Clone, Copy)]
@@ -121,185 +124,24 @@ pub fn sparse_lower_bound_r(m: u64, q: f64) -> f64 {
     (m as f64 / q).sqrt()
 }
 
-/// The node-partition triangle schema: nodes hashed into `k` groups,
-/// reducers indexed by unordered group triples with repetition.
-#[derive(Debug, Clone, Copy)]
-pub struct NodePartitionSchema {
-    /// Number of nodes.
-    pub n: u32,
-    /// Number of node groups.
-    pub k: u32,
-}
-
-impl NodePartitionSchema {
-    /// Creates the schema.
-    ///
-    /// # Panics
-    /// Panics if `k` is 0 or exceeds `n`.
-    pub fn new(n: u32, k: u32) -> Self {
-        assert!(k >= 1 && k <= n, "k={k} must be in 1..={n}");
-        NodePartitionSchema { n, k }
-    }
-
-    /// Picks `k` to respect a reducer budget of `q` *potential* edges:
-    /// the largest `k` whose per-reducer load `~(3n/k choose 2)` stays
-    /// under `q` (coarse inversion of §4.1's `k = √(2q)` node count).
-    pub fn for_budget(n: u32, q: u64) -> Self {
-        let mut k = 1;
-        while k < n {
-            let candidate = NodePartitionSchema::new(n, k + 1);
-            if candidate.exact_max_load() < q {
-                k += 1;
-            } else {
-                break;
-            }
-        }
-        NodePartitionSchema::new(n, k)
-    }
-
-    /// Group of a node (simple modular partition — balanced for the
-    /// complete instance the model analyses).
-    pub fn group(&self, u: u32) -> u32 {
-        u % self.k
-    }
-
-    /// Encodes a sorted group triple `a ≤ b ≤ c` as a reducer id.
-    fn reducer_id(&self, a: u32, b: u32, c: u32) -> ReducerId {
-        debug_assert!(a <= b && b <= c);
-        let k = self.k as u64;
-        (a as u64) * k * k + (b as u64) * k + c as u64
-    }
-
-    /// Decodes a reducer id back to its group triple.
-    pub fn decode(&self, id: ReducerId) -> (u32, u32, u32) {
-        let k = self.k as u64;
-        (
-            (id / (k * k)) as u32,
-            ((id / k) % k) as u32,
-            (id % k) as u32,
-        )
-    }
-
-    /// The reducer triples an edge is assigned to.
-    fn edge_reducers(&self, u: u32, v: u32) -> Vec<ReducerId> {
-        let (gu, gv) = (self.group(u), self.group(v));
-        let (a, b) = if gu <= gv { (gu, gv) } else { (gv, gu) };
-        let mut ids: Vec<ReducerId> = (0..self.k)
-            .map(|x| {
-                let mut t = [a, b, x];
-                t.sort_unstable();
-                self.reducer_id(t[0], t[1], t[2])
-            })
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
-    /// Exact maximum reducer load on the complete instance, computed from
-    /// group sizes.
-    pub fn exact_max_load(&self) -> u64 {
-        // Group sizes under u % k.
-        let sizes: Vec<u64> = (0..self.k)
-            .map(|g| ((self.n - g - 1) / self.k + 1) as u64)
-            .collect();
-        let within = |g: usize| sizes[g] * (sizes[g] - 1) / 2;
-        let cross = |g: usize, h: usize| sizes[g] * sizes[h];
-        let k = self.k as usize;
-        let mut max = 0u64;
-        for a in 0..k {
-            for b in a..k {
-                for c in b..k {
-                    let load = if a == b && b == c {
-                        within(a)
-                    } else if a == b {
-                        within(a) + cross(a, c)
-                    } else if b == c {
-                        within(b) + cross(a, b)
-                    } else {
-                        cross(a, b) + cross(a, c) + cross(b, c)
-                    };
-                    max = max.max(load);
-                }
-            }
-        }
-        max
-    }
-
-    /// The idealised replication rate ~`k` (each cross-group edge goes to
-    /// `k` triples).
-    pub fn approx_replication(&self) -> f64 {
-        self.k as f64
-    }
-}
-
-impl MappingSchema<TriangleProblem> for NodePartitionSchema {
-    fn assign(&self, input: &(u32, u32)) -> Vec<ReducerId> {
-        self.edge_reducers(input.0, input.1)
-    }
-
-    fn max_inputs_per_reducer(&self) -> u64 {
-        self.exact_max_load()
-    }
-
-    fn name(&self) -> String {
-        format!("node-partition(n={}, k={})", self.n, self.k)
-    }
-}
-
-/// Running the node-partition schema on a *real* (sparse) data graph via
-/// the simulator: reducers enumerate local triangles and the owning
-/// reducer (the one matching the triangle's sorted group triple) emits it.
-impl SchemaJob<Edge, [u32; 3]> for NodePartitionSchema {
-    fn assign(&self, input: &Edge) -> Vec<ReducerId> {
-        self.edge_reducers(input.u, input.v)
-    }
-
-    fn reduce(&self, reducer: ReducerId, inputs: &[Edge], emit: &mut dyn FnMut([u32; 3])) {
-        // Local adjacency over the assigned edges.
-        let mut adj: HashMap<u32, Vec<u32>> = HashMap::new();
-        for e in inputs {
-            adj.entry(e.u).or_default().push(e.v);
-            adj.entry(e.v).or_default().push(e.u);
-        }
-        for l in adj.values_mut() {
-            l.sort_unstable();
-        }
-        for e in inputs {
-            let (u, v) = (e.u, e.v);
-            let (nu, nv) = (&adj[&u], &adj[&v]);
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < nu.len() && j < nv.len() {
-                match nu[i].cmp(&nv[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        let w = nu[i];
-                        if w > v {
-                            // Canonical triangle u < v < w; emit only at
-                            // the owning reducer.
-                            let mut gs = [self.group(u), self.group(v), self.group(w)];
-                            gs.sort_unstable();
-                            if self.reducer_id(gs[0], gs[1], gs[2]) == reducer {
-                                emit([u, v, w]);
-                            }
-                        }
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::validate_schema;
+    use crate::model::{validate_schema, MappingSchema};
+    use crate::problems::sample_graph::MultisetPartitionSchema;
     use crate::recipe::max_outputs_covered;
-    use mr_graph::{gen, subgraph};
+    use mr_graph::{gen, patterns, subgraph};
     use mr_sim::{run_schema, EngineConfig};
+
+    /// §4's node-partition schema: the multiset partition at `s = 3`.
+    fn node_partition(n: u32, k: u32) -> MultisetPartitionSchema {
+        MultisetPartitionSchema::new(patterns::triangle(), n, k)
+    }
+
+    /// A triangle's nodes, read off its sorted edge list `(a,b), (a,c), (b,c)`.
+    fn corners(instance: &[(u32, u32)]) -> [u32; 3] {
+        [instance[0].0, instance[0].1, instance[1].1]
+    }
 
     #[test]
     fn counts_match_closed_forms() {
@@ -342,7 +184,7 @@ mod tests {
         let n = 12;
         let p = TriangleProblem::new(n);
         for k in [1u32, 2, 3, 4, 6] {
-            let s = NodePartitionSchema::new(n, k);
+            let s = node_partition(n, k);
             let report = validate_schema(&p, &s);
             assert!(report.is_valid(), "k={k}: {report:?}");
             // Replication is at most k (cross edges hit exactly k triples,
@@ -360,7 +202,7 @@ mod tests {
         let n = 30;
         let p = TriangleProblem::new(n);
         for k in [2u32, 3, 5] {
-            let s = NodePartitionSchema::new(n, k);
+            let s = node_partition(n, k);
             let report = validate_schema(&p, &s);
             assert!(report.is_valid());
             let bound = lower_bound_r(n, report.max_load as f64);
@@ -375,26 +217,19 @@ mod tests {
 
     #[test]
     fn exact_max_load_matches_validation() {
-        let n = 13;
-        let p = TriangleProblem::new(n);
-        for k in [2u32, 3, 4] {
-            let s = NodePartitionSchema::new(n, k);
-            let report = validate_schema(&p, &s);
-            assert_eq!(report.max_load, s.exact_max_load(), "k={k}");
-        }
-    }
-
-    #[test]
-    fn for_budget_respects_q() {
-        let n = 40;
-        for q in [100u64, 300, 800] {
-            let s = NodePartitionSchema::for_budget(n, q);
-            assert!(
-                s.k == 1 || s.exact_max_load() < q,
-                "q={q}: k={} load={}",
-                s.k,
-                s.exact_max_load()
-            );
+        // The declared q is the exact load at every size and group count,
+        // uneven groups (k not dividing n) included.
+        for n in 3..=24 {
+            let p = TriangleProblem::new(n);
+            for k in 1..=n {
+                let s = node_partition(n, k);
+                let report = validate_schema(&p, &s);
+                assert_eq!(
+                    report.max_load,
+                    MappingSchema::<TriangleProblem>::max_inputs_per_reducer(&s),
+                    "n={n} k={k}"
+                );
+            }
         }
     }
 
@@ -402,8 +237,9 @@ mod tests {
     fn simulator_run_finds_exactly_the_triangles() {
         let g = gen::gnm(60, 400, 42);
         let expected = subgraph::triangles(&g);
-        let s = NodePartitionSchema::new(60, 4);
-        let (mut found, metrics) = run_schema(g.edges(), &s, &EngineConfig::sequential()).unwrap();
+        let s = node_partition(60, 4);
+        let (found, metrics) = run_schema(g.edges(), &s, &EngineConfig::sequential()).unwrap();
+        let mut found: Vec<[u32; 3]> = found.iter().map(|t| corners(t)).collect();
         found.sort_unstable();
         let mut exp: Vec<[u32; 3]> = expected;
         exp.sort_unstable();
@@ -415,7 +251,7 @@ mod tests {
     #[test]
     fn simulator_run_parallel_matches_sequential() {
         let g = gen::gnm(50, 300, 7);
-        let s = NodePartitionSchema::new(50, 3);
+        let s = node_partition(50, 3);
         let (seq, m1) = run_schema(g.edges(), &s, &EngineConfig::sequential()).unwrap();
         let (par, m2) = run_schema(g.edges(), &s, &EngineConfig::parallel(4)).unwrap();
         assert_eq!(seq, par);
@@ -434,7 +270,7 @@ mod tests {
 
     #[test]
     fn k1_sends_everything_to_one_reducer() {
-        let s = NodePartitionSchema::new(10, 1);
+        let s = node_partition(10, 1);
         let p = TriangleProblem::new(10);
         let report = validate_schema(&p, &s);
         assert!(report.is_valid());

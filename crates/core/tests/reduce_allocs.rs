@@ -1,6 +1,8 @@
 //! The distance-`d` Splitting reducer allocates nothing per candidate
-//! pair, and a retained delta apply allocates per change, not per dirty
-//! reducer — both pinned as counts, so the properties cannot silently rot.
+//! pair, a retained delta apply allocates per change, not per dirty
+//! reducer, and the multiset-partition `assign` (the census's inner loop)
+//! allocates only the `Vec` it returns — all pinned as counts, so the
+//! properties cannot silently rot.
 //!
 //! This binary installs its own counting `#[global_allocator]`; it is a
 //! separate integration test so that no other test runs under it. Counts
@@ -8,6 +10,8 @@
 //! allocation count, unlike a timing, repeats exactly.
 
 use mr_core::problems::hamming::splitting::DistanceDSplittingSchema;
+use mr_core::problems::sample_graph::MultisetPartitionSchema;
+use mr_graph::{patterns, Graph};
 use mr_sim::schema::{ReducerId, SchemaJob};
 use mr_sim::{run_schema_retained, Delta, EngineConfig, Pipeline, Seq};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -139,6 +143,32 @@ fn delta_apply_allocates_per_change_not_per_dirty_reducer() {
             assert!(
                 n < changes + dirty / 8,
                 "step {step}: {n} allocations for {changes} changes over {dirty} dirty reducers"
+            );
+        }
+    }
+}
+
+#[test]
+fn multiset_assign_allocates_only_its_vec() {
+    // The triangle (s = 3), C4 (s = 4) and matching(2) (s = 4, two
+    // components) at several group counts: one allocation per call, the
+    // returned `Vec`, however many multisets an edge joins.
+    for (pattern, n, k) in [
+        (patterns::triangle(), 24, 1),
+        (patterns::triangle(), 24, 6),
+        (patterns::cycle(4), 10, 4),
+        (patterns::matching(2), 12, 5),
+    ] {
+        let schema = MultisetPartitionSchema::new(pattern, n, k);
+        for e in Graph::complete(n as usize).edges() {
+            let mut ids = Vec::new();
+            let count = allocations_during(|| ids = SchemaJob::assign(&schema, e));
+            assert_eq!(
+                count,
+                1,
+                "s={} k={k}: edge {e} joins {} reducers",
+                schema.s,
+                ids.len()
             );
         }
     }

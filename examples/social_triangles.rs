@@ -11,8 +11,9 @@
 //! sparse-graph lower bound √(m/q). Also shows what a skewed power-law
 //! graph does to reducer load (the §1.4 caveat).
 
-use mapreduce_bounds::core::problems::triangle::{sparse_lower_bound_r, NodePartitionSchema};
-use mapreduce_bounds::graph::{gen, subgraph};
+use mapreduce_bounds::core::problems::sample_graph::MultisetPartitionSchema;
+use mapreduce_bounds::core::problems::triangle::sparse_lower_bound_r;
+use mapreduce_bounds::graph::{gen, patterns, subgraph};
 use mapreduce_bounds::sim::{run_schema, EngineConfig};
 
 fn main() {
@@ -26,7 +27,7 @@ fn main() {
         "k", "reducers", "max load q", "r (measured)", "bound sqrt(m/q)", "correct"
     );
     for k in [2u32, 3, 4, 6, 8] {
-        let schema = NodePartitionSchema::new(n as u32, k);
+        let schema = MultisetPartitionSchema::new(patterns::triangle(), n as u32, k);
         let (found, metrics) = run_schema(g.edges(), &schema, &EngineConfig::parallel(4))
             .expect("no q bound configured");
         let q = metrics.load.max as f64;
@@ -46,7 +47,7 @@ fn main() {
 
     // The skew caveat (§1.4): power-law graphs concentrate load.
     let pl = gen::power_law(n, 2.2, 2.0 * m as f64 / n as f64, 7);
-    let schema = NodePartitionSchema::new(n as u32, 4);
+    let schema = MultisetPartitionSchema::new(patterns::triangle(), n as u32, 4);
     let (_, uniform) = run_schema(g.edges(), &schema, &EngineConfig::parallel(4)).unwrap();
     let (_, skewed) = run_schema(pl.edges(), &schema, &EngineConfig::parallel(4)).unwrap();
     println!("Load skew (max/mean reducer load) at k = 4:");

@@ -9,9 +9,10 @@ use mapreduce_bounds::core::problems::hamming::{
 use mapreduce_bounds::core::problems::join::{optimize_shares, Database, Query, SharesSchema};
 use mapreduce_bounds::core::problems::matmul::problem::run_one_phase;
 use mapreduce_bounds::core::problems::matmul::{Matrix, OnePhaseSchema, RecursiveMatMul};
-use mapreduce_bounds::core::problems::triangle::{NodePartitionSchema, TriangleProblem};
+use mapreduce_bounds::core::problems::sample_graph::MultisetPartitionSchema;
+use mapreduce_bounds::core::problems::triangle::TriangleProblem;
 use mapreduce_bounds::core::problems::two_path::{BucketPairSchema, TwoPathProblem};
-use mapreduce_bounds::graph::{gen, subgraph};
+use mapreduce_bounds::graph::{gen, patterns, subgraph};
 use mapreduce_bounds::sim::{run_schema, EngineConfig};
 
 /// §3: the full Hamming-distance-1 pipeline — every splitting point lies
@@ -63,13 +64,15 @@ fn triangles_end_to_end() {
         t
     };
     for workers in [1usize, 4] {
-        let schema = NodePartitionSchema::new(n as u32, 5);
+        let schema = MultisetPartitionSchema::new(patterns::triangle(), n as u32, 5);
         let cfg = if workers == 1 {
             EngineConfig::sequential()
         } else {
             EngineConfig::parallel(workers)
         };
-        let (mut found, metrics) = run_schema(g.edges(), &schema, &cfg).unwrap();
+        let (instances, metrics) = run_schema(g.edges(), &schema, &cfg).unwrap();
+        // A triangle's sorted edges are (a, b), (a, c), (b, c).
+        let mut found: Vec<[u32; 3]> = instances.iter().map(|t| [t[0].0, t[0].1, t[1].1]).collect();
         found.sort_unstable();
         assert_eq!(found, expected, "workers={workers}");
         assert!(metrics.replication_rate() <= 5.0 + 1e-9);
@@ -77,7 +80,7 @@ fn triangles_end_to_end() {
     // The model validation agrees with the paper's bound on the complete
     // instance.
     let problem = TriangleProblem::new(n as u32);
-    let schema = NodePartitionSchema::new(n as u32, 5);
+    let schema = MultisetPartitionSchema::new(patterns::triangle(), n as u32, 5);
     let report = validate_schema(&problem, &schema);
     assert!(report.is_valid());
     let bound =
@@ -156,9 +159,9 @@ fn matmul_two_phase_beats_one_phase() {
 #[test]
 fn oversized_reducer_is_rejected_loudly() {
     let g = gen::gnm(30, 150, 3);
-    let schema = NodePartitionSchema::new(30, 2);
+    let schema = MultisetPartitionSchema::new(patterns::triangle(), 30, 2);
     let cfg = EngineConfig::sequential().with_max_reducer_inputs(10);
-    let err = run_schema::<_, [u32; 3], _>(g.edges(), &schema, &cfg).unwrap_err();
+    let err = run_schema(g.edges(), &schema, &cfg).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("exceeding the budget"), "got: {msg}");
 }

@@ -12,9 +12,9 @@ use mapreduce_bounds::core::problems::hamming::{
     theorem32_lower_bound, DistanceDSplittingSchema, HammingProblem,
 };
 use mapreduce_bounds::core::problems::join::{Database, Query, SharesSchema};
-use mapreduce_bounds::core::problems::triangle::NodePartitionSchema;
+use mapreduce_bounds::core::problems::sample_graph::MultisetPartitionSchema;
 use mapreduce_bounds::core::problems::two_path::BucketPairSchema;
-use mapreduce_bounds::graph::{gen, subgraph};
+use mapreduce_bounds::graph::{gen, patterns, subgraph};
 use mapreduce_bounds::lp::{fractional_edge_cover, Hypergraph};
 use mapreduce_bounds::sim::{run_round, run_schema, EngineConfig, FnMapper, FnReducer};
 use proptest::prelude::*;
@@ -75,8 +75,10 @@ proptest! {
         let m = ((max_m as f64 * density) as usize).max(1);
         let g = gen::gnm(n, m, seed);
         let k = k.min(n as u32);
-        let schema = NodePartitionSchema::new(n as u32, k);
-        let (mut found, _) = run_schema(g.edges(), &schema, &EngineConfig::sequential()).unwrap();
+        let schema = MultisetPartitionSchema::new(patterns::triangle(), n as u32, k);
+        let (instances, _) = run_schema(g.edges(), &schema, &EngineConfig::sequential()).unwrap();
+        // A triangle's sorted edges are (a, b), (a, c), (b, c).
+        let mut found: Vec<[u32; 3]> = instances.iter().map(|t| [t[0].0, t[0].1, t[1].1]).collect();
         found.sort_unstable();
         let mut expected = subgraph::triangles(&g);
         expected.sort_unstable();
