@@ -13,45 +13,23 @@
 //! semantic JSON (which stays byte-identical either way).
 
 use crate::json;
-use crate::selectors::Q_BUDGET_FLAG;
+use crate::selection::{unknown_selector, Selection};
 use crate::table::{fmt, Table};
-use mr_core::family::Scale;
 use mr_plan::{plan_dag, ClusterSpec, DagPlanReport, DagWorkload, PlanError};
 use mr_sim::EngineError;
 
-/// Parses the experiment's tokens into a selection. Scale and budget
-/// tokens work exactly as in `repro plan`; workload tokens name the
-/// searchable workloads (a superset view: `join-agg` is the join
-/// pipeline workload over the `join-cycle3` registry instance).
-fn parse(args: &[String]) -> Result<(Vec<DagWorkload>, Scale, ClusterSpec, bool), String> {
+/// Refuses a family that is no DAG workload (`triangles`).
+pub fn check(sel: &Selection) -> Result<(), String> {
     let names = DagWorkload::ALL.map(|w| w.name());
-    let mut picked: Vec<&'static str> = Vec::new();
-    let mut scale: Option<Scale> = None;
-    let mut cluster = ClusterSpec::default();
-    let mut trace = false;
-    let mut it = args.iter();
-    while let Some(tok) = it.next() {
-        if tok == super::trace::TRACE_FLAG {
-            trace = true;
-        } else if tok == Q_BUDGET_FLAG {
-            cluster.reducer_capacity = Some(crate::selectors::q_budget(it.next())?);
-        } else if let Some(sc) = crate::selectors::scale_token(tok) {
-            crate::selectors::set_scale(&mut scale, sc)?;
-        } else if !crate::selectors::pick_family(&names, tok, &mut picked) {
-            return Err(format!(
-                "unknown dag selector '{tok}'; workloads: {}; scales: {}; \
-                 budget: {Q_BUDGET_FLAG} N",
-                names.join(", "),
-                crate::selectors::scale_names(", ")
-            ));
-        }
+    match sel.families.iter().find(|f| !names.contains(f)) {
+        Some(name) => Err(unknown_selector(
+            "dag",
+            name,
+            &format!("workloads: {}", names.join(", ")),
+            true,
+        )),
+        None => Ok(()),
     }
-    if picked.is_empty() {
-        picked = names.to_vec();
-    }
-    let by_name = |name: &str| DagWorkload::ALL.into_iter().find(|w| w.name() == name);
-    let picked = picked.into_iter().filter_map(by_name).collect();
-    Ok((picked, scale.unwrap_or_default(), cluster, trace))
 }
 
 /// One workload's outcome: a measured report, an honest refusal, or an
@@ -63,11 +41,18 @@ enum Outcome {
     Aborted(&'static str, EngineError),
 }
 
-/// The `repro dag` runner. `Err` is a selection it refuses (an unknown
-/// workload, a second scale, a malformed `--q-budget`) with the
-/// vocabulary; `repro` prints it on stderr and exits non-zero.
-pub fn run(args: &[String]) -> Result<String, String> {
-    let (picked, scale, cluster, trace) = parse(args)?;
+/// The `repro dag` runner: every workload unless workloads are named,
+/// under the default cluster with `--q-budget` as its reducer capacity.
+pub fn run(sel: &Selection) -> Result<String, String> {
+    let picked = match sel.workloads.as_slice() {
+        [] => DagWorkload::ALL.to_vec(),
+        named => named.to_vec(),
+    };
+    let scale = sel.scale.unwrap_or_default();
+    let cluster = ClusterSpec {
+        reducer_capacity: sel.q_budget,
+        ..ClusterSpec::default()
+    };
     let compute = || {
         picked
             .iter()
@@ -80,7 +65,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
             })
             .collect::<Vec<Outcome>>()
     };
-    let (outcomes, trace_report) = if trace {
+    let (outcomes, trace_report) = if sel.trace {
         let (result, tr) = mr_obs::record(compute);
         (result, Some(tr))
     } else {
@@ -222,24 +207,17 @@ fn semantic_json(cluster: &ClusterSpec, outcomes: &[Outcome]) -> String {
     out
 }
 
-/// True when `token` selects a dag workload that is *not* also a shared
-/// family selector (today only `join-agg`) — the repro driver uses this
-/// to accept such tokens on the command line.
-pub fn is_dag_workload(token: &str) -> bool {
-    DagWorkload::ALL.iter().any(|w| w.name() == token)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn args(tokens: &[&str]) -> Vec<String> {
-        tokens.iter().map(|t| t.to_string()).collect()
+    fn run(tokens: &[&str]) -> Result<String, String> {
+        crate::experiments::run_one("dag", tokens)
     }
 
     #[test]
     fn default_report_covers_every_workload() {
-        let out = run(&args(&["small"])).unwrap();
+        let out = run(&["small"]).unwrap();
         for w in DagWorkload::ALL {
             assert!(out.contains(w.name()), "{} missing:\n{out}", w.name());
         }
@@ -252,16 +230,16 @@ mod tests {
     #[test]
     fn q_budget_flips_matmul_to_a_multi_round_tree() {
         // Small scale: n = 4, n² = 16.
-        let out = run(&args(&["small", "matmul", "--q-budget", "8"])).unwrap();
+        let out = run(&["small", "matmul", "--q-budget", "8"]).unwrap();
         assert!(out.contains("two-phase(n=4"), "{out}");
         assert!(out.contains("q-budget=8"));
-        let out2 = run(&args(&["small", "matmul", "--q-budget", "16"])).unwrap();
+        let out2 = run(&["small", "matmul", "--q-budget", "16"]).unwrap();
         assert!(out2.contains("one-phase(n=4"), "{out2}");
     }
 
     #[test]
     fn per_round_observations_are_printed_for_every_round() {
-        let out = run(&args(&["small", "join-agg"])).unwrap();
+        let out = run(&["small", "join-agg"]).unwrap();
         // The pushed pipeline has a join round and an aggregate round at
         // minimum; both must appear in the per-round table.
         assert!(out.contains("q(pred)"), "{out}");
@@ -270,25 +248,30 @@ mod tests {
 
     #[test]
     fn impossible_budget_is_refused_not_planned() {
-        let out = run(&args(&["small", "matmul", "--q-budget", "1"])).unwrap();
+        let out = run(&["small", "matmul", "--q-budget", "1"]).unwrap();
         assert!(out.contains("REFUSED"), "{out}");
     }
 
     #[test]
     fn bad_tokens_are_reported_with_the_vocabulary() {
-        let out = run(&args(&["bogus"])).unwrap_err();
-        assert!(out.contains("unknown dag selector 'bogus'"));
-        assert!(out.contains("join-agg"));
-        let out2 = run(&args(&["--q-budget"])).unwrap_err();
+        let out = run(&["bogus"]).unwrap_err();
+        assert!(out.contains("unknown experiment(s) [\"bogus\"]"), "{out}");
+        let refused = run(&["triangles"]).unwrap_err();
+        assert!(
+            refused.contains("unknown dag selector 'triangles'"),
+            "{refused}"
+        );
+        assert!(refused.contains("join-agg"));
+        let out2 = run(&["--q-budget"]).unwrap_err();
         assert!(out2.contains("requires a value"));
-        let out3 = run(&args(&["small", "full"])).unwrap_err();
+        let out3 = run(&["small", "full"]).unwrap_err();
         assert!(out3.contains("at most one scale"));
     }
 
     #[test]
     fn semantic_json_is_byte_identical_across_runs() {
         let json = |_: ()| {
-            let out = run(&args(&["small"])).unwrap();
+            let out = run(&["small"]).unwrap();
             out.split("JSON").nth(1).unwrap().to_string()
         };
         assert_eq!(json(()), json(()));
@@ -296,8 +279,8 @@ mod tests {
 
     #[test]
     fn trace_flag_appends_a_trace_section_without_touching_the_json() {
-        let with = run(&args(&["small", "join-agg", "--trace"])).unwrap();
-        let without = run(&args(&["small", "join-agg"])).unwrap();
+        let with = run(&["small", "join-agg", "--trace"]).unwrap();
+        let without = run(&["small", "join-agg"]).unwrap();
         let json_of = |s: &str| {
             s.split("JSON")
                 .nth(1)

@@ -12,34 +12,10 @@
 //! everything but wall-clock is deterministic across runs.
 
 use crate::json;
+use crate::selection::Selection;
+use crate::sweep::available_families;
 use crate::table::{fmt, Table};
 use mr_core::family::{family_by_name, DeltaReport, DeltaSpec, Scale};
-
-/// Parses the experiment's tokens through the shared
-/// [`crate::selectors`] helpers (the same ones frontier and plan use).
-fn parse(args: &[String]) -> Result<(Vec<&'static str>, Scale, bool), String> {
-    let names = crate::sweep::available_families();
-    let mut picked: Vec<&'static str> = Vec::new();
-    let mut scale: Option<Scale> = None;
-    let mut trace = false;
-    for tok in args {
-        if tok == super::trace::TRACE_FLAG {
-            trace = true;
-        } else if let Some(sc) = crate::selectors::scale_token(tok) {
-            crate::selectors::set_scale(&mut scale, sc)?;
-        } else if !crate::selectors::pick_family(&names, tok, &mut picked) {
-            return Err(format!(
-                "unknown delta selector '{tok}'; families: {}; scales: {}",
-                names.join(", "),
-                crate::selectors::scale_names(", ")
-            ));
-        }
-    }
-    if picked.is_empty() {
-        picked = names;
-    }
-    Ok((picked, scale.unwrap_or_default(), trace))
-}
 
 /// One family's measured delta run, plus the labels the report prints.
 struct Row {
@@ -65,13 +41,16 @@ fn churn_family(family: &'static str, scale: Scale) -> Row {
     }
 }
 
-/// The `repro delta` runner. `Err` is a selection it refuses (an unknown
-/// family, a second scale) with the vocabulary; `repro` prints it on
-/// stderr and exits non-zero.
-pub fn run(args: &[String]) -> Result<String, String> {
-    let (picked, scale, trace) = parse(args)?;
+/// The `repro delta` runner: every registry family unless families are
+/// named.
+pub fn run(sel: &Selection) -> Result<String, String> {
+    let picked = match sel.families.as_slice() {
+        [] => available_families(),
+        named => named.to_vec(),
+    };
+    let scale = sel.scale.unwrap_or_default();
     let compute = || -> Vec<Row> { picked.iter().map(|f| churn_family(f, scale)).collect() };
-    let (rows, trace_report) = if trace {
+    let (rows, trace_report) = if sel.trace {
         let (rows, tr) = mr_obs::record(compute);
         (rows, Some(tr))
     } else {
@@ -171,14 +150,14 @@ fn semantic_json(scale: Scale, rows: &[Row]) -> String {
 mod tests {
     use super::*;
 
-    fn args(tokens: &[&str]) -> Vec<String> {
-        tokens.iter().map(|t| t.to_string()).collect()
+    fn run(tokens: &[&str]) -> Result<String, String> {
+        crate::experiments::run_one("delta", tokens)
     }
 
     #[test]
     fn default_report_churns_every_family() {
-        let out = run(&args(&["small"])).unwrap();
-        for family in crate::sweep::available_families() {
+        let out = run(&["small"]).unwrap();
+        for family in available_families() {
             assert!(out.contains(family), "{family} missing:\n{out}");
         }
         assert!(out.contains("\"subsystem\": \"delta\""));
@@ -188,7 +167,7 @@ mod tests {
 
     #[test]
     fn family_and_scale_selectors_filter_the_run() {
-        let out = run(&args(&["small", "triangles"])).unwrap();
+        let out = run(&["small", "triangles"]).unwrap();
         assert!(out.contains("triangles"));
         assert!(!out.contains("matmul"));
         assert!(out.contains("\"scale\": \"small\""));
@@ -196,17 +175,22 @@ mod tests {
 
     #[test]
     fn bad_tokens_are_reported_with_the_vocabulary() {
-        let out = run(&args(&["bogus"])).unwrap_err();
-        assert!(out.contains("unknown delta selector 'bogus'"));
-        assert!(out.contains("hamming-d1"));
-        let out2 = run(&args(&["small", "full"])).unwrap_err();
+        let out = run(&["bogus"]).unwrap_err();
+        assert!(out.contains("unknown experiment(s) [\"bogus\"]"), "{out}");
+        let refused = run(&["join-agg"]).unwrap_err();
+        assert!(
+            refused.contains("unknown delta selector 'join-agg'"),
+            "{refused}"
+        );
+        assert!(refused.contains("hamming-d1"));
+        let out2 = run(&["small", "full"]).unwrap_err();
         assert!(out2.contains("at most one scale"));
     }
 
     #[test]
     fn semantic_json_is_byte_identical_across_runs() {
         let json = |_: ()| {
-            let out = run(&args(&["small", "two-path"])).unwrap();
+            let out = run(&["small", "two-path"]).unwrap();
             out.split("JSON").nth(1).unwrap().to_string()
         };
         assert_eq!(json(()), json(()));
@@ -214,8 +198,8 @@ mod tests {
 
     #[test]
     fn trace_flag_appends_a_trace_section_without_touching_the_json() {
-        let with = run(&args(&["small", "two-path", "--trace"])).unwrap();
-        let without = run(&args(&["small", "two-path"])).unwrap();
+        let with = run(&["small", "two-path", "--trace"]).unwrap();
+        let without = run(&["small", "two-path"]).unwrap();
         let json_of = |s: &str| {
             s.split("JSON")
                 .nth(1)

@@ -10,44 +10,25 @@
 //! soon as `N < n²`.
 
 use crate::json;
+use crate::selection::{unknown_selector, Selection};
 use crate::table::{fmt, Table};
-use mr_core::family::Scale;
 use mr_plan::{plan_family, plannable_families, ClusterSpec, PlanError, PlanReport};
 use mr_sim::EngineError;
 
-pub use crate::selectors::Q_BUDGET_FLAG;
-
-/// Parses the experiment's tokens into a selection. Family/scale tokens
-/// go through the shared [`crate::selectors`] helpers (the same ones the
-/// frontier experiment uses), the budget flag through the one shared
-/// with `repro dag`.
-fn parse(args: &[String]) -> Result<(Vec<&'static str>, Scale, ClusterSpec, bool), String> {
+/// Refuses a family the planner does not plan (the sparse scenarios) or
+/// a DAG-only workload.
+pub fn check(sel: &Selection) -> Result<(), String> {
     let names = plannable_families();
-    let mut picked: Vec<&'static str> = Vec::new();
-    let mut scale: Option<Scale> = None;
-    let mut cluster = ClusterSpec::default();
-    let mut trace = false;
-    let mut it = args.iter();
-    while let Some(tok) = it.next() {
-        if tok == super::trace::TRACE_FLAG {
-            trace = true;
-        } else if tok == Q_BUDGET_FLAG {
-            cluster.reducer_capacity = Some(crate::selectors::q_budget(it.next())?);
-        } else if let Some(sc) = crate::selectors::scale_token(tok) {
-            crate::selectors::set_scale(&mut scale, sc)?;
-        } else if !crate::selectors::pick_family(&names, tok, &mut picked) {
-            return Err(format!(
-                "unknown plan selector '{tok}'; families: {}; scales: {}; \
-                 budget: {Q_BUDGET_FLAG} N",
-                names.join(", "),
-                crate::selectors::scale_names(", ")
-            ));
-        }
+    let refused = sel.families.iter().copied().find(|f| !names.contains(f));
+    match refused.or_else(|| sel.dag_only_workloads().next()) {
+        Some(name) => Err(unknown_selector(
+            "plan",
+            name,
+            &format!("families: {}", names.join(", ")),
+            true,
+        )),
+        None => Ok(()),
     }
-    if picked.is_empty() {
-        picked = names;
-    }
-    Ok((picked, scale.unwrap_or_default(), cluster, trace))
 }
 
 /// One family's outcome: a measured report, an honest refusal, or an
@@ -59,11 +40,19 @@ enum Outcome {
     Aborted(&'static str, EngineError),
 }
 
-/// The `repro plan` runner. `Err` is a selection it refuses (an unknown
-/// or unplannable family, a second scale, a malformed `--q-budget`) with
-/// the vocabulary; `repro` prints it on stderr and exits non-zero.
-pub fn run(args: &[String]) -> Result<String, String> {
-    let (picked, scale, cluster, trace) = parse(args)?;
+/// The `repro plan` runner: every plannable family unless families are
+/// named, under the default cluster with `--q-budget` as its reducer
+/// capacity.
+pub fn run(sel: &Selection) -> Result<String, String> {
+    let picked = match sel.families.as_slice() {
+        [] => plannable_families(),
+        named => named.to_vec(),
+    };
+    let scale = sel.scale.unwrap_or_default();
+    let cluster = ClusterSpec {
+        reducer_capacity: sel.q_budget,
+        ..ClusterSpec::default()
+    };
     let compute = || {
         picked
             .iter()
@@ -78,7 +67,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
     };
     // Recording never perturbs semantics (invariant #12), so the traced
     // report's semantic JSON stays byte-identical to the untraced one.
-    let (outcomes, trace_report) = if trace {
+    let (outcomes, trace_report) = if sel.trace {
         let (result, tr) = mr_obs::record(compute);
         (result, Some(tr))
     } else {
@@ -188,24 +177,17 @@ fn semantic_json(cluster: &ClusterSpec, outcomes: &[Outcome]) -> String {
     out
 }
 
-/// True when `token` is something `repro plan` can consume *besides* the
-/// shared family/scale selectors: today only the budget flag (its numeric
-/// value is validated by [`run`]).
-pub fn is_plan_flag(token: &str) -> bool {
-    token == Q_BUDGET_FLAG
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn args(tokens: &[&str]) -> Vec<String> {
-        tokens.iter().map(|t| t.to_string()).collect()
+    fn run(tokens: &[&str]) -> Result<String, String> {
+        crate::experiments::run_one("plan", tokens)
     }
 
     #[test]
     fn default_report_plans_every_family() {
-        let out = run(&args(&["small"])).unwrap();
+        let out = run(&["small"]).unwrap();
         for family in plannable_families() {
             assert!(out.contains(family), "{family} missing:\n{out}");
         }
@@ -217,37 +199,43 @@ mod tests {
     #[test]
     fn q_budget_flips_matmul_to_two_phase() {
         // Small scale: n = 4, n² = 16.
-        let out = run(&args(&["small", "matmul", "--q-budget", "8"])).unwrap();
+        let out = run(&["small", "matmul", "--q-budget", "8"]).unwrap();
         assert!(out.contains("two-phase(n=4"), "{out}");
         assert!(out.contains("q-budget=8"));
-        let out2 = run(&args(&["small", "matmul", "--q-budget", "16"])).unwrap();
+        let out2 = run(&["small", "matmul", "--q-budget", "16"]).unwrap();
         assert!(out2.contains("one-phase(n=4"), "{out2}");
     }
 
     #[test]
     fn impossible_budget_is_refused_not_planned() {
-        let out = run(&args(&["small", "triangles", "--q-budget", "1"])).unwrap();
+        let out = run(&["small", "triangles", "--q-budget", "1"]).unwrap();
         assert!(out.contains("REFUSED"), "{out}");
         assert!(out.contains("no schema fits"));
     }
 
     #[test]
     fn bad_tokens_are_reported_with_the_vocabulary() {
-        let out = run(&args(&["bogus"])).unwrap_err();
-        assert!(out.contains("unknown plan selector 'bogus'"));
+        let out = run(&["bogus"]).unwrap_err();
+        assert!(out.contains("unknown experiment(s) [\"bogus\"]"), "{out}");
         assert!(out.contains("hamming-d1"));
-        let out2 = run(&args(&["--q-budget"])).unwrap_err();
+        let refused = run(&["join-agg"]).unwrap_err();
+        assert!(
+            refused.contains("unknown plan selector 'join-agg'"),
+            "{refused}"
+        );
+        assert!(refused.contains("hamming-d1"));
+        let out2 = run(&["--q-budget"]).unwrap_err();
         assert!(out2.contains("requires a value"));
-        let out3 = run(&args(&["--q-budget", "zero"])).unwrap_err();
+        let out3 = run(&["--q-budget", "zero"]).unwrap_err();
         assert!(out3.contains("is not a number"));
-        let out4 = run(&args(&["small", "full"])).unwrap_err();
+        let out4 = run(&["small", "full"]).unwrap_err();
         assert!(out4.contains("at most one scale"));
     }
 
     #[test]
     fn semantic_json_is_byte_identical_across_runs() {
         let json = |_: ()| {
-            let out = run(&args(&["small"])).unwrap();
+            let out = run(&["small"]).unwrap();
             out.split("JSON").nth(1).unwrap().to_string()
         };
         // Everything after the JSON marker excludes wall-clock, so two
@@ -257,8 +245,8 @@ mod tests {
 
     #[test]
     fn trace_flag_appends_a_trace_section_without_touching_the_json() {
-        let with = run(&args(&["small", "two-path", "--trace"])).unwrap();
-        let without = run(&args(&["small", "two-path"])).unwrap();
+        let with = run(&["small", "two-path", "--trace"]).unwrap();
+        let without = run(&["small", "two-path"]).unwrap();
         let json_of = |s: &str| {
             s.split("JSON")
                 .nth(1)
@@ -277,13 +265,13 @@ mod tests {
 
     #[test]
     fn partition_skew_lands_in_the_table() {
-        let out = run(&args(&["small"])).unwrap();
+        let out = run(&["small"]).unwrap();
         assert!(out.contains("skew"), "{out}");
     }
 
     #[test]
     fn sparse_families_are_not_plannable() {
-        let out = run(&args(&["triangles-gnm"])).unwrap_err();
+        let out = run(&["triangles-gnm"]).unwrap_err();
         assert!(
             out.contains("unknown plan selector 'triangles-gnm'"),
             "{out}"

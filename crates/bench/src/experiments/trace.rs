@@ -15,100 +15,26 @@
 //! an untraced run — `crates/sim/tests/obs_battery.rs` proves it.
 
 use crate::json;
+use crate::selection::Selection;
 use crate::table::Table;
-use mr_core::family::{family_by_name, Scale};
-use mr_plan::{ClusterSpec, DagWorkload};
+use mr_core::family::family_by_name;
+use mr_plan::ClusterSpec;
 use mr_sim::EngineConfig;
 
-/// The boolean flag that turns tracing on in `repro plan`/`dag`/`delta`.
-pub const TRACE_FLAG: &str = "--trace";
-
-/// The flag (value-consuming) that redirects this experiment's Chrome
-/// JSON into a file.
-pub const OUT_FLAG: &str = "--out";
-
-/// What one trace run records.
-enum Target {
-    /// A registry family's most-partitioned grid point.
-    Family(&'static str),
-    /// A planned DAG workload, planned then executed.
-    Dag(DagWorkload),
-}
-
-/// Every name the workload token vocabulary answers to, families first
-/// (so a name shared with a DAG workload resolves to the family).
-fn vocabulary() -> Vec<(&'static str, Target)> {
-    let mut v: Vec<(&'static str, Target)> = crate::sweep::available_families()
-        .into_iter()
-        .map(|f| (f, Target::Family(f)))
-        .collect();
-    for w in DagWorkload::ALL {
-        if !v.iter().any(|(name, _)| *name == w.name()) {
-            v.push((w.name(), Target::Dag(w)));
-        }
-    }
-    v
-}
-
-/// Resolves a workload token: exact match first, then unique prefix.
-fn resolve(token: &str) -> Result<Target, String> {
-    let mut vocab = vocabulary();
-    if let Some(i) = vocab.iter().position(|(name, _)| *name == token) {
-        return Ok(vocab.swap_remove(i).1);
-    }
-    let matches: Vec<usize> = vocab
+/// Refuses a second workload: one run is recorded.
+pub fn check(sel: &Selection) -> Result<(), String> {
+    match sel
+        .families
         .iter()
-        .enumerate()
-        .filter(|(_, (name, _))| name.starts_with(token))
-        .map(|(i, _)| i)
-        .collect();
-    match matches.as_slice() {
-        [i] => Ok(vocab.swap_remove(*i).1),
-        [] => Err(format!(
-            "unknown trace workload '{token}'; workloads: {}",
-            vocab
-                .iter()
-                .map(|(name, _)| *name)
-                .collect::<Vec<_>>()
-                .join(", ")
+        .copied()
+        .chain(sel.dag_only_workloads())
+        .nth(1)
+    {
+        Some(extra) => Err(format!(
+            "at most one workload may be traced (extra: '{extra}')"
         )),
-        many => Err(format!(
-            "ambiguous trace workload '{token}' (matches {})",
-            many.iter()
-                .map(|&i| vocab[i].0)
-                .collect::<Vec<_>>()
-                .join(", ")
-        )),
+        None => Ok(()),
     }
-}
-
-/// Parses the experiment's tokens into (target, scale, output path).
-fn parse(args: &[String]) -> Result<(Target, Scale, Option<String>), String> {
-    let mut target: Option<Target> = None;
-    let mut scale: Option<Scale> = None;
-    let mut out_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(tok) = it.next() {
-        if tok == OUT_FLAG {
-            let value = it
-                .next()
-                .ok_or_else(|| format!("{OUT_FLAG} requires a path"))?;
-            out_path = Some(value.clone());
-        } else if let Some(sc) = crate::selectors::scale_token(tok) {
-            crate::selectors::set_scale(&mut scale, sc)?;
-        } else if target.is_some() {
-            return Err(format!(
-                "at most one workload may be traced (extra: '{tok}')"
-            ));
-        } else {
-            target = Some(resolve(tok)?);
-        }
-    }
-    Ok((
-        target.unwrap_or(Target::Family("hamming-d1")),
-        scale.unwrap_or_default(),
-        out_path,
-    ))
 }
 
 /// The human-readable trace summary shared by this experiment and the
@@ -179,16 +105,18 @@ fn snapshot_json(workload: &str, workers: usize, trace: &mr_obs::Trace) -> Strin
     out
 }
 
-/// The `repro trace` runner. `Err` is a selection it refuses (an unknown
-/// or ambiguous workload, a second workload or scale, `--out` without a
-/// path) or an `--out` file it cannot write; `repro` prints it on stderr
+/// The `repro trace` runner: the named family (`hamming-d1` when none
+/// is named) or, failing one, the named DAG workload. `Err` is a failed
+/// run or an `--out` file it cannot write; `repro` prints it on stderr
 /// and exits non-zero.
-pub fn run(args: &[String]) -> Result<String, String> {
-    let (target, scale, out_path) = parse(args)?;
+pub fn run(sel: &Selection) -> Result<String, String> {
+    let scale = sel.scale.unwrap_or_default();
     let workers = 4;
     let engine = EngineConfig::parallel(workers);
-    let (label, trace) = match target {
-        Target::Family(name) => {
+    // With no family named, every named workload is a DAG-only one.
+    let (label, trace) = match sel.workloads.first().filter(|_| sel.families.is_empty()) {
+        None => {
+            let name = sel.families.first().copied().unwrap_or("hamming-d1");
             let fam = family_by_name(name, scale).expect("trace vocabulary matches the registry");
             // The most-partitioned grid point, like `repro delta`: the
             // point with the most per-partition work to make visible.
@@ -208,7 +136,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 trace,
             )
         }
-        Target::Dag(w) => {
+        Some(&w) => {
             let cluster = ClusterSpec::default();
             let (outcome, trace) = mr_obs::record(|| {
                 mr_plan::plan_dag(w, &cluster, scale)
@@ -243,9 +171,9 @@ pub fn run(args: &[String]) -> Result<String, String> {
     out.push_str(&snapshot_json(&workload, workers, &trace));
 
     let chrome = trace.chrome_json();
-    match out_path {
+    match &sel.out {
         Some(path) => {
-            std::fs::write(&path, &chrome).map_err(|e| format!("cannot write {path}: {e}"))?;
+            std::fs::write(path, &chrome).map_err(|e| format!("cannot write {path}: {e}"))?;
             out.push_str(&format!(
                 "\nChrome trace_event JSON written to {path} ({} bytes).\n\
                  Open it at https://ui.perfetto.dev (Open trace file) or chrome://tracing.\n",
@@ -266,14 +194,15 @@ pub fn run(args: &[String]) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::selection::OUT_FLAG;
 
-    fn args(tokens: &[&str]) -> Vec<String> {
-        tokens.iter().map(|t| t.to_string()).collect()
+    fn run(tokens: &[&str]) -> Result<String, String> {
+        crate::experiments::run_one("trace", tokens)
     }
 
     #[test]
     fn hamming_prefix_traces_the_whole_execution_stack() {
-        let out = run(&args(&["hamming", "small"])).unwrap();
+        let out = run(&["hamming", "small"]).unwrap();
         assert!(out.contains("family hamming-d1"), "{out}");
         assert!(out.contains("span tree: well-formed"), "{out}");
         for span in ["engine.map", "engine.shuffle", "engine.reduce"] {
@@ -284,7 +213,7 @@ mod tests {
 
     #[test]
     fn dag_workloads_are_traceable_too() {
-        let out = run(&args(&["join-agg", "small"])).unwrap();
+        let out = run(&["join-agg", "small"]).unwrap();
         assert!(out.contains("dag workload join-agg"), "{out}");
         assert!(out.contains("dag.execute"), "{out}");
         assert!(out.contains("dag.run"), "{out}");
@@ -292,7 +221,7 @@ mod tests {
 
     #[test]
     fn snapshot_json_parses_back() {
-        let out = run(&args(&["triangles", "small"])).unwrap();
+        let out = run(&["triangles", "small"]).unwrap();
         let start = out.find("{\n  \"subsystem\": \"trace\"").expect("snapshot");
         let snapshot = &out[start..out[start..].find("\n}\n").unwrap() + start + 3];
         let value = json::parse(snapshot).expect("snapshot is valid JSON");
@@ -308,7 +237,7 @@ mod tests {
     fn chrome_json_lands_in_the_out_file() {
         let path = std::env::temp_dir().join("mr-obs-trace-test.json");
         let path_str = path.to_string_lossy().to_string();
-        let out = run(&args(&["two-path", "small", OUT_FLAG, &path_str])).unwrap();
+        let out = run(&["two-path", "small", OUT_FLAG, &path_str]).unwrap();
         assert!(out.contains("written to"), "{out}");
         let written = std::fs::read_to_string(&path).expect("file written");
         assert!(written.contains("\"traceEvents\""));
@@ -318,12 +247,12 @@ mod tests {
 
     #[test]
     fn bad_tokens_are_reported_with_the_vocabulary() {
-        let out = run(&args(&["bogus"])).unwrap_err();
+        let out = run(&["bogus"]).unwrap_err();
         assert!(out.contains("unknown trace workload 'bogus'"), "{out}");
         assert!(out.contains("hamming-d1"), "{out}");
-        let out2 = run(&args(&[OUT_FLAG])).unwrap_err();
+        let out2 = run(&[OUT_FLAG]).unwrap_err();
         assert!(out2.contains("requires a path"), "{out2}");
-        let out3 = run(&args(&["hamming-d1", "triangles"])).unwrap_err();
+        let out3 = run(&["hamming-d1", "triangles"]).unwrap_err();
         assert!(out3.contains("at most one workload"), "{out3}");
     }
 }

@@ -9,13 +9,14 @@
 //! frontier subsystem: it executes every problem family's constructive
 //! schemas through the engine over a q-grid and compares the measured
 //! `(q, r)` curves with the §2.4 analytic lower bounds (`repro frontier`).
-//! The `repro` binary prints them. Nothing here times anything for the
-//! record: wall-clock is measured by the `mr-perf` ledger in
-//! `benchmark/`, which compiles against [`sweep`] and [`json`].
+//! The `repro` binary prints them; [`selection`] is its one command-line
+//! grammar. Nothing here times anything for the record: wall-clock is
+//! measured by the `mr-perf` ledger in `benchmark/`, which compiles
+//! against [`sweep`] and [`json`].
 
 pub mod experiments;
 pub mod json;
-mod selectors;
+pub mod selection;
 pub mod sweep;
 pub mod table;
 

@@ -49,8 +49,11 @@
 //! for human consumption.
 
 use crate::json;
+use crate::selection::Selection;
 use crate::table::{fmt, Table};
-use mr_core::family::{extended_registry, registry, DynFamily, FamilyPoint, Scale};
+use mr_core::family::{
+    extended_registry, registry, DynFamily, FamilyPoint, COMPLETE_FAMILIES, SPARSE_FAMILIES,
+};
 use mr_sim::{fan_out, EngineConfig, Executor};
 
 /// Configuration of one sweep run.
@@ -300,70 +303,37 @@ pub fn report() -> String {
 }
 
 /// The family names selectable in `repro frontier` (complete families
-/// plus sparse scenarios, in registry order).
-///
-/// Kept as a static list so CLI token validation never constructs the
-/// registry's instance data (complete bit-string universes, seeded
-/// graphs with subgraph counting…) just to read eight names; the
-/// `selector_vocabulary_is_consistent` test pins it to the actual
-/// [`extended_registry`] contents.
+/// plus sparse scenarios, in registry order): `mr_core::family`'s
+/// static lists, so reading them builds no instance.
 pub fn available_families() -> Vec<&'static str> {
-    vec![
-        "hamming-d1",
-        "triangles",
-        "sample-c4",
-        "two-path",
-        "join-cycle3",
-        "matmul",
-        "triangles-gnm",
-        "sample-c4-gnm",
-    ]
+    COMPLETE_FAMILIES
+        .iter()
+        .chain(&SPARSE_FAMILIES)
+        .copied()
+        .collect()
 }
 
-/// True when `token` is something `repro frontier` can consume: a family
-/// name or a scale keyword.
-pub fn is_selector(token: &str) -> bool {
-    crate::selectors::scale_token(token).is_some() || available_families().contains(&token)
-}
-
-/// The `repro frontier` report for a selection: family names filter the
-/// extended registry (complete + sparse), an optional scale token picks
-/// the instance-size preset. No selectors at all reproduces [`report`]
+/// The `repro frontier` report for a selection: named families filter
+/// the extended registry (complete + sparse), a scale picks the
+/// instance-size preset. Naming neither reproduces [`report`]
 /// byte-for-byte.
-///
-/// Returns `Err` with a message listing the valid selectors when a token
-/// is unknown or two scales are named.
-pub fn report_for(selectors: &[String]) -> Result<String, String> {
-    let mut scale: Option<Scale> = None;
-    let mut picked: Vec<&'static str> = Vec::new();
-    let names = available_families();
-    for tok in selectors {
-        if let Some(sc) = crate::selectors::scale_token(tok) {
-            crate::selectors::set_scale(&mut scale, sc)?;
-        } else if !crate::selectors::pick_family(&names, tok, &mut picked) {
-            return Err(format!(
-                "unknown frontier selector '{tok}'; families: {}; scales: {}",
-                names.join(", "),
-                crate::selectors::scale_names(", ")
-            ));
-        }
-    }
-    if scale.is_none() && picked.is_empty() {
+pub fn report_for(sel: &Selection) -> Result<String, String> {
+    if sel.scale.is_none() && sel.families.is_empty() {
         return Ok(report());
     }
-    let scale = scale.unwrap_or_default();
+    let scale = sel.scale.unwrap_or_default();
     let families: Vec<Box<dyn DynFamily>> = extended_registry(scale)
         .into_iter()
-        .filter(|f| picked.is_empty() || picked.contains(&f.name()))
+        .filter(|f| sel.families.is_empty() || sel.families.contains(&f.name()))
         .collect();
     let report = sweep_families(&families, &SweepConfig::default());
     Ok(format!(
         "Selection: scale={}, families={}.\n\n{}",
         scale.name(),
-        if picked.is_empty() {
+        if sel.families.is_empty() {
             "all".to_string()
         } else {
-            picked.join(", ")
+            sel.families.join(", ")
         },
         render(&report)
     ))
@@ -372,6 +342,7 @@ pub fn report_for(selectors: &[String]) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mr_core::family::Scale;
     use mr_core::frontier::bound_gap;
 
     fn quick_config(sweep_workers: usize) -> SweepConfig {
@@ -556,31 +527,49 @@ mod tests {
             .map(|f| f.name())
             .collect();
         assert_eq!(available_families(), registry_names);
+        let parse = |token: &str| Selection::parse(&[token.to_string()]);
         for fam in available_families() {
-            assert!(is_selector(fam), "{fam} must be selectable");
+            let sel = parse(fam).expect("every family is a selector");
+            assert_eq!(
+                (sel.experiments, sel.families),
+                (vec!["frontier"], vec![fam])
+            );
         }
         for scale in Scale::ALL {
-            assert!(is_selector(scale.name()));
+            let sel = parse(scale.name()).expect("every scale is a selector");
+            assert_eq!(
+                (sel.experiments, sel.scale),
+                (vec!["frontier"], Some(scale))
+            );
         }
-        assert!(!is_selector("fig1"));
-        assert!(!is_selector("nonsense"));
+        assert_eq!(parse("fig1").unwrap().experiments, vec!["fig1"]);
+        assert!(parse("nonsense").is_err());
+    }
+
+    fn frontier(tokens: &[&str]) -> Result<String, String> {
+        crate::experiments::run_one("frontier", tokens)
     }
 
     #[test]
     fn report_for_rejects_unknown_and_double_scale() {
-        let err = report_for(&["bogus".to_string()]).unwrap_err();
+        let err = frontier(&["bogus"]).unwrap_err();
         assert!(
             err.contains("hamming-d1"),
             "error must list families: {err}"
         );
         assert!(err.contains("small"), "error must list scales: {err}");
-        let err2 = report_for(&["small".to_string(), "full".to_string()]).unwrap_err();
+        let err2 = frontier(&["small", "full"]).unwrap_err();
         assert!(err2.contains("at most one scale"));
+        let err3 = frontier(&["join-agg"]).unwrap_err();
+        assert!(
+            err3.contains("unknown frontier selector 'join-agg'"),
+            "{err3}"
+        );
     }
 
     #[test]
     fn report_for_selects_families_and_scale() {
-        let out = report_for(&["small".to_string(), "matmul".to_string()]).unwrap();
+        let out = frontier(&["small", "matmul"]).unwrap();
         assert!(out.starts_with("Selection: scale=small, families=matmul."));
         assert!(out.contains("one-phase(n=4, s=1)"));
         assert!(!out.contains("hamming"), "unselected family leaked in");
@@ -591,7 +580,7 @@ mod tests {
         // No selectors → the legacy byte-identical report shape: no
         // "Selection:" banner, all six default families. (Comparing two
         // runs' full text would trip on the wall-clock column.)
-        let out = report_for(&[]).unwrap();
+        let out = frontier(&[]).unwrap();
         assert!(out.starts_with("Empirical (q, r) frontier sweep"));
         assert!(!out.contains("Selection:"));
         for fam in registry().iter().map(|f| f.name()) {

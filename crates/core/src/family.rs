@@ -843,8 +843,10 @@ pub fn registry() -> Vec<Box<dyn DynFamily>> {
 
 /// The complete-instance family names, in the paper's presentation
 /// order: Hamming (§3), triangles (§4), sample graphs (§5.1–5.3),
-/// 2-paths (§5.4), joins (§5.5), matmul (§6).
-const COMPLETE_FAMILIES: [&str; 6] = [
+/// 2-paths (§5.4), joins (§5.5), matmul (§6). With
+/// [`SPARSE_FAMILIES`] this is every name [`family_by_name`] answers
+/// to, readable without building any instance.
+pub const COMPLETE_FAMILIES: [&str; 6] = [
     "hamming-d1",
     "triangles",
     "sample-c4",
@@ -854,7 +856,7 @@ const COMPLETE_FAMILIES: [&str; 6] = [
 ];
 
 /// The sparse-scenario names, in presentation order.
-const SPARSE_FAMILIES: [&str; 2] = ["triangles-gnm", "sample-c4-gnm"];
+pub const SPARSE_FAMILIES: [&str; 2] = ["triangles-gnm", "sample-c4-gnm"];
 
 /// Builds **one** family by name at the given scale — without
 /// constructing any other family's instance data. Returns `None` for an

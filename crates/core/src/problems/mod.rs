@@ -17,29 +17,3 @@ pub mod matmul;
 pub mod sample_graph;
 pub mod triangle;
 pub mod two_path;
-
-/// A schema usable with any problem: send every input to one reducer
-/// (§2.2's trivial extreme, `q = |I|`, `r = 1`).
-pub struct SingleReducer {
-    q: u64,
-}
-
-impl SingleReducer {
-    /// Builds the single-reducer schema for a problem with `num_inputs`
-    /// potential inputs.
-    pub fn new(num_inputs: u64) -> Self {
-        SingleReducer { q: num_inputs }
-    }
-}
-
-impl<P: crate::model::Problem> crate::model::MappingSchema<P> for SingleReducer {
-    fn assign(&self, _input: &P::Input) -> Vec<crate::model::ReducerId> {
-        vec![0]
-    }
-    fn max_inputs_per_reducer(&self) -> u64 {
-        self.q
-    }
-    fn name(&self) -> String {
-        "single-reducer".into()
-    }
-}

@@ -216,11 +216,6 @@ impl BucketPairSchema {
         2.0 * (self.k as f64 - 1.0)
     }
 
-    /// §5.4.2: each reducer receives about `q = 2n/k` edges.
-    pub fn approx_q(&self) -> f64 {
-        2.0 * self.n as f64 / self.k as f64
-    }
-
     /// The §5.4.2 emission rule for a 2-path `v−u−w` at reducer
     /// `[u, {i, j}]`: produce it iff `{h(v), h(w)} = {i, j}` (rule 1) or
     /// `h(v) = h(w) = i` and `j = i+1 (mod k)` (rule 2).

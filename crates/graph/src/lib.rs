@@ -24,9 +24,7 @@
 pub mod alon;
 pub mod gen;
 pub mod graph;
-pub mod labeled;
 pub mod patterns;
 pub mod subgraph;
 
 pub use graph::Graph;
-pub use labeled::LabeledGraph;
