@@ -23,7 +23,9 @@
 //! documents the tokens and which experiments they imply), and every
 //! selected experiment checks the selection before any of them runs. A
 //! refusal is printed on stderr with nothing on stdout, and the exit code
-//! is 1.
+//! is 1. A failure while an experiment runs is printed on stderr as
+//! `<id> run error: …`, after what the experiments before it printed,
+//! and the exit code is 1 too.
 
 use mr_bench::experiments::{self, Experiment};
 use mr_bench::selection::{Selection, SelectionError};
@@ -51,17 +53,17 @@ fn main() {
         .iter()
         .filter(|e| selection.experiments.contains(&e.id))
         .collect();
-    let refuse = |e: &Experiment, reason| SelectionError::Refused {
-        experiment: e.id,
-        reason,
-    };
     for e in &selected {
         if let Err(reason) = (e.check)(&selection) {
-            fail(refuse(e, reason));
+            fail(SelectionError::Refused {
+                experiment: e.id,
+                reason,
+            });
         }
     }
     for e in selected {
-        let report = (e.run)(&selection).unwrap_or_else(|reason| fail(refuse(e, reason)));
+        let report = (e.run)(&selection)
+            .unwrap_or_else(|reason| fail(format_args!("{} run error: {reason}", e.id)));
         println!("================================================================");
         println!("[{}]", e.id);
         println!("================================================================");
@@ -70,7 +72,7 @@ fn main() {
 }
 
 /// Prints `err` on stderr and exits 1.
-fn fail(err: SelectionError) -> ! {
+fn fail(err: impl std::fmt::Display) -> ! {
     eprintln!("{err}");
     std::process::exit(1)
 }

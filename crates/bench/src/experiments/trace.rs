@@ -20,20 +20,31 @@ use crate::table::Table;
 use mr_core::family::family_by_name;
 use mr_plan::ClusterSpec;
 use mr_sim::EngineConfig;
+use std::path::Path;
 
-/// Refuses a second workload: one run is recorded.
+/// Refuses a second workload — one run is recorded — and an `--out`
+/// path whose directory does not exist, which the recorded run could
+/// only find out after every earlier experiment had printed.
 pub fn check(sel: &Selection) -> Result<(), String> {
-    match sel
+    if let Some(extra) = sel
         .families
         .iter()
         .copied()
         .chain(sel.dag_only_workloads())
         .nth(1)
     {
-        Some(extra) => Err(format!(
+        return Err(format!(
             "at most one workload may be traced (extra: '{extra}')"
+        ));
+    }
+    let dir = sel.out.as_deref().and_then(|path| Path::new(path).parent());
+    match dir {
+        Some(dir) if !dir.as_os_str().is_empty() && !dir.is_dir() => Err(format!(
+            "cannot write {}: directory {} does not exist",
+            sel.out.as_deref().unwrap_or_default(),
+            dir.display()
         )),
-        None => Ok(()),
+        _ => Ok(()),
     }
 }
 

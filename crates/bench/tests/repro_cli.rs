@@ -37,6 +37,16 @@ fn a_refused_selection_is_stderr_and_exit_1_a_well_formed_one_exit_0() {
         let stderr = format!("{} selection error: {reason}\n", args[0]);
         assert_eq!(repro(args), (Some(1), String::new(), stderr), "{args:?}");
     }
+    // An `--out` whose directory does not exist is refused before
+    // anything runs: table1, which runs first, prints nothing ahead of
+    // trace's refusal.
+    let (code, stdout, stderr) = repro(&["table1", "--out", "/nonexistent/dir/f.json"]);
+    assert_eq!((code, stdout.as_str()), (Some(1), ""));
+    assert_eq!(
+        stderr,
+        "trace selection error: cannot write /nonexistent/dir/f.json: \
+         directory /nonexistent/dir does not exist\n"
+    );
     // Every selected experiment checks the selection before any runs, so
     // frontier, which would accept it, prints nothing ahead of plan's
     // refusal.

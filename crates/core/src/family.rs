@@ -401,8 +401,8 @@ impl<I, O> Family<I, O> {
 struct CountOutputs<'a, I, O>(&'a dyn SchemaJob<I, O>);
 
 impl<I, O> SchemaJob<I, ()> for CountOutputs<'_, I, O> {
-    fn assign(&self, input: &I) -> Vec<ReducerId> {
-        self.0.assign(input)
+    fn assign_into(&self, input: &I, emit: &mut dyn FnMut(ReducerId)) {
+        self.0.assign_into(input, emit)
     }
 
     fn reduce(&self, reducer: ReducerId, inputs: &[I], emit: &mut dyn FnMut(())) {
@@ -1089,9 +1089,7 @@ mod tests {
     fn census_of_empty_instance_is_all_zero() {
         struct Nowhere;
         impl SchemaJob<u64, u64> for Nowhere {
-            fn assign(&self, _input: &u64) -> Vec<u64> {
-                vec![]
-            }
+            fn assign_into(&self, _input: &u64, _emit: &mut dyn FnMut(ReducerId)) {}
             fn reduce(&self, _r: u64, _inputs: &[u64], _emit: &mut dyn FnMut(u64)) {}
         }
         let recipe = LowerBoundRecipe::new(|q| q, 1.0, 1.0);
@@ -1140,8 +1138,8 @@ mod tests {
         // loads all depend on what arrives where.
         struct Pairs;
         impl SchemaJob<u64, (u64, u64)> for Pairs {
-            fn assign(&self, input: &u64) -> Vec<ReducerId> {
-                vec![input % 7]
+            fn assign_into(&self, input: &u64, emit: &mut dyn FnMut(ReducerId)) {
+                emit(input % 7)
             }
             fn reduce(&self, _r: ReducerId, inputs: &[u64], emit: &mut dyn FnMut((u64, u64))) {
                 for (i, a) in inputs.iter().enumerate() {

@@ -119,9 +119,9 @@ impl MappingSchema<NaturalJoinProblem> for HashOnB {
 }
 
 impl SchemaJob<JoinTuple, (u32, u32, u32)> for HashOnB {
-    fn assign(&self, input: &JoinTuple) -> Vec<ReducerId> {
+    fn assign_into(&self, input: &JoinTuple, emit: &mut dyn FnMut(ReducerId)) {
         match input {
-            JoinTuple::R(_, b) | JoinTuple::S(b, _) => vec![*b as u64],
+            JoinTuple::R(_, b) | JoinTuple::S(b, _) => emit(*b as u64),
         }
     }
 

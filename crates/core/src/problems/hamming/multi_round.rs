@@ -1,8 +1,7 @@
 //! Multi-round Hamming-distance-1 structures for the round-structure
 //! search.
 //!
-//! The one-round Splitting algorithm (§3.3,
-//! [`DistanceDSplittingSchema`](super::splitting::DistanceDSplittingSchema)
+//! The one-round Splitting algorithm (§3.3, [`DistanceDSplittingSchema`]
 //! at `d = 1`) sits
 //! exactly on the Theorem 3.2 hyperbola: `k` segments give `q = 2^{b/k}`,
 //! `r = k`. This module re-expresses it as a [`DagJob`] and adds the two
@@ -11,7 +10,8 @@
 //! * [`split_dag`] — the classic one-round schema: one node, every string
 //!   replicated to its `k` group reducers (`r = k`, `q = 2^{b/k}`);
 //! * [`parallel_split_dag`] — `k` *source* nodes, one per held-out
-//!   segment, each keyed by the other `b − b/k` bits. Per-node `r = 1`
+//!   segment, each sending a string to its reducer in that segment's
+//!   group only. Per-node `r = 1`
 //!   and `q = 2^{b/k}`; the totals match the one-round schema exactly
 //!   (`k` rounds of `2^b` pairs each), so under cost
 //!   `Σ rounds (a·r + b·q)` the extra per-round `b·q` charges make it
@@ -28,8 +28,11 @@
 //! [`HammingProblem`](super::problem::HammingProblem)
 //! requires, so the variants are interchangeable up to output order.
 
-use super::splitting::{assert_encodable, near_pairs, remove_segment};
-use mr_sim::{DagJob, FnMapper, FnReducer};
+use super::splitting::{near_pairs, DistanceDSplittingSchema};
+use crate::model::ReducerId;
+use mr_sim::schema::SchemaJob;
+use mr_sim::{DagJob, FnSchema};
+use std::ops::Range;
 
 /// The uniform token a Hamming [`DagJob`] flows between rounds: input
 /// strings in, found pairs out.
@@ -47,17 +50,6 @@ pub fn all_strings(b: u32) -> Vec<HamToken> {
     (0..(1u64 << b)).map(HamToken::Str).collect()
 }
 
-/// Asserts the shape precondition shared by every variant: the one
-/// [`DistanceDSplittingSchema`] refuses at `d = 1`, so a variant never
-/// runs a shape whose group ids would alias.
-///
-/// [`DistanceDSplittingSchema`]: super::splitting::DistanceDSplittingSchema
-fn check(b: u32, k: u32) {
-    assert!(k >= 1 && k <= b, "k={k} must be in 1..={b}");
-    assert_eq!(b % k, 0, "k={k} must divide b={b}");
-    assert_encodable(b, k, 1);
-}
-
 /// The string a split round's token carries.
 fn string(token: &HamToken) -> u64 {
     let HamToken::Str(w) = *token else {
@@ -66,70 +58,65 @@ fn string(token: &HamToken) -> u64 {
     w
 }
 
-/// Emits each distance-1 pair among the reducer's strings, smaller
-/// endpoint first, in scan order over the input slice: the Splitting
+/// A split round: each string goes to its reducers in `groups` of the
+/// Splitting schema at `d = 1` — group `i` deletes segment `i` — and
+/// each reducer emits the distance-1 pairs among its strings, smaller
+/// endpoint first, in scan order over its input slice: the Splitting
 /// reducer's kernel, [`near_pairs`], at `d = 1`.
-fn emit_close_pairs(inputs: &[HamToken], emit: &mut dyn FnMut(HamToken)) {
-    near_pairs(inputs, string, 1, |i, j| {
-        let (a, b) = (string(&inputs[i]), string(&inputs[j]));
-        emit(HamToken::Pair(a.min(b), a.max(b)));
-    });
+struct SplitRound {
+    schema: DistanceDSplittingSchema,
+    groups: Range<usize>,
+}
+
+impl SchemaJob<HamToken, HamToken> for SplitRound {
+    fn assign_into(&self, token: &HamToken, emit: &mut dyn FnMut(ReducerId)) {
+        let w = string(token);
+        for group in self.groups.clone() {
+            emit(self.schema.group_reducer(w, group));
+        }
+    }
+
+    fn reduce(&self, _: ReducerId, inputs: &[HamToken], emit: &mut dyn FnMut(HamToken)) {
+        near_pairs(inputs, string, 1, |i, j| {
+            let (a, b) = (string(&inputs[i]), string(&inputs[j]));
+            emit(HamToken::Pair(a.min(b), a.max(b)));
+        });
+    }
 }
 
 /// The one-round Splitting algorithm as a single-node DAG: string `w`
-/// goes to the `k` reducers obtained by deleting one segment (group `i`
-/// prefixed into the key, exactly like [`DistanceDSplittingSchema`] at
-/// `d = 1`).
+/// goes to the `k` reducers obtained by deleting one segment, exactly as
+/// [`DistanceDSplittingSchema`] at `d = 1` sends it.
 ///
-/// [`DistanceDSplittingSchema`]: super::splitting::DistanceDSplittingSchema
+/// # Panics
+/// Panics on a shape `DistanceDSplittingSchema::new(b, k, 1)` refuses.
 pub fn split_dag(b: u32, k: u32) -> DagJob<HamToken> {
-    check(b, k);
-    let width = b / k;
-    let residual_bits = b - width;
+    let schema = DistanceDSplittingSchema::new(b, k, 1);
     let mut dag = DagJob::new();
+    let groups = 0..k as usize;
     dag.add_round(
         format!("split(k={k})"),
         vec![],
-        FnMapper(
-            move |token: &HamToken, emit: &mut dyn FnMut(u64, HamToken)| {
-                let w = string(token);
-                for i in 0..k {
-                    let key = remove_segment(w, i, width);
-                    emit((i as u64) << residual_bits | key, *token);
-                }
-            },
-        ),
-        FnReducer(
-            |_: &u64, inputs: &[HamToken], emit: &mut dyn FnMut(HamToken)| {
-                emit_close_pairs(inputs, emit)
-            },
-        ),
+        SplitRound { schema, groups },
     );
     dag
 }
 
 /// The splitting groups as `k` independent DAG nodes, one per held-out
-/// segment: node `i` keys every string by its bits outside segment `i`
+/// segment: node `i` sends every string to its group-`i` reducer only
 /// (per-node `r = 1`), and all nodes are sinks.
+///
+/// # Panics
+/// Panics on a shape `DistanceDSplittingSchema::new(b, k, 1)` refuses.
 pub fn parallel_split_dag(b: u32, k: u32) -> DagJob<HamToken> {
-    check(b, k);
-    let width = b / k;
+    let schema = DistanceDSplittingSchema::new(b, k, 1);
     let mut dag = DagJob::new();
-    for i in 0..k {
-        dag.add_round(
-            format!("split-seg-{i}"),
-            vec![],
-            FnMapper(
-                move |token: &HamToken, emit: &mut dyn FnMut(u64, HamToken)| {
-                    emit(remove_segment(string(token), i, width), *token);
-                },
-            ),
-            FnReducer(
-                |_: &u64, inputs: &[HamToken], emit: &mut dyn FnMut(HamToken)| {
-                    emit_close_pairs(inputs, emit)
-                },
-            ),
-        );
+    for i in 0..k as usize {
+        let round = SplitRound {
+            schema: schema.clone(),
+            groups: i..i + 1,
+        };
+        dag.add_round(format!("split-seg-{i}"), vec![], round);
     }
     dag
 }
@@ -142,25 +129,18 @@ pub fn split_consolidate_dag(b: u32, k: u32) -> DagJob<HamToken> {
     let mut dag = parallel_split_dag(b, k);
     let deps: Vec<usize> = (0..k as usize).collect();
     let shift = b.saturating_sub(2);
-    dag.add_round(
-        "consolidate",
-        deps,
-        FnMapper(
-            move |token: &HamToken, emit: &mut dyn FnMut(u64, HamToken)| {
-                let HamToken::Pair(u, _) = token else {
-                    unreachable!("the consolidation round consumes pairs only");
-                };
-                emit(u >> shift, *token);
-            },
-        ),
-        FnReducer(
-            |_: &u64, inputs: &[HamToken], emit: &mut dyn FnMut(HamToken)| {
-                for token in inputs {
-                    emit(*token);
-                }
-            },
-        ),
+    let consolidate = FnSchema(
+        move |token: &HamToken, emit: &mut dyn FnMut(ReducerId)| {
+            let HamToken::Pair(u, _) = token else {
+                unreachable!("the consolidation round consumes pairs only");
+            };
+            emit(u >> shift);
+        },
+        |_: ReducerId, inputs: &[HamToken], emit: &mut dyn FnMut(HamToken)| {
+            inputs.iter().copied().for_each(emit)
+        },
     );
+    dag.add_round("consolidate", deps, consolidate);
     dag
 }
 

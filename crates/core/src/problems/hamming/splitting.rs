@@ -199,6 +199,15 @@ impl DistanceDSplittingSchema {
     pub fn replication(&self) -> u64 {
         binomial(self.k as u64, self.d as u64)
     }
+
+    /// String `w`'s reducer in group `group` (in `0..replication()`): the
+    /// group index packed above `w` with the group's segments deleted.
+    /// At `d = 1` group `i` deletes segment `i`.
+    pub(crate) fn group_reducer(&self, w: u64, group: usize) -> ReducerId {
+        let width = self.b / self.k;
+        let residual_bits = self.b - width * self.d;
+        (group as u64) << residual_bits | remove_segments(w, self.groups[group], width)
+    }
 }
 
 /// All `d`-subsets of `0..k` in lexicographic order.
@@ -225,15 +234,8 @@ fn combinations(k: u32, d: u32) -> Vec<Vec<u32>> {
 
 impl MappingSchema<HammingProblem> for DistanceDSplittingSchema {
     fn assign(&self, input: &u64) -> Vec<ReducerId> {
-        let width = self.b / self.k;
-        let residual_bits = self.b - width * self.d;
-        self.groups
-            .iter()
-            .enumerate()
-            .map(|(ci, &segs)| {
-                let key = remove_segments(*input, segs, width);
-                (ci as u64) << residual_bits | key
-            })
+        (0..self.groups.len())
+            .map(|group| self.group_reducer(*input, group))
             .collect()
     }
 
@@ -268,7 +270,14 @@ impl MappingSchema<HammingProblem> for DistanceDSplittingSchema {
 /// allocated per pair, and a reducer's emit sequence is the `i < j` scan's
 /// order exactly.
 impl mr_sim::schema::SchemaJob<u64, (u64, u64)> for DistanceDSplittingSchema {
-    fn assign(&self, input: &u64) -> Vec<crate::model::ReducerId> {
+    fn assign_into(&self, input: &u64, emit: &mut dyn FnMut(ReducerId)) {
+        for group in 0..self.groups.len() {
+            emit(self.group_reducer(*input, group));
+        }
+    }
+
+    /// Collected into an exactly sized `Vec`: one allocation.
+    fn assign(&self, input: &u64) -> Vec<ReducerId> {
         MappingSchema::assign(self, input)
     }
 

@@ -32,7 +32,7 @@ use super::query::Database;
 use super::shares::{SharesSchema, TaggedTuple};
 use crate::model::ReducerId;
 use mr_sim::schema::SchemaJob;
-use mr_sim::{DagJob, FnMapper, FnReducer};
+use mr_sim::{DagJob, FnSchema};
 use std::collections::BTreeMap;
 
 /// The uniform token a join→aggregate [`DagJob`] flows between rounds.
@@ -81,18 +81,14 @@ fn add_join_round(
     dag.add_round(
         "join",
         vec![],
-        FnMapper(
-            move |token: &JoinToken, emit: &mut dyn FnMut(ReducerId, JoinToken)| {
+        FnSchema(
+            move |token: &JoinToken, emit: &mut dyn FnMut(ReducerId)| {
                 let JoinToken::Tuple(t) = token else {
                     unreachable!("the join round consumes tuples only");
                 };
-                for rid in assign_schema.assign(t) {
-                    emit(rid, token.clone());
-                }
+                assign_schema.assign_into(t, emit);
             },
-        ),
-        FnReducer(
-            move |rid: &ReducerId, inputs: &[JoinToken], emit: &mut dyn FnMut(JoinToken)| {
+            move |rid: ReducerId, inputs: &[JoinToken], emit: &mut dyn FnMut(JoinToken)| {
                 let tuples: Vec<TaggedTuple> = inputs
                     .iter()
                     .map(|t| {
@@ -103,28 +99,26 @@ fn add_join_round(
                     })
                     .collect();
                 let mut rows = Vec::new();
-                schema.reduce(*rid, &tuples, &mut |row| rows.push(row));
-                reduce(*rid, rows, emit);
+                schema.reduce(rid, &tuples, &mut |row| rows.push(row));
+                reduce(rid, rows, emit);
             },
         ),
     )
 }
 
-/// Adds the final merge round: everything for one `a0` meets at one
-/// reducer and the counts are summed.
+/// Adds the final merge round: everything for one `a0` meets at reducer
+/// `a0` and the counts are summed.
 fn add_final_merge(dag: &mut DagJob<JoinToken>, dep: usize) {
     dag.add_round(
         "merge",
         vec![dep],
-        FnMapper(
-            |token: &JoinToken, emit: &mut dyn FnMut(u32, JoinToken)| match token {
-                JoinToken::Row(row) => emit(row[0], token.clone()),
-                JoinToken::Partial { a0, .. } => emit(*a0, token.clone()),
+        FnSchema(
+            |token: &JoinToken, emit: &mut dyn FnMut(ReducerId)| match token {
+                JoinToken::Row(row) => emit(u64::from(row[0])),
+                JoinToken::Partial { a0, .. } => emit(u64::from(*a0)),
                 _ => unreachable!("the merge round consumes rows or partials"),
             },
-        ),
-        FnReducer(
-            |a0: &u32, inputs: &[JoinToken], emit: &mut dyn FnMut(JoinToken)| {
+            |a0: ReducerId, inputs: &[JoinToken], emit: &mut dyn FnMut(JoinToken)| {
                 let total: u64 = inputs
                     .iter()
                     .map(|t| match t {
@@ -133,7 +127,7 @@ fn add_final_merge(dag: &mut DagJob<JoinToken>, dep: usize) {
                         _ => unreachable!("the merge round consumes rows or partials"),
                     })
                     .sum();
-                emit(JoinToken::Count(*a0, total));
+                emit(JoinToken::Count(a0 as u32, total));
             },
         ),
     );
@@ -173,19 +167,18 @@ pub fn pushed_count_dag(schema: SharesSchema, fanout: u32) -> DagJob<JoinToken> 
     });
     let mut prev = join;
     if fanout >= 2 {
+        // Reducer `a0 << 32 | bucket`: ids order like `(a0, bucket)`.
         prev = dag.add_round(
             "merge-buckets",
             vec![join],
-            FnMapper(
-                |token: &JoinToken, emit: &mut dyn FnMut((u32, u32), JoinToken)| {
+            FnSchema(
+                |token: &JoinToken, emit: &mut dyn FnMut(ReducerId)| {
                     let JoinToken::Partial { a0, bucket, .. } = token else {
                         unreachable!("the bucket round consumes partials only");
                     };
-                    emit((*a0, *bucket), token.clone());
+                    emit(u64::from(*a0) << 32 | u64::from(*bucket));
                 },
-            ),
-            FnReducer(
-                |key: &(u32, u32), inputs: &[JoinToken], emit: &mut dyn FnMut(JoinToken)| {
+                |key: ReducerId, inputs: &[JoinToken], emit: &mut dyn FnMut(JoinToken)| {
                     let total: u64 = inputs
                         .iter()
                         .map(|t| {
@@ -196,8 +189,8 @@ pub fn pushed_count_dag(schema: SharesSchema, fanout: u32) -> DagJob<JoinToken> 
                         })
                         .sum();
                     emit(JoinToken::Partial {
-                        a0: key.0,
-                        bucket: key.1,
+                        a0: (key >> 32) as u32,
+                        bucket: key as u32,
                         count: total,
                     });
                 },

@@ -106,7 +106,7 @@ impl SharesSchema {
 }
 
 impl SchemaJob<TaggedTuple, Vec<u32>> for SharesSchema {
-    fn assign(&self, input: &TaggedTuple) -> Vec<ReducerId> {
+    fn assign_into(&self, input: &TaggedTuple, emit: &mut dyn FnMut(ReducerId)) {
         let (atom, tuple) = input;
         let vars = &self.query.atoms[*atom as usize];
         // Fixed coordinates from the tuple's own variables.
@@ -115,34 +115,32 @@ impl SchemaJob<TaggedTuple, Vec<u32>> for SharesSchema {
             fixed[v] = Some(self.bucket(v, tuple[pos]));
         }
         // Enumerate the free coordinates.
-        let mut ids = Vec::new();
         let mut buckets = vec![0u64; self.query.num_vars];
         fn rec(
             schema: &SharesSchema,
             var: usize,
             fixed: &[Option<u64>],
             buckets: &mut Vec<u64>,
-            ids: &mut Vec<ReducerId>,
+            emit: &mut dyn FnMut(ReducerId),
         ) {
             if var == fixed.len() {
-                ids.push(schema.encode(buckets));
+                emit(schema.encode(buckets));
                 return;
             }
             match fixed[var] {
                 Some(b) => {
                     buckets[var] = b;
-                    rec(schema, var + 1, fixed, buckets, ids);
+                    rec(schema, var + 1, fixed, buckets, emit);
                 }
                 None => {
                     for b in 0..schema.shares[var] {
                         buckets[var] = b;
-                        rec(schema, var + 1, fixed, buckets, ids);
+                        rec(schema, var + 1, fixed, buckets, emit);
                     }
                 }
             }
         }
-        rec(self, 0, &fixed, &mut buckets, &mut ids);
-        ids
+        rec(self, 0, &fixed, &mut buckets, emit);
     }
 
     fn reduce(&self, _reducer: ReducerId, inputs: &[TaggedTuple], emit: &mut dyn FnMut(Vec<u32>)) {

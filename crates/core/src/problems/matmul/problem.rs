@@ -338,8 +338,8 @@ impl MappingSchema<MatMulProblem> for OnePhaseSchema {
 }
 
 impl SchemaJob<NumericEntry, Cell> for OnePhaseSchema {
-    fn assign(&self, input: &NumericEntry) -> Vec<ReducerId> {
-        self.cubes().assign(&input.0).collect()
+    fn assign_into(&self, input: &NumericEntry, emit: &mut dyn FnMut(ReducerId)) {
+        self.cubes().assign(&input.0).for_each(emit)
     }
 
     fn reduce(&self, reducer: ReducerId, inputs: &[NumericEntry], emit: &mut dyn FnMut(Cell)) {
@@ -348,8 +348,9 @@ impl SchemaJob<NumericEntry, Cell> for OnePhaseSchema {
 }
 
 /// Packs `R` (`m×n`) and `S` (`n×p`) into simulator inputs in
-/// [`MatMulProblem::inputs`] order (values carried as `f64` bits so the
-/// input type stays `Ord` for the engine's deterministic shuffle).
+/// [`MatMulProblem::inputs`] order, each value carried as its big-endian
+/// `f64` bits — the encoding [`Cell`] uses — so entries and cells compare
+/// bit for bit, `NaN` included.
 ///
 /// # Panics
 /// Panics unless `R` has as many columns as `S` has rows.

@@ -32,7 +32,8 @@
 
 use super::matrix::Matrix;
 use super::problem::{assemble, assert_shapes, numeric_inputs, Cubes, MatMulProblem, NumericEntry};
-use mr_sim::{DagJob, EngineConfig, EngineError, FnMapper, FnReducer, JobMetrics};
+use crate::model::ReducerId;
+use mr_sim::{DagJob, EngineConfig, EngineError, FnSchema, JobMetrics};
 
 /// The uniform token a recursive-matmul [`DagJob`] flows between rounds:
 /// matrix entries in, tagged partial cells between and out of rounds.
@@ -208,22 +209,18 @@ impl RecursiveMatMul {
     /// cubes — to `dag` as an input-reading node called `name`.
     fn add_phase1(&self, dag: &mut DagJob<MatToken>, name: &str) -> usize {
         let cubes = Cubes::new(MatMulProblem::new(self.n), self.s, self.s, self.t);
-        let phase1_map = FnMapper(
-            move |input: &MatToken, emit: &mut dyn FnMut(u64, MatToken)| {
-                for cube in cubes.assign(&entry_of(input).0) {
-                    emit(cube, *input);
-                }
+        let phase1 = FnSchema(
+            move |input: &MatToken, emit: &mut dyn FnMut(ReducerId)| {
+                cubes.assign(&entry_of(input).0).for_each(emit)
             },
-        );
-        let phase1_reduce = FnReducer(
-            move |cube: &u64, inputs: &[MatToken], emit: &mut dyn FnMut(MatToken)| {
-                let group = cubes.j_block(*cube);
-                cubes.product(*cube, inputs.iter().map(entry_of), |(i, k, bits)| {
+            move |cube: ReducerId, inputs: &[MatToken], emit: &mut dyn FnMut(MatToken)| {
+                let group = cubes.j_block(cube);
+                cubes.product(cube, inputs.iter().map(entry_of), |(i, k, bits)| {
                     emit(MatToken::Partial { i, k, group, bits })
                 });
             },
         );
-        dag.add_round(name, vec![], phase1_map, phase1_reduce)
+        dag.add_round(name, vec![], phase1)
     }
 
     /// Builds the round chain as a [`DagJob`] over [`MatToken`]s — the
@@ -234,18 +231,18 @@ impl RecursiveMatMul {
         let mut prev = self.add_phase1(&mut dag, "phase-1");
 
         for round in 0..self.agg_rounds() {
-            let agg_map = FnMapper(
-                move |token: &MatToken, emit: &mut dyn FnMut((u32, u32, u32), MatToken)| {
-                    let MatToken::Partial { i, k, group, .. } = token else {
+            // Partial `(i, k, group)` goes to the reducer of cell `(i, k)`
+            // and merged group `group / f`, packed as
+            // `i << 42 | k << 21 | group / f`: every field is below
+            // `n < 2²¹` (`new` asserts it), so ids order like the triples.
+            let aggregate = FnSchema(
+                move |token: &MatToken, emit: &mut dyn FnMut(ReducerId)| {
+                    let MatToken::Partial { i, k, group, .. } = *token else {
                         unreachable!("aggregation rounds consume partials only");
                     };
-                    emit((*i, *k, group / f), *token);
+                    emit(u64::from(i) << 42 | u64::from(k) << 21 | u64::from(group / f));
                 },
-            );
-            let agg_reduce = FnReducer(
-                move |key: &(u32, u32, u32),
-                      partials: &[MatToken],
-                      emit: &mut dyn FnMut(MatToken)| {
+                |cell: ReducerId, partials: &[MatToken], emit: &mut dyn FnMut(MatToken)| {
                     let sum: f64 = partials
                         .iter()
                         .map(|token| {
@@ -255,20 +252,16 @@ impl RecursiveMatMul {
                             f64::from_bits(u64::from_be_bytes(*bits))
                         })
                         .sum();
+                    const FIELD: u64 = (1 << 21) - 1;
                     emit(MatToken::Partial {
-                        i: key.0,
-                        k: key.1,
-                        group: key.2,
+                        i: (cell >> 42) as u32,
+                        k: (cell >> 21 & FIELD) as u32,
+                        group: (cell & FIELD) as u32,
                         bits: sum.to_bits().to_be_bytes(),
                     });
                 },
             );
-            prev = dag.add_round(
-                format!("aggregate-{}", round + 1),
-                vec![prev],
-                agg_map,
-                agg_reduce,
-            );
+            prev = dag.add_round(format!("aggregate-{}", round + 1), vec![prev], aggregate);
         }
         dag
     }
@@ -318,7 +311,7 @@ mod tests {
     use super::*;
     use crate::problems::matmul::problem::{run_one_phase, Cell};
     use crate::problems::matmul::OnePhaseSchema;
-    use mr_sim::run_round;
+    use mr_sim::run_schema;
 
     /// Every entry's `f64` bits, row-major.
     fn bits(m: &Matrix) -> Vec<u64> {
@@ -375,35 +368,34 @@ mod tests {
         config: &EngineConfig,
     ) -> (Matrix, JobMetrics) {
         let cubes = Cubes::new(MatMulProblem::new(n), s, s, t);
-        let phase1_map = FnMapper(
-            move |input: &NumericEntry, emit: &mut dyn FnMut(u64, NumericEntry)| {
-                for cube in cubes.assign(&input.0) {
-                    emit(cube, *input);
-                }
+        let phase1 = FnSchema(
+            move |input: &NumericEntry, emit: &mut dyn FnMut(ReducerId)| {
+                cubes.assign(&input.0).for_each(emit)
+            },
+            move |cube: ReducerId, inputs: &[NumericEntry], emit: &mut dyn FnMut(Cell)| {
+                cubes.product(cube, inputs, emit)
             },
         );
-        let phase1_reduce = FnReducer(
-            move |cube: &u64, inputs: &[NumericEntry], emit: &mut dyn FnMut(Cell)| {
-                cubes.product(*cube, inputs, emit)
+        // Each partial goes to the reducer of its cell, `i << 32 | k`.
+        let phase2 = FnSchema(
+            |&(i, k, _): &Cell, emit: &mut dyn FnMut(ReducerId)| {
+                emit(u64::from(i) << 32 | u64::from(k))
             },
-        );
-        let phase2_map = FnMapper(
-            move |cell: &Cell, emit: &mut dyn FnMut((u32, u32), [u8; 8])| {
-                emit((cell.0, cell.1), cell.2);
-            },
-        );
-        let phase2_reduce = FnReducer(
-            move |key: &(u32, u32), partials: &[[u8; 8]], emit: &mut dyn FnMut(Cell)| {
+            |cell: ReducerId, partials: &[Cell], emit: &mut dyn FnMut(Cell)| {
                 let sum: f64 = partials
                     .iter()
-                    .map(|bits| f64::from_bits(u64::from_be_bytes(*bits)))
+                    .map(|(_, _, bits)| f64::from_bits(u64::from_be_bytes(*bits)))
                     .sum();
-                emit((key.0, key.1, sum.to_bits().to_be_bytes()));
+                emit((
+                    (cell >> 32) as u32,
+                    cell as u32,
+                    sum.to_bits().to_be_bytes(),
+                ));
             },
         );
         let inputs = numeric_inputs(a, b);
-        let (partials, phase1) = run_round(&inputs, &phase1_map, &phase1_reduce, config).unwrap();
-        let (cells, phase2) = run_round(&partials, &phase2_map, &phase2_reduce, config).unwrap();
+        let (partials, phase1) = run_schema(&inputs, &phase1, config).unwrap();
+        let (cells, phase2) = run_schema(&partials, &phase2, config).unwrap();
         let rounds = vec![phase1, phase2];
         (assemble(a.n(), a.n(), cells), JobMetrics { rounds })
     }

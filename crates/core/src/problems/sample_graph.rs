@@ -316,26 +316,34 @@ impl MultisetPartitionSchema {
         u % self.k
     }
 
-    /// The reducers of an edge: the base-`k` digits of each fill with the
-    /// endpoint groups merged in.
-    fn edge_reducers(&self, u: u32, v: u32) -> Vec<ReducerId> {
+    /// Passes `emit` the reducers of an edge: the base-`k` digits of each
+    /// fill with the endpoint groups merged in. They come in ascending
+    /// order, each once: adding the same two groups to distinct sorted
+    /// fills keeps them distinct, and keeps their order (two sorted
+    /// multisets of one size compare by the smallest element of their
+    /// difference, which the added groups do not change).
+    fn edge_reducers(&self, u: u32, v: u32, emit: &mut dyn FnMut(ReducerId)) {
         let (gu, gv) = (self.group(u), self.group(v));
         let (k, width) = (self.k as u64, self.s - 2);
-        let mut ids: Vec<ReducerId> = (0..self.num_fills)
-            .map(|i| {
-                let mut pair = [gu.min(gv), gu.max(gv)].into_iter().peekable();
-                let mut id = 0;
-                for &g in &self.fills[i * width..(i + 1) * width] {
-                    while let Some(x) = pair.next_if(|&x| x <= g) {
-                        id = id * k + x as u64;
-                    }
-                    id = id * k + g as u64;
+        for i in 0..self.num_fills {
+            let fill = &self.fills[i * width..(i + 1) * width];
+            let mut pair = [gu.min(gv), gu.max(gv)].into_iter().peekable();
+            let mut id = 0;
+            for &g in fill {
+                while let Some(x) = pair.next_if(|&x| x <= g) {
+                    id = id * k + x as u64;
                 }
-                pair.fold(id, |id, x| id * k + x as u64)
-            })
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
+                id = id * k + g as u64;
+            }
+            emit(pair.fold(id, |id, x| id * k + x as u64));
+        }
+    }
+
+    /// [`edge_reducers`](Self::edge_reducers) collected into an exactly
+    /// sized `Vec`: one allocation.
+    fn edge_reducer_ids(&self, u: u32, v: u32) -> Vec<ReducerId> {
+        let mut ids = Vec::with_capacity(self.num_fills);
+        self.edge_reducers(u, v, &mut |id| ids.push(id));
         ids
     }
 
@@ -368,7 +376,7 @@ impl MultisetPartitionSchema {
 
 impl MappingSchema<SampleGraphProblem> for MultisetPartitionSchema {
     fn assign(&self, input: &(u32, u32)) -> Vec<ReducerId> {
-        self.edge_reducers(input.0, input.1)
+        self.edge_reducer_ids(input.0, input.1)
     }
 
     fn max_inputs_per_reducer(&self) -> u64 {
@@ -390,7 +398,7 @@ impl MappingSchema<SampleGraphProblem> for MultisetPartitionSchema {
 /// declares the exact load and keeps §4's name.
 impl MappingSchema<TriangleProblem> for MultisetPartitionSchema {
     fn assign(&self, input: &(u32, u32)) -> Vec<ReducerId> {
-        self.edge_reducers(input.0, input.1)
+        self.edge_reducer_ids(input.0, input.1)
     }
 
     fn max_inputs_per_reducer(&self) -> u64 {
@@ -406,8 +414,12 @@ impl MappingSchema<TriangleProblem> for MultisetPartitionSchema {
 /// pattern over sorted adjacency of its own edges, and emits, sorted, the
 /// instances it owns (those whose sorted node groups are its multiset).
 impl SchemaJob<Edge, Vec<(u32, u32)>> for MultisetPartitionSchema {
+    fn assign_into(&self, input: &Edge, emit: &mut dyn FnMut(ReducerId)) {
+        self.edge_reducers(input.u, input.v, emit)
+    }
+
     fn assign(&self, input: &Edge) -> Vec<ReducerId> {
-        self.edge_reducers(input.u, input.v)
+        self.edge_reducer_ids(input.u, input.v)
     }
 
     fn reduce(&self, reducer: ReducerId, inputs: &[Edge], emit: &mut dyn FnMut(Vec<(u32, u32)>)) {
@@ -501,8 +513,8 @@ mod tests {
     struct Reference<'a>(&'a MultisetPartitionSchema, &'a Graph);
 
     impl SchemaJob<Edge, Vec<(u32, u32)>> for Reference<'_> {
-        fn assign(&self, input: &Edge) -> Vec<ReducerId> {
-            SchemaJob::assign(self.0, input)
+        fn assign_into(&self, input: &Edge, emit: &mut dyn FnMut(ReducerId)) {
+            self.0.assign_into(input, emit)
         }
 
         fn reduce(
@@ -760,6 +772,34 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(found.len(), sorted.len(), "duplicate instances emitted");
+    }
+
+    #[test]
+    fn edge_reducers_ascend_without_repeats() {
+        // The order and distinctness `edge_reducers` claims, so the
+        // assignment needs no sort and no dedup: every edge of the
+        // complete graph, two-node to five-node patterns, one to six
+        // groups.
+        let shapes = [
+            (patterns::path(1), 6),
+            (patterns::triangle(), 12),
+            (patterns::cycle(4), 10),
+            (patterns::matching(2), 9),
+            (patterns::clique(5), 7),
+        ];
+        for (pattern, n) in shapes {
+            for k in 1..=6 {
+                let schema = MultisetPartitionSchema::new(pattern.clone(), n, k);
+                for e in Graph::complete(n as usize).edges() {
+                    let ids = SchemaJob::assign(&schema, e);
+                    assert!(
+                        ids.windows(2).all(|w| w[0] < w[1]),
+                        "s={} k={k} edge {e}: {ids:?}",
+                        schema.s
+                    );
+                }
+            }
+        }
     }
 
     #[test]

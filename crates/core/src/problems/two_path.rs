@@ -134,8 +134,9 @@ impl MappingSchema<TwoPathProblem> for PerNodeSchema {
 }
 
 impl SchemaJob<Edge, (u32, u32, u32)> for PerNodeSchema {
-    fn assign(&self, input: &Edge) -> Vec<ReducerId> {
-        vec![input.u as u64, input.v as u64]
+    fn assign_into(&self, input: &Edge, emit: &mut dyn FnMut(ReducerId)) {
+        emit(input.u as u64);
+        emit(input.v as u64);
     }
 
     fn reduce(&self, reducer: ReducerId, inputs: &[Edge], emit: &mut dyn FnMut((u32, u32, u32))) {
@@ -249,8 +250,10 @@ impl MappingSchema<TwoPathProblem> for BucketPairSchema {
 }
 
 impl SchemaJob<Edge, (u32, u32, u32)> for BucketPairSchema {
-    fn assign(&self, input: &Edge) -> Vec<ReducerId> {
+    fn assign_into(&self, input: &Edge, emit: &mut dyn FnMut(ReducerId)) {
         self.edge_reducers(input.u, input.v)
+            .into_iter()
+            .for_each(emit)
     }
 
     fn reduce(&self, reducer: ReducerId, inputs: &[Edge], emit: &mut dyn FnMut((u32, u32, u32))) {

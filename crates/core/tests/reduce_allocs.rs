@@ -1,6 +1,10 @@
 //! The distance-`d` Splitting reducer allocates nothing per candidate
-//! pair, a retained delta apply allocates per change, not per dirty
-//! reducer, and the multiset-partition `assign` (the census's inner loop)
+//! pair; `assign_into` — what the engine's map, the census and a delta's
+//! routing call per input — allocates nothing for the Splitting and
+//! multiset-partition schemas, so a census allocates per reducer, never
+//! per input; a retained delta apply makes a quarter of an allocation per
+//! change, never one per change or per dirty reducer; and the
+//! multiset-partition `assign`
 //! allocates only the `Vec` it returns — all pinned as counts, so the
 //! properties cannot silently rot.
 //!
@@ -13,7 +17,7 @@ use mr_core::problems::hamming::splitting::DistanceDSplittingSchema;
 use mr_core::problems::sample_graph::MultisetPartitionSchema;
 use mr_graph::{patterns, Graph};
 use mr_sim::schema::{ReducerId, SchemaJob};
-use mr_sim::{run_schema_retained, Delta, EngineConfig, Pipeline, Seq};
+use mr_sim::{run_schema_retained, Delta, EngineConfig, LoadTable, Pipeline, Seq};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -136,12 +140,14 @@ fn delta_apply_allocates_per_change_not_per_dirty_reducer() {
             "step {step}: a reducer emptied"
         );
         if step > 0 {
-            // One allocation per change is `assign`'s `Vec` (128 of the
-            // 196 this shape makes); what the pin forbids is one per
-            // dirty reducer.
+            // Routing calls `assign_into`, which allocates nothing, so
+            // what grows with the changes is the ordered maps' nodes (the
+            // live instance, the removal check) and the apply's buffers
+            // doubling: 68 allocations for 128 changes over 768 dirty
+            // reducers. One per change, or per dirty reducer, fails.
             let (changes, dirty) = (delta.changes() as u64, outcome.metrics.dirty_reducers);
             assert!(
-                n < changes + dirty / 8,
+                n < changes / 4 + 40,
                 "step {step}: {n} allocations for {changes} changes over {dirty} dirty reducers"
             );
         }
@@ -171,5 +177,87 @@ fn multiset_assign_allocates_only_its_vec() {
                 ids.len()
             );
         }
+    }
+}
+
+/// The multiset-partition shapes the pins run: the triangle (s = 3) at
+/// one and at six groups, C4 (s = 4) and matching(2) (s = 4, two
+/// components).
+fn multiset_shapes() -> [MultisetPartitionSchema; 4] {
+    [
+        MultisetPartitionSchema::new(patterns::triangle(), 24, 1),
+        MultisetPartitionSchema::new(patterns::triangle(), 24, 6),
+        MultisetPartitionSchema::new(patterns::cycle(4), 10, 4),
+        MultisetPartitionSchema::new(patterns::matching(2), 12, 5),
+    ]
+}
+
+#[test]
+fn splitting_assign_into_allocates_nothing() {
+    // The engine's map chunk, the census and a delta's routing pass every
+    // input through `assign_into`: no allocation, whatever `d` is.
+    for (b, k, d) in [(18, 6, 1), (12, 6, 2), (8, 1, 1)] {
+        let schema = DistanceDSplittingSchema::new(b, k, d);
+        for w in [0, 0x2_B3A5 & ((1 << b) - 1), (1 << b) - 1] {
+            let mut reducers = 0;
+            let n = allocations_during(|| {
+                schema.assign_into(&w, &mut |r| {
+                    std::hint::black_box(r);
+                    reducers += 1;
+                })
+            });
+            assert_eq!(n, 0, "b={b} k={k} d={d}: string {w} allocated");
+            assert_eq!(reducers, schema.replication(), "b={b} k={k} d={d}");
+        }
+    }
+}
+
+#[test]
+fn multiset_assign_into_allocates_nothing() {
+    for schema in multiset_shapes() {
+        for e in Graph::complete(schema.n as usize).edges() {
+            let mut reducers = 0;
+            let n = allocations_during(|| {
+                schema.assign_into(e, &mut |r| {
+                    std::hint::black_box(r);
+                    reducers += 1;
+                })
+            });
+            assert_eq!(n, 0, "s={} k={}: edge {e} allocated", schema.s, schema.k);
+            assert_eq!(reducers, SchemaJob::assign(&schema, e).len());
+        }
+    }
+}
+
+#[test]
+fn load_table_allocates_per_reducer_not_per_input() {
+    // Folding an instance twice over touches no new reducer on the second
+    // pass, so it allocates exactly what folding it once does: the
+    // table's own growth, with nothing per input.
+    fn assert_per_reducer<I, O, S: SchemaJob<I, O>>(label: &str, schema: &S, inputs: &[I]) {
+        let mut once = LoadTable::default();
+        let n_once = allocations_during(|| once = LoadTable::of(schema, inputs));
+        let mut twice = LoadTable::default();
+        let n_twice =
+            allocations_during(|| twice = LoadTable::of(schema, inputs.iter().chain(inputs)));
+        assert_eq!(twice.pairs(), 2 * once.pairs(), "{label}");
+        assert_eq!(twice.reducers(), once.reducers(), "{label}");
+        assert_eq!(
+            n_twice,
+            n_once,
+            "{label}: {} more inputs cost {} more allocations",
+            inputs.len(),
+            n_twice - n_once
+        );
+    }
+    let strings: Vec<u64> = (0..1u64 << 12).collect();
+    for d in [1, 2] {
+        let schema = DistanceDSplittingSchema::new(12, 6, d);
+        assert_per_reducer(&format!("splitting d={d}"), &schema, &strings);
+    }
+    for schema in multiset_shapes() {
+        let edges = Graph::complete(schema.n as usize).edges().to_vec();
+        let label = format!("multiset s={} k={}", schema.s, schema.k);
+        assert_per_reducer(&label, &schema, &edges);
     }
 }

@@ -1,33 +1,35 @@
 //! The original `BTreeMap`-centric shuffle, retained as a **test-only
 //! regression oracle** for the columnar data plane.
 //!
-//! This module is a faithful copy of the engine's pre-columnar pipeline:
-//! map workers scatter `(K, V)` pairs into `P = min(workers, inputs)`
-//! hash buckets (routed by a byte-at-a-time FxHash-style hasher and a
-//! modulo), each partition is grouped into its own `BTreeMap`, and the
-//! per-partition sorted runs are merged by smallest head key. It is
-//! comparison-bound and allocation-heavy — that is the point: the
-//! columnar engine in [`mr_sim::engine`] must produce
-//! byte-identical outputs and semantic metrics on every workload at
-//! every worker count, including the same smallest-key overflow
+//! This module is a faithful copy of the engine's pre-columnar pipeline
+//! over a schema: map workers send each input to the reducers its
+//! assignment names, scattering `(reducer, input)` pairs into
+//! `P = min(workers, inputs)` hash buckets (routed by a byte-at-a-time
+//! FxHash-style hasher and a modulo), each partition is grouped into its
+//! own `BTreeMap`, and the per-partition sorted runs are merged by
+//! smallest head reducer. It is comparison-bound and allocation-heavy —
+//! that is the point: the columnar engine in [`mr_sim::engine`] must
+//! produce byte-identical outputs and semantic metrics on every workload
+//! at every worker count, including the same smallest-reducer overflow
 //! offender, and the `columnar_oracle` battery asserts exactly that
-//! against this module. Do **not** use it in production paths.
+//! against this module. It shares nothing with the engine but the
+//! [`SchemaJob`] it runs and the worker pool. Do **not** use it in
+//! production paths.
 
 use mr_sim::{fan_out, EngineConfig, EngineError, LoadStats, RoundMetrics, ShuffleStats};
-use mr_sim::{Mapper, Reducer};
+use mr_sim::{ReducerId, SchemaJob};
 use std::collections::BTreeMap;
-use std::fmt::Debug;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 
-/// Key-sorted reduce groups: one `(key, values)` entry per distinct key,
-/// ascending by key, values in arrival order.
-type Groups<K, V> = Vec<(K, Vec<V>)>;
+/// Reducer-sorted groups: one `(reducer, inputs)` entry per distinct
+/// reducer, ascending by id, inputs in arrival order.
+type Groups<V> = Vec<(ReducerId, Vec<V>)>;
 
-/// Bytes one `(fingerprint, key, value)` triple occupies in the columnar
-/// shuffle — `mr-sim`'s unit behind [`ShuffleStats::bytes_moved`], which
-/// this oracle reports too.
-fn pair_bytes<K, V>() -> u64 {
-    (std::mem::size_of::<u64>() + std::mem::size_of::<K>() + std::mem::size_of::<V>()) as u64
+/// Bytes one `(fingerprint, reducer id, input)` triple occupies in the
+/// columnar shuffle — `mr-sim`'s unit behind
+/// [`ShuffleStats::bytes_moved`], which this oracle reports too.
+fn pair_bytes<V>() -> u64 {
+    (2 * std::mem::size_of::<u64>() + std::mem::size_of::<V>()) as u64
 }
 
 /// The pre-columnar deterministic, seed-free multiply-rotate hasher
@@ -46,62 +48,61 @@ impl Hasher for PartitionHasher {
     }
 }
 
-/// The hash partition (in `0..partitions`) that owns `key`, by modulo on
-/// the byte-loop hash — the old routing function.
-fn partition_of<K: Hash>(key: &K, partitions: usize) -> usize {
+/// The hash partition (in `0..partitions`) that owns reducer `rid`, by
+/// modulo on the byte-loop hash — the old routing function.
+fn partition_of(rid: ReducerId, partitions: usize) -> usize {
     let mut h = PartitionHasher(0);
-    key.hash(&mut h);
+    h.write(&rid.to_ne_bytes());
     (h.finish() % partitions as u64) as usize
 }
 
-/// Executes one round through the naive `BTreeMap` pipeline. Same
-/// contract as [`mr_sim::run_round`]: outputs in ascending key
-/// order, emission order within a key, identical at every worker count.
-pub fn run_round_naive<I, K, V, O>(
+/// Executes one schema round through the naive `BTreeMap` pipeline. Same
+/// contract as [`mr_sim::run_schema`]: outputs in ascending reducer
+/// order, emission order within a reducer, identical at every worker
+/// count.
+pub fn run_schema_naive<I, O, S>(
     inputs: &[I],
-    mapper: &dyn Mapper<I, K, V>,
-    reducer: &dyn Reducer<K, V, O>,
+    schema: &S,
     config: &EngineConfig,
 ) -> Result<(Vec<O>, RoundMetrics), EngineError>
 where
-    I: Sync,
-    K: Ord + Hash + Debug + Send + Sync,
-    V: Send + Sync,
+    I: Clone + Send + Sync,
     O: Send,
+    S: SchemaJob<I, O> + ?Sized,
 {
     let workers = config.effective_workers();
     if workers <= 1 {
-        run_round_sequential(inputs, mapper, reducer, config)
+        run_sequential(inputs, schema, config)
     } else {
-        run_round_partitioned(inputs, mapper, reducer, config, workers)
+        run_partitioned(inputs, schema, config, workers)
     }
 }
 
 /// The fully sequential naive path: one `BTreeMap`, everything on the
 /// calling thread.
-fn run_round_sequential<I, K, V, O>(
+fn run_sequential<I, O, S>(
     inputs: &[I],
-    mapper: &dyn Mapper<I, K, V>,
-    reducer: &dyn Reducer<K, V, O>,
+    schema: &S,
     config: &EngineConfig,
 ) -> Result<(Vec<O>, RoundMetrics), EngineError>
 where
-    K: Ord + Debug,
+    I: Clone,
+    S: SchemaJob<I, O> + ?Sized,
 {
     let mut pairs = Vec::new();
     for input in inputs {
-        mapper.map(input, &mut |k, v| pairs.push((k, v)));
+        schema.assign_into(input, &mut |rid| pairs.push((rid, input.clone())));
     }
     let kv_pairs = pairs.len() as u64;
     let mut shuffle_stats = ShuffleStats::from_partition_loads(&[kv_pairs]);
-    shuffle_stats.bytes_moved = Some(kv_pairs * pair_bytes::<K, V>());
+    shuffle_stats.bytes_moved = Some(kv_pairs * pair_bytes::<I>());
     let groups = shuffle(pairs);
 
     if let Some(q) = config.max_reducer_inputs {
-        for (k, vs) in &groups {
+        for (rid, vs) in &groups {
             if vs.len() as u64 > q {
                 return Err(EngineError::ReducerOverflow {
-                    key: format!("{k:?}"),
+                    key: rid.to_string(),
                     load: vs.len() as u64,
                     limit: q,
                 });
@@ -109,10 +110,10 @@ where
         }
     }
 
-    let entries: Vec<(K, Vec<V>)> = groups.into_iter().collect();
+    let entries: Groups<I> = groups.into_iter().collect();
     let mut outputs = Vec::new();
-    for (k, vs) in &entries {
-        reducer.reduce(k, vs, &mut |o| outputs.push(o));
+    for (rid, vs) in &entries {
+        schema.reduce(*rid, vs, &mut |o| outputs.push(o));
     }
     let metrics = round_metrics(
         inputs.len(),
@@ -125,26 +126,24 @@ where
 }
 
 /// The parallel naive path: map-scatter → per-partition `BTreeMap`
-/// group/check → key-order merge → chunked reduce.
-fn run_round_partitioned<I, K, V, O>(
+/// group/check → reducer-order merge → chunked reduce.
+fn run_partitioned<I, O, S>(
     inputs: &[I],
-    mapper: &dyn Mapper<I, K, V>,
-    reducer: &dyn Reducer<K, V, O>,
+    schema: &S,
     config: &EngineConfig,
     workers: usize,
 ) -> Result<(Vec<O>, RoundMetrics), EngineError>
 where
-    I: Sync,
-    K: Ord + Hash + Debug + Send + Sync,
-    V: Send + Sync,
+    I: Clone + Send + Sync,
     O: Send,
+    S: SchemaJob<I, O> + ?Sized,
 {
     let p = workers.min(inputs.len()).max(1);
-    let partitions = map_scatter_phase(inputs, mapper, workers, p);
+    let partitions = map_scatter_phase(inputs, schema, workers, p);
     let kv_pairs: u64 = partitions.iter().map(|p| p.len() as u64).sum();
     let (entries, mut shuffle_stats) = shuffle_partitioned(partitions, config.max_reducer_inputs)?;
-    shuffle_stats.bytes_moved = Some(kv_pairs * pair_bytes::<K, V>());
-    let outputs = naive_reduce_phase(&entries, reducer, workers);
+    shuffle_stats.bytes_moved = Some(kv_pairs * pair_bytes::<I>());
+    let outputs = naive_reduce_phase(&entries, schema, workers);
     let metrics = round_metrics(
         inputs.len(),
         kv_pairs,
@@ -155,11 +154,11 @@ where
     Ok((outputs, metrics))
 }
 
-/// Assembles [`RoundMetrics`] from key-sorted groups.
-fn round_metrics<K, V>(
+/// Assembles [`RoundMetrics`] from reducer-sorted groups.
+fn round_metrics<V>(
     inputs: usize,
     kv_pairs: u64,
-    entries: &[(K, Vec<V>)],
+    entries: &[(ReducerId, Vec<V>)],
     outputs: usize,
     shuffle: ShuffleStats,
 ) -> RoundMetrics {
@@ -182,18 +181,17 @@ fn round_metrics<K, V>(
 /// Runs the map phase, scattering emissions into `p` hash buckets as they
 /// are produced — including the unhinted, zero-capacity bucket `Vec`s
 /// whose growth reallocations the columnar plane was built to eliminate.
-fn map_scatter_phase<I, K, V>(
+fn map_scatter_phase<I, O, S>(
     inputs: &[I],
-    mapper: &dyn Mapper<I, K, V>,
+    schema: &S,
     workers: usize,
     p: usize,
-) -> Vec<Vec<(K, V)>>
+) -> Vec<Vec<(ReducerId, I)>>
 where
-    I: Sync,
-    K: Hash + Send,
-    V: Send,
+    I: Clone + Send + Sync,
+    S: SchemaJob<I, O> + ?Sized,
 {
-    let mut partitions: Vec<Vec<(K, V)>> = (0..p).map(|_| Vec::new()).collect();
+    let mut partitions: Vec<Vec<(ReducerId, I)>> = (0..p).map(|_| Vec::new()).collect();
     if inputs.is_empty() {
         return partitions;
     }
@@ -201,11 +199,10 @@ where
     let chunk = inputs.len().div_ceil(map_workers);
     let chunks: Vec<&[I]> = inputs.chunks(chunk).collect();
     let per_worker = fan_out(workers, chunks, |c| {
-        let mut buckets: Vec<Vec<(K, V)>> = (0..p).map(|_| Vec::new()).collect();
+        let mut buckets: Vec<Vec<(ReducerId, I)>> = (0..p).map(|_| Vec::new()).collect();
         for input in c {
-            mapper.map(input, &mut |k, v| {
-                let b = partition_of(&k, p);
-                buckets[b].push((k, v));
+            schema.assign_into(input, &mut |rid| {
+                buckets[partition_of(rid, p)].push((rid, input.clone()));
             });
         }
         buckets
@@ -220,21 +217,17 @@ where
 
 /// Group-sorts and budget-checks every partition concurrently in its own
 /// `BTreeMap`, then merges the per-partition sorted runs by smallest head
-/// key. On overflow, reports the globally smallest over-budget key.
-fn shuffle_partitioned<K, V>(
-    partitions: Vec<Vec<(K, V)>>,
+/// key. On overflow, reports the globally smallest over-budget reducer.
+fn shuffle_partitioned<V: Send>(
+    partitions: Vec<Vec<(ReducerId, V)>>,
     q: Option<u64>,
-) -> Result<(Groups<K, V>, ShuffleStats), EngineError>
-where
-    K: Ord + Debug + Send,
-    V: Send,
-{
+) -> Result<(Groups<V>, ShuffleStats), EngineError> {
     let partition_loads: Vec<u64> = partitions.iter().map(|p| p.len() as u64).collect();
     let stats = ShuffleStats::from_partition_loads(&partition_loads);
 
     let lanes = partitions.len();
-    let grouped: Vec<(BTreeMap<K, Vec<V>>, bool)> = fan_out(lanes, partitions, |pairs| {
-        let mut groups: BTreeMap<K, Vec<V>> = BTreeMap::new();
+    let grouped: Vec<(BTreeMap<ReducerId, Vec<V>>, bool)> = fan_out(lanes, partitions, |pairs| {
+        let mut groups: BTreeMap<ReducerId, Vec<V>> = BTreeMap::new();
         for (k, v) in pairs {
             groups.entry(k).or_default().push(v);
         }
@@ -244,7 +237,7 @@ where
 
     if let Some(q) = q {
         if grouped.iter().any(|(_, over)| *over) {
-            let mut worst: Option<(&K, u64)> = None;
+            let mut worst: Option<(&ReducerId, u64)> = None;
             for (groups, over) in &grouped {
                 if !over {
                     continue;
@@ -257,7 +250,7 @@ where
             }
             let (k, load) = worst.expect("a flagged partition must contain an offender");
             return Err(EngineError::ReducerOverflow {
-                key: format!("{k:?}"),
+                key: k.to_string(),
                 load,
                 limit: q,
             });
@@ -269,8 +262,9 @@ where
     // exact sequence a single global BTreeMap would have produced.
     let expected: usize = grouped.iter().map(|(g, _)| g.len()).sum();
     let mut iters: Vec<_> = grouped.into_iter().map(|(g, _)| g.into_iter()).collect();
-    let mut heads: Vec<Option<(K, Vec<V>)>> = iters.iter_mut().map(|it| it.next()).collect();
-    let mut entries: Vec<(K, Vec<V>)> = Vec::with_capacity(expected);
+    let mut heads: Vec<Option<(ReducerId, Vec<V>)>> =
+        iters.iter_mut().map(|it| it.next()).collect();
+    let mut entries: Groups<V> = Vec::with_capacity(expected);
     loop {
         let mut best: Option<usize> = None;
         for (i, head) in heads.iter().enumerate() {
@@ -295,42 +289,43 @@ where
     Ok((entries, stats))
 }
 
-/// Groups emissions by key, preserving emission order within each key —
-/// the single-partition shuffle used by the sequential naive path.
-fn shuffle<K: Ord, V>(pairs: Vec<(K, V)>) -> BTreeMap<K, Vec<V>> {
-    let mut groups: BTreeMap<K, Vec<V>> = BTreeMap::new();
+/// Groups emissions by reducer, preserving emission order within each
+/// reducer — the single-partition shuffle used by the sequential naive
+/// path.
+fn shuffle<V>(pairs: Vec<(ReducerId, V)>) -> BTreeMap<ReducerId, Vec<V>> {
+    let mut groups: BTreeMap<ReducerId, Vec<V>> = BTreeMap::new();
     for (k, v) in pairs {
         groups.entry(k).or_default().push(v);
     }
     groups
 }
 
-/// Runs the reduce phase over key-sorted groups, concatenating outputs in
-/// ascending key order.
-fn naive_reduce_phase<K, V, O>(
-    entries: &[(K, Vec<V>)],
-    reducer: &dyn Reducer<K, V, O>,
+/// Runs the reduce phase over reducer-sorted groups, concatenating
+/// outputs in ascending reducer order.
+fn naive_reduce_phase<I, O, S>(
+    entries: &[(ReducerId, Vec<I>)],
+    schema: &S,
     workers: usize,
 ) -> Vec<O>
 where
-    K: Send + Sync,
-    V: Send + Sync,
+    I: Sync,
     O: Send,
+    S: SchemaJob<I, O> + ?Sized,
 {
     if workers <= 1 || entries.len() < 2 {
         let mut outputs = Vec::new();
-        for (k, vs) in entries {
-            reducer.reduce(k, vs, &mut |o| outputs.push(o));
+        for (rid, vs) in entries {
+            schema.reduce(*rid, vs, &mut |o| outputs.push(o));
         }
         return outputs;
     }
     let workers = workers.min(entries.len());
     let chunk = entries.len().div_ceil(workers);
-    let chunks: Vec<&[(K, Vec<V>)]> = entries.chunks(chunk).collect();
+    let chunks: Vec<&[(ReducerId, Vec<I>)]> = entries.chunks(chunk).collect();
     let results = fan_out(workers, chunks, |c| {
         let mut outputs = Vec::new();
-        for (k, vs) in c {
-            reducer.reduce(k, vs, &mut |o| outputs.push(o));
+        for (rid, vs) in c {
+            schema.reduce(*rid, vs, &mut |o| outputs.push(o));
         }
         outputs
     });
@@ -340,30 +335,25 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mr_sim::{FnMapper, FnReducer};
+    use mr_sim::FnSchema;
 
     #[test]
     fn naive_path_still_works_standalone() {
         // The oracle must stay healthy on its own, or oracle-vs-columnar
-        // comparisons would be vacuous.
-        let docs = ["a b a", "b c", "a"];
-        let mapper = FnMapper(|doc: &&str, emit: &mut dyn FnMut(String, u64)| {
-            for w in doc.split_whitespace() {
-                emit(w.to_string(), 1);
-            }
-        });
-        let reducer = FnReducer(
-            |k: &String, vs: &[u64], emit: &mut dyn FnMut((String, u64))| {
-                emit((k.clone(), vs.iter().sum()))
+        // comparisons would be vacuous. Word count over word occurrences:
+        // each goes to the reducer of its first letter.
+        let words = ["a", "b", "a", "b", "c", "a"];
+        let count = FnSchema(
+            |w: &&str, emit: &mut dyn FnMut(ReducerId)| emit(u64::from(w.as_bytes()[0])),
+            |_: ReducerId, ws: &[&str], emit: &mut dyn FnMut((String, usize))| {
+                emit((ws[0].to_string(), ws.len()))
             },
         );
-        let (seq, seq_m) =
-            run_round_naive(&docs, &mapper, &reducer, &EngineConfig::sequential()).unwrap();
+        let (seq, seq_m) = run_schema_naive(&words, &count, &EngineConfig::sequential()).unwrap();
         assert_eq!(seq, vec![("a".into(), 3), ("b".into(), 2), ("c".into(), 1)]);
         for workers in [2usize, 3, 8] {
             let (par, par_m) =
-                run_round_naive(&docs, &mapper, &reducer, &EngineConfig::parallel(workers))
-                    .unwrap();
+                run_schema_naive(&words, &count, &EngineConfig::parallel(workers)).unwrap();
             assert_eq!(seq, par);
             assert_eq!(seq_m, par_m);
         }

@@ -1,12 +1,13 @@
 //! The columnar shuffle data plane.
 //!
 //! This module is the engine's hot path. Instead of inserting every
-//! `(K, V)` emission into a per-partition `BTreeMap` (comparison-bound,
-//! pointer-chasing, one allocation per distinct key), the shuffle moves
-//! flat **columns**:
+//! `(reducer id, input)` emission into a per-partition `BTreeMap`
+//! (comparison-bound, pointer-chasing, one allocation per distinct key),
+//! the shuffle moves flat **columns**:
 //!
-//! 1. **Fingerprint at emit.** Every key is hashed exactly once, as the
-//!    mapper emits it, to a seed-free 64-bit fingerprint
+//! 1. **Fingerprint at emit.** Every key — a [`ReducerId`](crate::schema::ReducerId)
+//!    — is hashed exactly once, as the assignment emits it, to a
+//!    seed-free 64-bit fingerprint
 //!    ([`fingerprint_of`]). Emissions land in [`ColumnBuf`]s — three
 //!    parallel arrays `(hashes, keys, vals)` — so the map phase is pure
 //!    appends.
@@ -29,8 +30,8 @@
 //!    fingerprint (possible, vanishingly rare) are detected during
 //!    probing and that bucket falls back to an exact sort-based path (two
 //!    slice sorts: rows by `(fingerprint, arrival)`, then each
-//!    equal-fingerprint run by `(key, arrival)`), so grouping is exact for
-//!    *any* `Hash` impl.
+//!    equal-fingerprint run by `(key, arrival)`), so grouping never
+//!    trusts the hash alone.
 //!
 //! The result is a [`GroupedRun`]: a flat `values` column holding every
 //! group's values contiguously (arrival order within a group) plus one
@@ -39,14 +40,12 @@
 //! ([`GroupedRun::sort_groups_by_key`]) then restores the engine's
 //! determinism contract — outputs in ascending key order, values in
 //! emission order within a key — at the cost of one sort over distinct
-//! keys instead of one over all pairs; for large directories with
-//! fixed-width unsigned keys even that is an `O(n)` LSD radix sort
-//! rather than a comparison sort. The dev-only `mr-oracle` crate keeps
+//! keys instead of one over all pairs; for large directories even that
+//! is an `O(n)` LSD radix sort rather than a comparison sort. The dev-only `mr-oracle` crate keeps
 //! the old `BTreeMap` pipeline as the regression oracle proving the two
 //! paths byte-identical.
 
-use std::any::Any;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 
 /// Multiplier of the MUM fingerprint mix (the splitmix64 increment — an
 /// odd constant with well-spread bits).
@@ -59,12 +58,13 @@ const SEED: u64 = 0x2545_f491_4f6c_dd1d;
 ///
 /// `std`'s `RandomState` is randomly seeded per process, which would make
 /// partition loads — and the perf ledger's partition counts — irreproducible;
-/// this hasher produces the same fingerprint for the same key bytes on
-/// every run. Each integer write is one MUM step (wyhash's primitive: a
+/// this hasher produces the same fingerprint for the same key on every
+/// run. Every key the data plane hashes is a [`ReducerId`](crate::schema::ReducerId),
+/// a `u64`, and a `u64` write is one MUM step (wyhash's primitive: a
 /// 64×64→128 multiply whose halves are folded together with xor — a
 /// single widening multiply instruction, yet every input bit reaches both
 /// the top output bits that route partitions and the low bits that select
-/// radix buckets). The hash runs once per mapper emission, so its latency
+/// radix buckets). The hash runs once per emitted pair, so its latency
 /// is map-phase hot; this is deliberately the cheapest mix that still
 /// passes the spread tests below.
 pub(crate) struct FingerprintHasher(u64);
@@ -84,6 +84,8 @@ impl FingerprintHasher {
 }
 
 impl Hasher for FingerprintHasher {
+    /// One step per byte: the `Hasher` contract's general write, which no
+    /// `u64` key reaches.
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
@@ -92,54 +94,8 @@ impl Hasher for FingerprintHasher {
     }
 
     #[inline]
-    fn write_u8(&mut self, x: u8) {
-        self.mix(u64::from(x));
-    }
-
-    #[inline]
-    fn write_u16(&mut self, x: u16) {
-        self.mix(u64::from(x));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, x: u32) {
-        self.mix(u64::from(x));
-    }
-
-    #[inline]
     fn write_u64(&mut self, x: u64) {
         self.mix(x);
-    }
-
-    #[inline]
-    fn write_u128(&mut self, x: u128) {
-        self.mix(x as u64);
-        self.mix((x >> 64) as u64);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, x: usize) {
-        self.mix(x as u64);
-    }
-
-    #[inline]
-    fn write_i8(&mut self, x: i8) {
-        self.mix(x as u8 as u64);
-    }
-
-    #[inline]
-    fn write_i16(&mut self, x: i16) {
-        self.mix(x as u16 as u64);
-    }
-
-    #[inline]
-    fn write_i32(&mut self, x: i32) {
-        self.mix(x as u32 as u64);
-    }
-
-    #[inline]
-    fn write_i64(&mut self, x: i64) {
-        self.mix(x as u64);
     }
 
     #[inline]
@@ -150,11 +106,12 @@ impl Hasher for FingerprintHasher {
     }
 }
 
-/// The key's 64-bit shuffle fingerprint, computed once at emit time.
+/// The reducer id's 64-bit shuffle fingerprint, computed once at emit
+/// time.
 #[inline]
-pub(crate) fn fingerprint_of<K: Hash + ?Sized>(key: &K) -> u64 {
+pub(crate) fn fingerprint_of(key: u64) -> u64 {
     let mut h = FingerprintHasher::default();
-    key.hash(&mut h);
+    h.write_u64(key);
     h.finish()
 }
 
@@ -171,19 +128,19 @@ pub(crate) fn partition_of_hash(h: u64, partitions: usize) -> usize {
 
 /// Flat, append-only emission storage: three parallel columns
 /// `(hashes, keys, vals)` of equal length. This is the unit the map
-/// phase routes into and the grouping stage consumes — `(K, V)` pairs
+/// phase routes into and the grouping stage consumes — `(key, value)` pairs
 /// never exist as boxed or tree-resident values anywhere in the data
 /// plane.
-pub(crate) struct ColumnBuf<K, V> {
+pub(crate) struct ColumnBuf<V> {
     /// Per-emission key fingerprints (computed once, at emit).
     pub hashes: Vec<u64>,
-    /// Emitted keys, in emission order.
-    pub keys: Vec<K>,
+    /// Emitted reducer ids, in emission order.
+    pub keys: Vec<u64>,
     /// Emitted values, in emission order.
     pub vals: Vec<V>,
 }
 
-impl<K, V> ColumnBuf<K, V> {
+impl<V> ColumnBuf<V> {
     /// An empty buffer with all three columns preallocated for `n`
     /// emissions, so a column whose share of the round is known (or
     /// bounded) never grows mid-map.
@@ -202,14 +159,14 @@ impl<K, V> ColumnBuf<K, V> {
 
     /// Appends a pair whose fingerprint is already known.
     #[inline]
-    pub fn push(&mut self, hash: u64, key: K, val: V) {
+    pub fn push(&mut self, hash: u64, key: u64, val: V) {
         self.hashes.push(hash);
         self.keys.push(key);
         self.vals.push(val);
     }
 
     /// Appends all of `other`'s emissions (in order) to `self`.
-    pub fn append(&mut self, mut other: ColumnBuf<K, V>) {
+    pub fn append(&mut self, mut other: ColumnBuf<V>) {
         self.hashes.append(&mut other.hashes);
         self.keys.append(&mut other.keys);
         self.vals.append(&mut other.vals);
@@ -217,7 +174,7 @@ impl<K, V> ColumnBuf<K, V> {
 
     /// Drains `segments` into one buffer, in order. A lone segment moves
     /// as is; several are copied once into an exactly sized buffer.
-    fn concat(segments: &mut Vec<ColumnBuf<K, V>>) -> ColumnBuf<K, V> {
+    fn concat(segments: &mut Vec<ColumnBuf<V>>) -> ColumnBuf<V> {
         if segments.len() == 1 {
             // Cannot fire: the guard just saw exactly one segment.
             return segments.pop().expect("one segment");
@@ -251,11 +208,11 @@ pub(crate) fn column_of(h: u64, partitions: usize, bucket_count: usize) -> usize
 /// fingerprint: the hash has done its routing and grouping work by the
 /// time a descriptor exists, and dropping it keeps the directory — the
 /// thing [`GroupedRun::sort_groups_by_key`] moves around — as small as
-/// possible (16 bytes for `u64` keys instead of 24).
+/// possible (16 bytes instead of 24).
 #[derive(Clone, Copy)]
-pub(crate) struct Group<K> {
+pub(crate) struct Group {
     /// The distinct reduce key.
-    pub key: K,
+    pub key: u64,
     /// Offset of the group's first value in the run's `values` column.
     pub start: u32,
     /// Number of values in the group — the reducer's load.
@@ -268,14 +225,14 @@ pub(crate) struct Group<K> {
 /// (bucket, first-arrival) order by [`group_buckets`];
 /// [`sort_groups_by_key`](Self::sort_groups_by_key) reorders the
 /// descriptors (not the values) into ascending key order.
-pub(crate) struct GroupedRun<K, V> {
+pub(crate) struct GroupedRun<V> {
     /// Group descriptors. Keys are distinct within a run.
-    pub groups: Vec<Group<K>>,
+    pub groups: Vec<Group>,
     /// Every group's values, concatenated.
     pub values: Vec<V>,
 }
 
-impl<K, V> GroupedRun<K, V> {
+impl<V> GroupedRun<V> {
     /// Number of distinct keys (reducers) in the run.
     pub fn len(&self) -> usize {
         self.groups.len()
@@ -289,33 +246,23 @@ impl<K, V> GroupedRun<K, V> {
     }
 }
 
-impl<K: Ord + 'static, V> GroupedRun<K, V> {
+impl<V> GroupedRun<V> {
     /// Sorts the group descriptors into ascending key order. Values stay
     /// put — descriptors carry their `(start, len)` windows with them —
     /// so this costs one pass over *distinct keys*, not over pairs. Keys
     /// are distinct within a run, so the order is total and deterministic.
     ///
-    /// Large directories with fixed-width unsigned keys (`u64`/`u32`)
-    /// take an LSD radix path — `O(n)` counting passes over the bytes
-    /// that actually vary — which was the one comparison sort left on
-    /// the columnar plane. Everything else (or anything below
+    /// Large directories take an LSD radix path — `O(n)` counting passes
+    /// over the key bytes that actually vary — which was the one
+    /// comparison sort left on the columnar plane. Anything below
     /// [`RADIX_MIN`], where one comparison sort beats eight counting
-    /// passes) falls back to `sort_unstable_by`. The radix path is picked
-    /// by downcasting the directory through `Any`: stable Rust cannot
-    /// specialise on "`K` is `u64`", but it can test the concrete type.
-    /// Both orders are the same total key order, so the choice is
-    /// invisible to callers.
+    /// passes, takes `sort_unstable_by_key`. Both give the same order.
     pub fn sort_groups_by_key(&mut self) {
         if self.groups.len() >= RADIX_MIN {
-            let groups: &mut dyn Any = &mut self.groups;
-            if let Some(groups) = groups.downcast_mut::<Vec<Group<u64>>>() {
-                return radix_sort_groups(groups);
-            }
-            if let Some(groups) = groups.downcast_mut::<Vec<Group<u32>>>() {
-                return radix_sort_groups(groups);
-            }
+            radix_sort_groups(&mut self.groups);
+        } else {
+            self.groups.sort_unstable_by_key(|g| g.key);
         }
-        self.groups.sort_unstable_by(|a, b| a.key.cmp(&b.key));
     }
 }
 
@@ -324,35 +271,15 @@ impl<K: Ord + 'static, V> GroupedRun<K, V> {
 /// directories are cheaper to pdqsort.
 const RADIX_MIN: usize = 2048;
 
-/// Fixed-width unsigned key types the group directory can be
-/// radix-sorted on: the `u64` image must order exactly like `Ord`.
-trait RadixKey: Copy {
-    /// The key as a `u64` whose natural order matches the key's `Ord`.
-    fn radix(self) -> u64;
-}
-
-impl RadixKey for u64 {
-    fn radix(self) -> u64 {
-        self
-    }
-}
-
-impl RadixKey for u32 {
-    fn radix(self) -> u64 {
-        u64::from(self)
-    }
-}
-
 /// LSD radix sort of a group directory by key: one stable counting pass
 /// per key byte, low to high, skipping bytes that are constant across
 /// the directory (for dense key spaces most of the high bytes are).
-fn radix_sort_groups<T: RadixKey>(groups: &mut Vec<Group<T>>) {
+fn radix_sort_groups(groups: &mut Vec<Group>) {
     let mut or_all = 0u64;
     let mut and_all = u64::MAX;
     for g in groups.iter() {
-        let k = g.key.radix();
-        or_all |= k;
-        and_all &= k;
+        or_all |= g.key;
+        and_all &= g.key;
     }
     // A bit varies across keys iff it is set in some key but not all.
     let varying = or_all ^ and_all;
@@ -368,7 +295,7 @@ fn radix_sort_groups<T: RadixKey>(groups: &mut Vec<Group<T>>) {
         }
         let mut counts = [0usize; 256];
         for g in &src {
-            counts[((g.key.radix() >> shift) & 0xFF) as usize] += 1;
+            counts[((g.key >> shift) & 0xFF) as usize] += 1;
         }
         let mut offsets = [0usize; 256];
         let mut acc = 0usize;
@@ -377,7 +304,7 @@ fn radix_sort_groups<T: RadixKey>(groups: &mut Vec<Group<T>>) {
             acc += c;
         }
         for g in &src {
-            let b = ((g.key.radix() >> shift) & 0xFF) as usize;
+            let b = ((g.key >> shift) & 0xFF) as usize;
             dst[offsets[b]] = *g;
             offsets[b] += 1;
         }
@@ -427,7 +354,7 @@ struct GroupScratch {
 /// engine's ascending-key contract follow with
 /// [`GroupedRun::sort_groups_by_key`]. Within every group, values are in
 /// arrival (= emission) order.
-pub(crate) fn group_buckets<K: Ord, V>(chunks: Vec<Vec<ColumnBuf<K, V>>>) -> GroupedRun<K, V> {
+pub(crate) fn group_buckets<V>(chunks: Vec<Vec<ColumnBuf<V>>>) -> GroupedRun<V> {
     let total: usize = chunks.iter().flatten().map(ColumnBuf::len).sum();
     assert!(
         total <= u32::MAX as usize,
@@ -466,9 +393,9 @@ pub(crate) fn group_buckets<K: Ord, V>(chunks: Vec<Vec<ColumnBuf<K, V>>>) -> Gro
 /// any such pair has *different* keys (a full 64-bit collision), the
 /// bucket is handed to the exact sort-based cold path instead.
 #[allow(unsafe_code)]
-fn group_bucket_hashed<K: Ord, V>(
-    bucket: ColumnBuf<K, V>,
-    out: &mut GroupedRun<K, V>,
+fn group_bucket_hashed<V>(
+    bucket: ColumnBuf<V>,
+    out: &mut GroupedRun<V>,
     scratch: &mut GroupScratch,
 ) {
     let n = bucket.len();
@@ -543,29 +470,16 @@ fn group_bucket_hashed<K: Ord, V>(
         acc += l;
     }
 
-    // Directory: move exactly one key per group out of the key column.
-    // Reps ascend (first-arrival order), so a single forward consume of
-    // the iterator visits each key once, dropping non-representatives.
+    // Directory: one descriptor per group, keyed by its first arrival.
     let base = out.values.len() as u32;
     out.groups.reserve(g);
-    let mut key_it = keys.into_iter();
-    let mut consumed: u32 = 0;
     for ((&rep, &len), &start) in reps.iter().zip(lens.iter()).zip(starts.iter()) {
-        while consumed < rep {
-            key_it.next();
-            consumed += 1;
-        }
-        // Cannot fire: `rep` is an index into `keys`, and reps ascend, so
-        // the iterator has not yet passed it.
-        let key = key_it.next().expect("rep indexes a live key");
-        consumed += 1;
         out.groups.push(Group {
-            key,
+            key: keys[rep as usize],
             start: base + start,
             len,
         });
     }
-    drop(key_it);
 
     // Values: one scatter pass moves every value directly to its final
     // slot in the output column, advancing its group's cursor.
@@ -605,9 +519,9 @@ fn group_bucket_hashed<K: Ord, V>(
 /// arrival)`, which never compares a key, then re-sort each
 /// equal-fingerprint run by `(key, arrival)` and cut a group wherever the
 /// fingerprint or the key changes.
-fn group_bucket_sorted<K: Ord, V>(bucket: ColumnBuf<K, V>, out: &mut GroupedRun<K, V>) {
+fn group_bucket_sorted<V>(bucket: ColumnBuf<V>, out: &mut GroupedRun<V>) {
     let ColumnBuf { hashes, keys, vals } = bucket;
-    let mut rows: Vec<(u64, u32, K, V)> = hashes
+    let mut rows: Vec<(u64, u32, u64, V)> = hashes
         .into_iter()
         .zip(keys)
         .zip(vals)
@@ -616,7 +530,7 @@ fn group_bucket_sorted<K: Ord, V>(bucket: ColumnBuf<K, V>, out: &mut GroupedRun<
         .collect();
     rows.sort_unstable_by_key(|&(h, arrival, ..)| (h, arrival));
     for run in rows.chunk_by_mut(|a, b| a.0 == b.0) {
-        run.sort_unstable_by(|a, b| a.2.cmp(&b.2).then(a.1.cmp(&b.1)));
+        run.sort_unstable_by_key(|&(_, arrival, key, _)| (key, arrival));
     }
     // Exactly one key per group survives; the duplicates drop here.
     let mut prev = None;
@@ -643,19 +557,19 @@ fn group_bucket_sorted<K: Ord, V>(bucket: ColumnBuf<K, V>, out: &mut GroupedRun<
 /// `(run, group)` index pairs — and for the common single-partition case
 /// not even that: one run's directory already *is* the global order, so
 /// the view indexes it directly.
-pub(crate) struct Shuffled<K, V> {
+pub(crate) struct Shuffled<V> {
     /// One grouped run per shuffle partition, groups ascending by key.
-    runs: Vec<GroupedRun<K, V>>,
+    runs: Vec<GroupedRun<V>>,
     /// `(run index, group index)` pairs in global ascending key order;
     /// `None` when there is exactly one run (identity order).
     order: Option<Vec<(u32, u32)>>,
 }
 
-impl<K: Ord, V> Shuffled<K, V> {
+impl<V> Shuffled<V> {
     /// Merges per-partition runs (each with groups already ascending by
     /// key, keys disjoint across runs) into one globally key-ordered
     /// view.
-    pub fn merge(runs: Vec<GroupedRun<K, V>>) -> Self {
+    pub fn merge(runs: Vec<GroupedRun<V>>) -> Self {
         if runs.len() == 1 {
             return Shuffled { runs, order: None };
         }
@@ -687,9 +601,7 @@ impl<K: Ord, V> Shuffled<K, V> {
             order: Some(order),
         }
     }
-}
 
-impl<K, V> Shuffled<K, V> {
     /// Total number of reduce groups.
     pub fn len(&self) -> usize {
         match &self.order {
@@ -702,7 +614,7 @@ impl<K, V> Shuffled<K, V> {
     /// access twin of [`for_each_in`](Self::for_each_in), which the
     /// engine's batch loops use instead.
     #[cfg(test)]
-    pub fn entry(&self, i: usize) -> (&K, &[V]) {
+    pub fn entry(&self, i: usize) -> (u64, &[V]) {
         let (run, g) = match &self.order {
             Some(order) => {
                 let (r, g) = order[i];
@@ -710,7 +622,7 @@ impl<K, V> Shuffled<K, V> {
             }
             None => (&self.runs[0], i),
         };
-        (&run.groups[g].key, run.values_of(g))
+        (run.groups[g].key, run.values_of(g))
     }
 
     /// Applies `f` to every group in `range` of the global key order —
@@ -718,13 +630,13 @@ impl<K, V> Shuffled<K, V> {
     /// representation once per *range* (instead of once per entry, as
     /// [`entry`](Self::entry) must) keeps the single-run fast path a
     /// straight directory walk.
-    pub fn for_each_in(&self, range: std::ops::Range<usize>, mut f: impl FnMut(&K, &[V])) {
+    pub fn for_each_in(&self, range: std::ops::Range<usize>, mut f: impl FnMut(u64, &[V])) {
         match &self.order {
             None => {
                 let run = &self.runs[0];
                 for g in &run.groups[range] {
                     f(
-                        &g.key,
+                        g.key,
                         &run.values[g.start as usize..(g.start + g.len) as usize],
                     );
                 }
@@ -734,7 +646,7 @@ impl<K, V> Shuffled<K, V> {
                     let run = &self.runs[r as usize];
                     let g = &run.groups[gi as usize];
                     f(
-                        &g.key,
+                        g.key,
                         &run.values[g.start as usize..(g.start + g.len) as usize],
                     );
                 }
@@ -766,18 +678,18 @@ mod tests {
     #[test]
     fn fingerprints_are_stable_and_spread() {
         for k in 0u64..500 {
-            assert_eq!(fingerprint_of(&k), fingerprint_of(&k));
+            assert_eq!(fingerprint_of(k), fingerprint_of(k));
         }
         // 500 distinct keys must reach every one of 8 partitions.
         let mut seen = [false; 8];
         for k in 0u64..500 {
-            seen[partition_of_hash(fingerprint_of(&k), 8)] = true;
+            seen[partition_of_hash(fingerprint_of(k), 8)] = true;
         }
         assert!(seen.iter().all(|&s| s), "hash failed to reach a partition");
         // And every one of 16 low-bit buckets.
         let mut low = [false; 16];
         for k in 0u64..500 {
-            low[(fingerprint_of(&k) & 15) as usize] = true;
+            low[(fingerprint_of(k) & 15) as usize] = true;
         }
         assert!(low.iter().all(|&s| s), "low bits are not spread");
     }
@@ -794,7 +706,7 @@ mod tests {
     /// Builds a ColumnBuf with *fabricated* fingerprints, to drive the
     /// collision paths that real 64-bit fingerprints essentially never
     /// hit.
-    fn buf_with_hashes(rows: &[(u64, u64, u64)]) -> ColumnBuf<u64, u64> {
+    fn buf_with_hashes(rows: &[(u64, u64, u64)]) -> ColumnBuf<u64> {
         let mut buf = ColumnBuf::with_capacity(rows.len());
         for &(h, k, v) in rows {
             buf.push(h, k, v);
@@ -802,7 +714,7 @@ mod tests {
         buf
     }
 
-    fn groups_of(run: &GroupedRun<u64, u64>) -> Vec<(u64, Vec<u64>)> {
+    fn groups_of(run: &GroupedRun<u64>) -> Vec<(u64, Vec<u64>)> {
         (0..run.len())
             .map(|i| (run.groups[i].key, run.values_of(i).to_vec()))
             .collect()
@@ -810,7 +722,7 @@ mod tests {
 
     /// Routes `rows` (with their given fingerprints) as one map chunk
     /// into `p × bc` columns by [`column_of`], partition-major.
-    fn route(rows: &[(u64, u64, u64)], p: usize, bc: usize) -> Vec<ColumnBuf<u64, u64>> {
+    fn route(rows: &[(u64, u64, u64)], p: usize, bc: usize) -> Vec<ColumnBuf<u64>> {
         let mut columns: Vec<_> = (0..p * bc).map(|_| ColumnBuf::with_capacity(0)).collect();
         for &(h, k, v) in rows {
             columns[column_of(h, p, bc)].push(h, k, v);
@@ -820,12 +732,12 @@ mod tests {
 
     /// Routes `rows` as one map chunk into the `bucket_count(rows.len())`
     /// buckets of one partition.
-    fn routed(rows: &[(u64, u64, u64)]) -> Vec<ColumnBuf<u64, u64>> {
+    fn routed(rows: &[(u64, u64, u64)]) -> Vec<ColumnBuf<u64>> {
         route(rows, 1, bucket_count(rows.len()))
     }
 
     /// Groups `rows` as one partition fed by one map chunk.
-    fn group_routed(rows: &[(u64, u64, u64)]) -> GroupedRun<u64, u64> {
+    fn group_routed(rows: &[(u64, u64, u64)]) -> GroupedRun<u64> {
         group_buckets(vec![routed(rows)])
     }
 
@@ -873,10 +785,10 @@ mod tests {
         // One fabricated collision among ordinary pairs: only the
         // affected bucket takes the cold path; the rest group by table.
         let mut rows: Vec<(u64, u64, u64)> = (0..5_000u64)
-            .map(|i| (fingerprint_of(&(i % 50)), i % 50, i))
+            .map(|i| (fingerprint_of(i % 50), i % 50, i))
             .collect();
         assert!(bucket_count(rows.len()) > 1, "need several buckets");
-        rows.push((fingerprint_of(&3u64), 1_000, 777)); // same print, new key
+        rows.push((fingerprint_of(3u64), 1_000, 777)); // same print, new key
         let mut run = group_routed(&rows);
         run.sort_groups_by_key();
         assert_eq!(run.len(), 51);
@@ -889,7 +801,7 @@ mod tests {
     #[test]
     fn grouping_preserves_arrival_order_within_key() {
         let rows: Vec<(u64, u64, u64)> = (0..100)
-            .map(|i| (fingerprint_of(&(i % 7)), i % 7, i))
+            .map(|i| (fingerprint_of(i % 7), i % 7, i))
             .collect();
         let mut run = group_routed(&rows);
         run.sort_groups_by_key();
@@ -907,7 +819,7 @@ mod tests {
         let rows: Vec<(u64, u64, u64)> = (0..20_000u64)
             .map(|i| {
                 let k = (i * 2_654_435_761) % 5_000;
-                (fingerprint_of(&k), k, i)
+                (fingerprint_of(k), k, i)
             })
             .collect();
         assert!(bucket_count(rows.len()) > 1);
@@ -938,9 +850,9 @@ mod tests {
             }
         }
         let mut rows: Vec<(u64, u64)> = (0..5_000u64)
-            .map(|i| (fingerprint_of(&(i % 50)), i % 50))
+            .map(|i| (fingerprint_of(i % 50), i % 50))
             .collect();
-        rows.push((fingerprint_of(&3u64), 1_000)); // same print, new key
+        rows.push((fingerprint_of(3u64), 1_000)); // same print, new key
         let drops: Vec<AtomicUsize> = rows.iter().map(|_| AtomicUsize::new(0)).collect();
         let bc = bucket_count(rows.len());
         assert!(bc > 1, "need several buckets");
@@ -971,7 +883,7 @@ mod tests {
         let rows: Vec<(u64, u64, u64)> = (0..2_000u64)
             .map(|i| {
                 let k = (i * 7 + 1) % 311;
-                (fingerprint_of(&k), k, i)
+                (fingerprint_of(k), k, i)
             })
             .collect();
         let mut hot = GroupedRun {
@@ -995,18 +907,12 @@ mod tests {
 
     #[test]
     fn merge_interleaves_disjoint_runs_in_key_order() {
-        let mut a = group_routed(&[
-            (fingerprint_of(&1u64), 1, 10),
-            (fingerprint_of(&5u64), 5, 50),
-        ]);
+        let mut a = group_routed(&[(fingerprint_of(1u64), 1, 10), (fingerprint_of(5u64), 5, 50)]);
         a.sort_groups_by_key();
-        let mut b = group_routed(&[
-            (fingerprint_of(&2u64), 2, 20),
-            (fingerprint_of(&4u64), 4, 40),
-        ]);
+        let mut b = group_routed(&[(fingerprint_of(2u64), 2, 20), (fingerprint_of(4u64), 4, 40)]);
         b.sort_groups_by_key();
         let shuffled = Shuffled::merge(vec![a, b]);
-        let keys: Vec<u64> = (0..shuffled.len()).map(|i| *shuffled.entry(i).0).collect();
+        let keys: Vec<u64> = (0..shuffled.len()).map(|i| shuffled.entry(i).0).collect();
         assert_eq!(keys, vec![1, 2, 4, 5]);
         assert_eq!(shuffled.loads(), vec![1, 1, 1, 1]);
     }
@@ -1014,14 +920,14 @@ mod tests {
     #[test]
     fn single_run_merge_is_identity() {
         let mut run = group_routed(&[
-            (fingerprint_of(&3u64), 3, 30),
-            (fingerprint_of(&1u64), 1, 10),
-            (fingerprint_of(&2u64), 2, 20),
+            (fingerprint_of(3u64), 3, 30),
+            (fingerprint_of(1u64), 1, 10),
+            (fingerprint_of(2u64), 2, 20),
         ]);
         run.sort_groups_by_key();
         let shuffled = Shuffled::merge(vec![run]);
         assert_eq!(shuffled.len(), 3);
-        let keys: Vec<u64> = (0..shuffled.len()).map(|i| *shuffled.entry(i).0).collect();
+        let keys: Vec<u64> = (0..shuffled.len()).map(|i| shuffled.entry(i).0).collect();
         assert_eq!(keys, vec![1, 2, 3]);
         assert_eq!(shuffled.loads(), vec![1, 1, 1]);
     }
@@ -1033,7 +939,7 @@ mod tests {
         // routed to it, in arrival order, and no pair is lost.
         let (p, bc) = (3usize, 4usize);
         let rows: Vec<(u64, u64, u64)> = (0..1000u64)
-            .map(|i| (fingerprint_of(&(i % 64)), i % 64, i))
+            .map(|i| (fingerprint_of(i % 64), i % 64, i))
             .collect();
         let columns = route(&rows, p, bc);
         assert_eq!(columns.len(), p * bc);
@@ -1064,7 +970,7 @@ mod tests {
     /// A directory of `n` distinct keys produced by a multiplicative
     /// scramble (so arrival order is far from sorted), with start/len
     /// payloads tied to the key to verify descriptors move as units.
-    fn scrambled_directory(n: u64) -> Vec<Group<u64>> {
+    fn scrambled_directory(n: u64) -> Vec<Group> {
         (0..n)
             .map(|i| {
                 let key = ((i * 2_654_435_761) % (1 << 40)) | (i << 40);
@@ -1079,9 +985,9 @@ mod tests {
 
     #[test]
     fn radix_directory_sort_matches_comparison_sort() {
-        // Both sides of the RADIX_MIN threshold, for both radix-capable
-        // key widths: the sorted directory must be byte-identical to
-        // what the comparison sort produces (same keys AND payloads).
+        // Both sides of the RADIX_MIN threshold: the sorted directory
+        // must be byte-identical to what the comparison sort produces
+        // (same keys AND payloads).
         for n in [
             RADIX_MIN as u64 / 2, // below threshold: comparison path
             RADIX_MIN as u64,     // at threshold: radix path
@@ -1098,24 +1004,7 @@ mod tests {
             run.sort_groups_by_key();
             let got: Vec<(u64, u32, u32)> =
                 run.groups.iter().map(|g| (g.key, g.start, g.len)).collect();
-            assert_eq!(got, expect, "u64 keys, n={n}");
-
-            let groups32: Vec<Group<u32>> = (0..n as u32)
-                .map(|i| Group {
-                    key: i.wrapping_mul(2_654_435_761),
-                    start: i,
-                    len: 1,
-                })
-                .collect();
-            let mut expect32: Vec<u32> = groups32.iter().map(|g| g.key).collect();
-            expect32.sort_unstable();
-            let mut run32 = GroupedRun {
-                groups: groups32,
-                values: Vec::<u8>::new(),
-            };
-            run32.sort_groups_by_key();
-            let got32: Vec<u32> = run32.groups.iter().map(|g| g.key).collect();
-            assert_eq!(got32, expect32, "u32 keys, n={n}");
+            assert_eq!(got, expect, "n={n}");
         }
     }
 
@@ -1123,10 +1012,10 @@ mod tests {
     fn radix_sort_handles_degenerate_directories() {
         // Empty, singleton, and all-equal-key directories short-circuit
         // on `varying == 0` without touching the scratch machinery.
-        let mut empty: Vec<Group<u64>> = Vec::new();
+        let mut empty: Vec<Group> = Vec::new();
         radix_sort_groups(&mut empty);
         assert!(empty.is_empty());
-        let mut same: Vec<Group<u64>> = (0..10)
+        let mut same: Vec<Group> = (0..10)
             .map(|i| Group {
                 key: 42,
                 start: i,
@@ -1137,25 +1026,5 @@ mod tests {
         assert_eq!(same.len(), 10);
         // Stable: equal keys keep arrival order.
         assert!(same.windows(2).all(|w| w[0].start < w[1].start));
-    }
-
-    #[test]
-    fn non_radix_keys_take_the_comparison_path() {
-        // String keys can't downcast to u64/u32; the fallback must still
-        // sort correctly above the threshold.
-        let n = RADIX_MIN * 2;
-        let groups: Vec<Group<String>> = (0..n)
-            .map(|i| Group {
-                key: format!("k{:06}", (i * 7919) % n),
-                start: i as u32,
-                len: 1,
-            })
-            .collect();
-        let mut run = GroupedRun {
-            groups,
-            values: Vec::<u8>::new(),
-        };
-        run.sort_groups_by_key();
-        assert!(run.groups.windows(2).all(|w| w[0].key < w[1].key));
     }
 }

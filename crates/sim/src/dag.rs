@@ -11,6 +11,12 @@
 //! lets arbitrary topologies be built at run time — the plan layer's
 //! round-structure search enumerates these.
 //!
+//! Every node is a [`SchemaJob<T, T>`](SchemaJob): each token is sent,
+//! whole, to the reducers its assignment names, as in a single round.
+//! So a node's assignment is visible — [`DagJob::census`] folds it into
+//! a [`LoadTable`] without running the node — and a node is exactly what
+//! [`run_schema`] executes.
+//!
 //! Execution contract (the same one every other path in this crate
 //! obeys):
 //!
@@ -19,7 +25,7 @@
 //!   engine's order-insensitive shuffle and the staging below is fixed by
 //!   the topology, not by thread timing.
 //! * **Budget aborts** — each node may carry its own reducer budget;
-//!   within a round the engine reports the smallest over-budget key
+//!   within a round the engine reports the smallest over-budget reducer
 //!   (its smallest-offender contract), and when several nodes of one
 //!   stage fail, the error of the smallest node index is returned, so
 //!   multi-node failures are deterministic too.
@@ -28,32 +34,20 @@
 //!   on the resident [`WorkerPool`](crate::WorkerPool) — as wide as the
 //!   level, with concurrently-running nodes collected in index order.
 
-use crate::engine::{run_round, EngineConfig, EngineError};
-use crate::mapper::{Mapper, Reducer};
+use crate::engine::{run_schema, EngineConfig, EngineError};
 use crate::metrics::{JobMetrics, RoundMetrics};
 use crate::pool::fan_out;
-use crate::schema::{schema_round, LoadTable, RoundCensus, SchemaJob};
+use crate::schema::{LoadTable, RoundCensus, SchemaJob};
 use std::borrow::Cow;
-use std::fmt::Debug;
-use std::hash::Hash;
-use std::sync::Arc;
-
-type NodeFn<T> =
-    Box<dyn Fn(&[T], &EngineConfig) -> Result<(Vec<T>, RoundMetrics), EngineError> + Sync>;
-
-/// A round's map-side census over an input stream: its mapper's emitted
-/// keys folded into a [`LoadTable`], nothing shuffled or reduced.
-type CensusFn<T> = Box<dyn Fn(&[T]) -> RoundCensus + Sync>;
 
 /// One round of a [`DagJob`]: a name, the rounds feeding it, an optional
-/// reducer budget overriding the base configuration's, and the round
-/// body.
+/// reducer budget overriding the base configuration's, and the round's
+/// schema.
 struct DagNode<T> {
     name: String,
     deps: Vec<usize>,
     budget: Option<u64>,
-    run: NodeFn<T>,
-    census: CensusFn<T>,
+    schema: Box<dyn SchemaJob<T, T>>,
 }
 
 /// A DAG of map-reduce rounds over a uniform token type `T`.
@@ -80,12 +74,16 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
         DagJob { nodes: Vec::new() }
     }
 
-    fn push_node(
+    /// Adds a round executing `schema`, returning its node index. A
+    /// single-node DAG runs exactly what [`run_schema`] runs.
+    ///
+    /// # Panics
+    /// Panics unless every dependency index refers to an earlier node.
+    pub fn add_round(
         &mut self,
-        name: String,
+        name: impl Into<String>,
         deps: Vec<usize>,
-        run: NodeFn<T>,
-        census: CensusFn<T>,
+        schema: impl SchemaJob<T, T> + 'static,
     ) -> usize {
         let idx = self.nodes.len();
         assert!(
@@ -93,74 +91,12 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
             "node {idx}: dependencies must point at earlier nodes (got {deps:?})"
         );
         self.nodes.push(DagNode {
-            name,
+            name: name.into(),
             deps,
             budget: None,
-            run,
-            census,
+            schema: Box::new(schema),
         });
         idx
-    }
-
-    /// Adds a mapper/reducer round, returning its node index.
-    ///
-    /// # Panics
-    /// Panics unless every dependency index refers to an earlier node.
-    pub fn add_round<K, V, M, R>(
-        &mut self,
-        name: impl Into<String>,
-        deps: Vec<usize>,
-        mapper: M,
-        reducer: R,
-    ) -> usize
-    where
-        K: Ord + Hash + Debug + Send + Sync + 'static,
-        V: Send + Sync + 'static,
-        M: Mapper<T, K, V> + Send + 'static,
-        R: Reducer<K, V, T> + 'static,
-    {
-        let mapper = Arc::new(mapper);
-        let census_mapper = Arc::clone(&mapper);
-        self.push_node(
-            name.into(),
-            deps,
-            Box::new(move |inputs, cfg| run_round(inputs, &*mapper, &reducer, cfg)),
-            Box::new(move |inputs| {
-                let mut table = LoadTable::<K>::default();
-                for input in inputs {
-                    census_mapper.map(input, &mut |key, _| table.record(key));
-                }
-                table.census()
-            }),
-        )
-    }
-
-    /// Adds a round executing a [`SchemaJob`] — the DAG-shaped view of
-    /// [`run_schema`](crate::run_schema), byte-identical to it (the
-    /// degenerate single-node DAG *is* `run_schema`).
-    ///
-    /// # Panics
-    /// Panics unless every dependency index refers to an earlier node.
-    pub fn add_schema_round<S>(
-        &mut self,
-        name: impl Into<String>,
-        deps: Vec<usize>,
-        schema: S,
-    ) -> usize
-    where
-        S: SchemaJob<T, T> + Send + 'static,
-    {
-        let schema = Arc::new(schema);
-        let census_schema = Arc::clone(&schema);
-        self.push_node(
-            name.into(),
-            deps,
-            Box::new(move |inputs, cfg| {
-                let (mapper, reducer) = schema_round(&*schema);
-                run_round(inputs, &mapper, &reducer, cfg)
-            }),
-            Box::new(move |inputs| LoadTable::of(&*census_schema, inputs).census()),
-        )
     }
 
     /// Sets a per-node reducer budget: the node's round runs with
@@ -260,11 +196,9 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
     /// `(q, pairs, reducers)` that [`run`](Self::run) would measure there.
     ///
     /// §2.2 obliviousness makes those numbers a fold over the round's
-    /// map-side assignment, so a node built by
-    /// [`add_round`](Self::add_round) /
-    /// [`add_schema_round`](Self::add_schema_round) is priced by folding
-    /// its mapper's emitted keys into a [`LoadTable`]; nothing is
-    /// shuffled, grouped or reduced for it. A node's reducers run **only
+    /// assignment, so a node is priced by folding its schema's assignment
+    /// over its input into a [`LoadTable`]; nothing is shuffled, grouped
+    /// or reduced for it. A node's reducers run **only
     /// when another node consumes its output** (that output is the
     /// consumer's input, and only the reducers can say what it is) —
     /// sinks never reduce. Consumed nodes run sequentially on the engine
@@ -283,11 +217,11 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
             let _span = mr_obs::span_with(|| format!("dag.census.{}", node.name));
             let input = self.node_input(i, inputs, &results);
             if consumed[i] {
-                let ran = (node.run)(&input, &config)?;
+                let ran = run_schema(&input, &*node.schema, &config)?;
                 priced.push(RoundCensus::from(&ran.1));
                 results[i] = Some(ran);
             } else {
-                priced.push((node.census)(&input));
+                priced.push(LoadTable::of(&*node.schema, &*input).census());
             }
         }
         Ok(priced)
@@ -342,26 +276,29 @@ impl<T: Clone + Send + Sync + 'static> DagJob<T> {
         let _span = mr_obs::span_with(|| format!("dag.node.{}", node.name));
         let mut cfg = config.clone();
         cfg.max_reducer_inputs = node.budget.or(config.max_reducer_inputs);
-        (node.run)(input, &cfg)
+        run_schema(input, &*node.schema, &cfg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapper::{FnMapper, FnReducer};
-    use crate::schema::{run_schema, ReducerId};
+    use crate::schema::{FnSchema, ReducerId};
 
-    /// Sum tokens by residue class: one keyed round.
-    fn sum_round(dag: &mut DagJob<u64>, name: &str, deps: Vec<usize>, modulus: u64) -> usize {
-        dag.add_round(
-            name,
-            deps,
-            FnMapper(move |x: &u64, emit: &mut dyn FnMut(u64, u64)| emit(x % modulus, *x)),
-            FnReducer(|k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| {
-                emit(k * 1_000_000 + vs.iter().sum::<u64>())
-            }),
+    /// Sums tokens by residue class: token `x` goes to reducer
+    /// `x % modulus`, which emits its id and its sum.
+    fn sums(modulus: u64) -> impl SchemaJob<u64, u64> + 'static {
+        FnSchema(
+            move |x: &u64, emit: &mut dyn FnMut(ReducerId)| emit(x % modulus),
+            |r: ReducerId, xs: &[u64], emit: &mut dyn FnMut(u64)| {
+                emit(r * 1_000_000 + xs.iter().sum::<u64>())
+            },
         )
+    }
+
+    /// Adds a [`sums`] round.
+    fn sum_round(dag: &mut DagJob<u64>, name: &str, deps: Vec<usize>, modulus: u64) -> usize {
+        dag.add_round(name, deps, sums(modulus))
     }
 
     #[test]
@@ -376,14 +313,8 @@ mod tests {
         let cfg = EngineConfig::sequential();
         let (out, m) = dag.run(&inputs, &cfg).unwrap();
 
-        let sum = FnReducer(|k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| {
-            emit(k * 1_000_000 + vs.iter().sum::<u64>())
-        });
-        let by = |modulus: u64| {
-            FnMapper(move |x: &u64, emit: &mut dyn FnMut(u64, u64)| emit(x % modulus, *x))
-        };
-        let (mid, first) = run_round(&inputs, &by(3), &sum, &cfg).unwrap();
-        let (last, second) = run_round(&mid, &by(2), &sum, &cfg).unwrap();
+        let (mid, first) = run_schema(&inputs, &sums(3), &cfg).unwrap();
+        let (last, second) = run_schema(&mid, &sums(2), &cfg).unwrap();
         assert_eq!(out, last);
         assert_eq!(m.rounds, vec![first, second]);
         assert_eq!(m.total_communication(), 30 + 3);
@@ -510,8 +441,9 @@ mod tests {
         #[derive(Clone)]
         struct Fan;
         impl SchemaJob<u64, u64> for Fan {
-            fn assign(&self, x: &u64) -> Vec<ReducerId> {
-                vec![x % 5, x % 7]
+            fn assign_into(&self, x: &u64, emit: &mut dyn FnMut(ReducerId)) {
+                emit(x % 5);
+                emit(x % 7);
             }
             fn reduce(&self, r: ReducerId, inputs: &[u64], emit: &mut dyn FnMut(u64)) {
                 emit(r * 1_000 + inputs.len() as u64);
@@ -520,7 +452,7 @@ mod tests {
         let inputs: Vec<u64> = (0..100).collect();
         let (expect, expect_m) = run_schema(&inputs, &Fan, &EngineConfig::sequential()).unwrap();
         let mut dag: DagJob<u64> = DagJob::new();
-        dag.add_schema_round("fan", vec![], Fan);
+        dag.add_round("fan", vec![], Fan);
         assert_eq!(dag.depth(), 1);
         let (out, m) = dag.run(&inputs, &EngineConfig::parallel(4)).unwrap();
         assert_eq!(out, expect);
@@ -530,6 +462,7 @@ mod tests {
     #[test]
     fn census_reduces_consumed_nodes_once_and_sinks_never() {
         use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
         // src feeds left and right; left feeds join; right and join are
         // sinks. Every reducer call is counted per node.
         let calls: Arc<[AtomicUsize; 4]> = Arc::default();
@@ -540,11 +473,13 @@ mod tests {
             dag.add_round(
                 name,
                 deps,
-                FnMapper(move |x: &u64, emit: &mut dyn FnMut(u64, u64)| emit(x % modulus, *x)),
-                FnReducer(move |k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| {
-                    calls[node].fetch_add(1, Ordering::Relaxed);
-                    emit(k * 1_000_000 + vs.iter().sum::<u64>())
-                }),
+                FnSchema(
+                    move |x: &u64, emit: &mut dyn FnMut(ReducerId)| emit(x % modulus),
+                    move |r: ReducerId, xs: &[u64], emit: &mut dyn FnMut(u64)| {
+                        calls[node].fetch_add(1, Ordering::Relaxed);
+                        emit(r * 1_000_000 + xs.iter().sum::<u64>())
+                    },
+                ),
             )
         };
         let src = counted("src", vec![], 7);
@@ -565,8 +500,8 @@ mod tests {
     }
 
     /// Neither way of pricing a node — folding a sink's assignment,
-    /// running a consumed node, whose body only a run can see through —
-    /// applies the node's budget.
+    /// running a consumed node, whose outputs only its reducers can
+    /// produce — applies the node's budget.
     #[test]
     fn census_prices_an_opaque_body_by_running_it_without_its_budget() {
         let mut dag: DagJob<u64> = DagJob::new();
@@ -574,8 +509,10 @@ mod tests {
             let node = dag.add_round(
                 name,
                 deps,
-                FnMapper(|x: &u64, emit: &mut dyn FnMut(u64, u64)| emit(x % 2, *x)),
-                FnReducer(|_: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs[0])),
+                FnSchema(
+                    |x: &u64, emit: &mut dyn FnMut(ReducerId)| emit(x % 2),
+                    |_: ReducerId, xs: &[u64], emit: &mut dyn FnMut(u64)| emit(xs[0]),
+                ),
             );
             dag.set_budget(node, 1);
             node
@@ -586,7 +523,7 @@ mod tests {
             pairs: 10,
             reducers: 2,
         };
-        // As a sink: priced by folding its mapper's keys.
+        // As a sink: priced by folding its assignment.
         let first = halves(&mut dag, "first", vec![]);
         assert!(dag.run(&inputs, &EngineConfig::sequential()).is_err());
         assert_eq!(dag.census(&inputs).unwrap(), vec![over_budget]);

@@ -15,9 +15,10 @@
 //! list and outputs resident. Applying a [`Delta`]`{ added, removed }`
 //! then
 //!
-//! 1. routes only the *changed* inputs, by sorting their `assign` triples
-//!    by reducer — no engine round runs, and the shuffle a distributed
-//!    run would do is priced from the sorted keys (the delta-shuffle
+//! 1. routes only the *changed* inputs, by sorting the reducers their
+//!    [`assign_into`](crate::SchemaJob::assign_into) names — no engine
+//!    round runs, and the shuffle a distributed run would do is priced
+//!    from the sorted keys (the delta-shuffle
 //!    volume is `Σ |assign(i)|` over changed inputs, not over the
 //!    instance),
 //! 2. re-executes only the **dirty** reducers — those any changed input
@@ -400,21 +401,16 @@ where
         let schema = &self.schema;
         let mut routed: Vec<(ReducerId, bool, Seq)> = Vec::with_capacity(delta.changes());
         for (&seq, value) in delta.removed.iter().zip(leaving) {
-            for rid in schema.assign(value) {
-                routed.push((rid, false, seq));
-            }
+            schema.assign_into(value, &mut |rid| routed.push((rid, false, seq)));
         }
         for (seq, value) in added_seqs.clone().zip(&delta.added) {
-            for rid in schema.assign(value) {
-                routed.push((rid, true, seq));
-            }
+            schema.assign_into(value, &mut |rid| routed.push((rid, true, seq)));
         }
         routed.sort_unstable();
         let workers = self.config.effective_workers();
         let runs = routed.chunk_by(|a, b| a.0 == b.0);
         let groups = runs.clone().map(|run| (run[0].0, run.len() as u64));
-        let routing =
-            price_round::<ReducerId, (Seq, bool)>(delta.changes(), groups, routed.len(), workers);
+        let routing = price_round::<(Seq, bool)>(delta.changes(), groups, routed.len(), workers);
         drop(routing_span);
 
         // Stage every dirty reducer's post-delta input list in two shared
@@ -672,15 +668,15 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::run_schema;
+    use crate::engine::run_schema;
 
     /// All-pairs similarity toy schema: input `x` goes to reducer `x / 2`,
     /// reducers emit every ordered pair they hold.
     struct PairUp;
 
     impl SchemaJob<u32, (u32, u32)> for PairUp {
-        fn assign(&self, input: &u32) -> Vec<ReducerId> {
-            vec![(*input / 2) as ReducerId]
+        fn assign_into(&self, input: &u32, emit: &mut dyn FnMut(ReducerId)) {
+            emit((*input / 2) as ReducerId)
         }
         fn reduce(&self, _r: ReducerId, inputs: &[u32], emit: &mut dyn FnMut((u32, u32))) {
             for i in 0..inputs.len() {
@@ -695,10 +691,10 @@ mod tests {
     struct Replicate(u64);
 
     impl SchemaJob<u32, u64> for Replicate {
-        fn assign(&self, input: &u32) -> Vec<ReducerId> {
-            (0..self.0)
-                .map(|g| g * 100 + (*input as u64 % 10))
-                .collect()
+        fn assign_into(&self, input: &u32, emit: &mut dyn FnMut(ReducerId)) {
+            for g in 0..self.0 {
+                emit(g * 100 + (*input as u64 % 10));
+            }
         }
         fn reduce(&self, r: ReducerId, inputs: &[u32], emit: &mut dyn FnMut(u64)) {
             emit(r * 1_000_000 + inputs.iter().map(|&x| x as u64).sum::<u64>());
@@ -859,8 +855,8 @@ mod tests {
     struct Funnel;
 
     impl SchemaJob<u32, u32> for Funnel {
-        fn assign(&self, _input: &u32) -> Vec<ReducerId> {
-            vec![0]
+        fn assign_into(&self, _input: &u32, emit: &mut dyn FnMut(ReducerId)) {
+            emit(0)
         }
         fn reduce(&self, _r: ReducerId, inputs: &[u32], emit: &mut dyn FnMut(u32)) {
             emit(inputs.iter().sum())

@@ -1,24 +1,27 @@
-//! Single-round map-reduce execution.
+//! The round kernel: one map-reduce round over a [`SchemaJob`].
 //!
-//! [`run_round`] executes map → shuffle → reduce over an input slice and
-//! returns the outputs together with exact [`RoundMetrics`]. Execution is
-//! deterministic regardless of worker count: mapper emissions are gathered
-//! in input order, the shuffle groups values per key preserving that order,
-//! keys are processed in ascending order, and outputs are concatenated in
-//! key order.
+//! [`run_schema`] executes map → shuffle → reduce over an input slice and
+//! returns the outputs together with exact [`RoundMetrics`]. The map
+//! side is §2.2's assignment: each input is sent, whole, to every reducer
+//! [`SchemaJob::assign_into`] names, so every key-value pair is a
+//! `(ReducerId, input)` and the shuffle is keyed by reducer id alone.
+//! Execution is deterministic regardless of worker count: emissions are
+//! gathered in input order, the shuffle groups values per reducer
+//! preserving that order, reducers run in ascending id order, and
+//! outputs are concatenated in that order.
 //!
 //! # Shuffle architecture
 //!
 //! The shuffle is the **columnar radix-partitioned data plane** of the
 //! internal `columnar` module: every emission is fingerprinted once at
-//! emit time and pushed straight into a flat `(hash, key, value)` column
-//! — the top fingerprint bits pick one of `P = min(workers, inputs)`
-//! partitions, the low bits a cache-sized radix bucket within it — and
-//! each bucket is grouped in `O(n)` by a small open-addressing
+//! emit time and pushed straight into a flat `(hash, reducer, input)`
+//! column — the top fingerprint bits pick one of `P = min(workers,
+//! inputs)` partitions, the low bits a cache-sized radix bucket within
+//! it — and each bucket is grouped in `O(n)` by a small open-addressing
 //! fingerprint table (an exact sort-based path catches full 64-bit
 //! collisions) — no `BTreeMap`, no per-key allocation, no scatter pass.
-//! Sorting the per-partition group *directories* by key and
-//! P-way-merging them (keys are disjoint across partitions) restores the
+//! Sorting the per-partition group *directories* by reducer id and
+//! P-way-merging them (ids are disjoint across partitions) restores the
 //! exact output the old map-based shuffle produced.
 //!
 //! Every worker count runs the same code: with `workers <= 1` it is one
@@ -34,10 +37,10 @@
 //! bytes moved, bucket histogram) varies with the worker count, and that
 //! is excluded from metric equality by design.
 //!
-//! There is one round kernel, [`run_round`]: every production round —
-//! a schema's, a DAG node's — is a call of it. A retained delta runs no
-//! round to route its changes: it sorts them by reducer and prices the
-//! shuffle it skipped (`metrics::price_round`).
+//! There is one round kernel, [`run_schema`]: every production round —
+//! a registry family's, a DAG node's — is a call of it. A retained delta
+//! runs no round to route its changes: it sorts them by reducer and
+//! prices the shuffle it skipped (`metrics::price_round`).
 //!
 //! The engine enforces the paper's central constraint when asked: if
 //! [`EngineConfig::max_reducer_inputs`] (the paper's `q`) is set and any
@@ -45,16 +48,14 @@
 //! [`EngineError::ReducerOverflow`] instead of silently running an
 //! over-budget reducer. The parallel path checks each partition
 //! concurrently but reports the same offender as the sequential path: the
-//! smallest over-budget key in key order.
+//! smallest over-budget reducer id.
 
 use crate::columnar::{
     bucket_count, column_of, fingerprint_of, group_buckets, ColumnBuf, GroupedRun, Shuffled,
 };
-use crate::mapper::{Mapper, Reducer};
 use crate::metrics::{LoadStats, RoundMetrics, ShuffleStats};
 use crate::pool::fan_out;
-use std::fmt::Debug;
-use std::hash::Hash;
+use crate::schema::SchemaJob;
 use std::sync::OnceLock;
 
 /// Always-on engine counters in the global [`mr_obs`] hub, cached so the
@@ -135,7 +136,7 @@ impl EngineConfig {
 pub enum EngineError {
     /// A reducer exceeded the configured input budget `q`.
     ReducerOverflow {
-        /// `Debug` rendering of the offending reduce-key.
+        /// The offending reducer id, in decimal.
         key: String,
         /// Number of values that arrived at the key.
         load: u64,
@@ -157,10 +158,10 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Bytes one `(fingerprint, key, value)` triple occupies in the shuffle
-/// columns — the unit behind [`ShuffleStats::bytes_moved`].
-pub(crate) fn pair_bytes<K, V>() -> u64 {
-    (std::mem::size_of::<u64>() + std::mem::size_of::<K>() + std::mem::size_of::<V>()) as u64
+/// Bytes one `(fingerprint, reducer id, value)` triple occupies in the
+/// shuffle columns — the unit behind [`ShuffleStats::bytes_moved`].
+pub(crate) fn pair_bytes<V>() -> u64 {
+    (2 * std::mem::size_of::<u64>() + std::mem::size_of::<V>()) as u64
 }
 
 /// The shuffle partition count of a round over `inputs` inputs: `P =
@@ -173,47 +174,47 @@ pub(crate) fn partition_count(workers: usize, inputs: usize) -> usize {
 }
 
 /// Executes one map-reduce round — the round kernel, §2.2's one thing
-/// called a round: map, route by reducer, reduce.
+/// called a round: send each input to the reducers its assignment names,
+/// group by reducer, reduce.
 ///
-/// Returns the reduce outputs (in ascending key order, emission order
-/// within a key) and the round's metrics.
+/// Returns the reduce outputs (in ascending reducer order, emission order
+/// within a reducer) and the round's metrics; the metrics'
+/// [`replication_rate`](RoundMetrics::replication_rate) is exactly the
+/// schema's `Σ qᵢ / |I|` from §2.2 evaluated on the given instance.
 ///
 /// ```
-/// use mr_sim::{run_round, EngineConfig, FnMapper, FnReducer};
-/// // Word count (Example 2.5): one emission per word, counts per key.
-/// let docs = ["a b a", "b c"];
-/// let mapper = FnMapper(|doc: &&str, emit: &mut dyn FnMut(String, u64)| {
-///     for w in doc.split_whitespace() {
-///         emit(w.to_string(), 1);
-///     }
-/// });
-/// let reducer = FnReducer(|k: &String, vs: &[u64], emit: &mut dyn FnMut((String, u64))| {
-///     emit((k.clone(), vs.iter().sum()))
-/// });
-/// let (out, metrics) = run_round(&docs, &mapper, &reducer, &EngineConfig::sequential()).unwrap();
-/// assert_eq!(out, vec![("a".into(), 2), ("b".into(), 2), ("c".into(), 1)]);
+/// use mr_sim::{run_schema, EngineConfig, FnSchema, ReducerId};
+/// // Word count (Example 2.5) over word occurrences: each occurrence is
+/// // sent to the reducer of its word, which counts what it receives.
+/// const VOCABULARY: [&str; 3] = ["a", "b", "c"];
+/// let word_id = |w: &&str| VOCABULARY.iter().position(|v| v == w).unwrap() as ReducerId;
+/// let count = FnSchema(
+///     |w: &&str, emit: &mut dyn FnMut(ReducerId)| emit(word_id(w)),
+///     |r: ReducerId, ws: &[&str], emit: &mut dyn FnMut((&'static str, usize))| {
+///         emit((VOCABULARY[r as usize], ws.len()))
+///     },
+/// );
+/// let occurrences = ["a", "b", "a", "b", "c"];
+/// let (out, metrics) = run_schema(&occurrences, &count, &EngineConfig::sequential()).unwrap();
+/// assert_eq!(out, vec![("a", 2), ("b", 2), ("c", 1)]);
 /// assert_eq!(metrics.kv_pairs, 5); // five word occurrences crossed the shuffle
 /// ```
-pub fn run_round<I, K, V, O, M, R>(
+pub fn run_schema<I, O, S>(
     inputs: &[I],
-    mapper: &M,
-    reducer: &R,
+    schema: &S,
     config: &EngineConfig,
 ) -> Result<(Vec<O>, RoundMetrics), EngineError>
 where
-    I: Sync,
-    K: Ord + Hash + Debug + Send + Sync + 'static,
-    V: Send + Sync,
+    I: Clone + Send + Sync,
     O: Send,
-    M: Mapper<I, K, V> + ?Sized,
-    R: Reducer<K, V, O> + ?Sized,
+    S: SchemaJob<I, O> + ?Sized,
 {
     let workers = config.effective_workers();
     let _round_span = mr_obs::span("engine.round");
     engine_counters().rounds.incr();
     let p = partition_count(workers, inputs.len());
     let map_span = mr_obs::span("engine.map");
-    let partitions = map_phase(inputs, mapper, p);
+    let partitions = map_phase(inputs, schema, p);
     drop(map_span);
     let loads: Vec<u64> = partitions
         .iter()
@@ -221,13 +222,13 @@ where
         .collect();
     let kv_pairs: u64 = loads.iter().sum();
     let mut stats = ShuffleStats::from_partition_loads(&loads);
-    stats.bytes_moved = Some(kv_pairs * pair_bytes::<K, V>());
+    stats.bytes_moved = Some(kv_pairs * pair_bytes::<I>());
     let shuffle_span = mr_obs::span("engine.shuffle");
     let shuffled = shuffle_phase(partitions, config.max_reducer_inputs, workers)?;
     drop(shuffle_span);
     engine_counters().kv_pairs.add(kv_pairs);
     let reduce_span = mr_obs::span("engine.reduce");
-    let outputs = reduce_phase(&shuffled, reducer, workers);
+    let outputs = reduce_phase(&shuffled, schema, workers);
     drop(reduce_span);
     let metrics = round_metrics(
         inputs.len(),
@@ -241,7 +242,7 @@ where
 
 /// One shuffle partition's bucket columns: one list of buckets per map
 /// chunk, in chunk (= input) order — the input of [`group_buckets`].
-type PartitionColumns<K, V> = Vec<Vec<ColumnBuf<K, V>>>;
+type PartitionColumns<V> = Vec<Vec<ColumnBuf<V>>>;
 
 /// Runs the map phase as one routed pass: each of at most `p` input
 /// chunks is one [`fan_out`](fan_out) item ([`map_chunk`])
@@ -255,14 +256,12 @@ type PartitionColumns<K, V> = Vec<Vec<ColumnBuf<K, V>>>;
 /// The input count `n` sizes the buckets: `bucket_count(n / p)` per
 /// partition, so a partition's buckets stay cache-sized, and each
 /// chunk's columns are preallocated with ~25% headroom over their share
-/// of `n`. However many pairs each input emits, a column that outgrows
-/// its share only reallocates: sizing never changes a result.
-fn map_phase<I, K, V, M>(inputs: &[I], mapper: &M, p: usize) -> Vec<PartitionColumns<K, V>>
+/// of `n`. However many reducers each input is sent to, a column that
+/// outgrows its share only reallocates: sizing never changes a result.
+fn map_phase<I, O, S>(inputs: &[I], schema: &S, p: usize) -> Vec<PartitionColumns<I>>
 where
-    I: Sync,
-    K: Hash + Send,
-    V: Send,
-    M: Mapper<I, K, V> + ?Sized,
+    I: Clone + Send + Sync,
+    S: SchemaJob<I, O> + ?Sized,
 {
     let n = inputs.len();
     let bc = bucket_count(n / p);
@@ -272,15 +271,15 @@ where
     let slots = chunks.len() * p * bc;
     let share = n / slots.max(1);
     let cap = if slots > 1 { share + share / 4 + 8 } else { n };
-    let mut partitions: Vec<PartitionColumns<K, V>> =
+    let mut partitions: Vec<PartitionColumns<I>> =
         (0..p).map(|_| Vec::with_capacity(chunks.len())).collect();
     let routed = if p == 1 {
         fan_out(p, chunks, |c| {
-            map_chunk::<true, _, _, _, _>(c, mapper, p, bc, cap)
+            map_chunk::<true, I, O, S>(c, schema, p, bc, cap)
         })
     } else {
         fan_out(p, chunks, |c| {
-            map_chunk::<false, _, _, _, _>(c, mapper, p, bc, cap)
+            map_chunk::<false, I, O, S>(c, schema, p, bc, cap)
         })
     };
     for columns in routed {
@@ -292,51 +291,46 @@ where
     partitions
 }
 
-/// One map chunk: every emission fingerprinted once and pushed into its
-/// [`column_of`] column among `p × bc`, each preallocated for `cap`
-/// pairs. Returned partition-major, bucket `b` of partition `pi` at
-/// `pi * bc + b`.
+/// One map chunk: every input sent to each reducer its assignment
+/// names — each emission fingerprinted once and pushed, with a clone of
+/// its input, into its [`column_of`] column among `p × bc`, each
+/// preallocated for `cap` pairs. Returned partition-major, bucket `b` of
+/// partition `pi` at `pi * bc + b`.
 ///
 /// `ONE` says `p = 1` in the type, so the emit closure — which the
-/// mapper calls indirectly, one call per pair — is compiled with the
+/// assignment calls indirectly, one call per pair — is compiled with the
 /// partition term of the route folded away. Left in at run time, it
-/// cost the sequential `matmul_tree` ≈ 10 % of its time.
-#[allow(unsafe_code)]
-fn map_chunk<const ONE: bool, I, K, V, M>(
+/// cost the sequential `matmul_tree` ≈ 10 % of its time. The column
+/// index is bounds-checked: an unchecked index measured no faster (10
+/// alternated 25 s `mr-perf --trace 0` pairs on a 2-core host, 2026-10-19;
+/// the checked form read `matmul_tree` `seq_iter_ms_p50` −4.3 %, 7/10
+/// pairs better, and `hamming_join` −1.3 %, 5/10).
+fn map_chunk<const ONE: bool, I, O, S>(
     chunk: &[I],
-    mapper: &M,
+    schema: &S,
     p: usize,
     bc: usize,
     cap: usize,
-) -> Vec<ColumnBuf<K, V>>
+) -> Vec<ColumnBuf<I>>
 where
-    K: Hash,
-    M: Mapper<I, K, V> + ?Sized,
+    I: Clone,
+    S: SchemaJob<I, O> + ?Sized,
 {
     let _span = mr_obs::span("engine.map.chunk");
     let p = if ONE { 1 } else { p };
-    // Cannot fire: `run_round` clamps `p` to `1 ..= max(inputs, 1)` and
+    // Cannot fire: `run_schema` clamps `p` to `1 ..= max(inputs, 1)` and
     // `bucket_count` returns `1 ..= 256`, so the product is positive and
     // at most 256 columns per input.
     let n = p
         .checked_mul(bc)
         .filter(|&n| n > 0)
         .expect("a chunk routes into 1 ..= usize::MAX columns");
-    let mut columns: Vec<ColumnBuf<K, V>> = (0..n).map(|_| ColumnBuf::with_capacity(cap)).collect();
+    let mut columns: Vec<ColumnBuf<I>> = (0..n).map(|_| ColumnBuf::with_capacity(cap)).collect();
     for input in chunk {
-        mapper.map(input, &mut |k, v| {
-            let h = fingerprint_of(&k);
+        schema.assign_into(input, &mut |rid| {
+            let h = fingerprint_of(rid);
             let column = column_of(h, if ONE { 1 } else { p }, bc);
-            // SAFETY: `n = p * bc` did not overflow and `bc >= 1` (checked
-            // above), so `column_of`'s `partition_of_hash(h, p) * bc +
-            // (h & (bc - 1))` is at most `(p - 1) * bc + bc - 1 < n`, and
-            // `columns.len() == n`.
-            // Price: bounds-checked, it cost `matmul_tree`
-            // `seq_iter_ms_p50` +14.2 % (5/18 pairs better; +18.0 %, 2/10,
-            // on the second set of 10) and `hamming_join` +1.8 % (8/18,
-            // within noise) — medians of alternated 25 s `mr-perf
-            // --trace 0` pairs on a 2-core host, 2026-10-17.
-            unsafe { columns.get_unchecked_mut(column) }.push(h, k, v);
+            columns[column].push(h, rid, input.clone());
         });
     }
     columns
@@ -355,48 +349,41 @@ where
 /// surviving runs are merged into a [`Shuffled`] view in global ascending
 /// key order (keys are disjoint across partitions, so a P-way merge of the
 /// sorted directories is exact).
-fn shuffle_phase<K, V>(
-    partitions: Vec<PartitionColumns<K, V>>,
+fn shuffle_phase<V: Send>(
+    partitions: Vec<PartitionColumns<V>>,
     q: Option<u64>,
     workers: usize,
-) -> Result<Shuffled<K, V>, EngineError>
-where
-    K: Ord + Debug + Send + 'static,
-    V: Send,
-{
-    let group_one = |chunks: PartitionColumns<K, V>| -> GroupedRun<K, V> {
+) -> Result<Shuffled<V>, EngineError> {
+    let group_one = |chunks: PartitionColumns<V>| -> GroupedRun<V> {
         let _span = mr_obs::span("engine.group.partition");
         let mut run = group_buckets(chunks);
         run.sort_groups_by_key();
         run
     };
-    let runs: Vec<GroupedRun<K, V>> = fan_out(workers, partitions, group_one);
+    let runs: Vec<GroupedRun<V>> = fan_out(workers, partitions, group_one);
 
     check_budget(&runs, q)?;
     Ok(Shuffled::merge(runs))
 }
 
 /// Enforces the reducer-size budget `q` over key-sorted runs. Each run's
-/// directory ascends by key, so the first over-budget group in a run is
-/// that run's smallest offender; the globally smallest offender — the
-/// exact key a sequential in-key-order scan would report — is the
+/// directory ascends by reducer id, so the first over-budget group in a
+/// run is that run's smallest offender; the globally smallest offender —
+/// the exact reducer a sequential in-order scan would report — is the
 /// minimum over runs.
-fn check_budget<K: Ord + Debug, V>(
-    runs: &[GroupedRun<K, V>],
-    q: Option<u64>,
-) -> Result<(), EngineError> {
+fn check_budget<V>(runs: &[GroupedRun<V>], q: Option<u64>) -> Result<(), EngineError> {
     let Some(q) = q else { return Ok(()) };
-    let mut worst: Option<(&K, u64)> = None;
+    let mut worst: Option<(u64, u64)> = None;
     for run in runs {
         if let Some(g) = run.groups.iter().find(|g| u64::from(g.len) > q) {
-            if worst.is_none_or(|(wk, _)| g.key < *wk) {
-                worst = Some((&g.key, u64::from(g.len)));
+            if worst.is_none_or(|(wk, _)| g.key < wk) {
+                worst = Some((g.key, u64::from(g.len)));
             }
         }
     }
     match worst {
         Some((k, load)) => Err(EngineError::ReducerOverflow {
-            key: format!("{k:?}"),
+            key: k.to_string(),
             load,
             limit: q,
         }),
@@ -426,17 +413,16 @@ pub(crate) fn round_metrics(
 }
 
 /// Runs the reduce phase over the merged shuffle view, concatenating
-/// outputs in ascending key order. The global key order is cut into at
+/// outputs in ascending reducer order. The global order is cut into at
 /// most `workers` ranges, each reduced as one
 /// [`fan_out`](fan_out) item (a single range runs inline on the
 /// caller); range-order concatenation keeps the output identical to
 /// sequential.
-fn reduce_phase<K, V, O, R>(shuffled: &Shuffled<K, V>, reducer: &R, workers: usize) -> Vec<O>
+fn reduce_phase<I, O, S>(shuffled: &Shuffled<I>, schema: &S, workers: usize) -> Vec<O>
 where
-    K: Send + Sync,
-    V: Send + Sync,
+    I: Sync,
     O: Send,
-    R: Reducer<K, V, O> + ?Sized,
+    S: SchemaJob<I, O> + ?Sized,
 {
     let n = shuffled.len();
     // `max(1)`: an empty shuffle has no ranges, but `step_by` needs a step.
@@ -448,8 +434,8 @@ where
     let results = fan_out(workers, ranges, |(s, e)| {
         let _span = mr_obs::span("engine.reduce.chunk");
         let mut outputs = Vec::with_capacity(e - s);
-        shuffled.for_each_in(s..e, |k, vs| {
-            reducer.reduce(k, vs, &mut |o| outputs.push(o))
+        shuffled.for_each_in(s..e, |rid, vs| {
+            schema.reduce(rid, vs, &mut |o| outputs.push(o))
         });
         outputs
     });
@@ -468,21 +454,37 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapper::{FnMapper, FnReducer};
+    use crate::schema::{FnSchema, ReducerId};
 
-    /// Word count, the canonical example (Example 2.5).
+    /// A word of at most 8 bytes as a reducer id that sorts like the word.
+    fn word_id(word: &str) -> ReducerId {
+        let mut bytes = [0u8; 8];
+        bytes[..word.len()].copy_from_slice(word.as_bytes());
+        u64::from_be_bytes(bytes)
+    }
+
+    /// Word count, the canonical example (Example 2.5), over the word
+    /// occurrences of `docs`: each occurrence goes to its word's reducer.
     fn wordcount(docs: &[&str], config: &EngineConfig) -> (Vec<(String, u64)>, RoundMetrics) {
-        let mapper = FnMapper(|doc: &&str, emit: &mut dyn FnMut(String, u64)| {
-            for w in doc.split_whitespace() {
-                emit(w.to_string(), 1);
-            }
-        });
-        let reducer = FnReducer(
-            |k: &String, vs: &[u64], emit: &mut dyn FnMut((String, u64))| {
-                emit((k.clone(), vs.iter().sum()))
+        let occurrences: Vec<String> = docs
+            .iter()
+            .flat_map(|doc| doc.split_whitespace().map(String::from))
+            .collect();
+        let count = FnSchema(
+            |w: &String, emit: &mut dyn FnMut(ReducerId)| emit(word_id(w)),
+            |_: ReducerId, ws: &[String], emit: &mut dyn FnMut((String, u64))| {
+                emit((ws[0].clone(), ws.len() as u64))
             },
         );
-        run_round(docs, &mapper, &reducer, config).expect("no q bound set")
+        run_schema(&occurrences, &count, config).expect("no q bound set")
+    }
+
+    /// Input `x` goes to reducer `x % modulus`; reducers emit nothing.
+    fn residues(modulus: u64) -> impl SchemaJob<u64, u64> {
+        FnSchema(
+            move |x: &u64, emit: &mut dyn FnMut(ReducerId)| emit(x % modulus),
+            |_: ReducerId, _: &[u64], _: &mut dyn FnMut(u64)| {},
+        )
     }
 
     #[test]
@@ -490,8 +492,8 @@ mod tests {
         let docs = ["a b a", "b c", "a"];
         let (out, m) = wordcount(&docs, &EngineConfig::sequential());
         assert_eq!(out, vec![("a".into(), 3), ("b".into(), 2), ("c".into(), 1)]);
-        assert_eq!(m.inputs, 3);
-        assert_eq!(m.kv_pairs, 6); // six word occurrences
+        assert_eq!(m.inputs, 6); // six word occurrences
+        assert_eq!(m.kv_pairs, 6);
         assert_eq!(m.reducers, 3);
         assert_eq!(m.outputs, 3);
         assert_eq!(m.load.max, 3);
@@ -513,12 +515,9 @@ mod tests {
 
     #[test]
     fn reducer_overflow_detected() {
-        let inputs: Vec<u32> = (0..10).collect();
-        let mapper = FnMapper(|x: &u32, emit: &mut dyn FnMut(u32, u32)| emit(*x % 2, *x));
-        let reducer =
-            FnReducer(|_: &u32, vs: &[u32], emit: &mut dyn FnMut(u32)| emit(vs.len() as u32));
+        let inputs: Vec<u64> = (0..10).collect();
         let cfg = EngineConfig::sequential().with_max_reducer_inputs(4);
-        let err = run_round(&inputs, &mapper, &reducer, &cfg).unwrap_err();
+        let err = run_schema(&inputs, &residues(2), &cfg).unwrap_err();
         match err {
             EngineError::ReducerOverflow { load, limit, .. } => {
                 assert_eq!(load, 5);
@@ -529,19 +528,15 @@ mod tests {
 
     #[test]
     fn budget_exactly_met_is_ok() {
-        let inputs: Vec<u32> = (0..10).collect();
-        let mapper = FnMapper(|x: &u32, emit: &mut dyn FnMut(u32, u32)| emit(*x % 2, *x));
-        let reducer = FnReducer(|_: &u32, _: &[u32], _: &mut dyn FnMut(u32)| {});
+        let inputs: Vec<u64> = (0..10).collect();
         let cfg = EngineConfig::sequential().with_max_reducer_inputs(5);
-        assert!(run_round(&inputs, &mapper, &reducer, &cfg).is_ok());
+        assert!(run_schema(&inputs, &residues(2), &cfg).is_ok());
     }
 
     #[test]
     fn empty_input_yields_empty_round() {
-        let inputs: Vec<u32> = vec![];
-        let mapper = FnMapper(|x: &u32, emit: &mut dyn FnMut(u32, u32)| emit(*x, *x));
-        let reducer = FnReducer(|_: &u32, _: &[u32], emit: &mut dyn FnMut(u32)| emit(0));
-        let (out, m) = run_round(&inputs, &mapper, &reducer, &EngineConfig::sequential()).unwrap();
+        let inputs: Vec<u64> = vec![];
+        let (out, m) = run_schema(&inputs, &residues(2), &EngineConfig::sequential()).unwrap();
         assert!(out.is_empty());
         assert_eq!(m.inputs, 0);
         assert_eq!(m.kv_pairs, 0);
@@ -550,13 +545,14 @@ mod tests {
 
     #[test]
     fn values_preserve_emission_order_within_key() {
-        // All inputs go to one key; values must arrive in input order.
+        // All inputs go to one reducer; they must arrive in input order.
         let inputs: Vec<u32> = (0..50).collect();
-        let mapper = FnMapper(|x: &u32, emit: &mut dyn FnMut(u8, u32)| emit(0, *x));
-        let reducer =
-            FnReducer(|_: &u8, vs: &[u32], emit: &mut dyn FnMut(Vec<u32>)| emit(vs.to_vec()));
+        let gather = FnSchema(
+            |_: &u32, emit: &mut dyn FnMut(ReducerId)| emit(0),
+            |_: ReducerId, xs: &[u32], emit: &mut dyn FnMut(Vec<u32>)| emit(xs.to_vec()),
+        );
         for cfg in [EngineConfig::sequential(), EngineConfig::parallel(4)] {
-            let (out, _) = run_round(&inputs, &mapper, &reducer, &cfg).unwrap();
+            let (out, _) = run_schema(&inputs, &gather, &cfg).unwrap();
             assert_eq!(out.len(), 1);
             assert_eq!(out[0], inputs);
         }
@@ -564,10 +560,14 @@ mod tests {
 
     #[test]
     fn mapper_emitting_nothing_is_fine() {
+        // An assignment that sends an input nowhere is a round with no
+        // pairs and no reducers.
         let inputs = vec![1u32, 2, 3];
-        let mapper = FnMapper(|_: &u32, _: &mut dyn FnMut(u32, u32)| {});
-        let reducer = FnReducer(|_: &u32, _: &[u32], emit: &mut dyn FnMut(u32)| emit(1));
-        let (out, m) = run_round(&inputs, &mapper, &reducer, &EngineConfig::sequential()).unwrap();
+        let nowhere = FnSchema(
+            |_: &u32, _: &mut dyn FnMut(ReducerId)| {},
+            |_: ReducerId, _: &[u32], emit: &mut dyn FnMut(u32)| emit(1),
+        );
+        let (out, m) = run_schema(&inputs, &nowhere, &EngineConfig::sequential()).unwrap();
         assert!(out.is_empty());
         assert_eq!(m.inputs, 3);
         assert_eq!(m.kv_pairs, 0);
@@ -578,13 +578,15 @@ mod tests {
     fn replication_rate_counts_duplicates() {
         // Each input sent to 3 reducers: r = 3 exactly.
         let inputs: Vec<u32> = (0..20).collect();
-        let mapper = FnMapper(|x: &u32, emit: &mut dyn FnMut(u32, u32)| {
-            for t in 0..3 {
-                emit((*x + t) % 5, *x);
-            }
-        });
-        let reducer = FnReducer(|_: &u32, _: &[u32], _: &mut dyn FnMut(u32)| {});
-        let (_, m) = run_round(&inputs, &mapper, &reducer, &EngineConfig::sequential()).unwrap();
+        let thrice = FnSchema(
+            |x: &u32, emit: &mut dyn FnMut(ReducerId)| {
+                for t in 0..3 {
+                    emit(u64::from((*x + t) % 5));
+                }
+            },
+            |_: ReducerId, _: &[u32], _: &mut dyn FnMut(u32)| {},
+        );
+        let (_, m) = run_schema(&inputs, &thrice, &EngineConfig::sequential()).unwrap();
         assert!((m.replication_rate() - 3.0).abs() < 1e-12);
         assert_eq!(m.reducers, 5);
     }
@@ -633,10 +635,8 @@ mod tests {
     fn empty_input_parallel_yields_empty_round() {
         // Empty input with a multi-worker config: no chunks, no threads,
         // empty output, zeroed metrics.
-        let inputs: Vec<u32> = vec![];
-        let mapper = FnMapper(|x: &u32, emit: &mut dyn FnMut(u32, u32)| emit(*x, *x));
-        let reducer = FnReducer(|_: &u32, _: &[u32], emit: &mut dyn FnMut(u32)| emit(0));
-        let (out, m) = run_round(&inputs, &mapper, &reducer, &EngineConfig::parallel(8)).unwrap();
+        let inputs: Vec<u64> = vec![];
+        let (out, m) = run_schema(&inputs, &residues(2), &EngineConfig::parallel(8)).unwrap();
         assert!(out.is_empty());
         assert_eq!(m.inputs, 0);
         assert_eq!(m.kv_pairs, 0);
@@ -645,19 +645,15 @@ mod tests {
 
     #[test]
     fn reducer_overflow_reports_offending_key() {
-        // Exactly one key is over budget: the first 3 inputs all map to
-        // key 7, every other input gets its own key.
-        let inputs: Vec<u32> = (0..10).collect();
-        let mapper = FnMapper(|x: &u32, emit: &mut dyn FnMut(u32, u32)| {
-            if *x < 3 {
-                emit(7, *x);
-            } else {
-                emit(100 + *x, *x);
-            }
-        });
-        let reducer = FnReducer(|_: &u32, _: &[u32], _: &mut dyn FnMut(u32)| {});
+        // Exactly one reducer is over budget: the first 3 inputs all go
+        // to reducer 7, every other input gets its own reducer.
+        let inputs: Vec<u64> = (0..10).collect();
+        let hot = FnSchema(
+            |x: &u64, emit: &mut dyn FnMut(ReducerId)| emit(if *x < 3 { 7 } else { 100 + x }),
+            |_: ReducerId, _: &[u64], _: &mut dyn FnMut(u64)| {},
+        );
         let cfg = EngineConfig::sequential().with_max_reducer_inputs(2);
-        let err = run_round(&inputs, &mapper, &reducer, &cfg).unwrap_err();
+        let err = run_schema(&inputs, &hot, &cfg).unwrap_err();
         let EngineError::ReducerOverflow { key, load, limit } = err;
         assert_eq!(key, "7");
         assert_eq!(load, 3);
@@ -681,14 +677,16 @@ mod tests {
     fn overflow_precedes_reduce_regardless_of_workers() {
         // The q check runs on the shuffled groups, before any reducer
         // executes — so parallel and sequential runs fail identically.
-        let inputs: Vec<u32> = (0..100).collect();
-        let mapper = FnMapper(|x: &u32, emit: &mut dyn FnMut(u32, u32)| emit(*x % 4, *x));
-        let reducer = FnReducer(|_: &u32, _: &[u32], _: &mut dyn FnMut(u32)| {
-            panic!("reducer must not run on an over-budget round")
-        });
+        let inputs: Vec<u64> = (0..100).collect();
+        let unreachable = FnSchema(
+            |x: &u64, emit: &mut dyn FnMut(ReducerId)| emit(x % 4),
+            |_: ReducerId, _: &[u64], _: &mut dyn FnMut(u64)| {
+                panic!("reducer must not run on an over-budget round")
+            },
+        );
         for workers in [1usize, 4] {
             let cfg = EngineConfig::parallel(workers).with_max_reducer_inputs(10);
-            let err = run_round(&inputs, &mapper, &reducer, &cfg).unwrap_err();
+            let err = run_schema(&inputs, &unreachable, &cfg).unwrap_err();
             let EngineError::ReducerOverflow { load, limit, .. } = err;
             assert_eq!(load, 25);
             assert_eq!(limit, 10);
@@ -697,30 +695,28 @@ mod tests {
 
     #[test]
     fn determinism_across_worker_counts_thousand_keys() {
-        // Acceptance gate for the std::thread::scope port: ≥ 1000 distinct
-        // reduce keys, and every worker count produces byte-identical
+        // Acceptance gate for the parallel engine: ≥ 1000 distinct
+        // reducers, and every worker count produces byte-identical
         // outputs AND metrics to the sequential run.
         let inputs: Vec<u64> = (0..5_000).collect();
-        let mapper = FnMapper(|x: &u64, emit: &mut dyn FnMut(u64, u64)| {
-            // 2 emissions per input over 1250 keys → every key gets 8 values.
-            emit(*x % 1250, *x);
-            emit((x * 7 + 3) % 1250, x * x);
-        });
-        let reducer = FnReducer(
-            |k: &u64, vs: &[u64], emit: &mut dyn FnMut((u64, u64, u64))| {
-                emit((*k, vs.len() as u64, vs.iter().fold(0u64, |a, v| a ^ v)))
+        let fan = FnSchema(
+            |x: &u64, emit: &mut dyn FnMut(ReducerId)| {
+                // 2 reducers per input over 1250 → every reducer gets 8.
+                emit(x % 1250);
+                emit((x * 7 + 3) % 1250);
+            },
+            |r: ReducerId, xs: &[u64], emit: &mut dyn FnMut((u64, u64, u64))| {
+                emit((r, xs.len() as u64, xs.iter().fold(0u64, |a, x| a ^ (x * x))))
             },
         );
-        let (seq_out, seq_m) =
-            run_round(&inputs, &mapper, &reducer, &EngineConfig::sequential()).unwrap();
+        let (seq_out, seq_m) = run_schema(&inputs, &fan, &EngineConfig::sequential()).unwrap();
         assert!(
             seq_m.reducers >= 1000,
             "need ≥1000 keys, got {}",
             seq_m.reducers
         );
         for workers in [2usize, 3, 4, 7, 16] {
-            let (out, m) =
-                run_round(&inputs, &mapper, &reducer, &EngineConfig::parallel(workers)).unwrap();
+            let (out, m) = run_schema(&inputs, &fan, &EngineConfig::parallel(workers)).unwrap();
             assert_eq!(seq_out, out, "outputs diverged at workers={workers}");
             assert_eq!(seq_m, m, "metrics diverged at workers={workers}");
         }
@@ -729,7 +725,7 @@ mod tests {
     #[test]
     fn huge_worker_count_on_tiny_input_is_clamped() {
         // Regression: P must be clamped to the input size, or a config
-        // like parallel(100_000) over 4 inputs would allocate 100k bucket
+        // like parallel(100_000) over 6 inputs would allocate 100k bucket
         // Vecs per map worker and spawn 100k grouping threads. With the
         // clamp, thread count per phase never exceeds inputs.len() —
         // the envelope the chunked map/reduce phases have always had.
@@ -739,7 +735,7 @@ mod tests {
         assert_eq!(out, seq_out);
         assert_eq!(m, seq_m);
         assert!(
-            m.shuffle.partitions <= docs.len() as u64,
+            m.shuffle.partitions <= m.inputs,
             "partitions must be clamped to the input size, got {}",
             m.shuffle.partitions
         );
@@ -748,15 +744,12 @@ mod tests {
     #[test]
     fn shuffle_stats_reflect_partitioning() {
         let inputs: Vec<u64> = (0..4_000).collect();
-        let mapper = FnMapper(|x: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*x % 997, *x));
-        let reducer =
-            FnReducer(|_: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.len() as u64));
-        let (_, seq) = run_round(&inputs, &mapper, &reducer, &EngineConfig::sequential()).unwrap();
+        let (_, seq) = run_schema(&inputs, &residues(997), &EngineConfig::sequential()).unwrap();
         assert_eq!(seq.shuffle.partitions, 1);
         assert_eq!(seq.shuffle.max_partition_load, seq.kv_pairs);
         for workers in [2usize, 4, 8] {
             let (_, par) =
-                run_round(&inputs, &mapper, &reducer, &EngineConfig::parallel(workers)).unwrap();
+                run_schema(&inputs, &residues(997), &EngineConfig::parallel(workers)).unwrap();
             assert_eq!(
                 par.shuffle.partitions, workers as u64,
                 "P must equal workers"
@@ -773,14 +766,12 @@ mod tests {
 
     #[test]
     fn shuffle_stats_report_bytes_and_buckets() {
-        // bytes_moved = pairs × (8-byte fingerprint + key + value), and the
-        // bucket histogram partitions the pair count.
+        // bytes_moved = pairs × (8-byte fingerprint + 8-byte reducer id +
+        // the input), and the bucket histogram partitions the pair count.
         let inputs: Vec<u64> = (0..4_000).collect();
-        let mapper = FnMapper(|x: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*x % 997, *x));
-        let reducer = FnReducer(|_: &u64, _: &[u64], _: &mut dyn FnMut(u64)| {});
         for workers in [1usize, 4] {
             let (_, m) =
-                run_round(&inputs, &mapper, &reducer, &EngineConfig::parallel(workers)).unwrap();
+                run_schema(&inputs, &residues(997), &EngineConfig::parallel(workers)).unwrap();
             assert_eq!(m.shuffle.bytes_moved, Some(m.kv_pairs * (8 + 8 + 8)));
             assert_eq!(m.shuffle.bucket_loads.iter().sum::<u64>(), m.kv_pairs);
             assert_eq!(m.shuffle.bucket_loads.len() as u64, m.shuffle.partitions);
@@ -789,13 +780,15 @@ mod tests {
 
     #[test]
     fn single_hot_key_maximises_partition_skew() {
-        // All pairs share one key, so one partition carries everything:
-        // skew = max/mean = P, the engine-level picture of a §1.4 hub.
+        // All pairs share one reducer, so one partition carries
+        // everything: skew = max/mean = P, the engine-level picture of a
+        // §1.4 hub.
         let inputs: Vec<u64> = (0..100).collect();
-        let mapper = FnMapper(|x: &u64, emit: &mut dyn FnMut(u8, u64)| emit(0, *x));
-        let reducer =
-            FnReducer(|_: &u8, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs.len() as u64));
-        let (out, m) = run_round(&inputs, &mapper, &reducer, &EngineConfig::parallel(4)).unwrap();
+        let hub = FnSchema(
+            |_: &u64, emit: &mut dyn FnMut(ReducerId)| emit(0),
+            |_: ReducerId, xs: &[u64], emit: &mut dyn FnMut(u64)| emit(xs.len() as u64),
+        );
+        let (out, m) = run_schema(&inputs, &hub, &EngineConfig::parallel(4)).unwrap();
         assert_eq!(out, vec![100]);
         assert_eq!(m.shuffle.partitions, 4);
         assert_eq!(m.shuffle.max_partition_load, 100);

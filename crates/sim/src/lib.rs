@@ -18,13 +18,19 @@
 //! process — sequentially or across threads with bit-identical results —
 //! and counts the quantities exactly.
 //!
+//! One description of a round runs through every layer: a [`SchemaJob`],
+//! §2.2's mapping schema (each input sent, whole, to the reducers its
+//! assignment names) plus the reduce logic. The engine runs it, a DAG
+//! node is one, the census folds its assignment, and a delta routes by
+//! it.
+//!
 //! Modules:
-//! * [`mapper`] — the `Mapper` and
-//!   `Reducer` traits (and closure adapters),
-//! * [`engine`] — single-round execution with an enforceable reducer-size
-//!   budget, built on a columnar radix-partitioned shuffle (`P = workers`
-//!   partitions, clamped to the input size, merged in key order so
-//!   results never depend on the worker count),
+//! * [`schema`] — [`SchemaJob`], its closure adapter [`FnSchema`], and
+//!   the census over an assignment ([`LoadTable`], [`price_change`]),
+//! * [`engine`] — [`run_schema`], the round kernel, with an enforceable
+//!   reducer-size budget, built on a columnar radix-partitioned shuffle
+//!   (`P = workers` partitions, clamped to the input size, merged in
+//!   reducer order so results never depend on the worker count),
 //! * `columnar` (internal) — the flat data plane under the shuffle:
 //!   fingerprint columns routed at emit into `(partition, radix bucket)`
 //!   columns, open-addressing grouping, merged views,
@@ -37,25 +43,21 @@
 //! * [`pool`] — [`fan_out`], the one fan-out under every parallel site:
 //!   inline at width 1, otherwise one batch on the resident
 //!   work-stealing [`WorkerPool`],
-//! * [`metrics`] — per-round and per-job measurements,
-//! * [`schema`] — running an abstract *mapping schema* (assignment of
-//!   inputs to reducers) as a map-reduce job.
+//! * [`metrics`] — per-round and per-job measurements.
 //!
 //! The test oracles live outside the crate: the original `BTreeMap`
 //! shuffle is the dev-only `mr-oracle` crate, which only the integration
 //! tests reach, and the pool's twin is the inline `workers = 1` run.
 //!
-//! `unsafe` code is denied crate-wide. Three functions opt back in, each
+//! `unsafe` code is denied crate-wide. Two functions opt back in, each
 //! for one site whose safe form measured slower in the perf ledger: the
-//! value scatter in `columnar`, the emit route in [`engine`] and the
-//! lifetime erasure in [`WorkerPool::run`]. Each site's `SAFETY` comment
-//! states that price.
+//! value scatter in `columnar` and the lifetime erasure in
+//! [`WorkerPool::run`]. Each site's `SAFETY` comment states that price.
 
 pub(crate) mod columnar;
 pub mod dag;
 pub mod delta;
 pub mod engine;
-pub mod mapper;
 pub mod metrics;
 pub mod pool;
 pub mod schema;
@@ -65,8 +67,9 @@ pub use delta::{
     predict_delta, run_schema_retained, Delta, DeltaError, DeltaJob, DeltaMetrics, DeltaOutcome,
     DeltaPrediction, Pipeline, Seq,
 };
-pub use engine::{run_round, EngineConfig, EngineError};
-pub use mapper::{FnMapper, FnReducer, Mapper, Reducer};
+pub use engine::{run_schema, EngineConfig, EngineError};
 pub use metrics::{JobMetrics, LoadStats, RoundMetrics, ShuffleStats};
 pub use pool::{fan_out, Executor, WorkerPool};
-pub use schema::{price_change, run_schema, LoadHistogram, LoadTable, RoundCensus, SchemaJob};
+pub use schema::{
+    price_change, FnSchema, LoadHistogram, LoadTable, ReducerId, RoundCensus, SchemaJob,
+};

@@ -9,7 +9,7 @@
 
 use crate::columnar::{fingerprint_of, partition_of_hash};
 use crate::engine::{pair_bytes, partition_count, round_metrics};
-use std::hash::Hash;
+use crate::schema::ReducerId;
 
 /// Distribution statistics over per-reducer input counts.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -99,7 +99,7 @@ pub struct ShuffleStats {
     /// Mean partition load.
     pub mean_partition_load: f64,
     /// Total bytes the shuffle's columns moved:
-    /// `pairs × (8-byte fingerprint + size_of::<K>() + size_of::<V>())`.
+    /// `pairs × (8-byte fingerprint + 8-byte reducer id + size_of::<V>())`.
     /// An in-process estimate of the paper's communication cost in bytes
     /// rather than pairs. `Some` only when the engine filled it — the
     /// pair width is known nowhere else, so
@@ -144,16 +144,17 @@ impl ShuffleStats {
     }
 }
 
-/// The [`RoundMetrics`] [`run_round`](crate::run_round) measures at
-/// `workers` for a round of `inputs` inputs that emits `outputs` and whose
-/// shuffle carries `groups` — each reduce-key with its pair count —
-/// priced without running the shuffle. The map phase routes every pair of
-/// a key to partition `partition_of_hash(fingerprint_of(&key), p)` of the
-/// round's [`partition_count`], so the partition loads are those sums,
-/// and `bytes_moved` is the pairs times [`pair_bytes`]`::<K, V>()`.
-pub(crate) fn price_round<K: Hash, V>(
+/// The [`RoundMetrics`] [`run_schema`](crate::run_schema) measures at
+/// `workers` for a round of `inputs` inputs of type `V` that emits
+/// `outputs` and whose shuffle carries `groups` — each reducer with its
+/// pair count — priced without running the shuffle. The map phase routes
+/// every pair of a reducer to partition
+/// `partition_of_hash(fingerprint_of(rid), p)` of the round's
+/// [`partition_count`], so the partition loads are those sums, and
+/// `bytes_moved` is the pairs times [`pair_bytes`]`::<V>()`.
+pub(crate) fn price_round<V>(
     inputs: usize,
-    groups: impl IntoIterator<Item = (K, u64)>,
+    groups: impl IntoIterator<Item = (ReducerId, u64)>,
     outputs: usize,
     workers: usize,
 ) -> RoundMetrics {
@@ -161,14 +162,14 @@ pub(crate) fn price_round<K: Hash, V>(
     let mut partition_loads = vec![0; p];
     let loads: Vec<u64> = groups
         .into_iter()
-        .map(|(key, pairs)| {
-            partition_loads[partition_of_hash(fingerprint_of(&key), p)] += pairs;
+        .map(|(rid, pairs)| {
+            partition_loads[partition_of_hash(fingerprint_of(rid), p)] += pairs;
             pairs
         })
         .collect();
     let kv_pairs = loads.iter().sum();
     let mut shuffle = ShuffleStats::from_partition_loads(&partition_loads);
-    shuffle.bytes_moved = Some(kv_pairs * pair_bytes::<K, V>());
+    shuffle.bytes_moved = Some(kv_pairs * pair_bytes::<V>());
     round_metrics(inputs, kv_pairs, loads, outputs, shuffle)
 }
 
@@ -237,15 +238,6 @@ impl JobMetrics {
     /// The largest reducer load over all rounds (the job's effective `q`).
     pub fn max_reducer_load(&self) -> u64 {
         self.rounds.iter().map(|r| r.load.max).max().unwrap_or(0)
-    }
-
-    /// Replication rate of the first round (the paper's `r` for one-round
-    /// jobs).
-    pub fn first_round_replication(&self) -> f64 {
-        self.rounds
-            .first()
-            .map(RoundMetrics::replication_rate)
-            .unwrap_or(f64::NAN)
     }
 }
 
@@ -356,6 +348,5 @@ mod tests {
         };
         assert_eq!(j.total_communication(), 35);
         assert_eq!(j.max_reducer_load(), 20);
-        assert!((j.first_round_replication() - 3.0).abs() < 1e-12);
     }
 }

@@ -1,56 +1,106 @@
-//! Executing an abstract *mapping schema* as a map-reduce job.
+//! The one description of a round: a §2.2 *mapping schema* plus the
+//! reduce logic that runs on it.
 //!
 //! §2.2 defines a mapping schema as an assignment of inputs to reducers
-//! subject to the reducer-size bound `q` and the coverage condition. A
-//! schema says nothing about what the reducers compute; [`SchemaJob`]
-//! supplies the missing pieces — the assignment function and the reduce
-//! logic — and [`run_schema`] executes them on the engine, so that the
-//! *measured* replication rate and maximum reducer load of any schema can
-//! be compared with the paper's bounds.
+//! subject to the reducer-size bound `q` and the coverage condition: each
+//! input is sent, whole, to a set of reducers, and each reducer computes
+//! from the list it receives. [`SchemaJob`] is that description —
+//! [`assign_into`](SchemaJob::assign_into) and
+//! [`reduce`](SchemaJob::reduce) — and every round the workspace runs is
+//! one: [`run_schema`](crate::run_schema) executes it on the engine, a
+//! [`DagJob`](crate::DagJob) node is one, and a
+//! [`DeltaJob`](crate::DeltaJob) retains one. §6.3's second phase is a
+//! schema too: each partial is sent to the reducer of its output cell.
+//! [`FnSchema`] builds one from two closures.
 //!
 //! §2.2 also makes `q`, `r`, the pair count and the reducer count nothing
 //! more than folds over the assignment, so they can be had **without**
 //! running the engine: [`LoadTable::of`] is the one place the workspace
-//! folds [`SchemaJob::assign`] into per-reducer loads, and
-//! [`price_change`] the one place a `(removed, added)` change is priced
-//! against such loads and their [`LoadHistogram`]. The registry's census,
-//! its delta census and [`DeltaJob::predict`](crate::DeltaJob::predict)
-//! are all readers of these.
+//! folds an assignment into per-reducer loads, and [`price_change`] the
+//! one place a `(removed, added)` change is priced against such loads and
+//! their [`LoadHistogram`]. The registry's census, its delta census,
+//! [`DagJob::census`](crate::DagJob::census) and
+//! [`DeltaJob::predict`](crate::DeltaJob::predict) are all readers of
+//! these.
 
 use crate::columnar::FingerprintHasher;
 use crate::delta::DeltaPrediction;
-use crate::engine::{run_round, EngineConfig, EngineError};
-use crate::mapper::{FnMapper, FnReducer, Mapper, Reducer};
 use crate::metrics::RoundMetrics;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hash};
+use std::hash::BuildHasherDefault;
 use std::iter;
 
 /// Identifier of a reducer in a mapping schema.
 pub type ReducerId = u64;
 
-/// A mapping schema plus reduce logic for a concrete problem.
+/// A mapping schema plus reduce logic for a concrete problem: one round.
 pub trait SchemaJob<I, O>: Sync {
-    /// The reducers that input `i` must be sent to (§2.2's assignment).
-    /// An input may be assigned to several reducers; each assignment
-    /// contributes one key-value pair of communication.
-    fn assign(&self, input: &I) -> Vec<ReducerId>;
+    /// Passes `emit` every reducer input `i` must be sent to (§2.2's
+    /// assignment). An input may be assigned to several reducers; each
+    /// assignment contributes one key-value pair of communication. Must
+    /// be a function of `input` alone (obliviousness): the engine calls
+    /// it from several threads, and the census and the delta path call it
+    /// without the rest of the instance.
+    fn assign_into(&self, input: &I, emit: &mut dyn FnMut(ReducerId));
+
+    /// [`assign_into`](SchemaJob::assign_into)'s reducers, collected.
+    fn assign(&self, input: &I) -> Vec<ReducerId> {
+        let mut reducers = Vec::new();
+        self.assign_into(input, &mut |r| reducers.push(r));
+        reducers
+    }
 
     /// Computes the outputs a reducer is responsible for, given every
-    /// input assigned to it. `reducer` is the id from [`assign`], and
+    /// input assigned to it. `reducer` is the id from [`assign_into`], and
     /// `inputs` arrive in input order.
     ///
     /// Implementations must respect the *covering* discipline: when an
     /// output is covered by multiple reducers, only one should emit it
     /// (e.g. the one given by a tie-breaking rule, as in §5.4.2).
     ///
-    /// [`assign`]: SchemaJob::assign
+    /// [`assign_into`]: SchemaJob::assign_into
     fn reduce(&self, reducer: ReducerId, inputs: &[I], emit: &mut dyn FnMut(O));
+}
+
+/// Adapts two closures into a [`SchemaJob`]: the assignment
+/// `Fn(&I, &mut dyn FnMut(ReducerId))` and the reduce
+/// `Fn(ReducerId, &[I], &mut dyn FnMut(O))`.
+///
+/// ```
+/// use mr_sim::{run_schema, EngineConfig, FnSchema, ReducerId};
+/// // Each number goes to the reducer of its residue mod 3; a reducer
+/// // emits its residue and how many numbers it received.
+/// let residues = FnSchema(
+///     |x: &u64, emit: &mut dyn FnMut(ReducerId)| emit(x % 3),
+///     |r: ReducerId, xs: &[u64], emit: &mut dyn FnMut((u64, usize))| emit((r, xs.len())),
+/// );
+/// let inputs: Vec<u64> = (0..10).collect();
+/// let (out, _) = run_schema(&inputs, &residues, &EngineConfig::sequential()).unwrap();
+/// assert_eq!(out, vec![(0, 4), (1, 3), (2, 3)]);
+/// ```
+pub struct FnSchema<A, R>(pub A, pub R);
+
+impl<I, O, A, R> SchemaJob<I, O> for FnSchema<A, R>
+where
+    A: Fn(&I, &mut dyn FnMut(ReducerId)) + Sync,
+    R: Fn(ReducerId, &[I], &mut dyn FnMut(O)) + Sync,
+{
+    fn assign_into(&self, input: &I, emit: &mut dyn FnMut(ReducerId)) {
+        (self.0)(input, emit)
+    }
+
+    fn reduce(&self, reducer: ReducerId, inputs: &[I], emit: &mut dyn FnMut(O)) {
+        (self.1)(reducer, inputs, emit)
+    }
 }
 
 /// A borrowed schema is a schema — so a boxed `dyn SchemaJob` can be lent
 /// to the entry points that take their schema by value or by `&S`.
 impl<I, O, S: SchemaJob<I, O> + ?Sized> SchemaJob<I, O> for &S {
+    fn assign_into(&self, input: &I, emit: &mut dyn FnMut(ReducerId)) {
+        (**self).assign_into(input, emit)
+    }
+
     fn assign(&self, input: &I) -> Vec<ReducerId> {
         (**self).assign(input)
     }
@@ -66,33 +116,35 @@ impl<I, O, S: SchemaJob<I, O> + ?Sized> SchemaJob<I, O> for &S {
 /// The engine's semantic load metrics depend only on assignments, so a
 /// table's [`max_load`](LoadTable::max_load), [`reducers`](LoadTable::reducers)
 /// and [`pairs`](LoadTable::pairs) are **exactly** what a round over the
-/// same inputs measures — with no shuffle and no reduce work. The key type
-/// is a schema's [`ReducerId`] by default; [`DagJob::census`](crate::DagJob::census)
-/// folds a mapper's emitted keys of any type into the same table.
+/// same inputs measures — with no shuffle and no reduce work.
 ///
 /// Loads are counted under the data plane's deterministic fingerprint
 /// hasher: one multiply per key where SipHash costs more than shuffling
 /// and reducing a many-small-reducer round outright. Keys are reducer
-/// ids a schema or mapper of this program computes, never outside input,
-/// so the seeded hasher's collision protection is not what is given up.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoadTable<K: Hash + Eq = ReducerId> {
-    loads: HashMap<K, u64, BuildHasherDefault<FingerprintHasher>>,
+/// ids a schema of this program computes, never outside input, so the
+/// seeded hasher's collision protection is not what is given up.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LoadTable {
+    loads: HashMap<ReducerId, u64, BuildHasherDefault<FingerprintHasher>>,
     pairs: u64,
 }
 
-impl<K: Hash + Eq> Default for LoadTable<K> {
-    fn default() -> Self {
-        LoadTable {
-            loads: HashMap::default(),
-            pairs: 0,
+impl LoadTable {
+    /// Folds `schema`'s assignment over `inputs`.
+    pub fn of<'a, I: 'a, O, S>(schema: &S, inputs: impl IntoIterator<Item = &'a I>) -> Self
+    where
+        S: SchemaJob<I, O> + ?Sized,
+    {
+        let mut table = LoadTable::default();
+        let mut record = |rid| table.record(rid);
+        for input in inputs {
+            schema.assign_into(input, &mut record);
         }
+        table
     }
-}
 
-impl<K: Hash + Eq> LoadTable<K> {
     /// Counts one key-value pair shuffled to `key`.
-    pub fn record(&mut self, key: K) {
+    pub fn record(&mut self, key: ReducerId) {
         *self.loads.entry(key).or_insert(0) += 1;
         self.pairs += 1;
     }
@@ -113,7 +165,7 @@ impl<K: Hash + Eq> LoadTable<K> {
     }
 
     /// The load of `key` (0 for a reducer the assignment never touches).
-    pub fn load(&self, key: &K) -> u64 {
+    pub fn load(&self, key: &ReducerId) -> u64 {
         self.loads.get(key).copied().unwrap_or(0)
     }
 
@@ -133,22 +185,6 @@ impl<K: Hash + Eq> LoadTable<K> {
             pairs: self.pairs,
             reducers: self.reducers(),
         }
-    }
-}
-
-impl LoadTable {
-    /// Folds `schema`'s assignment over `inputs`.
-    pub fn of<'a, I: 'a, O, S>(schema: &S, inputs: impl IntoIterator<Item = &'a I>) -> Self
-    where
-        S: SchemaJob<I, O> + ?Sized,
-    {
-        let mut table = LoadTable::default();
-        for input in inputs {
-            for rid in schema.assign(input) {
-                table.record(rid);
-            }
-        }
-        table
     }
 
     /// Every touched reducer with its load, in no particular order.
@@ -319,62 +355,18 @@ pub fn price_change(
     }
 }
 
-/// A schema as one round's mapper and reducer — the single place the
-/// workspace turns §2.2's assignment into emissions: input `i` is sent,
-/// whole, to every reducer `assign(i)` names, and reducer `r` runs
-/// `reduce(r, ..)` over what arrived.
-pub(crate) fn schema_round<'s, I, O, S>(
-    schema: &'s S,
-) -> (
-    impl Mapper<I, ReducerId, I> + 's,
-    impl Reducer<ReducerId, I, O> + 's,
-)
-where
-    I: Clone,
-    S: SchemaJob<I, O> + ?Sized,
-{
-    (
-        FnMapper(move |input: &I, emit: &mut dyn FnMut(ReducerId, I)| {
-            for r in schema.assign(input) {
-                emit(r, input.clone());
-            }
-        }),
-        FnReducer(move |rid: &ReducerId, vs: &[I], emit: &mut dyn FnMut(O)| {
-            schema.reduce(*rid, vs, emit)
-        }),
-    )
-}
-
-/// Executes a [`SchemaJob`] on the engine.
-///
-/// Returns the outputs plus the round metrics; the metrics'
-/// [`replication_rate`](RoundMetrics::replication_rate) is exactly the
-/// schema's `Σ qᵢ / |I|` from §2.2 evaluated on the given instance.
-pub fn run_schema<I, O, S>(
-    inputs: &[I],
-    schema: &S,
-    config: &EngineConfig,
-) -> Result<(Vec<O>, RoundMetrics), EngineError>
-where
-    I: Clone + Send + Sync,
-    O: Send,
-    S: SchemaJob<I, O>,
-{
-    let (mapper, reducer) = schema_round(schema);
-    run_round(inputs, &mapper, &reducer, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{run_schema, EngineConfig};
 
     /// A toy all-pairs similarity schema: inputs are small integers, each
     /// goes to reducer `x / 2`, and reducers emit every pair they hold.
     struct PairUp;
 
     impl SchemaJob<u32, (u32, u32)> for PairUp {
-        fn assign(&self, input: &u32) -> Vec<ReducerId> {
-            vec![(*input / 2) as ReducerId]
+        fn assign_into(&self, input: &u32, emit: &mut dyn FnMut(ReducerId)) {
+            emit((*input / 2) as ReducerId)
         }
         fn reduce(&self, _r: ReducerId, inputs: &[u32], emit: &mut dyn FnMut((u32, u32))) {
             for i in 0..inputs.len() {
@@ -383,6 +375,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fn_schema_adapts_closures() {
+        let schema = FnSchema(
+            |x: &u32, emit: &mut dyn FnMut(ReducerId)| {
+                emit(u64::from(*x % 3));
+                emit(u64::from(*x % 5));
+            },
+            |r: ReducerId, xs: &[u32], emit: &mut dyn FnMut(u64)| {
+                emit(r + xs.iter().map(|&x| u64::from(x)).sum::<u64>())
+            },
+        );
+        assert_eq!(SchemaJob::<u32, u64>::assign(&schema, &7), vec![1, 2]);
+        let mut out = Vec::new();
+        schema.reduce(10, &[1, 2, 3], &mut |o| out.push(o));
+        assert_eq!(out, vec![16]);
     }
 
     #[test]
@@ -399,10 +408,10 @@ mod tests {
     struct Replicate(u64);
 
     impl SchemaJob<u32, u32> for Replicate {
-        fn assign(&self, input: &u32) -> Vec<ReducerId> {
-            (0..self.0)
-                .map(|g| g * 100 + (*input as u64 % 10))
-                .collect()
+        fn assign_into(&self, input: &u32, emit: &mut dyn FnMut(ReducerId)) {
+            for g in 0..self.0 {
+                emit(g * 100 + (*input as u64 % 10));
+            }
         }
         fn reduce(&self, _r: ReducerId, _inputs: &[u32], _emit: &mut dyn FnMut(u32)) {}
     }
@@ -463,8 +472,8 @@ mod tests {
     struct Tens;
 
     impl SchemaJob<u32, u32> for Tens {
-        fn assign(&self, input: &u32) -> Vec<ReducerId> {
-            vec![(*input / 10) as ReducerId]
+        fn assign_into(&self, input: &u32, emit: &mut dyn FnMut(ReducerId)) {
+            emit((*input / 10) as ReducerId)
         }
         fn reduce(&self, _r: ReducerId, _inputs: &[u32], _emit: &mut dyn FnMut(u32)) {}
     }
@@ -564,9 +573,8 @@ mod tests {
 
     #[test]
     fn schema_deterministic_across_worker_counts() {
-        // The schema runner rides on run_round, so the partitioned shuffle
-        // must be invisible here too: identical outputs and metrics for
-        // every worker count.
+        // The partitioned shuffle must be invisible to a schema:
+        // identical outputs and metrics for every worker count.
         let inputs: Vec<u32> = (0..200).collect();
         let (seq_out, seq_m) = run_schema(&inputs, &PairUp, &EngineConfig::sequential()).unwrap();
         for workers in [2usize, 3, 8, 16] {

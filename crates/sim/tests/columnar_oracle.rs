@@ -11,8 +11,8 @@
 //! fixture; the *randomised* cross-checks (workloads, budgets, deltas)
 //! live in the unified `differential_fuzz.rs` battery.
 
-use mr_oracle::{digest_reducer, digest_round, digest_round_naive, indexed, run_round_naive};
-use mr_sim::{run_round, EngineConfig, FnMapper, FnReducer, RoundMetrics};
+use mr_oracle::{digest, digest_round, digest_round_naive, indexed, run_schema_naive, DigestRow};
+use mr_sim::{run_schema, EngineConfig, FnSchema, ReducerId, RoundMetrics};
 use proptest::test_runner::TestRng;
 
 /// Worker counts the battery sweeps on both paths.
@@ -106,44 +106,47 @@ fn overflow_offender_parity_on_scattered_hot_keys() {
     }
     keys.extend((0..500u64).map(|x| x * 17 + 3));
     let inputs = indexed(&keys);
-    let mapper = FnMapper(|&(idx, key): &(u64, u64), emit: &mut dyn FnMut(u64, u64)| {
-        emit(key, idx);
-    });
-    let reducer = FnReducer(|_: &u64, _: &[u64], _: &mut dyn FnMut(u64)| {
-        panic!("reducer must not run on an over-budget round")
-    });
+    let schema = FnSchema(
+        |&(_, key): &(u64, u64), emit: &mut dyn FnMut(ReducerId)| emit(key),
+        |_: ReducerId, _: &[(u64, u64)], _: &mut dyn FnMut(u64)| {
+            panic!("reducer must not run on an over-budget round")
+        },
+    );
     let cfg = |w: usize| EngineConfig::parallel(w).with_max_reducer_inputs(5);
-    let oracle_err = run_round_naive(&inputs, &mapper, &reducer, &cfg(1)).unwrap_err();
+    let oracle_err = run_schema_naive(&inputs, &schema, &cfg(1)).unwrap_err();
     for workers in WORKER_COUNTS {
-        let col_err = run_round(&inputs, &mapper, &reducer, &cfg(workers)).unwrap_err();
+        let col_err = run_schema(&inputs, &schema, &cfg(workers)).unwrap_err();
         assert_eq!(
             oracle_err, col_err,
             "offender diverged at workers={workers}"
         );
-        let naive_err = run_round_naive(&inputs, &mapper, &reducer, &cfg(workers)).unwrap_err();
+        let naive_err = run_schema_naive(&inputs, &schema, &cfg(workers)).unwrap_err();
         assert_eq!(oracle_err, naive_err, "oracle offender drifted");
     }
 }
 
-/// Inputs `(position, key, reps)`: the mapper emits `reps` pairs under
-/// `key`, so a case controls which map chunks emit at all.
+/// Inputs `(position, key, reps)`: each input is sent `reps` times to
+/// reducer `key`, so a case controls which map chunks emit at all; each
+/// reducer emits the [`digest`] of the positions it received.
 fn routed_round(
     inputs: &[(u64, u64, u64)],
     config: &EngineConfig,
     naive: bool,
-) -> (Vec<(u64, u64, u64)>, RoundMetrics) {
-    let mapper = FnMapper(
-        |&(idx, key, reps): &(u64, u64, u64), emit: &mut dyn FnMut(u64, u64)| {
-            for j in 0..reps {
-                emit(key, (idx << 16) + j);
+) -> (Vec<DigestRow>, RoundMetrics) {
+    let schema = FnSchema(
+        |&(_, key, reps): &(u64, u64, u64), emit: &mut dyn FnMut(ReducerId)| {
+            for _ in 0..reps {
+                emit(key);
             }
         },
+        |r: ReducerId, inputs: &[(u64, u64, u64)], emit: &mut dyn FnMut(DigestRow)| {
+            emit(digest(r, inputs.iter().map(|&(position, ..)| position)))
+        },
     );
-    let reducer = digest_reducer();
     if naive {
-        run_round_naive(inputs, &mapper, &reducer, config)
+        run_schema_naive(inputs, &schema, config)
     } else {
-        run_round(inputs, &mapper, &reducer, config)
+        run_schema(inputs, &schema, config)
     }
     .expect("no q bound set")
 }
@@ -214,7 +217,7 @@ fn routed_chunks_match_the_oracle_at_every_worker_count() {
     );
 }
 
-/// One distinct-key round whose reducer for key `k` emits `fanout(k)`
+/// One distinct-reducer round whose reducer `k` emits `fanout(k)`
 /// outputs, checked against the columnar sequential run and the naive
 /// oracle at workers 1–16. `item` builds the `j`-th
 /// output of key `k`, so the same shapes run with a zero-sized `O`.
@@ -225,20 +228,19 @@ fn assert_assembly_case<O: PartialEq + std::fmt::Debug + Send>(
 ) {
     const KEYS: u64 = 320;
     let inputs = indexed(&(0..KEYS).rev().collect::<Vec<_>>());
-    let mapper = FnMapper(|&(idx, key): &(u64, u64), emit: &mut dyn FnMut(u64, u64)| {
-        emit(key, idx);
-    });
-    let reducer = FnReducer(|k: &u64, _: &[u64], emit: &mut dyn FnMut(O)| {
-        for j in 0..fanout(*k) {
-            emit(item(*k, j));
-        }
-    });
+    let schema = FnSchema(
+        |&(_, key): &(u64, u64), emit: &mut dyn FnMut(ReducerId)| emit(key),
+        |k: ReducerId, _: &[(u64, u64)], emit: &mut dyn FnMut(O)| {
+            for j in 0..fanout(k) {
+                emit(item(k, j));
+            }
+        },
+    );
     let (seq_out, seq_m) =
-        run_round(&inputs, &mapper, &reducer, &EngineConfig::sequential()).expect("no q bound set");
+        run_schema(&inputs, &schema, &EngineConfig::sequential()).expect("no q bound set");
     assert_eq!(seq_out.len() as u64, (0..KEYS).map(&fanout).sum::<u64>());
     let (naive_out, naive_m) =
-        run_round_naive(&inputs, &mapper, &reducer, &EngineConfig::sequential())
-            .expect("no q bound set");
+        run_schema_naive(&inputs, &schema, &EngineConfig::sequential()).expect("no q bound set");
     assert_eq!(
         naive_out, seq_out,
         "[{name}] sequential diverged from naive"
@@ -246,7 +248,7 @@ fn assert_assembly_case<O: PartialEq + std::fmt::Debug + Send>(
     assert_eq!(naive_m, seq_m, "[{name}] sequential metrics diverged");
     for workers in 1..=16 {
         let cfg = EngineConfig::parallel(workers);
-        let (out, m) = run_round(&inputs, &mapper, &reducer, &cfg).expect("no q bound set");
+        let (out, m) = run_schema(&inputs, &schema, &cfg).expect("no q bound set");
         assert_eq!(
             seq_out, out,
             "[{name}] outputs diverged at workers={workers}"

@@ -12,10 +12,10 @@
 //! empty, full-churn) at every worker count 1–16.
 
 use mr_oracle::DIGEST_PLANES;
-use mr_oracle::{digest_round_naive, indexed, run_round_naive, DigestFan};
+use mr_oracle::{digest_round_naive, indexed, run_schema_naive, DigestFan};
 use mr_sim::{
-    run_round, run_schema, run_schema_retained, DagJob, Delta, EngineConfig, FnMapper, FnReducer,
-    Pipeline, RoundCensus, SchemaJob, Seq,
+    run_schema, run_schema_retained, DagJob, Delta, EngineConfig, FnSchema, Pipeline, ReducerId,
+    RoundCensus, SchemaJob, Seq,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -40,9 +40,9 @@ impl ModFan {
 }
 
 impl SchemaJob<u64, (u64, u64, u64)> for ModFan {
-    fn assign(&self, x: &u64) -> Vec<u64> {
+    fn assign_into(&self, x: &u64, emit: &mut dyn FnMut(ReducerId)) {
         let set: BTreeSet<u64> = self.fan(*x).collect();
-        set.into_iter().collect()
+        set.into_iter().for_each(emit);
     }
 
     fn reduce(&self, r: u64, inputs: &[u64], emit: &mut dyn FnMut((u64, u64, u64))) {
@@ -54,16 +54,16 @@ impl SchemaJob<u64, (u64, u64, u64)> for ModFan {
     }
 }
 
-/// `ModFan` with its repeats kept: `assign` may name one reducer more
-/// than once, and each naming sends the input there once more (the
-/// `SchemaJob::assign` contract). Over five groups with three reps, every
+/// `ModFan` with its repeats kept: an assignment may name one reducer
+/// more than once, and each naming sends the input there once more (the
+/// `SchemaJob::assign_into` contract). Over five groups with three reps, every
 /// `x ≡ 2 (mod 5)` names one reducer three times.
 #[derive(Clone)]
 struct RepeatFan(ModFan);
 
 impl SchemaJob<u64, (u64, u64, u64)> for RepeatFan {
-    fn assign(&self, x: &u64) -> Vec<u64> {
-        self.0.fan(*x).collect()
+    fn assign_into(&self, x: &u64, emit: &mut dyn FnMut(ReducerId)) {
+        self.0.fan(*x).for_each(emit);
     }
 
     fn reduce(&self, r: u64, inputs: &[u64], emit: &mut dyn FnMut((u64, u64, u64))) {
@@ -210,8 +210,8 @@ fn repeated_assignments_match_full_runs_at_every_worker_count() {
 
 /// Applies `delta` to a job retained over `base` and asserts that its
 /// priced `routing` equals what a routing round measures through
-/// `run_round`: each change mapped to `(rid, (seq, is_add))` once per
-/// naming in `assign`, and re-emitted under its reducer.
+/// `run_schema`: each change, as its `(seq, is_add)`, sent to the
+/// reducers its value's assignment names, and re-emitted there.
 fn assert_routing_is_priced_exactly<S: SchemaJob<u64, (u64, u64, u64)> + Clone>(
     at: &str,
     schema: &S,
@@ -219,29 +219,26 @@ fn assert_routing_is_priced_exactly<S: SchemaJob<u64, (u64, u64, u64)> + Clone>(
     delta: &Delta<u64>,
     config: &EngineConfig,
 ) {
-    let removed = delta
-        .removed
-        .iter()
-        .map(|&seq| (seq, base[seq as usize], false));
+    let removed = delta.removed.iter().map(|&seq| (seq, false));
     let added = (base.len() as Seq..)
-        .zip(&delta.added)
-        .map(|(seq, &v)| (seq, v, true));
-    let changed: Vec<(Seq, u64, bool)> = removed.chain(added).collect();
-    let mapper = FnMapper(
-        |op: &(Seq, u64, bool), emit: &mut dyn FnMut(u64, (Seq, bool))| {
-            for rid in schema.assign(&op.1) {
-                emit(rid, (op.0, op.2));
-            }
+        .take(delta.added.len())
+        .map(|seq| (seq, true));
+    let changed: Vec<(Seq, bool)> = removed.chain(added).collect();
+    let value = |seq: Seq| match base.get(seq as usize) {
+        Some(v) => v,
+        None => &delta.added[seq as usize - base.len()],
+    };
+    let routing = FnSchema(
+        |&(seq, _): &(Seq, bool), emit: &mut dyn FnMut(ReducerId)| {
+            schema.assign_into(value(seq), emit)
         },
-    );
-    let reducer = FnReducer(
-        |rid: &u64, ops: &[(Seq, bool)], emit: &mut dyn FnMut((u64, Seq, bool))| {
+        |rid: ReducerId, ops: &[(Seq, bool)], emit: &mut dyn FnMut((u64, Seq, bool))| {
             for &(seq, is_add) in ops {
-                emit((*rid, seq, is_add));
+                emit((rid, seq, is_add));
             }
         },
     );
-    let (_, round) = run_round(&changed, &mapper, &reducer, config).expect("no q bound set");
+    let (_, round) = run_schema(&changed, &routing, config).expect("no q bound set");
     let mut job = run_schema_retained(base, schema.clone(), Pipeline::Columnar, config)
         .expect("unbudgeted retained init cannot fail");
     let priced = job
@@ -373,7 +370,7 @@ fn random_dag(masks: &[u64]) -> DagJob<u64> {
             groups: 3 + (7 * i as u64) % 23,
             reps: 1 + (i as u64) % 3,
         };
-        dag.add_schema_round(format!("n{i}"), deps, schema);
+        dag.add_round(format!("n{i}"), deps, schema);
     }
     dag
 }
@@ -381,6 +378,15 @@ fn random_dag(masks: &[u64]) -> DagJob<u64> {
 // -----------------------------------------------------------------
 // Randomised cross-checks (the reusable fuzz loop).
 // -----------------------------------------------------------------
+
+/// Sends each [`indexed`] `(position, key)` input to reducer `key`;
+/// reducers emit nothing. A budget's verdict is all a run of it shows.
+fn budget_probe() -> impl SchemaJob<(u64, u64), ()> {
+    FnSchema(
+        |&(_, key): &(u64, u64), emit: &mut dyn FnMut(ReducerId)| emit(key),
+        |_: ReducerId, _: &[(u64, u64)], _: &mut dyn FnMut(())| {},
+    )
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -414,13 +420,9 @@ proptest! {
         workers in 1usize..17,
     ) {
         let inputs = indexed(&keys);
-        let mapper = FnMapper(|&(idx, key): &(u64, u64), emit: &mut dyn FnMut(u64, u64)| {
-            emit(key, idx);
-        });
-        let reducer = FnReducer(|_: &u64, _: &[u64], _: &mut dyn FnMut(u64)| {});
         let cfg = EngineConfig::parallel(workers).with_max_reducer_inputs(q);
-        let naive = run_round_naive(&inputs, &mapper, &reducer, &cfg);
-        let col = run_round(&inputs, &mapper, &reducer, &cfg);
+        let naive = run_schema_naive(&inputs, &budget_probe(), &cfg);
+        let col = run_schema(&inputs, &budget_probe(), &cfg);
         match (naive, col) {
             (Ok((no, nm)), Ok((co, cm))) => {
                 prop_assert_eq!(no, co);
@@ -516,13 +518,9 @@ proptest! {
         workers in 1usize..17,
     ) {
         let inputs = indexed(&keys);
-        let mapper = FnMapper(|&(idx, key): &(u64, u64), emit: &mut dyn FnMut(u64, u64)| {
-            emit(key, idx);
-        });
-        let reducer = FnReducer(|_: &u64, _: &[u64], _: &mut dyn FnMut(u64)| {});
         let cfg = |w: usize| EngineConfig::parallel(w).with_max_reducer_inputs(q);
-        let inline = run_round(&inputs, &mapper, &reducer, &cfg(1));
-        let pooled = run_round(&inputs, &mapper, &reducer, &cfg(workers));
+        let inline = run_schema(&inputs, &budget_probe(), &cfg(1));
+        let pooled = run_schema(&inputs, &budget_probe(), &cfg(workers));
         match (inline, pooled) {
             (Ok((io, im)), Ok((po, pm))) => {
                 prop_assert_eq!(io, po);
@@ -580,7 +578,7 @@ proptest! {
         let cfg = EngineConfig::parallel(workers);
         let (flat_out, flat_m) = run_schema(&inputs, &schema, &cfg).expect("no budget set");
         let mut dag = DagJob::new();
-        dag.add_schema_round("only", vec![], schema);
+        dag.add_round("only", vec![], schema);
         let (dag_out, dag_m) = dag.run(&inputs, &cfg).expect("no budget set");
         prop_assert_eq!(flat_out, dag_out);
         prop_assert_eq!(vec![flat_m], dag_m.rounds);

@@ -113,7 +113,7 @@ fn delta_applies_are_recorder_invariant() {
 fn dag_runs_are_recorder_invariant_and_name_their_levels() {
     let inputs: Vec<u64> = (0..800u64).map(|i| i * 7 + 1).collect();
     let mut dag = DagJob::new();
-    dag.add_schema_round(
+    dag.add_round(
         "src",
         vec![],
         DigestFan {
@@ -121,7 +121,7 @@ fn dag_runs_are_recorder_invariant_and_name_their_levels() {
             reps: 2,
         },
     );
-    dag.add_schema_round(
+    dag.add_round(
         "sink",
         vec![0],
         DigestFan {

@@ -17,12 +17,12 @@
 //! schedule) are pinned here too.
 
 use mr_oracle::{
-    digest_round, digest_round_naive, indexed, run_round_naive, DigestFan, DIGEST_PLANES,
+    digest_round, digest_round_naive, indexed, run_schema_naive, DigestFan, DIGEST_PLANES,
 };
 use mr_sim::{
-    fan_out, run_round, run_schema, run_schema_retained, DagJob, Delta, DeltaError, DeltaJob,
-    DeltaPrediction, EngineConfig, EngineError, FnMapper, FnReducer, Pipeline, RoundMetrics,
-    SchemaJob, Seq, WorkerPool,
+    fan_out, run_schema, run_schema_retained, DagJob, Delta, DeltaError, DeltaJob, DeltaPrediction,
+    EngineConfig, EngineError, FnSchema, Pipeline, ReducerId, RoundMetrics, SchemaJob, Seq,
+    WorkerPool,
 };
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -118,25 +118,25 @@ fn a_panicking_task_raises_the_sequential_panic() {
         }
     };
     let inputs: Vec<u64> = (0..100).collect();
-    let bad_mapper = FnMapper(|x: &u64, emit: &mut dyn FnMut(u64, u64)| {
+    let bad_assign = |x: &u64, emit: &mut dyn FnMut(ReducerId)| {
         boom(*x);
-        emit(*x, *x);
-    });
-    let good_mapper = FnMapper(|x: &u64, emit: &mut dyn FnMut(u64, u64)| emit(*x, *x));
-    let bad_reducer = FnReducer(|k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| {
-        boom(*k);
-        emit(vs[0]);
-    });
-    let good_reducer = FnReducer(|_: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| emit(vs[0]));
+        emit(*x);
+    };
+    let good_assign = |x: &u64, emit: &mut dyn FnMut(ReducerId)| emit(*x);
+    let bad_reduce = |r: ReducerId, xs: &[u64], emit: &mut dyn FnMut(u64)| {
+        boom(r);
+        emit(xs[0]);
+    };
+    let good_reduce = |_: ReducerId, xs: &[u64], emit: &mut dyn FnMut(u64)| emit(xs[0]);
     for workers in [1usize, 2, 3, 8, 16] {
         let cfg = EngineConfig::parallel(workers);
         let in_reduce = catch_unwind(AssertUnwindSafe(|| {
-            run_round(&inputs, &good_mapper, &bad_reducer, &cfg)
+            run_schema(&inputs, &FnSchema(good_assign, bad_reduce), &cfg)
         }));
         let in_map = catch_unwind(AssertUnwindSafe(|| {
-            run_round(&inputs, &bad_mapper, &good_reducer, &cfg)
+            run_schema(&inputs, &FnSchema(bad_assign, good_reduce), &cfg)
         }));
-        for (phase, caught) in [("reducer", in_reduce), ("mapper", in_map)] {
+        for (phase, caught) in [("reducer", in_reduce), ("assignment", in_map)] {
             let payload = caught.expect_err("the round must panic");
             assert_eq!(
                 panic_message(payload),
@@ -147,7 +147,8 @@ fn a_panicking_task_raises_the_sequential_panic() {
     }
     // The resident pool took those panicking batches and is still whole.
     let cfg = EngineConfig::parallel(4);
-    let (out, _) = run_round(&inputs, &good_mapper, &good_reducer, &cfg).expect("no q bound set");
+    let good = FnSchema(good_assign, good_reduce);
+    let (out, _) = run_schema(&inputs, &good, &cfg).expect("no q bound set");
     assert_eq!(out, inputs);
 }
 
@@ -224,24 +225,18 @@ fn overflow_offenders_are_executor_independent() {
     }
     keys.extend((0..500u64).map(|x| x * 17 + 3));
     let inputs = indexed(&keys);
-    let mapper = FnMapper(|&(idx, key): &(u64, u64), emit: &mut dyn FnMut(u64, u64)| {
-        emit(key, idx);
-    });
-    let reducer = FnReducer(|_: &u64, _: &[u64], _: &mut dyn FnMut(u64)| {
-        panic!("reducer must not run on an over-budget round")
-    });
+    let schema = FnSchema(
+        |&(_, key): &(u64, u64), emit: &mut dyn FnMut(ReducerId)| emit(key),
+        |_: ReducerId, _: &[(u64, u64)], _: &mut dyn FnMut(u64)| {
+            panic!("reducer must not run on an over-budget round")
+        },
+    );
     let cfg = |w: usize| EngineConfig::parallel(w).with_max_reducer_inputs(5);
-    let truth = run_round(&inputs, &mapper, &reducer, &cfg(1)).unwrap_err();
+    let truth = run_schema(&inputs, &schema, &cfg(1)).unwrap_err();
     for workers in WORKER_COUNTS {
         let planes = [
-            (
-                "columnar",
-                run_round(&inputs, &mapper, &reducer, &cfg(workers)),
-            ),
-            (
-                "naive",
-                run_round_naive(&inputs, &mapper, &reducer, &cfg(workers)),
-            ),
+            ("columnar", run_schema(&inputs, &schema, &cfg(workers))),
+            ("naive", run_schema_naive(&inputs, &schema, &cfg(workers))),
         ];
         for (plane, result) in planes {
             assert_eq!(
@@ -313,8 +308,8 @@ const POISON: u64 = 666_666;
 struct Poisoned(DigestFan);
 
 impl SchemaJob<u64, u64> for Poisoned {
-    fn assign(&self, x: &u64) -> Vec<u64> {
-        self.0.assign(x)
+    fn assign_into(&self, x: &u64, emit: &mut dyn FnMut(ReducerId)) {
+        self.0.assign_into(x, emit)
     }
 
     fn reduce(&self, r: u64, inputs: &[u64], emit: &mut dyn FnMut(u64)) {
@@ -415,7 +410,7 @@ fn a_failed_apply_leaves_the_retained_job_unchanged() {
 /// staging nests pool-backed rounds inside pool-backed level fan-outs.
 fn diamond_dag() -> DagJob<u64> {
     let mut dag = DagJob::new();
-    let a = dag.add_schema_round(
+    let a = dag.add_round(
         "a",
         vec![],
         DigestFan {
@@ -423,7 +418,7 @@ fn diamond_dag() -> DagJob<u64> {
             reps: 2,
         },
     );
-    let b = dag.add_schema_round(
+    let b = dag.add_round(
         "b",
         vec![],
         DigestFan {
@@ -431,7 +426,7 @@ fn diamond_dag() -> DagJob<u64> {
             reps: 3,
         },
     );
-    let join = dag.add_schema_round(
+    let join = dag.add_round(
         "join",
         vec![a, b],
         DigestFan {
@@ -439,7 +434,7 @@ fn diamond_dag() -> DagJob<u64> {
             reps: 2,
         },
     );
-    dag.add_schema_round("tail", vec![join], DigestFan { groups: 7, reps: 1 });
+    dag.add_round("tail", vec![join], DigestFan { groups: 7, reps: 1 });
     dag
 }
 
@@ -468,7 +463,7 @@ const BAD_KEY: u64 = 3;
 /// fan-out nested inside the level's node fan-out, both on the pool.
 fn panicking_dag() -> DagJob<u64> {
     let mut dag = DagJob::new();
-    let src = dag.add_schema_round(
+    let src = dag.add_round(
         "src",
         vec![],
         DigestFan {
@@ -476,7 +471,7 @@ fn panicking_dag() -> DagJob<u64> {
             reps: 2,
         },
     );
-    dag.add_schema_round(
+    dag.add_round(
         "left",
         vec![src],
         DigestFan {
@@ -487,13 +482,15 @@ fn panicking_dag() -> DagJob<u64> {
     dag.add_round(
         "right",
         vec![src],
-        FnMapper(|x: &u64, emit: &mut dyn FnMut(u64, u64)| emit(x % 5, *x)),
-        FnReducer(|k: &u64, vs: &[u64], emit: &mut dyn FnMut(u64)| {
-            if *k == BAD_KEY {
-                panic!("node right cannot reduce key {k}");
-            }
-            emit(vs.iter().fold(0u64, |acc, v| acc.wrapping_add(*v)))
-        }),
+        FnSchema(
+            |x: &u64, emit: &mut dyn FnMut(ReducerId)| emit(x % 5),
+            |r: ReducerId, xs: &[u64], emit: &mut dyn FnMut(u64)| {
+                if r == BAD_KEY {
+                    panic!("node right cannot reduce key {r}");
+                }
+                emit(xs.iter().fold(0u64, |acc, x| acc.wrapping_add(*x)))
+            },
+        ),
     );
     dag
 }

@@ -9,7 +9,7 @@
 //! budgets, deltas) live in the unified `differential_fuzz.rs` battery.
 
 use mr_oracle::{digest_round, indexed};
-use mr_sim::{run_round, EngineConfig, EngineError, FnMapper, FnReducer};
+use mr_sim::{run_schema, EngineConfig, EngineError, FnSchema, ReducerId};
 use proptest::test_runner::TestRng;
 
 /// Worker counts the battery sweeps, per the shuffle acceptance criteria.
@@ -85,21 +85,21 @@ fn concurrent_overflows_report_the_sequential_offender() {
     // A thin tail of distinct keys so partitions also hold innocent keys.
     keys.extend((0..500u64).map(|x| x * 17 + 3));
     let inputs = indexed(&keys);
-    let mapper = FnMapper(|&(idx, key): &(u64, u64), emit: &mut dyn FnMut(u64, u64)| {
-        emit(key, idx);
-    });
-    let reducer = FnReducer(|_: &u64, _: &[u64], _: &mut dyn FnMut(u64)| {
-        panic!("reducer must not run on an over-budget round")
-    });
+    let schema = FnSchema(
+        |&(_, key): &(u64, u64), emit: &mut dyn FnMut(ReducerId)| emit(key),
+        |_: ReducerId, _: &[(u64, u64)], _: &mut dyn FnMut(u64)| {
+            panic!("reducer must not run on an over-budget round")
+        },
+    );
     let cfg = |w: usize| EngineConfig::parallel(w).with_max_reducer_inputs(5);
-    let seq_err = run_round(&inputs, &mapper, &reducer, &cfg(1)).unwrap_err();
+    let seq_err = run_schema(&inputs, &schema, &cfg(1)).unwrap_err();
     // The smallest over-budget key in key order is hot key 11 (hot = 0).
     let EngineError::ReducerOverflow { key, load, limit } = &seq_err;
     assert_eq!(key, "11");
     assert_eq!(*load, 8);
     assert_eq!(*limit, 5);
     for workers in [2usize, 3, 8, 16] {
-        let par_err = run_round(&inputs, &mapper, &reducer, &cfg(workers)).unwrap_err();
+        let par_err = run_schema(&inputs, &schema, &cfg(workers)).unwrap_err();
         assert_eq!(seq_err, par_err, "offender diverged at workers={workers}");
     }
 }

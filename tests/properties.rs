@@ -16,7 +16,7 @@ use mapreduce_bounds::core::problems::sample_graph::MultisetPartitionSchema;
 use mapreduce_bounds::core::problems::two_path::BucketPairSchema;
 use mapreduce_bounds::graph::{gen, patterns, subgraph};
 use mapreduce_bounds::lp::{fractional_edge_cover, Hypergraph};
-use mapreduce_bounds::sim::{run_round, run_schema, EngineConfig, FnMapper, FnReducer};
+use mapreduce_bounds::sim::{run_schema, EngineConfig, FnSchema, ReducerId};
 use proptest::prelude::*;
 
 proptest! {
@@ -31,16 +31,18 @@ proptest! {
         buckets in 1u32..20,
         workers in 2usize..8,
     ) {
-        let mapper = FnMapper(move |x: &u32, emit: &mut dyn FnMut(u32, u32)| {
-            for t in 0..fanout {
-                emit((x + t) % buckets, *x);
-            }
-        });
-        let reducer = FnReducer(|k: &u32, vs: &[u32], emit: &mut dyn FnMut((u32, u64))| {
-            emit((*k, vs.iter().map(|&v| v as u64).sum()))
-        });
-        let (o1, m1) = run_round(&inputs, &mapper, &reducer, &EngineConfig::sequential()).unwrap();
-        let (o2, m2) = run_round(&inputs, &mapper, &reducer, &EngineConfig::parallel(workers)).unwrap();
+        let schema = FnSchema(
+            move |x: &u32, emit: &mut dyn FnMut(ReducerId)| {
+                for t in 0..fanout {
+                    emit(u64::from((x + t) % buckets));
+                }
+            },
+            |r: ReducerId, xs: &[u32], emit: &mut dyn FnMut((u64, u64))| {
+                emit((r, xs.iter().map(|&x| x as u64).sum()))
+            },
+        );
+        let (o1, m1) = run_schema(&inputs, &schema, &EngineConfig::sequential()).unwrap();
+        let (o2, m2) = run_schema(&inputs, &schema, &EngineConfig::parallel(workers)).unwrap();
         prop_assert_eq!(o1, o2);
         prop_assert_eq!(m1.clone(), m2);
         // Replication identity: Σ qᵢ = kv_pairs = r·|I|.
