@@ -73,3 +73,41 @@ pub use pool::{fan_out, Executor, WorkerPool};
 pub use schema::{
     price_change, FnSchema, LoadHistogram, LoadTable, ReducerId, RoundCensus, SchemaJob,
 };
+
+/// A round written as two closures, named as the paper names them:
+/// [`FnSchema`]'s assignment closure is the round's mapper (it sends each
+/// input to reducers), its reduce closure the round's reducer.
+#[cfg(test)]
+mod mapper {
+    mod tests {
+        use crate::{FnSchema, ReducerId, SchemaJob};
+
+        fn mod_sum() -> impl SchemaJob<u32, u64> {
+            FnSchema(
+                |x: &u32, emit: &mut dyn FnMut(ReducerId)| {
+                    emit(u64::from(*x % 3));
+                    emit(u64::from(*x % 5));
+                },
+                |r: ReducerId, xs: &[u32], emit: &mut dyn FnMut(u64)| {
+                    emit(r + xs.iter().map(|&x| u64::from(x)).sum::<u64>())
+                },
+            )
+        }
+
+        #[test]
+        fn fn_mapper_adapts_closures() {
+            let schema = mod_sum();
+            let mut reducers = Vec::new();
+            schema.assign_into(&7, &mut |r| reducers.push(r));
+            assert_eq!(reducers, vec![1, 2]);
+            assert_eq!(schema.assign(&7), reducers);
+        }
+
+        #[test]
+        fn fn_reducer_adapts_closures() {
+            let mut out = Vec::new();
+            mod_sum().reduce(10, &[1, 2, 3], &mut |o| out.push(o));
+            assert_eq!(out, vec![16]);
+        }
+    }
+}

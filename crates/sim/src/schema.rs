@@ -378,23 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn fn_schema_adapts_closures() {
-        let schema = FnSchema(
-            |x: &u32, emit: &mut dyn FnMut(ReducerId)| {
-                emit(u64::from(*x % 3));
-                emit(u64::from(*x % 5));
-            },
-            |r: ReducerId, xs: &[u32], emit: &mut dyn FnMut(u64)| {
-                emit(r + xs.iter().map(|&x| u64::from(x)).sum::<u64>())
-            },
-        );
-        assert_eq!(SchemaJob::<u32, u64>::assign(&schema, &7), vec![1, 2]);
-        let mut out = Vec::new();
-        schema.reduce(10, &[1, 2, 3], &mut |o| out.push(o));
-        assert_eq!(out, vec![16]);
-    }
-
-    #[test]
     fn schema_runs_and_measures() {
         let inputs: Vec<u32> = (0..8).collect();
         let (out, m) = run_schema(&inputs, &PairUp, &EngineConfig::sequential()).unwrap();
