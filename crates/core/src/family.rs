@@ -225,8 +225,8 @@ pub struct FamilyPoint {
     /// Shuffle partition skew (execution metadata; 1 partition when the
     /// engine runs sequentially, so 1.0 or 0.0 there).
     pub partition_skew: f64,
-    /// Bytes the columnar shuffle moved — `pairs × (fingerprint + key +
-    /// value width)`, the value being one of the family's typed inputs:
+    /// Bytes the columnar shuffle moved — `pairs × (reducer id + value
+    /// width)`, the value being one of the family's typed inputs:
     /// the paper's communication cost in bytes rather than pairs.
     /// Execution metadata, like `wall`.
     pub shuffle_bytes: u64,

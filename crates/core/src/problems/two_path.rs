@@ -193,26 +193,23 @@ impl BucketPairSchema {
         )
     }
 
-    /// Reducers for edge `(a, b)`: `[b, {h(a), *}]` and `[a, {*, h(b)}]`.
-    fn edge_reducers(&self, a: u32, b: u32) -> Vec<ReducerId> {
-        let mut ids = Vec::with_capacity(2 * (self.k as usize - 1));
-        for (centre, other) in [(b, a), (a, b)] {
+    /// Emits the reducers of edge `(a, b)`, `[b, {h(a), *}]` and
+    /// `[a, {*, h(b)}]`, in ascending id order without repeats: the two
+    /// centres' reducer sets are disjoint (id `u·k² + i·k + j` with
+    /// `i·k + j < k²`), so the smaller centre goes first, and each
+    /// centre's pairs `{h, *}` ascend as `*` does.
+    fn edge_reducers(&self, a: u32, b: u32, emit: &mut dyn FnMut(ReducerId)) {
+        let (lo, hi) = (a.min(b), a.max(b));
+        for (centre, other) in [(lo, hi), (hi, lo)] {
             let h = self.bucket(other);
-            for star in 0..self.k {
-                if star == h {
-                    continue;
-                }
-                let (i, j) = if h < star { (h, star) } else { (star, h) };
-                ids.push(self.encode(centre, i, j));
+            for star in (0..self.k).filter(|&star| star != h) {
+                emit(self.encode(centre, h.min(star), h.max(star)));
             }
         }
-        ids.sort_unstable();
-        ids.dedup();
-        ids
     }
 
-    /// Replication rate `2(k−1)` (before deduplication of coincident
-    /// reducers).
+    /// Replication rate `2(k−1)`: every edge reaches `k − 1` reducers
+    /// at each endpoint, and no two of them coincide.
     pub fn nominal_replication(&self) -> f64 {
         2.0 * (self.k as f64 - 1.0)
     }
@@ -235,7 +232,9 @@ impl BucketPairSchema {
 
 impl MappingSchema<TwoPathProblem> for BucketPairSchema {
     fn assign(&self, input: &(u32, u32)) -> Vec<ReducerId> {
-        self.edge_reducers(input.0, input.1)
+        let mut ids = Vec::with_capacity(2 * (self.k as usize - 1));
+        self.edge_reducers(input.0, input.1, &mut |id| ids.push(id));
+        ids
     }
 
     fn max_inputs_per_reducer(&self) -> u64 {
@@ -251,9 +250,7 @@ impl MappingSchema<TwoPathProblem> for BucketPairSchema {
 
 impl SchemaJob<Edge, (u32, u32, u32)> for BucketPairSchema {
     fn assign_into(&self, input: &Edge, emit: &mut dyn FnMut(ReducerId)) {
-        self.edge_reducers(input.u, input.v)
-            .into_iter()
-            .for_each(emit)
+        self.edge_reducers(input.u, input.v, emit)
     }
 
     fn reduce(&self, reducer: ReducerId, inputs: &[Edge], emit: &mut dyn FnMut((u32, u32, u32))) {
@@ -282,7 +279,7 @@ mod tests {
     use super::*;
     use crate::model::validate_schema;
     use crate::recipe::max_outputs_covered;
-    use mr_graph::{gen, subgraph};
+    use mr_graph::{gen, subgraph, Graph};
     use mr_sim::{run_schema, EngineConfig};
 
     #[test]
@@ -329,12 +326,43 @@ mod tests {
             let s = BucketPairSchema::new(n, k);
             let report = validate_schema(&p, &s);
             assert!(report.is_valid(), "k={k}: {report:?}");
-            // r ≤ 2(k−1); equality when no dedup collapses reducers.
+            // r = 2(k−1): no two of an edge's reducers coincide.
             assert!(
-                report.replication_rate <= s.nominal_replication() + 1e-9,
+                (report.replication_rate - s.nominal_replication()).abs() < 1e-9,
                 "k={k}: r={}",
                 report.replication_rate
             );
+        }
+    }
+
+    #[test]
+    fn bucket_pair_reducers_ascend_without_repeats() {
+        // The order and distinctness `edge_reducers` claims, so the
+        // assignment needs no sort and no dedup: every edge of the
+        // complete graph, against the §5.4.2 definition sorted, at two to
+        // six buckets, through both the engine's and the model's form.
+        let n = 13;
+        for k in 2..=6 {
+            let s = BucketPairSchema::new(n, k);
+            for e in Graph::complete(n as usize).edges() {
+                let mut expect = Vec::new();
+                for (centre, other) in [(e.v, e.u), (e.u, e.v)] {
+                    let h = s.bucket(other);
+                    for star in (0..k).filter(|&star| star != h) {
+                        expect.push(s.encode(centre, h.min(star), h.max(star)));
+                    }
+                }
+                expect.sort_unstable();
+                let ids = SchemaJob::assign(&s, e);
+                assert!(
+                    ids.windows(2).all(|w| w[0] < w[1]),
+                    "k={k} edge {e}: {ids:?}"
+                );
+                assert_eq!(ids, expect, "k={k} edge {e}");
+                for input in [(e.u, e.v), (e.v, e.u)] {
+                    assert_eq!(MappingSchema::assign(&s, &input), expect, "k={k} {input:?}");
+                }
+            }
         }
     }
 

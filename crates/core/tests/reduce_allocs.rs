@@ -1,8 +1,8 @@
 //! The distance-`d` Splitting reducer allocates nothing per candidate
 //! pair; `assign_into` — what the engine's map, the census and a delta's
-//! routing call per input — allocates nothing for the Splitting and
-//! multiset-partition schemas, so a census allocates per reducer, never
-//! per input; a retained delta apply makes a quarter of an allocation per
+//! routing call per input — allocates nothing for the Splitting,
+//! multiset-partition and bucket-pair schemas, so a census allocates per
+//! reducer, never per input; a retained delta apply makes a quarter of an allocation per
 //! change, never one per change or per dirty reducer; and the
 //! multiset-partition `assign`
 //! allocates only the `Vec` it returns — all pinned as counts, so the
@@ -15,6 +15,7 @@
 
 use mr_core::problems::hamming::splitting::DistanceDSplittingSchema;
 use mr_core::problems::sample_graph::MultisetPartitionSchema;
+use mr_core::problems::two_path::BucketPairSchema;
 use mr_graph::{patterns, Graph};
 use mr_sim::schema::{ReducerId, SchemaJob};
 use mr_sim::{run_schema_retained, Delta, EngineConfig, LoadTable, Pipeline, Seq};
@@ -225,6 +226,26 @@ fn multiset_assign_into_allocates_nothing() {
             });
             assert_eq!(n, 0, "s={} k={}: edge {e} allocated", schema.s, schema.k);
             assert_eq!(reducers, SchemaJob::assign(&schema, e).len());
+        }
+    }
+}
+
+#[test]
+fn bucket_pair_assign_into_allocates_nothing() {
+    // §5.4.2's 2(k − 1) reducers per edge come out already ascending, so
+    // no edge builds, sorts or dedups a list of them.
+    for k in [2, 3, 6] {
+        let schema = BucketPairSchema::new(12, k);
+        for e in Graph::complete(12).edges() {
+            let mut reducers = 0;
+            let n = allocations_during(|| {
+                schema.assign_into(e, &mut |r| {
+                    std::hint::black_box(r);
+                    reducers += 1;
+                })
+            });
+            assert_eq!(n, 0, "k={k}: edge {e} allocated");
+            assert_eq!(reducers as f64, schema.nominal_replication(), "k={k}");
         }
     }
 }

@@ -25,11 +25,11 @@ use std::hash::Hasher;
 /// reducer, ascending by id, inputs in arrival order.
 type Groups<V> = Vec<(ReducerId, Vec<V>)>;
 
-/// Bytes one `(fingerprint, reducer id, input)` triple occupies in the
-/// columnar shuffle — `mr-sim`'s unit behind
+/// Bytes one `(reducer id, input)` pair — §2.2's key-value pair —
+/// occupies in the columnar shuffle: `mr-sim`'s unit behind
 /// [`ShuffleStats::bytes_moved`], which this oracle reports too.
 fn pair_bytes<V>() -> u64 {
-    (2 * std::mem::size_of::<u64>() + std::mem::size_of::<V>()) as u64
+    (std::mem::size_of::<ReducerId>() + std::mem::size_of::<V>()) as u64
 }
 
 /// The pre-columnar deterministic, seed-free multiply-rotate hasher
@@ -102,7 +102,7 @@ where
         for (rid, vs) in &groups {
             if vs.len() as u64 > q {
                 return Err(EngineError::ReducerOverflow {
-                    key: rid.to_string(),
+                    key: *rid,
                     load: vs.len() as u64,
                     limit: q,
                 });
@@ -250,7 +250,7 @@ fn shuffle_partitioned<V: Send>(
             }
             let (k, load) = worst.expect("a flagged partition must contain an offender");
             return Err(EngineError::ReducerOverflow {
-                key: k.to_string(),
+                key: *k,
                 load,
                 limit: q,
             });

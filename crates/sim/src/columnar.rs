@@ -5,12 +5,12 @@
 //! (comparison-bound, pointer-chasing, one allocation per distinct key),
 //! the shuffle moves flat **columns**:
 //!
-//! 1. **Fingerprint at emit.** Every key — a [`ReducerId`](crate::schema::ReducerId)
-//!    — is hashed exactly once, as the assignment emits it, to a
-//!    seed-free 64-bit fingerprint
-//!    ([`fingerprint_of`]). Emissions land in [`ColumnBuf`]s — three
-//!    parallel arrays `(hashes, keys, vals)` — so the map phase is pure
-//!    appends.
+//! 1. **Route by fingerprint at emit.** Every key — a
+//!    [`ReducerId`](crate::schema::ReducerId) — is hashed, as the
+//!    assignment emits it, to a seed-free 64-bit fingerprint
+//!    ([`fingerprint_of`]) that picks its column. Emissions land in
+//!    [`ColumnBuf`]s — two parallel arrays `(keys, vals)`, the paper's
+//!    key-value pairs — so the map phase is pure appends.
 //! 2. **Radix partition by hash bits, at emit.** The *top* fingerprint
 //!    bits route a pair to its shuffle partition ([`partition_of_hash`],
 //!    one partition per worker); inside a partition the *low* bits select
@@ -23,15 +23,12 @@
 //!    one-partition case of the same route.
 //! 3. **Group each bucket with an open-addressing table.** A small
 //!    linear-probing table (bucket-sized, cache-resident) maps each
-//!    fingerprint to a group id in one `O(n)` pass — no per-pair sort at
-//!    all ([`group_buckets`]). Groups are discovered in first-arrival
-//!    order, so a prefix sum over group sizes places every value with one
-//!    more pass. Distinct keys that collide on the full 64-bit
-//!    fingerprint (possible, vanishingly rare) are detected during
-//!    probing and that bucket falls back to an exact sort-based path (two
-//!    slice sorts: rows by `(fingerprint, arrival)`, then each
-//!    equal-fingerprint run by `(key, arrival)`), so grouping never
-//!    trusts the hash alone.
+//!    reducer id to a group id in one `O(n)` pass — no per-pair sort at
+//!    all ([`group_buckets`]). The fingerprint, re-derived from the id,
+//!    only picks where a probe starts; a slot matches when its group's id
+//!    equals the pair's, so distinct ids never share a group. Groups are
+//!    discovered in first-arrival order, so a prefix sum over group sizes
+//!    places every value with one more pass.
 //!
 //! The result is a [`GroupedRun`]: a flat `values` column holding every
 //! group's values contiguously (arrival order within a group) plus one
@@ -64,9 +61,10 @@ const SEED: u64 = 0x2545_f491_4f6c_dd1d;
 /// 64×64→128 multiply whose halves are folded together with xor — a
 /// single widening multiply instruction, yet every input bit reaches both
 /// the top output bits that route partitions and the low bits that select
-/// radix buckets). The hash runs once per emitted pair, so its latency
-/// is map-phase hot; this is deliberately the cheapest mix that still
-/// passes the spread tests below.
+/// radix buckets). The hash runs twice per emitted pair — to route it at
+/// emit and to start its probe when its bucket is grouped — so its
+/// latency is hot in both phases; this is deliberately the cheapest mix
+/// that still passes the spread tests below.
 pub(crate) struct FingerprintHasher(u64);
 
 impl Default for FingerprintHasher {
@@ -106,8 +104,8 @@ impl Hasher for FingerprintHasher {
     }
 }
 
-/// The reducer id's 64-bit shuffle fingerprint, computed once at emit
-/// time.
+/// The reducer id's 64-bit shuffle fingerprint: its route at emit time
+/// and its probe start when its bucket is grouped.
 #[inline]
 pub(crate) fn fingerprint_of(key: u64) -> u64 {
     let mut h = FingerprintHasher::default();
@@ -126,14 +124,12 @@ pub(crate) fn partition_of_hash(h: u64, partitions: usize) -> usize {
     ((u128::from(h) * partitions as u128) >> 64) as usize
 }
 
-/// Flat, append-only emission storage: three parallel columns
-/// `(hashes, keys, vals)` of equal length. This is the unit the map
-/// phase routes into and the grouping stage consumes — `(key, value)` pairs
-/// never exist as boxed or tree-resident values anywhere in the data
-/// plane.
+/// Flat, append-only emission storage: two parallel columns
+/// `(keys, vals)` of equal length, one entry per key-value pair. This is
+/// the unit the map phase routes into and the grouping stage consumes —
+/// `(key, value)` pairs never exist as boxed or tree-resident values
+/// anywhere in the data plane.
 pub(crate) struct ColumnBuf<V> {
-    /// Per-emission key fingerprints (computed once, at emit).
-    pub hashes: Vec<u64>,
     /// Emitted reducer ids, in emission order.
     pub keys: Vec<u64>,
     /// Emitted values, in emission order.
@@ -141,12 +137,11 @@ pub(crate) struct ColumnBuf<V> {
 }
 
 impl<V> ColumnBuf<V> {
-    /// An empty buffer with all three columns preallocated for `n`
+    /// An empty buffer with both columns preallocated for `n`
     /// emissions, so a column whose share of the round is known (or
     /// bounded) never grows mid-map.
     pub fn with_capacity(n: usize) -> Self {
         ColumnBuf {
-            hashes: Vec::with_capacity(n),
             keys: Vec::with_capacity(n),
             vals: Vec::with_capacity(n),
         }
@@ -154,20 +149,18 @@ impl<V> ColumnBuf<V> {
 
     /// Number of buffered emissions.
     pub fn len(&self) -> usize {
-        self.hashes.len()
+        self.keys.len()
     }
 
-    /// Appends a pair whose fingerprint is already known.
+    /// Appends a pair.
     #[inline]
-    pub fn push(&mut self, hash: u64, key: u64, val: V) {
-        self.hashes.push(hash);
+    pub fn push(&mut self, key: u64, val: V) {
         self.keys.push(key);
         self.vals.push(val);
     }
 
     /// Appends all of `other`'s emissions (in order) to `self`.
     pub fn append(&mut self, mut other: ColumnBuf<V>) {
-        self.hashes.append(&mut other.hashes);
         self.keys.append(&mut other.keys);
         self.vals.append(&mut other.vals);
     }
@@ -328,8 +321,9 @@ pub(crate) fn bucket_count(n: usize) -> usize {
 /// allocations total instead of O(buckets × vectors).
 #[derive(Default)]
 struct GroupScratch {
-    /// Open-addressing probe table: fingerprint → local group id
-    /// (`u32::MAX` = empty). Sized to 2× the bucket, power of two.
+    /// Open-addressing probe table: reducer id → local group id
+    /// (`u32::MAX` = empty), probed from the id's fingerprint. Sized to
+    /// 2× the bucket, power of two.
     table: Vec<u32>,
     /// Local group id of each bucket position.
     group_of: Vec<u32>,
@@ -385,13 +379,9 @@ pub(crate) fn group_buckets<V>(chunks: Vec<Vec<ColumnBuf<V>>>) -> GroupedRun<V> 
     run
 }
 
-/// Groups one radix bucket with a linear-probing fingerprint table —
-/// `O(n)`, no sorting — and appends its groups to `out`.
-///
-/// The probe pass assigns each pair a local group id (first-arrival
-/// order) and compares keys whenever two pairs share a fingerprint; if
-/// any such pair has *different* keys (a full 64-bit collision), the
-/// bucket is handed to the exact sort-based cold path instead.
+/// Groups one radix bucket with a linear-probing table keyed by reducer
+/// id — `O(n)`, no sorting — and appends its groups to `out`. The probe
+/// pass assigns each pair a local group id in first-arrival order.
 #[allow(unsafe_code)]
 fn group_bucket_hashed<V>(
     bucket: ColumnBuf<V>,
@@ -409,17 +399,14 @@ fn group_bucket_hashed<V>(
         lens,
         starts,
     } = scratch;
-    let ColumnBuf {
-        hashes,
-        keys,
-        mut vals,
-    } = bucket;
+    let ColumnBuf { keys, mut vals } = bucket;
 
     // Probe: one pass assigns local group ids in first-arrival order.
-    // The table holds group ids; a slot's fingerprint lives in
-    // `hashes[reps[id]]`, keeping the table itself 4 bytes per slot so
-    // a whole bucket's table stays cache-resident. The probe start skips
-    // the low 8 bits — those selected the bucket and are constant here.
+    // The table holds group ids; a slot's id lives in `keys[reps[slot]]`,
+    // keeping the table itself 4 bytes per slot so a whole bucket's table
+    // stays cache-resident. The probe starts at the id's fingerprint,
+    // skipping the low 8 bits — those selected the bucket and are
+    // constant here.
     let tsize = (n * 2).next_power_of_two();
     let tmask = tsize - 1;
     table.clear();
@@ -427,9 +414,8 @@ fn group_bucket_hashed<V>(
     group_of.clear();
     reps.clear();
     lens.clear();
-    let mut collided = false;
-    for (j, &h) in hashes.iter().enumerate() {
-        let mut idx = (h >> 8) as usize & tmask;
+    for (j, &key) in keys.iter().enumerate() {
+        let mut idx = (fingerprint_of(key) >> 8) as usize & tmask;
         let gid = loop {
             let slot = table[idx];
             if slot == u32::MAX {
@@ -439,24 +425,13 @@ fn group_bucket_hashed<V>(
                 lens.push(0);
                 break g;
             }
-            let rep = reps[slot as usize] as usize;
-            if hashes[rep] == h {
-                if keys[rep] != keys[j] {
-                    collided = true;
-                }
+            if keys[reps[slot as usize] as usize] == key {
                 break slot;
             }
             idx = (idx + 1) & tmask;
         };
         lens[gid as usize] += 1;
         group_of.push(gid);
-    }
-    if collided {
-        // A full 64-bit fingerprint collision between distinct keys:
-        // essentially never for a real hash, but correctness cannot
-        // depend on that. Regroup this bucket exactly by sorting.
-        group_bucket_sorted(ColumnBuf { hashes, keys, vals }, out);
-        return;
     }
 
     // Prefix-sum the group sizes into per-group value offsets (relative
@@ -494,10 +469,12 @@ fn group_bucket_hashed<V>(
     // `vals`' length is zeroed first so its elements are never dropped in
     // place, nothing between the two `set_len`s can panic, and the output
     // length is raised only after all n writes.
-    // Price: the safe twin (a cycle-swap permutation of `vals`, then one
-    // append) cost `matmul_tree` `seq_iter_ms_p50` +12.4 % (0/8 pairs
-    // better) and `hamming_join` +7.1 % (1/8) — medians of 8 alternated
-    // 25 s `mr-perf --trace 0` pairs on a 2-core host, 2026-10-17.
+    // Price: the safe twin (each value's destination written over its
+    // group id, a cycle-swap permutation of `vals`, then one append) cost
+    // `matmul_tree` `seq_iter_ms_p50` +10.3 % (3/10 pairs better) and
+    // `hamming_join` `iter_ms_p50` +7.2 % (3/10), `seq_iter_ms_p50`
+    // +4.6 % (2/10) — medians of 10 alternated 25 s `mr-perf --trace 0`
+    // pairs on a 2-core host, 2026-10-19, with the two-column buckets.
     unsafe {
         let dst = out.values.as_mut_ptr().add(old_len);
         let src = vals.as_ptr();
@@ -510,41 +487,6 @@ fn group_bucket_hashed<V>(
             std::ptr::copy_nonoverlapping(src.add(j), dst.add(d as usize), 1);
         }
         out.values.set_len(old_len + n);
-    }
-}
-
-/// Exact sort-based grouping of one bucket — the cold path for full
-/// fingerprint collisions (and the reference the hot path must match):
-/// sort the `(fingerprint, arrival, key, value)` rows by `(fingerprint,
-/// arrival)`, which never compares a key, then re-sort each
-/// equal-fingerprint run by `(key, arrival)` and cut a group wherever the
-/// fingerprint or the key changes.
-fn group_bucket_sorted<V>(bucket: ColumnBuf<V>, out: &mut GroupedRun<V>) {
-    let ColumnBuf { hashes, keys, vals } = bucket;
-    let mut rows: Vec<(u64, u32, u64, V)> = hashes
-        .into_iter()
-        .zip(keys)
-        .zip(vals)
-        .enumerate()
-        .map(|(i, ((h, k), v))| (h, i as u32, k, v))
-        .collect();
-    rows.sort_unstable_by_key(|&(h, arrival, ..)| (h, arrival));
-    for run in rows.chunk_by_mut(|a, b| a.0 == b.0) {
-        run.sort_unstable_by_key(|&(_, arrival, key, _)| (key, arrival));
-    }
-    // Exactly one key per group survives; the duplicates drop here.
-    let mut prev = None;
-    for (h, _, key, val) in rows {
-        match out.groups.last_mut() {
-            Some(g) if prev == Some(h) && g.key == key => g.len += 1,
-            _ => out.groups.push(Group {
-                key,
-                start: out.values.len() as u32,
-                len: 1,
-            }),
-        }
-        prev = Some(h);
-        out.values.push(val);
     }
 }
 
@@ -703,106 +645,96 @@ mod tests {
         }
     }
 
-    /// Builds a ColumnBuf with *fabricated* fingerprints, to drive the
-    /// collision paths that real 64-bit fingerprints essentially never
-    /// hit.
-    fn buf_with_hashes(rows: &[(u64, u64, u64)]) -> ColumnBuf<u64> {
-        let mut buf = ColumnBuf::with_capacity(rows.len());
-        for &(h, k, v) in rows {
-            buf.push(h, k, v);
-        }
-        buf
-    }
-
     fn groups_of(run: &GroupedRun<u64>) -> Vec<(u64, Vec<u64>)> {
         (0..run.len())
             .map(|i| (run.groups[i].key, run.values_of(i).to_vec()))
             .collect()
     }
 
-    /// Routes `rows` (with their given fingerprints) as one map chunk
-    /// into `p × bc` columns by [`column_of`], partition-major.
-    fn route(rows: &[(u64, u64, u64)], p: usize, bc: usize) -> Vec<ColumnBuf<u64>> {
+    /// Routes `(key, value)` rows as one map chunk into `p × bc` columns
+    /// by [`column_of`], partition-major.
+    fn route(rows: &[(u64, u64)], p: usize, bc: usize) -> Vec<ColumnBuf<u64>> {
         let mut columns: Vec<_> = (0..p * bc).map(|_| ColumnBuf::with_capacity(0)).collect();
-        for &(h, k, v) in rows {
-            columns[column_of(h, p, bc)].push(h, k, v);
+        for &(k, v) in rows {
+            columns[column_of(fingerprint_of(k), p, bc)].push(k, v);
         }
         columns
     }
 
     /// Routes `rows` as one map chunk into the `bucket_count(rows.len())`
     /// buckets of one partition.
-    fn routed(rows: &[(u64, u64, u64)]) -> Vec<ColumnBuf<u64>> {
+    fn routed(rows: &[(u64, u64)]) -> Vec<ColumnBuf<u64>> {
         route(rows, 1, bucket_count(rows.len()))
     }
 
     /// Groups `rows` as one partition fed by one map chunk.
-    fn group_routed(rows: &[(u64, u64, u64)]) -> GroupedRun<u64> {
+    fn group_routed(rows: &[(u64, u64)]) -> GroupedRun<u64> {
         group_buckets(vec![routed(rows)])
     }
 
+    /// The first `count` reducer ids from 100 up that share one radix
+    /// bucket (of `bucket_count(n)`) and one probe start in the table of
+    /// a bucket holding `n` pairs, in ascending order: every id after the
+    /// first must probe past the groups of the ids before it.
+    fn probe_mates(count: usize, n: usize) -> Vec<u64> {
+        let bmask = bucket_count(n) as u64 - 1;
+        let tmask = (n * 2).next_power_of_two() as u64 - 1;
+        let start = |k: u64| {
+            let h = fingerprint_of(k);
+            (h & bmask, (h >> 8) & tmask)
+        };
+        let first = start(100);
+        (100..).filter(|&k| start(k) == first).take(count).collect()
+    }
+
     #[test]
-    fn grouping_splits_full_fingerprint_collisions_by_key() {
-        // Three distinct keys share one fingerprint; values interleave.
-        // The probe pass must detect the collision and fall back to the
-        // exact sort-based path.
+    fn grouping_splits_probe_collisions_by_key() {
+        // Three distinct ids share one probe start; values interleave.
+        // The probe must tell the ids apart and walk past a foreign
+        // group to find or open each id's own.
+        let k = probe_mates(3, 6);
         let mut run = group_routed(&[
-            (7, 100, 0),
-            (7, 200, 1),
-            (7, 100, 2),
-            (7, 300, 3),
-            (7, 200, 4),
-            (7, 100, 5),
+            (k[0], 0),
+            (k[1], 1),
+            (k[0], 2),
+            (k[2], 3),
+            (k[1], 4),
+            (k[0], 5),
         ]);
         run.sort_groups_by_key();
         assert_eq!(
             groups_of(&run),
-            vec![(100, vec![0, 2, 5]), (200, vec![1, 4]), (300, vec![3]),]
+            vec![(k[0], vec![0, 2, 5]), (k[1], vec![1, 4]), (k[2], vec![3])]
         );
     }
 
     #[test]
     fn collisions_across_chunk_segments_group_in_arrival_order() {
-        // One bucket fed by three map chunks; distinct keys sharing one
-        // fabricated fingerprint arrive from different chunks. The bucket
-        // is the chunks' segments in chunk order, so the cold path must
-        // split the keys exactly and keep that order inside each key.
+        // One bucket fed by four map chunks; distinct ids sharing one
+        // probe start arrive from different chunks. The bucket is the
+        // chunks' segments in chunk order, so grouping must split the ids
+        // exactly and keep that order inside each id.
+        let k = probe_mates(3, 7);
         let mut run = group_buckets(vec![
-            routed(&[(9, 100, 0), (9, 200, 1)]),
+            routed(&[(k[0], 0), (k[1], 1)]),
             routed(&[]),
-            routed(&[(9, 200, 2), (9, 100, 3), (9, 300, 4)]),
-            routed(&[(9, 300, 5), (9, 100, 6)]),
+            routed(&[(k[1], 2), (k[0], 3), (k[2], 4)]),
+            routed(&[(k[2], 5), (k[0], 6)]),
         ]);
         run.sort_groups_by_key();
         assert_eq!(
             groups_of(&run),
-            vec![(100, vec![0, 3, 6]), (200, vec![1, 2]), (300, vec![4, 5]),]
+            vec![
+                (k[0], vec![0, 3, 6]),
+                (k[1], vec![1, 2]),
+                (k[2], vec![4, 5])
+            ]
         );
     }
 
     #[test]
-    fn collision_bucket_coexists_with_clean_buckets() {
-        // One fabricated collision among ordinary pairs: only the
-        // affected bucket takes the cold path; the rest group by table.
-        let mut rows: Vec<(u64, u64, u64)> = (0..5_000u64)
-            .map(|i| (fingerprint_of(i % 50), i % 50, i))
-            .collect();
-        assert!(bucket_count(rows.len()) > 1, "need several buckets");
-        rows.push((fingerprint_of(3u64), 1_000, 777)); // same print, new key
-        let mut run = group_routed(&rows);
-        run.sort_groups_by_key();
-        assert_eq!(run.len(), 51);
-        let by_key = groups_of(&run);
-        assert_eq!(by_key[50], (1_000, vec![777]));
-        let expect3: Vec<u64> = (0..5_000).filter(|v| v % 50 == 3).collect();
-        assert_eq!(by_key[3], (3, expect3));
-    }
-
-    #[test]
     fn grouping_preserves_arrival_order_within_key() {
-        let rows: Vec<(u64, u64, u64)> = (0..100)
-            .map(|i| (fingerprint_of(i % 7), i % 7, i))
-            .collect();
+        let rows: Vec<(u64, u64)> = (0..100).map(|i| (i % 7, i)).collect();
         let mut run = group_routed(&rows);
         run.sort_groups_by_key();
         assert_eq!(run.len(), 7);
@@ -816,11 +748,8 @@ mod tests {
     #[test]
     fn grouping_large_partition_uses_buckets_and_stays_exact() {
         // Big enough that bucket_count > 1: 20_000 pairs over 5_000 keys.
-        let rows: Vec<(u64, u64, u64)> = (0..20_000u64)
-            .map(|i| {
-                let k = (i * 2_654_435_761) % 5_000;
-                (fingerprint_of(k), k, i)
-            })
+        let rows: Vec<(u64, u64)> = (0..20_000u64)
+            .map(|i| ((i * 2_654_435_761) % 5_000, i))
             .collect();
         assert!(bucket_count(rows.len()) > 1);
         let mut run = group_routed(&rows);
@@ -839,9 +768,8 @@ mod tests {
 
     #[test]
     fn grouping_moves_every_value_and_the_run_drops_each_once() {
-        // Drop-counting values, fed by two map chunks, through hot
-        // buckets and one bucket holding a fabricated full-fingerprint
-        // collision: grouping moves values and never drops one, and
+        // Drop-counting values, fed by two map chunks into several
+        // buckets: grouping moves values and never drops one, and
         // dropping the run drops every value exactly once.
         struct Tracked<'a>(&'a AtomicUsize);
         impl Drop for Tracked<'_> {
@@ -849,27 +777,25 @@ mod tests {
                 self.0.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let mut rows: Vec<(u64, u64)> = (0..5_000u64)
-            .map(|i| (fingerprint_of(i % 50), i % 50))
-            .collect();
-        rows.push((fingerprint_of(3u64), 1_000)); // same print, new key
-        let drops: Vec<AtomicUsize> = rows.iter().map(|_| AtomicUsize::new(0)).collect();
-        let bc = bucket_count(rows.len());
+        let mut keys: Vec<u64> = (0..5_000u64).map(|i| i % 50).collect();
+        keys.push(1_000);
+        let drops: Vec<AtomicUsize> = keys.iter().map(|_| AtomicUsize::new(0)).collect();
+        let bc = bucket_count(keys.len());
         assert!(bc > 1, "need several buckets");
-        let chunks = rows
+        let chunks = keys
             .chunks(2_000)
             .zip(drops.chunks(2_000))
-            .map(|(rows, drops)| {
+            .map(|(keys, drops)| {
                 let mut columns: Vec<_> = (0..bc).map(|_| ColumnBuf::with_capacity(0)).collect();
-                for (&(h, k), d) in rows.iter().zip(drops) {
-                    columns[column_of(h, 1, bc)].push(h, k, Tracked(d));
+                for (&k, d) in keys.iter().zip(drops) {
+                    columns[column_of(fingerprint_of(k), 1, bc)].push(k, Tracked(d));
                 }
                 columns
             })
             .collect();
         let run = group_buckets(chunks);
         assert_eq!(run.len(), 51);
-        assert_eq!(run.values.len(), rows.len());
+        assert_eq!(run.values.len(), keys.len());
         let dropped = |times| drops.iter().all(|d| d.load(Ordering::Relaxed) == times);
         assert!(dropped(0), "grouping dropped a value");
         drop(run);
@@ -877,39 +803,10 @@ mod tests {
     }
 
     #[test]
-    fn hot_and_cold_grouping_agree() {
-        // The table path and the sort path must produce identical groups
-        // (after the key sort) on the same pairs.
-        let rows: Vec<(u64, u64, u64)> = (0..2_000u64)
-            .map(|i| {
-                let k = (i * 7 + 1) % 311;
-                (fingerprint_of(k), k, i)
-            })
-            .collect();
-        let mut hot = GroupedRun {
-            groups: Vec::new(),
-            values: Vec::new(),
-        };
-        group_bucket_hashed(
-            buf_with_hashes(&rows),
-            &mut hot,
-            &mut GroupScratch::default(),
-        );
-        hot.sort_groups_by_key();
-        let mut cold = GroupedRun {
-            groups: Vec::new(),
-            values: Vec::new(),
-        };
-        group_bucket_sorted(buf_with_hashes(&rows), &mut cold);
-        cold.sort_groups_by_key();
-        assert_eq!(groups_of(&hot), groups_of(&cold));
-    }
-
-    #[test]
     fn merge_interleaves_disjoint_runs_in_key_order() {
-        let mut a = group_routed(&[(fingerprint_of(1u64), 1, 10), (fingerprint_of(5u64), 5, 50)]);
+        let mut a = group_routed(&[(1, 10), (5, 50)]);
         a.sort_groups_by_key();
-        let mut b = group_routed(&[(fingerprint_of(2u64), 2, 20), (fingerprint_of(4u64), 4, 40)]);
+        let mut b = group_routed(&[(2, 20), (4, 40)]);
         b.sort_groups_by_key();
         let shuffled = Shuffled::merge(vec![a, b]);
         let keys: Vec<u64> = (0..shuffled.len()).map(|i| shuffled.entry(i).0).collect();
@@ -919,11 +816,7 @@ mod tests {
 
     #[test]
     fn single_run_merge_is_identity() {
-        let mut run = group_routed(&[
-            (fingerprint_of(3u64), 3, 30),
-            (fingerprint_of(1u64), 1, 10),
-            (fingerprint_of(2u64), 2, 20),
-        ]);
+        let mut run = group_routed(&[(3, 30), (1, 10), (2, 20)]);
         run.sort_groups_by_key();
         let shuffled = Shuffled::merge(vec![run]);
         assert_eq!(shuffled.len(), 3);
@@ -935,21 +828,19 @@ mod tests {
     #[test]
     fn routing_preserves_arrival_order_and_counts() {
         // Three partitions (not a power of two) of four buckets each:
-        // every (partition, bucket) segment holds only the fingerprints
-        // routed to it, in arrival order, and no pair is lost.
+        // every (partition, bucket) segment holds only the ids whose
+        // fingerprints route to it, in arrival order, and no pair is lost.
         let (p, bc) = (3usize, 4usize);
-        let rows: Vec<(u64, u64, u64)> = (0..1000u64)
-            .map(|i| (fingerprint_of(i % 64), i % 64, i))
-            .collect();
+        let rows: Vec<(u64, u64)> = (0..1000u64).map(|i| (i % 64, i)).collect();
         let columns = route(&rows, p, bc);
         assert_eq!(columns.len(), p * bc);
         let mut total = 0;
         for (pi, buckets) in columns.chunks(bc).enumerate() {
             for (b, bucket) in buckets.iter().enumerate() {
-                assert!(bucket
-                    .hashes
-                    .iter()
-                    .all(|&h| partition_of_hash(h, p) == pi && (h as usize & (bc - 1)) == b));
+                assert!(bucket.keys.iter().all(|&k| {
+                    let h = fingerprint_of(k);
+                    partition_of_hash(h, p) == pi && (h as usize & (bc - 1)) == b
+                }));
                 // Within a segment, values (== arrival stamps) strictly ascend.
                 assert!(bucket.vals.windows(2).all(|w| w[0] < w[1]));
                 total += bucket.len();

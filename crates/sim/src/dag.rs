@@ -403,7 +403,7 @@ mod tests {
         assert_eq!(
             err,
             EngineError::ReducerOverflow {
-                key: "0".into(),
+                key: 0,
                 load: 10,
                 limit: 3
             }

@@ -465,8 +465,8 @@ where
         // is the globally smallest — the same offender a full run of the
         // post-delta instance reports.
         if let Some(limit) = self.config.max_reducer_inputs {
-            if let Some((rid, range, _)) = staged.iter().find(|s| s.1.len() as u64 > limit) {
-                let (key, load) = (format!("{rid:?}"), range.len() as u64);
+            if let Some((key, range, _)) = staged.iter().find(|s| s.1.len() as u64 > limit) {
+                let (key, load) = (*key, range.len() as u64);
                 return Err(EngineError::ReducerOverflow { key, load, limit }.into());
             }
         }
@@ -839,7 +839,7 @@ mod tests {
         assert_eq!(err, DeltaError::Engine(full_err));
         match err {
             DeltaError::Engine(EngineError::ReducerOverflow { key, load, limit }) => {
-                assert_eq!(key, "2");
+                assert_eq!(key, 2);
                 assert_eq!(load, 3);
                 assert_eq!(limit, 2);
             }
@@ -881,7 +881,7 @@ mod tests {
         assert_eq!(
             err,
             DeltaError::Engine(EngineError::ReducerOverflow {
-                key: "0".into(),
+                key: 0,
                 load: 5,
                 limit: 4,
             })

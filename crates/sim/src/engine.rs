@@ -13,13 +13,14 @@
 //! # Shuffle architecture
 //!
 //! The shuffle is the **columnar radix-partitioned data plane** of the
-//! internal `columnar` module: every emission is fingerprinted once at
-//! emit time and pushed straight into a flat `(hash, reducer, input)`
-//! column — the top fingerprint bits pick one of `P = min(workers,
-//! inputs)` partitions, the low bits a cache-sized radix bucket within
-//! it — and each bucket is grouped in `O(n)` by a small open-addressing
-//! fingerprint table (an exact sort-based path catches full 64-bit
-//! collisions) — no `BTreeMap`, no per-key allocation, no scatter pass.
+//! internal `columnar` module: every emission's reducer id is
+//! fingerprinted at emit time and the pair pushed straight into a flat
+//! `(reducer, input)` column — the top fingerprint bits pick one of `P =
+//! min(workers, inputs)` partitions, the low bits a cache-sized radix
+//! bucket within it — and each bucket is grouped in `O(n)` by a small
+//! open-addressing table that compares reducer ids (the fingerprint only
+//! picks where a probe starts) — no `BTreeMap`, no per-key allocation,
+//! no scatter pass.
 //! Sorting the per-partition group *directories* by reducer id and
 //! P-way-merging them (ids are disjoint across partitions) restores the
 //! exact output the old map-based shuffle produced.
@@ -55,7 +56,7 @@ use crate::columnar::{
 };
 use crate::metrics::{LoadStats, RoundMetrics, ShuffleStats};
 use crate::pool::fan_out;
-use crate::schema::SchemaJob;
+use crate::schema::{ReducerId, SchemaJob};
 use std::sync::OnceLock;
 
 /// Always-on engine counters in the global [`mr_obs`] hub, cached so the
@@ -136,8 +137,8 @@ impl EngineConfig {
 pub enum EngineError {
     /// A reducer exceeded the configured input budget `q`.
     ReducerOverflow {
-        /// The offending reducer id, in decimal.
-        key: String,
+        /// The offending reducer.
+        key: ReducerId,
         /// Number of values that arrived at the key.
         load: u64,
         /// The configured bound.
@@ -158,10 +159,11 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Bytes one `(fingerprint, reducer id, value)` triple occupies in the
-/// shuffle columns — the unit behind [`ShuffleStats::bytes_moved`].
+/// Bytes one `(reducer id, value)` pair — §2.2's key-value pair —
+/// occupies in the shuffle columns: the unit behind
+/// [`ShuffleStats::bytes_moved`].
 pub(crate) fn pair_bytes<V>() -> u64 {
-    (2 * std::mem::size_of::<u64>() + std::mem::size_of::<V>()) as u64
+    (std::mem::size_of::<ReducerId>() + std::mem::size_of::<V>()) as u64
 }
 
 /// The shuffle partition count of a round over `inputs` inputs: `P =
@@ -246,9 +248,9 @@ type PartitionColumns<V> = Vec<Vec<ColumnBuf<V>>>;
 
 /// Runs the map phase as one routed pass: each of at most `p` input
 /// chunks is one [`fan_out`](fan_out) item ([`map_chunk`])
-/// that fingerprints every emission once and pushes it straight into its
-/// `(partition, radix bucket)` column. The chunks' columns are then
-/// transposed from `[chunk][partition][bucket]` to
+/// that fingerprints every emission's reducer id and pushes the pair
+/// straight into its `(partition, radix bucket)` column. The chunks'
+/// columns are then transposed from `[chunk][partition][bucket]` to
 /// `[partition][chunk][bucket]`, moving only `Vec` headers. At `p = 1`
 /// this is one chunk routing into
 /// the radix buckets of one partition.
@@ -292,8 +294,8 @@ where
 }
 
 /// One map chunk: every input sent to each reducer its assignment
-/// names — each emission fingerprinted once and pushed, with a clone of
-/// its input, into its [`column_of`] column among `p × bc`, each
+/// names — each reducer id fingerprinted and pushed, with a clone of its
+/// input, into its [`column_of`] column among `p × bc`, each
 /// preallocated for `cap` pairs. Returned partition-major, bucket `b` of
 /// partition `pi` at `pi * bc + b`.
 ///
@@ -328,9 +330,8 @@ where
     let mut columns: Vec<ColumnBuf<I>> = (0..n).map(|_| ColumnBuf::with_capacity(cap)).collect();
     for input in chunk {
         schema.assign_into(input, &mut |rid| {
-            let h = fingerprint_of(rid);
-            let column = column_of(h, if ONE { 1 } else { p }, bc);
-            columns[column].push(h, rid, input.clone());
+            let column = column_of(fingerprint_of(rid), if ONE { 1 } else { p }, bc);
+            columns[column].push(rid, input.clone());
         });
     }
     columns
@@ -382,8 +383,8 @@ fn check_budget<V>(runs: &[GroupedRun<V>], q: Option<u64>) -> Result<(), EngineE
         }
     }
     match worst {
-        Some((k, load)) => Err(EngineError::ReducerOverflow {
-            key: k.to_string(),
+        Some((key, load)) => Err(EngineError::ReducerOverflow {
+            key,
             load,
             limit: q,
         }),
@@ -454,7 +455,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{FnSchema, ReducerId};
+    use crate::schema::FnSchema;
 
     /// A word of at most 8 bytes as a reducer id that sorts like the word.
     fn word_id(word: &str) -> ReducerId {
@@ -655,7 +656,7 @@ mod tests {
         let cfg = EngineConfig::sequential().with_max_reducer_inputs(2);
         let err = run_schema(&inputs, &hot, &cfg).unwrap_err();
         let EngineError::ReducerOverflow { key, load, limit } = err;
-        assert_eq!(key, "7");
+        assert_eq!(key, 7);
         assert_eq!(load, 3);
         assert_eq!(limit, 2);
     }
@@ -663,14 +664,14 @@ mod tests {
     #[test]
     fn overflow_error_displays_key_load_and_limit() {
         let err = EngineError::ReducerOverflow {
-            key: "\"hub\"".into(),
-            load: 12,
-            limit: 8,
+            key: 11,
+            load: 8,
+            limit: 5,
         };
-        let msg = err.to_string();
-        assert!(msg.contains("\"hub\""), "missing key in: {msg}");
-        assert!(msg.contains("12"), "missing load in: {msg}");
-        assert!(msg.contains("q=8"), "missing limit in: {msg}");
+        assert_eq!(
+            err.to_string(),
+            "reducer 11 received 8 inputs, exceeding the budget q=5"
+        );
     }
 
     #[test]
@@ -766,13 +767,13 @@ mod tests {
 
     #[test]
     fn shuffle_stats_report_bytes_and_buckets() {
-        // bytes_moved = pairs × (8-byte fingerprint + 8-byte reducer id +
-        // the input), and the bucket histogram partitions the pair count.
+        // bytes_moved = pairs × (8-byte reducer id + the input), and the
+        // bucket histogram partitions the pair count.
         let inputs: Vec<u64> = (0..4_000).collect();
         for workers in [1usize, 4] {
             let (_, m) =
                 run_schema(&inputs, &residues(997), &EngineConfig::parallel(workers)).unwrap();
-            assert_eq!(m.shuffle.bytes_moved, Some(m.kv_pairs * (8 + 8 + 8)));
+            assert_eq!(m.shuffle.bytes_moved, Some(m.kv_pairs * (8 + 8)));
             assert_eq!(m.shuffle.bucket_loads.iter().sum::<u64>(), m.kv_pairs);
             assert_eq!(m.shuffle.bucket_loads.len() as u64, m.shuffle.partitions);
         }

@@ -32,8 +32,9 @@
 //!   (`P = workers` partitions, clamped to the input size, merged in
 //!   reducer order so results never depend on the worker count),
 //! * `columnar` (internal) — the flat data plane under the shuffle:
-//!   fingerprint columns routed at emit into `(partition, radix bucket)`
-//!   columns, open-addressing grouping, merged views,
+//!   `(reducer id, value)` pairs routed at emit, by the id's
+//!   fingerprint, into `(partition, radix bucket)` columns,
+//!   open-addressing grouping that compares ids, merged views,
 //! * [`delta`] — incremental execution: schemas held resident with
 //!   per-reducer state, re-executing only the reducers a
 //!   `Delta { added, removed }` dirties (exploiting §2.2 obliviousness),

@@ -99,7 +99,8 @@ pub struct ShuffleStats {
     /// Mean partition load.
     pub mean_partition_load: f64,
     /// Total bytes the shuffle's columns moved:
-    /// `pairs × (8-byte fingerprint + 8-byte reducer id + size_of::<V>())`.
+    /// `pairs × (8-byte reducer id + size_of::<V>())`, §2.2's key-value
+    /// pairs at their in-memory width.
     /// An in-process estimate of the paper's communication cost in bytes
     /// rather than pairs. `Some` only when the engine filled it — the
     /// pair width is known nowhere else, so

@@ -95,7 +95,7 @@ fn concurrent_overflows_report_the_sequential_offender() {
     let seq_err = run_schema(&inputs, &schema, &cfg(1)).unwrap_err();
     // The smallest over-budget key in key order is hot key 11 (hot = 0).
     let EngineError::ReducerOverflow { key, load, limit } = &seq_err;
-    assert_eq!(key, "11");
+    assert_eq!(*key, 11);
     assert_eq!(*load, 8);
     assert_eq!(*limit, 5);
     for workers in [2usize, 3, 8, 16] {
