@@ -5,8 +5,10 @@
 //! reducer, never per input; a retained delta apply makes a quarter of an allocation per
 //! change, never one per change or per dirty reducer; and the
 //! multiset-partition `assign`
-//! allocates only the `Vec` it returns — all pinned as counts, so the
-//! properties cannot silently rot.
+//! allocates only the `Vec` it returns; and a round over wide inputs
+//! allocates at most one reduce block of them more than the same round
+//! over narrow ones — all pinned as counts, so the properties cannot
+//! silently rot.
 //!
 //! This binary installs its own counting `#[global_allocator]`; it is a
 //! separate integration test so that no other test runs under it. Counts
@@ -17,8 +19,11 @@ use mr_core::problems::hamming::splitting::DistanceDSplittingSchema;
 use mr_core::problems::sample_graph::MultisetPartitionSchema;
 use mr_core::problems::two_path::BucketPairSchema;
 use mr_graph::{patterns, Graph};
+use mr_sim::engine::BLOCK;
 use mr_sim::schema::{ReducerId, SchemaJob};
-use mr_sim::{run_schema_retained, Delta, EngineConfig, LoadTable, Pipeline, Seq};
+use mr_sim::{
+    run_schema, run_schema_retained, Delta, EngineConfig, FnSchema, LoadTable, Pipeline, Seq,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -27,6 +32,9 @@ thread_local! {
     /// Const-initialised and without a destructor, so touching it from
     /// inside the allocator allocates nothing itself.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread asked for: each `alloc`'s size and each
+    /// `realloc`'s new size.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -37,6 +45,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        BYTES.with(|n| n.set(n.get() + layout.size() as u64));
         // SAFETY: the caller's `layout` is passed through as is.
         unsafe { System.alloc(layout) }
     }
@@ -48,6 +57,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        BYTES.with(|n| n.set(n.get() + new_size as u64));
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -61,6 +71,13 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Bytes the calling thread allocates while `f` runs.
+fn bytes_during(f: impl FnOnce()) -> u64 {
+    let before = BYTES.with(Cell::get);
+    f();
+    BYTES.with(Cell::get) - before
 }
 
 /// Every `b`-bit string the schema sends to `reducer`, in input order.
@@ -281,4 +298,45 @@ fn load_table_allocates_per_reducer_not_per_input() {
         let label = format!("multiset s={} k={}", schema.s, schema.k);
         assert_per_reducer(&label, &schema, &edges);
     }
+}
+
+#[test]
+fn a_wide_round_allocates_at_most_one_block_more_than_a_narrow_one() {
+    // One round, the same assignment, over `[u64; 8]` inputs and over
+    // `u64` inputs. Pairs carry an input's position, not the input, so the
+    // two rounds' columns, grouped runs and outputs are the same size; the
+    // only buffer of inputs is the reduce phase's gather, at most `BLOCK`
+    // of them per reduce chunk. The round runs inline (one chunk), so this
+    // thread makes every allocation.
+    fn round_bytes<I: Clone + Send + Sync>(inputs: &[I], key: fn(&I) -> u64) -> u64 {
+        let schema = FnSchema(
+            move |x: &I, emit: &mut dyn FnMut(ReducerId)| {
+                emit(key(x) % 512);
+                emit(1_000 + key(x) % 509);
+            },
+            |r: ReducerId, xs: &[I], emit: &mut dyn FnMut(u64)| emit(r + xs.len() as u64),
+        );
+        let mut outputs = Vec::new();
+        let bytes = bytes_during(|| {
+            outputs = run_schema(inputs, &schema, &EngineConfig::sequential())
+                .expect("no q bound set")
+                .0;
+        });
+        assert_eq!(outputs.len(), 512 + 509);
+        bytes
+    }
+    let narrow: Vec<u64> = (0..4_096).collect();
+    let wide: Vec<[u64; 8]> = narrow.iter().map(|&x| [x; 8]).collect();
+    // A first round pays the engine's one-time set-up (its counters).
+    round_bytes(&narrow, |&x| x);
+    let narrow_bytes = round_bytes(&narrow, |&x| x);
+    let wide_bytes = round_bytes(&wide, |x| x[0]);
+    let chunks = 1;
+    let bound = (BLOCK * std::mem::size_of::<[u64; 8]>() * chunks) as u64;
+    assert!(
+        wide_bytes <= narrow_bytes + bound,
+        "the wide round allocated {wide_bytes} B, the narrow one {narrow_bytes} B: \
+         {} B more, above one block of wide inputs ({bound} B)",
+        wide_bytes - narrow_bytes.min(wide_bytes)
+    );
 }

@@ -3,14 +3,18 @@
 //! This module is the engine's hot path. Instead of inserting every
 //! `(reducer id, input)` emission into a per-partition `BTreeMap`
 //! (comparison-bound, pointer-chasing, one allocation per distinct key),
-//! the shuffle moves flat **columns**:
+//! the shuffle moves flat **columns** of `(reducer id, input position)`
+//! pairs — a `u64` and a `u32`, whatever the input type. The input itself
+//! never crosses the shuffle: the pair names it by its index in the
+//! round's input slice, and the reduce phase gathers it by that index.
 //!
 //! 1. **Route by fingerprint at emit.** Every key — a
 //!    [`ReducerId`](crate::schema::ReducerId) — is hashed, as the
 //!    assignment emits it, to a seed-free 64-bit fingerprint
 //!    ([`fingerprint_of`]) that picks its column. Emissions land in
-//!    [`ColumnBuf`]s — two parallel arrays `(keys, vals)`, the paper's
-//!    key-value pairs — so the map phase is pure appends.
+//!    [`ColumnBuf`]s — two parallel arrays `(keys, positions)`, the
+//!    paper's key-value pairs with the value named by its index — so the
+//!    map phase is pure appends.
 //! 2. **Radix partition by hash bits, at emit.** The *top* fingerprint
 //!    bits route a pair to its shuffle partition ([`partition_of_hash`],
 //!    one partition per worker); inside a partition the *low* bits select
@@ -28,14 +32,14 @@
 //!    only picks where a probe starts; a slot matches when its group's id
 //!    equals the pair's, so distinct ids never share a group. Groups are
 //!    discovered in first-arrival order, so a prefix sum over group sizes
-//!    places every value with one more pass.
+//!    places every position with one more, bounds-checked, pass.
 //!
-//! The result is a [`GroupedRun`]: a flat `values` column holding every
-//! group's values contiguously (arrival order within a group) plus one
-//! [`Group`] descriptor per distinct key — no per-key `Vec`, no tree
-//! nodes. Sorting the group *descriptors* by key
+//! The result is a [`GroupedRun`]: a flat `positions` column holding
+//! every group's input positions contiguously (arrival order within a
+//! group) plus one [`Group`] descriptor per distinct key — no per-key
+//! `Vec`, no tree nodes. Sorting the group *descriptors* by key
 //! ([`GroupedRun::sort_groups_by_key`]) then restores the engine's
-//! determinism contract — outputs in ascending key order, values in
+//! determinism contract — outputs in ascending key order, inputs in
 //! emission order within a key — at the cost of one sort over distinct
 //! keys instead of one over all pairs; for large directories even that
 //! is an `O(n)` LSD radix sort rather than a comparison sort. The dev-only `mr-oracle` crate keeps
@@ -125,25 +129,25 @@ pub(crate) fn partition_of_hash(h: u64, partitions: usize) -> usize {
 }
 
 /// Flat, append-only emission storage: two parallel columns
-/// `(keys, vals)` of equal length, one entry per key-value pair. This is
-/// the unit the map phase routes into and the grouping stage consumes —
-/// `(key, value)` pairs never exist as boxed or tree-resident values
-/// anywhere in the data plane.
-pub(crate) struct ColumnBuf<V> {
+/// `(keys, positions)` of equal length, one entry per key-value pair.
+/// This is the unit the map phase routes into and the grouping stage
+/// consumes — `(key, input)` pairs never exist as boxed, tree-resident or
+/// copied inputs anywhere in the data plane.
+pub(crate) struct ColumnBuf {
     /// Emitted reducer ids, in emission order.
     pub keys: Vec<u64>,
-    /// Emitted values, in emission order.
-    pub vals: Vec<V>,
+    /// The position, in the round's input slice, of each emitted input.
+    pub positions: Vec<u32>,
 }
 
-impl<V> ColumnBuf<V> {
+impl ColumnBuf {
     /// An empty buffer with both columns preallocated for `n`
     /// emissions, so a column whose share of the round is known (or
     /// bounded) never grows mid-map.
     pub fn with_capacity(n: usize) -> Self {
         ColumnBuf {
             keys: Vec::with_capacity(n),
-            vals: Vec::with_capacity(n),
+            positions: Vec::with_capacity(n),
         }
     }
 
@@ -154,20 +158,20 @@ impl<V> ColumnBuf<V> {
 
     /// Appends a pair.
     #[inline]
-    pub fn push(&mut self, key: u64, val: V) {
+    pub fn push(&mut self, key: u64, position: u32) {
         self.keys.push(key);
-        self.vals.push(val);
+        self.positions.push(position);
     }
 
     /// Appends all of `other`'s emissions (in order) to `self`.
-    pub fn append(&mut self, mut other: ColumnBuf<V>) {
+    pub fn append(&mut self, mut other: ColumnBuf) {
         self.keys.append(&mut other.keys);
-        self.vals.append(&mut other.vals);
+        self.positions.append(&mut other.positions);
     }
 
     /// Drains `segments` into one buffer, in order. A lone segment moves
     /// as is; several are copied once into an exactly sized buffer.
-    fn concat(segments: &mut Vec<ColumnBuf<V>>) -> ColumnBuf<V> {
+    fn concat(segments: &mut Vec<ColumnBuf>) -> ColumnBuf {
         if segments.len() == 1 {
             // Cannot fire: the guard just saw exactly one segment.
             return segments.pop().expect("one segment");
@@ -196,7 +200,7 @@ pub(crate) fn column_of(h: u64, partitions: usize, bucket_count: usize) -> usize
     partition_of_hash(h, partitions) * bucket_count + (h & (bucket_count - 1) as u64) as usize
 }
 
-/// One reduce group: a distinct key and the `values[start..start + len]`
+/// One reduce group: a distinct key and the `positions[start..start + len]`
 /// slice of its [`GroupedRun`]. Deliberately *without* the key's
 /// fingerprint: the hash has done its routing and grouping work by the
 /// time a descriptor exists, and dropping it keeps the directory — the
@@ -206,44 +210,42 @@ pub(crate) fn column_of(h: u64, partitions: usize, bucket_count: usize) -> usize
 pub(crate) struct Group {
     /// The distinct reduce key.
     pub key: u64,
-    /// Offset of the group's first value in the run's `values` column.
+    /// Offset of the group's first position in the run's `positions` column.
     pub start: u32,
-    /// Number of values in the group — the reducer's load.
+    /// Number of positions in the group — the reducer's load.
     pub len: u32,
 }
 
-/// A grouped shuffle partition: one flat `values` column holding every
-/// group's values contiguously (emission order within a group), plus one
-/// [`Group`] descriptor per distinct key. Produced in deterministic
-/// (bucket, first-arrival) order by [`group_buckets`];
+/// A grouped shuffle partition: one flat `positions` column holding
+/// every group's input positions contiguously (emission order within a
+/// group), plus one [`Group`] descriptor per distinct key. Produced in
+/// deterministic (bucket, first-arrival) order by [`group_buckets`];
 /// [`sort_groups_by_key`](Self::sort_groups_by_key) reorders the
-/// descriptors (not the values) into ascending key order.
-pub(crate) struct GroupedRun<V> {
+/// descriptors (not the positions) into ascending key order.
+pub(crate) struct GroupedRun {
     /// Group descriptors. Keys are distinct within a run.
     pub groups: Vec<Group>,
-    /// Every group's values, concatenated.
-    pub values: Vec<V>,
+    /// Every group's input positions, concatenated.
+    pub positions: Vec<u32>,
 }
 
-impl<V> GroupedRun<V> {
+impl GroupedRun {
     /// Number of distinct keys (reducers) in the run.
     pub fn len(&self) -> usize {
         self.groups.len()
     }
 
-    /// The value slice of group `i`.
-    #[cfg(test)]
-    pub fn values_of(&self, i: usize) -> &[V] {
-        let g = &self.groups[i];
-        &self.values[g.start as usize..(g.start + g.len) as usize]
+    /// The input positions of group `g`.
+    #[inline]
+    pub fn positions_of(&self, g: &Group) -> &[u32] {
+        &self.positions[g.start as usize..(g.start + g.len) as usize]
     }
-}
 
-impl<V> GroupedRun<V> {
-    /// Sorts the group descriptors into ascending key order. Values stay
-    /// put — descriptors carry their `(start, len)` windows with them —
-    /// so this costs one pass over *distinct keys*, not over pairs. Keys
-    /// are distinct within a run, so the order is total and deterministic.
+    /// Sorts the group descriptors into ascending key order. Positions
+    /// stay put — descriptors carry their `(start, len)` windows with
+    /// them — so this costs one pass over *distinct keys*, not over
+    /// pairs. Keys are distinct within a run, so the order is total and
+    /// deterministic.
     ///
     /// Large directories take an LSD radix path — `O(n)` counting passes
     /// over the key bytes that actually vary — which was the one
@@ -331,8 +333,9 @@ struct GroupScratch {
     reps: Vec<u32>,
     /// Member count of each local group.
     lens: Vec<u32>,
-    /// Prefix sums of `lens`: each group's offset in the bucket's value
-    /// segment. Consumed as write cursors by the value scatter.
+    /// Prefix sums of `lens`: each group's offset in the bucket's
+    /// segment of the positions column. Consumed as write cursors by the
+    /// position scatter.
     starts: Vec<u32>,
 }
 
@@ -346,9 +349,9 @@ struct GroupScratch {
 /// chunks is emission order too. Group descriptors come out in
 /// deterministic (bucket, first-arrival) order — callers that need the
 /// engine's ascending-key contract follow with
-/// [`GroupedRun::sort_groups_by_key`]. Within every group, values are in
-/// arrival (= emission) order.
-pub(crate) fn group_buckets<V>(chunks: Vec<Vec<ColumnBuf<V>>>) -> GroupedRun<V> {
+/// [`GroupedRun::sort_groups_by_key`]. Within every group, positions are
+/// in arrival (= emission) order.
+pub(crate) fn group_buckets(chunks: Vec<Vec<ColumnBuf>>) -> GroupedRun {
     let total: usize = chunks.iter().flatten().map(ColumnBuf::len).sum();
     assert!(
         total <= u32::MAX as usize,
@@ -361,7 +364,7 @@ pub(crate) fn group_buckets<V>(chunks: Vec<Vec<ColumnBuf<V>>>) -> GroupedRun<V> 
         // directory). Duplicate-heavy workloads leave the excess
         // capacity unused — it is transient and O(total) either way.
         groups: Vec::with_capacity((total / 2).max(16)),
-        values: Vec::with_capacity(total),
+        positions: Vec::with_capacity(total),
     };
     let mut scratch = GroupScratch::default();
     let buckets = chunks.first().map_or(0, Vec::len);
@@ -374,20 +377,16 @@ pub(crate) fn group_buckets<V>(chunks: Vec<Vec<ColumnBuf<V>>>) -> GroupedRun<V> 
             c.next()
                 .expect("every chunk holds the same number of buckets")
         }));
-        group_bucket_hashed(ColumnBuf::concat(&mut segments), &mut run, &mut scratch);
+        group_bucket_hashed(&ColumnBuf::concat(&mut segments), &mut run, &mut scratch);
     }
     run
 }
 
 /// Groups one radix bucket with a linear-probing table keyed by reducer
 /// id — `O(n)`, no sorting — and appends its groups to `out`. The probe
-/// pass assigns each pair a local group id in first-arrival order.
-#[allow(unsafe_code)]
-fn group_bucket_hashed<V>(
-    bucket: ColumnBuf<V>,
-    out: &mut GroupedRun<V>,
-    scratch: &mut GroupScratch,
-) {
+/// pass assigns each pair a local group id in first-arrival order; the
+/// scatter pass writes each input position to its group's next slot.
+fn group_bucket_hashed(bucket: &ColumnBuf, out: &mut GroupedRun, scratch: &mut GroupScratch) {
     let n = bucket.len();
     if n == 0 {
         return;
@@ -399,7 +398,7 @@ fn group_bucket_hashed<V>(
         lens,
         starts,
     } = scratch;
-    let ColumnBuf { keys, mut vals } = bucket;
+    let ColumnBuf { keys, positions } = bucket;
 
     // Probe: one pass assigns local group ids in first-arrival order.
     // The table holds group ids; a slot's id lives in `keys[reps[slot]]`,
@@ -434,8 +433,8 @@ fn group_bucket_hashed<V>(
         group_of.push(gid);
     }
 
-    // Prefix-sum the group sizes into per-group value offsets (relative
-    // to this bucket's segment of the output column).
+    // Prefix-sum the group sizes into per-group offsets (relative to
+    // this bucket's segment of the output column).
     let g = reps.len();
     starts.clear();
     starts.reserve(g);
@@ -446,7 +445,7 @@ fn group_bucket_hashed<V>(
     }
 
     // Directory: one descriptor per group, keyed by its first arrival.
-    let base = out.values.len() as u32;
+    let base = out.positions.len() as u32;
     out.groups.reserve(g);
     for ((&rep, &len), &start) in reps.iter().zip(lens.iter()).zip(starts.iter()) {
         out.groups.push(Group {
@@ -456,42 +455,22 @@ fn group_bucket_hashed<V>(
         });
     }
 
-    // Values: one scatter pass moves every value directly to its final
-    // slot in the output column, advancing its group's cursor.
-    assert_eq!(vals.len(), n, "a bucket's columns differ in length");
-    let old_len = out.values.len();
-    out.values.reserve(n);
-    // SAFETY: `vals` holds exactly the `n` values `group_of` indexes
-    // (asserted above). `starts` are prefix sums of `lens`, and each
-    // position advances its own group's cursor, so the n destinations are
-    // exactly the distinct offsets 0..n — every output slot in the
-    // reserved region is written once, every source slot is read once.
-    // `vals`' length is zeroed first so its elements are never dropped in
-    // place, nothing between the two `set_len`s can panic, and the output
-    // length is raised only after all n writes.
-    // Price: the safe twin (each value's destination written over its
-    // group id, a cycle-swap permutation of `vals`, then one append) cost
-    // `matmul_tree` `seq_iter_ms_p50` +10.3 % (3/10 pairs better) and
-    // `hamming_join` `iter_ms_p50` +7.2 % (3/10), `seq_iter_ms_p50`
-    // +4.6 % (2/10) — medians of 10 alternated 25 s `mr-perf --trace 0`
-    // pairs on a 2-core host, 2026-10-19, with the two-column buckets.
-    unsafe {
-        let dst = out.values.as_mut_ptr().add(old_len);
-        let src = vals.as_ptr();
-        vals.set_len(0);
-        for (j, &gid) in group_of.iter().enumerate() {
-            // Every gid is < g = starts.len() (assigned by the probe pass).
-            let cursor = starts.get_unchecked_mut(gid as usize);
-            let d = *cursor;
-            *cursor = d + 1;
-            std::ptr::copy_nonoverlapping(src.add(j), dst.add(d as usize), 1);
-        }
-        out.values.set_len(old_len + n);
+    // Positions: one scatter pass writes every position to its final
+    // slot in the bucket's segment, advancing its group's cursor. The
+    // cursors cover exactly the offsets `0..n`, each once; both writes
+    // are bounds-checked.
+    let old_len = out.positions.len();
+    out.positions.resize(old_len + n, 0);
+    let segment = &mut out.positions[old_len..];
+    for (&gid, &position) in group_of.iter().zip(positions) {
+        let cursor = &mut starts[gid as usize];
+        segment[*cursor as usize] = position;
+        *cursor += 1;
     }
 }
 
 /// The merged view over every partition's [`GroupedRun`]: a global
-/// ascending-key order across runs, without moving any values.
+/// ascending-key order across runs, without moving any positions.
 ///
 /// Keys are disjoint across runs (hash partitioning), so a P-way merge of
 /// the per-run ascending key sequences yields the exact global key order
@@ -499,19 +478,19 @@ fn group_bucket_hashed<V>(
 /// `(run, group)` index pairs — and for the common single-partition case
 /// not even that: one run's directory already *is* the global order, so
 /// the view indexes it directly.
-pub(crate) struct Shuffled<V> {
+pub(crate) struct Shuffled {
     /// One grouped run per shuffle partition, groups ascending by key.
-    runs: Vec<GroupedRun<V>>,
+    runs: Vec<GroupedRun>,
     /// `(run index, group index)` pairs in global ascending key order;
     /// `None` when there is exactly one run (identity order).
     order: Option<Vec<(u32, u32)>>,
 }
 
-impl<V> Shuffled<V> {
+impl Shuffled {
     /// Merges per-partition runs (each with groups already ascending by
     /// key, keys disjoint across runs) into one globally key-ordered
     /// view.
-    pub fn merge(runs: Vec<GroupedRun<V>>) -> Self {
+    pub fn merge(runs: Vec<GroupedRun>) -> Self {
         if runs.len() == 1 {
             return Shuffled { runs, order: None };
         }
@@ -552,11 +531,11 @@ impl<V> Shuffled<V> {
         }
     }
 
-    /// The `i`-th group in global key order: `(key, values)`. Random
-    /// access twin of [`for_each_in`](Self::for_each_in), which the
-    /// engine's batch loops use instead.
+    /// The `i`-th group in global key order: `(key, input positions)`.
+    /// Random access twin of [`for_each_in`](Self::for_each_in), which
+    /// the engine's batch loops use instead.
     #[cfg(test)]
-    pub fn entry(&self, i: usize) -> (u64, &[V]) {
+    pub fn entry(&self, i: usize) -> (u64, &[u32]) {
         let (run, g) = match &self.order {
             Some(order) => {
                 let (r, g) = order[i];
@@ -564,39 +543,38 @@ impl<V> Shuffled<V> {
             }
             None => (&self.runs[0], i),
         };
-        (run.groups[g].key, run.values_of(g))
+        (run.groups[g].key, run.positions_of(&run.groups[g]))
     }
 
-    /// Applies `f` to every group in `range` of the global key order —
-    /// the reduce phase's inner loop. Dispatching on the order
-    /// representation once per *range* (instead of once per entry, as
-    /// [`entry`](Self::entry) must) keeps the single-run fast path a
-    /// straight directory walk.
-    pub fn for_each_in(&self, range: std::ops::Range<usize>, mut f: impl FnMut(u64, &[V])) {
+    /// Applies `f` to every group in `range` of the global key order,
+    /// with its input positions — the reduce phase's inner loop.
+    /// Dispatching on the order representation once per *range* (instead
+    /// of once per entry, as [`entry`](Self::entry) must) keeps the
+    /// single-run fast path a straight directory walk.
+    pub fn for_each_in(&self, range: std::ops::Range<usize>, mut f: impl FnMut(u64, &[u32])) {
         match &self.order {
             None => {
                 let run = &self.runs[0];
                 for g in &run.groups[range] {
-                    f(
-                        g.key,
-                        &run.values[g.start as usize..(g.start + g.len) as usize],
-                    );
+                    f(g.key, run.positions_of(g));
                 }
             }
             Some(order) => {
                 for &(r, gi) in &order[range] {
                     let run = &self.runs[r as usize];
                     let g = &run.groups[gi as usize];
-                    f(
-                        g.key,
-                        &run.values[g.start as usize..(g.start + g.len) as usize],
-                    );
+                    f(g.key, run.positions_of(g));
                 }
             }
         }
     }
 
-    /// Per-group loads (value counts) in global key order.
+    /// Total number of pairs: every run's positions.
+    pub fn pairs(&self) -> usize {
+        self.runs.iter().map(|run| run.positions.len()).sum()
+    }
+
+    /// Per-group loads (position counts) in global key order.
     pub fn loads(&self) -> Vec<u64> {
         match &self.order {
             Some(order) => order
@@ -615,7 +593,6 @@ impl<V> Shuffled<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn fingerprints_are_stable_and_spread() {
@@ -645,15 +622,16 @@ mod tests {
         }
     }
 
-    fn groups_of(run: &GroupedRun<u64>) -> Vec<(u64, Vec<u64>)> {
-        (0..run.len())
-            .map(|i| (run.groups[i].key, run.values_of(i).to_vec()))
+    fn groups_of(run: &GroupedRun) -> Vec<(u64, Vec<u32>)> {
+        run.groups
+            .iter()
+            .map(|g| (g.key, run.positions_of(g).to_vec()))
             .collect()
     }
 
-    /// Routes `(key, value)` rows as one map chunk into `p × bc` columns
-    /// by [`column_of`], partition-major.
-    fn route(rows: &[(u64, u64)], p: usize, bc: usize) -> Vec<ColumnBuf<u64>> {
+    /// Routes `(key, position)` rows as one map chunk into `p × bc`
+    /// columns by [`column_of`], partition-major.
+    fn route(rows: &[(u64, u32)], p: usize, bc: usize) -> Vec<ColumnBuf> {
         let mut columns: Vec<_> = (0..p * bc).map(|_| ColumnBuf::with_capacity(0)).collect();
         for &(k, v) in rows {
             columns[column_of(fingerprint_of(k), p, bc)].push(k, v);
@@ -663,12 +641,12 @@ mod tests {
 
     /// Routes `rows` as one map chunk into the `bucket_count(rows.len())`
     /// buckets of one partition.
-    fn routed(rows: &[(u64, u64)]) -> Vec<ColumnBuf<u64>> {
+    fn routed(rows: &[(u64, u32)]) -> Vec<ColumnBuf> {
         route(rows, 1, bucket_count(rows.len()))
     }
 
     /// Groups `rows` as one partition fed by one map chunk.
-    fn group_routed(rows: &[(u64, u64)]) -> GroupedRun<u64> {
+    fn group_routed(rows: &[(u64, u32)]) -> GroupedRun {
         group_buckets(vec![routed(rows)])
     }
 
@@ -689,7 +667,7 @@ mod tests {
 
     #[test]
     fn grouping_splits_probe_collisions_by_key() {
-        // Three distinct ids share one probe start; values interleave.
+        // Three distinct ids share one probe start; positions interleave.
         // The probe must tell the ids apart and walk past a foreign
         // group to find or open each id's own.
         let k = probe_mates(3, 6);
@@ -734,72 +712,78 @@ mod tests {
 
     #[test]
     fn grouping_preserves_arrival_order_within_key() {
-        let rows: Vec<(u64, u64)> = (0..100).map(|i| (i % 7, i)).collect();
+        let rows: Vec<(u64, u32)> = (0..100u32).map(|i| (u64::from(i % 7), i)).collect();
         let mut run = group_routed(&rows);
         run.sort_groups_by_key();
         assert_eq!(run.len(), 7);
-        for gi in 0..run.len() {
-            let k = run.groups[gi].key;
-            let expect: Vec<u64> = (0..100).filter(|v| v % 7 == k).collect();
-            assert_eq!(run.values_of(gi), expect.as_slice(), "key {k}");
+        for g in &run.groups {
+            let k = g.key;
+            let expect: Vec<u32> = (0..100u32).filter(|v| u64::from(v % 7) == k).collect();
+            assert_eq!(run.positions_of(g), expect.as_slice(), "key {k}");
         }
     }
 
     #[test]
     fn grouping_large_partition_uses_buckets_and_stays_exact() {
         // Big enough that bucket_count > 1: 20_000 pairs over 5_000 keys.
-        let rows: Vec<(u64, u64)> = (0..20_000u64)
-            .map(|i| ((i * 2_654_435_761) % 5_000, i))
+        let rows: Vec<(u64, u32)> = (0..20_000u32)
+            .map(|i| ((u64::from(i) * 2_654_435_761) % 5_000, i))
             .collect();
         assert!(bucket_count(rows.len()) > 1);
         let mut run = group_routed(&rows);
         run.sort_groups_by_key();
         assert_eq!(run.len(), 5_000);
-        // Keys ascend and every value is in arrival order.
+        // Keys ascend and every position is in arrival order.
         for w in run.groups.windows(2) {
             assert!(w[0].key < w[1].key);
         }
-        for gi in 0..run.len() {
-            let vs = run.values_of(gi);
-            assert!(vs.windows(2).all(|w| w[0] < w[1]));
+        for g in &run.groups {
+            let ps = run.positions_of(g);
+            assert!(ps.windows(2).all(|w| w[0] < w[1]));
         }
-        assert_eq!(run.values.len(), 20_000);
+        assert_eq!(run.positions.len(), 20_000);
     }
 
     #[test]
     fn grouping_moves_every_value_and_the_run_drops_each_once() {
-        // Drop-counting values, fed by two map chunks into several
-        // buckets: grouping moves values and never drops one, and
-        // dropping the run drops every value exactly once.
-        struct Tracked<'a>(&'a AtomicUsize);
-        impl Drop for Tracked<'_> {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        // Input positions fed by two map chunks into several buckets,
+        // each position emitted once: grouping writes every position to
+        // exactly one slot of the run (none lost, none written twice),
+        // and each group holds exactly its key's positions in order.
         let mut keys: Vec<u64> = (0..5_000u64).map(|i| i % 50).collect();
         keys.push(1_000);
-        let drops: Vec<AtomicUsize> = keys.iter().map(|_| AtomicUsize::new(0)).collect();
         let bc = bucket_count(keys.len());
         assert!(bc > 1, "need several buckets");
         let chunks = keys
             .chunks(2_000)
-            .zip(drops.chunks(2_000))
-            .map(|(keys, drops)| {
+            .zip((0u32..).step_by(2_000))
+            .map(|(keys, base)| {
                 let mut columns: Vec<_> = (0..bc).map(|_| ColumnBuf::with_capacity(0)).collect();
-                for (&k, d) in keys.iter().zip(drops) {
-                    columns[column_of(fingerprint_of(k), 1, bc)].push(k, Tracked(d));
+                for (&k, position) in keys.iter().zip(base..) {
+                    columns[column_of(fingerprint_of(k), 1, bc)].push(k, position);
                 }
                 columns
             })
             .collect();
         let run = group_buckets(chunks);
         assert_eq!(run.len(), 51);
-        assert_eq!(run.values.len(), keys.len());
-        let dropped = |times| drops.iter().all(|d| d.load(Ordering::Relaxed) == times);
-        assert!(dropped(0), "grouping dropped a value");
-        drop(run);
-        assert!(dropped(1), "a value was not dropped exactly once");
+        assert_eq!(run.positions.len(), keys.len());
+        let mut written = vec![0u32; keys.len()];
+        for &position in &run.positions {
+            written[position as usize] += 1;
+        }
+        assert!(
+            written.iter().all(|&times| times == 1),
+            "a position was lost or written twice"
+        );
+        for g in &run.groups {
+            let expect: Vec<u32> = (0u32..)
+                .zip(&keys)
+                .filter(|&(_, &k)| k == g.key)
+                .map(|(position, _)| position)
+                .collect();
+            assert_eq!(run.positions_of(g), expect.as_slice(), "key {}", g.key);
+        }
     }
 
     #[test]
@@ -831,7 +815,7 @@ mod tests {
         // every (partition, bucket) segment holds only the ids whose
         // fingerprints route to it, in arrival order, and no pair is lost.
         let (p, bc) = (3usize, 4usize);
-        let rows: Vec<(u64, u64)> = (0..1000u64).map(|i| (i % 64, i)).collect();
+        let rows: Vec<(u64, u32)> = (0..1000u32).map(|i| (u64::from(i % 64), i)).collect();
         let columns = route(&rows, p, bc);
         assert_eq!(columns.len(), p * bc);
         let mut total = 0;
@@ -841,8 +825,8 @@ mod tests {
                     let h = fingerprint_of(k);
                     partition_of_hash(h, p) == pi && (h as usize & (bc - 1)) == b
                 }));
-                // Within a segment, values (== arrival stamps) strictly ascend.
-                assert!(bucket.vals.windows(2).all(|w| w[0] < w[1]));
+                // Within a segment, positions (== arrival stamps) strictly ascend.
+                assert!(bucket.positions.windows(2).all(|w| w[0] < w[1]));
                 total += bucket.len();
             }
         }
@@ -890,7 +874,7 @@ mod tests {
             expect.sort_unstable();
             let mut run = GroupedRun {
                 groups: groups64,
-                values: Vec::<u8>::new(),
+                positions: Vec::new(),
             };
             run.sort_groups_by_key();
             let got: Vec<(u64, u32, u32)> =

@@ -5,17 +5,21 @@
 //! side is §2.2's assignment: each input is sent, whole, to every reducer
 //! [`SchemaJob::assign_into`] names, so every key-value pair is a
 //! `(ReducerId, input)` and the shuffle is keyed by reducer id alone.
-//! Execution is deterministic regardless of worker count: emissions are
-//! gathered in input order, the shuffle groups values per reducer
-//! preserving that order, reducers run in ascending id order, and
-//! outputs are concatenated in that order.
+//! The engine carries such a pair as `(ReducerId, u32)`: the input is
+//! named by its position in the round's input slice, never copied into
+//! the shuffle, and the reduce phase gathers each reducer's inputs by
+//! position, [`BLOCK`] pairs at a time, into the slice
+//! [`SchemaJob::reduce`] reads. Execution is deterministic regardless of
+//! worker count: emissions are gathered in input order, the shuffle
+//! groups positions per reducer preserving that order, reducers run in
+//! ascending id order, and outputs are concatenated in that order.
 //!
 //! # Shuffle architecture
 //!
 //! The shuffle is the **columnar radix-partitioned data plane** of the
 //! internal `columnar` module: every emission's reducer id is
 //! fingerprinted at emit time and the pair pushed straight into a flat
-//! `(reducer, input)` column — the top fingerprint bits pick one of `P =
+//! `(reducer, input position)` column — the top fingerprint bits pick one of `P =
 //! min(workers, inputs)` partitions, the low bits a cache-sized radix
 //! bucket within it — and each bucket is grouped in `O(n)` by a small
 //! open-addressing table that compares reducer ids (the fingerprint only
@@ -159,9 +163,11 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Bytes one `(reducer id, value)` pair — §2.2's key-value pair —
-/// occupies in the shuffle columns: the unit behind
-/// [`ShuffleStats::bytes_moved`].
+/// Bytes one `(reducer id, input)` pair — §2.2's key-value pair, an
+/// 8-byte id beside the whole input — occupies: the unit behind
+/// [`ShuffleStats::bytes_moved`], which therefore reports what the
+/// paper's pairs would move. The engine itself moves 12 B per pair
+/// whatever the input type: the id and the input's `u32` position.
 pub(crate) fn pair_bytes<V>() -> u64 {
     (std::mem::size_of::<ReducerId>() + std::mem::size_of::<V>()) as u64
 }
@@ -201,6 +207,13 @@ pub(crate) fn partition_count(workers: usize, inputs: usize) -> usize {
 /// assert_eq!(out, vec![("a", 2), ("b", 2), ("c", 1)]);
 /// assert_eq!(metrics.kv_pairs, 5); // five word occurrences crossed the shuffle
 /// ```
+///
+/// # Panics
+///
+/// A round over more than `u32::MAX` inputs is refused with a panic
+/// before any input is mapped: each pair names its input by a `u32`
+/// position. A panic in the schema's `assign_into` or `reduce` reaches
+/// the caller as the panic the `workers = 1` run would raise.
 pub fn run_schema<I, O, S>(
     inputs: &[I],
     schema: &S,
@@ -211,6 +224,11 @@ where
     O: Send,
     S: SchemaJob<I, O> + ?Sized,
 {
+    assert!(
+        u32::try_from(inputs.len()).is_ok(),
+        "a round of {} inputs exceeds the u32 position space",
+        inputs.len()
+    );
     let workers = config.effective_workers();
     let _round_span = mr_obs::span("engine.round");
     engine_counters().rounds.incr();
@@ -230,7 +248,7 @@ where
     drop(shuffle_span);
     engine_counters().kv_pairs.add(kv_pairs);
     let reduce_span = mr_obs::span("engine.reduce");
-    let outputs = reduce_phase(&shuffled, schema, workers);
+    let outputs = reduce_phase(inputs, &shuffled, schema, workers);
     drop(reduce_span);
     let metrics = round_metrics(
         inputs.len(),
@@ -244,7 +262,7 @@ where
 
 /// One shuffle partition's bucket columns: one list of buckets per map
 /// chunk, in chunk (= input) order — the input of [`group_buckets`].
-type PartitionColumns<V> = Vec<Vec<ColumnBuf<V>>>;
+type PartitionColumns = Vec<Vec<ColumnBuf>>;
 
 /// Runs the map phase as one routed pass: each of at most `p` input
 /// chunks is one [`fan_out`](fan_out) item ([`map_chunk`])
@@ -260,28 +278,31 @@ type PartitionColumns<V> = Vec<Vec<ColumnBuf<V>>>;
 /// chunk's columns are preallocated with ~25% headroom over their share
 /// of `n`. However many reducers each input is sent to, a column that
 /// outgrows its share only reallocates: sizing never changes a result.
-fn map_phase<I, O, S>(inputs: &[I], schema: &S, p: usize) -> Vec<PartitionColumns<I>>
+fn map_phase<I, O, S>(inputs: &[I], schema: &S, p: usize) -> Vec<PartitionColumns>
 where
-    I: Clone + Send + Sync,
+    I: Sync,
     S: SchemaJob<I, O> + ?Sized,
 {
     let n = inputs.len();
     let bc = bucket_count(n / p);
     // At most `p` chunks (`p <= inputs.len()`, or `p = 1` and no chunk at
-    // all when there are no inputs), one fan-out item each.
-    let chunks: Vec<&[I]> = inputs.chunks(n.div_ceil(p).max(1)).collect();
+    // all when there are no inputs), one fan-out item each, with the
+    // position of its first input (`run_schema` bounds every position by
+    // `u32::MAX`).
+    let size = n.div_ceil(p).max(1);
+    let chunks: Vec<(&[I], u32)> = inputs.chunks(size).zip((0u32..).step_by(size)).collect();
     let slots = chunks.len() * p * bc;
     let share = n / slots.max(1);
     let cap = if slots > 1 { share + share / 4 + 8 } else { n };
-    let mut partitions: Vec<PartitionColumns<I>> =
+    let mut partitions: Vec<PartitionColumns> =
         (0..p).map(|_| Vec::with_capacity(chunks.len())).collect();
     let routed = if p == 1 {
-        fan_out(p, chunks, |c| {
-            map_chunk::<true, I, O, S>(c, schema, p, bc, cap)
+        fan_out(p, chunks, |(c, base)| {
+            map_chunk::<true, I, O, S>(c, base, schema, p, bc, cap)
         })
     } else {
-        fan_out(p, chunks, |c| {
-            map_chunk::<false, I, O, S>(c, schema, p, bc, cap)
+        fan_out(p, chunks, |(c, base)| {
+            map_chunk::<false, I, O, S>(c, base, schema, p, bc, cap)
         })
     };
     for columns in routed {
@@ -293,11 +314,12 @@ where
     partitions
 }
 
-/// One map chunk: every input sent to each reducer its assignment
-/// names — each reducer id fingerprinted and pushed, with a clone of its
-/// input, into its [`column_of`] column among `p × bc`, each
-/// preallocated for `cap` pairs. Returned partition-major, bucket `b` of
-/// partition `pi` at `pi * bc + b`.
+/// One map chunk, whose first input sits at position `base` of the
+/// round's input slice: every input sent to each reducer its assignment
+/// names — each reducer id fingerprinted and pushed, with the input's
+/// position (never the input), into its [`column_of`] column among
+/// `p × bc`, each preallocated for `cap` pairs. Returned
+/// partition-major, bucket `b` of partition `pi` at `pi * bc + b`.
 ///
 /// `ONE` says `p = 1` in the type, so the emit closure — which the
 /// assignment calls indirectly, one call per pair — is compiled with the
@@ -309,13 +331,13 @@ where
 /// pairs better, and `hamming_join` −1.3 %, 5/10).
 fn map_chunk<const ONE: bool, I, O, S>(
     chunk: &[I],
+    base: u32,
     schema: &S,
     p: usize,
     bc: usize,
     cap: usize,
-) -> Vec<ColumnBuf<I>>
+) -> Vec<ColumnBuf>
 where
-    I: Clone,
     S: SchemaJob<I, O> + ?Sized,
 {
     let _span = mr_obs::span("engine.map.chunk");
@@ -327,11 +349,11 @@ where
         .checked_mul(bc)
         .filter(|&n| n > 0)
         .expect("a chunk routes into 1 ..= usize::MAX columns");
-    let mut columns: Vec<ColumnBuf<I>> = (0..n).map(|_| ColumnBuf::with_capacity(cap)).collect();
-    for input in chunk {
+    let mut columns: Vec<ColumnBuf> = (0..n).map(|_| ColumnBuf::with_capacity(cap)).collect();
+    for (input, position) in chunk.iter().zip(base..) {
         schema.assign_into(input, &mut |rid| {
             let column = column_of(fingerprint_of(rid), if ONE { 1 } else { p }, bc);
-            columns[column].push(rid, input.clone());
+            columns[column].push(rid, position);
         });
     }
     columns
@@ -350,18 +372,18 @@ where
 /// surviving runs are merged into a [`Shuffled`] view in global ascending
 /// key order (keys are disjoint across partitions, so a P-way merge of the
 /// sorted directories is exact).
-fn shuffle_phase<V: Send>(
-    partitions: Vec<PartitionColumns<V>>,
+fn shuffle_phase(
+    partitions: Vec<PartitionColumns>,
     q: Option<u64>,
     workers: usize,
-) -> Result<Shuffled<V>, EngineError> {
-    let group_one = |chunks: PartitionColumns<V>| -> GroupedRun<V> {
+) -> Result<Shuffled, EngineError> {
+    let group_one = |chunks: PartitionColumns| -> GroupedRun {
         let _span = mr_obs::span("engine.group.partition");
         let mut run = group_buckets(chunks);
         run.sort_groups_by_key();
         run
     };
-    let runs: Vec<GroupedRun<V>> = fan_out(workers, partitions, group_one);
+    let runs: Vec<GroupedRun> = fan_out(workers, partitions, group_one);
 
     check_budget(&runs, q)?;
     Ok(Shuffled::merge(runs))
@@ -372,7 +394,7 @@ fn shuffle_phase<V: Send>(
 /// run is that run's smallest offender; the globally smallest offender —
 /// the exact reducer a sequential in-order scan would report — is the
 /// minimum over runs.
-fn check_budget<V>(runs: &[GroupedRun<V>], q: Option<u64>) -> Result<(), EngineError> {
+fn check_budget(runs: &[GroupedRun], q: Option<u64>) -> Result<(), EngineError> {
     let Some(q) = q else { return Ok(()) };
     let mut worst: Option<(u64, u64)> = None;
     for run in runs {
@@ -413,15 +435,32 @@ pub(crate) fn round_metrics(
     }
 }
 
+/// Pairs the reduce phase gathers per block: consecutive groups are
+/// cloned, by position, into one reused buffer until the next group would
+/// take it past `BLOCK` pairs, and then each group's sub-slice is
+/// reduced. A group larger than `BLOCK` is a block of its own.
+///
+/// Gathering a whole block in one tight loop, rather than one group
+/// before each `reduce`, is what keeps narrow inputs from losing to the
+/// copies the shuffle no longer makes: a per-group gather (`BLOCK = 1`)
+/// read `hamming_join` (8-byte inputs, 8 per reducer) `iter_ms_p50`
+/// +19.5 % and `seq_iter_ms_p50` +18.9 % against 512 (0/4 pairs better).
+/// 256, 512 and 1024 were tried, each in 4 alternated 25 s
+/// `mr-perf --trace 0` pairs against 512 on a 2-core host, 2026-10-19:
+/// 256 read `hamming_join` `iter_ms_p50` +9.1 % (1/4) and `matmul_tree`
+/// −3.0 % (3/4); 1024 read `matmul_tree` `iter_ms_p50` +15.4 % (1/4) and
+/// `hamming_join` `seq_iter_ms_p50` −2.3 % (4/4). 512 loses on neither.
+pub const BLOCK: usize = 512;
+
 /// Runs the reduce phase over the merged shuffle view, concatenating
 /// outputs in ascending reducer order. The global order is cut into at
 /// most `workers` ranges, each reduced as one
 /// [`fan_out`](fan_out) item (a single range runs inline on the
-/// caller); range-order concatenation keeps the output identical to
-/// sequential.
-fn reduce_phase<I, O, S>(shuffled: &Shuffled<I>, schema: &S, workers: usize) -> Vec<O>
+/// caller) through its own [`Gather`]; range-order concatenation keeps
+/// the output identical to sequential.
+fn reduce_phase<I, O, S>(inputs: &[I], shuffled: &Shuffled, schema: &S, workers: usize) -> Vec<O>
 where
-    I: Sync,
+    I: Clone + Sync,
     O: Send,
     S: SchemaJob<I, O> + ?Sized,
 {
@@ -432,13 +471,20 @@ where
         .step_by(chunk)
         .map(|s| (s, (s + chunk).min(n)))
         .collect();
+    // A round with fewer pairs than a block never allocates a whole one.
+    let block = shuffled.pairs().min(BLOCK);
     let results = fan_out(workers, ranges, |(s, e)| {
         let _span = mr_obs::span("engine.reduce.chunk");
-        let mut outputs = Vec::with_capacity(e - s);
-        shuffled.for_each_in(s..e, |rid, vs| {
-            schema.reduce(rid, vs, &mut |o| outputs.push(o))
-        });
-        outputs
+        let mut gather = Gather {
+            inputs,
+            schema,
+            gathered: Vec::with_capacity(block),
+            groups: Vec::with_capacity((e - s).min(BLOCK)),
+            outputs: Vec::with_capacity(e - s),
+        };
+        shuffled.for_each_in(s..e, |rid, positions| gather.push(rid, positions));
+        gather.flush();
+        gather.outputs
     });
     // One exact reservation on the first chunk's buffer, then a block
     // copy per remaining chunk: `Flatten` has no size hint, so collecting
@@ -450,6 +496,54 @@ where
         outputs.append(&mut chunk);
     }
     outputs
+}
+
+/// One reduce range's block gather: the inputs of up to [`BLOCK`] pairs'
+/// worth of consecutive groups, cloned by position into `gathered`, with
+/// each group's reducer id and input count in `groups`.
+struct Gather<'a, I, O, S: ?Sized> {
+    /// The round's inputs, which the positions index.
+    inputs: &'a [I],
+    schema: &'a S,
+    /// The current block's inputs, group after group.
+    gathered: Vec<I>,
+    /// The current block's groups, in key order: reducer id and the
+    /// number of its inputs in `gathered`.
+    groups: Vec<(ReducerId, usize)>,
+    /// The range's outputs so far.
+    outputs: Vec<O>,
+}
+
+impl<I: Clone, O, S: SchemaJob<I, O> + ?Sized> Gather<'_, I, O, S> {
+    /// Adds the group of `rid`, whose inputs sit at `positions`, to the
+    /// block, reducing the block first if the group would take it past
+    /// [`BLOCK`] pairs.
+    #[inline]
+    fn push(&mut self, rid: ReducerId, positions: &[u32]) {
+        if self.gathered.len() + positions.len() > BLOCK {
+            self.flush();
+        }
+        let inputs = self.inputs;
+        self.gathered
+            .extend(positions.iter().map(|&p| inputs[p as usize].clone()));
+        self.groups.push((rid, positions.len()));
+    }
+
+    /// Reduces every group of the block, in order, each over its
+    /// sub-slice of the gathered inputs, and empties the block.
+    fn flush(&mut self) {
+        let mut start = 0;
+        for &(rid, len) in &self.groups {
+            let outputs = &mut self.outputs;
+            self.schema
+                .reduce(rid, &self.gathered[start..start + len], &mut |o| {
+                    outputs.push(o)
+                });
+            start += len;
+        }
+        self.groups.clear();
+        self.gathered.clear();
+    }
 }
 
 #[cfg(test)]
@@ -740,6 +834,21 @@ mod tests {
             "partitions must be clamped to the input size, got {}",
             m.shuffle.partitions
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the u32 position space")]
+    fn a_round_beyond_the_u32_position_space_is_refused() {
+        // 2³² zero-sized inputs occupy no memory, and the refusal comes
+        // before the map reads any of them.
+        let inputs = [[(); 1 << 16]; 1 << 16];
+        let inputs = inputs.as_flattened();
+        assert_eq!(inputs.len(), 1 << 32);
+        let schema = FnSchema(
+            |_: &(), emit: &mut dyn FnMut(ReducerId)| emit(0),
+            |_: ReducerId, _: &[()], _: &mut dyn FnMut(())| {},
+        );
+        let _ = run_schema(inputs, &schema, &EngineConfig::sequential());
     }
 
     #[test]

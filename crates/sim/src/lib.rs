@@ -32,9 +32,10 @@
 //!   (`P = workers` partitions, clamped to the input size, merged in
 //!   reducer order so results never depend on the worker count),
 //! * `columnar` (internal) — the flat data plane under the shuffle:
-//!   `(reducer id, value)` pairs routed at emit, by the id's
+//!   `(reducer id, input position)` pairs routed at emit, by the id's
 //!   fingerprint, into `(partition, radix bucket)` columns,
-//!   open-addressing grouping that compares ids, merged views,
+//!   open-addressing grouping that compares ids, merged views; the
+//!   reduce phase gathers the inputs by position,
 //! * [`delta`] — incremental execution: schemas held resident with
 //!   per-reducer state, re-executing only the reducers a
 //!   `Delta { added, removed }` dirties (exploiting §2.2 obliviousness),
@@ -50,10 +51,10 @@
 //! shuffle is the dev-only `mr-oracle` crate, which only the integration
 //! tests reach, and the pool's twin is the inline `workers = 1` run.
 //!
-//! `unsafe` code is denied crate-wide. Two functions opt back in, each
-//! for one site whose safe form measured slower in the perf ledger: the
-//! value scatter in `columnar` and the lifetime erasure in
-//! [`WorkerPool::run`]. Each site's `SAFETY` comment states that price.
+//! `unsafe` code is denied crate-wide. One function opts back in, for
+//! one site whose safe form measured slower in the perf ledger: the
+//! lifetime erasure in [`WorkerPool::run`]. Its `SAFETY` comment states
+//! that price.
 
 pub(crate) mod columnar;
 pub mod dag;

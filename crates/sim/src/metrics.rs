@@ -98,11 +98,11 @@ pub struct ShuffleStats {
     pub max_partition_load: u64,
     /// Mean partition load.
     pub mean_partition_load: f64,
-    /// Total bytes the shuffle's columns moved:
-    /// `pairs × (8-byte reducer id + size_of::<V>())`, §2.2's key-value
-    /// pairs at their in-memory width.
+    /// Total bytes §2.2's key-value pairs occupy at their in-memory
+    /// width: `pairs × (8-byte reducer id + size_of::<V>())`.
     /// An in-process estimate of the paper's communication cost in bytes
-    /// rather than pairs. `Some` only when the engine filled it — the
+    /// rather than pairs. The engine's own columns carry each pair as a
+    /// reducer id and a `u32` input position, 12 bytes whatever `V` is. `Some` only when the engine filled it — the
     /// pair width is known nowhere else, so
     /// [`from_partition_loads`](ShuffleStats::from_partition_loads)
     /// leaves it explicitly `None` (unknown) rather than a silent 0.

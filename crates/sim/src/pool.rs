@@ -168,8 +168,9 @@ impl Batch {
     /// the worker loop, and counts it finished. Of several panics the one
     /// with the smallest task index is kept, whichever happened first.
     /// The payload not kept is dropped after the slot is released, and a
-    /// `Drop` of it that panics is caught there too (its own payload is
-    /// leaked, as dropping it could panic once more).
+    /// `Drop` of it that panics is caught there too; that panic's own
+    /// payload is dropped under one more `catch_unwind`, and leaked only
+    /// if its drop panics as well (a third drop could panic again).
     fn run_task(&self, index: usize, task: Task) {
         if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
             let discarded = {
@@ -182,7 +183,9 @@ impl Batch {
                 }
             };
             if let Err(second) = catch_unwind(AssertUnwindSafe(move || drop(discarded))) {
-                std::mem::forget(second);
+                if let Err(third) = catch_unwind(AssertUnwindSafe(move || drop(second))) {
+                    std::mem::forget(third);
+                }
             }
         }
         // Cannot fire: the latch is held only to count down, notify or wait, none of which unwinds.

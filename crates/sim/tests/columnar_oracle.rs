@@ -12,8 +12,10 @@
 //! live in the unified `differential_fuzz.rs` battery.
 
 use mr_oracle::{digest, digest_round, digest_round_naive, indexed, run_schema_naive, DigestRow};
-use mr_sim::{run_schema, EngineConfig, FnSchema, ReducerId, RoundMetrics};
+use mr_sim::engine::BLOCK;
+use mr_sim::{run_schema, EngineConfig, FnSchema, ReducerId, RoundMetrics, SchemaJob};
 use proptest::test_runner::TestRng;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Worker counts the battery sweeps on both paths.
 const WORKER_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
@@ -280,5 +282,135 @@ fn uneven_chunk_outputs_assemble_like_the_oracle() {
         // `O = ()` is what the registry's count-only rounds reduce into:
         // nothing to copy, only a length to get right.
         assert_assembly_case(&format!("{name}/unit"), fanout, |_, _| ());
+    }
+}
+
+/// An input that owns heap data, so the reduce phase's gather clones and
+/// drops real allocations: its reducer, an optional second reducer, and a
+/// `String` naming it.
+type Owned = (ReducerId, Option<ReducerId>, String);
+
+/// Group sizes in reducer order that put a group of every size around
+/// the reduce phase's block boundary — 1, `BLOCK − 1`, `BLOCK`,
+/// `BLOCK + 1` and `3·BLOCK` — among many one-to-eight-input groups, once
+/// each after runs of small groups of differing lengths (so each starts
+/// at a different offset in its block) and once all back to back.
+fn block_edge_sizes() -> Vec<usize> {
+    let mut rng = TestRng::deterministic("columnar-oracle-block");
+    let edges = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK];
+    let mut small =
+        |count: usize| -> Vec<usize> { (0..count).map(|_| 1 + rng.below(8) as usize).collect() };
+    let mut sizes = Vec::new();
+    for (i, &edge) in edges.iter().enumerate() {
+        sizes.extend(small(40 + 37 * i));
+        sizes.push(edge);
+    }
+    sizes.extend(edges);
+    sizes.extend(small(300));
+    sizes
+}
+
+/// The inputs of [`block_edge_sizes`]: group `g` is reducer `3g + 1`, and
+/// the first input of every small group is also sent to reducer `3g + 2`
+/// (so some positions are gathered twice), in a scrambled input order so
+/// a group's positions are scattered over the input slice.
+fn block_edge_inputs() -> Vec<Owned> {
+    let mut inputs: Vec<Owned> = Vec::new();
+    for (g, &size) in block_edge_sizes().iter().enumerate() {
+        let rid = 3 * g as u64 + 1;
+        for j in 0..size {
+            let second = (size <= 8 && j == 0).then_some(rid + 1);
+            inputs.push((rid, second, format!("reducer {rid} input {j}")));
+        }
+    }
+    let mut rng = TestRng::deterministic("columnar-oracle-block-order");
+    for i in (1..inputs.len()).rev() {
+        inputs.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    inputs
+}
+
+/// Sends an [`Owned`] input to its reducer and its second reducer; each
+/// reducer emits everything it received, in order, unless `panics_at`
+/// names it.
+fn owned_schema(panics_at: &[ReducerId]) -> impl SchemaJob<Owned, (ReducerId, Vec<String>)> + '_ {
+    FnSchema(
+        |(rid, second, _): &Owned, emit: &mut dyn FnMut(ReducerId)| {
+            emit(*rid);
+            if let Some(second) = second {
+                emit(*second);
+            }
+        },
+        move |r: ReducerId, xs: &[Owned], emit: &mut dyn FnMut((ReducerId, Vec<String>))| {
+            if panics_at.contains(&r) {
+                panic!("reducer {r} refused its {} inputs", xs.len());
+            }
+            emit((r, xs.iter().map(|(_, _, s)| s.clone()).collect()))
+        },
+    )
+}
+
+#[test]
+fn block_boundary_groups_gather_like_the_oracle() {
+    let inputs = block_edge_inputs();
+    let schema = owned_schema(&[]);
+    let (oracle_out, oracle_m) =
+        run_schema_naive(&inputs, &schema, &EngineConfig::sequential()).expect("no q bound set");
+    for edge in [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK] {
+        assert!(
+            oracle_m.loads.contains(&(edge as u64)),
+            "no group of {edge} inputs"
+        );
+    }
+    assert!(oracle_m.reducers > 1_000, "too few small groups");
+    for workers in 1..=8 {
+        let (out, m) =
+            run_schema(&inputs, &schema, &EngineConfig::parallel(workers)).expect("no q bound set");
+        assert_eq!(
+            oracle_out, out,
+            "outputs diverged from the oracle at workers={workers}"
+        );
+        assert_eq!(
+            oracle_m, m,
+            "metrics diverged from the oracle at workers={workers}"
+        );
+    }
+}
+
+#[test]
+fn a_reducer_panic_after_the_first_block_raises_the_inline_panic() {
+    // Two reducers panic, both in groups the reduce phase reaches only
+    // after its first block of pairs: the one right after the first
+    // `3·BLOCK` group, and the last. The inline run raises the first, so
+    // every worker count must too, with the gathered inputs of the block
+    // dropped on the way out.
+    let inputs = block_edge_inputs();
+    let sizes = block_edge_sizes();
+    let after_big = sizes
+        .iter()
+        .position(|&size| size == 3 * BLOCK)
+        .expect("a 3·BLOCK group")
+        + 1;
+    let first = 3 * after_big as u64 + 1;
+    let last = 3 * (sizes.len() as u64 - 1) + 1;
+    let panics_at = [last, first];
+    let schema = owned_schema(&panics_at);
+    let message = |workers: usize| -> String {
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            run_schema(&inputs, &schema, &EngineConfig::parallel(workers))
+        }));
+        let payload = caught.expect_err("the round must panic");
+        match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(_) => "<payload is not a String>".to_string(),
+        }
+    };
+    let inline = message(1);
+    assert_eq!(
+        inline,
+        format!("reducer {first} refused its {} inputs", sizes[after_big])
+    );
+    for workers in 2..=8 {
+        assert_eq!(inline, message(workers), "panic at workers={workers}");
     }
 }

@@ -180,7 +180,7 @@ fn a_payload_whose_drop_panics_stays_inside_the_pool() {
         let kept = match payload.downcast::<Bomb>() {
             Ok(bomb) => {
                 let index = bomb.0;
-                std::mem::forget(bomb);
+                let _ = catch_unwind(AssertUnwindSafe(move || drop(bomb)));
                 Ok(index)
             }
             Err(other) => Err(panic_message(other)),
