@@ -8,8 +8,9 @@
 //! algorithm of Afrati–Ullman \[1\] matches the bound for chain joins and
 //! analyses star joins.
 //!
-//! * [`query`] — conjunctive queries, databases, and the serial join
-//!   baseline;
+//! * [`tuple`](mod@tuple) — the one tuple and row type, inline and `Copy`;
+//! * [`query`] — conjunctive queries, databases, and the one join that
+//!   is both the serial baseline and every Shares reducer's;
 //! * [`shares`] — the Shares mapping schema, share optimisation, and
 //!   predicted communication;
 //! * [`problem`] — the complete-instance join as a §2 [`Problem`](crate::model::Problem),
@@ -27,6 +28,7 @@ pub mod pipeline;
 pub mod problem;
 pub mod query;
 pub mod shares;
+pub mod tuple;
 
 pub use bounds::{
     chain_lower_bound, chain_upper_bound, multiway_lower_bound, star_lower_bound, star_replication,
@@ -35,3 +37,4 @@ pub use pipeline::{naive_count_dag, pushed_count_dag, tagged_inputs, JoinToken};
 pub use problem::{MultiwayJoinProblem, SharesOverDomain};
 pub use query::{Database, Query};
 pub use shares::{optimize_shares, predicted_communication, SharesSchema};
+pub use tuple::{TaggedTuple, Tuple, MAX_VARS};

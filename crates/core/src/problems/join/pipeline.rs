@@ -29,19 +29,20 @@
 //! blow-up factor.
 
 use super::query::Database;
-use super::shares::{SharesSchema, TaggedTuple};
+use super::shares::SharesSchema;
+use super::tuple::{TaggedTuple, Tuple};
 use crate::model::ReducerId;
 use mr_sim::schema::SchemaJob;
 use mr_sim::{DagJob, FnSchema};
 use std::collections::BTreeMap;
 
 /// The uniform token a join→aggregate [`DagJob`] flows between rounds.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinToken {
     /// An input tuple tagged with its atom.
     Tuple(TaggedTuple),
     /// A full join-result row (naive plan's intermediate).
-    Row(Vec<u32>),
+    Row(Tuple),
     /// A partial count for `a0`, tagged with the merge bucket it belongs
     /// to on its way up the aggregation tree.
     Partial {
@@ -56,51 +57,56 @@ pub enum JoinToken {
     Count(u32, u64),
 }
 
+impl JoinToken {
+    /// The tagged tuple the join round reads.
+    fn tagged(&self) -> &TaggedTuple {
+        let JoinToken::Tuple(t) = self else {
+            unreachable!("the join round consumes tuples only");
+        };
+        t
+    }
+
+    /// The group-by value and how many rows it stands for, of a row (one)
+    /// or a partial count: what the merge rounds read.
+    fn counted(&self) -> (u32, u64) {
+        match *self {
+            JoinToken::Row(row) => (row[0], 1),
+            JoinToken::Partial { a0, count, .. } => (a0, count),
+            _ => unreachable!("the merge rounds consume rows or partials"),
+        }
+    }
+}
+
 /// The database as tokens, in the same atom-major order
 /// [`SharesSchema::run`] uses.
 pub fn tagged_inputs(db: &Database) -> Vec<JoinToken> {
-    db.tuples
-        .iter()
-        .enumerate()
-        .flat_map(|(a, ts)| {
-            ts.iter()
-                .map(move |t| JoinToken::Tuple((a as u32, t.clone())))
-        })
-        .collect()
+    db.tagged().into_iter().map(JoinToken::Tuple).collect()
 }
 
 /// Adds the Shares join round: tuples shuffled to the schema's reducer
-/// grid. `reduce` turns each reducer's locally-joined rows into output
-/// tokens.
-fn add_join_round(
-    dag: &mut DagJob<JoinToken>,
-    schema: SharesSchema,
-    reduce: impl Fn(ReducerId, Vec<Vec<u32>>, &mut dyn FnMut(JoinToken)) + Sync + 'static,
-) -> usize {
+/// grid and joined where they meet, over the reducer's borrowed inputs.
+/// Without a `fanout` a reducer emits its rows; with one it emits its
+/// per-`A₀` partial counts, in merge bucket `reducer id mod fanout`.
+fn add_join_round(dag: &mut DagJob<JoinToken>, schema: SharesSchema, fanout: Option<u32>) -> usize {
     let assign_schema = schema.clone();
     dag.add_round(
         "join",
         vec![],
         FnSchema(
             move |token: &JoinToken, emit: &mut dyn FnMut(ReducerId)| {
-                let JoinToken::Tuple(t) = token else {
-                    unreachable!("the join round consumes tuples only");
-                };
-                assign_schema.assign_into(t, emit);
+                assign_schema.assign_into(token.tagged(), emit);
             },
             move |rid: ReducerId, inputs: &[JoinToken], emit: &mut dyn FnMut(JoinToken)| {
-                let tuples: Vec<TaggedTuple> = inputs
-                    .iter()
-                    .map(|t| {
-                        let JoinToken::Tuple(tt) = t else {
-                            unreachable!("the join round consumes tuples only");
-                        };
-                        tt.clone()
-                    })
-                    .collect();
-                let mut rows = Vec::new();
-                schema.reduce(rid, &tuples, &mut |row| rows.push(row));
-                reduce(rid, rows, emit);
+                let (query, tuples) = (schema.query(), inputs.iter().map(JoinToken::tagged));
+                let Some(fanout) = fanout else {
+                    return query.join_tagged(tuples, &mut |row| emit(JoinToken::Row(row)));
+                };
+                let mut counts: BTreeMap<u32, u64> = BTreeMap::new();
+                query.join_tagged(tuples, &mut |row| *counts.entry(row[0]).or_insert(0) += 1);
+                let bucket = (rid % u64::from(fanout)) as u32;
+                for (a0, count) in counts {
+                    emit(JoinToken::Partial { a0, bucket, count });
+                }
             },
         ),
     )
@@ -113,20 +119,11 @@ fn add_final_merge(dag: &mut DagJob<JoinToken>, dep: usize) {
         "merge",
         vec![dep],
         FnSchema(
-            |token: &JoinToken, emit: &mut dyn FnMut(ReducerId)| match token {
-                JoinToken::Row(row) => emit(u64::from(row[0])),
-                JoinToken::Partial { a0, .. } => emit(u64::from(*a0)),
-                _ => unreachable!("the merge round consumes rows or partials"),
+            |token: &JoinToken, emit: &mut dyn FnMut(ReducerId)| {
+                emit(u64::from(token.counted().0));
             },
             |a0: ReducerId, inputs: &[JoinToken], emit: &mut dyn FnMut(JoinToken)| {
-                let total: u64 = inputs
-                    .iter()
-                    .map(|t| match t {
-                        JoinToken::Row(_) => 1,
-                        JoinToken::Partial { count, .. } => *count,
-                        _ => unreachable!("the merge round consumes rows or partials"),
-                    })
-                    .sum();
+                let total = inputs.iter().map(|t| t.counted().1).sum();
                 emit(JoinToken::Count(a0 as u32, total));
             },
         ),
@@ -136,11 +133,7 @@ fn add_final_merge(dag: &mut DagJob<JoinToken>, dep: usize) {
 /// The naive two-round pipeline: full join, then hot-key aggregation.
 pub fn naive_count_dag(schema: SharesSchema) -> DagJob<JoinToken> {
     let mut dag = DagJob::new();
-    let join = add_join_round(&mut dag, schema, |_rid, rows, emit| {
-        for row in rows {
-            emit(JoinToken::Row(row));
-        }
-    });
+    let join = add_join_round(&mut dag, schema, None);
     add_final_merge(&mut dag, join);
     dag
 }
@@ -155,16 +148,7 @@ pub fn naive_count_dag(schema: SharesSchema) -> DagJob<JoinToken> {
 pub fn pushed_count_dag(schema: SharesSchema, fanout: u32) -> DagJob<JoinToken> {
     assert!(fanout >= 1, "fanout must be positive");
     let mut dag = DagJob::new();
-    let join = add_join_round(&mut dag, schema, move |rid, rows, emit| {
-        let mut counts: BTreeMap<u32, u64> = BTreeMap::new();
-        for row in rows {
-            *counts.entry(row[0]).or_insert(0) += 1;
-        }
-        let bucket = (rid % fanout as u64) as u32;
-        for (a0, count) in counts {
-            emit(JoinToken::Partial { a0, bucket, count });
-        }
-    });
+    let join = add_join_round(&mut dag, schema, Some(fanout));
     let mut prev = join;
     if fanout >= 2 {
         // Reducer `a0 << 32 | bucket`: ids order like `(a0, bucket)`.
@@ -179,19 +163,10 @@ pub fn pushed_count_dag(schema: SharesSchema, fanout: u32) -> DagJob<JoinToken> 
                     emit(u64::from(*a0) << 32 | u64::from(*bucket));
                 },
                 |key: ReducerId, inputs: &[JoinToken], emit: &mut dyn FnMut(JoinToken)| {
-                    let total: u64 = inputs
-                        .iter()
-                        .map(|t| {
-                            let JoinToken::Partial { count, .. } = t else {
-                                unreachable!("the bucket round consumes partials only");
-                            };
-                            *count
-                        })
-                        .sum();
                     emit(JoinToken::Partial {
                         a0: (key >> 32) as u32,
                         bucket: key as u32,
-                        count: total,
+                        count: inputs.iter().map(|t| t.counted().1).sum(),
                     });
                 },
             ),
@@ -233,7 +208,7 @@ mod tests {
     /// Ground truth from the serial join.
     fn serial_counts(schema: &SharesSchema, db: &Database) -> Vec<(u32, u64)> {
         let mut counts: BTreeMap<u32, u64> = BTreeMap::new();
-        for row in db.join(&schema.query) {
+        for row in db.join(schema.query()) {
             *counts.entry(row[0]).or_insert(0) += 1;
         }
         counts.into_iter().collect()

@@ -10,13 +10,13 @@
 //! [`MappingSchema`] needs to declare its reducer budget (a Shares grid
 //! cell holds at most `Σ_e Π_{v ∈ e} ⌈n/s_v⌉` complete-instance tuples).
 //!
-//! With these two pieces, [`validate_schema`](crate::model::validate_schema)
-//! covers the join family too, and the registry's validation-vs-engine
-//! parity tests can assert that the exhaustively computed replication
-//! rate equals the engine-measured one on the same complete instance.
+//! So [`validate_schema`](crate::model::validate_schema) covers the join
+//! family too, and the registry's parity tests compare its exhaustive
+//! replication rate with the engine's on the same complete instance.
 
 use super::query::{Database, Query};
-use super::shares::{SharesSchema, TaggedTuple};
+use super::shares::SharesSchema;
+use super::tuple::{TaggedTuple, Tuple};
 use crate::model::{MappingSchema, Problem, ReducerId};
 use crate::recipe::LowerBoundRecipe;
 use mr_sim::schema::SchemaJob;
@@ -58,22 +58,17 @@ impl MultiwayJoinProblem {
 
 impl Problem for MultiwayJoinProblem {
     type Input = TaggedTuple;
-    type Output = Vec<u32>;
+    type Output = Tuple;
 
     fn inputs(&self) -> Vec<TaggedTuple> {
-        self.database()
-            .tuples
-            .iter()
-            .enumerate()
-            .flat_map(|(a, ts)| ts.iter().map(move |t| (a as u32, t.clone())))
-            .collect()
+        self.database().tagged()
     }
 
-    fn outputs(&self) -> Vec<Vec<u32>> {
+    fn outputs(&self) -> Vec<Tuple> {
         self.database().join(&self.query)
     }
 
-    fn inputs_of(&self, output: &Vec<u32>) -> Vec<TaggedTuple> {
+    fn inputs_of(&self, output: &Tuple) -> Vec<TaggedTuple> {
         // A result row needs, from each relation, its projection onto
         // that atom's variables.
         self.query
@@ -110,12 +105,12 @@ impl SharesOverDomain {
     /// `v` holds at most `⌈n/s_v⌉` domain values.
     pub fn cell_budget(&self) -> u64 {
         self.schema
-            .query
+            .query()
             .atoms
             .iter()
             .map(|atom| {
                 atom.iter()
-                    .map(|&v| (self.n as u64).div_ceil(self.schema.shares[v]))
+                    .map(|&v| (self.n as u64).div_ceil(self.schema.shares()[v]))
                     .product::<u64>()
             })
             .sum()
@@ -134,7 +129,8 @@ impl MappingSchema<MultiwayJoinProblem> for SharesOverDomain {
     fn name(&self) -> String {
         format!(
             "shares(vars={}, shares={:?})",
-            self.schema.query.num_vars, self.schema.shares
+            self.schema.query().num_vars,
+            self.schema.shares()
         )
     }
 }
@@ -156,11 +152,15 @@ mod tests {
     #[test]
     fn inputs_of_projects_onto_atoms() {
         let p = MultiwayJoinProblem::new(Query::cycle(3), 4);
-        let deps = p.inputs_of(&vec![1, 2, 3]);
+        let deps = p.inputs_of(&Tuple::from_iter([1, 2, 3]));
         // Cycle atoms: (A0,A1), (A1,A2), (A2,A0).
         assert_eq!(
             deps,
-            vec![(0, vec![1, 2]), (1, vec![2, 3]), (2, vec![3, 1])]
+            vec![
+                (0, Tuple::from_iter([1, 2])),
+                (1, Tuple::from_iter([2, 3])),
+                (2, Tuple::from_iter([3, 1]))
+            ]
         );
     }
 

@@ -1,5 +1,7 @@
-//! Conjunctive queries, databases, and the serial join baseline.
+//! Conjunctive queries, databases, the serial join baseline, and the
+//! local join every Shares reducer runs.
 
+use super::tuple::{TaggedTuple, Tuple, MAX_VARS};
 use mr_lp::{fractional_edge_cover, Hypergraph};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -17,20 +19,31 @@ pub struct Query {
 }
 
 impl Query {
-    /// Creates a query, checking every atom references valid variables.
+    /// Creates a query, checking every atom references valid variables,
+    /// numbered in the order the atoms first mention them: a join that
+    /// binds atom after atom then binds them in ascending order.
     ///
     /// # Panics
-    /// Panics on empty atoms, out-of-range variables, or repeated
-    /// variables within an atom.
+    /// Panics on more than [`MAX_VARS`] variables, empty atoms,
+    /// out-of-range variables, repeated variables within an atom, or a
+    /// variable first mentioned before a lower one, or never.
     pub fn new(num_vars: usize, atoms: Vec<Vec<usize>>) -> Self {
+        assert!(
+            num_vars <= MAX_VARS,
+            "{num_vars} variables exceed a tuple's {MAX_VARS}"
+        );
+        let mut seen = 0;
         for a in &atoms {
             assert!(!a.is_empty(), "atoms must be non-empty");
             let distinct: BTreeSet<_> = a.iter().collect();
             assert_eq!(distinct.len(), a.len(), "repeated variable in atom {a:?}");
             for &v in a {
                 assert!(v < num_vars, "variable {v} out of range");
+                assert!(v <= seen, "variable {v} is mentioned before {seen}");
+                seen = seen.max(v + 1);
             }
         }
+        assert_eq!(seen, num_vars, "variable {seen} is in no atom");
         Query { num_vars, atoms }
     }
 
@@ -72,16 +85,54 @@ impl Query {
     ///
     /// # Panics
     /// Panics if some variable appears in no atom (the cover LP is then
-    /// infeasible, which `Query::new` should have prevented in practice).
+    /// infeasible), which `Query::new` prevents.
     pub fn rho(&self) -> f64 {
         fractional_edge_cover(&self.hypergraph())
             .expect("every variable appears in some atom")
             .0
     }
 
-    /// Arity of atom `i`.
-    pub fn arity(&self, atom: usize) -> usize {
-        self.atoms[atom].len()
+    /// Joins `tuples`, in any order, and emits every result row in
+    /// ascending order: the serial join, and the local join at a Shares
+    /// reducer over the inputs it borrows. Its one allocation is an index
+    /// of the tuples, sorted by atom and value.
+    pub(crate) fn join_tagged<'a>(
+        &self,
+        tuples: impl Iterator<Item = &'a TaggedTuple>,
+        emit: &mut dyn FnMut(Tuple),
+    ) {
+        let mut index: Vec<&TaggedTuple> = tuples.collect();
+        index.sort_unstable();
+        self.extend(0, &index, [0; MAX_VARS], 0, emit);
+    }
+
+    /// Extends `row`, whose variables in the mask `bound` are set, by each
+    /// consistent tuple of `atom` (the leading run of `index`) and recurses
+    /// into the next atom. A run is ascending and the variables it binds
+    /// are the next ones in order, so the rows come out ascending.
+    fn extend(
+        &self,
+        atom: usize,
+        index: &[&TaggedTuple],
+        row: [u32; MAX_VARS],
+        bound: u32,
+        emit: &mut dyn FnMut(Tuple),
+    ) {
+        let Some(vars) = self.atoms.get(atom) else {
+            return emit(row[..self.num_vars].iter().copied().collect());
+        };
+        let (run, rest) = index.split_at(index.partition_point(|t| t.0 as usize == atom));
+        let now_bound = vars.iter().fold(bound, |mask, &v| mask | 1 << v);
+        'tuples: for (_, tuple) in run {
+            let mut next = row;
+            for (&v, &x) in vars.iter().zip(tuple.iter()) {
+                if bound & 1 << v != 0 && row[v] != x {
+                    continue 'tuples;
+                }
+                next[v] = x;
+            }
+            self.extend(atom + 1, rest, next, now_bound, emit);
+        }
     }
 }
 
@@ -90,7 +141,7 @@ impl Query {
 #[derive(Debug, Clone)]
 pub struct Database {
     /// `tuples[a]` = the tuples of atom `a`'s relation.
-    pub tuples: Vec<Vec<Vec<u32>>>,
+    pub tuples: Vec<Vec<Tuple>>,
 }
 
 impl Database {
@@ -98,22 +149,16 @@ impl Database {
     /// tuple in every relation — the instance the lower-bound analysis
     /// assumes (§2.3). Relation `a` gets `n^arity(a)` tuples.
     pub fn complete(query: &Query, n: u32) -> Self {
+        let n = u64::from(n);
         let tuples = query
             .atoms
             .iter()
             .map(|atom| {
-                let arity = atom.len();
-                let count = (n as u64).pow(arity as u32);
-                (0..count)
-                    .map(|code| {
-                        let mut t = vec![0u32; arity];
-                        let mut rest = code;
-                        for slot in t.iter_mut().rev() {
-                            *slot = (rest % n as u64) as u32;
-                            rest /= n as u64;
-                        }
-                        t
-                    })
+                let arity = atom.len() as u32;
+                let digits =
+                    |code: u64| (0..arity).rev().map(move |i| (code / n.pow(i) % n) as u32);
+                (0..n.pow(arity))
+                    .map(|code| digits(code).collect())
                     .collect()
             })
             .collect();
@@ -146,10 +191,9 @@ impl Database {
                     per_relation as u64 <= universe,
                     "cannot draw {per_relation} distinct tuples from {universe}"
                 );
-                let mut chosen: BTreeSet<Vec<u32>> = BTreeSet::new();
+                let mut chosen: BTreeSet<Tuple> = BTreeSet::new();
                 while chosen.len() < per_relation {
-                    let t: Vec<u32> = (0..arity).map(|_| rng.random_range(0..n)).collect();
-                    chosen.insert(t);
+                    chosen.insert((0..arity).map(|_| rng.random_range(0..n)).collect());
                 }
                 chosen.into_iter().collect()
             })
@@ -162,56 +206,22 @@ impl Database {
         self.tuples.iter().map(|t| t.len() as u64).sum()
     }
 
-    /// Serial join baseline: backtracking over atoms, returning all
-    /// variable assignments satisfying every atom. Result rows are sorted.
-    pub fn join(&self, query: &Query) -> Vec<Vec<u32>> {
-        let mut results = Vec::new();
-        let mut assignment: Vec<Option<u32>> = vec![None; query.num_vars];
-        self.join_rec(query, 0, &mut assignment, &mut results);
-        results.sort_unstable();
-        results
+    /// Every tuple tagged with its atom, atom by atom: the input of every
+    /// join round and the join problem's inputs.
+    pub(crate) fn tagged(&self) -> Vec<TaggedTuple> {
+        self.tuples
+            .iter()
+            .zip(0..)
+            .flat_map(|(ts, a)| ts.iter().map(move |&t| (a, t)))
+            .collect()
     }
 
-    fn join_rec(
-        &self,
-        query: &Query,
-        atom: usize,
-        assignment: &mut Vec<Option<u32>>,
-        results: &mut Vec<Vec<u32>>,
-    ) {
-        if atom == query.atoms.len() {
-            results.push(
-                assignment
-                    .iter()
-                    .map(|v| v.expect("all variables bound after all atoms"))
-                    .collect(),
-            );
-            return;
-        }
-        let vars = &query.atoms[atom];
-        'tuples: for t in &self.tuples[atom] {
-            // Check consistency and record new bindings.
-            let mut newly_bound = Vec::new();
-            for (pos, &var) in vars.iter().enumerate() {
-                match assignment[var] {
-                    Some(bound) if bound != t[pos] => {
-                        for &v in &newly_bound {
-                            assignment[v] = None;
-                        }
-                        continue 'tuples;
-                    }
-                    Some(_) => {}
-                    None => {
-                        assignment[var] = Some(t[pos]);
-                        newly_bound.push(var);
-                    }
-                }
-            }
-            self.join_rec(query, atom + 1, assignment, results);
-            for &v in &newly_bound {
-                assignment[v] = None;
-            }
-        }
+    /// Serial join baseline: every variable assignment satisfying every
+    /// atom, sorted: `Query::join_tagged` over the whole instance.
+    pub fn join(&self, query: &Query) -> Vec<Tuple> {
+        let mut rows = Vec::new();
+        query.join_tagged(self.tagged().iter(), &mut |row| rows.push(row));
+        rows
     }
 }
 
@@ -268,11 +278,18 @@ mod tests {
         let q = Query::chain(2);
         let db = Database {
             tuples: vec![
-                vec![vec![0, 1], vec![1, 2]],
-                vec![vec![1, 5], vec![2, 6], vec![3, 7]],
+                vec![Tuple::from_iter([0, 1]), Tuple::from_iter([1, 2])],
+                vec![
+                    Tuple::from_iter([1, 5]),
+                    Tuple::from_iter([2, 6]),
+                    Tuple::from_iter([3, 7]),
+                ],
             ],
         };
-        assert_eq!(db.join(&q), vec![vec![0, 1, 5], vec![1, 2, 6]]);
+        assert_eq!(
+            db.join(&q),
+            vec![Tuple::from_iter([0, 1, 5]), Tuple::from_iter([1, 2, 6])]
+        );
     }
 
     #[test]
@@ -280,7 +297,11 @@ mod tests {
         // Cycle query over the same relation contents: R=S=T={(0,1),(1,2),(2,0)}
         // has exactly the 3 rotations of the one directed triangle.
         let q = Query::cycle(3);
-        let edges = vec![vec![0u32, 1], vec![1, 2], vec![2, 0]];
+        let edges = vec![
+            Tuple::from_iter([0, 1]),
+            Tuple::from_iter([1, 2]),
+            Tuple::from_iter([2, 0]),
+        ];
         let db = Database {
             tuples: vec![edges.clone(), edges.clone(), edges],
         };
@@ -301,5 +322,61 @@ mod tests {
     #[should_panic(expected = "repeated variable")]
     fn rejects_repeated_variable() {
         Query::new(2, vec![vec![0, 0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "7 variables exceed a tuple's 6")]
+    fn rejects_more_variables_than_a_tuple_holds() {
+        Query::chain(6);
+    }
+
+    #[test]
+    #[should_panic(expected = "variable 2 is mentioned before 1")]
+    fn rejects_variables_numbered_out_of_first_mention_order() {
+        Query::new(3, vec![vec![0, 2], vec![1, 2]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "variable 2 is in no atom")]
+    fn rejects_a_variable_in_no_atom() {
+        Query::new(3, vec![vec![0, 1]]);
+    }
+
+    /// Every assignment over `0..n` whose projections lie in every
+    /// relation, ascending: the join by its definition.
+    fn brute_force(query: &Query, db: &Database, n: u32) -> Vec<Tuple> {
+        let (n, m) = (u64::from(n), query.num_vars as u32);
+        let digit = |code: u64, v: usize| (code / n.pow(m - 1 - v as u32) % n) as u32;
+        (0..n.pow(m))
+            .map(|code| (0..m as usize).map(|v| digit(code, v)).collect::<Tuple>())
+            .filter(|row| {
+                let project = |vars: &Vec<usize>| vars.iter().map(|&v| row[v]).collect();
+                query
+                    .atoms
+                    .iter()
+                    .zip(&db.tuples)
+                    .all(|(vars, ts)| ts.contains(&project(vars)))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn join_matches_brute_force_in_any_input_order() {
+        // Tuples arrive reversed. `(A0, A1) ⋈ (A2, A1)` binds a variable
+        // ahead of an already bound one.
+        for (query, n, per_relation) in [
+            (Query::chain(3), 6, 20),
+            (Query::cycle(3), 5, 15),
+            (Query::star(3), 4, 12),
+            (Query::new(3, vec![vec![0, 1], vec![2, 1]]), 6, 20),
+        ] {
+            let db = Database::random(&query, n, per_relation, 3);
+            let expected = brute_force(&query, &db, n);
+            assert!(!expected.is_empty(), "{query:?}");
+            let mut rows = Vec::new();
+            query.join_tagged(db.tagged().iter().rev(), &mut |row| rows.push(row));
+            assert_eq!(rows, expected, "{query:?}");
+            assert_eq!(db.join(&query), expected, "{query:?}");
+        }
     }
 }

@@ -10,33 +10,55 @@
 //! duplicate-free.
 
 use super::query::{Database, Query};
+use super::tuple::{TaggedTuple, Tuple, MAX_VARS};
 use crate::model::ReducerId;
 use mr_sim::schema::SchemaJob;
 use mr_sim::{run_schema, EngineConfig, EngineError, RoundMetrics};
 
-/// A tagged tuple: `(atom index, tuple values)` — the simulator input type
-/// for join jobs.
-pub type TaggedTuple = (u32, Vec<u32>);
-
 /// The Shares mapping schema for a query.
 #[derive(Debug, Clone)]
 pub struct SharesSchema {
-    /// The query being computed.
-    pub query: Query,
-    /// Share per variable; the reducer grid has `Π shares` cells.
-    pub shares: Vec<u64>,
+    query: Query,
+    shares: Vec<u64>,
+    /// `strides[v] = Π_{u > v} s_u`: the weight of variable `v`'s
+    /// coordinate in a reducer id, the mixed-radix number of the grid cell
+    /// with variable 0 most significant.
+    strides: Vec<u64>,
 }
 
 impl SharesSchema {
     /// Creates the schema.
     ///
     /// # Panics
-    /// Panics if the share vector length differs from the variable count
-    /// or any share is zero.
+    /// Panics if the share vector length differs from the variable count,
+    /// any share is zero, or the grid has more cells than a `ReducerId`
+    /// can number.
     pub fn new(query: Query, shares: Vec<u64>) -> Self {
         assert_eq!(shares.len(), query.num_vars, "one share per variable");
         assert!(shares.iter().all(|&s| s > 0), "shares must be positive");
-        SharesSchema { query, shares }
+        let cells = shares
+            .iter()
+            .try_fold(1u64, |cells, &s| cells.checked_mul(s));
+        assert!(cells.is_some(), "grid {shares:?} does not fit a ReducerId");
+        let mut strides = vec![1; shares.len()];
+        for v in (1..shares.len()).rev() {
+            strides[v - 1] = strides[v] * shares[v];
+        }
+        SharesSchema {
+            query,
+            shares,
+            strides,
+        }
+    }
+
+    /// The query being computed.
+    pub fn query(&self) -> &Query {
+        &self.query
+    }
+
+    /// Share per variable; the reducer grid has `Π shares` cells.
+    pub fn shares(&self) -> &[u64] {
+        &self.shares
     }
 
     /// Total number of reducers `p = Π s_v`.
@@ -44,47 +66,13 @@ impl SharesSchema {
         self.shares.iter().product()
     }
 
-    /// Bucket of `value` in variable `v`'s dimension.
-    fn bucket(&self, var: usize, value: u32) -> u64 {
-        // Simple modular hash; adequate for the uniform domains of the
-        // experiments and fully deterministic.
-        value as u64 % self.shares[var]
-    }
-
-    /// Mixed-radix encoding of a full bucket vector.
-    fn encode(&self, buckets: &[u64]) -> ReducerId {
-        buckets
-            .iter()
-            .zip(&self.shares)
-            .fold(0u64, |acc, (&b, &s)| acc * s + b)
-    }
-
-    /// Decodes a reducer id into its bucket vector.
-    pub fn decode(&self, id: ReducerId) -> Vec<u64> {
-        let mut buckets = vec![0u64; self.shares.len()];
-        let mut rest = id;
-        for (slot, &s) in buckets.iter_mut().zip(&self.shares).rev() {
-            *slot = rest % s;
-            rest /= s;
-        }
-        buckets
-    }
-
     /// The number of reducers a tuple of `atom` is replicated to:
     /// `Π_{v ∉ atom} s_v`.
     pub fn replication_of_atom(&self, atom: usize) -> u64 {
-        let in_atom: Vec<bool> = {
-            let mut m = vec![false; self.query.num_vars];
-            for &v in &self.query.atoms[atom] {
-                m[v] = true;
-            }
-            m
-        };
-        self.shares
-            .iter()
-            .zip(&in_atom)
-            .filter(|(_, &inside)| !inside)
-            .map(|(&s, _)| s)
+        let vars = &self.query.atoms[atom];
+        (0..self.shares.len())
+            .filter(|v| !vars.contains(v))
+            .map(|v| self.shares[v])
             .product()
     }
 
@@ -94,71 +82,44 @@ impl SharesSchema {
         &self,
         db: &Database,
         config: &EngineConfig,
-    ) -> Result<(Vec<Vec<u32>>, RoundMetrics), EngineError> {
-        let inputs: Vec<TaggedTuple> = db
-            .tuples
-            .iter()
-            .enumerate()
-            .flat_map(|(a, ts)| ts.iter().map(move |t| (a as u32, t.clone())))
-            .collect();
-        run_schema(&inputs, self, config)
+    ) -> Result<(Vec<Tuple>, RoundMetrics), EngineError> {
+        run_schema(&db.tagged(), self, config)
     }
 }
 
-impl SchemaJob<TaggedTuple, Vec<u32>> for SharesSchema {
-    fn assign_into(&self, input: &TaggedTuple, emit: &mut dyn FnMut(ReducerId)) {
-        let (atom, tuple) = input;
-        let vars = &self.query.atoms[*atom as usize];
-        // Fixed coordinates from the tuple's own variables.
-        let mut fixed: Vec<Option<u64>> = vec![None; self.query.num_vars];
-        for (pos, &v) in vars.iter().enumerate() {
-            fixed[v] = Some(self.bucket(v, tuple[pos]));
+impl SchemaJob<TaggedTuple, Tuple> for SharesSchema {
+    fn assign_into(&self, (atom, tuple): &TaggedTuple, emit: &mut dyn FnMut(ReducerId)) {
+        // The tuple fixes its own variables' coordinates by a modular hash
+        // (adequate for the experiments' uniform domains, and
+        // deterministic); `digits` counts through the others, the last
+        // variable fastest, so the ids come out ascending.
+        let mut free = [true; MAX_VARS];
+        let mut id = 0;
+        for (&v, &x) in self.query.atoms[*atom as usize].iter().zip(tuple.iter()) {
+            free[v] = false;
+            id += u64::from(x) % self.shares[v] * self.strides[v];
         }
-        // Enumerate the free coordinates.
-        let mut buckets = vec![0u64; self.query.num_vars];
-        fn rec(
-            schema: &SharesSchema,
-            var: usize,
-            fixed: &[Option<u64>],
-            buckets: &mut Vec<u64>,
-            emit: &mut dyn FnMut(ReducerId),
-        ) {
-            if var == fixed.len() {
-                emit(schema.encode(buckets));
-                return;
-            }
-            match fixed[var] {
-                Some(b) => {
-                    buckets[var] = b;
-                    rec(schema, var + 1, fixed, buckets, emit);
+        let mut digits = [0u64; MAX_VARS];
+        'ids: loop {
+            emit(id);
+            for v in (0..self.shares.len()).rev().filter(|&v| free[v]) {
+                if digits[v] + 1 < self.shares[v] {
+                    digits[v] += 1;
+                    id += self.strides[v];
+                    continue 'ids;
                 }
-                None => {
-                    for b in 0..schema.shares[var] {
-                        buckets[var] = b;
-                        rec(schema, var + 1, fixed, buckets, emit);
-                    }
-                }
+                id -= digits[v] * self.strides[v];
+                digits[v] = 0;
             }
+            return;
         }
-        rec(self, 0, &fixed, &mut buckets, emit);
     }
 
-    fn reduce(&self, _reducer: ReducerId, inputs: &[TaggedTuple], emit: &mut dyn FnMut(Vec<u32>)) {
-        // Local join over the tuples present at this reducer. Because the
-        // grid coordinates of a join result are determined by its variable
-        // values, each result is produced at exactly one reducer.
-        let mut local = Database {
-            tuples: vec![Vec::new(); self.query.atoms.len()],
-        };
-        for (atom, tuple) in inputs {
-            local.tuples[*atom as usize].push(tuple.clone());
-        }
-        if local.tuples.iter().any(|t| t.is_empty()) {
-            return; // some relation empty here: no results
-        }
-        for row in local.join(&self.query) {
-            emit(row);
-        }
+    fn reduce(&self, _reducer: ReducerId, inputs: &[TaggedTuple], emit: &mut dyn FnMut(Tuple)) {
+        // Because the grid coordinates of a join result are determined by
+        // its variable values, each result is produced at exactly one
+        // reducer.
+        self.query.join_tagged(inputs.iter(), emit);
     }
 }
 
@@ -197,16 +158,15 @@ pub fn optimize_shares(query: &Query, sizes: &[u64], p: u64) -> Vec<u64> {
         best: &mut Option<(u64, Vec<u64>)>,
     ) {
         if var == current.len() {
-            if budget != 1 {
-                return; // product must equal p exactly
-            }
-            let cost = predicted_communication(query, sizes, current);
-            let better = match best {
-                None => true,
-                Some((c, v)) => cost < *c || (cost == *c && current < v),
-            };
-            if better {
-                *best = Some((cost, current.clone()));
+            if budget == 1 {
+                // The product equals p exactly.
+                let cost = predicted_communication(query, sizes, current);
+                if best
+                    .as_ref()
+                    .is_none_or(|b| (cost, &*current) < (b.0, &b.1))
+                {
+                    *best = Some((cost, current.clone()));
+                }
             }
             return;
         }
@@ -226,6 +186,15 @@ pub fn optimize_shares(query: &Query, sizes: &[u64], p: u64) -> Vec<u64> {
 mod tests {
     use super::*;
 
+    /// The bucket vector of reducer `id`.
+    fn decode(s: &SharesSchema, id: ReducerId) -> Vec<u64> {
+        s.strides
+            .iter()
+            .zip(&s.shares)
+            .map(|(st, s)| id / st % s)
+            .collect()
+    }
+
     #[test]
     fn replication_of_atom_products() {
         let q = Query::chain(2); // vars A0,A1,A2; atoms {0,1},{1,2}
@@ -242,21 +211,62 @@ mod tests {
         let q = Query::chain(3);
         let s = SharesSchema::new(q, vec![2, 3, 4, 1]);
         for id in 0..s.num_reducers() {
-            assert_eq!(s.encode(&s.decode(id)), id);
+            let buckets = decode(&s, id);
+            assert!(buckets.iter().zip(&s.shares).all(|(b, s)| b < s));
+            let encoded: u64 = buckets.iter().zip(&s.strides).map(|(b, st)| b * st).sum();
+            assert_eq!(encoded, id);
         }
     }
 
     #[test]
+    fn assignment_is_every_cell_agreeing_with_the_tuple_ascending() {
+        // Distinct ids, as many as the atom's replication, each agreeing
+        // with the tuple's buckets: exactly the cells the tuple fixes.
+        for (query, shares) in [
+            (Query::chain(3), vec![2, 3, 4, 1]),
+            (Query::cycle(3), vec![3, 1, 2]),
+            (Query::star(3), vec![2, 1, 3, 2, 1, 2]),
+        ] {
+            let schema = SharesSchema::new(query, shares);
+            for (atom, tuple) in Database::random(&schema.query, 7, 20, 5).tagged() {
+                let ids = SchemaJob::assign(&schema, &(atom, tuple));
+                assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+                assert_eq!(ids.len() as u64, schema.replication_of_atom(atom as usize));
+                for id in ids {
+                    let buckets = decode(&schema, id);
+                    for (&v, &x) in schema.query.atoms[atom as usize].iter().zip(tuple.iter()) {
+                        assert_eq!(buckets[v], u64::from(x) % schema.shares[v]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a ReducerId")]
+    fn shares_rejects_a_grid_wider_than_a_reducer_id() {
+        // 2^32 · 2^32 · 4 = 2^66 cells: unchecked, the product wraps to 0
+        // and the tuples (0, [2^30 + 5, 7]) and (0, [5, 7]) share reducers.
+        SharesSchema::new(Query::chain(2), vec![1 << 32, 1 << 32, 4]);
+    }
+
+    #[test]
     fn shares_join_matches_serial_baseline() {
-        let q = Query::chain(3);
-        let db = Database::random(&q, 12, 60, 17);
-        let expected = db.join(&q);
-        let schema = SharesSchema::new(q, vec![1, 2, 3, 1]);
-        let (mut got, metrics) = schema.run(&db, &EngineConfig::sequential()).unwrap();
-        got.sort_unstable();
-        assert_eq!(got, expected);
-        // Replication: R1 over s2·s3=3... sanity: r > 1.
-        assert!(metrics.replication_rate() > 1.0);
+        // Chain N=3, and the 6-variable star: the widest query a tuple holds.
+        for (q, shares) in [
+            (Query::chain(3), vec![1, 2, 3, 1]),
+            (Query::star(3), vec![2, 2, 2, 1, 2, 1]),
+        ] {
+            let db = Database::random(&q, 12, 60, 17);
+            let expected = db.join(&q);
+            assert!(!expected.is_empty(), "{q:?}");
+            let schema = SharesSchema::new(q, shares);
+            let (mut got, metrics) = schema.run(&db, &EngineConfig::sequential()).unwrap();
+            got.sort_unstable();
+            assert_eq!(got, expected);
+            // Replication: R1 over s2·s3=3... sanity: r > 1.
+            assert!(metrics.replication_rate() > 1.0);
+        }
     }
 
     #[test]

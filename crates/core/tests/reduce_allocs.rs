@@ -1,10 +1,11 @@
 //! The distance-`d` Splitting reducer allocates nothing per candidate
 //! pair; `assign_into` — what the engine's map, the census and a delta's
 //! routing call per input — allocates nothing for the Splitting,
-//! multiset-partition and bucket-pair schemas, so a census allocates per
-//! reducer, never per input; a retained delta apply makes a quarter of an allocation per
-//! change, never one per change or per dirty reducer; and the
-//! multiset-partition `assign`
+//! multiset-partition, bucket-pair and Shares schemas, so a census
+//! allocates per reducer, never per input; a Shares reducer makes one
+//! allocation however many tuples it joins; a retained delta apply makes
+//! a quarter of an allocation per change, never one per change or per
+//! dirty reducer; and the multiset-partition `assign`
 //! allocates only the `Vec` it returns; and a round over wide inputs
 //! allocates at most one reduce block of them more than the same round
 //! over narrow ones — all pinned as counts, so the properties cannot
@@ -15,7 +16,9 @@
 //! are per thread (the harness's other threads allocate at will), and an
 //! allocation count, unlike a timing, repeats exactly.
 
+use mr_core::model::Problem;
 use mr_core::problems::hamming::splitting::DistanceDSplittingSchema;
+use mr_core::problems::join::{MultiwayJoinProblem, Query, SharesSchema};
 use mr_core::problems::sample_graph::MultisetPartitionSchema;
 use mr_core::problems::two_path::BucketPairSchema;
 use mr_graph::{patterns, Graph};
@@ -267,6 +270,78 @@ fn bucket_pair_assign_into_allocates_nothing() {
     }
 }
 
+/// The Shares shapes the pins run, each with the complete instance its
+/// grid partitions: the 3-cycle, chain N=3 and the 6-variable star N=3.
+fn shares_shapes() -> [(SharesSchema, MultiwayJoinProblem); 3] {
+    let shape = |query: Query, shares: Vec<u64>, n| {
+        let problem = MultiwayJoinProblem::new(query.clone(), n);
+        (SharesSchema::new(query, shares), problem)
+    };
+    [
+        shape(Query::cycle(3), vec![2, 3, 2], 6),
+        shape(Query::chain(3), vec![1, 2, 3, 1], 6),
+        shape(Query::star(3), vec![2, 1, 2, 1, 3, 1], 4),
+    ]
+}
+
+#[test]
+fn shares_assign_into_allocates_nothing() {
+    // The free coordinates are counted through in place: no list of
+    // fixed coordinates, no bucket vector.
+    for (schema, problem) in shares_shapes() {
+        for tuple in problem.inputs() {
+            let mut reducers = 0;
+            let n = allocations_during(|| {
+                schema.assign_into(&tuple, &mut |r| {
+                    std::hint::black_box(r);
+                    reducers += 1;
+                })
+            });
+            assert_eq!(n, 0, "{:?}: tuple {tuple:?} allocated", schema.shares());
+            assert_eq!(reducers, schema.replication_of_atom(tuple.0 as usize));
+        }
+    }
+}
+
+#[test]
+fn shares_reduce_allocates_once_whatever_its_tuple_count() {
+    // A reducer joins over its borrowed tuples through one sorted index
+    // of them and emits its rows as it meets them, already ascending:
+    // exactly 1 allocation per non-empty reducer, at the domain that
+    // fills every grid cell and at twice it, from 21 tuples to 408.
+    for (schema, problem) in shares_shapes() {
+        for n in [6, 12] {
+            let inputs = MultiwayJoinProblem::new(problem.query.clone(), n).inputs();
+            for reducer in [0, schema.num_reducers() - 1] {
+                let local: Vec<_> = inputs
+                    .iter()
+                    .filter(|t| SchemaJob::assign(&schema, t).contains(&reducer))
+                    .cloned()
+                    .collect();
+                let mut rows = 0;
+                let count = allocations_during(|| {
+                    schema.reduce(reducer, &local, &mut |row| {
+                        std::hint::black_box(row);
+                        rows += 1;
+                    })
+                });
+                assert!(
+                    rows > 0,
+                    "{:?} n={n}: reducer {reducer} is idle",
+                    schema.shares()
+                );
+                assert_eq!(
+                    count,
+                    1,
+                    "{:?} n={n}: reducer {reducer} of {} tuples",
+                    schema.shares(),
+                    local.len()
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn load_table_allocates_per_reducer_not_per_input() {
     // Folding an instance twice over touches no new reducer on the second
@@ -297,6 +372,12 @@ fn load_table_allocates_per_reducer_not_per_input() {
         let edges = Graph::complete(schema.n as usize).edges().to_vec();
         let label = format!("multiset s={} k={}", schema.s, schema.k);
         assert_per_reducer(&label, &schema, &edges);
+    }
+    // The `join-cycle3` family's instance and grid at the default scale.
+    let problem = MultiwayJoinProblem::new(Query::cycle(3), 6);
+    for s in [1, 2, 3, 6] {
+        let schema = SharesSchema::new(problem.query.clone(), vec![s, s, s]);
+        assert_per_reducer(&format!("join-cycle3 s={s}"), &schema, &problem.inputs());
     }
 }
 
